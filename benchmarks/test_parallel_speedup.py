@@ -5,9 +5,10 @@ process pool with 2 workers, asserts the two are bit-identical (the whole
 point of per-cell seed derivation), and records the measured speedup into
 ``benchmarks/results/parallel_speedup.txt``.
 
-No minimum speedup is asserted: on a single-CPU box the pool's fork and
-pickle overhead makes 2 workers *slower*, and that is worth recording,
-not failing on.  The identity assertion is the guard.
+The identity assertion is the guard and holds unconditionally.  No
+minimum speedup is asserted, and below 2 cores none is even recorded:
+there the pool's fork and pickle overhead makes 2 workers *slower*
+(0.81x on one CPU), a number that measures the box, not the engine.
 """
 
 from __future__ import annotations
@@ -44,19 +45,23 @@ def test_parallel_sweep_identical_and_speedup_recorded(save_result):
     _assert_identical(serial, parallel)
 
     cells = len(config.timeouts) * config.runs
-    speedup = serial_seconds / parallel_seconds
+    cpus = os.cpu_count() or 1
+    if cpus >= 2:
+        speedup = f"{serial_seconds / parallel_seconds:.2f}x"
+    else:
+        speedup = f"not measured (os.cpu_count() = {cpus})"
     save_result(
         "parallel_speedup",
         "\n".join(
             [
                 "Parallel sweep engine guard (QUICK WAN sweep, 2 workers)",
-                f"cpus available:   {os.cpu_count()}",
+                f"cpus available:   {cpus}",
                 f"cells:            {cells}",
                 f"serial:           {serial_seconds:.3f} s"
                 f" ({cells / serial_seconds:.1f} cells/s)",
                 f"parallel (2):     {parallel_seconds:.3f} s"
                 f" ({cells / parallel_seconds:.1f} cells/s)",
-                f"speedup:          {speedup:.2f}x",
+                f"speedup:          {speedup}",
                 "outputs:          bit-identical",
             ]
         ),

@@ -30,7 +30,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.oracles.omega import HeartbeatOmega
 from repro.sim import Transport
 from repro.sync import HeartbeatAlgorithm, SyncRun
-from repro.sync.batch import result_divergences
+from repro.sync.batch import run_divergences
 
 NODES = 8
 ROUNDS = 1500
@@ -113,7 +113,7 @@ def build_faulted_run():
         planetlab_profile(seed=8, slow_run_prob=0.0), pings=15
     )
     metrics = MetricsRegistry()
-    run = SyncRun(
+    return SyncRun(
         NODES,
         lambda pid: HeartbeatAlgorithm(pid, NODES),
         HeartbeatOmega(NODES, metrics=metrics),
@@ -124,17 +124,6 @@ def build_faulted_run():
         fault_plan=faulted_plan(),
         metrics=metrics,
     )
-    run.bench_metrics = metrics
-    return run
-
-
-def comparable_counters(metrics):
-    return {
-        key: value
-        for key, value in metrics.snapshot()["counters"].items()
-        if not key.startswith("sync.executed_mode")
-        and not key.startswith("sync.batch_fallback")
-    }
 
 
 def test_batched_round_sync_speedup(save_result):
@@ -146,18 +135,9 @@ def test_batched_round_sync_speedup(save_result):
     speedup = scalar_s / batch_s
 
     # The fast path must not buy speed with a different answer.
-    assert result_divergences(scalar_result, batch_result) == []
-    for a, b in zip(scalar_run.nodes, batch_run.nodes):
-        assert a.round_starts == b.round_starts
-        assert a.round_ends == b.round_ends
-        assert a.timely_receipts == b.timely_receipts
     assert (
-        scalar_run.transport.messages_sent
-        == batch_run.transport.messages_sent
-    )
-    assert (
-        scalar_run.transport.messages_lost
-        == batch_run.transport.messages_lost
+        run_divergences(scalar_run, scalar_result, batch_run, batch_result)
+        == []
     )
     assert np.isfinite(batch_result.sync_error).any()
 
@@ -192,28 +172,14 @@ def test_batched_faulted_instrumented_speedup(save_result):
     assert batch_run.executed_mode == "batch", batch_run.fallback_reason
     speedup = scalar_s / batch_s
 
-    # Identity under faults, live metrics and the Omega detector.
-    assert result_divergences(scalar_result, batch_result) == []
-    for a, b in zip(scalar_run.nodes, batch_run.nodes):
-        assert a.round_starts == b.round_starts
-        assert a.round_ends == b.round_ends
-        assert a.timely_receipts == b.timely_receipts
-        assert a.crashed_permanently == b.crashed_permanently
+    # Identity under faults, live metrics and the Omega detector: the
+    # runs' registries are live, so counter totals and histograms are
+    # part of the comparison.
     assert (
-        scalar_run.transport.messages_sent
-        == batch_run.transport.messages_sent
+        run_divergences(scalar_run, scalar_result, batch_run, batch_result)
+        == []
     )
-    assert (
-        scalar_run.transport.messages_lost
-        == batch_run.transport.messages_lost
-    )
-    assert comparable_counters(scalar_run.bench_metrics) == (
-        comparable_counters(batch_run.bench_metrics)
-    )
-    assert (
-        scalar_run.bench_metrics.snapshot()["histograms"]
-        == batch_run.bench_metrics.snapshot()["histograms"]
-    )
+    assert scalar_run.metrics.enabled
     assert scalar_run.nodes[2].crashed_permanently
     assert np.isfinite(batch_result.sync_error).any()
 

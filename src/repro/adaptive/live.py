@@ -31,7 +31,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.oracles.omega import HeartbeatOmega
 from repro.sim.rng import derive_seed
 from repro.sim.transport import Transport
-from repro.sync.batch import result_divergences
+from repro.sync.batch import run_divergences
 from repro.sync.heartbeat import HeartbeatAlgorithm
 from repro.sync.round_sync import SyncRun
 
@@ -136,7 +136,7 @@ def run_live_extraction(
     scalar_estimates = scalar_extractor.estimates()
     live_estimates = live_extractor.estimates()
     identical = (
-        result_divergences(scalar_result, live_result) == []
+        not run_divergences(scalar_run, scalar_result, live_run, live_result)
         and _windows(scalar_extractor) == _windows(live_extractor)
         and len(scalar_estimates) == len(live_estimates)
         and all(

@@ -27,6 +27,7 @@ from repro.analysis.equations import (
     expected_rounds_exact,
     expected_decision_rounds,
     DECISION_ROUNDS,
+    P_MODEL,
 )
 from repro.analysis.stabilization import (
     predicted_decision_round,
@@ -52,6 +53,7 @@ __all__ = [
     "expected_rounds_exact",
     "expected_decision_rounds",
     "DECISION_ROUNDS",
+    "P_MODEL",
     "afm_upper_bound",
     "expected_rounds_vs_n",
     "estimate_p_model",

@@ -108,6 +108,20 @@ def p_gs(p: ArrayLike, n: int) -> ArrayLike:
     return arr ** granular_link_count(n)
 
 
+#: The model -> closed-form ``P_M`` table (equations (1), (3), (6), (9)
+#: and ``P_GS``), keyed like :data:`DECISION_ROUNDS`.  ``WLM_SIM`` shares
+#: ``P_WLM``: the Appendix B simulation changes how many rounds a
+#: decision takes (equation (8)), not which rounds are good.
+P_MODEL = {
+    "ES": p_es,
+    "LM": p_lm,
+    "WLM": p_wlm,
+    "WLM_SIM": p_wlm,
+    "AFM": p_afm,
+    "GS": p_gs,
+}
+
+
 def expected_rounds_paper(p_model: ArrayLike, c: int) -> ArrayLike:
     """The paper's ``E(D) = 1 / P^c + (c - 1)`` (equations (2), (5), (7),
     (8), (10))."""
@@ -138,15 +152,4 @@ def expected_decision_rounds(p: ArrayLike, n: int, model: str) -> ArrayLike:
     key = model.upper()
     if key not in DECISION_ROUNDS:
         raise KeyError(f"unknown model {model!r}; known: {sorted(DECISION_ROUNDS)}")
-    c = DECISION_ROUNDS[key]
-    if key == "ES":
-        p_m = p_es(p, n)
-    elif key == "LM":
-        p_m = p_lm(p, n)
-    elif key in ("WLM", "WLM_SIM"):
-        p_m = p_wlm(p, n)
-    elif key == "GS":
-        p_m = p_gs(p, n)
-    else:
-        p_m = p_afm(p, n)
-    return expected_rounds_paper(p_m, c)
+    return expected_rounds_paper(P_MODEL[key](p, n), DECISION_ROUNDS[key])

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -65,7 +66,12 @@ from repro.obs.registry import MetricsRegistry
 from repro.oracles.omega import HeartbeatOmega
 from repro.sim.rng import derive_seed
 from repro.sim.transport import Transport
-from repro.sync.batch import RESULT_FIELDS, result_divergences
+from repro.sync.batch import (
+    METRIC_FACETS,
+    RESULT_FIELDS,
+    RUN_FACETS,
+    run_divergences,
+)
 from repro.sync.heartbeat import HeartbeatAlgorithm
 from repro.sync.round_sync import SyncRun
 
@@ -259,6 +265,14 @@ def _consensus_safety(
     return violations
 
 
+def _fault_label(plan: Optional[FaultPlan], fault_name: Optional[str]) -> str:
+    """The ``faults=`` label of a scenario header: the caller's name for
+    its plan, else ``canonical``/``none`` by whether there is one."""
+    if fault_name is not None:
+        return fault_name
+    return "canonical" if plan is not None else "none"
+
+
 def differential_run(
     profile_name: str,
     profile_factory: Callable[..., LatencyModel],
@@ -374,11 +388,9 @@ def differential_run(
         metrics=metrics,
     )
 
-    if fault_name is None:
-        fault_name = "canonical" if plan is not None else "none"
     return DifferentialResult(
         profile=profile_name,
-        fault=fault_name,
+        fault=_fault_label(plan, fault_name),
         timeout=timeout,
         rounds=rounds,
         seed=seed,
@@ -430,17 +442,6 @@ def canonical_batch_plan(n: int, rounds: int, seed: int = 0) -> FaultPlan:
     )
 
 
-def _comparable_counters(metrics: MetricsRegistry) -> dict:
-    """Counter totals minus the executed-mode bookkeeping, which differs
-    between a forced-scalar and a batched run by construction."""
-    return {
-        key: value
-        for key, value in metrics.snapshot()["counters"].items()
-        if not key.startswith("sync.executed_mode")
-        and not key.startswith("sync.batch_fallback")
-    }
-
-
 def batched_differential_run(
     profile_name: str,
     static_factory: Callable[..., LatencyModel],
@@ -448,8 +449,8 @@ def batched_differential_run(
     rounds: int = 120,
     seed: int = 0,
     dynamic_factory: Optional[Callable[..., LatencyModel]] = None,
-    faulted: bool = False,
-    adversary: bool = False,
+    plan: Optional[FaultPlan] = None,
+    fault_name: Optional[str] = None,
 ) -> DifferentialResult:
     """Cross-check the two execution paths *within* the event stack.
 
@@ -457,7 +458,8 @@ def batched_differential_run(
     idealizations within tolerances — the batched structure-of-arrays
     path (:mod:`repro.sync.batch`) claims **bit identity** with the
     scalar event loop, so every row here carries tolerance ``0.0``: a
-    field either matches exactly (``1.0``) or the axis fails (``0.0``).
+    facet of :func:`~repro.sync.batch.run_divergences` either matches
+    exactly (``1.0``) or the axis fails (``0.0``).
 
     ``static_factory`` must build a time-invariant variant of the
     profile (the batch path's eligibility condition);
@@ -465,21 +467,16 @@ def batched_differential_run(
     and probes the other half of the contract — that such a run falls
     back to the scalar loop and reports why.
 
-    With ``faulted=True`` the twin runs carry the widened fast path's
-    full load: the :func:`canonical_batch_plan`, a live metrics registry
-    on the run and the transport, and the :class:`HeartbeatOmega`
-    detector — and two extra rows assert that the ``repro.obs`` counter
-    totals and latency histograms match exactly too.
-
-    With ``adversary=True`` the plan is the
-    :func:`canonical_adversary_plan` instead: an eventually stabilizing
-    message adversary's loss bursts and stability-window partitions are
-    batch-eligible round-granular faults, so its epoch-segmented batched
-    execution must also be bit-identical (same metrics/Omega load as the
-    canonical faulted run).
+    With a ``plan`` — which must be batch-eligible, like
+    :func:`canonical_batch_plan` or the round-granular loss bursts and
+    stability-window partitions of :func:`canonical_adversary_plan` —
+    the twin runs carry the widened fast path's full load: the plan, a
+    live metrics registry on the run and the transport, and the
+    :class:`HeartbeatOmega` detector — and two extra rows assert that
+    the ``repro.obs`` counter totals and latency histograms match
+    exactly too.  ``fault_name`` labels the plan in the report, as in
+    :func:`differential_run`.
     """
-    if faulted and adversary:
-        raise ValueError("pick one fault scenario per batch-axis run")
     ping_model = static_factory(
         seed=derive_seed(seed, f"check:{profile_name}:ping")
     )
@@ -487,22 +484,14 @@ def batched_differential_run(
     table = measure_latency_table(ping_model, pings=15)
     leader = select_leader(table)
     trace_seed = derive_seed(seed, f"check:{profile_name}:batch-axis")
-    if adversary:
-        plan: Optional[FaultPlan] = canonical_adversary_plan(n, rounds, seed=seed)
-    elif faulted:
-        plan = canonical_batch_plan(n, rounds, seed=seed)
-    else:
-        plan = None
     instrumented = plan is not None
 
-    def build(
-        factory: Callable[..., LatencyModel],
-    ) -> tuple[SyncRun, Optional[MetricsRegistry]]:
+    def build(factory: Callable[..., LatencyModel]) -> SyncRun:
         metrics = MetricsRegistry() if instrumented else None
         oracle = (
             HeartbeatOmega(n, metrics=metrics) if instrumented else NullOracle()
         )
-        run = SyncRun(
+        return SyncRun(
             n,
             lambda pid: HeartbeatAlgorithm(pid, n),
             oracle,
@@ -515,103 +504,37 @@ def batched_differential_run(
             fault_plan=plan,
             metrics=metrics,
         )
-        return run, metrics
 
-    scalar_run, scalar_metrics = build(static_factory)
+    def exact(quantity: str, holds: bool) -> DiffRow:
+        return DiffRow(quantity, 1.0, 1.0 if holds else 0.0, 0.0)
+
+    scalar_run = build(static_factory)
     scalar = scalar_run.run(mode="scalar")
-    batched_run, batched_metrics = build(static_factory)
+    batched_run = build(static_factory)
     batched = batched_run.run()
 
-    rows = [
-        DiffRow(
-            "batch path engaged",
-            1.0,
-            1.0 if batched_run.executed_mode == "batch" else 0.0,
-            0.0,
-        )
-    ]
-    diverged = set(result_divergences(scalar, batched))
-    for field_name in RESULT_FIELDS:
-        rows.append(
-            DiffRow(
-                f"identical: {field_name}",
-                1.0,
-                0.0 if field_name in diverged else 1.0,
-                0.0,
-            )
-        )
-    node_state_ok = all(
-        a.round_starts == b.round_starts
-        and a.round_ends == b.round_ends
-        and a.timely_receipts == b.timely_receipts
-        and a.crashed_permanently == b.crashed_permanently
-        for a, b in zip(scalar_run.nodes, batched_run.nodes)
-    )
-    rows.append(
-        DiffRow("identical: node state", 1.0, 1.0 if node_state_ok else 0.0, 0.0)
-    )
-    counters_ok = (
-        scalar_run.transport.messages_sent == batched_run.transport.messages_sent
-        and scalar_run.transport.messages_lost
-        == batched_run.transport.messages_lost
-    )
-    rows.append(
-        DiffRow(
-            "identical: transport counters",
-            1.0,
-            1.0 if counters_ok else 0.0,
-            0.0,
-        )
-    )
+    diverged = run_divergences(scalar_run, scalar, batched_run, batched)
+    facets = RESULT_FIELDS + RUN_FACETS
     if instrumented:
-        metrics_ok = _comparable_counters(scalar_metrics) == (
-            _comparable_counters(batched_metrics)
-        )
-        rows.append(
-            DiffRow(
-                "identical: metric totals",
-                1.0,
-                1.0 if metrics_ok else 0.0,
-                0.0,
-            )
-        )
-        hists_ok = (
-            scalar_metrics.snapshot()["histograms"]
-            == batched_metrics.snapshot()["histograms"]
-        )
-        rows.append(
-            DiffRow(
-                "identical: histograms",
-                1.0,
-                1.0 if hists_ok else 0.0,
-                0.0,
-            )
-        )
+        facets += METRIC_FACETS
+    rows = [exact("batch path engaged", batched_run.executed_mode == "batch")]
+    rows.extend(
+        exact(f"identical: {facet}", facet not in diverged) for facet in facets
+    )
     if dynamic_factory is not None:
-        probe, _ = build(dynamic_factory)
+        probe = build(dynamic_factory)
         probe.run()
-        fell_back = (
-            probe.executed_mode == "scalar"
-            and probe.fallback_reason is not None
-        )
         rows.append(
-            DiffRow(
+            exact(
                 "dynamic variant falls back",
-                1.0,
-                1.0 if fell_back else 0.0,
-                0.0,
+                probe.executed_mode == "scalar"
+                and probe.fallback_reason is not None,
             )
         )
 
-    if adversary:
-        fault_label = "adversary-batch"
-    elif faulted:
-        fault_label = "canonical-batch"
-    else:
-        fault_label = "none"
     return DifferentialResult(
         profile=f"{profile_name} [scalar-vs-batched]",
-        fault=fault_label,
+        fault=_fault_label(plan, fault_name),
         timeout=timeout,
         rounds=rounds,
         seed=seed,
@@ -620,63 +543,9 @@ def batched_differential_run(
     )
 
 
-def _batched_scenarios(
-    n: int = 8,
-) -> tuple[
-    tuple[
-        str,
-        Callable[..., LatencyModel],
-        Optional[Callable[..., LatencyModel]],
-        float,
-    ],
-    ...,
-]:
-    """Per conformance profile: the static (batch-eligible) variant and,
-    where the profile has one, the dynamic variant that must fall back."""
-    return (
-        (
-            "planetlab-wan",
-            lambda seed: planetlab_profile(seed=seed, slow_run_prob=0.0),
-            lambda seed: planetlab_profile(seed=seed, slow_run_prob=1.0),
-            WAN_TIMEOUT,
-        ),
-        (
-            "lan",
-            lambda seed: lan_profile(n=n, seed=seed, slow_node=None),
-            lambda seed: lan_profile(n=n, seed=seed),
-            LAN_TIMEOUT,
-        ),
-        (
-            "uniform-wan",
-            lambda seed: uniform_wan_profile(n=n, seed=seed),
-            None,
-            UNIFORM_TIMEOUT,
-        ),
-        (
-            "granular-wan",
-            lambda seed: granular_wan_profile(n=n, seed=seed),
-            # A pending psync stabilization makes the contract
-            # time-varying: the batch path must fall back and say why.
-            lambda seed: granular_wan_profile(
-                n=n, seed=seed, stabilization_time=4.0
-            ),
-            GRANULAR_TIMEOUT,
-        ),
-    )
-
-
 # ----------------------------------------------------------------------
 # Monte Carlo versus the closed forms.
 # ----------------------------------------------------------------------
-
-_CLOSED_FORMS = {
-    "ES": equations.p_es,
-    "LM": equations.p_lm,
-    "WLM": equations.p_wlm,
-    "AFM": equations.p_afm,
-    "GS": equations.p_gs,
-}
-
 
 def montecarlo_vs_equations(
     p_grid: Sequence[float] = (0.9, 0.95, 0.99),
@@ -695,7 +564,7 @@ def montecarlo_vs_equations(
     rows: list[DiffRow] = []
     for p in p_grid:
         for model_name in DIFF_MODELS:
-            closed = float(np.asarray(_CLOSED_FORMS[model_name](p, n)))
+            closed = float(equations.P_MODEL[model_name](p, n))
             estimate = estimate_p_model(
                 model_name,
                 p,
@@ -783,20 +652,40 @@ def granular_wan_profile(
     )
 
 
-def _scenarios(n: int = 8) -> tuple[tuple[str, Callable[..., LatencyModel], float], ...]:
-    """The four network profiles every conformance run covers."""
+_Factory = Callable[..., LatencyModel]
+
+
+def _scenarios(
+    n: int = 8,
+) -> tuple[tuple[str, float, _Factory, _Factory, Optional[_Factory]], ...]:
+    """The four network profiles every conformance run covers.
+
+    Per profile: its timeout, the profile as the two-stack diff runs it,
+    the static (batch-eligible) variant for the scalar-vs-batched axis
+    and, where the profile has one, the dynamic variant that must fall
+    back.  Every factory takes the ``seed`` keyword.
+    """
+    lan = partial(lan_profile, n=n)
+    uniform = partial(uniform_wan_profile, n=n)
+    granular = partial(granular_wan_profile, n=n)
     return (
-        ("planetlab-wan", lambda seed: planetlab_profile(seed=seed), WAN_TIMEOUT),
-        ("lan", lambda seed: lan_profile(n=n, seed=seed), LAN_TIMEOUT),
         (
-            "uniform-wan",
-            lambda seed: uniform_wan_profile(n=n, seed=seed),
-            UNIFORM_TIMEOUT,
+            "planetlab-wan",
+            WAN_TIMEOUT,
+            planetlab_profile,
+            partial(planetlab_profile, slow_run_prob=0.0),
+            partial(planetlab_profile, slow_run_prob=1.0),
         ),
+        ("lan", LAN_TIMEOUT, lan, partial(lan, slow_node=None), lan),
+        ("uniform-wan", UNIFORM_TIMEOUT, uniform, uniform, None),
         (
             "granular-wan",
-            lambda seed: granular_wan_profile(n=n, seed=seed),
             GRANULAR_TIMEOUT,
+            granular,
+            granular,
+            # A pending psync stabilization makes the contract
+            # time-varying: the batch path must fall back and say why.
+            partial(granular, stabilization_time=4.0),
         ),
     )
 
@@ -861,12 +750,14 @@ def run_conformance(
     """The full conformance sweep: every profile, with and without faults,
     plus the Monte-Carlo cross-check and the mutation self-test."""
     report = ConformanceReport()
+    adversary_plan = canonical_adversary_plan(n, rounds, seed=seed)
     plans = (
         (None, None),
         (canonical_diff_plan(n, rounds, seed=seed), None),
-        (canonical_adversary_plan(n, rounds, seed=seed), "adversary"),
+        (adversary_plan, "adversary"),
     )
-    for profile_name, factory, timeout in _scenarios(n):
+    scenarios = _scenarios(n)
+    for profile_name, timeout, factory, _, _ in scenarios:
         for plan, fault_name in plans:
             report.results.append(
                 differential_run(
@@ -880,7 +771,8 @@ def run_conformance(
                     fault_name=fault_name,
                 )
             )
-    for profile_name, static, dynamic, timeout in _batched_scenarios(n):
+    batch_plan = canonical_batch_plan(n, rounds, seed=seed)
+    for profile_name, timeout, _, static, dynamic in scenarios:
         report.batch_axis.append(
             batched_differential_run(
                 profile_name,
@@ -901,22 +793,22 @@ def run_conformance(
                 timeout=timeout,
                 rounds=rounds,
                 seed=seed,
-                faulted=True,
+                plan=batch_plan,
+                fault_name="canonical-batch",
             )
         )
     # One adversary run on the granular profile proves the stability-window
     # plan's epoch segmentation stays on the bit-identical fast path.
-    adversary_name, adversary_static, _, adversary_timeout = _batched_scenarios(
-        n
-    )[-1]
+    profile_name, timeout, _, static, _ = scenarios[-1]
     report.batch_axis.append(
         batched_differential_run(
-            adversary_name,
-            adversary_static,
-            timeout=adversary_timeout,
+            profile_name,
+            static,
+            timeout=timeout,
             rounds=rounds,
             seed=seed,
-            adversary=True,
+            plan=adversary_plan,
+            fault_name="adversary-batch",
         )
     )
     report.mc_rows = montecarlo_vs_equations(samples=mc_samples, seed=seed)

@@ -89,7 +89,10 @@ class TraceCache:
         path = self.path(profile, key)
         try:
             trace = np.load(path)
-        except (OSError, ValueError):
+        except (OSError, ValueError, EOFError):
+            # A torn entry (truncated header or body: ValueError; a
+            # zero-byte file: EOFError) is a miss like a missing one, so
+            # the caller resamples and atomically overwrites it.
             self.misses += 1
             return None
         self.hits += 1

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.equations import expected_decision_rounds
+from repro.analysis.equations import P_MODEL, expected_decision_rounds
 from repro.analysis.stats import summarize
 from repro.experiments.cache import cached_trace
 from repro.experiments.config import (
@@ -215,9 +215,6 @@ def figure_1c(
 
     profile_defaults = LanProfile()
     good, average = profile_defaults.good_leader, profile_defaults.average_leader
-    from repro.analysis.equations import p_es, p_lm, p_wlm, p_afm
-
-    predicted_fns = {"ES": p_es, "AFM": p_afm, "LM": p_lm, "WLM": p_wlm}
 
     for t_index in range(len(config.timeouts)):
         if cells is None:
@@ -230,7 +227,7 @@ def figure_1c(
         p_hat = float(np.mean([cell.p for cell in row]))
         for model in MEASURED_MODELS:
             result.series[f"predicted_{model}"].append(
-                float(predicted_fns[model](p_hat, config.n))
+                float(P_MODEL[model](p_hat, config.n))
             )
         for name in names:
             if name.startswith("measured"):
@@ -472,7 +469,6 @@ def figure_1k(
         predicted_decision_round,
         simulate_adversary_decision_rounds,
     )
-    from repro.check.differential import _CLOSED_FORMS
     from repro.faults.adversary import StabilityWindowAdversary
 
     if gsr_grid is None:
@@ -482,7 +478,7 @@ def figure_1k(
         figure="1k", x_label="stabilization round (GSR)", x=x
     )
     for model in models:
-        p_m = float(np.asarray(_CLOSED_FORMS[model](p, n)))
+        p_m = float(P_MODEL[model](p, n))
         simulated = []
         predicted = []
         for gsr in gsr_grid:

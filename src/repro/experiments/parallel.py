@@ -77,10 +77,6 @@ class CellOutcome(NamedTuple):
     cache_misses: int
 
 
-#: Backwards-compatible alias (the profile tuple predates its export).
-_CellOutcome = CellOutcome
-
-
 def _profiled(compute: Callable[[], _CellResult]) -> "CellOutcome":
     """Run one cell, measuring wall time and trace-cache hits/misses."""
     active = trace_cache.active_cache()
@@ -116,11 +112,6 @@ def lan_task(args: CellArgs) -> CellOutcome:
     """Compute one LAN figure cell (picklable; see :func:`lan_cell`)."""
     config, t_index, r_index = args
     return _profiled(lambda: lan_cell(config, t_index, r_index))
-
-
-# Legacy private names (kept so pickled references keep resolving).
-_wan_task = wan_task
-_lan_task = lan_task
 
 
 def _resolve_cache_root(cache_root: Optional[Path | str]) -> Optional[str]:

@@ -43,7 +43,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.oracles.omega import HeartbeatOmega
 from repro.sim.rng import derive_seed
 from repro.sim.transport import Transport
-from repro.sync.batch import result_divergences
+from repro.sync.batch import run_divergences
 from repro.sync.heartbeat import HeartbeatAlgorithm
 from repro.sync.round_sync import SyncRun
 
@@ -298,15 +298,6 @@ class EventStackRow:
     identical: bool
 
 
-def _comparable_counters(metrics: MetricsRegistry) -> dict:
-    return {
-        key: value
-        for key, value in metrics.snapshot()["counters"].items()
-        if not key.startswith("sync.executed_mode")
-        and not key.startswith("sync.batch_fallback")
-    }
-
-
 def event_stack_crosscheck(
     n: int,
     rounds: int,
@@ -336,9 +327,9 @@ def event_stack_crosscheck(
         pings=15,
     )
 
-    def build(plan: FaultPlan) -> tuple[SyncRun, MetricsRegistry]:
+    def build(plan: FaultPlan) -> SyncRun:
         metrics = MetricsRegistry()
-        run = SyncRun(
+        return SyncRun(
             n,
             lambda pid: HeartbeatAlgorithm(pid, n),
             HeartbeatOmega(n, metrics=metrics),
@@ -353,32 +344,21 @@ def event_stack_crosscheck(
             fault_plan=plan,
             metrics=metrics,
         )
-        return run, metrics
 
     rows = []
     for fault_name, plan in plans.items():
-        auto_run, auto_metrics = build(plan)
+        auto_run = build(plan)
         auto_result = auto_run.run()
-        scalar_run, scalar_metrics = build(plan)
+        scalar_run = build(plan)
         scalar_result = scalar_run.run(mode="scalar")
-        identical = (
-            result_divergences(scalar_result, auto_result) == []
-            and all(
-                a.round_starts == b.round_starts
-                and a.round_ends == b.round_ends
-                and a.timely_receipts == b.timely_receipts
-                and a.crashed_permanently == b.crashed_permanently
-                for a, b in zip(scalar_run.nodes, auto_run.nodes)
-            )
-            and _comparable_counters(scalar_metrics)
-            == _comparable_counters(auto_metrics)
-        )
         rows.append(
             EventStackRow(
                 fault=fault_name,
                 executed_mode=auto_run.executed_mode,
                 fallback_reason=auto_run.fallback_reason,
-                identical=identical,
+                identical=not run_divergences(
+                    scalar_run, scalar_result, auto_run, auto_result
+                ),
             )
         )
     return rows

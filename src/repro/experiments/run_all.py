@@ -16,24 +16,11 @@ new figure, or a different downstream analysis — re-simulates nothing.
 ``--no-cache`` disables this; ``--jobs N`` fans the sweeps out over N
 worker processes (0 = one per CPU).
 
-``--serve`` routes the LAN/WAN sweeps through the sweep service
-(:mod:`repro.service`): both are submitted up front as typed jobs to an
-asyncio queue with admission control, in-flight dedup and priority
-classes, and the returned artifacts are bit-identical to the direct
-engine path.
-
-``--check`` appends the conformance phase (see :mod:`repro.check`):
-differential validation of the lockstep and event-driven stacks on three
-network profiles with and without a fault plan, the
-Monte-Carlo-versus-closed-form cross-check, and the mutation self-test,
-all summarized in ``conformance.txt``.
-
-``--adaptive`` appends the online-selection phase (see
-:mod:`repro.adaptive`): the timeliness extractor and switching policy
-run a replicated KV workload under churn — clean, slow nodes, partition,
-heal — against every fixed (model, timeout) pair, and the comparison
-(mean decision latency, switches, invariant violations) lands in
-``adaptive.txt``.
+The pipeline is the :data:`PHASES` table below.  The optional phases
+(``--faults``, ``--check``, ``--adaptive``, ``--new-models``) and the
+``--serve`` routing of the sweeps through :mod:`repro.service` are rows
+of it; each row's help text says what it runs and which artifact it
+writes.
 
 ``--metrics DIR`` profiles the pipeline: per-phase and per-cell timing,
 cache hit/miss rates and worker utilization land in ``DIR`` as a run
@@ -53,8 +40,10 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from repro.adaptive import (
     ScenarioConfig,
@@ -67,8 +56,15 @@ from repro.analysis import expected_decision_rounds, find_crossover
 from repro.check import conformance_report, run_conformance
 from repro.experiments import cache as trace_cache
 from repro.experiments.ascii_chart import chart_figure
-from repro.experiments.config import PAPER, PAPER_LAN, QUICK, QUICK_LAN
+from repro.experiments.config import (
+    PAPER,
+    PAPER_LAN,
+    QUICK,
+    QUICK_LAN,
+    SweepConfig,
+)
 from repro.experiments.figures import (
+    WanSweep,
     figure_1a,
     figure_1b,
     figure_1c,
@@ -159,28 +155,266 @@ class _RunProfile:
         self.metrics = MetricsRegistry(enabled=enabled)
         self.recorder = RunRecorder(enabled=enabled)
 
-    def phase(self, name: str) -> "_PhaseTimer":
-        return _PhaseTimer(self, name)
+    @contextmanager
+    def phase(self, name: str) -> Iterator[None]:
+        begin = time.perf_counter()
+        self.recorder.record("phase.start", phase=name)
+        try:
+            yield
+        finally:
+            elapsed = time.perf_counter() - begin
+            self.recorder.record("phase.end", phase=name, seconds=elapsed)
+            self.metrics.gauge("run.phase_seconds", phase=name).set(elapsed)
 
 
-class _PhaseTimer:
-    def __init__(self, profile: _RunProfile, name: str) -> None:
-        self._profile = profile
-        self._name = name
+@dataclass
+class RunContext:
+    """What one pipeline run hands each phase runner."""
 
-    def __enter__(self) -> "_PhaseTimer":
-        self._begin = time.perf_counter()
-        self._profile.recorder.record("phase.start", phase=self._name)
-        return self
+    args: argparse.Namespace
+    wan_config: SweepConfig
+    lan_config: SweepConfig
+    jobs: int
+    profile: _RunProfile
+    #: The shared WAN sweep: set by the ``wan``/``serve`` phase, reused by
+    #: every later phase that works on its matrices.
+    sweep: Optional[WanSweep] = None
 
-    def __exit__(self, *exc_info: object) -> None:
-        elapsed = time.perf_counter() - self._begin
-        self._profile.recorder.record(
-            "phase.end", phase=self._name, seconds=elapsed
+    @property
+    def metrics(self) -> Optional[MetricsRegistry]:
+        return self.profile.metrics if self.profile.enabled else None
+
+    def write(self, filename: str, text: str, note: str = "") -> None:
+        (self.args.out / filename).write_text(text)
+        print(f"  wrote {self.args.out / filename}{note}", flush=True)
+
+    def emit(self, name: str, result, y_log: bool = False) -> None:
+        if self.args.charts:
+            (self.args.out / f"{name}.chart.txt").write_text(
+                chart_figure(result, y_log=y_log) + "\n"
+            )
+        self.write(f"{name}.txt", render_series(result) + "\n")
+
+
+def _cells(config: SweepConfig) -> int:
+    return len(config.timeouts) * config.runs
+
+
+# ----------------------------------------------------------------------
+# Phase runners: plain functions that look up ``figure_1a`` ..
+# ``run_live_extraction`` in this module's globals when called, because
+# that is where the tests and the benchmark ledger's tracer patch them.
+# ----------------------------------------------------------------------
+def _run_analysis(ctx: RunContext) -> None:
+    ctx.emit("fig1a", figure_1a(), y_log=True)
+    ctx.emit("fig1b", figure_1b(), y_log=True)
+    ctx.write("headline.txt", headline_numbers() + "\n")
+
+
+def _run_served(ctx: RunContext) -> None:
+    """The ``--serve`` client path: both sweeps as service jobs.
+
+    Submits the LAN figure and the WAN sweep to a fresh
+    :class:`repro.service.SweepService` up front — so the run exercises
+    the queue, dedup keys and telemetry — and awaits both artifacts.
+    The executor matches the direct path's choice for ``jobs`` (serial
+    in-process for 1, a process pool otherwise, trace cache inherited
+    either way), and the jobs reuse the engine's own cell tasks and
+    assembly, so the returned figure and sweep are bit-identical to the
+    direct engine calls.
+    """
+    # Imported here, not at module top: the CLI should not pay the
+    # service import (and run_all must stay importable from service-free
+    # contexts; the service itself imports the parallel engine).
+    from repro.experiments.parallel import make_cell_executor
+    from repro.service import LanFigureJob, WanSweepJob, run_jobs
+
+    progress = _PhaseProgress("served sweeps")
+    fig1c, ctx.sweep = run_jobs(
+        [LanFigureJob(config=ctx.lan_config), WanSweepJob(config=ctx.wan_config)],
+        executor=make_cell_executor(ctx.jobs),
+        metrics=ctx.metrics,
+    )
+    progress.finish(_cells(ctx.lan_config) + _cells(ctx.wan_config))
+    ctx.emit("fig1c", fig1c)
+
+
+def _sweep(ctx: RunContext, label: str, config: SweepConfig, engine, direct):
+    """One measurement sweep, on the parallel engine or directly."""
+    progress = _PhaseProgress(label)
+    # With profiling on, even jobs=1 routes through the parallel engine
+    # (in-process, bit-identical to the serial path) so per-cell timing
+    # and cache statistics flow through its aggregation.
+    if ctx.jobs > 1 or ctx.profile.enabled:
+        result = engine(
+            config, jobs=ctx.jobs, progress=progress, metrics=ctx.metrics
         )
-        self._profile.metrics.gauge(
-            "run.phase_seconds", phase=self._name
-        ).set(elapsed)
+    else:
+        result = direct(config)
+    progress.finish(_cells(config))
+    return result
+
+
+def _run_lan(ctx: RunContext) -> None:
+    fig1c = _sweep(
+        ctx, "LAN sweep", ctx.lan_config, figure_1c_parallel, figure_1c
+    )
+    ctx.emit("fig1c", fig1c)
+
+
+def _run_wan(ctx: RunContext) -> None:
+    ctx.sweep = _sweep(
+        ctx, "WAN sweep", ctx.wan_config, run_wan_sweep_parallel, run_wan_sweep
+    )
+
+
+def _run_wan_figures(ctx: RunContext) -> None:
+    ctx.emit("fig1d", figure_1d(sweep=ctx.sweep))
+    ctx.emit("fig1e", figure_1e(sweep=ctx.sweep))
+    ctx.emit("fig1f", figure_1f(sweep=ctx.sweep))
+    ctx.emit("fig1g", figure_1g(sweep=ctx.sweep))
+    ctx.emit("fig1h", figure_1h(sweep=ctx.sweep))
+    ctx.emit("fig1i", figure_1i(sweep=ctx.sweep))
+
+
+def _run_faults(ctx: RunContext) -> None:
+    # Reuses the sweep already in memory (and therefore the trace
+    # cache): the fault masks are applied to the cached matrices, so
+    # this phase simulates nothing new.
+    report = robustness_report(sweep=ctx.sweep, seed=ctx.wan_config.seed)
+    ctx.write("faults.txt", report + "\n")
+
+
+def _run_check(ctx: RunContext) -> None:
+    conformance = run_conformance(
+        seed=ctx.wan_config.seed,
+        mc_samples=2000 if ctx.args.scale == "quick" else 4000,
+        metrics=ctx.metrics,
+    )
+    ctx.write(
+        "conformance.txt",
+        conformance_report(conformance),
+        note=f" ({'PASS' if conformance.ok else 'FAIL'})",
+    )
+
+
+def _run_adaptive(ctx: RunContext) -> None:
+    # Independent of the sweep: the scenario samples its own base
+    # trace and derives all randomness from its own config seed, so
+    # the artifact is identical whatever phases ran before it.
+    comparison = run_adaptive_scenario(ScenarioConfig(), metrics=ctx.metrics)
+    live = run_live_extraction(ScenarioConfig(), metrics=ctx.metrics)
+    ctx.write(
+        "adaptive.txt",
+        f"{adaptive_report(comparison)}\n\n{render_live_extraction(live)}\n",
+        note=f" (regret {comparison.regret_seconds:+.2f}s, "
+        f"{comparison.total_violations} violations, live extraction "
+        f"mode={live.executed_mode})",
+    )
+
+
+def _run_new_models(ctx: RunContext) -> None:
+    # Analytic on one side, a small simulation on the other: 1(j) is
+    # closed-form only, 1(k) replays the stability-window adversary
+    # on the event stack and overlays the composed prediction.
+    ctx.emit("fig1j", figure_1j(), y_log=True)
+    runs = 40 if ctx.args.scale == "quick" else 120
+    ctx.emit("fig1k", figure_1k(runs=runs, seed=ctx.wan_config.seed))
+
+
+class Phase(NamedTuple):
+    """One row of the pipeline: everything the CLI knows about a phase."""
+
+    #: The ``profile.phase`` span; for an optional row also its CLI switch
+    #: (``--<name>``) and its manifest key.
+    name: str
+    #: The ``[i/N]`` progress header(s) printed before the phase runs.
+    titles: tuple[str, ...]
+    runner: Callable[[RunContext], None]
+    #: Help text of the row's switch; ``None`` marks an always-on row.
+    help: Optional[str] = None
+    #: Always-on rows this row runs in place of when it is switched on.
+    replaces: tuple[str, ...] = ()
+
+    @property
+    def flag(self) -> Optional[str]:
+        return None if self.help is None else f"--{self.name}"
+
+    @property
+    def dest(self) -> str:
+        return self.name.replace("-", "_")
+
+
+#: The pipeline, in execution order.  The argparse switches, the
+#: ``[i/N]`` numbering, the phase spans and the manifest's per-flag fields
+#: are all read off this table: a new scenario is one row plus its runner.
+PHASES = (
+    Phase("analysis", ("analysis figures (Section 4.2)",), _run_analysis),
+    Phase(
+        "serve",
+        (
+            "LAN measurement (Section 5.2) — via repro.service",
+            "WAN sweep (Section 5.3) — via repro.service "
+            "(this is the slow part)",
+        ),
+        _run_served,
+        help="route the LAN/WAN sweeps through the repro.service job "
+        "queue (admission control, in-flight dedup, priority classes) "
+        "instead of driving the engine directly; results are "
+        "bit-identical to the direct path",
+        replaces=("lan", "wan"),
+    ),
+    Phase("lan", ("LAN measurement (Section 5.2)",), _run_lan),
+    Phase(
+        "wan", ("WAN sweep (Section 5.3) — this is the slow part",), _run_wan
+    ),
+    Phase("wan-figures", ("WAN figures",), _run_wan_figures),
+    Phase(
+        "faults",
+        ("fault robustness",),
+        _run_faults,
+        help="also run the fault-robustness phase (P_M and decision "
+        "latency under crash/loss/partition/slow-node/churn plans)",
+    ),
+    Phase(
+        "check",
+        ("conformance check (differential validation)",),
+        _run_check,
+        help="also run the conformance phase: differential validation of "
+        "the lockstep and event-driven stacks (with runtime invariant "
+        "checkers attached), the Monte-Carlo-vs-closed-form cross-check "
+        "and the mutation self-test; writes conformance.txt",
+    ),
+    Phase(
+        "adaptive",
+        ("adaptive model selection under churn",),
+        _run_adaptive,
+        help="also run the adaptive model-selection scenario: the online "
+        "timeliness extractor and switching policy under churn (slow "
+        "nodes, partition, heal) against every fixed (model, timeout) "
+        "pair; writes adaptive.txt",
+    ),
+    Phase(
+        "new-models",
+        ("post-paper scenarios (granular synchrony, stabilizing adversary)",),
+        _run_new_models,
+        help="also run the new-scenario phase: Granular Synchrony analytic "
+        "curves (Figure 1(j)) and the eventually-stabilizing message "
+        "adversary's decision-round figure (Figure 1(k), simulated mean "
+        "vs closed-form prediction); writes fig1j.txt and fig1k.txt",
+    ),
+)
+
+
+def selected_phases(args: argparse.Namespace) -> list[Phase]:
+    """The rows this invocation runs, in table order."""
+    chosen = [
+        phase
+        for phase in PHASES
+        if phase.flag is None or getattr(args, phase.dest)
+    ]
+    replaced = {name for phase in chosen for name in phase.replaces}
+    return [phase for phase in chosen if phase.name not in replaced]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -217,44 +451,11 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="disable the on-disk trace cache",
     )
-    parser.add_argument(
-        "--faults",
-        action="store_true",
-        help="also run the fault-robustness phase (P_M and decision "
-        "latency under crash/loss/partition/slow-node/churn plans)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="also run the conformance phase: differential validation of "
-        "the lockstep and event-driven stacks (with runtime invariant "
-        "checkers attached), the Monte-Carlo-vs-closed-form cross-check "
-        "and the mutation self-test; writes conformance.txt",
-    )
-    parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="also run the adaptive model-selection scenario: the online "
-        "timeliness extractor and switching policy under churn (slow "
-        "nodes, partition, heal) against every fixed (model, timeout) "
-        "pair; writes adaptive.txt",
-    )
-    parser.add_argument(
-        "--new-models",
-        action="store_true",
-        help="also run the new-scenario phase: Granular Synchrony analytic "
-        "curves (Figure 1(j)) and the eventually-stabilizing message "
-        "adversary's decision-round figure (Figure 1(k), simulated mean "
-        "vs closed-form prediction); writes fig1j.txt and fig1k.txt",
-    )
-    parser.add_argument(
-        "--serve",
-        action="store_true",
-        help="route the LAN/WAN sweeps through the repro.service job "
-        "queue (admission control, in-flight dedup, priority classes) "
-        "instead of driving the engine directly; results are "
-        "bit-identical to the direct path",
-    )
+    for phase in PHASES:
+        if phase.flag is not None:
+            parser.add_argument(
+                phase.flag, action="store_true", help=phase.help
+            )
     parser.add_argument(
         "--metrics",
         type=Path,
@@ -266,185 +467,34 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    wan_config = PAPER if args.scale == "paper" else QUICK
-    lan_config = PAPER_LAN if args.scale == "paper" else QUICK_LAN
     args.out.mkdir(parents=True, exist_ok=True)
-
-    profile = _RunProfile(enabled=args.metrics is not None)
-    metrics = profile.metrics if profile.enabled else None
-
-    jobs = args.jobs if args.jobs > 0 else default_jobs()
+    ctx = RunContext(
+        args=args,
+        wan_config=PAPER if args.scale == "paper" else QUICK,
+        lan_config=PAPER_LAN if args.scale == "paper" else QUICK_LAN,
+        jobs=args.jobs if args.jobs > 0 else default_jobs(),
+        profile=_RunProfile(enabled=args.metrics is not None),
+    )
     cache = None
     if not args.no_cache:
         cache_dir = args.cache_dir or (args.out / ".trace-cache")
         cache = trace_cache.activate(cache_dir)
         print(
             f"trace cache: {cache_dir} ({cache.entries()} entries), "
-            f"jobs: {jobs}",
+            f"jobs: {ctx.jobs}",
             flush=True,
         )
-
-    def emit(name: str, result, y_log: bool = False) -> None:
-        (args.out / f"{name}.txt").write_text(render_series(result) + "\n")
-        if args.charts:
-            (args.out / f"{name}.chart.txt").write_text(
-                chart_figure(result, y_log=y_log) + "\n"
-            )
-        print(f"  wrote {args.out / name}.txt", flush=True)
 
     start = time.perf_counter()
-    phases = str(
-        4
-        + int(args.faults)
-        + int(args.check)
-        + int(args.adaptive)
-        + int(args.new_models)
-    )
-    print(f"[1/{phases}] analysis figures (Section 4.2)", flush=True)
-    with profile.phase("analysis"):
-        emit("fig1a", figure_1a(), y_log=True)
-        emit("fig1b", figure_1b(), y_log=True)
-        (args.out / "headline.txt").write_text(headline_numbers() + "\n")
-    print(f"  wrote {args.out / 'headline.txt'}", flush=True)
-
-    # With profiling on, even jobs=1 routes through the parallel engine
-    # (in-process, bit-identical to the serial path) so per-cell timing
-    # and cache statistics flow through its aggregation.
-    use_engine = jobs > 1 or profile.enabled
-
-    if args.serve:
-        print(
-            f"[2/{phases}] LAN measurement (Section 5.2) — via repro.service",
-            flush=True,
-        )
-        print(
-            f"[3/{phases}] WAN sweep (Section 5.3) — via repro.service "
-            "(this is the slow part)",
-            flush=True,
-        )
-        serve_progress = _PhaseProgress("served sweeps")
-        with profile.phase("serve"):
-            fig1c, sweep = _serve_sweeps(lan_config, wan_config, jobs, metrics)
-        serve_progress.finish(
-            len(lan_config.timeouts) * lan_config.runs
-            + len(wan_config.timeouts) * wan_config.runs
-        )
-        emit("fig1c", fig1c)
-    else:
-        print(f"[2/{phases}] LAN measurement (Section 5.2)", flush=True)
-        lan_progress = _PhaseProgress("LAN sweep")
-        with profile.phase("lan"):
-            if use_engine:
-                fig1c = figure_1c_parallel(
-                    lan_config, jobs=jobs, progress=lan_progress,
-                    metrics=metrics,
-                )
-            else:
-                fig1c = figure_1c(lan_config)
-        lan_progress.finish(len(lan_config.timeouts) * lan_config.runs)
-        emit("fig1c", fig1c)
-
-        print(
-            f"[3/{phases}] WAN sweep (Section 5.3) — this is the slow part",
-            flush=True,
-        )
-        wan_progress = _PhaseProgress("WAN sweep")
-        with profile.phase("wan"):
-            if use_engine:
-                sweep = run_wan_sweep_parallel(
-                    wan_config, jobs=jobs, progress=wan_progress,
-                    metrics=metrics,
-                )
-            else:
-                sweep = run_wan_sweep(wan_config)
-        wan_progress.finish(len(wan_config.timeouts) * wan_config.runs)
-
-    print(f"[4/{phases}] WAN figures", flush=True)
-    with profile.phase("wan-figures"):
-        emit("fig1d", figure_1d(sweep=sweep))
-        emit("fig1e", figure_1e(sweep=sweep))
-        emit("fig1f", figure_1f(sweep=sweep))
-        emit("fig1g", figure_1g(sweep=sweep))
-        emit("fig1h", figure_1h(sweep=sweep))
-        emit("fig1i", figure_1i(sweep=sweep))
-
-    next_phase = 5
-    if args.faults:
-        # Reuses the sweep already in memory (and therefore the trace
-        # cache): the fault masks are applied to the cached matrices, so
-        # this phase simulates nothing new.
-        print(f"[{next_phase}/{phases}] fault robustness", flush=True)
-        next_phase += 1
-        with profile.phase("faults"):
-            (args.out / "faults.txt").write_text(
-                robustness_report(sweep=sweep, seed=wan_config.seed) + "\n"
-            )
-        print(f"  wrote {args.out / 'faults.txt'}", flush=True)
-
-    if args.check:
-        print(
-            f"[{next_phase}/{phases}] conformance check "
-            "(differential validation)",
-            flush=True,
-        )
-        next_phase += 1
-        with profile.phase("check"):
-            conformance = run_conformance(
-                seed=wan_config.seed,
-                mc_samples=2000 if args.scale == "quick" else 4000,
-                metrics=metrics,
-            )
-            (args.out / "conformance.txt").write_text(
-                conformance_report(conformance)
-            )
-        print(
-            f"  wrote {args.out / 'conformance.txt'} "
-            f"({'PASS' if conformance.ok else 'FAIL'})",
-            flush=True,
-        )
-
-    if args.adaptive:
-        # Independent of the sweep: the scenario samples its own base
-        # trace and derives all randomness from its own config seed, so
-        # the artifact is identical whatever phases ran before it.
-        print(
-            f"[{next_phase}/{phases}] adaptive model selection under churn",
-            flush=True,
-        )
-        next_phase += 1
-        with profile.phase("adaptive"):
-            comparison = run_adaptive_scenario(
-                ScenarioConfig(), metrics=metrics
-            )
-            live = run_live_extraction(ScenarioConfig(), metrics=metrics)
-            (args.out / "adaptive.txt").write_text(
-                adaptive_report(comparison)
-                + "\n\n"
-                + render_live_extraction(live)
-                + "\n"
-            )
-        print(
-            f"  wrote {args.out / 'adaptive.txt'} "
-            f"(regret {comparison.regret_seconds:+.2f}s, "
-            f"{comparison.total_violations} violations, live extraction "
-            f"mode={live.executed_mode})",
-            flush=True,
-        )
-
-    if args.new_models:
-        # Analytic on one side, a small simulation on the other: 1(j) is
-        # closed-form only, 1(k) replays the stability-window adversary
-        # on the event stack and overlays the composed prediction.
-        print(
-            f"[{next_phase}/{phases}] post-paper scenarios "
-            "(granular synchrony, stabilizing adversary)",
-            flush=True,
-        )
-        next_phase += 1
-        with profile.phase("new-models"):
-            emit("fig1j", figure_1j(), y_log=True)
-            runs = 40 if args.scale == "quick" else 120
-            emit("fig1k", figure_1k(runs=runs, seed=wan_config.seed))
+    phases = selected_phases(args)
+    total = sum(len(phase.titles) for phase in phases)
+    step = 0
+    for phase in phases:
+        for title in phase.titles:
+            step += 1
+            print(f"[{step}/{total}] {title}", flush=True)
+        with ctx.profile.phase(phase.name):
+            phase.runner(ctx)
 
     if cache is not None:
         print(
@@ -454,50 +504,18 @@ def main(argv: list[str] | None = None) -> int:
         )
     elapsed = time.perf_counter() - start
 
-    if profile.enabled:
+    if ctx.profile.enabled:
         if cache is not None:
-            profile.metrics.counter("cache.hits").inc(cache.hits)
-            profile.metrics.counter("cache.misses").inc(cache.misses)
-        profile.metrics.gauge("run.total_seconds").set(elapsed)
-        _write_metrics_dir(args.metrics, args, profile, wan_config, lan_config)
+            ctx.profile.metrics.counter("cache.hits").inc(cache.hits)
+            ctx.profile.metrics.counter("cache.misses").inc(cache.misses)
+        ctx.profile.metrics.gauge("run.total_seconds").set(elapsed)
+        _write_metrics_dir(ctx)
 
     print(f"done in {elapsed:.1f}s -> {args.out}/", flush=True)
     return 0
 
 
-def _serve_sweeps(lan_config, wan_config, jobs: int, metrics):
-    """The ``--serve`` client path: both sweeps as service jobs.
-
-    Submits the LAN figure and the WAN sweep to a fresh
-    :class:`repro.service.SweepService` up front — so the run exercises
-    the queue, dedup keys and telemetry — and awaits both artifacts.
-    The executor matches the direct path's choice for ``jobs`` (serial
-    in-process for 1, a process pool otherwise, trace cache inherited
-    either way), and the jobs reuse the engine's own cell tasks and
-    assembly, so the returned figure and sweep are bit-identical to the
-    direct engine calls.
-    """
-    # Imported here, not at module top: the CLI should not pay the
-    # service import (and run_all must stay importable from service-free
-    # contexts; the service itself imports the parallel engine).
-    from repro.experiments.parallel import make_cell_executor
-    from repro.service import LanFigureJob, WanSweepJob, run_jobs
-
-    fig1c, sweep = run_jobs(
-        [LanFigureJob(config=lan_config), WanSweepJob(config=wan_config)],
-        executor=make_cell_executor(jobs),
-        metrics=metrics,
-    )
-    return fig1c, sweep
-
-
-def _write_metrics_dir(
-    metrics_dir: Path,
-    args: argparse.Namespace,
-    profile: _RunProfile,
-    wan_config,
-    lan_config,
-) -> None:
+def _write_metrics_dir(ctx: RunContext) -> None:
     """Write the profiling artifacts: manifest, timeline, raw + rendered
     metrics."""
     # Imported here, not at module top: obs_report imports this module's
@@ -505,26 +523,27 @@ def _write_metrics_dir(
     # avoids a cycle.
     from repro.experiments.obs_report import render_metrics
 
+    args, metrics_dir = ctx.args, ctx.args.metrics
     metrics_dir.mkdir(parents=True, exist_ok=True)
     manifest = build_manifest(
         command="python -m repro.experiments",
         scale=args.scale,
         jobs=args.jobs,
         charts=args.charts,
-        faults=args.faults,
-        check=args.check,
-        adaptive=args.adaptive,
-        new_models=args.new_models,
-        serve=args.serve,
         out=args.out,
         cache=not args.no_cache,
-        wan_config=wan_config,
-        lan_config=lan_config,
-        seeds={"wan": wan_config.seed, "lan": lan_config.seed},
+        wan_config=ctx.wan_config,
+        lan_config=ctx.lan_config,
+        seeds={"wan": ctx.wan_config.seed, "lan": ctx.lan_config.seed},
+        **{
+            phase.dest: getattr(args, phase.dest)
+            for phase in PHASES
+            if phase.flag is not None
+        },
     )
     write_manifest(metrics_dir / "manifest.json", manifest)
-    profile.recorder.write_jsonl(metrics_dir / "timeline.jsonl")
-    snapshot = profile.metrics.snapshot()
+    ctx.profile.recorder.write_jsonl(metrics_dir / "timeline.jsonl")
+    snapshot = ctx.profile.metrics.snapshot()
     (metrics_dir / "metrics.json").write_text(
         json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
     )

@@ -20,10 +20,10 @@ library every caller drives alone:
   bit-identical artifact), and cell-granular priority dispatch with
   per-class concurrency budgets (an interactive query never waits
   behind more than one in-flight cell per worker).
-- **Executors** (:mod:`repro.service.executor`): the pluggable cell
-  backends — serial, threads (default), processes, and the injectable
-  :class:`StubCellExecutor` seam for tests and future multi-host
-  transports.
+- **Executors**: the engine's own cell backends
+  (:mod:`repro.experiments.parallel`), re-exported here — serial,
+  threads (the service default: shares the trace cache without
+  pickling, keeps the event loop responsive) and processes.
 
 Telemetry: the ``service.*`` instrument family (submissions, queue
 depths, wait/service-time histograms per class, dedup hits, admission
@@ -34,11 +34,10 @@ Synchronous clients use :func:`run_jobs`; ``python -m repro.experiments
 --serve`` routes the standard pipeline through it.
 """
 
-from repro.service.executor import (
+from repro.experiments.parallel import (
     CellExecutor,
     ProcessCellExecutor,
     SerialCellExecutor,
-    StubCellExecutor,
     ThreadCellExecutor,
     make_cell_executor,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "ProcessCellExecutor",
     "RobustnessJob",
     "SerialCellExecutor",
-    "StubCellExecutor",
     "SweepService",
     "ThreadCellExecutor",
     "WanSweepJob",

@@ -17,10 +17,9 @@ engine.  Clients :meth:`~SweepService.submit` typed jobs
   budgets — so a short interactive query overtakes a paper-scale batch
   sweep at the next free worker slot instead of queueing behind the
   whole sweep (worst-case head-of-line wait: one cell per worker);
-- **executes anywhere**: cells run on a pluggable
+- **executes on the engine's executors**: cells run on a
   :class:`~repro.experiments.parallel.CellExecutor` (in-process
-  threads by default; processes or an injected stub/multi-host
-  transport equally);
+  threads by default; inline or a process pool equally);
 - **emits telemetry**: the ``service.*`` instrument family on a
   :class:`~repro.obs.registry.MetricsRegistry` — per-class queue
   depths, wait/service-time histograms, dedup hits, admission
@@ -41,9 +40,12 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, Optional, Sequence
 
-from repro.experiments.parallel import CellExecutor, CellOutcome
+from repro.experiments.parallel import (
+    CellExecutor,
+    CellOutcome,
+    ThreadCellExecutor,
+)
 from repro.obs.registry import MetricsRegistry, registry_or_null
-from repro.service.executor import ThreadCellExecutor
 from repro.service.jobs import JobSpec, Priority
 
 #: Default bound on unfinished jobs per class; past it, submissions are
@@ -293,17 +295,6 @@ class SweepService:
         await self.close()
 
     # ------------------------------------------------------------------
-    # Introspection (loop thread only).
-    # ------------------------------------------------------------------
-    def queue_depth(self, priority: Priority) -> int:
-        """Unfinished admitted jobs of ``priority``."""
-        return self._depth[priority]
-
-    @property
-    def cells_in_flight(self) -> int:
-        return self._total_in_flight
-
-    # ------------------------------------------------------------------
     # Scheduling internals.
     # ------------------------------------------------------------------
     def _reject(self, reason: str, priority: Priority, detail: str) -> None:
@@ -365,7 +356,7 @@ class SweepService:
     ) -> None:
         label = {"class": record.priority.value}
         error: Optional[BaseException] = None
-        outcome: Any = None
+        outcome: Optional[CellOutcome] = None
         try:
             outcome = await asyncio.wrap_future(
                 self._executor.submit(task, arg)
@@ -377,20 +368,17 @@ class SweepService:
         if error is not None:
             self._fail(record, error)
         elif not record.retired:
-            if isinstance(outcome, CellOutcome):
-                record.results[index] = outcome.result
-                self._busy_seconds += outcome.seconds
-                self._metrics.histogram(
-                    "service.cell_seconds", **label
-                ).observe(outcome.seconds)
-                self._metrics.counter("service.cache_hits", **label).inc(
-                    outcome.cache_hits
-                )
-                self._metrics.counter("service.cache_misses", **label).inc(
-                    outcome.cache_misses
-                )
-            else:  # a bare result from a custom executor/transport
-                record.results[index] = outcome
+            record.results[index] = outcome.result
+            self._busy_seconds += outcome.seconds
+            self._metrics.histogram(
+                "service.cell_seconds", **label
+            ).observe(outcome.seconds)
+            self._metrics.counter("service.cache_hits", **label).inc(
+                outcome.cache_hits
+            )
+            self._metrics.counter("service.cache_misses", **label).inc(
+                outcome.cache_misses
+            )
             self._metrics.counter("service.cells_executed", **label).inc()
             record.done_cells += 1
             if record.done_cells == len(record.cells):

@@ -170,11 +170,6 @@ class Transport:
         return self._trace
 
     @property
-    def instrumented(self) -> bool:
-        """Whether a live metrics registry or recorder observes this transport."""
-        return self._metrics.enabled or self._recorder.enabled
-
-    @property
     def recorder_enabled(self) -> bool:
         """Whether a live per-event recorder observes this transport."""
         return self._recorder.enabled
@@ -217,12 +212,6 @@ class Transport:
         # the transport onto the scalar fallback path.
         self._streams.clear()
         self._configure_streams(model)
-
-    def reset_link_streams(self) -> None:
-        """Discard pre-sampled per-link latencies (e.g. after a model
-        ``reseed``); the next send per link re-derives its substream."""
-        self._streams.clear()
-        self._configure_streams(self._link_model)
 
     def _next_stream_latency(self, src: int, dst: int) -> Optional[float]:
         """Pop the next pre-sampled latency of the link ``src → dst``."""

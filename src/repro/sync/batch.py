@@ -42,10 +42,12 @@ This module computes the same run in a handful of NumPy passes:
    identical code as the scalar path.
 
 Bit-identity (same matrices, ``sync_error``, ``jumps``,
-``late_messages``, decision rounds — and, for instrumented runs, the
-same metric totals) is asserted by
-``tests/properties/test_prop_sync_batch.py`` and by the scalar-vs-batched
-axis of :mod:`repro.check.differential`.
+``late_messages``, decision rounds, node state, transport totals — and,
+for instrumented runs, the same metric totals and histograms) is the
+contract :func:`run_divergences` states; every guard of it
+(``tests/properties/test_prop_sync_batch.py``, the scalar-vs-batched
+axis of :mod:`repro.check.differential`, the robustness and adaptive
+phases' self-checks, the speedup benchmark) calls that one function.
 
 Why the tie rules are what they are
 -----------------------------------
@@ -152,6 +154,64 @@ def result_divergences(a: SyncRunResult, b: SyncRunResult) -> list[str]:
                  "decisions", "decision_rounds", "proposals", "correct"):
         if getattr(a, name) != getattr(b, name):
             diffs.append(name)
+    return diffs
+
+
+#: What :func:`run_divergences` compares beyond the result itself, in
+#: reporting order.  The metric facets only ever diverge on runs built
+#: with a live registry (a disabled one snapshots empty on both sides).
+RUN_FACETS = ("node state", "transport counters")
+METRIC_FACETS = ("metric totals", "histograms")
+
+
+def _comparable_counters(snapshot: dict) -> dict:
+    """Counter totals minus the executed-mode bookkeeping, which differs
+    between a forced-scalar and a batched run by construction."""
+    return {
+        key: value
+        for key, value in snapshot["counters"].items()
+        if not key.startswith("sync.executed_mode")
+        and not key.startswith("sync.batch_fallback")
+    }
+
+
+def run_divergences(
+    run_a: SyncRun,
+    result_a: SyncRunResult,
+    run_b: SyncRun,
+    result_b: SyncRunResult,
+) -> list[str]:
+    """The scalar ≡ batch identity contract, stated once.
+
+    Given two finished twin runs and their results, the facets on which
+    they differ: the :data:`RESULT_FIELDS` (:func:`result_divergences`),
+    then the :data:`RUN_FACETS` — ``"node state"`` (every node's
+    ``round_starts`` / ``round_ends`` / ``timely_receipts`` /
+    ``crashed_permanently``) and ``"transport counters"`` (messages sent
+    and lost) — then the :data:`METRIC_FACETS` read off each run's own
+    registry: ``"metric totals"`` (the comparable counters) and
+    ``"histograms"``.  Every comparison is exact; an empty list means
+    the two executions are indistinguishable.
+    """
+    diffs = result_divergences(result_a, result_b)
+    if not all(
+        a.round_starts == b.round_starts
+        and a.round_ends == b.round_ends
+        and a.timely_receipts == b.timely_receipts
+        and a.crashed_permanently == b.crashed_permanently
+        for a, b in zip(run_a.nodes, run_b.nodes)
+    ):
+        diffs.append("node state")
+    if (
+        run_a.transport.messages_sent != run_b.transport.messages_sent
+        or run_a.transport.messages_lost != run_b.transport.messages_lost
+    ):
+        diffs.append("transport counters")
+    metrics_a, metrics_b = run_a.metrics.snapshot(), run_b.metrics.snapshot()
+    if _comparable_counters(metrics_a) != _comparable_counters(metrics_b):
+        diffs.append("metric totals")
+    if metrics_a["histograms"] != metrics_b["histograms"]:
+        diffs.append("histograms")
     return diffs
 
 

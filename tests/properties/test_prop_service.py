@@ -1,7 +1,7 @@
 """Concurrency properties of the sweep service.
 
-Everything here runs against the :class:`StubCellExecutor` in manual
-mode, which parks dispatched cells until the test resolves them — so
+Everything here runs against the manually driven
+:class:`~tests.stub_executor.StubCellExecutor`, which parks dispatched cells until the test resolves them — so
 dispatch order, dedup and admission behaviour are observed
 deterministically, with no real thread or process concurrency, under
 Hypothesis-driven client counts and completion orders.
@@ -35,7 +35,8 @@ from repro.service import (
     SweepService,
     WanSweepJob,
 )
-from repro.service.executor import StubCellExecutor
+
+from tests.stub_executor import StubCellExecutor
 
 TINY = SweepConfig(
     rounds_per_run=20, runs=2, start_points=3, timeouts=(0.16, 0.21), seed=9

@@ -33,7 +33,12 @@ from repro.oracles.omega import HeartbeatOmega
 from repro.sim import Transport
 from repro.sim.faultlink import FaultyLinkModel
 from repro.sync import HeartbeatAlgorithm, SyncRun
-from repro.sync.batch import RESULT_FIELDS, result_divergences
+from repro.sync.batch import (
+    METRIC_FACETS,
+    RESULT_FIELDS,
+    RUN_FACETS,
+    run_divergences,
+)
 
 #: Eligible (static) profile variants: the dynamic behaviours are
 #: switched off, which is precisely when the batch path may engage.
@@ -61,6 +66,19 @@ def build_run(factory, timeout, seed, rounds, n=8):
     )
 
 
+def assert_same_internal_state(scalar_run, batched_run):
+    """Beyond :func:`run_divergences`: the bookkeeping a continued use
+    of the run objects would read is left where the scalar loop leaves
+    it."""
+    for a, b in zip(scalar_run.nodes, batched_run.nodes):
+        assert a.process.round == b.process.round
+        assert (
+            a.process.algorithm.rounds_computed
+            == b.process.algorithm.rounds_computed
+        )
+    assert scalar_run.simulator.now == batched_run.simulator.now
+
+
 class TestBitIdentity:
     @given(
         name=st.sampled_from(sorted(PROFILES)),
@@ -79,26 +97,8 @@ class TestBitIdentity:
         batched_run = build_run(factory, timeout, seed, rounds)
         batched = batched_run.run()
         assert batched_run.executed_mode == "batch", batched_run.fallback_reason
-        assert result_divergences(scalar, batched) == []
-        # The externally visible node state agrees too.
-        for a, b in zip(scalar_run.nodes, batched_run.nodes):
-            assert a.round_starts == b.round_starts
-            assert a.round_ends == b.round_ends
-            assert a.timely_receipts == b.timely_receipts
-            assert a.process.round == b.process.round
-            assert (
-                a.process.algorithm.rounds_computed
-                == b.process.algorithm.rounds_computed
-            )
-        assert (
-            scalar_run.transport.messages_sent
-            == batched_run.transport.messages_sent
-        )
-        assert (
-            scalar_run.transport.messages_lost
-            == batched_run.transport.messages_lost
-        )
-        assert scalar_run.simulator.now == batched_run.simulator.now
+        assert run_divergences(scalar_run, scalar, batched_run, batched) == []
+        assert_same_internal_state(scalar_run, batched_run)
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=10, deadline=None)
@@ -190,7 +190,7 @@ def build_widened_run(factory, timeout, seed, rounds, plan, metrics_on, omega, n
     table = measure_latency_table(factory(seed + 1), pings=3)
     metrics = MetricsRegistry() if metrics_on else None
     oracle = HeartbeatOmega(n, metrics=metrics) if omega else NullOracle()
-    run = SyncRun(
+    return SyncRun(
         n,
         lambda pid: HeartbeatAlgorithm(pid, n),
         oracle,
@@ -201,18 +201,6 @@ def build_widened_run(factory, timeout, seed, rounds, plan, metrics_on, omega, n
         fault_plan=plan,
         metrics=metrics,
     )
-    return run, metrics
-
-
-def comparable_counters(metrics):
-    """Counter totals minus the keys that differ by construction between
-    a forced-scalar and a batched run (the executed-mode bookkeeping)."""
-    return {
-        key: value
-        for key, value in metrics.snapshot()["counters"].items()
-        if not key.startswith("sync.executed_mode")
-        and not key.startswith("sync.batch_fallback")
-    }
 
 
 class TestFaultedBitIdentity:
@@ -233,44 +221,19 @@ class TestFaultedBitIdentity:
     ):
         factory, base_timeout = PROFILES["uniform-wan"]
         timeout = base_timeout * squeeze
-        scalar_run, scalar_metrics = build_widened_run(
+        scalar_run = build_widened_run(
             factory, timeout, seed, rounds, plan, metrics_on, omega
         )
         scalar = scalar_run.run(mode="scalar")
-        batched_run, batched_metrics = build_widened_run(
+        batched_run = build_widened_run(
             factory, timeout, seed, rounds, plan, metrics_on, omega
         )
         batched = batched_run.run()
         assert batched_run.executed_mode == "batch", batched_run.fallback_reason
-        assert result_divergences(scalar, batched) == []
-        for a, b in zip(scalar_run.nodes, batched_run.nodes):
-            assert a.round_starts == b.round_starts
-            assert a.round_ends == b.round_ends
-            assert a.timely_receipts == b.timely_receipts
-            assert a.late_messages == b.late_messages
-            assert a.crashed_permanently == b.crashed_permanently
-            assert a.process.round == b.process.round
-            assert (
-                a.process.algorithm.rounds_computed
-                == b.process.algorithm.rounds_computed
-            )
-        assert (
-            scalar_run.transport.messages_sent
-            == batched_run.transport.messages_sent
-        )
-        assert (
-            scalar_run.transport.messages_lost
-            == batched_run.transport.messages_lost
-        )
-        assert scalar_run.simulator.now == batched_run.simulator.now
-        if metrics_on:
-            assert comparable_counters(scalar_metrics) == comparable_counters(
-                batched_metrics
-            )
-            assert (
-                scalar_metrics.snapshot()["histograms"]
-                == batched_metrics.snapshot()["histograms"]
-            )
+        # With ``metrics_on`` the same call also compares the counter
+        # totals and histograms of the two runs' registries.
+        assert run_divergences(scalar_run, scalar, batched_run, batched) == []
+        assert_same_internal_state(scalar_run, batched_run)
         policy_a = scalar_run.transport.stream_fault_policy
         policy_b = batched_run.transport.stream_fault_policy
         if policy_a is not None:
@@ -293,7 +256,7 @@ class TestFaultedBitIdentity:
         factory, timeout = PROFILES["uniform-wan"]
         states = {}
         for mode in ("scalar", "auto"):
-            run, _ = build_widened_run(
+            run = build_widened_run(
                 factory, timeout, seed, 20, plan, False, True
             )
             run.run(mode=mode)
@@ -344,11 +307,22 @@ class TestFallbackTriggers:
 
     def test_result_divergences_detects_every_field(self):
         # The comparator itself must be able to fail: perturb each field
-        # of a result copy and check it is reported.
+        # of a result copy, then each facet of a run copy, and check it
+        # is the one reported.
         factory, timeout = PROFILES["uniform-wan"]
-        reference = build_run(factory, timeout, 3, rounds=6).run()
+
+        def twin():
+            run = build_widened_run(factory, timeout, 3, 6, None, True, True)
+            return run, run.run()
+
+        reference_run, reference = twin()
+
+        def diverged(other_run, other):
+            return run_divergences(reference_run, reference, other_run, other)
+
+        assert diverged(*twin()) == []
         for field in RESULT_FIELDS:
-            other = build_run(factory, timeout, 3, rounds=6).run()
+            other_run, other = twin()
             value = getattr(other, field)
             if field == "matrices":
                 value[0] = ~value[0]
@@ -358,4 +332,38 @@ class TestFallbackTriggers:
                 setattr(other, field, frozenset())
             else:
                 value[0] += 1
-            assert field in result_divergences(reference, other), field
+            assert diverged(other_run, other) == [field]
+
+        def shift(run):
+            run.nodes[0].round_starts[1] -= 1.0
+
+        def stretch(run):
+            run.nodes[0].round_ends[1] += 1.0
+
+        def drop_receipt(run):
+            run.nodes[1].timely_receipts[2] = set()
+
+        def crash(run):
+            run.nodes[2].crashed_permanently = True
+
+        def lose(run):
+            run.transport.messages_lost += 1
+
+        def count(run):
+            run.metrics.counter("transport.sent").inc()
+
+        def observe(run):
+            run.metrics.histogram("transport.latency_seconds").observe(9.0)
+
+        perturbations = {
+            "node state": (shift, stretch, drop_receipt, crash),
+            "transport counters": (lose,),
+            "metric totals": (count,),
+            "histograms": (observe,),
+        }
+        assert tuple(perturbations) == RUN_FACETS + METRIC_FACETS
+        for facet, perturbs in perturbations.items():
+            for perturb in perturbs:
+                other_run, other = twin()
+                perturb(other_run)
+                assert diverged(other_run, other) == [facet], perturb.__name__

@@ -57,6 +57,30 @@ class TestTraceCache:
         assert cache.misses == 1
         assert cache.hits == 0
 
+    @pytest.mark.parametrize(
+        "keep_bytes", [0, 40, -3], ids=["empty", "torn-header", "torn-body"]
+    )
+    def test_torn_entry_is_a_miss_and_gets_overwritten(
+        self, tmp_path, keep_bytes
+    ):
+        """Regression: ``load`` documents "never raises" but a zero-byte
+        ``.npy`` made ``np.load`` raise ``EOFError``, which it did not
+        catch — one torn file aborted a warm sweep."""
+        cache = TraceCache(tmp_path)
+        key = trace_key("wan", 8, 5, 0.2, 3)
+        trace = cached_trace("wan", 8, 5, 0.2, 3, cache=cache)
+        path = cache.path("wan", key)
+        path.write_bytes(path.read_bytes()[:keep_bytes])
+
+        assert cache.load("wan", key) is None
+        assert (cache.hits, cache.misses) == (0, 2)
+        # The next reader resamples and atomically replaces the entry.
+        assert np.array_equal(
+            cached_trace("wan", 8, 5, 0.2, 3, cache=cache), trace
+        )
+        assert np.array_equal(cache.load("wan", key), trace)
+        assert list(tmp_path.glob("**/*.tmp")) == []
+
     def test_entries_counts_stored_traces(self, tmp_path):
         cache = TraceCache(tmp_path)
         assert cache.entries() == 0

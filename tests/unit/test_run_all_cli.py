@@ -1,10 +1,39 @@
 """Unit tests for the evaluation CLI (``python -m repro.experiments``)."""
 
-from pathlib import Path
+import itertools
+import re
 
 import pytest
 
-from repro.experiments.run_all import headline_numbers, main
+import repro.experiments.run_all as run_all_module
+from repro.experiments.config import SweepConfig
+from repro.experiments.run_all import PHASES, headline_numbers, main
+
+
+@pytest.fixture
+def tiny_configs(monkeypatch):
+    """Drastically shrunken sweep configs so CLI runs stay fast."""
+    tiny = SweepConfig(
+        rounds_per_run=60, runs=2, start_points=3,
+        timeouts=(0.16, 0.21), seed=1,
+    )
+    tiny_lan = SweepConfig(
+        rounds_per_run=40, runs=2, start_points=3,
+        timeouts=(0.0002, 0.0009), seed=1,
+    )
+    monkeypatch.setattr(run_all_module, "QUICK", tiny)
+    monkeypatch.setattr(run_all_module, "QUICK_LAN", tiny_lan)
+
+
+@pytest.fixture
+def one_cell_config(monkeypatch):
+    """One WAN-shaped cell for both sweeps: the cheapest full run."""
+    tiny = SweepConfig(
+        rounds_per_run=40, runs=1, start_points=2,
+        timeouts=(0.21,), seed=1,
+    )
+    monkeypatch.setattr(run_all_module, "QUICK", tiny)
+    monkeypatch.setattr(run_all_module, "QUICK_LAN", tiny)
 
 
 class TestHeadlineNumbers:
@@ -14,24 +43,58 @@ class TestHeadlineNumbers:
         assert "E(D_WLM direct) at p=0.92" in text
 
 
+class TestPhaseTable:
+    """The CLI's switches, numbering and spans are read off ``PHASES``."""
+
+    def test_every_optional_row_has_exactly_one_flag_listed_in_help(
+        self, capsys
+    ):
+        flags = [phase.flag for phase in PHASES if phase.flag is not None]
+        assert sorted(flags) == [
+            "--adaptive", "--check", "--faults", "--new-models", "--serve",
+        ]
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
+        for flag in flags:
+            assert listed.count(flag) == 1, flag
+
+    def test_headers_are_contiguous_for_every_flag_subset(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(
+            run_all_module,
+            "PHASES",
+            tuple(p._replace(runner=lambda ctx: None) for p in PHASES),
+        )
+        rows = {phase.name: phase for phase in PHASES}
+        appended = ["--faults", "--check", "--adaptive", "--new-models"]
+        for size in range(len(appended) + 1):
+            for subset in itertools.combinations(appended, size):
+                for serve in ([], ["--serve"]):
+                    argv = ["--out", str(tmp_path), "--no-cache"]
+                    assert main(argv + list(subset) + serve) == 0
+                    headers = re.findall(
+                        r"^\[(\d+)/(\d+)\] (.*)$", capsys.readouterr().out, re.M
+                    )
+                    total = 4 + size
+                    assert [(int(i), int(n)) for i, n, _ in headers] == [
+                        (i, total) for i in range(1, total + 1)
+                    ], argv
+                    names = (
+                        ["analysis"]
+                        + (["serve"] if serve else ["lan", "wan"])
+                        + ["wan-figures"]
+                        + [flag.lstrip("-") for flag in subset]
+                    )
+                    assert [title for _, _, title in headers] == [
+                        title for name in names for title in rows[name].titles
+                    ], argv
+
+
 class TestMain:
-    def test_analysis_only_quick_run(self, tmp_path, monkeypatch):
-        """Run the CLI with drastically shrunken sweep configs so the test
-        stays fast, and check every artifact appears."""
-        import repro.experiments.run_all as run_all_module
-        from repro.experiments.config import SweepConfig
-
-        tiny = SweepConfig(
-            rounds_per_run=60, runs=2, start_points=3,
-            timeouts=(0.16, 0.21), seed=1,
-        )
-        tiny_lan = SweepConfig(
-            rounds_per_run=40, runs=2, start_points=3,
-            timeouts=(0.0002, 0.0009), seed=1,
-        )
-        monkeypatch.setattr(run_all_module, "QUICK", tiny)
-        monkeypatch.setattr(run_all_module, "QUICK_LAN", tiny_lan)
-
+    def test_analysis_only_quick_run(self, tmp_path, tiny_configs):
+        """Every artifact of the default pipeline appears."""
         exit_code = main(["--out", str(tmp_path), "--charts"])
         assert exit_code == 0
         for name in (
@@ -42,22 +105,8 @@ class TestMain:
             assert (tmp_path / f"{name}.chart.txt").exists(), name
         assert (tmp_path / "headline.txt").exists()
 
-    def test_faults_flag_writes_robustness_table(self, tmp_path, monkeypatch):
+    def test_faults_flag_writes_robustness_table(self, tmp_path, tiny_configs):
         """``--faults`` appends the robustness phase, reusing the sweep."""
-        import repro.experiments.run_all as run_all_module
-        from repro.experiments.config import SweepConfig
-
-        tiny = SweepConfig(
-            rounds_per_run=60, runs=2, start_points=3,
-            timeouts=(0.16, 0.21), seed=1,
-        )
-        tiny_lan = SweepConfig(
-            rounds_per_run=40, runs=2, start_points=3,
-            timeouts=(0.0002, 0.0009), seed=1,
-        )
-        monkeypatch.setattr(run_all_module, "QUICK", tiny)
-        monkeypatch.setattr(run_all_module, "QUICK_LAN", tiny_lan)
-
         exit_code = main(["--out", str(tmp_path), "--faults"])
         assert exit_code == 0
         table = (tmp_path / "faults.txt").read_text()
@@ -68,18 +117,10 @@ class TestMain:
             assert fault in table, fault
         assert "P_M clean" in table and "D ratio" in table
 
-    def test_adaptive_flag_writes_selection_table(self, tmp_path, monkeypatch):
+    def test_adaptive_flag_writes_selection_table(
+        self, tmp_path, one_cell_config
+    ):
         """``--adaptive`` appends the online-selection phase."""
-        import repro.experiments.run_all as run_all_module
-        from repro.experiments.config import SweepConfig
-
-        tiny = SweepConfig(
-            rounds_per_run=40, runs=1, start_points=2,
-            timeouts=(0.21,), seed=1,
-        )
-        monkeypatch.setattr(run_all_module, "QUICK", tiny)
-        monkeypatch.setattr(run_all_module, "QUICK_LAN", tiny)
-
         exit_code = main(["--out", str(tmp_path), "--adaptive"])
         assert exit_code == 0
         table = (tmp_path / "adaptive.txt").read_text()
@@ -90,18 +131,10 @@ class TestMain:
         assert "live extraction over the event stack" in table
         assert "executed mode: batch" in table
 
-    def test_new_models_flag_writes_both_figures(self, tmp_path, monkeypatch):
+    def test_new_models_flag_writes_both_figures(
+        self, tmp_path, one_cell_config
+    ):
         """``--new-models`` appends the post-paper scenario phase."""
-        import repro.experiments.run_all as run_all_module
-        from repro.experiments.config import SweepConfig
-
-        tiny = SweepConfig(
-            rounds_per_run=40, runs=1, start_points=2,
-            timeouts=(0.21,), seed=1,
-        )
-        monkeypatch.setattr(run_all_module, "QUICK", tiny)
-        monkeypatch.setattr(run_all_module, "QUICK_LAN", tiny)
-
         exit_code = main(["--out", str(tmp_path), "--new-models"])
         assert exit_code == 0
         fig1j = (tmp_path / "fig1j.txt").read_text()
@@ -113,18 +146,8 @@ class TestMain:
         assert "WLM measured" in fig1k
 
     def test_without_faults_flag_no_robustness_table(
-        self, tmp_path, monkeypatch
+        self, tmp_path, one_cell_config
     ):
-        import repro.experiments.run_all as run_all_module
-        from repro.experiments.config import SweepConfig
-
-        tiny = SweepConfig(
-            rounds_per_run=40, runs=1, start_points=2,
-            timeouts=(0.21,), seed=1,
-        )
-        monkeypatch.setattr(run_all_module, "QUICK", tiny)
-        monkeypatch.setattr(run_all_module, "QUICK_LAN", tiny)
-
         assert main(["--out", str(tmp_path)]) == 0
         assert not (tmp_path / "faults.txt").exists()
         assert not (tmp_path / "adaptive.txt").exists()
@@ -135,21 +158,13 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["--scale", "galactic", "--out", str(tmp_path)])
 
-    def test_progress_output_is_flushed(self, tmp_path, monkeypatch):
+    def test_progress_output_is_flushed(
+        self, tmp_path, monkeypatch, one_cell_config
+    ):
         """Regression: progress prints were block-buffered when stdout is
         piped, so CI logs showed nothing until the slow WAN sweep ended.
         Every progress print must pass ``flush=True``."""
         import builtins
-
-        import repro.experiments.run_all as run_all_module
-        from repro.experiments.config import SweepConfig
-
-        tiny = SweepConfig(
-            rounds_per_run=40, runs=1, start_points=2,
-            timeouts=(0.21,), seed=1,
-        )
-        monkeypatch.setattr(run_all_module, "QUICK", tiny)
-        monkeypatch.setattr(run_all_module, "QUICK_LAN", tiny)
 
         unflushed = []
         real_print = builtins.print
@@ -175,8 +190,6 @@ class TestMonotonicTiming:
     ):
         import time as time_module
 
-        import repro.experiments.run_all as run_all_module
-
         # A wall clock that leaps 1000 s backwards between construction
         # and the summary line; perf_counter is untouched.
         wall = iter([1_000_000.0] + [999_000.0] * 50)
@@ -189,19 +202,9 @@ class TestMonotonicTiming:
         assert "stepped: 4 cells in " in out
 
     def test_main_summary_survives_a_backwards_clock_step(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys, one_cell_config
     ):
         import time as time_module
-
-        import repro.experiments.run_all as run_all_module
-        from repro.experiments.config import SweepConfig
-
-        tiny = SweepConfig(
-            rounds_per_run=40, runs=1, start_points=2,
-            timeouts=(0.21,), seed=1,
-        )
-        monkeypatch.setattr(run_all_module, "QUICK", tiny)
-        monkeypatch.setattr(run_all_module, "QUICK_LAN", tiny)
 
         wall = [1_000_000.0]
 
@@ -218,24 +221,10 @@ class TestMonotonicTiming:
 
 class TestServeFlag:
     def test_serve_artifacts_byte_identical_to_direct(
-        self, tmp_path, monkeypatch
+        self, tmp_path, tiny_configs
     ):
         """``--serve`` routes the sweeps through the service layer; every
         figure file must come out byte-identical to the direct path."""
-        import repro.experiments.run_all as run_all_module
-        from repro.experiments.config import SweepConfig
-
-        tiny = SweepConfig(
-            rounds_per_run=60, runs=2, start_points=3,
-            timeouts=(0.16, 0.21), seed=1,
-        )
-        tiny_lan = SweepConfig(
-            rounds_per_run=40, runs=2, start_points=3,
-            timeouts=(0.0002, 0.0009), seed=1,
-        )
-        monkeypatch.setattr(run_all_module, "QUICK", tiny)
-        monkeypatch.setattr(run_all_module, "QUICK_LAN", tiny_lan)
-
         direct_out = tmp_path / "direct"
         served_out = tmp_path / "served"
         assert main(["--out", str(direct_out)]) == 0
@@ -249,23 +238,7 @@ class TestServeFlag:
 
 
 class TestMetricsFlag:
-    def _tiny_configs(self, monkeypatch):
-        import repro.experiments.run_all as run_all_module
-        from repro.experiments.config import SweepConfig
-
-        tiny = SweepConfig(
-            rounds_per_run=60, runs=2, start_points=3,
-            timeouts=(0.16, 0.21), seed=1,
-        )
-        tiny_lan = SweepConfig(
-            rounds_per_run=40, runs=2, start_points=3,
-            timeouts=(0.0002, 0.0009), seed=1,
-        )
-        monkeypatch.setattr(run_all_module, "QUICK", tiny)
-        monkeypatch.setattr(run_all_module, "QUICK_LAN", tiny_lan)
-
-    def test_metrics_dir_artifacts(self, tmp_path, monkeypatch):
-        self._tiny_configs(monkeypatch)
+    def test_metrics_dir_artifacts(self, tmp_path, tiny_configs):
         metrics_dir = tmp_path / "metrics"
         exit_code = main(
             ["--out", str(tmp_path / "out"), "--metrics", str(metrics_dir)]
@@ -276,7 +249,6 @@ class TestMetricsFlag:
         ):
             assert (metrics_dir / name).exists(), name
 
-    def test_no_metrics_flag_writes_nothing(self, tmp_path, monkeypatch):
-        self._tiny_configs(monkeypatch)
+    def test_no_metrics_flag_writes_nothing(self, tmp_path, tiny_configs):
         assert main(["--out", str(tmp_path / "out")]) == 0
         assert not (tmp_path / "metrics").exists()
