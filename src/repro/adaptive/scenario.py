@@ -213,12 +213,16 @@ def faulted_latencies(
 ) -> np.ndarray:
     """One round's latency matrix with the plan's wall-time faults applied.
 
-    The latency-level view of the plan (the event path's semantics): a
-    slow node's links — both directions — are multiplied by its factor
-    (a link between two slow nodes takes the slower endpoint's factor,
-    not the product); partitioned and crashed links are ``inf``.
-    ``wall_time`` maps to plan round ``floor(wall_time / tick) + 1``, the
-    same anchoring :func:`repro.faults.event.install_plan` uses.
+    A latency-level view of the plan, close to but *not* the event
+    path's: a slow node's links — both directions — are multiplied by
+    its factor, and a link between two slow nodes takes the slower
+    endpoint's factor (the *max*), where the event path's
+    :meth:`~repro.faults.event.PlanLinkFaults.latency_factor` multiplies
+    the two.  The two views differ only on links whose endpoints are
+    both slow at once; ``adaptive.txt`` is pinned to this one.
+    Partitioned and crashed links are ``inf``.  ``wall_time`` maps to
+    plan round ``floor(wall_time / tick) + 1``, the same anchoring
+    :meth:`~repro.faults.event.PlanLinkFaults.round_of` uses.
     """
     n = base.shape[0]
     round_number = int(wall_time / tick) + 1

@@ -28,14 +28,17 @@ from typing import Union
 
 import numpy as np
 
+from repro.models.properties import granular_link_count
+from repro.models.registry import MODELS
+
 ArrayLike = Union[float, np.ndarray]
 
-#: Decision-round counts used in Section 4: the fastest known algorithm per
-#: model (WLM's 4 assumes the stable leader of the analysis; WLM_SIM is the
-#: optimal LM algorithm over the Appendix B simulation).  GS is the
-#: post-paper granular model: its satisfying rounds are LM rounds with the
-#: statically known hub as leader, so the 3-round LM algorithm applies.
-DECISION_ROUNDS = {"ES": 3, "LM": 3, "WLM": 4, "WLM_SIM": 7, "AFM": 5, "GS": 3}
+#: Decision-round counts used in Section 4 — the fastest known algorithm
+#: per model, read off the model registry (which says where each number
+#: comes from).
+DECISION_ROUNDS = {
+    name: model.decision_rounds for name, model in MODELS.items()
+}
 
 
 def _as_array(p: ArrayLike) -> np.ndarray:
@@ -102,8 +105,6 @@ def p_gs(p: ArrayLike, n: int) -> ArrayLike:
     ``P_GS = p^g`` where ``g`` counts the guaranteed (sync or psync)
     entries, diagonal included — the per-link analog of equation (1),
     which is the ``g = n^2`` special case."""
-    from repro.models.properties import granular_link_count
-
     arr = _as_array(p)
     return arr ** granular_link_count(n)
 

@@ -10,10 +10,10 @@ methodology of averaging 33 runs).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def mean_confidence_interval(
     if arr.size < 2:
         return mean, mean, mean
     sem = float(arr.std(ddof=1) / np.sqrt(arr.size))
-    z = float(scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     return mean, mean - z * sem, mean + z * sem
 
 

@@ -27,6 +27,7 @@ from repro.experiments.measurement import (
     model_satisfaction,
     timely_matrices,
 )
+from repro.models.registry import get_model
 from repro.net.lan import LanProfile
 from repro.net.planetlab import LEADER_NODE
 
@@ -174,7 +175,7 @@ def lan_cell(config: SweepConfig, t_index: int, r_index: int) -> LanCell:
     good, average = profile_defaults.good_leader, profile_defaults.average_leader
     measurements: dict[str, float] = {}
     for model in MEASURED_MODELS:
-        leader = good if model in ("LM", "WLM") else None
+        leader = good if get_model(model).needs_leader else None
         measurements[f"measured_{model}"] = model_satisfaction(
             matrices, model, leader=leader
         )
@@ -263,7 +264,7 @@ def figure_1d(
 # Figure 1(e)/(f): WAN — P_M with confidence intervals; variance.
 # ----------------------------------------------------------------------
 def _per_run_pm(sweep: WanSweep, model: str) -> dict[float, list[float]]:
-    leader = sweep.leader if model in ("LM", "WLM") else None
+    leader = sweep.leader if get_model(model).needs_leader else None
     return {
         timeout: [
             model_satisfaction(
@@ -334,7 +335,7 @@ def _decision_series(
     rounds: dict[str, list[float]] = {m: [] for m in models}
     times: dict[str, list[float]] = {m: [] for m in models}
     for model in models:
-        leader = sweep.leader if model in ("LM", "WLM") else None
+        leader = sweep.leader if get_model(model).needs_leader else None
         for t_index, timeout in enumerate(sweep.config.timeouts):
             run_rounds = []
             for r_index, run in enumerate(sweep.runs[timeout]):
@@ -483,7 +484,7 @@ def figure_1k(
         predicted = []
         for gsr in gsr_grid:
             adversary = StabilityWindowAdversary(n=n, gsr_round=int(gsr))
-            leader = 0 if model in ("LM", "WLM", "WLM_SIM") else None
+            leader = 0 if get_model(model).needs_leader else None
             rounds = simulate_adversary_decision_rounds(
                 adversary, p, model, runs=runs, seed=seed, leader=leader
             )

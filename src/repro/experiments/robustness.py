@@ -214,7 +214,7 @@ def measure_robustness(
         plans = canonical_plans(config.n, config.rounds_per_run, seed)
 
     def leader_for(model: str) -> Optional[int]:
-        return sweep.leader if model in ("LM", "WLM") else None
+        return sweep.leader if get_model(model).needs_leader else None
 
     def vectors(
         matrices_by_run: Sequence[np.ndarray],

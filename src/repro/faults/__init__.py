@@ -8,9 +8,10 @@ drives
 - the lockstep GIRAF runner, via :func:`inject_lockstep` /
   :class:`FaultSchedule` (delivery-matrix masking + crash plan + churned
   oracle), and
-- the event-driven stack, via :func:`faulty_transport_factory` /
-  :class:`PlanLinkFaults` on the wire plus the ``fault_plan`` hooks of
-  :class:`repro.sync.round_sync.SyncRun` for node-level faults,
+- the event-driven stack, via the ``fault_plan`` of
+  :class:`repro.sync.round_sync.SyncRun`: the run books the node-level
+  faults on its simulator and assigns a :class:`PlanLinkFaults` policy to
+  its transport's ``faults`` for the link-level ones,
 
 with every random choice derived from the plan's seed by the codebase's
 SHA-256 rule, so both paths realize the scenario bit-reproducibly.
@@ -32,11 +33,7 @@ from repro.faults.lockstep import (
     faulty_lockstep_runner,
     inject_lockstep,
 )
-from repro.faults.event import (
-    PlanLinkFaults,
-    faulty_transport_factory,
-    install_plan,
-)
+from repro.faults.event import PlanLinkFaults
 
 __all__ = [
     "Crash",
@@ -52,6 +49,4 @@ __all__ = [
     "faulty_lockstep_runner",
     "inject_lockstep",
     "PlanLinkFaults",
-    "faulty_transport_factory",
-    "install_plan",
 ]

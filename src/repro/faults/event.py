@@ -6,7 +6,7 @@ simulation time through the run's timeout: round ``k`` covers the window
 ``[(k-1) * timeout, k * timeout)``, the same back-to-back idealization
 the measurement figures use.
 
-:class:`PlanLinkFaults` answers the :class:`~repro.sim.faultlink.LinkFaults`
+:class:`PlanLinkFaults` answers the :class:`~repro.sim.transport.LinkFaults`
 protocol from a :class:`~repro.faults.plan.FaultPlan`: partitions,
 frozen processes and loss bursts drop messages, slow-node episodes
 stretch latencies.  Burst drops are deterministic: the decision for the
@@ -17,22 +17,18 @@ per link — sees the same realization.
 
 Node-level faults (crash, recovery, clock steps) and leader churn cannot
 be expressed on the wire; :class:`~repro.sync.round_sync.SyncRun` takes
-the plan directly and drives its nodes' crash/recover/clock-step hooks
-(see ``fault_plan`` there).  :func:`faulty_transport_factory` builds the
-matching transport.
+the plan directly, drives its nodes' crash/recover/clock-step hooks and
+assigns the plan's :class:`PlanLinkFaults` to its transport's ``faults``
+(see ``fault_plan`` there).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.faults.plan import FaultPlan
-from repro.obs.recorder import RunRecorder
 from repro.obs.registry import MetricsRegistry, registry_or_null
-from repro.sim.events import Simulator
-from repro.sim.faultlink import FaultyLinkModel
 from repro.sim.rng import derive_seed
-from repro.sim.transport import LinkModel, Transport
 
 #: One uniform draw from SHA-256 output: 53 bits into [0, 1).
 _DENOMINATOR = float(1 << 53)
@@ -118,36 +114,3 @@ class PlanLinkFaults:
         return self.plan.slow_factor(src, round_number) * self.plan.slow_factor(
             dst, round_number
         )
-
-
-def install_plan(
-    transport: Transport,
-    plan: FaultPlan,
-    timeout: float,
-    metrics: Optional[MetricsRegistry] = None,
-) -> None:
-    """Wrap ``transport``'s link model with the plan's link-level faults."""
-    transport.link_model = FaultyLinkModel(
-        transport.link_model, PlanLinkFaults(plan, timeout, metrics=metrics)
-    )
-
-
-def faulty_transport_factory(
-    plan: FaultPlan,
-    link_model: LinkModel,
-    timeout: float,
-    trace: bool = False,
-    metrics: Optional[MetricsRegistry] = None,
-    recorder: Optional[RunRecorder] = None,
-) -> Callable[[Simulator], Transport]:
-    """A ``transport_factory`` (as :class:`SyncRun` expects) whose
-    transports carry the plan's link-level faults."""
-
-    def factory(simulator: Simulator) -> Transport:
-        transport = Transport(
-            simulator, link_model, trace=trace, metrics=metrics, recorder=recorder
-        )
-        install_plan(transport, plan, timeout, metrics=metrics)
-        return transport
-
-    return factory

@@ -13,8 +13,8 @@ execution paths consume:
   :class:`~repro.faults.lockstep.FaultSchedule` (which masks delivery
   matrices) plus :meth:`FaultPlan.to_crash_plan`;
 - the event-driven stack, through
-  :class:`~repro.faults.event.PlanLinkFaults` (installed on the
-  transport's link model) plus the crash/recover/clock-step hooks of
+  :class:`~repro.faults.event.PlanLinkFaults` (assigned to the
+  transport's ``faults``) plus the crash/recover/clock-step hooks of
   :class:`~repro.sync.round_sync.SyncRun`.
 
 Rounds are 1-based, matching the schedules.  Every random choice a plan
@@ -34,6 +34,7 @@ the node's timers are actually paused.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -202,8 +203,10 @@ class FaultPlan:
                 raise ValueError(f"slow pid {slow.pid} out of range")
             if slow.start_round < 1 or slow.end_round < slow.start_round:
                 raise ValueError(f"bad slow-node window {slow}")
-            if slow.factor < 1.0:
-                raise ValueError("a slow node's factor must be >= 1")
+            # Written so NaN fails: a NaN latency would poison the
+            # simulator clock.
+            if not 1.0 <= slow.factor < math.inf:
+                raise ValueError("a slow node's factor must be finite and >= 1")
             if not 0.0 <= slow.drop_prob <= 1.0:
                 raise ValueError("drop_prob must be a probability")
         for step in self.clock_steps:
@@ -211,6 +214,8 @@ class FaultPlan:
                 raise ValueError(f"clock-step pid {step.pid} out of range")
             if step.at_round < 1:
                 raise ValueError("clock-step rounds are 1-based")
+            if not math.isfinite(step.offset):
+                raise ValueError("clock-step offset must be finite")
         for churn in self.leader_churn:
             if churn.start_round < 1 or churn.end_round < churn.start_round:
                 raise ValueError(f"bad churn window {churn}")

@@ -68,7 +68,7 @@ class TimingModel:
     needs_leader: bool
     stable_message_complexity: str
     _predicate: Callable[..., bool]
-    _batch_predicate: Optional[Callable[..., np.ndarray]] = None
+    _batch_predicate: Callable[..., np.ndarray]
     hub: Optional[int] = None
 
     def satisfied(
@@ -90,21 +90,9 @@ class TimingModel:
         leader: Optional[int] = None,
         correct: Optional[Iterable[int]] = None,
     ) -> np.ndarray:
-        """Per-round satisfaction over a ``(rounds, n, n)`` stack.
-
-        Uses the model's vectorized predicate when one is registered;
-        otherwise falls back to mapping :meth:`satisfied` per round.
-        Either way the result is bit-identical to the scalar loop.
-        """
+        """Per-round satisfaction over a ``(rounds, n, n)`` stack —
+        bit-identical to mapping :meth:`satisfied` over the rounds."""
         matrices = np.asarray(matrices)
-        if self._batch_predicate is None:
-            return np.array(
-                [
-                    self.satisfied(matrix, leader=leader, correct=correct)
-                    for matrix in matrices
-                ],
-                dtype=bool,
-            )
         if self.needs_leader:
             if leader is None:
                 raise ValueError(f"model {self.name} requires a leader")

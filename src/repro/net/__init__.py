@@ -3,10 +3,11 @@
 The paper evaluates on a real 100 Mbit LAN and on PlanetLab.  This package
 provides the simulated stand-ins (see DESIGN.md, "Substitutions"):
 
-- :mod:`base` — interfaces: per-link latency distributions and the
-  :class:`LinkModel` used by the transport.
-- :mod:`latency` — distribution building blocks (log-normal body, Pareto
-  tail, loss, load spikes, slow-node inflation).
+- :mod:`base` — :class:`LatencyModel`, the one latency interface: scalar
+  per-message sampling for the transport, per-link RNG substreams and
+  whole-trace batch sampling for the measurement sweeps.
+- :mod:`hetero` — the shared implementation behind the LAN and PlanetLab
+  profiles (log-normal body, Pareto tail, loss, slow-node windows).
 - :mod:`iid` — the Section 4 IID Bernoulli abstraction as a link model.
 - :mod:`lan` — an 8-node switched-LAN profile (sub-millisecond latencies,
   one occasionally slow node, as observed in Section 5.2).
@@ -20,16 +21,8 @@ provides the simulated stand-ins (see DESIGN.md, "Substitutions"):
   sync/psync/async assumption matrix enforced on top of any profile.
 """
 
-from repro.net.base import LatencyModel, MatrixSampler
+from repro.net.base import LatencyModel
 from repro.net.iid import BernoulliLinkModel
-from repro.net.latency import (
-    ConstantLatency,
-    LogNormalLatency,
-    TailedLatency,
-    ScaledLatency,
-    LossyLatency,
-    WindowedSlowdown,
-)
 from repro.net.granular import GranularProfile
 from repro.net.lan import LanProfile, lan_profile
 from repro.net.planetlab import PlanetLabProfile, planetlab_profile, PLANETLAB_SITES
@@ -37,14 +30,7 @@ from repro.net.ping import measure_latency_table, select_leader
 
 __all__ = [
     "LatencyModel",
-    "MatrixSampler",
     "BernoulliLinkModel",
-    "ConstantLatency",
-    "WindowedSlowdown",
-    "LogNormalLatency",
-    "TailedLatency",
-    "ScaledLatency",
-    "LossyLatency",
     "GranularProfile",
     "LanProfile",
     "lan_profile",

@@ -5,9 +5,9 @@ Two views of the same stochastic network are needed:
 - the event-driven transport asks for one latency at a time
   (:class:`LatencyModel.sample_latency`, the :class:`~repro.sim.transport.LinkModel`
   protocol);
-- the measurement experiments ask for whole *round matrices*: given a
-  timeout, which messages of a synchronized all-to-all round would arrive
-  within it (:class:`MatrixSampler`).
+- the measurement experiments ask for whole *latency traces*, every
+  round of every link at once (:meth:`LatencyModel.sample_trace_batch`),
+  and threshold them against a timeout themselves.
 
 A network profile implements both from the same per-link distributions, so
 the lockstep experiments and the event-driven round-synchronization runs
@@ -23,14 +23,14 @@ import numpy as np
 
 from repro.sim.rng import derive_pcg64_state
 
-#: (seed, src, dst, start_round) -> raw PCG64 state dict.  Substreams are
-#: pure functions of their key (model-independent by design), so the cache
-#: is shared process-wide; entries are a few hundred bytes each.
+#: (seed, src, dst) -> raw PCG64 state dict.  Substreams are pure
+#: functions of their key (model-independent by design), so the cache is
+#: shared process-wide; entries are a few hundred bytes each.
 _LINK_STATE_CACHE: dict = {}
 
 
 class LatencyModel(abc.ABC):
-    """A network: per-message latency sampling plus matrix sampling.
+    """A network: per-message latency sampling plus whole-trace sampling.
 
     Two sampling paths coexist:
 
@@ -100,40 +100,31 @@ class LatencyModel(abc.ABC):
     def is_time_invariant(self) -> bool:
         return False
 
-    def link_stream(
-        self, src: int, dst: int, start_round: int = 0
-    ) -> np.random.Generator:
+    def link_stream(self, src: int, dst: int) -> np.random.Generator:
         """The independent RNG substream of the directed link ``src → dst``.
 
         Seeded by hashing ``(seed, link)``, so every link's stream is
         distinct, stable across runs, and independent of the order links
-        are sampled in.  ``start_round`` salts the stream for trace blocks
-        that do not start at round 0 (see :class:`MatrixSampler`), keeping
-        consecutive blocks independent without per-link cursor state.
+        are sampled in.
 
         The hash digest is installed as the raw PCG64 state
         (:func:`~repro.sim.rng.derive_pcg64_state`), skipping numpy's
         seed-sequence mixing pass — SHA-256 already did the mixing.
         """
         bitgen = np.random.PCG64(0)
-        bitgen.state = self._link_state(src, dst, start_round)
+        bitgen.state = self._link_state(src, dst)
         return np.random.Generator(bitgen)
 
-    def _link_state(self, src: int, dst: int, start_round: int) -> dict:
+    def _link_state(self, src: int, dst: int) -> dict:
         """The cached raw PCG64 state of one link's substream."""
-        key = (self.seed, src, dst, start_round)
+        key = (self.seed, src, dst)
         state = _LINK_STATE_CACHE.get(key)
         if state is None:
-            name = f"link:{src}->{dst}"
-            if start_round:
-                name = f"{name}:from:{start_round}"
-            state = derive_pcg64_state(self.seed, name)
+            state = derive_pcg64_state(self.seed, f"link:{src}->{dst}")
             _LINK_STATE_CACHE[key] = state
         return state
 
-    def _trace_stream(
-        self, src: int, dst: int, start_round: int
-    ) -> np.random.Generator:
+    def _trace_stream(self, src: int, dst: int) -> np.random.Generator:
         """:meth:`link_stream`, but recycling one scratch bit generator.
 
         Seeding a fresh PCG64 object costs ~10x a raw state assignment,
@@ -148,7 +139,7 @@ class LatencyModel(abc.ABC):
         bitgen = self._scratch_bitgen
         if bitgen is None:
             bitgen = self._scratch_bitgen = np.random.PCG64(0)
-        bitgen.state = self._link_state(src, dst, start_round)
+        bitgen.state = self._link_state(src, dst)
         return np.random.Generator(bitgen)
 
     def sample_link_batch(
@@ -168,24 +159,22 @@ class LatencyModel(abc.ABC):
             f"{type(self).__name__} does not implement batch sampling"
         )
 
-    def sample_trace_batch(
-        self, rounds: int, round_length: float, start_round: int = 0
-    ) -> np.ndarray:
+    def sample_trace_batch(self, rounds: int, round_length: float) -> np.ndarray:
         """A whole latency trace, shape ``(rounds, n, n)``, batch-sampled.
 
-        Round ``k`` is sent at ``(start_round + k) * round_length``; entry
+        Round ``k`` is sent at ``k * round_length``; entry
         ``[k, dst, src]`` is the latency of ``src``'s message to ``dst``
         (``+inf`` = lost, diagonal 0).  Each link's column comes from its
         own substream, so the result is bit-reproducible across calls and
         across processes — it never touches the model's shared ``_rng``.
         """
-        times = (start_round + np.arange(rounds)) * round_length
+        times = np.arange(rounds) * round_length
         trace = np.zeros((rounds, self.n, self.n))
         for src in range(self.n):
             for dst in range(self.n):
                 if src == dst:
                     continue
-                rng = self._trace_stream(src, dst, start_round)
+                rng = self._trace_stream(src, dst)
                 trace[:, dst, src] = self.sample_link_batch(
                     src, dst, times, rng
                 )
@@ -195,60 +184,3 @@ class LatencyModel(abc.ABC):
         """Reset the random state (used to start a new independent run)."""
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-
-
-class MatrixSampler:
-    """Turns a :class:`LatencyModel` into a stream of timely-delivery matrices.
-
-    Rounds are back-to-back windows of length ``timeout`` (the Section 5
-    setting: each round lasts the timeout, and a message is "considered to
-    arrive in a communication round if its latency is less than the
-    timeout").
-    """
-
-    def __init__(self, model: LatencyModel, timeout: float) -> None:
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
-        self.model = model
-        self.timeout = timeout
-        self._round = 0
-
-    def next_matrix(self) -> np.ndarray:
-        """The timely matrix of the next round (diagonal always true)."""
-        latencies = self._next_latency_block(1)[0]
-        matrix = latencies < self.timeout
-        np.fill_diagonal(matrix, True)
-        return matrix
-
-    def _next_latency_block(self, rounds: int) -> np.ndarray:
-        """Latency matrices for the next ``rounds`` rounds, advancing the
-        round clock once — the single sampling loop behind
-        :meth:`next_matrix`, :meth:`sample_trace` and
-        :meth:`sample_latency_trace`.  Batch-capable models sample the
-        whole block in one vectorized pass from block-salted per-link
-        substreams; others fall back to the per-round scalar path.
-        """
-        start = self._round
-        self._round += rounds
-        if self.model.supports_batch_trace:
-            return self.model.sample_trace_batch(
-                rounds, self.timeout, start_round=start
-            )
-        return np.array(
-            [
-                self.model.sample_round_latencies((start + k) * self.timeout)
-                for k in range(rounds)
-            ]
-        )
-
-    def sample_trace(self, rounds: int) -> list[np.ndarray]:
-        """Matrices for the next ``rounds`` rounds."""
-        latencies = self._next_latency_block(rounds)
-        matrices = latencies < self.timeout
-        n = matrices.shape[1]
-        matrices[:, np.arange(n), np.arange(n)] = True
-        return list(matrices)
-
-    def sample_latency_trace(self, rounds: int) -> list[np.ndarray]:
-        """Raw latency matrices (for p-vs-timeout curves, Figure 1(d))."""
-        return list(self._next_latency_block(rounds))

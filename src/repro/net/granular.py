@@ -120,18 +120,16 @@ class GranularProfile(LatencyModel):
             np.minimum(column, self.psync_bound, out=column, where=stable)
         return column
 
-    def sample_trace_batch(
-        self, rounds: int, round_length: float, start_round: int = 0
-    ) -> np.ndarray:
+    def sample_trace_batch(self, rounds: int, round_length: float) -> np.ndarray:
         # Delegate to the base so profiles with coupled per-trace passes
         # (e.g. queue-mode slow windows) keep their own batch semantics,
         # then clamp — clamping is deterministic, so the result matches
         # the per-link path bit for bit.
-        trace = self.base.sample_trace_batch(rounds, round_length, start_round)
+        trace = self.base.sample_trace_batch(rounds, round_length)
         np.minimum(
             trace, self.sync_bound, out=trace, where=self._sync_mask[None, :, :]
         )
-        times = (start_round + np.arange(rounds)) * round_length
+        times = np.arange(rounds) * round_length
         stable = times >= self.stabilization_time
         if stable.any():
             np.minimum(

@@ -271,10 +271,8 @@ class HeterogeneousNetwork(LatencyModel):
         latencies[lost] = np.inf
         return latencies
 
-    def sample_trace_batch(
-        self, rounds: int, round_length: float, start_round: int = 0
-    ) -> np.ndarray:
-        times = (start_round + np.arange(rounds)) * round_length
+    def sample_trace_batch(self, rounds: int, round_length: float) -> np.ndarray:
+        times = np.arange(rounds) * round_length
         n = self.n
         latencies = np.zeros((rounds, n, n))
         lost = np.zeros((rounds, n, n), dtype=bool)
@@ -286,7 +284,7 @@ class HeterogeneousNetwork(LatencyModel):
             for dst in range(n):
                 if src == dst:
                     continue
-                rng = self._trace_stream(src, dst, start_round)
+                rng = self._trace_stream(src, dst)
                 column, column_lost = self._link_column(
                     src, dst, times, rng, defer_queue=True,
                     active_masks=active_masks,

@@ -1,14 +1,12 @@
 """Leader oracles (Ω) and leader election policies.
 
 The GIRAF-level oracle interfaces live in :mod:`repro.giraf.oracle`; this
-package re-exports them and adds the *election policies* of the paper's
-evaluation:
-
-- the paper designates a fixed, measured-to-be-well-connected node as the
-  leader for all runs (UK on PlanetLab), relying on leader-stability
-  results [24, 1, 16] — :func:`ping_elected_oracle` reproduces exactly
-  that: ping, pick, fix;
-- an intentionally *average* leader for the Section 5.2 comparison.
+package re-exports them and adds :class:`HeartbeatOmega`, a live
+heartbeat failure detector.  The paper's own procedure — ping, pick a
+well-connected node (UK on PlanetLab), fix it as leader for all runs,
+relying on leader-stability results [24, 1, 16] — is
+:func:`repro.net.ping.select_leader` feeding a
+:class:`FixedLeaderOracle`.
 """
 
 from repro.giraf.oracle import (
@@ -19,7 +17,6 @@ from repro.giraf.oracle import (
     RotatingLeaderOracle,
     ScriptedOracle,
 )
-from repro.oracles.election import ping_elected_oracle, average_leader_oracle
 from repro.oracles.omega import HeartbeatOmega
 
 __all__ = [
@@ -30,6 +27,4 @@ __all__ = [
     "EventuallyStableLeaderOracle",
     "RotatingLeaderOracle",
     "ScriptedOracle",
-    "ping_elected_oracle",
-    "average_leader_oracle",
 ]

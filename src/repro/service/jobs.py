@@ -45,6 +45,7 @@ from repro.experiments.parallel import (
     rows_from_flat,
     wan_cell_tasks,
 )
+from repro.models.registry import get_model
 from repro.net.planetlab import LEADER_NODE
 
 #: Version tag folded into every job key: bump when a job type's
@@ -159,7 +160,7 @@ def _decision_cell(
         "wan", config.n, config.rounds_per_run, timeout, seed
     )
     matrices = timely_matrices(trace, timeout)
-    leader = LEADER_NODE if model in ("LM", "WLM") else None
+    leader = LEADER_NODE if get_model(model).needs_leader else None
     rng = np.random.default_rng(
         config.run_seed(t_index, r_index, purpose="decision")
     )

@@ -153,8 +153,10 @@ class Simulator:
         """Schedule ``action`` at absolute simulation time ``time``.
 
         Scheduling in the past is an error: the simulator never rewinds.
+        So is a NaN time, which the comparison is written to reject — it
+        would leave the heap order undefined and turn the clock into NaN.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule event at {time} before current time {self._now}"
             )
@@ -229,9 +231,10 @@ class Simulator:
         Used by batched executors (:mod:`repro.sync.batch`) that compute
         a run's outcome outside the event loop and then leave the
         simulator at the instant the scalar loop would have stopped.
-        Rewinding is an error, exactly as for :meth:`schedule`.
+        Rewinding (or a NaN time) is an error, exactly as for
+        :meth:`schedule`.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot fast-forward to {time} before current time {self._now}"
             )

@@ -28,6 +28,23 @@ class LinkModel(Protocol):
         ...
 
 
+class LinkFaults(Protocol):
+    """Per-message fault decisions, consulted by :meth:`Transport.send`.
+
+    A policy may also publish ``last_drop_cause`` — why its most recent
+    :meth:`drop` returned ``True`` — to label the drop in telemetry
+    (:class:`repro.faults.event.PlanLinkFaults` does).
+    """
+
+    def drop(self, src: int, dst: int, now: float) -> bool:
+        """Kill the message outright?"""
+        ...
+
+    def latency_factor(self, src: int, dst: int, now: float) -> float:
+        """Multiplier applied to the sampled latency (1.0 = untouched)."""
+        ...
+
+
 @dataclass
 class Delivery:
     """Record of one message delivery (or drop), kept when tracing is on.
@@ -78,17 +95,17 @@ class Transport:
     slow-Poland run) fall back to scalar ``sample_latency`` —
     time-dependent behaviour cannot be pre-sampled.
 
-    A fault wrapper (anything exposing ``base``/``faults`` attributes,
-    like :class:`~repro.sim.faultlink.FaultyLinkModel`) around a
-    streamable base keeps the stream path: the *base* model is streamed
-    and the fault policy is consulted per message on top.  On this path
-    every message consumes exactly one base draw from its link's
-    substream — including messages the policy then drops — so the ``i``-th
-    message a link carries always sees the link's ``i``-th pre-sampled
-    latency, whatever the faults do.  (The scalar wrapper skips the base
-    draw for dropped messages; the stream path deliberately does not,
-    which is what lets :mod:`repro.sync.batch` pre-sample whole fault
-    windows.)  Wrappers around non-streamable bases still fall back.
+    :attr:`faults` is the one way a fault reaches a message: assign a
+    :class:`LinkFaults` policy (or ``None``) and :meth:`send` asks it,
+    per message, whether to drop and by how much to stretch — whichever
+    source the latency comes from.  The two sources keep their own draw
+    discipline.  On the stream path every message consumes exactly one
+    base draw from its link's substream — including messages the policy
+    drops — so the ``i``-th message a link carries always sees the
+    link's ``i``-th pre-sampled latency, whatever the faults do (which
+    is what lets :mod:`repro.sync.batch` pre-sample whole fault
+    windows).  On the scalar path the drop is decided first and a
+    dropped message draws nothing from the model.
 
     With ``trace=True`` every delivery is recorded; payload *objects* are
     only retained when ``trace_payloads=True``, so long robustness runs
@@ -112,8 +129,11 @@ class Transport:
         self._trace = trace
         self._trace_payloads = trace_payloads
         self._batch_streams = batch_streams
-        self._streams: dict[tuple[int, int], tuple] = {}
-        self._configure_streams(link_model)
+        self._streams: dict[tuple[int, int], list] = {}
+        self._streams_usable = self._model_streamable(link_model)
+        #: The per-message fault policy, or ``None``.  Assignable at any
+        #: time; it never touches the link model or its streams.
+        self.faults: Optional[LinkFaults] = None
         self.deliveries: list[Delivery] = []
         self.messages_sent = 0
         self.messages_lost = 0
@@ -131,30 +151,6 @@ class Transport:
             getattr(model, "supports_batch_trace", False)
             and getattr(model, "is_time_invariant", False)
         )
-
-    def _configure_streams(self, model: LinkModel) -> None:
-        """Resolve which model feeds the stream path, and through what.
-
-        Three outcomes: a streamable model streams directly (no fault
-        policy); a fault wrapper exposing ``base``/``faults`` whose base
-        is streamable streams the base and applies the policy per
-        message; anything else disables the stream path.
-        """
-        if self._model_streamable(model):
-            self._stream_base: Optional[LinkModel] = model
-            self._stream_faults = None
-            self._streams_usable = True
-            return
-        base = getattr(model, "base", None)
-        faults = getattr(model, "faults", None)
-        if base is not None and faults is not None and self._model_streamable(base):
-            self._stream_base = base
-            self._stream_faults = faults
-            self._streams_usable = True
-            return
-        self._stream_base = None
-        self._stream_faults = None
-        self._streams_usable = False
 
     def _count_drop(self, cause: str, src: int, dst: int, now: float) -> None:
         counter = self._drop_counters.get(cause)
@@ -179,17 +175,11 @@ class Transport:
         """Whether sends currently consume pre-sampled per-link streams.
 
         True iff stream consumption is enabled *and* the installed model
-        (or a fault wrapper's base) is batch-capable and time-invariant;
-        batched executors (:mod:`repro.sync.batch`) require it, since
-        only then do the scalar and batched paths draw bit-identical
-        latency sequences.
+        is batch-capable and time-invariant; batched executors
+        (:mod:`repro.sync.batch`) require it, since only then do the
+        scalar and batched paths draw bit-identical latency sequences.
         """
         return self._batch_streams and self._streams_usable
-
-    @property
-    def stream_fault_policy(self) -> Optional[Any]:
-        """The per-message fault policy riding on the stream path, if any."""
-        return self._stream_faults
 
     @property
     def streams_started(self) -> bool:
@@ -198,25 +188,20 @@ class Transport:
 
     @property
     def link_model(self) -> LinkModel:
-        """The installed link model.  Assignable: fault injectors wrap the
-        current model (e.g. with :class:`repro.sim.faultlink.FaultyLinkModel`)
-        and install the wrapper without rebuilding the transport."""
+        """The installed link model.  Assignable without rebuilding the
+        transport; a new model invalidates the pre-sampled streams."""
         return self._link_model
 
     @link_model.setter
     def link_model(self, model: LinkModel) -> None:
         self._link_model = model
-        # A new model invalidates pre-sampled streams.  A fault wrapper
-        # around a streamable base keeps the stream path (the base is
-        # streamed, the policy applied per message); anything else flips
-        # the transport onto the scalar fallback path.
         self._streams.clear()
-        self._configure_streams(model)
+        self._streams_usable = self._model_streamable(model)
 
     def _next_stream_latency(self, src: int, dst: int) -> Optional[float]:
         """Pop the next pre-sampled latency of the link ``src → dst``."""
         key = (src, dst)
-        model = self._stream_base
+        model = self._link_model
         state = self._streams.get(key)
         if state is None:
             state = [model.link_stream(src, dst), np.empty(0), 0]
@@ -246,28 +231,25 @@ class Transport:
         self.messages_sent += 1
         self._sent_counter.inc()
         cause: Optional[str] = None
+        latency: Optional[float] = None
         if src == dst:
-            latency: Optional[float] = 0.0
-        elif self._batch_streams and self._streams_usable:
-            # One base draw per message, unconditionally — the fault
-            # policy decides on top, without perturbing the substream.
-            latency = self._next_stream_latency(src, dst)
-            faults = self._stream_faults
-            if faults is not None:
-                if faults.drop(src, dst, now):
-                    latency = None
-                    cause = getattr(faults, "last_drop_cause", None) or "fault"
-                elif latency is not None:
-                    factor = faults.latency_factor(src, dst, now)
-                    if factor != 1.0:
-                        latency = latency * factor
+            latency = 0.0
         else:
-            latency = self._link_model.sample_latency(src, dst, now)
-            if latency is None:
-                # Fault-aware link models (FaultyLinkModel) publish why
-                # the last sample was dropped; a bare link model's loss
-                # is natural "link" loss.
-                cause = getattr(self._link_model, "last_drop_cause", None)
+            faults = self.faults
+            dropped = faults is not None and faults.drop(src, dst, now)
+            if self._batch_streams and self._streams_usable:
+                # One base draw per message, dropped or not: the policy
+                # decides on top, without perturbing the substream.
+                latency = self._next_stream_latency(src, dst)
+            elif not dropped:
+                latency = self._link_model.sample_latency(src, dst, now)
+            if dropped:
+                latency = None
+                cause = getattr(faults, "last_drop_cause", None) or "fault"
+            elif latency is not None and faults is not None:
+                factor = faults.latency_factor(src, dst, now)
+                if factor != 1.0:
+                    latency = latency * factor
         record: Optional[Delivery] = None
         if self._trace:
             record = Delivery(

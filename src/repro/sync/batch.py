@@ -107,7 +107,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.faults.event import PlanLinkFaults
 from repro.faults.lockstep import ChurningOracle
 from repro.giraf.oracle import NullOracle
 from repro.oracles.omega import HeartbeatOmega
@@ -227,11 +226,12 @@ def batch_ineligible_reason(
     telemetry, observers, and a :class:`HeartbeatOmega` oracle.  What
     still forces the scalar path is anything that can move a node off
     the common round grid (crash *recovery*, clock steps), randomness
-    that cannot be pre-sampled (dynamic link models, non-plan fault
-    policies), or per-event instrumentation with event-level semantics
-    (the JSONL recorder, delivery tracing).  The returned string is the
-    fallback taxonomy, surfaced as :attr:`SyncRun.fallback_reason` and
-    counted per run in the ``sync.batch_fallback`` counter family.
+    that cannot be pre-sampled (dynamic link models, a fault policy
+    other than the run's own), or per-event instrumentation with
+    event-level semantics (the JSONL recorder, delivery tracing).  The
+    returned string is the fallback taxonomy, surfaced as
+    :attr:`SyncRun.fallback_reason` and counted per run in the
+    ``sync.batch_fallback`` counter family.
     """
     for node in run.nodes:
         if node.process.round != 0 or node.running or node.crashed:
@@ -249,23 +249,17 @@ def batch_ineligible_reason(
         return "link model is not batch-capable and time-invariant"
     if transport.streams_started or transport.messages_sent:
         return "transport already carried traffic"
+    policy = run.link_faults
+    if transport.faults is not policy:
+        return "transport fault policy is not the run's own"
     plan = run.fault_plan
-    policy = transport.stream_fault_policy
     if plan is not None:
         if plan.clock_steps:
             return "fault plan schedules clock steps"
         if any(c.recover_round is not None for c in plan.crashes):
             return "fault plan schedules crash recovery"
-        if policy is None:
-            return "fault plan without its link fault policy"
-        if type(policy) is not PlanLinkFaults or policy.plan is not plan:
-            return "fault policy does not match the run's plan"
-        if policy.timeout != run._plan_timeout:
-            return "fault policy timeout differs from the plan's round grid"
         if policy._burst_counters or policy._seen_activations:
             return "fault policy already consumed"
-    elif policy is not None:
-        return "link fault policy without a matching plan"
     oracles = {id(node.oracle) for node in run.nodes}
     if len(oracles) != 1:
         return "nodes use distinct oracle instances"
@@ -359,7 +353,7 @@ def _presample_links(run: SyncRun, per_src_rounds: np.ndarray) -> np.ndarray:
     callers.
     """
     transport = run.transport
-    model = transport._stream_base
+    model = transport.link_model
     n = run.n
     rounds = run.max_rounds
     block = np.full((rounds, n, n), np.inf)
@@ -474,7 +468,7 @@ def run_batched(run: SyncRun, time_limit: float) -> SyncRunResult:
     stop = times[-1]
     transport = run.transport
     plan = run.fault_plan
-    policy = transport.stream_fault_policy
+    policy = run.link_faults
 
     # ------------------------------------------------------------------
     # Node-level crash schedule (permanent crashes only; eligibility

@@ -22,7 +22,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.faults.event import install_plan
+from repro.faults.event import PlanLinkFaults
 from repro.faults.lockstep import ChurningOracle
 from repro.faults.plan import FaultPlan
 from repro.giraf.kernel import GirafAlgorithm
@@ -322,6 +322,9 @@ class SyncRun:
         self.recorder = recorder_or_null(recorder)
         self.simulator = Simulator()
         self.transport = transport_factory(self.simulator)
+        #: The run's link-level fault policy (``None`` without a plan);
+        #: the run owns it and hands it to its transport.
+        self.link_faults: Optional[PlanLinkFaults] = None
         if fault_plan is not None:
             if fault_plan.n != n:
                 raise ValueError(
@@ -330,7 +333,10 @@ class SyncRun:
             # Link-level faults (bursts, partitions, slow links, frozen
             # peers) ride on the wire; round k of the plan maps to the
             # time window [(k-1)*timeout, k*timeout).
-            install_plan(self.transport, fault_plan, timeout, metrics=metrics)
+            self.link_faults = PlanLinkFaults(
+                fault_plan, timeout, metrics=metrics
+            )
+            self.transport.faults = self.link_faults
             if fault_plan.leader_churn:
                 oracle = ChurningOracle(oracle, fault_plan)
         if clocks is None:

@@ -22,7 +22,6 @@ from repro.faults import (
     Partition,
     PlanLinkFaults,
     faulty_lockstep_runner,
-    faulty_transport_factory,
 )
 from repro.giraf import IIDSchedule, NullOracle, StableAfterSchedule
 from repro.giraf.kernel import GirafAlgorithm
@@ -276,17 +275,3 @@ class TestLockstepConsensusUnderFaults:
         result = runner.run(max_rounds=gsr + 20)
         assert result.agreement_holds() and result.validity_holds()
         assert result.all_correct_decided
-
-    def test_faulty_transport_factory_matches_sync_run_injection(self):
-        """The standalone factory and SyncRun's internal install produce
-        the same faulted link behaviour."""
-        plan = FaultPlan(
-            n=N, partitions=(Partition(((0, 1, 2), (3, 4)), 2, 6),), seed=2
-        )
-        factory = faulty_transport_factory(plan, FixedLatency(0.05), TIMEOUT)
-        transport = factory(Simulator())
-        model = transport.link_model
-        # Round 3 sits inside the partition window.
-        now = 2.5 * TIMEOUT
-        assert model.sample_latency(0, 4, now) is None
-        assert model.sample_latency(0, 1, now) is not None

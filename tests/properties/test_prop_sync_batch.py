@@ -31,7 +31,6 @@ from repro.net import lan_profile, measure_latency_table, planetlab_profile
 from repro.obs.registry import MetricsRegistry
 from repro.oracles.omega import HeartbeatOmega
 from repro.sim import Transport
-from repro.sim.faultlink import FaultyLinkModel
 from repro.sync import HeartbeatAlgorithm, SyncRun
 from repro.sync.batch import (
     METRIC_FACETS,
@@ -234,8 +233,8 @@ class TestFaultedBitIdentity:
         # totals and histograms of the two runs' registries.
         assert run_divergences(scalar_run, scalar, batched_run, batched) == []
         assert_same_internal_state(scalar_run, batched_run)
-        policy_a = scalar_run.transport.stream_fault_policy
-        policy_b = batched_run.transport.stream_fault_policy
+        policy_a = scalar_run.link_faults
+        policy_b = batched_run.link_faults
         if policy_a is not None:
             # The plan policy's own state (burst counters, seen episodes)
             # ends up where the scalar run leaves it.
@@ -274,7 +273,7 @@ class TestFaultedBitIdentity:
 class TestFallbackTriggers:
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=10, deadline=None)
-    def test_fault_wrapper_via_setter_forces_scalar(self, seed):
+    def test_foreign_fault_policy_forces_scalar(self, seed):
         class NoFaults:
             def drop(self, src, dst, now):
                 return False
@@ -284,14 +283,12 @@ class TestFallbackTriggers:
 
         factory, timeout = PROFILES["uniform-wan"]
         run = build_run(factory, timeout, seed, rounds=8)
-        run.transport.link_model = FaultyLinkModel(
-            run.transport.link_model, NoFaults()
-        )
+        run.transport.faults = NoFaults()
         result = run.run()
         assert run.executed_mode == "scalar"
-        # The base still streams, but an ad-hoc policy that is not the
+        # The model still streams, but an ad-hoc policy that is not the
         # run's own plan policy cannot be replicated by the batch path.
-        assert "without a matching plan" in run.fallback_reason
+        assert "not the run's own" in run.fallback_reason
         assert len(result.matrices) == 8
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))

@@ -1,5 +1,10 @@
 """Unit tests for summary statistics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -55,3 +60,23 @@ class TestSummarize:
         summary = summarize([7.0])
         assert summary.variance == 0.0
         assert summary.ci_half_width == 0.0
+
+
+def test_the_cli_imports_without_scipy():
+    # numpy is the only declared runtime dependency and CI installs the
+    # declared ones only: an import of scipy anywhere under the CLI
+    # kills every job on a clean runner.
+    src = Path(__file__).resolve().parents[2] / "src"
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import repro.experiments.run_all, sys; "
+            "assert 'scipy' not in sys.modules",
+        ],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]

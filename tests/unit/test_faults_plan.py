@@ -60,6 +60,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="factor"):
             FaultPlan(n=3, slow_nodes=(SlowNode(0, 1, 3, factor=0.5),))
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_non_finite_slow_factor_rejected(self, factor):
+        # NaN passes a ``factor < 1.0`` guard and would reach the
+        # simulator as a NaN delivery time.
+        with pytest.raises(ValueError, match="factor"):
+            FaultPlan(n=3, slow_nodes=(SlowNode(0, 1, 3, factor=factor),))
+
+    @pytest.mark.parametrize(
+        "offset", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_clock_step_offset_rejected(self, offset):
+        # ``max(0.0, nan)`` is 0.0: the stepped round timer would fire
+        # immediately and silently.
+        with pytest.raises(ValueError, match="offset"):
+            FaultPlan(n=3, clock_steps=(ClockStep(0, 2, offset=offset),))
+
 
 class TestTimeline:
     def test_down_at_window(self):

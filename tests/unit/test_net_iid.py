@@ -1,9 +1,7 @@
 """Unit tests for the Bernoulli (IID) link model."""
 
-import numpy as np
 import pytest
 
-from repro.net.base import MatrixSampler
 from repro.net.iid import BernoulliLinkModel
 
 
@@ -32,87 +30,3 @@ class TestBernoulliLinkModel:
             BernoulliLinkModel(4, p=0.5, timeout=0.1, late_factor=1.0)
         with pytest.raises(ValueError):
             BernoulliLinkModel(1, p=0.5, timeout=0.1)
-
-
-class TestMatrixSampler:
-    def test_matrix_fraction_tracks_p(self):
-        model = BernoulliLinkModel(8, p=0.8, timeout=0.05, seed=4)
-        sampler = MatrixSampler(model, timeout=0.05)
-        off = ~np.eye(8, dtype=bool)
-        matrices = sampler.sample_trace(300)
-        rate = np.mean([m[off].mean() for m in matrices])
-        assert 0.77 < rate < 0.83
-
-    def test_diagonal_always_true(self):
-        model = BernoulliLinkModel(5, p=0.0, timeout=0.05, seed=5)
-        sampler = MatrixSampler(model, timeout=0.05)
-        assert np.diagonal(sampler.next_matrix()).all()
-
-    def test_rounds_advance_time(self):
-        # Consecutive matrices consume fresh randomness.
-        model = BernoulliLinkModel(6, p=0.5, timeout=0.05, seed=6)
-        sampler = MatrixSampler(model, timeout=0.05)
-        a, b = sampler.next_matrix(), sampler.next_matrix()
-        assert not (a == b).all()
-
-    def test_latency_trace_has_raw_values(self):
-        model = BernoulliLinkModel(4, p=1.0, timeout=0.05, seed=7)
-        sampler = MatrixSampler(model, timeout=0.05)
-        trace = sampler.sample_latency_trace(2)
-        assert len(trace) == 2
-        off = ~np.eye(4, dtype=bool)
-        assert (trace[0][off] < 0.05).all()
-
-    def test_bad_timeout_rejected(self):
-        model = BernoulliLinkModel(4, p=0.5, timeout=0.05)
-        with pytest.raises(ValueError):
-            MatrixSampler(model, timeout=0.0)
-
-
-class TestMatrixSamplerBlockAccounting:
-    """Round accounting when traces are drawn in consecutive blocks."""
-
-    @staticmethod
-    def sampler(seed=9):
-        model = BernoulliLinkModel(5, p=0.6, timeout=0.05, seed=seed)
-        return MatrixSampler(model, timeout=0.05)
-
-    def test_fresh_sampler_trace_matches_batch_path(self):
-        # A whole-trace request from a fresh sampler is the measurement
-        # path: it must be bit-identical to sample_trace_batch.
-        trace = self.sampler().sample_latency_trace(6)
-        model = BernoulliLinkModel(5, p=0.6, timeout=0.05, seed=9)
-        direct = model.sample_trace_batch(6, 0.05)
-        assert len(trace) == 6
-        assert np.array_equal(np.array(trace), direct)
-
-    def test_matrices_and_latencies_agree(self):
-        a, b = self.sampler(), self.sampler()
-        matrices = a.sample_trace(4)
-        latencies = b.sample_latency_trace(4)
-        for matrix, row in zip(matrices, latencies):
-            expected = row < 0.05
-            np.fill_diagonal(expected, True)
-            assert np.array_equal(matrix, expected)
-
-    def test_identical_block_sequences_are_bit_identical(self):
-        a, b = self.sampler(), self.sampler()
-        first = [*a.sample_latency_trace(3), *a.sample_latency_trace(2)]
-        second = [*b.sample_latency_trace(3), *b.sample_latency_trace(2)]
-        for left, right in zip(first, second):
-            assert np.array_equal(left, right)
-
-    def test_blocks_consume_distinct_substreams(self):
-        # Consecutive blocks must not replay round 0's randomness: the
-        # block start salts each link's substream name.
-        sampler = self.sampler()
-        first = sampler.sample_latency_trace(2)
-        second = sampler.sample_latency_trace(2)
-        assert not np.array_equal(first[0], second[0])
-
-    def test_next_matrix_advances_round_counter_past_traces(self):
-        a, b = self.sampler(), self.sampler()
-        a.sample_latency_trace(3)
-        after_trace = a.next_matrix()
-        b.sample_latency_trace(3)
-        assert np.array_equal(after_trace, b.next_matrix())

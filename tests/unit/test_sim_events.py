@@ -239,6 +239,21 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             Simulator().schedule_in(-1.0, lambda: None)
 
+    def test_nan_time_is_rejected_before_it_reaches_the_clock(self):
+        # NaN compares false with everything, so a ``time < now`` guard
+        # lets it through: the heap order becomes undefined and ``now``
+        # turns NaN when the event fires, disarming every later guard.
+        sim = Simulator()
+        nan = float("nan")
+        with pytest.raises(SimulationError):
+            sim.schedule(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_in(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.fast_forward(nan)
+        assert sim.pending_events == 0
+        assert sim.now == 0.0
+
     def test_events_processed_counter(self):
         sim = Simulator()
         for t in range(4):

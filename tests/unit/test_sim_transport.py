@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.net.iid import BernoulliLinkModel
+from repro.net.planetlab import planetlab_profile
+from repro.obs.registry import MetricsRegistry
 from repro.sim.events import Simulator
-from repro.sim.transport import Transport
+from repro.sim.transport import STREAM_CHUNK, Transport
 
 
 class FixedLatency:
@@ -149,8 +151,6 @@ class TestBatchStreams:
         # The transport refills STREAM_CHUNK latencies at a time, and a
         # batch of k consumes the generator differently than a batch of
         # STREAM_CHUNK — so the reference must draw the same chunk shape.
-        from repro.sim.transport import STREAM_CHUNK
-
         reference = self.model().sample_link_batch(
             0, 1, np.zeros(STREAM_CHUNK), self.model().link_stream(0, 1)
         )[:20]
@@ -178,9 +178,9 @@ class TestBatchStreams:
         assert run(interleave=False) == run(interleave=True)
 
     def test_wrapper_install_falls_back_to_scalar_sampling(self):
-        # Installing a fault wrapper through the link_model setter must
-        # flip the transport onto the scalar path: wrappers are not
-        # batch-capable and their drops must be consulted per send.
+        # Installing a model that is not batch-capable through the
+        # link_model setter must flip the transport onto the scalar
+        # path: its samples must be drawn per send.
         sim = Simulator()
         transport = Transport(sim, self.model())
         assert transport._streams_usable
@@ -213,3 +213,136 @@ class TestBatchStreams:
 
         assert not Transport._model_streamable(LanProfile(seed=0))
         assert Transport._model_streamable(self.model())
+
+
+class SecondMessagePolicy:
+    """A fault policy that touches only the second message it is asked
+    about: drops it (naming ``cause`` if given) or stretches it."""
+
+    def __init__(self, drop=False, factor=1.0, cause=None):
+        self._drop, self._factor, self._cause = drop, factor, cause
+        self._asked = 0
+        self._second = False
+        if cause is not None:
+            self.last_drop_cause = None
+
+    def drop(self, src, dst, now):
+        self._asked += 1
+        self._second = self._asked == 2
+        dropped = self._drop and self._second
+        if self._cause is not None:
+            self.last_drop_cause = self._cause if dropped else None
+        return dropped
+
+    def latency_factor(self, src, dst, now):
+        return self._factor if self._second else 1.0
+
+
+def streamable_model():
+    return BernoulliLinkModel(4, p=0.7, timeout=0.1, seed=11)
+
+
+def streamable_draws():
+    model = streamable_model()
+    return model.sample_link_batch(
+        0, 1, np.zeros(STREAM_CHUNK), model.link_stream(0, 1)
+    )[:3].tolist()
+
+
+def time_varying_model():
+    # A slow-run PlanetLab profile has time-dependent windows: it can
+    # never be pre-sampled, so the transport samples it per message.
+    return planetlab_profile(seed=3, slow_run_prob=1.0)
+
+
+def time_varying_draws():
+    model = time_varying_model()
+    return [float(model.sample_latency(0, 1, 0.0)) for _ in range(3)]
+
+
+class TestFaultSite:
+    """``Transport.faults`` is the one place a fault touches a message,
+    for both latency sources, and each source keeps its draw discipline:
+    a streamed link spends one base draw per message even when the
+    policy drops it; a scalar-sampled link decides the drop first and a
+    dropped message draws nothing.  Three messages go down one link and
+    the policy touches only the second, so the third message's latency
+    shows how many base draws the first two consumed."""
+
+    MODELS = {
+        "streamable": (streamable_model, streamable_draws, True),
+        "time-varying": (time_varying_model, time_varying_draws, False),
+    }
+
+    # policy name -> (policy factory, expected drop cause, the three
+    # latencies as a function of the link's base draws ``d`` on a
+    # streamed link, the same on a scalar-sampled link).  None = lost.
+    POLICIES = {
+        "pass": (
+            lambda: None, None,
+            lambda d: [d[0], d[1], d[2]], lambda d: [d[0], d[1], d[2]],
+        ),
+        "inert policy": (
+            SecondMessagePolicy, None,
+            lambda d: [d[0], d[1], d[2]], lambda d: [d[0], d[1], d[2]],
+        ),
+        "drop": (
+            lambda: SecondMessagePolicy(drop=True, cause="partition"),
+            "partition",
+            lambda d: [d[0], None, d[2]], lambda d: [d[0], None, d[1]],
+        ),
+        "drop, cause unpublished": (
+            lambda: SecondMessagePolicy(drop=True), "fault",
+            lambda d: [d[0], None, d[2]], lambda d: [d[0], None, d[1]],
+        ),
+        "stretch": (
+            lambda: SecondMessagePolicy(factor=2.5), None,
+            lambda d: [d[0], d[1] * 2.5, d[2]],
+            lambda d: [d[0], d[1] * 2.5, d[2]],
+        ),
+    }
+
+    @pytest.mark.parametrize("policy_name", list(POLICIES))
+    @pytest.mark.parametrize("model_name", list(MODELS))
+    def test_fault_site(self, model_name, policy_name):
+        model_factory, draws_factory, streams = self.MODELS[model_name]
+        policy_factory, cause, streamed, scalar = self.POLICIES[policy_name]
+        draws = draws_factory()
+        assert all(np.isfinite(draws))  # no natural loss in the script
+        metrics = MetricsRegistry()
+        sim = Simulator()
+        transport = Transport(sim, model_factory(), trace=True, metrics=metrics)
+        assert transport.stream_sampling_active == streams
+        transport.faults = policy_factory()
+        transport.register(1, lambda s, p: None)
+        for _ in range(3):
+            transport.send(0, 1, "m")
+        sim.run()
+
+        expected = (streamed if streams else scalar)(draws)
+        assert [d.latency for d in transport.deliveries] == expected
+        lost = expected.count(None)
+        assert transport.messages_lost == lost
+        dropped = {
+            key: value
+            for key, value in metrics.snapshot()["counters"].items()
+            if key.startswith("transport.dropped")
+        }
+        assert dropped == (
+            {f"transport.dropped{{cause={cause}}}": lost} if lost else {}
+        )
+
+    def test_policy_assignment_leaves_the_streams_alone(self):
+        # Assigning (or clearing) the policy mid-run must not reset the
+        # link's position in its substream — unlike swapping the model.
+        draws = streamable_draws()
+        sim = Simulator()
+        transport = Transport(sim, streamable_model(), trace=True)
+        transport.register(1, lambda s, p: None)
+        transport.send(0, 1, "m")
+        transport.faults = SecondMessagePolicy()
+        transport.send(0, 1, "m")
+        transport.faults = None
+        transport.send(0, 1, "m")
+        sim.run()
+        assert [d.latency for d in transport.deliveries] == draws

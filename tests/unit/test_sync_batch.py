@@ -18,7 +18,6 @@ from repro.obs.recorder import RunRecorder
 from repro.obs.registry import MetricsRegistry
 from repro.oracles.omega import HeartbeatOmega
 from repro.sim import Clock, Transport
-from repro.sim.faultlink import FaultyLinkModel
 from repro.sync import HeartbeatAlgorithm, SyncRun, batch_ineligible_reason
 
 
@@ -97,7 +96,7 @@ class TestFallbackReasons:
             loss_bursts=(LossBurst(start_round=2, end_round=4, drop_prob=0.5),),
         )
         run = make_run(fault_plan=plan)
-        run.transport.stream_fault_policy.drop(0, 1, 0.15)
+        run.link_faults.drop(0, 1, 0.15)
         assert batch_ineligible_reason(run, 1e9) == (
             "fault policy already consumed"
         )
@@ -119,9 +118,9 @@ class TestFallbackReasons:
         factory = lambda seed: planetlab_profile(seed=seed, slow_run_prob=1.0)
         self.assert_falls_back(make_run(factory=factory), "time-invariant")
 
-    def test_fault_wrapper_installed_via_setter_falls_back(self):
-        # The transport streams the wrapper's base, but the ad-hoc policy
-        # is not the run's own plan policy, so the batch path cannot
+    def test_foreign_fault_policy_falls_back(self):
+        # The transport still streams its model, but the ad-hoc policy is
+        # not the run's own plan policy, so the batch path cannot
         # replicate its decisions.
         class NoFaults:
             def drop(self, src, dst, now):
@@ -131,10 +130,8 @@ class TestFallbackReasons:
                 return 1.0
 
         run = make_run()
-        run.transport.link_model = FaultyLinkModel(
-            run.transport.link_model, NoFaults()
-        )
-        self.assert_falls_back(run, "without a matching plan")
+        run.transport.faults = NoFaults()
+        self.assert_falls_back(run, "not the run's own")
 
     def test_non_probe_algorithm(self):
         class Variant(HeartbeatAlgorithm):
