@@ -9,8 +9,10 @@ would make the paper-scale sweeps impractical.
 
 import numpy as np
 
+from repro.analysis import find_crossover
 from repro.analysis.equations import expected_decision_rounds
 from repro.core import WlmConsensus
+from repro.experiments.decision import decision_stats_from_vector
 from repro.giraf import FixedLeaderOracle, IIDSchedule, LockstepRunner, StableAfterSchedule
 from repro.models import get_model
 from repro.net.planetlab import PlanetLabProfile
@@ -80,3 +82,22 @@ def test_perf_closed_forms(benchmark):
 
     curves = benchmark(evaluate)
     assert all(len(v) == 200 for v in curves.values())
+
+
+def test_perf_decision_window_scan(benchmark):
+    """Decision statistics on a never-satisfied 300-round run: every start
+    point is censored, the case where a per-start search reads the whole
+    tail of the trace once per start."""
+    never = np.zeros(300, dtype=bool)
+    rng = np.random.default_rng(11)
+
+    stats = benchmark(
+        lambda: decision_stats_from_vector(never, 3, 0.14, 15, rng=rng)
+    )
+    assert (stats.samples, stats.censored) == (0, 15)
+
+
+def test_perf_find_crossover(benchmark):
+    """The Section 4.2 headline crossover: a 2048-point grid plus bisection."""
+    crossover = benchmark(lambda: find_crossover("LM", "AFM", 8, p_low=0.7))
+    assert 0.95 < crossover < 0.97

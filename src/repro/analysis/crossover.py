@@ -13,11 +13,12 @@ Two kinds of "where do the curves meet" questions appear in the paper:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.equations import expected_decision_rounds
+from repro.analysis.equations import ArrayLike, expected_decision_rounds
 
 
 def find_crossover(
@@ -38,19 +39,24 @@ def find_crossover(
     crossover after which ``model_a`` stays ahead up to ``p_high``.
 
     Returns ``None`` if ``model_a`` is never ahead at ``p_high``, and
-    ``p_low`` if it is ahead on the whole interval.
+    ``p_low`` if it is ahead on the whole interval.  Raises ``ValueError``
+    for an empty interval and for a ``tolerance`` that is not a positive
+    finite number (zero would bisect forever once the bracket is one ulp
+    wide; NaN would skip the refinement).
     """
+    if not p_low < p_high:
+        raise ValueError("need p_low < p_high")
+    if not 0 < tolerance < math.inf:
+        raise ValueError("tolerance must be positive and finite")
 
-    def gap(p: float) -> float:
-        return float(
-            expected_decision_rounds(p, n, model_a)
-            - expected_decision_rounds(p, n, model_b)
-        )
+    def gap(p: ArrayLike) -> ArrayLike:
+        rounds_a = expected_decision_rounds(p, n, model_a)
+        return rounds_a - expected_decision_rounds(p, n, model_b)
 
     if gap(p_high) > 0:
         return None
     grid = np.linspace(p_low, p_high, 2048)
-    signs = np.array([gap(p) > 0 for p in grid])
+    signs = gap(grid) > 0
     if not signs.any():
         return p_low
     last_positive = int(np.flatnonzero(signs)[-1])

@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.models.gsr import first_satisfying_window
 from repro.models.registry import TimingModel, get_model
 from repro.experiments.measurement import satisfaction_vector
 from repro.sim.rng import derive_seed
@@ -85,6 +84,10 @@ def decision_stats_from_vector(
     same call sees the same starts — while distinct cells decorrelate.
     """
     satisfied = np.asarray(satisfied, dtype=bool)
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    if start_points < 0:
+        raise ValueError("start_points must be non-negative")
     if rng is None:
         digest = hashlib.sha256(satisfied.tobytes()).hexdigest()
         name = f"decision:{digest}:{window}:{start_points}:{round_length!r}"
@@ -97,28 +100,30 @@ def decision_stats_from_vector(
     upper = max(1, total_rounds // 2)
     starts = rng.integers(0, upper, size=start_points)
 
-    rounds_needed: list[int] = []
-    censored = 0
-    for start in starts:
-        run_length = 0
-        found = None
-        for index in range(int(start), total_rounds):
-            run_length = run_length + 1 if satisfied[index] else 0
-            if run_length >= window:
-                found = index - int(start) + 1
-                break
-        if found is None:
-            censored += 1
-        else:
-            rounds_needed.append(found)
+    # One pass over the rounds answers every start: a running count of
+    # satisfying rounds tells which windows are full (all ``window`` rounds
+    # from ``k`` on satisfy), and a reverse running minimum turns those
+    # into ``first_full[i]``, the first full window beginning at or after
+    # ``i`` (``total_rounds`` when none is left — a censored start).  The
+    # per-start reference is :func:`repro.models.gsr.rounds_to_decision`.
+    satisfied_before = np.zeros(total_rounds + 1, dtype=np.intp)
+    np.cumsum(satisfied, out=satisfied_before[1:])
+    full = np.flatnonzero(
+        satisfied_before[window:] - satisfied_before[:-window] == window
+    )
+    first_full = np.full(total_rounds, total_rounds, dtype=np.intp)
+    first_full[full] = full
+    first_full = np.minimum.accumulate(first_full[::-1])[::-1]
 
-    if rounds_needed:
-        mean_rounds = float(np.mean(rounds_needed))
-    else:
-        mean_rounds = float("nan")
+    begins = first_full[starts]
+    decided = begins < total_rounds
+    rounds_needed = begins[decided] + window - starts[decided]
+
+    samples = int(rounds_needed.size)
+    mean_rounds = float(np.mean(rounds_needed)) if samples else float("nan")
     return DecisionStats(
         mean_rounds=mean_rounds,
         mean_time=mean_rounds * round_length,
-        samples=len(rounds_needed),
-        censored=censored,
+        samples=samples,
+        censored=start_points - samples,
     )

@@ -21,14 +21,19 @@ from repro.experiments.config import (
     QUICK,
     QUICK_LAN,
 )
-from repro.experiments.decision import decision_stats
+from repro.experiments.decision import (
+    decision_stats,  # unused here; the benchmark ledger's tracer patches it
+    decision_stats_from_vector,
+)
 from repro.experiments.measurement import (
     measured_p,
     model_satisfaction,
+    satisfaction_vector,
+    satisfied_fraction,
     timely_matrices,
 )
 from repro.models.registry import get_model
-from repro.net.lan import LanProfile
+from repro.net.lan import AVERAGE_LEADER, GOOD_LEADER
 from repro.net.planetlab import LEADER_NODE
 
 #: Presentation order of the measured models.
@@ -59,11 +64,88 @@ class WanRun:
 
 @dataclass
 class WanSweep:
-    """All runs of a WAN sweep, grouped by timeout."""
+    """All runs of a WAN sweep, grouped by timeout.
+
+    Figures 1(e)-(i) ask the same questions of the same runs — which
+    rounds of a run satisfy a model, what fraction that is, how many
+    rounds its decisions take — so the sweep answers each once per model,
+    on first use (:meth:`satisfied`, :meth:`per_run_pm`,
+    :meth:`decision_rounds`), and keeps the answers beside ``runs``.  They
+    are derived data: not compared, not printed, and not on
+    :class:`WanRun`, which is what the process pool and the service ship.
+    Fill ``runs`` before drawing figures from the sweep.
+    """
 
     config: SweepConfig
     leader: int
     runs: dict[float, list[WanRun]] = field(default_factory=dict)
+    #: ``(table, model)`` -> that table's rows, one per timeout.
+    _tables: dict[tuple[str, str], list] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def satisfied(self, model: str) -> list[list[np.ndarray]]:
+        """``[t_index][r_index]``: the run's per-round satisfaction of
+        ``model`` (under the sweep's leader, if the model needs one)."""
+        key = ("satisfied", model)
+        if key not in self._tables:
+            leader = self.leader if get_model(model).needs_leader else None
+            self._tables[key] = [
+                [
+                    satisfaction_vector(run.matrices, model, leader)
+                    for run in self.runs[timeout]
+                ]
+                for timeout in self.config.timeouts
+            ]
+        return self._tables[key]
+
+    def per_run_pm(self, model: str) -> list[list[float]]:
+        """``[t_index][r_index]``: the run's ``P_M``, counted from its
+        first satisfying round (the Section 5.3 protocol)."""
+        key = ("pm", model)
+        if key not in self._tables:
+            self._tables[key] = [
+                [
+                    satisfied_fraction(vector, skip_until_first_stable=True)
+                    for vector in vectors
+                ]
+                for vectors in self.satisfied(model)
+            ]
+        return self._tables[key]
+
+    def decision_rounds(self, model: str) -> list[float]:
+        """``[t_index]``: mean rounds to global decision under ``model``,
+        averaged over the runs that decided at all (NaN when none did)."""
+        key = ("rounds", model)
+        if key not in self._tables:
+            self._tables[key] = [
+                self._mean_decision_rounds(t_index, vectors, model)
+                for t_index, vectors in enumerate(self.satisfied(model))
+            ]
+        return self._tables[key]
+
+    def _mean_decision_rounds(
+        self, t_index: int, vectors: Sequence[np.ndarray], model: str
+    ) -> float:
+        config = self.config
+        window = get_model(model).decision_rounds
+        run_rounds = []
+        for r_index, vector in enumerate(vectors):
+            # A distinct hashed purpose, not run_seed + offset: additive
+            # offsets can collide with another cell's trace stream.
+            rng = np.random.default_rng(
+                config.run_seed(t_index, r_index, purpose="decision")
+            )
+            stats = decision_stats_from_vector(
+                vector,
+                window,
+                round_length=config.timeouts[t_index],
+                start_points=config.start_points,
+                rng=rng,
+            )
+            if stats.samples > 0:
+                run_rounds.append(stats.mean_rounds)
+        return float(np.mean(run_rounds)) if run_rounds else float("nan")
 
 
 def wan_cell(config: SweepConfig, t_index: int, r_index: int) -> WanRun:
@@ -171,19 +253,17 @@ def lan_cell(config: SweepConfig, t_index: int, r_index: int) -> LanCell:
         "lan", config.n, config.rounds_per_run, timeout, seed
     )
     matrices = timely_matrices(trace, timeout)
-    profile_defaults = LanProfile()
-    good, average = profile_defaults.good_leader, profile_defaults.average_leader
     measurements: dict[str, float] = {}
     for model in MEASURED_MODELS:
-        leader = good if get_model(model).needs_leader else None
+        leader = GOOD_LEADER if get_model(model).needs_leader else None
         measurements[f"measured_{model}"] = model_satisfaction(
             matrices, model, leader=leader
         )
     measurements["measured_WLM_avg_leader"] = model_satisfaction(
-        matrices, "WLM", leader=average
+        matrices, "WLM", leader=AVERAGE_LEADER
     )
     measurements["measured_LM_avg_leader"] = model_satisfaction(
-        matrices, "LM", leader=average
+        matrices, "LM", leader=AVERAGE_LEADER
     )
     return LanCell(p=measured_p(trace, timeout), measurements=measurements)
 
@@ -214,9 +294,6 @@ def figure_1c(
     for name in names:
         result.series[name] = []
 
-    profile_defaults = LanProfile()
-    good, average = profile_defaults.good_leader, profile_defaults.average_leader
-
     for t_index in range(len(config.timeouts)):
         if cells is None:
             row = [
@@ -235,7 +312,10 @@ def figure_1c(
                 result.series[name].append(
                     float(np.mean([cell.measurements[name] for cell in row]))
                 )
-    result.notes = f"good leader = node {good}, average leader = node {average}"
+    result.notes = (
+        f"good leader = node {GOOD_LEADER}, "
+        f"average leader = node {AVERAGE_LEADER}"
+    )
     return result
 
 
@@ -263,19 +343,6 @@ def figure_1d(
 # ----------------------------------------------------------------------
 # Figure 1(e)/(f): WAN — P_M with confidence intervals; variance.
 # ----------------------------------------------------------------------
-def _per_run_pm(sweep: WanSweep, model: str) -> dict[float, list[float]]:
-    leader = sweep.leader if get_model(model).needs_leader else None
-    return {
-        timeout: [
-            model_satisfaction(
-                run.matrices, model, leader=leader, skip_until_first_stable=True
-            )
-            for run in runs
-        ]
-        for timeout, runs in sweep.runs.items()
-    }
-
-
 def figure_1e(
     config: SweepConfig = QUICK, sweep: Optional[WanSweep] = None
 ) -> FigureSeries:
@@ -291,10 +358,9 @@ def figure_1e(
     x = [float(t) for t in sweep.config.timeouts]
     result = FigureSeries(figure="1e", x_label="timeout (s)", x=x)
     for model in MEASURED_MODELS:
-        per_run = _per_run_pm(sweep, model)
         means, lows, highs = [], [], []
-        for timeout in x:
-            summary = summarize(per_run[timeout])
+        for per_run in sweep.per_run_pm(model):
+            summary = summarize(per_run)
             means.append(summary.mean)
             lows.append(summary.ci_low)
             highs.append(summary.ci_high)
@@ -318,9 +384,9 @@ def figure_1f(
     x = [float(t) for t in sweep.config.timeouts]
     result = FigureSeries(figure="1f", x_label="timeout (s)", x=x)
     for model in MEASURED_MODELS:
-        per_run = _per_run_pm(sweep, model)
         result.series[model] = [
-            summarize(per_run[timeout]).variance for timeout in x
+            summarize(per_run).variance
+            for per_run in sweep.per_run_pm(model)
         ]
     return result
 
@@ -328,36 +394,15 @@ def figure_1f(
 # ----------------------------------------------------------------------
 # Figure 1(g)/(h)/(i): WAN — rounds and time to global decision.
 # ----------------------------------------------------------------------
-def _decision_series(
-    sweep: WanSweep, models: Sequence[str]
-) -> tuple[dict[str, list[float]], dict[str, list[float]]]:
-    """(mean rounds, mean time) per model per timeout, averaged over runs."""
-    rounds: dict[str, list[float]] = {m: [] for m in models}
-    times: dict[str, list[float]] = {m: [] for m in models}
-    for model in models:
-        leader = sweep.leader if get_model(model).needs_leader else None
-        for t_index, timeout in enumerate(sweep.config.timeouts):
-            run_rounds = []
-            for r_index, run in enumerate(sweep.runs[timeout]):
-                # A distinct hashed purpose, not run_seed + offset: additive
-                # offsets can collide with another cell's trace stream.
-                rng = np.random.default_rng(
-                    sweep.config.run_seed(t_index, r_index, purpose="decision")
-                )
-                stats = decision_stats(
-                    run.matrices,
-                    model,
-                    round_length=timeout,
-                    start_points=sweep.config.start_points,
-                    leader=leader,
-                    rng=rng,
-                )
-                if stats.samples > 0:
-                    run_rounds.append(stats.mean_rounds)
-            mean_rounds = float(np.mean(run_rounds)) if run_rounds else float("nan")
-            rounds[model].append(mean_rounds)
-            times[model].append(mean_rounds * timeout)
-    return rounds, times
+def _decision_times(sweep: WanSweep, model: str) -> list[float]:
+    """Mean time to global decision per timeout: each round lasts the
+    timeout."""
+    return [
+        rounds * timeout
+        for rounds, timeout in zip(
+            sweep.decision_rounds(model), sweep.config.timeouts
+        )
+    ]
 
 
 def figure_1g(
@@ -368,8 +413,8 @@ def figure_1g(
         sweep = run_wan_sweep(config)
     x = [float(t) for t in sweep.config.timeouts]
     result = FigureSeries(figure="1g", x_label="timeout (s)", x=x)
-    rounds, _ = _decision_series(sweep, MEASURED_MODELS)
-    result.series.update(rounds)
+    for model in MEASURED_MODELS:
+        result.series[model] = list(sweep.decision_rounds(model))
     return result
 
 
@@ -385,8 +430,8 @@ def figure_1h(
         sweep = run_wan_sweep(config)
     x = [float(t) for t in sweep.config.timeouts]
     result = FigureSeries(figure="1h", x_label="timeout (s)", x=x)
-    _, times = _decision_series(sweep, MEASURED_MODELS)
-    result.series.update(times)
+    for model in MEASURED_MODELS:
+        result.series[model] = _decision_times(sweep, model)
     return result
 
 
@@ -403,10 +448,8 @@ def figure_1i(
         sweep = run_wan_sweep(config)
     x = [float(t) for t in sweep.config.timeouts]
     result = FigureSeries(figure="1i", x_label="timeout (s)", x=x)
-    _, times = _decision_series(sweep, ("LM", "WLM"))
-    result.series.update(times)
     for model in ("LM", "WLM"):
-        values = times[model]
+        values = result.series[model] = _decision_times(sweep, model)
         finite = [
             (t, v) for t, v in zip(x, values) if v == v  # drop NaNs
         ]

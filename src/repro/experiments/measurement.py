@@ -106,22 +106,33 @@ def satisfaction_vector(
         model = get_model(model)
     return model.satisfied_batch(np.asarray(matrices), leader=leader)
 
-def model_satisfaction(
-    matrices: np.ndarray,
-    model: TimingModel | str,
-    leader: Optional[int] = None,
-    skip_until_first_stable: bool = False,
+
+def satisfied_fraction(
+    satisfied: np.ndarray, skip_until_first_stable: bool = False
 ) -> float:
-    """``P_M``: the fraction of rounds satisfying the model.
+    """``P_M`` of a per-round satisfaction vector: the fraction of
+    satisfying rounds.
 
     With ``skip_until_first_stable`` (the paper's Section 5.3 protocol),
     rounds before the first satisfying round are excluded, eliminating
     startup effects.  Returns 0.0 if no round satisfies the model.
     """
-    satisfied = satisfaction_vector(matrices, model, leader)
     if skip_until_first_stable:
         indices = np.flatnonzero(satisfied)
         if indices.size == 0:
             return 0.0
         satisfied = satisfied[indices[0]:]
     return float(satisfied.mean())
+
+
+def model_satisfaction(
+    matrices: np.ndarray,
+    model: TimingModel | str,
+    leader: Optional[int] = None,
+    skip_until_first_stable: bool = False,
+) -> float:
+    """``P_M``: the fraction of rounds satisfying the model (see
+    :func:`satisfied_fraction` for ``skip_until_first_stable``)."""
+    return satisfied_fraction(
+        satisfaction_vector(matrices, model, leader), skip_until_first_stable
+    )

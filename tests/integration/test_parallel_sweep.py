@@ -52,6 +52,26 @@ class TestParallelDeterminism:
         parallel = run_wan_sweep_parallel(QUICK, jobs=2)
         assert_sweeps_identical(serial, parallel)
 
+    def test_sweep_still_matches_its_twin_after_figures_were_drawn(self):
+        """The per-model tables a sweep fills while figures are drawn from
+        it are derived data: the twin that drew nothing still matches, and
+        draws the same figures."""
+        from repro.experiments.figures import figure_1e, figure_1h, figure_1i
+        from repro.experiments.report import render_series
+
+        tiny = SweepConfig(
+            rounds_per_run=30, runs=2, start_points=3,
+            timeouts=(0.16, 0.21), seed=11,
+        )
+        serial = run_wan_sweep(tiny)
+        parallel = run_wan_sweep_parallel(tiny, jobs=2)
+        panels = (figure_1e, figure_1h, figure_1i)
+        drawn = [render_series(panel(sweep=serial)) for panel in panels]
+        assert_sweeps_identical(serial, parallel)
+        assert drawn == [
+            render_series(panel(sweep=parallel)) for panel in panels
+        ]
+
     def test_in_process_jobs_1_path_matches_pool(self):
         tiny = SweepConfig(
             rounds_per_run=30, runs=2, start_points=3,

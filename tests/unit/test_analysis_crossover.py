@@ -1,5 +1,6 @@
 """Unit tests for crossover and optimum finding."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.crossover import (
@@ -39,6 +40,46 @@ class TestFindCrossover:
     def test_always_better_returns_p_low(self):
         # LM is better than WLM_SIM everywhere in the range.
         assert find_crossover("LM", "WLM_SIM", N, p_low=0.9) == 0.9
+
+    @pytest.mark.parametrize("model_a", ["LM", "WLM"])
+    def test_grid_signs_match_per_point_evaluation(self, model_a):
+        """The grid is evaluated in one array call per model; its signs —
+        hence the bracket handed to the bisection — are the ones a scalar
+        call per grid point gives, for both headline pairs."""
+        grid = np.linspace(0.7, 0.999999, 2048)
+        vectorised = (
+            expected_decision_rounds(grid, N, model_a)
+            - expected_decision_rounds(grid, N, "AFM")
+        ) > 0
+        per_point = np.array(
+            [
+                float(expected_decision_rounds(p, N, model_a))
+                - float(expected_decision_rounds(p, N, "AFM"))
+                > 0
+                for p in grid
+            ]
+        )
+        assert np.array_equal(vectorised, per_point)
+        last = int(np.flatnonzero(per_point)[-1])
+        crossover = find_crossover(model_a, "AFM", N, p_low=0.7)
+        assert grid[last] < crossover <= grid[last + 1]
+
+    @pytest.mark.parametrize(
+        "tolerance", [0.0, -1e-6, float("nan"), float("inf")]
+    )
+    def test_unusable_tolerance_rejected(self, tolerance):
+        """Regression: ``tolerance=0`` never returned (the bisection stalls
+        once the bracket is one ulp wide), NaN skipped the refinement and
+        returned the raw grid point."""
+        with pytest.raises(ValueError, match="tolerance"):
+            find_crossover("LM", "AFM", N, p_low=0.7, tolerance=tolerance)
+
+    @pytest.mark.parametrize("p_low, p_high", [(0.9, 0.9), (0.95, 0.9)])
+    def test_empty_interval_rejected(self, p_low, p_high):
+        """Regression: an empty or reversed interval returned ``None``,
+        the answer for "never ahead"."""
+        with pytest.raises(ValueError, match="p_low"):
+            find_crossover("LM", "AFM", N, p_low=p_low, p_high=p_high)
 
 
 class TestOptimalTimeout:

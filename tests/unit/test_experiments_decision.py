@@ -97,3 +97,39 @@ class TestDecisionStats:
             trace, "ES", 1.0, 10, rng=np.random.default_rng(5)
         )
         assert a == b
+
+    def test_zero_window_rejected(self):
+        """Regression: ``window=0`` reported ``mean_rounds == 1.0`` — a
+        "decision" reached on zero satisfying rounds."""
+        from repro.experiments.decision import decision_stats_from_vector
+
+        never = np.zeros(20, dtype=bool)
+        with pytest.raises(ValueError, match="window"):
+            decision_stats_from_vector(
+                never, 0, 1.0, 4, rng=np.random.default_rng(0)
+            )
+        with pytest.raises(ValueError, match="window"):
+            decision_stats(
+                trace_from_bits([0] * 20), "ES", 1.0, 4, window=0,
+                rng=np.random.default_rng(0),
+            )
+
+    def test_negative_start_points_rejected(self):
+        """Regression: a negative count surfaced as NumPy's "negative
+        dimensions are not allowed" from inside the draw."""
+        from repro.experiments.decision import decision_stats_from_vector
+
+        with pytest.raises(ValueError, match="start_points"):
+            decision_stats_from_vector(
+                np.ones(20, dtype=bool), 3, 1.0, -1,
+                rng=np.random.default_rng(0),
+            )
+
+    def test_no_start_points_is_an_empty_measurement(self):
+        from repro.experiments.decision import decision_stats_from_vector
+
+        stats = decision_stats_from_vector(
+            np.ones(20, dtype=bool), 3, 1.0, 0, rng=np.random.default_rng(0)
+        )
+        assert (stats.samples, stats.censored) == (0, 0)
+        assert stats.mean_rounds != stats.mean_rounds  # NaN

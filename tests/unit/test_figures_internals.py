@@ -109,3 +109,57 @@ class TestPostPaperFigures:
         assert predicted[1] - predicted[0] == pytest.approx(4.0)
         again = figure_1k(**kwargs)
         assert again.series == result.series
+
+
+class TestSweepTables:
+    """Figures 1(d)-(i) drawn from one sweep share its per-model tables."""
+
+    def test_each_run_model_pair_is_evaluated_once(self, monkeypatch):
+        from repro.experiments import figures
+        from repro.experiments.config import QUICK
+        from repro.models.registry import TimingModel
+
+        sweep = run_wan_sweep(QUICK)
+        calls = []
+        original = TimingModel.satisfied_batch
+
+        def spy(self, matrices, leader=None, **kwargs):
+            calls.append((self.name, id(matrices)))
+            return original(self, matrices, leader=leader, **kwargs)
+
+        monkeypatch.setattr(TimingModel, "satisfied_batch", spy)
+        for panel in "defghi":
+            getattr(figures, f"figure_1{panel}")(sweep=sweep)
+
+        cells = len(QUICK.timeouts) * QUICK.runs
+        assert len(calls) == cells * len(figures.MEASURED_MODELS) == 264
+        assert len(set(calls)) == len(calls)
+
+    def test_tables_stay_out_of_equality_repr_and_runs(self):
+        from dataclasses import fields
+
+        from repro.experiments.figures import (
+            WanRun,
+            WanSweep,
+            figure_1e,
+            figure_1g,
+        )
+
+        drawn = run_wan_sweep(TINY)
+        before = repr(drawn)
+        figure_1e(sweep=drawn)
+        figure_1g(sweep=drawn)
+        undrawn = WanSweep(config=TINY, leader=drawn.leader, runs=drawn.runs)
+        assert drawn == undrawn
+        assert repr(drawn) == before
+        assert [f.name for f in fields(WanRun)] == ["p", "matrices"]
+        assert set(vars(drawn.runs[0.16][0])) == {"p", "matrices"}
+
+    def test_a_drawn_series_is_the_callers_to_edit(self):
+        from repro.experiments.figures import figure_1g
+
+        sweep = run_wan_sweep(TINY)
+        first = figure_1g(sweep=sweep)
+        expected = list(first.series["WLM"])
+        first.series["WLM"][0] = -1.0
+        assert figure_1g(sweep=sweep).series["WLM"] == expected
