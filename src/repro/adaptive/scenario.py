@@ -221,25 +221,18 @@ def faulted_latencies(
     the two.  The two views differ only on links whose endpoints are
     both slow at once; ``adaptive.txt`` is pinned to this one.
     Partitioned and crashed links are ``inf``.  ``wall_time`` maps to
-    plan round ``floor(wall_time / tick) + 1``, the same anchoring
-    :meth:`~repro.faults.event.PlanLinkFaults.round_of` uses.
+    plan round ``int(wall_time / tick) + 1`` — this view's own anchoring
+    (true division, where :meth:`PlanLinkFaults.round_of` floor-divides),
+    kept because ``adaptive.txt`` is pinned to it; the per-round state
+    is the plan's own :meth:`~repro.faults.plan.FaultPlan.round_state`.
     """
-    n = base.shape[0]
-    round_number = int(wall_time / tick) + 1
+    state = plan.round_state(int(wall_time / tick) + 1)
     latencies = base.copy()
-    factors = np.array(
-        [plan.slow_factor(pid, round_number) for pid in range(n)]
-    )
-    if (factors > 1.0).any():
-        latencies = latencies * np.maximum.outer(factors, factors)
-    for pid in range(n):
-        if plan.down_at(pid, round_number):
-            latencies[pid, :] = np.inf
-            latencies[:, pid] = np.inf
-    for src in range(n):
-        for dst in range(n):
-            if src != dst and plan.partitioned(src, dst, round_number):
-                latencies[dst, src] = np.inf
+    if (state.slow > 1.0).any():
+        latencies = latencies * np.maximum.outer(state.slow, state.slow)
+    latencies[state.down, :] = np.inf
+    latencies[:, state.down] = np.inf
+    latencies[state.cross] = np.inf
     np.fill_diagonal(latencies, 0.0)
     return latencies
 

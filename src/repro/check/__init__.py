@@ -26,7 +26,6 @@ from repro.check.invariants import (
     Invariant,
     InvariantSuite,
     LeaderStability,
-    RunView,
     Validity,
     Violation,
     WlmDecisionBound,
@@ -54,7 +53,6 @@ __all__ = [
     "Invariant",
     "InvariantSuite",
     "LeaderStability",
-    "RunView",
     "Validity",
     "Violation",
     "WlmDecisionBound",

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.analysis import equations
 from repro.analysis.montecarlo import estimate_p_model
-from repro.check.invariants import RunView, Violation, default_suite
+from repro.check.invariants import Violation, default_suite
 from repro.check.mutation import agreement_violation_run
 from repro.core.wlm import WlmConsensus
 from repro.experiments.decision import decision_stats_from_vector
@@ -243,7 +243,7 @@ def _consensus_safety(
         stop_on_global_decision=True,
         extra_rounds_after_decision=2,
     )
-    lock_suite.finish(RunView.from_lockstep(lock_run))
+    lock_suite.finish(lock_run)
     violations.extend(("lockstep", v) for v in lock_suite.violations)
 
     event_suite = default_suite(metrics=metrics)
@@ -260,7 +260,7 @@ def _consensus_safety(
         metrics=metrics,
         observers=[event_suite],
     )
-    event_suite.finish(RunView.from_sync(sync.run()))
+    event_suite.finish(sync.run())
     violations.extend(("event", v) for v in event_suite.violations)
     return violations
 
@@ -726,7 +726,7 @@ def _mutation_smoke() -> tuple[bool, bool]:
     """
     broken_suite = default_suite()
     broken_run = agreement_violation_run(observers=[broken_suite])
-    broken_suite.finish(RunView.from_lockstep(broken_run))
+    broken_suite.finish(broken_run)
     detected = any(
         violation.invariant == "agreement"
         for violation in broken_suite.violations
@@ -736,7 +736,7 @@ def _mutation_smoke() -> tuple[bool, bool]:
     clean_run = agreement_violation_run(
         observers=[clean_suite], algorithm=WlmConsensus
     )
-    clean_suite.finish(RunView.from_lockstep(clean_run))
+    clean_suite.finish(clean_run)
     return detected, clean_suite.ok
 
 

@@ -2,11 +2,15 @@
 
 An :class:`Invariant` is an observer: the runners feed it proposals,
 oracle outputs and decisions *as they happen*, and at the end of a run
-it inspects the normalized :class:`RunView`.  Violations accumulate on
-the checker (and, through an :class:`InvariantSuite`, increment the
-``check.violations`` counter of a :class:`repro.obs` registry) instead
-of raising — a conformance run reports every broken property of a
-scenario, not just the first.
+it inspects the run's result — a lockstep
+:class:`~repro.giraf.runner.RunResult` or an event-driven
+:class:`~repro.sync.round_sync.SyncRunResult`, which name the facts the
+checkers read (``correct``, ``proposals``, ``decisions``,
+``decision_rounds``, ``rounds_executed``) identically.  Violations
+accumulate on the checker (and, through an :class:`InvariantSuite`,
+increment the ``check.violations`` counter of a :class:`repro.obs`
+registry) instead of raising — a conformance run reports every broken
+property of a scenario, not just the first.
 
 The checkers cover the paper's guarantees:
 
@@ -29,7 +33,7 @@ observer and aggregates their findings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from repro.obs.registry import MetricsRegistry, registry_or_null
@@ -37,6 +41,8 @@ from repro.obs.registry import MetricsRegistry, registry_or_null
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.giraf.runner import RunResult
     from repro.sync.round_sync import SyncRunResult
+
+    Result = RunResult | SyncRunResult
 
 
 @dataclass(frozen=True)
@@ -56,43 +62,6 @@ class Violation:
             where.append(f"pid {self.pid}")
         suffix = f" ({', '.join(where)})" if where else ""
         return f"[{self.invariant}] {self.message}{suffix}"
-
-
-@dataclass
-class RunView:
-    """The end-of-run observations every checker can rely on, normalized
-    so one ``finish`` implementation serves both execution stacks."""
-
-    n: int
-    correct: frozenset[int]
-    proposals: dict[int, Any]
-    decisions: dict[int, Any]
-    decision_rounds: dict[int, int]
-    rounds_executed: int
-
-    @classmethod
-    def from_lockstep(cls, result: "RunResult") -> "RunView":
-        """Normalize a :class:`~repro.giraf.runner.RunResult`."""
-        return cls(
-            n=result.n,
-            correct=frozenset(result.correct),
-            proposals=dict(result.proposals),
-            decisions=dict(result.decisions),
-            decision_rounds=dict(result.decision_rounds),
-            rounds_executed=result.rounds_executed,
-        )
-
-    @classmethod
-    def from_sync(cls, result: "SyncRunResult") -> "RunView":
-        """Normalize a :class:`~repro.sync.round_sync.SyncRunResult`."""
-        return cls(
-            n=result.n,
-            correct=frozenset(result.correct),
-            proposals=dict(result.proposals),
-            decisions=dict(result.decisions),
-            decision_rounds=dict(result.decision_rounds),
-            rounds_executed=len(result.matrices),
-        )
 
 
 class Invariant:
@@ -138,8 +107,8 @@ class Invariant:
         """Process ``pid`` reports decision ``value`` at ``round_number``
         (re-reported every round while the decision stays latched)."""
 
-    def on_finish(self, view: RunView) -> None:
-        """The run ended; inspect the normalized observations."""
+    def on_finish(self, result: Result) -> None:
+        """The run ended; inspect its result."""
 
 
 class Agreement(Invariant):
@@ -167,10 +136,10 @@ class Agreement(Invariant):
                 pid=pid,
             )
 
-    def on_finish(self, view: RunView) -> None:
+    def on_finish(self, result: Result) -> None:
         # Adapter-only runs (no live hooks): check the final decision map.
         if self._first is None:
-            values = list(view.decisions.items())
+            values = list(result.decisions.items())
             for (pid_a, val_a), (pid_b, val_b) in zip(values, values[1:]):
                 if val_a != val_b:
                     self.violate(
@@ -202,11 +171,11 @@ class Validity(Invariant):
                 pid=pid,
             )
 
-    def on_finish(self, view: RunView) -> None:
-        proposed = set(view.proposals.values()) | self._proposals
+    def on_finish(self, result: Result) -> None:
+        proposed = set(result.proposals.values()) | self._proposals
         if not proposed:
             return
-        for pid, value in view.decisions.items():
+        for pid, value in result.decisions.items():
             if value not in proposed and pid not in self._flagged:
                 self._flagged.add(pid)
                 self.violate(
@@ -295,16 +264,16 @@ class WlmDecisionBound(Invariant):
     def deadline(self) -> int:
         return self.gsr + (3 if self.leader_stable_early else 4)
 
-    def on_finish(self, view: RunView) -> None:
-        for pid in sorted(view.correct):
-            decided_round = view.decision_rounds.get(pid)
+    def on_finish(self, result: Result) -> None:
+        for pid in sorted(result.correct):
+            decided_round = result.decision_rounds.get(pid)
             if decided_round is None:
-                if view.rounds_executed < self.deadline:
+                if result.rounds_executed < self.deadline:
                     # A run that stopped early (e.g. on global decision of
                     # the others) with this pid undecided cannot certify
                     # the bound either way — flag it rather than pass it.
                     self.violate(
-                        f"run ended at round {view.rounds_executed} with "
+                        f"run ended at round {result.rounds_executed} with "
                         f"pid {pid} undecided, before the deadline "
                         f"{self.deadline} — bound not checkable",
                         pid=pid,
@@ -364,10 +333,10 @@ class InvariantSuite:
         for invariant in self.invariants:
             invariant.on_decision(pid, round_number, value)
 
-    def finish(self, view: RunView) -> list[Violation]:
+    def finish(self, result: Result) -> list[Violation]:
         """Run every member's end-of-run check; returns all violations."""
         for invariant in self.invariants:
-            invariant.on_finish(view)
+            invariant.on_finish(result)
         return self.violations
 
     # ------------------------------------------------------------------

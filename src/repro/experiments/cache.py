@@ -140,21 +140,6 @@ def deactivate() -> None:
     _active = None
 
 
-def install(cache: Optional[TraceCache]) -> Optional[TraceCache]:
-    """Install a :class:`TraceCache` *object* (or ``None``) process-wide.
-
-    Unlike :func:`activate`, this preserves the object's hit/miss
-    counters, so a scope that temporarily swaps caches (the serial sweep
-    path with an explicit ``cache_root``) can restore the previous cache
-    without resetting its statistics.  Returns the previously active
-    cache so the caller can restore it later.
-    """
-    global _active
-    previous = _active
-    _active = cache
-    return previous
-
-
 def active_cache() -> Optional[TraceCache]:
     """The process-wide cache, if one is active."""
     return _active

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -127,3 +127,31 @@ def decision_stats_from_vector(
         samples=samples,
         censored=start_points - samples,
     )
+
+
+def mean_decision_rounds(
+    vectors: Sequence[np.ndarray],
+    window: int,
+    round_length: float,
+    start_points: int,
+    run_seed: Callable[[int], int],
+) -> float:
+    """Mean rounds to global decision across the runs of one cell.
+
+    ``vectors[r]`` is run ``r``'s satisfaction vector and ``run_seed(r)``
+    the seed of its start-point draws (every caller keeps its own seed
+    names).  The mean is over the runs in which at least one start point
+    reached a decision; ``nan`` when none did.
+    """
+    means = []
+    for index, satisfied in enumerate(vectors):
+        stats = decision_stats_from_vector(
+            satisfied,
+            window,
+            round_length,
+            start_points,
+            rng=np.random.default_rng(run_seed(index)),
+        )
+        if stats.samples:
+            means.append(stats.mean_rounds)
+    return float(np.mean(means)) if means else float("nan")

@@ -9,6 +9,7 @@ text tables recorded in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.decision import (
     decision_stats,  # unused here; the benchmark ledger's tracer patches it
-    decision_stats_from_vector,
+    mean_decision_rounds,
 )
 from repro.experiments.measurement import (
     measured_p,
@@ -118,34 +119,20 @@ class WanSweep:
         averaged over the runs that decided at all (NaN when none did)."""
         key = ("rounds", model)
         if key not in self._tables:
+            config = self.config
+            # A distinct hashed purpose, not run_seed + offset: additive
+            # offsets can collide with another cell's trace stream.
             self._tables[key] = [
-                self._mean_decision_rounds(t_index, vectors, model)
+                mean_decision_rounds(
+                    vectors,
+                    get_model(model).decision_rounds,
+                    config.timeouts[t_index],
+                    config.start_points,
+                    partial(config.run_seed, t_index, purpose="decision"),
+                )
                 for t_index, vectors in enumerate(self.satisfied(model))
             ]
         return self._tables[key]
-
-    def _mean_decision_rounds(
-        self, t_index: int, vectors: Sequence[np.ndarray], model: str
-    ) -> float:
-        config = self.config
-        window = get_model(model).decision_rounds
-        run_rounds = []
-        for r_index, vector in enumerate(vectors):
-            # A distinct hashed purpose, not run_seed + offset: additive
-            # offsets can collide with another cell's trace stream.
-            rng = np.random.default_rng(
-                config.run_seed(t_index, r_index, purpose="decision")
-            )
-            stats = decision_stats_from_vector(
-                vector,
-                window,
-                round_length=config.timeouts[t_index],
-                start_points=config.start_points,
-                rng=rng,
-            )
-            if stats.samples > 0:
-                run_rounds.append(stats.mean_rounds)
-        return float(np.mean(run_rounds)) if run_rounds else float("nan")
 
 
 def wan_cell(config: SweepConfig, t_index: int, r_index: int) -> WanRun:

@@ -23,12 +23,11 @@ sweep service, :mod:`repro.service`) can reuse the engine's work unit:
 - **Executors**: :class:`SerialCellExecutor` (in-process, inline),
   :class:`ThreadCellExecutor` (in-process, concurrent) and
   :class:`ProcessCellExecutor` (one process per worker) share the
-  ``submit(task, arg) -> Future`` surface.  Process workers inherit the
-  trace cache (:mod:`repro.experiments.cache`) through a pool
-  initializer; the in-process executors activate an explicit
-  ``cache_root`` on entry and restore the previously active cache —
-  object and counters intact — on exit.  Cache writes are atomic, so
-  racing workers are safe.
+  ``submit(task, arg) -> Future`` surface.  All of them use the
+  process-wide active trace cache (:mod:`repro.experiments.cache`): the
+  in-process executors as it is, process workers by re-activating its
+  root in a pool initializer.  Cache writes are atomic, so racing
+  workers are safe.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from repro.experiments import cache as trace_cache
@@ -96,10 +94,10 @@ def default_jobs() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _init_worker(cache_root: Optional[str]) -> None:
+def _init_worker(root: Optional[str]) -> None:
     """Pool initializer: re-activate the parent's trace cache."""
-    if cache_root is not None:
-        trace_cache.activate(cache_root)
+    if root is not None:
+        trace_cache.activate(root)
 
 
 def wan_task(args: CellArgs) -> CellOutcome:
@@ -112,15 +110,6 @@ def lan_task(args: CellArgs) -> CellOutcome:
     """Compute one LAN figure cell (picklable; see :func:`lan_cell`)."""
     config, t_index, r_index = args
     return _profiled(lambda: lan_cell(config, t_index, r_index))
-
-
-def _resolve_cache_root(cache_root: Optional[Path | str]) -> Optional[str]:
-    if cache_root is not None:
-        return str(cache_root)
-    active = trace_cache.active_cache()
-    if active is not None:
-        return str(active.root)
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -204,60 +193,15 @@ class CellExecutor:
         self.shutdown()
 
 
-class _InProcessCacheScope:
-    """Shared cache activation for executors running in this process.
-
-    An explicit ``cache_root`` is activated on entry *unless* it is
-    already the active cache's root (in which case the active object —
-    and its hit/miss counters, which callers aggregate — is kept); the
-    previously active cache object is restored on exit.
-    """
-
-    def __init__(self, cache_root: Optional[Path | str]) -> None:
-        self._cache_root = cache_root
-        self._previous: Optional[trace_cache.TraceCache] = None
-        self._swapped = False
-
-    def activate(self) -> None:
-        active = trace_cache.active_cache()
-        root = self._cache_root
-        if root is not None and (
-            active is None or str(active.root) != str(root)
-        ):
-            self._previous = trace_cache.install(
-                trace_cache.TraceCache(root)
-            )
-            self._swapped = True
-
-    def restore(self) -> None:
-        if self._swapped:
-            trace_cache.install(self._previous)
-            self._swapped = False
-            self._previous = None
-
-
 class SerialCellExecutor(CellExecutor):
     """In-process executor: ``submit`` runs the task inline.
 
     This is the ``jobs=1`` path — no pool, no threads, useful for
-    spying/debugging — with the same cache semantics as the pool: an
-    explicit ``cache_root`` is honored (activated on entry, previous
-    cache restored on exit) instead of silently ignored.
+    spying/debugging.
     """
 
     workers = 1
     inline = True
-
-    def __init__(self, cache_root: Optional[Path | str] = None) -> None:
-        self._scope = _InProcessCacheScope(cache_root)
-
-    def __enter__(self) -> "SerialCellExecutor":
-        self._scope.activate()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-        self._scope.restore()
 
     def submit(self, task: Callable[[Any], Any], arg: Any) -> Future:
         future: Future = Future()
@@ -282,22 +226,9 @@ class ThreadCellExecutor(CellExecutor):
 
     inline = False
 
-    def __init__(
-        self,
-        workers: int = 2,
-        cache_root: Optional[Path | str] = None,
-    ) -> None:
+    def __init__(self, workers: int = 2) -> None:
         self.workers = max(1, int(workers))
-        self._scope = _InProcessCacheScope(cache_root)
         self._pool: Optional[ThreadPoolExecutor] = None
-
-    def __enter__(self) -> "ThreadCellExecutor":
-        self._scope.activate()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-        self._scope.restore()
 
     def submit(self, task: Callable[[Any], Any], arg: Any) -> Future:
         if self._pool is None:
@@ -313,27 +244,24 @@ class ThreadCellExecutor(CellExecutor):
 class ProcessCellExecutor(CellExecutor):
     """One worker process per slot; workers inherit the trace cache.
 
-    The pool initializer re-activates ``cache_root`` in every worker, so
-    a warm cache is shared across processes.
+    The pool initializer re-activates, in every worker, the root of the
+    cache that is active when the pool opens, so a warm cache is shared
+    across processes.
     """
 
     inline = False
 
-    def __init__(
-        self,
-        workers: int,
-        cache_root: Optional[Path | str] = None,
-    ) -> None:
+    def __init__(self, workers: int) -> None:
         self.workers = max(1, int(workers))
-        self._cache_root = cache_root
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def submit(self, task: Callable[[Any], Any], arg: Any) -> Future:
         if self._pool is None:
+            active = trace_cache.active_cache()
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_worker,
-                initargs=(_resolve_cache_root(self._cache_root),),
+                initargs=(str(active.root) if active is not None else None,),
             )
         return self._pool.submit(task, arg)
 
@@ -343,28 +271,23 @@ class ProcessCellExecutor(CellExecutor):
             self._pool = None
 
 
-def make_cell_executor(
-    jobs: Optional[int], cache_root: Optional[Path | str] = None
-) -> CellExecutor:
+def make_cell_executor(jobs: Optional[int]) -> CellExecutor:
     """The engine's executor choice for a ``--jobs`` value.
 
     ``None``/``<=0`` means one process per CPU; ``1`` runs in-process
-    (no pool).  ``cache_root`` defaults to the process-wide active
-    cache's root, if any.
+    (no pool).
     """
     if jobs is None or jobs <= 0:
         jobs = default_jobs()
-    resolved = _resolve_cache_root(cache_root)
     if jobs == 1:
-        return SerialCellExecutor(cache_root=resolved)
-    return ProcessCellExecutor(jobs, cache_root=resolved)
+        return SerialCellExecutor()
+    return ProcessCellExecutor(jobs)
 
 
 def _map_cells(
     task: Callable[[CellArgs], CellOutcome],
     config: SweepConfig,
     jobs: Optional[int],
-    cache_root: Optional[Path | str],
     progress: Optional[ProgressCallback],
     metrics: Optional[MetricsRegistry] = None,
     phase: str = "sweep",
@@ -377,7 +300,7 @@ def _map_cells(
     aggregated under the ``phase`` label; the results themselves are
     untouched.
     """
-    executor = make_cell_executor(jobs, cache_root)
+    executor = make_cell_executor(jobs)
     metrics = registry_or_null(metrics)
     cell_seconds = metrics.histogram("sweep.cell_seconds", phase=phase)
     cache_hits = metrics.counter("sweep.cache_hits", phase=phase)
@@ -426,7 +349,6 @@ def run_wan_sweep_parallel(
     config: SweepConfig = QUICK,
     leader: int = LEADER_NODE,
     jobs: Optional[int] = None,
-    cache_root: Optional[Path | str] = None,
     progress: Optional[ProgressCallback] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> WanSweep:
@@ -436,14 +358,12 @@ def run_wan_sweep_parallel(
     Args:
         jobs: worker processes; ``None``/``0`` means one per CPU, ``1``
             runs in-process (no pool) — useful for spying/debugging.
-        cache_root: trace-cache directory handed to workers; defaults to
-            the process-wide active cache, if any.
         progress: ``progress(done, total)`` called per finished cell.
         metrics: optional registry receiving per-cell timing, cache
             hit/miss counts and worker utilization (``phase=wan``).
     """
     rows = _map_cells(
-        wan_task, config, jobs, cache_root, progress, metrics, phase="wan"
+        wan_task, config, jobs, progress, metrics, phase="wan"
     )
     return assemble_wan_sweep(config, leader, rows)
 
@@ -451,13 +371,12 @@ def run_wan_sweep_parallel(
 def figure_1c_parallel(
     config: SweepConfig = QUICK_LAN,
     jobs: Optional[int] = None,
-    cache_root: Optional[Path | str] = None,
     progress: Optional[ProgressCallback] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> FigureSeries:
     """:func:`~repro.experiments.figures.figure_1c` with parallel cells;
     bit-identical to the serial figure."""
     rows = _map_cells(
-        lan_task, config, jobs, cache_root, progress, metrics, phase="lan"
+        lan_task, config, jobs, progress, metrics, phase="lan"
     )
     return assemble_lan_figure(config, rows)

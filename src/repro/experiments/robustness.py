@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.experiments.config import SweepConfig
-from repro.experiments.decision import decision_stats_from_vector
+from repro.experiments.decision import mean_decision_rounds
 from repro.experiments.figures import MEASURED_MODELS, WanSweep, run_wan_sweep
 from repro.models.registry import get_model
 from repro.faults import (
@@ -170,32 +170,6 @@ def _satisfaction(
     )
 
 
-def _mean_decision_rounds(
-    vectors_by_run: Sequence[np.ndarray],
-    model: str,
-    timeout: float,
-    start_points: int,
-    seed: int,
-) -> float:
-    """Mean measured rounds to global decision across runs (nan if every
-    start point of every run was censored)."""
-    window = get_model(model).decision_rounds
-    means = []
-    for index, satisfied in enumerate(vectors_by_run):
-        stats = decision_stats_from_vector(
-            satisfied,
-            window,
-            round_length=timeout,
-            start_points=start_points,
-            rng=np.random.default_rng(
-                derive_seed(seed, f"faults:decision:{model}:{index}")
-            ),
-        )
-        if np.isfinite(stats.mean_rounds):
-            means.append(stats.mean_rounds)
-    return float(np.mean(means)) if means else float("nan")
-
-
 def measure_robustness(
     sweep: WanSweep,
     seed: int = 0,
@@ -228,8 +202,12 @@ def measure_robustness(
 
     def summarize(vecs: Sequence[np.ndarray], model: str) -> tuple[float, float]:
         pm = float(np.mean([vec.mean() for vec in vecs]))
-        rounds = _mean_decision_rounds(
-            vecs, model, timeout, config.start_points, seed
+        rounds = mean_decision_rounds(
+            vecs,
+            get_model(model).decision_rounds,
+            timeout,
+            config.start_points,
+            lambda index: derive_seed(seed, f"faults:decision:{model}:{index}"),
         )
         return pm, rounds
 

@@ -12,16 +12,17 @@ tolerance of the overall best.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.analysis.crossover import optimal_timeout
-from repro.experiments.decision import decision_stats
+from repro.experiments.decision import mean_decision_rounds
 from repro.experiments.measurement import (
-    measured_p,
-    model_satisfaction,
     sample_latency_trace,
+    satisfaction_vector,
+    satisfied_fraction,
     timely_matrices,
 )
 from repro.models.registry import MODELS
@@ -158,37 +159,39 @@ def choose_timing_model(
     times: dict[str, list[float]] = {m: [] for m in CANDIDATES}
     satisfaction: dict[str, list[float]] = {m: [] for m in CANDIDATES}
     for t_index, timeout in enumerate(timeouts):
-        per_model_rounds: dict[str, list[float]] = {m: [] for m in CANDIDATES}
-        per_model_pm: dict[str, list[float]] = {m: [] for m in CANDIDATES}
-        for run in range(runs):
-            profile = network(seed=_cell_seed(seed, t_index, run))
-            trace = sample_latency_trace(profile, rounds_per_run, timeout)
-            matrices = timely_matrices(trace, timeout)
-            for model in CANDIDATES:
-                leader_arg = leader if MODELS[model].needs_leader else None
-                per_model_pm[model].append(
-                    model_satisfaction(matrices, model, leader=leader_arg)
-                )
-                stats = decision_stats(
+        matrices_by_run = [
+            timely_matrices(
+                sample_latency_trace(
+                    network(seed=_cell_seed(seed, t_index, run)),
+                    rounds_per_run,
+                    timeout,
+                ),
+                timeout,
+            )
+            for run in range(runs)
+        ]
+        for model in CANDIDATES:
+            # One satisfaction vector per (run, model); P_M and the
+            # decision statistics are both read off it.
+            vectors = [
+                satisfaction_vector(
                     matrices,
                     model,
-                    round_length=timeout,
-                    start_points=start_points,
-                    leader=leader_arg,
-                    rng=np.random.default_rng(
-                        _decision_seed(seed, t_index, run)
-                    ),
+                    leader if MODELS[model].needs_leader else None,
                 )
-                if stats.samples:
-                    per_model_rounds[model].append(stats.mean_rounds)
-        for model in CANDIDATES:
-            mean_rounds = (
-                float(np.mean(per_model_rounds[model]))
-                if per_model_rounds[model]
-                else float("nan")
+                for matrices in matrices_by_run
+            ]
+            mean_rounds = mean_decision_rounds(
+                vectors,
+                MODELS[model].decision_rounds,
+                timeout,
+                start_points,
+                partial(_decision_seed, seed, t_index),
             )
             times[model].append(mean_rounds * timeout)
-            satisfaction[model].append(float(np.mean(per_model_pm[model])))
+            satisfaction[model].append(
+                float(np.mean([satisfied_fraction(v) for v in vectors]))
+            )
 
     for model in CANDIDATES:
         finite = [

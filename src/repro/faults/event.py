@@ -79,38 +79,41 @@ class PlanLinkFaults:
         """The 1-based plan round covering simulation time ``now``."""
         return max(1, int(now // self.timeout) + 1)
 
+    def start_of(self, round_number: int) -> float:
+        """The simulation time plan round ``round_number`` starts at —
+        :meth:`round_of`'s inverse, and the instant the run books that
+        round's node-level faults (crash, recovery, clock step) for."""
+        return (round_number - 1) * self.timeout
+
     def drop(self, src: int, dst: int, now: float) -> bool:
         round_number = self.round_of(now)
         plan = self.plan
+        state = plan.round_state(round_number)
         self.last_drop_cause = None
-        if plan.down_at(src, round_number) or plan.down_at(dst, round_number):
+        if state.down[src] or state.down[dst]:
             self.last_drop_cause = "crash"
             for index, crash in enumerate(plan.crashes):
                 if crash.pid in (src, dst) and crash.down_at(round_number):
                     self._activate("crash-link", index)
             return True
-        if plan.partitioned(src, dst, round_number):
+        if state.cross[dst, src]:
             self.last_drop_cause = "partition"
             for index, partition in enumerate(plan.partitions):
                 if partition.active_at(round_number):
                     self._activate("partition", index)
             return True
-        for index, burst in enumerate(plan.loss_bursts):
-            if not burst.active_at(round_number):
-                continue
+        for index in state.bursts:
             count = self._burst_counters.get((src, dst), 0)
             self._burst_counters[(src, dst)] = count + 1
             draw = _uniform(
                 plan.seed, f"faults:burst:{index}:{src}:{dst}:{count}"
             )
-            if draw < burst.drop_prob:
+            if draw < plan.loss_bursts[index].drop_prob:
                 self.last_drop_cause = "loss-burst"
                 self._activate("loss-burst", index)
                 return True
         return False
 
     def latency_factor(self, src: int, dst: int, now: float) -> float:
-        round_number = self.round_of(now)
-        return self.plan.slow_factor(src, round_number) * self.plan.slow_factor(
-            dst, round_number
-        )
+        slow = self.plan.round_state(self.round_of(now)).slow
+        return float(slow[src] * slow[dst])

@@ -62,16 +62,17 @@ class ChurningOracle(Oracle):
     pseudo-random leader (the same one for every querying process)."""
 
     def __init__(self, base: Oracle, plan: FaultPlan) -> None:
-        self._base = base
+        #: The wrapped oracle (see :func:`base_oracle`).
+        self.base = base
         self.plan = plan
 
     def query(self, pid: int, round_number: int) -> Any:
         if self.plan.churning_at(round_number):
             return self.plan.churn_leader(round_number)
-        return self._base.query(pid, round_number)
+        return self.base.query(pid, round_number)
 
     def observe(self, round_number: int, delivered: np.ndarray) -> None:
-        observe = getattr(self._base, "observe", None)
+        observe = getattr(self.base, "observe", None)
         if observe is not None:
             observe(round_number, delivered)
 
@@ -82,8 +83,15 @@ class ChurningOracle(Oracle):
         # exposed when the base actually has them, so feature probes
         # (``getattr(oracle, "observe_row", None)``) stay accurate.
         if name in ("observe_row", "observe_rows"):
-            return getattr(self._base, name)
+            return getattr(self.base, name)
         raise AttributeError(name)
+
+
+def base_oracle(oracle: Oracle) -> Oracle:
+    """``oracle`` itself, or the detector a :class:`ChurningOracle` wraps
+    — for callers that must know what kind of oracle answers outside the
+    churn windows."""
+    return oracle.base if isinstance(oracle, ChurningOracle) else oracle
 
 
 def inject_lockstep(

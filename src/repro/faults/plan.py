@@ -35,8 +35,10 @@ the node's timers are actually paused.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -133,6 +135,18 @@ class LeaderChurn:
 
     def active_at(self, round_number: int) -> bool:
         return self.start_round <= round_number <= self.end_round
+
+
+class RoundState(NamedTuple):
+    """A plan's link-level state in one round (see
+    :meth:`FaultPlan.round_state`): who is down (``[pid]``), which links
+    an active partition cuts (``[dst, src]``), every node's latency
+    multiplier (``[pid]``) and the indices of the live loss bursts."""
+
+    down: np.ndarray
+    cross: np.ndarray
+    slow: np.ndarray
+    bursts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -245,13 +259,56 @@ class FaultPlan:
 
     def partitioned(self, src: int, dst: int, round_number: int) -> bool:
         """Does an active partition separate ``src`` from ``dst``?"""
+        return any(
+            (src in group) != (dst in group)
+            for partition in self.partitions
+            if partition.active_at(round_number)
+            for group in partition.groups
+        )
+
+    @cached_property
+    def _epochs(self) -> tuple[list[int], dict[int, RoundState]]:
+        """:meth:`round_state`'s memo: the sorted window boundaries (the
+        first round of every window, and the first round after it) and
+        one state per epoch between them, filled on demand.  Not a
+        dataclass field, so no part of equality, hashing or ``repr``."""
+        bounds = {c.at_round for c in self.crashes}
+        bounds |= {c.recover_round for c in self.crashes}
         for partition in self.partitions:
-            if not partition.active_at(round_number):
-                continue
-            for group in partition.groups:
-                if src in group:
-                    return dst not in group
-        return False
+            bounds |= {partition.start_round, partition.heal_round}
+        for window in self.loss_bursts + self.slow_nodes:
+            bounds |= {window.start_round, window.end_round + 1}
+        return sorted(bounds - {None}), {}
+
+    def round_state(self, round_number: int) -> RoundState:
+        """The answers of :meth:`down_at`, :meth:`partitioned`,
+        :meth:`slow_factor` and the bursts' ``active_at`` for this round,
+        tabulated — the one per-round link state every plan consumer
+        reads (the wire policy, the batched replay, the adaptive
+        scenario's latency view and the deterministic half of
+        :meth:`mask`).
+
+        All four are step functions of the round that change only at a
+        window boundary, so the table is built once per *epoch* (the
+        rounds between two consecutive boundaries) and shared by every
+        round of it; treat the arrays as read-only.
+        """
+        edges, memo = self._epochs
+        epoch = bisect_right(edges, round_number)
+        state = memo.get(epoch)
+        if state is None:
+            k, pids = round_number, range(self.n)
+            state = memo[epoch] = RoundState(
+                down=np.array([self.down_at(pid, k) for pid in pids]),
+                cross=np.array(
+                    [[self.partitioned(src, dst, k) for src in pids] for dst in pids]
+                ),
+                slow=np.array([self.slow_factor(pid, k) for pid in pids]),
+                bursts=tuple(
+                    i for i, b in enumerate(self.loss_bursts) if b.active_at(k)
+                ),
+            )
+        return state
 
     def churning_at(self, round_number: int) -> bool:
         return any(c.active_at(round_number) for c in self.leader_churn)
@@ -268,29 +325,22 @@ class FaultPlan:
         Deterministic per round: the randomness for bursts and slow nodes
         is drawn from ``rng("mask", round)`` in a fixed order.
         """
-        masked = np.zeros((self.n, self.n), dtype=bool)
+        state = self.round_state(round_number)
+        masked = state.cross.copy()
         rng = self.rng("mask", round_number)
-        for burst in self.loss_bursts:
-            if burst.active_at(round_number):
-                masked |= rng.random((self.n, self.n)) < burst.drop_prob
+        for index in state.bursts:
+            drop_prob = self.loss_bursts[index].drop_prob
+            masked |= rng.random((self.n, self.n)) < drop_prob
         for slow in self.slow_nodes:
             if slow.active_at(round_number):
                 rows = rng.random((2, self.n)) < slow.drop_prob
                 masked[slow.pid, :] |= rows[0]
                 masked[:, slow.pid] |= rows[1]
-        for partition in self.partitions:
-            if partition.active_at(round_number):
-                for group in partition.groups:
-                    members = np.zeros(self.n, dtype=bool)
-                    members[list(group)] = True
-                    masked[np.ix_(members, ~members)] = True
-        for crash in self.crashes:
-            # Dead and frozen processes alike send and hear nothing.  (On
-            # the lockstep path the permanent crashes are additionally
-            # real process deaths, via :meth:`to_crash_plan`.)
-            if crash.down_at(round_number):
-                masked[crash.pid, :] = True
-                masked[:, crash.pid] = True
+        # Dead and frozen processes alike send and hear nothing.  (On
+        # the lockstep path the permanent crashes are additionally real
+        # process deaths, via :meth:`to_crash_plan`.)
+        masked[state.down, :] = True
+        masked[:, state.down] = True
         np.fill_diagonal(masked, False)
         return masked
 

@@ -31,11 +31,10 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.experiments.cache import cached_trace, content_key
+from repro.experiments.cache import content_key
 from repro.experiments.config import QUICK, QUICK_LAN, SweepConfig
 from repro.experiments.decision import DecisionStats, decision_stats
-from repro.experiments.figures import FigureSeries, WanSweep
-from repro.experiments.measurement import timely_matrices
+from repro.experiments.figures import FigureSeries, WanSweep, wan_cell
 from repro.experiments.parallel import (
     CellOutcome,
     _profiled,
@@ -149,28 +148,20 @@ def _decision_cell(
 ) -> DecisionStats:
     """One decision query, computed exactly as the WAN figures do.
 
-    Same trace (via the cache), same matrices, same content-derived
-    decision RNG as :func:`repro.experiments.figures._decision_series` —
-    so a served answer is bit-identical to the figure pipeline's value
-    for the same cell.
+    The cell's matrices are :func:`repro.experiments.figures.wan_cell`'s
+    own (same cached trace) and the decision RNG is the figures'
+    ``purpose="decision"`` stream — so a served answer is bit-identical
+    to the figure pipeline's value for the same cell.
     """
-    timeout = config.timeouts[t_index]
-    seed = config.run_seed(t_index, r_index)
-    trace = cached_trace(
-        "wan", config.n, config.rounds_per_run, timeout, seed
-    )
-    matrices = timely_matrices(trace, timeout)
-    leader = LEADER_NODE if get_model(model).needs_leader else None
-    rng = np.random.default_rng(
-        config.run_seed(t_index, r_index, purpose="decision")
-    )
     return decision_stats(
-        matrices,
+        wan_cell(config, t_index, r_index).matrices,
         model,
-        round_length=timeout,
+        round_length=config.timeouts[t_index],
         start_points=config.start_points,
-        leader=leader,
-        rng=rng,
+        leader=LEADER_NODE if get_model(model).needs_leader else None,
+        rng=np.random.default_rng(
+            config.run_seed(t_index, r_index, purpose="decision")
+        ),
     )
 
 

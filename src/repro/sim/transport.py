@@ -152,12 +152,25 @@ class Transport:
             and getattr(model, "is_time_invariant", False)
         )
 
-    def _count_drop(self, cause: str, src: int, dst: int, now: float) -> None:
+    def count_drops(self, cause: str, count: int = 1) -> None:
+        """Account ``count`` lost messages to ``cause``.
+
+        The per-cause counter is created on the first real drop: a
+        zero-valued counter that one engine registered and the other
+        never needed would break their snapshot equality.
+        """
+        if not count:
+            return
+        self.messages_lost += count
         counter = self._drop_counters.get(cause)
         if counter is None:
             counter = self._metrics.counter("transport.dropped", cause=cause)
             self._drop_counters[cause] = counter
-        counter.inc()
+        counter.inc(count)
+
+    def _drop(self, cause: str, src: int, dst: int, now: float) -> None:
+        """One message lost on the wire: accounted and put on the timeline."""
+        self.count_drops(cause)
         self._recorder.record("transport.drop", t=now, src=src, dst=dst, cause=cause)
 
     @property
@@ -198,26 +211,44 @@ class Transport:
         self._streams.clear()
         self._streams_usable = self._model_streamable(model)
 
-    def _next_stream_latency(self, src: int, dst: int) -> Optional[float]:
-        """Pop the next pre-sampled latency of the link ``src → dst``."""
-        key = (src, dst)
-        model = self._link_model
-        state = self._streams.get(key)
+    def _stream(self, src: int, dst: int) -> list:
+        """The ``[rng, chunk, cursor]`` state of the link ``src → dst``
+        with at least one undrawn latency in its chunk — the one place a
+        stream is opened and refilled."""
+        state = self._streams.get((src, dst))
         if state is None:
-            state = [model.link_stream(src, dst), np.empty(0), 0]
-            self._streams[key] = state
-        rng, chunk, cursor = state
-        if cursor >= chunk.shape[0]:
+            rng = self._link_model.link_stream(src, dst)
+            state = self._streams[(src, dst)] = [rng, np.empty(0), 0]
+        if state[2] >= state[1].shape[0]:
             # Time-invariant models ignore send times; any placeholder
             # vector of the right length works.
-            chunk = model.sample_link_batch(
-                src, dst, np.zeros(STREAM_CHUNK), rng
+            state[1] = self._link_model.sample_link_batch(
+                src, dst, np.zeros(STREAM_CHUNK), state[0]
             )
-            cursor = 0
-            state[1] = chunk
-        value = chunk[cursor]
-        state[2] = cursor + 1
+            state[2] = 0
+        return state
+
+    def _next_stream_latency(self, src: int, dst: int) -> Optional[float]:
+        """Pop the next pre-sampled latency of the link ``src → dst``."""
+        state = self._stream(src, dst)
+        value = state[1][state[2]]
+        state[2] += 1
         return None if np.isinf(value) else float(value)
+
+    def next_stream_latencies(self, src: int, dst: int, count: int) -> np.ndarray:
+        """The next ``count`` pre-sampled latencies of ``src → dst`` at
+        once (a lost message is ``+inf``), leaving the stream exactly
+        where ``count`` per-message pops would."""
+        out = np.empty(count)
+        filled = 0
+        while filled < count:
+            state = self._stream(src, dst)
+            _, chunk, cursor = state
+            take = min(count - filled, chunk.shape[0] - cursor)
+            out[filled : filled + take] = chunk[cursor : cursor + take]
+            state[2] = cursor + take
+            filled += take
+        return out
 
     def register(self, node: int, handler: Callable[[int, Any], None]) -> None:
         """Install ``handler(src, payload)`` as the receive callback of ``node``."""
@@ -261,8 +292,7 @@ class Transport:
             )
             self.deliveries.append(record)
         if latency is None:
-            self.messages_lost += 1
-            self._count_drop(cause or "link", src, dst, now)
+            self._drop(cause or "link", src, dst, now)
             return
         self._latency_hist.observe(latency)
 
@@ -272,8 +302,7 @@ class Transport:
                 # A destination that never registered cannot receive: the
                 # message is lost, and must be counted as such or loss
                 # statistics under-report.
-                self.messages_lost += 1
-                self._count_drop("unregistered", src, dst, self._simulator.now)
+                self._drop("unregistered", src, dst, self._simulator.now)
                 if record is not None:
                     record.undeliverable = True
                 return

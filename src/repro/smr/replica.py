@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from repro.check.invariants import InvariantSuite, RunView, Violation
+from repro.check.invariants import InvariantSuite, Violation
 from repro.giraf.kernel import GirafAlgorithm
 from repro.giraf.oracle import Oracle
 from repro.giraf.runner import LockstepRunner
@@ -167,7 +167,7 @@ class ReplicaGroup:
         self.total_rounds += outcome.rounds_executed
         self.total_messages += outcome.messages_sent
         if suite is not None:
-            suite.finish(RunView.from_lockstep(outcome))
+            suite.finish(outcome)
             self.violations.extend(suite.violations)
         if self.policy is not None:
             self.policy.observe_slot(slot, outcome)

@@ -14,16 +14,16 @@ This module computes the same run in a handful of NumPy passes:
 
 1. the common round grid ``t[0..R]`` is accumulated with the exact float
    additions the scalar timers perform (``t[k] = t[k-1] + D``);
-2. every link's latency column is pre-sampled from its own RNG substream
-   in the same :data:`~repro.sim.transport.STREAM_CHUNK`-sized draws the
-   transport's stream path makes, so the two paths consume bit-identical
-   random values;
+2. every link's latency column is drawn in bulk from the transport's
+   own pre-sampled stream of that link
+   (:meth:`~repro.sim.transport.Transport.next_stream_latencies`), so
+   the two paths consume bit-identical random values;
 3. a :class:`~repro.faults.plan.FaultPlan`'s link-level faults are applied
-   as whole-array passes per *epoch* — the maximal grid segments over
-   which the plan's per-round state (who is down, which links are
-   partitioned, which nodes are slowed, whether any burst is live) is
-   constant — consuming the identical decisions the scalar
-   :class:`~repro.faults.event.PlanLinkFaults` policy makes;
+   as whole-array passes over the plan's own per-round state table
+   (:meth:`~repro.faults.plan.FaultPlan.round_state`: who is down, which
+   links are partitioned, which nodes are slowed, which bursts are live
+   — one memoised entry per plan *epoch*), the table the scalar
+   :class:`~repro.faults.event.PlanLinkFaults` policy reads per message;
 4. timeliness, late arrivals, and loss counts are evaluated as whole
    ``(rounds, n, n)`` arrays, applying the event queue's tie rules
    (a delivery and a round timer at the same timestamp fire in
@@ -80,10 +80,11 @@ instant, by the sequence argument above).  Hence no jumps, ever.
 Crashes at round granularity keep the lockstep shape
 ----------------------------------------------------
 
-A permanent crash of ``pid`` is an event at ``c = (at_round - 1) * tau``
-scheduled *before* the simulation starts, so at any shared timestamp it
-fires before deliveries and round timers (smaller sequence number) but
-after the boot events.  Consequences, all closed-form:
+A permanent crash of ``pid`` is an event at ``c``, the start instant of
+plan round ``at_round`` (:meth:`PlanLinkFaults.start_of`), scheduled
+*before* the simulation starts, so at any shared timestamp it fires
+before deliveries and round timers (smaller sequence number) but after
+the boot events.  Consequences, all closed-form:
 
 - ``pid`` begins round ``k >= 2`` iff ``t[k-1] < c`` strictly (at a tie
   the crash cancels the pending round-``(k-1)`` timer first), and always
@@ -107,12 +108,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.faults.lockstep import ChurningOracle
+from repro.faults.lockstep import base_oracle
 from repro.giraf.oracle import NullOracle
 from repro.oracles.omega import HeartbeatOmega
-from repro.sim.transport import STREAM_CHUNK, Transport
+from repro.sim.transport import Transport
 from repro.sync.heartbeat import HeartbeatAlgorithm
-from repro.sync.round_sync import MIN_ROUND_FRACTION, SyncRun, SyncRunResult
+from repro.sync.round_sync import SyncRun, SyncRunResult
 
 
 #: Fields of :class:`SyncRunResult` whose exact equality the batched path
@@ -233,6 +234,24 @@ def batch_ineligible_reason(
     :attr:`SyncRun.fallback_reason` and counted per run in the
     ``sync.batch_fallback`` counter family.
     """
+    return batch_eligibility(run, time_limit)[0]
+
+
+def batch_eligibility(
+    run: SyncRun, time_limit: float
+) -> tuple[Optional[str], list[float]]:
+    """:func:`batch_ineligible_reason`'s verdict, plus the round grid an
+    eligible run was admitted on — built once, here, and handed to
+    :func:`run_batched`."""
+    reason = _off_grid_reason(run)
+    times = _round_grid(run) if reason is None else []
+    if times and times[-1] > time_limit:
+        reason = "time limit truncates the run"
+    return reason, times
+
+
+def _off_grid_reason(run: SyncRun) -> Optional[str]:
+    """What keeps ``run`` off one common, pre-computable round grid."""
     for node in run.nodes:
         if node.process.round != 0 or node.running or node.crashed:
             return "a node already started"
@@ -263,8 +282,7 @@ def batch_ineligible_reason(
     oracles = {id(node.oracle) for node in run.nodes}
     if len(oracles) != 1:
         return "nodes use distinct oracle instances"
-    oracle = run.nodes[0].oracle
-    inner = oracle._base if isinstance(oracle, ChurningOracle) else oracle
+    inner = base_oracle(run.nodes[0].oracle)
     if type(inner) is HeartbeatOmega:
         if inner.n != run.n:
             return "oracle dimension mismatch"
@@ -283,164 +301,29 @@ def batch_ineligible_reason(
         return "staggered start times"
     if run.simulator.events_processed or run.simulator.pending_events != run.n:
         return "simulator already used or extra events scheduled"
-    return _time_limit_reason(run, time_limit)
-
-
-def _time_limit_reason(run: SyncRun, time_limit: float) -> Optional[str]:
-    """O(1) in the common case: decide the time-limit check from a
-    closed-form bound on the accumulated grid end, materializing the
-    exact O(R) grid only when the limit falls inside the bound's
-    uncertainty band.
-
-    The exact grid end ``t[R]`` is ``R`` sequential IEEE additions of
-    ``step`` onto ``start``; each addition perturbs by at most one ulp
-    of its (monotone, for positive steps bounded by the larger of the
-    endpoints') running value, so ``|t[R] - (start + R*step)|`` is below
-    ``(R + 4) * 2^-52 * max(|start|, |start + R*step|, |step|)`` with a
-    2x safety factor folded in.  Limits clear of that band need no grid.
-    """
-    node = run.nodes[0]
-    duration = max(node.timeout, MIN_ROUND_FRACTION * node.timeout)
-    step = node.clock.global_duration(duration)
-    start = node.start_time
-    naive = start + run.max_rounds * step
-    scale = max(abs(start), abs(naive), abs(step))
-    margin = (run.max_rounds + 4) * 2.0 ** -52 * scale
-    if naive + margin <= time_limit:
-        return None
-    if naive - margin > time_limit:
-        return "time limit truncates the run"
-    if _round_grid(run)[-1] > time_limit:
-        return "time limit truncates the run"
     return None
 
 
 def _round_grid(run: SyncRun) -> list[float]:
     """The common round boundaries ``t[0..R]`` as exact scalar floats.
 
-    ``t[0]`` is the (uniform) start time; each round lasts
-    ``max(timeout, MIN_ROUND_FRACTION * timeout)`` on the local clock —
-    the exact expression :meth:`SyncedNode._begin_round` evaluates —
-    mapped to global time through the (uniform) drift.  The grid is
-    accumulated sequentially so every boundary is the same IEEE double
-    the scalar timers produce.
+    ``t[0]`` is the (uniform) start time and every round lasts one full
+    timeout, through :meth:`SyncedNode.round_length` — the expression
+    the scalar timers are scheduled with.  The grid is accumulated
+    sequentially so every boundary is the same IEEE double those timers
+    produce.
     """
     node = run.nodes[0]
-    duration = max(node.timeout, MIN_ROUND_FRACTION * node.timeout)
-    step = node.clock.global_duration(duration)
+    step = node.round_length(node.timeout)
     times = [node.start_time]
     for _ in range(run.max_rounds):
         times.append(times[-1] + step)
     return times
 
 
-def _presample_links(run: SyncRun, per_src_rounds: np.ndarray) -> np.ndarray:
-    """Latency block ``[k, dst, src]`` for each link's sent rounds.
-
-    ``per_src_rounds[src]`` is how many rounds ``src`` actually begins
-    (and therefore broadcasts in): the scalar path consumes exactly one
-    base draw per sent message per link, so each directed link
-    ``src -> dst`` must draw exactly that many values — a crashed
-    source's links stop mid-stream, and drawing further would desync the
-    link generators from the scalar path.  Each link draws from its own
-    substream in :data:`STREAM_CHUNK`-sized chunks — the same calls, on
-    the same generator, in the same order as
-    :meth:`Transport._next_stream_latency` — so the values are
-    bit-identical to what the scalar path would consume.  The consumed
-    stream state is installed back into the transport, leaving it
-    exactly as a scalar run would.  Lost messages are ``+inf``; the
-    diagonal and never-sent rounds are ``+inf`` too and masked out by
-    callers.
-    """
-    transport = run.transport
-    model = transport.link_model
-    n = run.n
-    rounds = run.max_rounds
-    block = np.full((rounds, n, n), np.inf)
-    placeholder = np.zeros(STREAM_CHUNK)
-    for src in range(n):
-        draws = int(per_src_rounds[src])
-        if draws <= 0:
-            continue
-        chunks_needed = -(-draws // STREAM_CHUNK)  # ceil
-        for dst in range(n):
-            if src == dst:
-                continue
-            rng = model.link_stream(src, dst)
-            chunks = [
-                model.sample_link_batch(src, dst, placeholder, rng)
-                for _ in range(chunks_needed)
-            ]
-            column = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            block[:draws, dst, src] = column[:draws]
-            cursor = (draws - 1) % STREAM_CHUNK + 1
-            transport._streams[(src, dst)] = [rng, chunks[-1], cursor]
-    return block
-
-
-def _plan_round_state(
-    plan, pr: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-grid-round fault state, computed once per *epoch*.
-
-    The plan's per-round predicates (``down_at``, ``partitioned``,
-    ``slow_factor``, burst activity) are step functions of the plan
-    round, changing only at window boundaries.  Segmenting the grid at
-    those boundaries and evaluating the plan's own methods once per
-    epoch gives exactness for free: a handful of Python calls instead of
-    one per message.
-
-    Returns ``(down, cross, slow, burst_any)`` with shapes
-    ``(R, n)``, ``(R, n, n)`` (``[dst, src]``), ``(R, n)``, ``(R,)``.
-    """
-    bounds: set[int] = set()
-    for crash in plan.crashes:
-        bounds.add(crash.at_round)
-    for partition in plan.partitions:
-        bounds.add(partition.start_round)
-        bounds.add(partition.heal_round)
-    for burst in plan.loss_bursts:
-        bounds.add(burst.start_round)
-        bounds.add(burst.end_round + 1)
-    for slow in plan.slow_nodes:
-        bounds.add(slow.start_round)
-        bounds.add(slow.end_round + 1)
-    edges = np.asarray(sorted(bounds), dtype=np.int64)
-    eid = np.searchsorted(edges, pr, side="right")
-    _, first, inverse = np.unique(eid, return_index=True, return_inverse=True)
-    epochs = first.size
-    down_e = np.zeros((epochs, n), dtype=bool)
-    cross_e = np.zeros((epochs, n, n), dtype=bool)
-    slow_e = np.ones((epochs, n))
-    burst_e = np.zeros(epochs, dtype=bool)
-    for i, idx in enumerate(first):
-        q = int(pr[idx])
-        down_e[i] = [plan.down_at(pid, q) for pid in range(n)]
-        slow_e[i] = [plan.slow_factor(pid, q) for pid in range(n)]
-        for src in range(n):
-            for dst in range(n):
-                if src != dst and plan.partitioned(src, dst, q):
-                    cross_e[i, dst, src] = True
-        burst_e[i] = any(b.active_at(q) for b in plan.loss_bursts)
-    return down_e[inverse], cross_e[inverse], slow_e[inverse], burst_e[inverse]
-
-
-def _bulk_drop(transport: Transport, cause: str, count: int) -> None:
-    """Mirror ``count`` scalar ``_count_drop`` calls, creating the
-    per-cause counter lazily exactly as the scalar path does (a
-    zero-valued counter the scalar path never created would break
-    snapshot equality)."""
-    if not count:
-        return
-    counter = transport._drop_counters.get(cause)
-    if counter is None:
-        counter = transport._metrics.counter("transport.dropped", cause=cause)
-        transport._drop_counters[cause] = counter
-    counter.inc(count)
-
-
-def run_batched(run: SyncRun, time_limit: float) -> SyncRunResult:
-    """Execute an eligible ``run`` on the batched path.
+def run_batched(run: SyncRun, times: list[float]) -> SyncRunResult:
+    """Execute an eligible ``run`` on the batched path, over the round
+    grid ``times`` that :func:`batch_eligibility` admitted it on.
 
     Writes the same observation state onto the nodes, the transport, the
     metrics registries, the oracle, and the simulator clock that the
@@ -460,9 +343,6 @@ def run_batched(run: SyncRun, time_limit: float) -> SyncRunResult:
     """
     n = run.n
     rounds = run.max_rounds
-    times = _round_grid(run)
-    assert times[-1] <= time_limit, "eligibility must pre-check the grid"
-
     starts = np.asarray(times[:-1])
     ends = np.asarray(times[1:])
     stop = times[-1]
@@ -478,9 +358,8 @@ def run_batched(run: SyncRun, time_limit: float) -> SyncRunResult:
     crash_events_fired = 0
     if plan is not None:
         run._faults_scheduled = True
-        tau = run._plan_timeout
         for crash in plan.crashes:
-            c = (crash.at_round - 1) * tau  # the exact scalar expression
+            c = policy.start_of(crash.at_round)
             if c <= stop:
                 crash_events_fired += 1
             if c < crash_time[crash.pid]:
@@ -500,24 +379,35 @@ def run_batched(run: SyncRun, time_limit: float) -> SyncRunResult:
     cut = np.where(effective, crash_time, np.inf)
 
     # ------------------------------------------------------------------
-    # Pre-sample every link's latency stream (one draw per sent message,
-    # dropped or not — the stream path's contract) and overlay the
-    # plan's epoch-constant link faults.
+    # Draw every link's latencies — ``[k, dst, src]``, one per message
+    # ``src`` sends (the stream path's contract: dropped or not) — and
+    # overlay the plan's per-round link faults.  A link draws exactly as
+    # many values as its source begins rounds: a crashed source's links
+    # stop mid-stream, and drawing further would desync them from the
+    # scalar path.  Lost messages are ``+inf``, as are the diagonal and
+    # the never-sent rounds, which ``sent`` masks out.
     # ------------------------------------------------------------------
-    latencies = _presample_links(run, begun)
+    latencies = np.full((rounds, n, n), np.inf)
+    for src in range(n):
+        for dst in range(n):
+            if src != dst:
+                latencies[: begun[src], dst, src] = (
+                    transport.next_stream_latencies(src, dst, int(begun[src]))
+                )
     k_index = np.arange(1, rounds + 1)
     off_diag = ~np.eye(n, dtype=bool)
     sent = (k_index[:, None, None] <= begun[None, None, :]) & off_diag
 
     if plan is not None:
-        # The plan's round grid is anchored to wall time through the
-        # construction timeout; grid round k maps to the plan round
-        # covering its start instant — the same expression
-        # PlanLinkFaults.round_of evaluates per message.
-        pr = np.maximum(
-            1, (starts // run._plan_timeout).astype(np.int64) + 1
-        )
-        down, cross, slow, burst_any = _plan_round_state(plan, pr, n)
+        # Grid round k is in the plan round covering its start instant,
+        # where the policy places each of its messages, and every round
+        # of one plan epoch shares that epoch's state object.
+        pr = np.array([policy.round_of(t) for t in times[:-1]])
+        states = [plan.round_state(q) for q in pr]
+        down = np.array([state.down for state in states])
+        cross = np.array([state.cross for state in states])
+        slow = np.array([state.slow for state in states])
+        burst_any = np.array([bool(state.bursts) for state in states])
         crash_drop = sent & (down[:, :, None] | down[:, None, :])
         part_drop = sent & ~crash_drop & cross
         burst_drop = np.zeros_like(sent)
@@ -553,9 +443,9 @@ def run_batched(run: SyncRun, time_limit: float) -> SyncRunResult:
                 policy._activate("crash-link", index)
         if part_drop.any():
             part_rounds = part_drop.any(axis=(1, 2))
-            for q in np.unique(pr[part_rounds]):
+            for q in sorted(set(pr[part_rounds].tolist())):
                 for index, partition in enumerate(plan.partitions):
-                    if partition.active_at(int(q)):
+                    if partition.active_at(q):
                         policy._activate("partition", index)
     else:
         fault_drop = np.zeros_like(sent)
@@ -635,13 +525,11 @@ def run_batched(run: SyncRun, time_limit: float) -> SyncRunResult:
     sent_total = int(begun.sum()) * (n - 1)
     transport.messages_sent += sent_total
     transport._sent_counter.inc(sent_total)
-    lost_total = int(fault_drop.sum()) + int(natural_lost.sum())
-    transport.messages_lost += lost_total
     if plan is not None:
-        _bulk_drop(transport, "crash", int(crash_drop.sum()))
-        _bulk_drop(transport, "partition", int(part_drop.sum()))
-        _bulk_drop(transport, "loss-burst", int(burst_drop.sum()))
-    _bulk_drop(transport, "link", int(natural_lost.sum()))
+        transport.count_drops("crash", int(crash_drop.sum()))
+        transport.count_drops("partition", int(part_drop.sum()))
+        transport.count_drops("loss-burst", int(burst_drop.sum()))
+    transport.count_drops("link", int(natural_lost.sum()))
     delivered_total = int(fired.sum())
     if delivered_total:
         transport._delivered_counter.inc(delivered_total)
@@ -659,8 +547,7 @@ def run_batched(run: SyncRun, time_limit: float) -> SyncRunResult:
     # sequence.  Skipped entirely when nothing listens.
     # ------------------------------------------------------------------
     oracle = run.nodes[0].oracle
-    inner = oracle._base if isinstance(oracle, ChurningOracle) else oracle
-    wants_oracle = type(inner) is not NullOracle
+    wants_oracle = type(base_oracle(oracle)) is not NullOracle
     wants_notify = any(
         getattr(observer, "on_oracle", None) is not None
         for observer in run.observers

@@ -17,7 +17,9 @@ per-round delivery matrices comparable with the lockstep ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -126,6 +128,15 @@ class SyncedNode:
         self._report_decision(0)
         self._begin_round(self.timeout)
 
+    def round_length(self, local_duration: float) -> float:
+        """Global-time length of a round meant to last ``local_duration``
+        on the local clock: floored at :data:`MIN_ROUND_FRACTION` of the
+        timeout, then mapped through the clock's drift.  Both engines
+        read every round boundary off this one expression."""
+        return self.clock.global_duration(
+            max(local_duration, MIN_ROUND_FRACTION * self.timeout)
+        )
+
     def _begin_round(self, local_duration: float) -> None:
         k = self.process.round
         if self.max_rounds is not None and k > self.max_rounds:
@@ -141,9 +152,8 @@ class SyncedNode:
             wire = _Wire(k, payload)
             for dst in sorted(self.process.send_targets()):
                 self.transport.send(self.process.pid, dst, wire)
-        duration = max(local_duration, MIN_ROUND_FRACTION * self.timeout)
         self._timer = self.simulator.schedule_in(
-            self.clock.global_duration(duration),
+            self.round_length(local_duration),
             self._on_timer,
             tag=f"round-end:{self.process.pid}:{k}",
         )
@@ -294,6 +304,13 @@ class SyncRunResult:
     correct: frozenset[int] = frozenset()
     sync_error: list[float] = field(default_factory=list)
 
+    @property
+    def rounds_executed(self) -> int:
+        """Index of the last round every surviving node completed — the
+        name :class:`~repro.giraf.runner.RunResult` gives the same fact,
+        so one checker reads either stack's result."""
+        return len(self.matrices)
+
 
 class SyncRun:
     """Builds and executes a full synchronized GIRAF deployment."""
@@ -314,6 +331,23 @@ class SyncRun:
         recorder: Optional[RunRecorder] = None,
         observers: Sequence[Any] = (),
     ) -> None:
+        if clocks is None:
+            clocks = [Clock() for _ in range(n)]
+        if start_times is None:
+            start_times = [0.0] * n
+        # Checked here, once, for both engines: each of these used to
+        # surface as a different exception (or a silently empty result)
+        # depending on which engine the run happened to take.
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError(f"timeout must be finite and positive: {timeout!r}")
+        if max_rounds < 1:
+            raise ValueError(f"max_rounds must be at least 1: {max_rounds!r}")
+        if np.shape(latency_table) != (n, n):
+            raise ValueError(f"latency_table must have shape ({n}, {n})")
+        if len(clocks) != n or len(start_times) != n:
+            raise ValueError(f"need {n} clocks and {n} start times")
+        if not all(math.isfinite(t) and t >= 0 for t in start_times):
+            raise ValueError("start times must be finite and non-negative")
         self.n = n
         self.max_rounds = max_rounds
         self.fault_plan = fault_plan
@@ -331,18 +365,15 @@ class SyncRun:
                     f"fault plan is for n={fault_plan.n}, run for n={n}"
                 )
             # Link-level faults (bursts, partitions, slow links, frozen
-            # peers) ride on the wire; round k of the plan maps to the
-            # time window [(k-1)*timeout, k*timeout).
+            # peers) ride on the wire.  The policy also owns the plan's
+            # round <-> time mapping, anchored to this construction-time
+            # timeout whatever the nodes' timeouts are changed to later.
             self.link_faults = PlanLinkFaults(
                 fault_plan, timeout, metrics=metrics
             )
             self.transport.faults = self.link_faults
             if fault_plan.leader_churn:
                 oracle = ChurningOracle(oracle, fault_plan)
-        if clocks is None:
-            clocks = [Clock() for _ in range(n)]
-        if start_times is None:
-            start_times = [0.0] * n
         self.nodes = [
             SyncedNode(
                 process=GirafProcess(pid, algorithm_factory(pid)),
@@ -367,68 +398,44 @@ class SyncRun:
                     method = getattr(observer, "on_proposal", None)
                     if method is not None:
                         method(node.process.pid, proposal)
-        # The plan's round->time grid is anchored to the construction-time
-        # timeout; the actual booking happens at run() so per-node state
-        # mutated between construction and run (heterogeneous timeouts in
-        # particular) is respected.
-        self._plan_timeout = timeout
+        # Node-level faults are booked at run(), not here, so per-node
+        # state mutated in between (heterogeneous timeouts in particular)
+        # is respected.
         self._faults_scheduled = False
         #: Which execution path the last :meth:`run` took ("scalar" or
         #: "batch"), and why the batched path was skipped, if it was.
         self.executed_mode: Optional[str] = None
         self.fallback_reason: Optional[str] = None
 
-    def _schedule_node_faults(self, plan: FaultPlan, timeout: float) -> None:
+    def _schedule_node_faults(self) -> None:
         """Book the plan's node-level faults on the simulator clock."""
+        at = self.link_faults.start_of
 
-        def at(round_number: int) -> float:
-            return (round_number - 1) * timeout
+        def book(time, kind, event, node, action, **details) -> None:
+            pid = node.process.pid
 
-        activations = self.metrics
-        recorder = self.recorder
+            def fire() -> None:
+                self.metrics.counter("faults.activations", kind=kind).inc()
+                self.recorder.record(
+                    event, t=self.simulator.now, pid=pid, **details
+                )
+                action()
 
-        def do_crash(node: SyncedNode, permanent: bool) -> None:
-            activations.counter("faults.activations", kind="crash").inc()
-            recorder.record(
-                "fault.crash",
-                t=self.simulator.now,
-                pid=node.process.pid,
-                permanent=permanent,
-            )
-            node.crash(permanent)
+            self.simulator.schedule(time, fire, tag=f"fault:{kind}:{pid}")
 
-        def do_recover(node: SyncedNode) -> None:
-            activations.counter("faults.activations", kind="recover").inc()
-            recorder.record(
-                "fault.recover", t=self.simulator.now, pid=node.process.pid
-            )
-            node.recover()
-
-        def do_clock_step(node: SyncedNode, offset: float) -> None:
-            activations.counter("faults.activations", kind="clock-step").inc()
-            recorder.record(
-                "fault.clock_step",
-                t=self.simulator.now,
-                pid=node.process.pid,
-                offset=offset,
-            )
-            node.apply_clock_step(offset)
-
-        for crash in plan.crashes:
+        for crash in self.fault_plan.crashes:
             node = self.nodes[crash.pid]
             permanent = crash.recover_round is None
-            self.simulator.schedule(
-                at(crash.at_round),
-                lambda node=node, permanent=permanent: do_crash(node, permanent),
-                tag=f"fault:crash:{crash.pid}",
+            book(
+                at(crash.at_round), "crash", "fault.crash", node,
+                partial(node.crash, permanent), permanent=permanent,
             )
-            if crash.recover_round is not None:
-                self.simulator.schedule(
-                    at(crash.recover_round),
-                    lambda node=node: do_recover(node),
-                    tag=f"fault:recover:{crash.pid}",
+            if not permanent:
+                book(
+                    at(crash.recover_round), "recover", "fault.recover",
+                    node, node.recover,
                 )
-        for step in plan.clock_steps:
+        for step in self.fault_plan.clock_steps:
             # A hair into the round, not on the boundary: at the exact
             # round start the previous round's timer is expiring at the
             # same timestamp, and a step applied to a timer with zero
@@ -437,12 +444,11 @@ class SyncRun:
             # timeouts, a fraction of another node's (shorter) round can
             # still land exactly on this node's boundary.
             node = self.nodes[step.pid]
-            self.simulator.schedule(
+            book(
                 at(step.at_round) + 0.01 * node.timeout,
-                lambda node=node, offset=step.offset: do_clock_step(
-                    node, offset
-                ),
-                tag=f"fault:clock-step:{step.pid}",
+                "clock-step", "fault.clock_step", node,
+                partial(node.apply_clock_step, step.offset),
+                offset=step.offset,
             )
 
     def run(
@@ -473,16 +479,16 @@ class SyncRun:
             slowest = max(node.timeout for node in self.nodes)
             time_limit = (self.max_rounds + 10) * slowest * 3
         if mode != "scalar":
-            from repro.sync.batch import batch_ineligible_reason, run_batched
+            from repro.sync.batch import batch_eligibility, run_batched
 
-            reason = batch_ineligible_reason(self, time_limit)
+            reason, grid = batch_eligibility(self, time_limit)
             if reason is None:
                 self.executed_mode = "batch"
                 self.fallback_reason = None
                 self.metrics.counter(
                     "sync.executed_mode", mode="batch"
                 ).inc()
-                return run_batched(self, time_limit)
+                return run_batched(self, grid)
             if mode == "batch":
                 raise ValueError(
                     f"batch mode requested but the run is ineligible: {reason}"
@@ -495,7 +501,7 @@ class SyncRun:
         self.metrics.counter("sync.executed_mode", mode="scalar").inc()
         if self.fault_plan is not None and not self._faults_scheduled:
             self._faults_scheduled = True
-            self._schedule_node_faults(self.fault_plan, self._plan_timeout)
+            self._schedule_node_faults()
         # "Done" must require having started: before the boot events fire
         # no node is running, and a bare ``not running`` predicate would
         # satisfy the simulator's entry check and stop the run at time 0.

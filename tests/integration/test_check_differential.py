@@ -12,7 +12,6 @@ import pytest
 from repro.check import (
     ConformanceReport,
     DiffRow,
-    RunView,
     conformance_report,
     default_suite,
     differential_run,
@@ -133,7 +132,7 @@ class TestMonteCarloVsEquations:
 class TestSyncRunObservers:
     def test_suite_attaches_to_the_event_stack(self):
         """SyncRun must feed proposals, oracle outputs and decisions to
-        observers, and its result must carry what RunView needs."""
+        observers, and its result must carry what the checkers read."""
         profile = uniform_wan_profile(seed=11)
         table = measure_latency_table(uniform_wan_profile(seed=12), pings=10)
         suite = default_suite()
@@ -148,7 +147,7 @@ class TestSyncRunObservers:
             observers=[suite],
         )
         result = run.run()
-        violations = suite.finish(RunView.from_sync(result))
+        violations = suite.finish(result)
         assert violations == []
         # The uniform WAN at this timeout decides essentially always.
         assert result.decisions, "consensus never decided on a clean network"

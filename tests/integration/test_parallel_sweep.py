@@ -136,41 +136,20 @@ class TestWarmedCache:
         warm = run_wan_sweep_parallel(tiny, jobs=1)
         assert_sweeps_identical(cold, warm)
 
-    def test_jobs1_honors_an_explicit_cache_root(self, tmp_path, monkeypatch):
-        """Regression: the serial (``jobs=1``) path used to ignore an
-        explicit ``cache_root`` — only the pool initializer activated the
-        cache — so a warm on-disk cache was re-simulated cell by cell."""
-        tiny = SweepConfig(
-            rounds_per_run=30, runs=2, start_points=3,
-            timeouts=(0.16, 0.21), seed=8,
-        )
-        # Warm the cache through the serial path itself: with the bug,
-        # nothing was ever written here.
-        cold = run_wan_sweep_parallel(tiny, jobs=1, cache_root=tmp_path)
-
-        monkeypatch.setattr(
-            measurement,
-            "sample_wan_trace",
-            lambda *a, **k: pytest.fail("re-simulated despite warm cache"),
-        )
-        warm = run_wan_sweep_parallel(tiny, jobs=1, cache_root=tmp_path)
-        assert_sweeps_identical(cold, warm)
-        # The explicit root was a scoped activation: nothing leaks into
-        # the process-wide cache state.
-        assert cache_module.active_cache() is None
-
-    def test_jobs1_restores_the_previously_active_cache(self, tmp_path):
-        """The serial path's scoped activation must put back the exact
-        previous cache object, hit/miss counters intact."""
+    def test_jobs1_uses_the_active_cache_as_it_is(self, tmp_path):
+        """The in-process engine reads and fills the process-wide cache
+        object itself — no swap, no copy, counters advancing in place."""
         tiny = SweepConfig(
             rounds_per_run=30, runs=1, start_points=3,
             timeouts=(0.16,), seed=8,
         )
         original = cache_module.activate(tmp_path / "original")
         original.hits = 7  # sentinel: the object, not a copy, survives
-        run_wan_sweep_parallel(tiny, jobs=1, cache_root=tmp_path / "other")
+        run_wan_sweep_parallel(tiny, jobs=1)
         assert cache_module.active_cache() is original
-        assert original.hits == 7
+        assert (original.hits, original.misses) == (7, 1)
+        run_wan_sweep_parallel(tiny, jobs=1)
+        assert (original.hits, original.misses) == (8, 1)
 
     def test_different_seed_is_not_served_from_cache(self, tmp_path):
         cache_module.activate(tmp_path)

@@ -210,6 +210,53 @@ def test_plan_derivations_are_pure(world, k):
             assert plan.down_at(pid, j) == twin.down_at(pid, j)
 
 
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_round_state_tabulates_the_per_call_predicates(data):
+    """``round_state(k)`` is memoised per window-boundary epoch; whatever
+    order rounds are asked in, it must give the per-call answers — on
+    every window edge, for crash-recovery plans, and for partitions that
+    overlap (a link is cut when *any* active partition separates it)."""
+    n = data.draw(st.integers(min_value=4, max_value=6))
+    base = data.draw(fault_plans(n))
+    cut = data.draw(st.integers(min_value=1, max_value=n - 1))
+    start = data.draw(rounds)
+    second = Partition(
+        groups=(tuple(range(0, n, 2)), tuple(range(1, n, 2)))
+        if data.draw(st.booleans())
+        else (tuple(range(cut)), tuple(range(cut, n))),
+        start_round=start,
+        heal_round=start + data.draw(st.integers(min_value=1, max_value=6)),
+    )
+    plan = FaultPlan(
+        n=n,
+        crashes=base.crashes,
+        loss_bursts=base.loss_bursts,
+        partitions=base.partitions + (second,),
+        slow_nodes=base.slow_nodes,
+        seed=base.seed,
+    )
+    # Every window starts and ends within MAX_FAULT_ROUND + 7, so this
+    # range holds every edge, the round before it and the round after.
+    for k in data.draw(st.permutations(range(1, MAX_FAULT_ROUND + 9))):
+        state = plan.round_state(k)
+        for a in range(n):
+            assert state.down[a] == plan.down_at(a, k)
+            assert state.slow[a] == plan.slow_factor(a, k)
+            for b in range(n):
+                assert state.cross[b, a] == plan.partitioned(a, b, k)
+        assert state.bursts == tuple(
+            index
+            for index, burst in enumerate(plan.loss_bursts)
+            if burst.active_at(k)
+        )
+        separated = any(
+            p.active_at(k) and any((0 in g) != (1 in g) for g in p.groups)
+            for p in plan.partitions
+        )
+        assert plan.partitioned(0, 1, k) == separated
+
+
 @given(world=plan_worlds())
 @settings(max_examples=25, deadline=None)
 def test_mask_quiesces_and_respects_correct_set(world):

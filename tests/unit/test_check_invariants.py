@@ -8,7 +8,6 @@ from repro.check import (
     Integrity,
     InvariantSuite,
     LeaderStability,
-    RunView,
     Validity,
     Violation,
     WlmDecisionBound,
@@ -20,6 +19,7 @@ from repro.giraf import (
     FixedLeaderOracle,
     IIDSchedule,
     LockstepRunner,
+    RunResult,
     StableAfterSchedule,
 )
 from repro.obs.registry import MetricsRegistry
@@ -35,7 +35,7 @@ def empty_view(n=3, **overrides):
         rounds_executed=10,
     )
     view.update(overrides)
-    return RunView(**view)
+    return RunResult(**view)
 
 
 class TestAgreement:
@@ -188,7 +188,7 @@ class TestWlmDecisionBound:
                 observers=[suite],
             )
             result = runner.run(max_rounds=60)
-            suite.finish(RunView.from_lockstep(result))
+            suite.finish(result)
             assert suite.ok, [str(v) for v in suite.violations]
 
 
@@ -222,7 +222,7 @@ class TestMutationDetection:
     def test_broken_algorithm_trips_agreement(self):
         suite = default_suite()
         result = agreement_violation_run(observers=[suite])
-        suite.finish(RunView.from_lockstep(result))
+        suite.finish(result)
         assert not result.agreement_holds()
         assert any(v.invariant == "agreement" for v in suite.violations)
 
@@ -231,7 +231,7 @@ class TestMutationDetection:
         result = agreement_violation_run(
             observers=[suite], algorithm=WlmConsensus
         )
-        suite.finish(RunView.from_lockstep(result))
+        suite.finish(result)
         assert result.agreement_holds()
         assert suite.ok, [str(v) for v in suite.violations]
 

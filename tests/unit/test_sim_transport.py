@@ -158,6 +158,27 @@ class TestBatchStreams:
         expected = [None if np.isinf(v) else float(v) for v in reference]
         assert observed == expected  # bit-identical: same substream
 
+    def test_bulk_draw_then_pops_equal_pops_alone(self):
+        # The batched engine takes a link's latencies in bulk where the
+        # event loop pops them one by one; a stream must not be able to
+        # tell — across the STREAM_CHUNK refill boundary included.
+        total = STREAM_CHUNK + 40
+        popped = Transport(Simulator(), self.model())
+        alone = [popped._next_stream_latency(0, 1) for _ in range(total)]
+        for bulk in (0, 7, STREAM_CHUNK - 1, STREAM_CHUNK, STREAM_CHUNK + 5):
+            mixed = Transport(Simulator(), self.model())
+            drawn = mixed.next_stream_latencies(0, 1, bulk)
+            head = [None if np.isinf(v) else float(v) for v in drawn]
+            tail = [
+                mixed._next_stream_latency(0, 1) for _ in range(total - bulk)
+            ]
+            assert head + tail == alone, bulk
+            assert mixed._streams[0, 1][2] == popped._streams[0, 1][2]
+        # A crashed source sends nothing: drawing nothing opens no stream.
+        untouched = Transport(Simulator(), self.model())
+        untouched.next_stream_latencies(0, 1, 0)
+        assert not untouched.streams_started
+
     def test_link_sequence_independent_of_interleaving(self):
         # The whole point of per-link substreams: what 2->3 traffic does
         # must not perturb the 0->1 latency sequence.

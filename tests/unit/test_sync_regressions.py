@@ -11,10 +11,12 @@ resurrected suspicion of live processes.
 """
 
 import numpy as np
+import pytest
 
+from repro.check.differential import uniform_wan_profile
 from repro.giraf.oracle import NullOracle
 from repro.oracles.omega import HeartbeatOmega
-from repro.sim import Transport
+from repro.sim import Clock, Transport
 from repro.sync import HeartbeatAlgorithm, SyncRun
 
 
@@ -163,3 +165,54 @@ class TestOmegaMonotonicity:
 
     def test_write_only_round_counter_removed(self):
         assert not hasattr(HeartbeatOmega(n=3), "_round")
+
+
+N = 8
+TABLE = np.full((N, N), 0.02)
+
+
+class TestConstructionValidatesInputs:
+    """Each bad input used to fail differently per engine — an ``assert``
+    or a NumPy/``IndexError`` in auto mode, a ``SimulationError``, five
+    rounds or an empty result in scalar mode.  Both now refuse it at
+    construction, with the same ``ValueError``."""
+
+    @pytest.mark.parametrize("mode", ["auto", "scalar"])
+    @pytest.mark.parametrize(
+        "override, match",
+        [
+            pytest.param({"timeout": float("nan")}, "timeout", id="timeout-nan"),
+            pytest.param({"timeout": float("inf")}, "timeout", id="timeout-inf"),
+            pytest.param({"timeout": -1.0}, "timeout", id="timeout-negative"),
+            pytest.param({"max_rounds": 0}, "max_rounds", id="max-rounds-0"),
+            pytest.param(
+                {"latency_table": TABLE[:4, :4]}, "latency_table", id="table-4x4"
+            ),
+            pytest.param(
+                {"start_times": [0.0] * 3}, "start time", id="three-start-times"
+            ),
+            pytest.param({"clocks": [Clock()] * 3}, "clock", id="three-clocks"),
+            pytest.param(
+                {"start_times": [float("nan")] * N}, "start times", id="start-nan"
+            ),
+            pytest.param(
+                {"start_times": [-0.5] + [0.0] * (N - 1)},
+                "start times",
+                id="start-negative",
+            ),
+        ],
+    )
+    def test_bad_input_is_the_same_value_error_on_both_engines(
+        self, override, match, mode
+    ):
+        profile = uniform_wan_profile(n=N, seed=0)
+        arguments = dict(timeout=0.1, latency_table=TABLE, max_rounds=5)
+        arguments.update(override)
+        with pytest.raises(ValueError, match=match):
+            SyncRun(
+                N,
+                lambda pid: HeartbeatAlgorithm(pid, N),
+                NullOracle(),
+                lambda sim: Transport(sim, profile),
+                **arguments,
+            ).run(mode=mode)
