@@ -10,6 +10,10 @@ Scale: benchmarks default to the QUICK sweep (seconds).  Set
 protocol (minutes).  Set ``REPRO_BENCH_JOBS=N`` to run the shared sweep
 through the parallel engine with N workers (results are bit-identical to
 the serial engine; see ``test_parallel_speedup.py``).
+
+The committed sweep-derived tables are the paper-scale ones, so a run at
+any other scale writes its sweep-derived tables under pytest's
+``tmp_path`` instead of over them (see :func:`save_result`).
 """
 
 from __future__ import annotations
@@ -32,6 +36,25 @@ def bench_scale() -> str:
 
 def bench_jobs() -> int:
     return int(os.environ.get("REPRO_BENCH_JOBS", "1"))
+
+
+#: The scale ``benchmarks/results/`` holds the sweep-derived tables at.
+COMMITTED_SCALE = "paper"
+
+#: The scale-selected fixtures: a table computed from one of these is
+#: *sweep-derived* and differs between scales.
+SWEEP_FIXTURES = frozenset({"wan_sweep", "lan_config"})
+
+
+@pytest.fixture(scope="session")
+def committed_scale() -> bool:
+    """Is this run at the scale the committed tables were generated at?
+
+    Guards whose claim the quick sweep's 6 runs cannot resolve on point
+    estimates keep their exact form at the committed scale and compare
+    within the sampling error elsewhere.
+    """
+    return bench_scale() == COMMITTED_SCALE
 
 
 @pytest.fixture(scope="session")
@@ -60,10 +83,17 @@ def results_dir() -> Path:
 
 
 @pytest.fixture
-def save_result(results_dir):
-    """``save_result(name, text)``: record a rendered table."""
+def save_result(results_dir, committed_scale, request, tmp_path):
+    """``save_result(name, text)``: record a rendered table.
+
+    A sweep-derived table goes to ``benchmarks/results/`` only at the
+    scale the committed one was generated at; at any other scale it is
+    written under ``tmp_path``, leaving the committed table alone.
+    """
+    sweep_derived = not SWEEP_FIXTURES.isdisjoint(request.fixturenames)
+    directory = tmp_path if sweep_derived and not committed_scale else results_dir
 
     def save(name: str, text: str) -> None:
-        (results_dir / f"{name}.txt").write_text(text + "\n")
+        (directory / f"{name}.txt").write_text(text + "\n")
 
     return save

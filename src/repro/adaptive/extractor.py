@@ -106,6 +106,10 @@ class TimelinessExtractor:
         self.horizon = (
             float(horizon) if horizon is not None else 1.5 * self.timeouts[-1]
         )
+        #: The timeout the observed run currently uses; whoever drives the
+        #: run (the policy, the live loop) keeps it current.  It bounds the
+        #: latency of every link :meth:`observe` sees delivered.
+        self.running_timeout: float = self.timeouts[0]
         # round -> latency matrix, merged monotonically (element-wise min).
         self._rounds: dict[int, np.ndarray] = {}
         self._metrics = registry_or_null(metrics)
@@ -137,8 +141,7 @@ class TimelinessExtractor:
         delivered = np.asarray(delivered, dtype=bool)
         if delivered.shape != (self.n, self.n):
             raise ValueError("delivery matrix has wrong shape")
-        bound = getattr(self, "running_timeout", self.timeouts[0])
-        latencies = np.where(delivered, float(bound), np.inf)
+        latencies = np.where(delivered, float(self.running_timeout), np.inf)
         np.fill_diagonal(latencies, 0.0)
         self._merge(round_number, latencies)
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from repro.consensus.base import ConsensusMessage, MsgType, round_maximum
+from repro.consensus.base import ConsensusMessage
 from repro.core.wlm import WlmConsensus
-from repro.giraf.kernel import Inbox, RoundOutput
 from repro.giraf.oracle import ScriptedOracle
 from repro.giraf.runner import LockstepRunner, RunResult
 from repro.giraf.schedule import MatrixSchedule
@@ -27,50 +26,15 @@ class BrokenAgreementWlm(WlmConsensus):
     Without the safeguard a process commits on *any* trusted leader's
     message and decides on any majority of COMMITs — which lets two
     leaders' camps decide different values (the scenario of
-    :func:`agreement_violation_run`).
+    :func:`agreement_violation_run`).  The two guard overrides below are
+    the whole mutation: everything else is Algorithm 2's own code.
     """
 
-    def compute(
-        self, round_number: int, inbox: Inbox, oracle_output: Any
-    ) -> RoundOutput:
-        leader = int(oracle_output)
-        if self._decision is None:
-            messages: dict[int, ConsensusMessage] = dict(inbox.round(round_number))
-            self.prev_leader = self.new_leader
-            self.new_leader = leader
-            self.max_ts, max_est = round_maximum(messages)
-            self.maj_approved = (
-                sum(1 for m in messages.values() if m.leader == self.pid)
-                > self.n // 2
-            )
-            decide_msg = self._first_decide(messages)
-            commit_count = sum(
-                1 for m in messages.values() if m.msg_type == MsgType.COMMIT
-            )
-            own = messages.get(self.pid)
-            leader_msg = messages.get(self.prev_leader)
-            if decide_msg is not None:
-                self.est = decide_msg.est
-                self._decide(self.est, round_number)
-                self.msg_type = MsgType.DECIDE
-            elif (
-                commit_count > self.n // 2
-                and own is not None
-                and own.msg_type == MsgType.COMMIT
-                # MUTATION: decide-3 (own majApproved) removed.
-            ):
-                self._decide(self.est, round_number)
-                self.msg_type = MsgType.DECIDE
-            elif leader_msg is not None:
-                # MUTATION: commit without the leader's majApproved.
-                self.est = leader_msg.est
-                self.ts = round_number
-                self.msg_type = MsgType.COMMIT
-            else:
-                self.ts = self.max_ts
-                self.est = max_est
-                self.msg_type = MsgType.PREPARE
-        return RoundOutput(self._message(), self._destinations(leader))
+    def _commit_guard(self, leader_msg: ConsensusMessage) -> bool:
+        return True  # MUTATION: commit without the leader's majApproved.
+
+    def _decide3_guard(self, own: ConsensusMessage) -> bool:
+        return True  # MUTATION: decide-3 (own majApproved) removed.
 
 
 def agreement_violation_run(

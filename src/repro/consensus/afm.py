@@ -34,40 +34,25 @@ algorithm.)
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
-from repro.consensus.base import ConsensusAlgorithm, ConsensusMessage, MsgType
+from repro.consensus.base import ConsensusMessage, MsgType, TimestampedConsensus
 from repro.giraf.kernel import Inbox, RoundOutput
 
 
-class AfmConsensus(ConsensusAlgorithm):
+class AfmConsensus(TimestampedConsensus):
     """Leaderless all-to-all consensus; 5 stable rounds in ◊AFM."""
-
-    def __init__(self, pid: int, n: int, proposal: Any) -> None:
-        super().__init__(pid, n, proposal)
-        self.est: Any = proposal
-        self.ts: int = 0
-        self.msg_type: MsgType = MsgType.PREPARE
-        self._all = frozenset(range(n))
-
-    def _message(self) -> ConsensusMessage:
-        return ConsensusMessage(
-            msg_type=self.msg_type, est=self.est, ts=self.ts, leader=None
-        )
 
     def initialize(self, oracle_output: Any) -> RoundOutput:
         return RoundOutput(self._message(), self._all)
 
     def compute(self, round_number: int, inbox: Inbox, oracle_output: Any) -> RoundOutput:
         if self._decision is None:
-            messages: dict[int, ConsensusMessage] = dict(inbox.round(round_number))
-            pairs: dict[int, Tuple[int, Any]] = {
-                sender: (m.ts, m.est) for sender, m in messages.items()
-            }
-            max_pair = max(pairs.values())
-            unanimity = sum(1 for pair in pairs.values() if pair == max_pair)
+            messages: Mapping[int, ConsensusMessage] = inbox.round(round_number)
+            pairs = [(m.ts, m.est) for m in messages.values()]
+            max_pair = max(pairs)
             commit_votes: dict[Tuple[int, Any], int] = {}
-            for sender, m in messages.items():
+            for m in messages.values():
                 if m.msg_type == MsgType.COMMIT:
                     key = (m.ts, m.est)
                     commit_votes[key] = commit_votes.get(key, 0) + 1
@@ -75,14 +60,11 @@ class AfmConsensus(ConsensusAlgorithm):
             decide_msg = self._first_decide(messages)
             decided_pair = self._majority_commit(commit_votes)
             if decide_msg is not None:
-                self.est = decide_msg.est
-                self._decide(self.est, round_number)
-                self.msg_type = MsgType.DECIDE
+                self._decide(decide_msg.est, round_number)
             elif decided_pair is not None:
-                self.ts, self.est = decided_pair
-                self._decide(self.est, round_number)
-                self.msg_type = MsgType.DECIDE
-            elif unanimity > self.n // 2:
+                self.ts = decided_pair[0]
+                self._decide(decided_pair[1], round_number)
+            elif pairs.count(max_pair) > self.n // 2:
                 # Majority-unanimity commit on the maximal pair.
                 self.est = max_pair[1]
                 self.ts = round_number
@@ -100,13 +82,4 @@ class AfmConsensus(ConsensusAlgorithm):
         for pair, votes in commit_votes.items():
             if votes > self.n // 2:
                 return pair
-        return None
-
-    @staticmethod
-    def _first_decide(
-        messages: dict[int, ConsensusMessage]
-    ) -> Optional[ConsensusMessage]:
-        for sender in sorted(messages):
-            if messages[sender].msg_type == MsgType.DECIDE:
-                return messages[sender]
         return None

@@ -8,9 +8,10 @@ in that round.  Once all links between correct processes are timely, all
 correct processes hear the same sender set and hence trust the same
 coordinator — a "virtual Ω" that costs no extra rounds.
 
-The commit/decide rules are the shared ones (see :mod:`lm`): a coordinator
-commits others only with a majority-approved message, deciders need a
-majority of COMMITs including their own.  Safety therefore never depends
+The commit/decide rules are the shared ones
+(:class:`~repro.consensus.base.LeaderConsensus`, configured as in
+:mod:`lm`): a coordinator commits others only with a majority-approved
+message, deciders need a majority of COMMITs including their own.  Safety therefore never depends
 on the coordinator choice being consistent; only liveness does.
 
 Round count from GSR: 3 rounds when the coordinator was already consistent
@@ -21,92 +22,19 @@ GSR also changes the coordinator.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Mapping
 
-from repro.consensus.base import (
-    ConsensusAlgorithm,
-    ConsensusMessage,
-    MsgType,
-    round_maximum,
-)
-from repro.giraf.kernel import Inbox, RoundOutput
+from repro.consensus.base import ConsensusMessage, LeaderConsensus
 
 
-class EsConsensus(ConsensusAlgorithm):
+class EsConsensus(LeaderConsensus):
     """All-to-all consensus with a synchrony-derived coordinator; 3 stable
     rounds in ES."""
 
-    def __init__(self, pid: int, n: int, proposal: Any) -> None:
-        super().__init__(pid, n, proposal)
-        self.est: Any = proposal
-        self.ts: int = 0
-        self.maj_approved: bool = False
-        self.prev_leader: int = pid if pid == 0 else 0
-        self.new_leader: int = 0  # everyone initially trusts p_0
-        self.msg_type: MsgType = MsgType.PREPARE
-        self._all = frozenset(range(n))
-
-    def _message(self) -> ConsensusMessage:
-        return ConsensusMessage(
-            msg_type=self.msg_type,
-            est=self.est,
-            ts=self.ts,
-            leader=self.new_leader,
-            maj_approved=self.maj_approved,
-        )
-
-    def initialize(self, oracle_output: Any) -> RoundOutput:
-        # ES has no oracle; the initial coordinator is p_0 by convention.
-        self.prev_leader = 0
-        self.new_leader = 0
-        return RoundOutput(self._message(), self._all)
-
-    def compute(self, round_number: int, inbox: Inbox, oracle_output: Any) -> RoundOutput:
-        if self._decision is None:
-            messages: dict[int, ConsensusMessage] = dict(inbox.round(round_number))
-            self.prev_leader = self.new_leader
-            # Synchrony-derived coordinator: the lowest-id sender heard
-            # this round (always defined — own message is present).
-            self.new_leader = min(messages)
-            max_ts, max_est = round_maximum(messages)
-            self.maj_approved = (
-                sum(1 for m in messages.values() if m.leader == self.pid)
-                > self.n // 2
-            )
-
-            decide_msg = self._first_decide(messages)
-            commit_count = sum(
-                1 for m in messages.values() if m.msg_type == MsgType.COMMIT
-            )
-            own = messages.get(self.pid)
-            leader_msg = messages.get(self.prev_leader)
-            if decide_msg is not None:
-                self.est = decide_msg.est
-                self._decide(self.est, round_number)
-                self.msg_type = MsgType.DECIDE
-            elif (
-                commit_count > self.n // 2
-                and own is not None
-                and own.msg_type == MsgType.COMMIT
-            ):
-                self._decide(self.est, round_number)
-                self.msg_type = MsgType.DECIDE
-            elif leader_msg is not None and leader_msg.maj_approved:
-                self.est = leader_msg.est
-                self.ts = round_number
-                self.msg_type = MsgType.COMMIT
-            else:
-                self.ts = max_ts
-                self.est = max_est
-                self.msg_type = MsgType.PREPARE
-
-        return RoundOutput(self._message(), self._all)
-
-    @staticmethod
-    def _first_decide(
-        messages: dict[int, ConsensusMessage]
-    ) -> Optional[ConsensusMessage]:
-        for sender in sorted(messages):
-            if messages[sender].msg_type == MsgType.DECIDE:
-                return messages[sender]
-        return None
+    def _leader(
+        self, oracle_output: Any, messages: Mapping[int, ConsensusMessage]
+    ) -> int:
+        # ES has no oracle.  Synchrony-derived coordinator: the lowest-id
+        # sender heard this round (the own message is always present);
+        # before any round, p_0 by convention.
+        return min(messages, default=0)

@@ -2,10 +2,11 @@
 
 Reconstruction of the optimal ◊LM algorithm of Keidar & Shraer [19] (the
 original paper gives only its existence and round count).  It reuses
-Algorithm 2's commit machinery — timestamps equal to round numbers and the
-leader's ``majApproved`` flag — but sends all-to-all (``Θ(n²)`` messages
-per round) and exploits ◊LM's stronger guarantee that *every* correct
-process hears from a majority each stable round:
+Algorithm 2's commit machinery
+(:class:`~repro.consensus.base.LeaderConsensus`) — timestamps equal to
+round numbers and the leader's ``majApproved`` flag — but sends all-to-all
+(``Θ(n²)`` messages per round) and exploits ◊LM's stronger guarantee that
+*every* correct process hears from a majority each stable round:
 
 - **commit** exactly as in Algorithm 2: adopt the estimate of a
   majority-approved leader, with the current round as timestamp.
@@ -25,97 +26,12 @@ mirroring Algorithm 2's 4-versus-5 distinction.
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
-from repro.consensus.base import (
-    ConsensusAlgorithm,
-    ConsensusMessage,
-    MsgType,
-    round_maximum,
-)
-from repro.giraf.kernel import Inbox, RoundOutput
+from repro.consensus.base import LeaderConsensus
 
 
-class LmConsensus(ConsensusAlgorithm):
-    """All-to-all leader-based consensus; 3 stable rounds in ◊LM."""
+class LmConsensus(LeaderConsensus):
+    """All-to-all leader-based consensus; 3 stable rounds in ◊LM.
 
-    def __init__(self, pid: int, n: int, proposal: Any) -> None:
-        super().__init__(pid, n, proposal)
-        self.est: Any = proposal
-        self.ts: int = 0
-        self.maj_approved: bool = False
-        self.prev_leader: Optional[int] = None
-        self.new_leader: Optional[int] = None
-        self.msg_type: MsgType = MsgType.PREPARE
-        self._all = frozenset(range(n))
-
-    def _message(self) -> ConsensusMessage:
-        return ConsensusMessage(
-            msg_type=self.msg_type,
-            est=self.est,
-            ts=self.ts,
-            leader=self.new_leader,
-            maj_approved=self.maj_approved,
-        )
-
-    def initialize(self, oracle_output: Any) -> RoundOutput:
-        leader = int(oracle_output)
-        self.prev_leader = leader
-        self.new_leader = leader
-        return RoundOutput(self._message(), self._all)
-
-    def compute(self, round_number: int, inbox: Inbox, oracle_output: Any) -> RoundOutput:
-        leader = int(oracle_output)
-        if self._decision is None:
-            messages: dict[int, ConsensusMessage] = dict(inbox.round(round_number))
-            self.prev_leader = self.new_leader
-            self.new_leader = leader
-            max_ts, max_est = round_maximum(messages)
-            self.maj_approved = (
-                sum(1 for m in messages.values() if m.leader == self.pid)
-                > self.n // 2
-            )
-
-            decide_msg = self._first_decide(messages)
-            commit_count = sum(
-                1 for m in messages.values() if m.msg_type == MsgType.COMMIT
-            )
-            own = messages.get(self.pid)
-            leader_msg = (
-                messages.get(self.prev_leader)
-                if self.prev_leader is not None
-                else None
-            )
-            if decide_msg is not None:
-                self.est = decide_msg.est
-                self._decide(self.est, round_number)
-                self.msg_type = MsgType.DECIDE
-            elif (
-                commit_count > self.n // 2
-                and own is not None
-                and own.msg_type == MsgType.COMMIT
-            ):
-                # All COMMITs of one round share the timestamp (the round
-                # they were produced in) and, by majority intersection of
-                # their leaders' approvals, the estimate — decide on ours.
-                self._decide(self.est, round_number)
-                self.msg_type = MsgType.DECIDE
-            elif leader_msg is not None and leader_msg.maj_approved:
-                self.est = leader_msg.est
-                self.ts = round_number
-                self.msg_type = MsgType.COMMIT
-            else:
-                self.ts = max_ts
-                self.est = max_est
-                self.msg_type = MsgType.PREPARE
-
-        return RoundOutput(self._message(), self._all)
-
-    @staticmethod
-    def _first_decide(
-        messages: dict[int, ConsensusMessage]
-    ) -> Optional[ConsensusMessage]:
-        for sender in sorted(messages):
-            if messages[sender].msg_type == MsgType.DECIDE:
-                return messages[sender]
-        return None
+    The machine's defaults are this algorithm: the Ω leader, ``Π`` as
+    destinations, and no decide-3 guard.
+    """

@@ -1,6 +1,9 @@
 """Algorithm 2: the time- and message-efficient consensus algorithm for ◊WLM.
 
-This is a line-by-line transcription of the paper's Algorithm 2.  The key
+The line-by-line transcription of the paper's Algorithm 2 is
+:class:`~repro.consensus.base.LeaderConsensus` (lines 1-8 and 12-30, shared
+with the ES and ◊LM baselines); this module states the two places where
+◊WLM differs from them — ``Destinations()`` and rule decide-3.  The key
 ideas (Section 3):
 
 - **Fresh timestamps without discovery.**  Unlike Paxos, the leader never
@@ -32,117 +35,23 @@ property already holds from round GSR-1 (the common stable-leader case).
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Optional
+from typing import FrozenSet
 
-from repro.consensus.base import (
-    ConsensusAlgorithm,
-    ConsensusMessage,
-    MsgType,
-    round_maximum,
-)
-from repro.giraf.kernel import Inbox, RoundOutput
+from repro.consensus.base import ConsensusMessage, LeaderConsensus
 
 
-class WlmConsensus(ConsensusAlgorithm):
+class WlmConsensus(LeaderConsensus):
     """The paper's Algorithm 2, code for process ``p_i``."""
-
-    def __init__(self, pid: int, n: int, proposal: Any) -> None:
-        super().__init__(pid, n, proposal)
-        # Additional state (Algorithm 2, lines 1-6).
-        self.est: Any = proposal
-        self.ts: int = 0
-        self.max_ts: int = 0
-        self.maj_approved: bool = False
-        self.prev_leader: Optional[int] = None  # prevLD_i
-        self.new_leader: Optional[int] = None  # newLD_i
-        self.msg_type: MsgType = MsgType.PREPARE
 
     # ------------------------------------------------------------------
     # procedure Destinations(leader_i)  (lines 9-11)
     # ------------------------------------------------------------------
     def _destinations(self, leader: int) -> FrozenSet[int]:
         if leader == self.pid:
-            return frozenset(range(self.n))
+            return self._all
         return frozenset({leader})
 
-    def _message(self) -> ConsensusMessage:
-        return ConsensusMessage(
-            msg_type=self.msg_type,
-            est=self.est,
-            ts=self.ts,
-            leader=self.new_leader,
-            maj_approved=self.maj_approved,
-        )
-
-    # ------------------------------------------------------------------
-    # procedure initialize(leader_i)  (lines 12-14)
-    # ------------------------------------------------------------------
-    def initialize(self, oracle_output: Any) -> RoundOutput:
-        leader = int(oracle_output)
-        self.prev_leader = leader
-        self.new_leader = leader
-        return RoundOutput(self._message(), self._destinations(leader))
-
-    # ------------------------------------------------------------------
-    # procedure compute(k_i, M[*][*], leader_i)  (lines 15-30)
-    # ------------------------------------------------------------------
-    def compute(self, round_number: int, inbox: Inbox, oracle_output: Any) -> RoundOutput:
-        leader = int(oracle_output)
-        if self._decision is None:
-            messages: dict[int, ConsensusMessage] = dict(inbox.round(round_number))
-            # Update variables (lines 18-21).  The process always has its
-            # own round-k message, so `messages` is never empty.
-            self.prev_leader = self.new_leader
-            self.new_leader = leader
-            self.max_ts, max_est = round_maximum(messages)
-            self.maj_approved = (
-                sum(1 for m in messages.values() if m.leader == self.pid)
-                > self.n // 2
-            )
-
-            # Round actions (lines 22-29).
-            decide_msg = self._first_decide(messages)
-            commit_count = sum(
-                1 for m in messages.values() if m.msg_type == MsgType.COMMIT
-            )
-            own = messages.get(self.pid)
-            leader_msg = (
-                messages.get(self.prev_leader)
-                if self.prev_leader is not None
-                else None
-            )
-            if decide_msg is not None:
-                # decide-1 (lines 23-24)
-                self.est = decide_msg.est
-                self._decide(self.est, round_number)
-                self.msg_type = MsgType.DECIDE
-            elif (
-                commit_count > self.n // 2
-                and own is not None
-                and own.msg_type == MsgType.COMMIT  # decide-2 (line 25)
-                and own.maj_approved  # decide-3 (line 26)
-            ):
-                self._decide(self.est, round_number)
-                self.msg_type = MsgType.DECIDE
-            elif leader_msg is not None and leader_msg.maj_approved:
-                # commit (lines 27-28)
-                self.est = leader_msg.est
-                self.ts = round_number
-                self.msg_type = MsgType.COMMIT
-            else:
-                # prepare (line 29)
-                self.ts = self.max_ts
-                self.est = max_est
-                self.msg_type = MsgType.PREPARE
-
-        return RoundOutput(self._message(), self._destinations(leader))
-
-    @staticmethod
-    def _first_decide(
-        messages: dict[int, ConsensusMessage]
-    ) -> Optional[ConsensusMessage]:
-        """The DECIDE message from the lowest-id sender, if any (rule decide-1)."""
-        for sender in sorted(messages):
-            if messages[sender].msg_type == MsgType.DECIDE:
-                return messages[sender]
-        return None
+    def _decide3_guard(self, own: ConsensusMessage) -> bool:
+        # decide-3 (line 26): only the leader is sure to hear a majority
+        # in ◊WLM, so the decider itself must be majority-approved.
+        return own.maj_approved

@@ -35,6 +35,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from repro.experiments import cache as trace_cache
@@ -256,6 +257,16 @@ class ProcessCellExecutor(CellExecutor):
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def submit(self, task: Callable[[Any], Any], arg: Any) -> Future:
+        try:
+            return self._open_pool().submit(task, arg)
+        except BrokenProcessPool:
+            # A worker died.  The cells it took down have already failed
+            # with this error, but a broken pool refuses every later
+            # submit too: discard it so the executor outlives the fault.
+            self.shutdown()
+            return self._open_pool().submit(task, arg)
+
+    def _open_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             active = trace_cache.active_cache()
             self._pool = ProcessPoolExecutor(
@@ -263,7 +274,7 @@ class ProcessCellExecutor(CellExecutor):
                 initializer=_init_worker,
                 initargs=(str(active.root) if active is not None else None,),
             )
-        return self._pool.submit(task, arg)
+        return self._pool
 
     def shutdown(self) -> None:
         if self._pool is not None:

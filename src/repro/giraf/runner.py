@@ -82,6 +82,19 @@ class RunResult:
         return all(value in proposed for value in self.decisions.values())
 
 
+def notify(observers: Sequence[Any], hook: str, *args: Any) -> None:
+    """Call ``hook(*args)`` on every observer that implements it.
+
+    An observer implements any subset of the hooks (see
+    :class:`LockstepRunner`); this is the one dispatch both the lockstep
+    and the round-synchronized runners use.
+    """
+    for observer in observers:
+        method = getattr(observer, hook, None)
+        if method is not None:
+            method(*args)
+
+
 class LockstepRunner:
     """Drives ``n`` GIRAF processes through synchronized rounds.
 
@@ -116,12 +129,6 @@ class LockstepRunner:
         self.processes = [GirafProcess(pid, algorithm_factory(pid)) for pid in range(n)]
         # Late messages queued as (delivery_round, original_round, src, dst, payload).
         self._late_queue: dict[int, list[tuple[int, int, int, Any]]] = {}
-
-    def _notify(self, hook: str, *args: Any) -> None:
-        for observer in self.observers:
-            method = getattr(observer, hook, None)
-            if method is not None:
-                method(*args)
 
     def _live(self, round_number: int) -> list[GirafProcess]:
         return [
@@ -159,17 +166,17 @@ class LockstepRunner:
         for proc in self.processes:
             if not self.crash_plan.crashed_at(proc.pid, 1):
                 output = self.oracle.query(proc.pid, 0)
-                self._notify("on_oracle", proc.pid, 0, output)
+                notify(self.observers, "on_oracle", proc.pid, 0, output)
                 proc.end_of_round(output)
                 decision = proc.decision()
                 if decision is not None:
-                    self._notify("on_decision", proc.pid, 0, decision)
+                    notify(self.observers, "on_decision", proc.pid, 0, decision)
                     result.decisions[proc.pid] = decision
                     result.decision_rounds[proc.pid] = 0
         for proc in self.processes:
             proposal = getattr(proc.algorithm, "proposal", None)
             if proposal is not None:
-                self._notify("on_proposal", proc.pid, proposal)
+                notify(self.observers, "on_proposal", proc.pid, proposal)
                 result.proposals[proc.pid] = proposal
 
         decided_deadline: Optional[int] = None
@@ -214,16 +221,16 @@ class LockstepRunner:
             observe = getattr(self.oracle, "observe", None)
             if observe is not None:
                 observe(k, delivered)
-            self._notify("on_round_matrix", k, delivered)
+            notify(self.observers, "on_round_matrix", k, delivered)
 
             # End-of-round computations.
             for proc in self._alive_for_compute(k):
                 output = self.oracle.query(proc.pid, k)
-                self._notify("on_oracle", proc.pid, k, output)
+                notify(self.observers, "on_oracle", proc.pid, k, output)
                 proc.end_of_round(output)
                 decision = proc.decision()
                 if decision is not None:
-                    self._notify("on_decision", proc.pid, k, decision)
+                    notify(self.observers, "on_decision", proc.pid, k, decision)
                     if proc.pid not in result.decisions:
                         result.decisions[proc.pid] = decision
                         result.decision_rounds[proc.pid] = k

@@ -27,10 +27,11 @@ from repro.models.repair import repair_to_satisfy
 class Schedule(abc.ABC):
     """Per-round delivery decisions for an ``n``-process system."""
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, late_lag: Optional[int] = None) -> None:
         if n < 2:
             raise ValueError("a distributed system needs at least 2 processes")
         self.n = n
+        self._late_lag = late_lag
 
     @abc.abstractmethod
     def matrix(self, round_number: int) -> np.ndarray:
@@ -39,10 +40,13 @@ class Schedule(abc.ABC):
     def delivered_round(self, round_number: int, src: int, dst: int) -> Optional[int]:
         """Round in which the round-``round_number`` message from ``src``
         reaches ``dst``: ``round_number`` if timely, a later round if late,
-        ``None`` if lost.  The default treats every untimely message as lost.
+        ``None`` if lost.  An untimely message is lost, or arrives
+        ``late_lag`` rounds late when the schedule was built with one.
         """
         if self.matrix(round_number)[dst, src]:
             return round_number
+        if self._late_lag is not None:
+            return round_number + self._late_lag
         return None
 
 
@@ -63,22 +67,14 @@ class MatrixSchedule(Schedule):
             raise ValueError("need at least one matrix")
         for m in matrices:
             validate_matrix(m, n=matrices[0].shape[0])
-        super().__init__(matrices[0].shape[0])
+        super().__init__(matrices[0].shape[0], late_lag)
         self._matrices = [np.array(m, dtype=bool) for m in matrices]
-        self._late_lag = late_lag
 
     def matrix(self, round_number: int) -> np.ndarray:
         if round_number < 1:
             raise ValueError("rounds are 1-based")
         index = min(round_number - 1, len(self._matrices) - 1)
         return self._matrices[index]
-
-    def delivered_round(self, round_number: int, src: int, dst: int) -> Optional[int]:
-        if self.matrix(round_number)[dst, src]:
-            return round_number
-        if self._late_lag is not None:
-            return round_number + self._late_lag
-        return None
 
 
 class IIDSchedule(Schedule):
@@ -97,12 +93,11 @@ class IIDSchedule(Schedule):
         seed: int = 0,
         late_lag: Optional[int] = None,
     ) -> None:
-        super().__init__(n)
+        super().__init__(n, late_lag)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must be a probability, got {p}")
         self.p = p
         self._seed = seed
-        self._late_lag = late_lag
         self._cache: dict[int, np.ndarray] = {}
 
     def matrix(self, round_number: int) -> np.ndarray:
@@ -116,15 +111,54 @@ class IIDSchedule(Schedule):
             self._cache[round_number] = cached
         return cached
 
-    def delivered_round(self, round_number: int, src: int, dst: int) -> Optional[int]:
-        if self.matrix(round_number)[dst, src]:
-            return round_number
-        if self._late_lag is not None:
-            return round_number + self._late_lag
-        return None
+
+class _RepairingSchedule(Schedule):
+    """A base schedule whose *good* rounds are repaired to satisfy a model.
+
+    Subclasses say which rounds are good (:meth:`good_round`); the repair
+    itself — links turned on by a per-round seeded rng until the model's
+    predicate holds, memoised so random access is deterministic — is
+    stated here once.
+    """
+
+    def __init__(
+        self,
+        base: Schedule,
+        model: TimingModel | str,
+        leader: Optional[int],
+        seed: int,
+        correct: Optional[Sequence[int]],
+    ) -> None:
+        super().__init__(base.n)
+        self._base = base
+        self._model = get_model(model) if isinstance(model, str) else model
+        self._leader = leader
+        self._seed = seed
+        self._correct = None if correct is None else tuple(sorted(set(correct)))
+        self._cache: dict[int, np.ndarray] = {}
+
+    @abc.abstractmethod
+    def good_round(self, round_number: int) -> bool:
+        """Whether this round is forced to satisfy the model."""
+
+    def matrix(self, round_number: int) -> np.ndarray:
+        if not self.good_round(round_number):
+            return self._base.matrix(round_number)
+        cached = self._cache.get(round_number)
+        if cached is None:
+            rng = np.random.default_rng((self._seed, round_number, 0xFACE))
+            cached = repair_to_satisfy(
+                self._base.matrix(round_number),
+                self._model,
+                leader=self._leader,
+                rng=rng,
+                correct=self._correct,
+            )
+            self._cache[round_number] = cached
+        return cached
 
 
-class StableAfterSchedule(Schedule):
+class StableAfterSchedule(_RepairingSchedule):
     """Wrap a base schedule and force a timing model to hold from GSR onward.
 
     Before ``gsr`` the base schedule is used untouched; from round ``gsr``
@@ -142,32 +176,13 @@ class StableAfterSchedule(Schedule):
         seed: int = 0,
         correct: Optional[Sequence[int]] = None,
     ) -> None:
-        super().__init__(base.n)
         if gsr < 1:
             raise ValueError("gsr must be at least 1 (rounds are 1-based)")
-        self._base = base
+        super().__init__(base, model, leader, seed, correct)
         self.gsr = gsr
-        self._model = get_model(model) if isinstance(model, str) else model
-        self._leader = leader
-        self._seed = seed
-        self._correct = None if correct is None else tuple(sorted(set(correct)))
-        self._cache: dict[int, np.ndarray] = {}
 
-    def matrix(self, round_number: int) -> np.ndarray:
-        if round_number < self.gsr:
-            return self._base.matrix(round_number)
-        cached = self._cache.get(round_number)
-        if cached is None:
-            rng = np.random.default_rng((self._seed, round_number, 0xFACE))
-            cached = repair_to_satisfy(
-                self._base.matrix(round_number),
-                self._model,
-                leader=self._leader,
-                rng=rng,
-                correct=self._correct,
-            )
-            self._cache[round_number] = cached
-        return cached
+    def good_round(self, round_number: int) -> bool:
+        return round_number >= self.gsr
 
     def delivered_round(self, round_number: int, src: int, dst: int) -> Optional[int]:
         if self.matrix(round_number)[dst, src]:
@@ -177,7 +192,7 @@ class StableAfterSchedule(Schedule):
         return self._base.delivered_round(round_number, src, dst)
 
 
-class IntermittentlyStableSchedule(Schedule):
+class IntermittentlyStableSchedule(_RepairingSchedule):
     """Each round independently satisfies a model with probability ``stability_prob``.
 
     This is the Section 4 setting seen from the model's side: a round is
@@ -197,37 +212,14 @@ class IntermittentlyStableSchedule(Schedule):
         seed: int = 0,
         correct: Optional[Sequence[int]] = None,
     ) -> None:
-        super().__init__(base.n)
         if not 0.0 <= stability_prob <= 1.0:
             raise ValueError("stability_prob must be a probability")
-        self._base = base
+        super().__init__(base, model, leader, seed, correct)
         self.stability_prob = stability_prob
-        self._model = get_model(model) if isinstance(model, str) else model
-        self._leader = leader
-        self._seed = seed
-        self._correct = None if correct is None else tuple(sorted(set(correct)))
-        self._cache: dict[int, np.ndarray] = {}
 
     def good_round(self, round_number: int) -> bool:
-        """Whether this round is forced to satisfy the model."""
         rng = np.random.default_rng((self._seed, round_number, 0xBEEF))
         return bool(rng.random() < self.stability_prob)
-
-    def matrix(self, round_number: int) -> np.ndarray:
-        if not self.good_round(round_number):
-            return self._base.matrix(round_number)
-        cached = self._cache.get(round_number)
-        if cached is None:
-            rng = np.random.default_rng((self._seed, round_number, 0xFACE))
-            cached = repair_to_satisfy(
-                self._base.matrix(round_number),
-                self._model,
-                leader=self._leader,
-                rng=rng,
-                correct=self._correct,
-            )
-            self._cache[round_number] = cached
-        return cached
 
 
 @dataclass

@@ -110,6 +110,7 @@ import numpy as np
 
 from repro.faults.lockstep import base_oracle
 from repro.giraf.oracle import NullOracle
+from repro.giraf.runner import notify
 from repro.oracles.omega import HeartbeatOmega
 from repro.sim.transport import Transport
 from repro.sync.heartbeat import HeartbeatAlgorithm
@@ -548,14 +549,9 @@ def run_batched(run: SyncRun, times: list[float]) -> SyncRunResult:
     # ------------------------------------------------------------------
     oracle = run.nodes[0].oracle
     wants_oracle = type(base_oracle(oracle)) is not NullOracle
-    wants_notify = any(
-        getattr(observer, "on_oracle", None) is not None
-        for observer in run.observers
-    )
-    if wants_oracle or wants_notify:
-        for node in run.nodes:
-            output = oracle.query(node.process.pid, 0)
-            node._notify("on_oracle", node.process.pid, 0, output)
+    if wants_oracle or run.observers:
+        for pid in range(n):
+            notify(run.observers, "on_oracle", pid, 0, oracle.query(pid, 0))
         observe_rows = getattr(oracle, "observe_rows", None)
         ends_per_round = [
             [pid for pid in range(n) if k <= ended[pid]]
@@ -568,8 +564,7 @@ def run_batched(run: SyncRun, times: list[float]) -> SyncRunResult:
             if observe_rows is not None:
                 observe_rows(k, timely[k - 1], rows=enders)
             for pid in enders:
-                output = oracle.query(pid, k)
-                run.nodes[pid]._notify("on_oracle", pid, k, output)
+                notify(run.observers, "on_oracle", pid, k, oracle.query(pid, k))
 
     # Leave the simulator where the scalar loop stops: at the last
     # surviving round-end timer, with the never-fired events discarded.

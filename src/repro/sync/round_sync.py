@@ -30,6 +30,7 @@ from repro.faults.plan import FaultPlan
 from repro.giraf.kernel import GirafAlgorithm
 from repro.giraf.oracle import Oracle
 from repro.giraf.process import GirafProcess
+from repro.giraf.runner import notify
 from repro.obs.recorder import RunRecorder, recorder_or_null
 from repro.obs.registry import MetricsRegistry, registry_or_null
 from repro.sim.clock import Clock
@@ -101,20 +102,14 @@ class SyncedNode:
         transport.register(process.pid, self._on_receive)
         simulator.schedule(start_time, self._boot, tag=f"boot:{process.pid}")
 
-    def _notify(self, hook: str, *args: Any) -> None:
-        for observer in self._observers:
-            method = getattr(observer, hook, None)
-            if method is not None:
-                method(*args)
-
     def _report_decision(self, round_number: int) -> None:
         decision = self.process.decision()
         if decision is None:
             return
         if self.decision_round is None:
             self.decision_round = round_number
-        self._notify(
-            "on_decision", self.process.pid, round_number, decision
+        notify(
+            self._observers, "on_decision", self.process.pid, round_number, decision
         )
 
     # ------------------------------------------------------------------
@@ -123,7 +118,7 @@ class SyncedNode:
     def _boot(self) -> None:
         self.running = True
         output = self.oracle.query(self.process.pid, 0)
-        self._notify("on_oracle", self.process.pid, 0, output)
+        notify(self._observers, "on_oracle", self.process.pid, 0, output)
         self.process.end_of_round(output)
         self._report_decision(0)
         self._begin_round(self.timeout)
@@ -175,7 +170,7 @@ class SyncedNode:
             row[list(self.timely_receipts.get(k, ()))] = True
             observe_row(self.process.pid, k, row)
         output = self.oracle.query(self.process.pid, k)
-        self._notify("on_oracle", self.process.pid, k, output)
+        notify(self._observers, "on_oracle", self.process.pid, k, output)
         self.process.end_of_round(output, next_round=next_round)
         self._report_decision(k)
 
@@ -394,10 +389,7 @@ class SyncRun:
         for node in self.nodes:
             proposal = getattr(node.process.algorithm, "proposal", None)
             if proposal is not None:
-                for observer in self.observers:
-                    method = getattr(observer, "on_proposal", None)
-                    if method is not None:
-                        method(node.process.pid, proposal)
+                notify(self.observers, "on_proposal", node.process.pid, proposal)
         # Node-level faults are booked at run(), not here, so per-node
         # state mutated in between (heterogeneous timeouts in particular)
         # is respected.
@@ -546,10 +538,7 @@ class SyncRun:
             # ``on_round_matrix`` hooks fire here as a replay after the
             # simulation ends — same stream as the lockstep runner's live
             # notifications, delivered late.
-            for observer in self.observers:
-                method = getattr(observer, "on_round_matrix", None)
-                if method is not None:
-                    method(k, matrix)
+            notify(self.observers, "on_round_matrix", k, matrix)
             starts = [
                 node.round_starts[k]
                 for node in self.nodes

@@ -8,6 +8,10 @@ cache in the loop.
 """
 
 import asyncio
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ import pytest
 from repro.experiments import cache as cache_module
 from repro.experiments.config import SweepConfig
 from repro.experiments.figures import figure_1c, run_wan_sweep
+from repro.experiments.parallel import ProcessCellExecutor
 from repro.experiments.robustness import robustness_report
 from repro.obs.registry import MetricsRegistry
 from repro.service import (
@@ -26,7 +31,7 @@ from repro.service import (
     WanSweepJob,
     run_jobs,
 )
-from repro.service.jobs import _decision_cell
+from repro.service.jobs import JobSpec, Priority, _decision_cell
 
 TINY = SweepConfig(
     rounds_per_run=30, runs=2, start_points=3, timeouts=(0.16, 0.21), seed=11
@@ -134,3 +139,46 @@ class TestServiceResultsMatchDirectEngine:
         ]
         for got, want in zip(results, expected):
             assert_stats_identical(got, want)
+
+
+def _kill_own_worker(arg):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@dataclass(frozen=True)
+class _WorkerKillingJob(JobSpec):
+    """One cell that SIGKILLs the pool worker executing it."""
+
+    priority: Priority = Priority.BATCH
+
+    def key(self) -> str:
+        return "test:worker-killing-job"
+
+    def cells(self):
+        return [(_kill_own_worker, None)]
+
+    def assemble(self, results):
+        return results
+
+
+class TestDeadPoolWorker:
+    def test_service_outlives_a_killed_worker(self):
+        """The job whose worker dies fails loudly; the next job on the
+        same long-lived service completes, bit-identical to the serial
+        engine (a broken pool used to fail every later job forever)."""
+
+        async def go():
+            async with SweepService(
+                executor=ProcessCellExecutor(2)
+            ) as service:
+                with pytest.raises(BrokenProcessPool):
+                    await service.submit(_WorkerKillingJob()).result()
+                return await service.submit(WanSweepJob(config=TINY)).result()
+
+        assert_sweeps_identical(run_wan_sweep(TINY), asyncio.run(go()))
+
+    def test_executor_opens_a_fresh_pool_after_a_dead_worker(self):
+        with ProcessCellExecutor(1) as executor:
+            with pytest.raises(BrokenProcessPool):
+                executor.submit(_kill_own_worker, None).result()
+            assert executor.submit(abs, -3).result() == 3

@@ -10,104 +10,26 @@ stays safe.  It both documents why the mechanism exists and proves this
 suite can detect agreement violations at all.
 """
 
-from typing import Any
-
-from repro.consensus.base import ConsensusMessage, MsgType, round_maximum
+from repro.check.mutation import BrokenAgreementWlm, agreement_violation_run
 from repro.core import WlmConsensus
-from repro.giraf import LockstepRunner, MatrixSchedule
-from repro.giraf.kernel import Inbox, RoundOutput
-from repro.giraf.oracle import ScriptedOracle
-from repro.models.matrix import empty_matrix
-
-
-class BrokenWlmConsensus(WlmConsensus):
-    """Algorithm 2 with majApproved stripped from commit and decide-3."""
-
-    def compute(self, round_number: int, inbox: Inbox, oracle_output: Any) -> RoundOutput:
-        leader = int(oracle_output)
-        if self._decision is None:
-            messages = dict(inbox.round(round_number))
-            self.prev_leader = self.new_leader
-            self.new_leader = leader
-            self.max_ts, max_est = round_maximum(messages)
-            self.maj_approved = (
-                sum(1 for m in messages.values() if m.leader == self.pid)
-                > self.n // 2
-            )
-            decide_msg = self._first_decide(messages)
-            commit_count = sum(
-                1 for m in messages.values() if m.msg_type == MsgType.COMMIT
-            )
-            own = messages.get(self.pid)
-            leader_msg = messages.get(self.prev_leader)
-            if decide_msg is not None:
-                self.est = decide_msg.est
-                self._decide(self.est, round_number)
-                self.msg_type = MsgType.DECIDE
-            elif (
-                commit_count > self.n // 2
-                and own is not None
-                and own.msg_type == MsgType.COMMIT
-                # MUTATION: decide-3 (own majApproved) removed.
-            ):
-                self._decide(self.est, round_number)
-                self.msg_type = MsgType.DECIDE
-            elif leader_msg is not None:
-                # MUTATION: commit without the leader's majApproved.
-                self.est = leader_msg.est
-                self.ts = round_number
-                self.msg_type = MsgType.COMMIT
-            else:
-                self.ts = self.max_ts
-                self.est = max_est
-                self.msg_type = MsgType.PREPARE
-        return RoundOutput(self._message(), self._destinations(leader))
-
-
-def adversarial_world():
-    """3 processes; p0 trusts itself, p1 and p2 trust p2.
-
-    Round 1: everyone hears only its own trusted leader (p0 hears itself;
-    p1 hears p2; p2 hears itself) — without majApproved, all three
-    *commit* (p0 on "A"; p1 and p2 on "C").  Round 2: p0 hears its own
-    COMMIT plus p2's — two COMMITs, a majority — and decides "A"; p2
-    hears its own COMMIT plus p1's and decides "C".  Two decisions, two
-    values: agreement violated.
-    """
-    n = 3
-    round1 = empty_matrix(n)
-    round1[1, 2] = True  # p2 -> p1
-    round2 = empty_matrix(n)
-    round2[0, 2] = True  # p2 -> p0
-    round2[2, 1] = True  # p1 -> p2
-    schedule = MatrixSchedule([round1, round2, empty_matrix(n)])
-    oracle = ScriptedOracle([[0, 2, 2]])
-    proposals = ["A", "B-from-p1", "C"]
-    return n, schedule, oracle, proposals
 
 
 class TestMajApprovedNecessity:
+    """The world is :func:`agreement_violation_run`'s: 3 processes, p0
+    trusts itself, p1 and p2 trust p2.  Round 1: everyone hears only its
+    own trusted leader — without majApproved, all three *commit* (p0 on
+    "A"; p1 and p2 on "C").  Round 2: p0 hears its own COMMIT plus p2's —
+    two COMMITs, a majority — and decides "A"; p2 hears its own COMMIT
+    plus p1's and decides "C".  Two decisions, two values."""
+
     def test_mutant_violates_agreement(self):
-        n, schedule, oracle, proposals = adversarial_world()
-        runner = LockstepRunner(
-            n,
-            lambda pid: BrokenWlmConsensus(pid, n, proposals[pid]),
-            oracle,
-            schedule,
-        )
-        result = runner.run(max_rounds=2, stop_on_global_decision=False)
+        result = agreement_violation_run(algorithm=BrokenAgreementWlm)
         assert len(result.decisions) >= 2
+        assert max(result.decision_rounds.values()) <= 2
         assert not result.agreement_holds(), result.decisions
 
     def test_algorithm_2_is_safe_on_the_same_world(self):
-        n, schedule, oracle, proposals = adversarial_world()
-        runner = LockstepRunner(
-            n,
-            lambda pid: WlmConsensus(pid, n, proposals[pid]),
-            oracle,
-            schedule,
-        )
-        result = runner.run(max_rounds=10, stop_on_global_decision=False)
+        result = agreement_violation_run(algorithm=WlmConsensus)
         assert result.agreement_holds()
         # In fact nobody can even commit here: no leader ever carries a
         # majority's approval.
