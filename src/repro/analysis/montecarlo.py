@@ -46,9 +46,7 @@ def estimate_p_model(
         matrix = rng.random((n, n)) < p
         # Keep the self-link assumption OUT, as in the paper's analysis;
         # the predicate helpers tolerate an arbitrary diagonal.
-        if registry_model.satisfied(
-            matrix, leader=leader if registry_model.needs_leader else None
-        ):
+        if registry_model.satisfied(matrix, leader=leader):
             hits += 1
     return hits / samples
 
@@ -74,13 +72,12 @@ def estimate_decision_rounds(
     if window is None:
         window = DECISION_ROUNDS[model.upper()]
     rng = np.random.default_rng(seed)
-    leader_arg = leader if registry_model.needs_leader else None
     total = 0.0
     for _ in range(runs):
         consecutive = 0
         for round_index in range(1, max_rounds + 1):
             matrix = rng.random((n, n)) < p
-            if registry_model.satisfied(matrix, leader=leader_arg):
+            if registry_model.satisfied(matrix, leader=leader):
                 consecutive += 1
                 if consecutive >= window:
                     total += round_index

@@ -337,12 +337,11 @@ def differential_run(
     )
     for model_name in DIFF_MODELS:
         model = get_model(model_name)
-        model_leader = leader if model.needs_leader else None
         rows.append(
             DiffRow(
                 f"P_{model_name}",
-                model_satisfaction(lock_m, model, leader=model_leader),
-                model_satisfaction(event_m, model, leader=model_leader),
+                model_satisfaction(lock_m, model, leader=leader),
+                model_satisfaction(event_m, model, leader=leader),
                 PM_TOLERANCE,
             )
         )

@@ -90,10 +90,9 @@ class WanSweep:
         ``model`` (under the sweep's leader, if the model needs one)."""
         key = ("satisfied", model)
         if key not in self._tables:
-            leader = self.leader if get_model(model).needs_leader else None
             self._tables[key] = [
                 [
-                    satisfaction_vector(run.matrices, model, leader)
+                    satisfaction_vector(run.matrices, model, self.leader)
                     for run in self.runs[timeout]
                 ]
                 for timeout in self.config.timeouts
@@ -242,9 +241,8 @@ def lan_cell(config: SweepConfig, t_index: int, r_index: int) -> LanCell:
     matrices = timely_matrices(trace, timeout)
     measurements: dict[str, float] = {}
     for model in MEASURED_MODELS:
-        leader = GOOD_LEADER if get_model(model).needs_leader else None
         measurements[f"measured_{model}"] = model_satisfaction(
-            matrices, model, leader=leader
+            matrices, model, leader=GOOD_LEADER
         )
     measurements["measured_WLM_avg_leader"] = model_satisfaction(
         matrices, "WLM", leader=AVERAGE_LEADER
@@ -514,9 +512,8 @@ def figure_1k(
         predicted = []
         for gsr in gsr_grid:
             adversary = StabilityWindowAdversary(n=n, gsr_round=int(gsr))
-            leader = 0 if get_model(model).needs_leader else None
             rounds = simulate_adversary_decision_rounds(
-                adversary, p, model, runs=runs, seed=seed, leader=leader
+                adversary, p, model, runs=runs, seed=seed, leader=0
             )
             simulated.append(float(rounds.mean()))
             predicted.append(predicted_decision_round(adversary, p_m, model))

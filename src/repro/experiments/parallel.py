@@ -322,6 +322,12 @@ def _map_cells(
     begin = time.perf_counter()
     flat: list[Any] = []
 
+    # Cells run in worker processes count on the workers' copies of the
+    # trace cache; their profiles credit this process's, which is the
+    # one the run reports from.
+    remote = isinstance(executor, ProcessCellExecutor)
+    active = trace_cache.active_cache()
+
     def consume(outcome: CellOutcome) -> None:
         nonlocal busy
         flat.append(outcome.result)
@@ -329,6 +335,9 @@ def _map_cells(
         cell_seconds.observe(outcome.seconds)
         cache_hits.inc(outcome.cache_hits)
         cache_misses.inc(outcome.cache_misses)
+        if remote and active is not None:
+            active.hits += outcome.cache_hits
+            active.misses += outcome.cache_misses
 
     with executor:
         if executor.inline:

@@ -187,16 +187,13 @@ def measure_robustness(
     if plans is None:
         plans = canonical_plans(config.n, config.rounds_per_run, seed)
 
-    def leader_for(model: str) -> Optional[int]:
-        return sweep.leader if get_model(model).needs_leader else None
-
     def vectors(
         matrices_by_run: Sequence[np.ndarray],
         model: str,
         plan: Optional[FaultPlan],
     ) -> list[np.ndarray]:
         return [
-            _satisfaction(m, model, leader_for(model), plan)
+            _satisfaction(m, model, sweep.leader, plan)
             for m in matrices_by_run
         ]
 

@@ -174,11 +174,7 @@ def choose_timing_model(
             # One satisfaction vector per (run, model); P_M and the
             # decision statistics are both read off it.
             vectors = [
-                satisfaction_vector(
-                    matrices,
-                    model,
-                    leader if MODELS[model].needs_leader else None,
-                )
+                satisfaction_vector(matrices, model, leader)
                 for matrices in matrices_by_run
             ]
             mean_rounds = mean_decision_rounds(

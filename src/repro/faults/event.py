@@ -69,7 +69,15 @@ class PlanLinkFaults:
         self._metrics = registry_or_null(metrics)
         self._seen_activations: set[tuple[str, int]] = set()
 
-    def _activate(self, kind: str, index: int) -> None:
+    @property
+    def consumed(self) -> bool:
+        """Whether any message has advanced a burst counter or fired an
+        episode: a used policy no longer replays its plan from the top."""
+        return bool(self._burst_counters or self._seen_activations)
+
+    def activate(self, kind: str, index: int) -> None:
+        """Episode ``index`` of ``kind`` affected a message: counted in
+        ``faults.activations`` the first time only."""
         if (kind, index) in self._seen_activations:
             return
         self._seen_activations.add((kind, index))
@@ -94,13 +102,13 @@ class PlanLinkFaults:
             self.last_drop_cause = "crash"
             for index, crash in enumerate(plan.crashes):
                 if crash.pid in (src, dst) and crash.down_at(round_number):
-                    self._activate("crash-link", index)
+                    self.activate("crash-link", index)
             return True
         if state.cross[dst, src]:
             self.last_drop_cause = "partition"
             for index, partition in enumerate(plan.partitions):
                 if partition.active_at(round_number):
-                    self._activate("partition", index)
+                    self.activate("partition", index)
             return True
         for index in state.bursts:
             count = self._burst_counters.get((src, dst), 0)
@@ -110,7 +118,7 @@ class PlanLinkFaults:
             )
             if draw < plan.loss_bursts[index].drop_prob:
                 self.last_drop_cause = "loss-burst"
-                self._activate("loss-burst", index)
+                self.activate("loss-burst", index)
                 return True
         return False
 

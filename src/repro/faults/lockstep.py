@@ -71,18 +71,12 @@ class ChurningOracle(Oracle):
             return self.plan.churn_leader(round_number)
         return self.base.query(pid, round_number)
 
-    def observe(self, round_number: int, delivered: np.ndarray) -> None:
-        observe = getattr(self.base, "observe", None)
-        if observe is not None:
-            observe(round_number, delivered)
-
     def __getattr__(self, name: str):
-        # The per-row observation seams (observe_row / observe_rows) —
-        # and any future feed the base detector grows — pass straight
-        # through; churn perturbs queries, never observations.  Only
-        # exposed when the base actually has them, so feature probes
-        # (``getattr(oracle, "observe_row", None)``) stay accurate.
-        if name in ("observe_row", "observe_rows"):
+        # Churn perturbs queries, never observations: the base detector's
+        # feeds pass straight through.  Only exposed when the base has
+        # them, so feature probes (``getattr(oracle, "observe_rows",
+        # None)``) stay accurate.
+        if name in ("observe", "observe_rows"):
             return getattr(self.base, name)
         raise AttributeError(name)
 

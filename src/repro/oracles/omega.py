@@ -7,9 +7,14 @@ instances of consensus".  This module provides the implementation those
 citations stand for, at the abstraction GIRAF uses:
 
 :class:`HeartbeatOmega` watches which processes' messages actually arrive
-(the runner reports each round's delivery matrix through
-:meth:`observe`) and trusts the smallest-id process heard within the last
-``suspicion_rounds`` rounds.  Properties:
+and trusts the smallest-id process heard within the last
+``suspicion_rounds`` rounds.  It has one feed,
+:meth:`~HeartbeatOmega.observe_rows`: the lockstep runner reports each
+round's whole delivery matrix (``observe``, the same call over every
+row), the event-driven nodes each report their own row of the run's
+:class:`~repro.sync.round_sync.RoundLog` as their round ends, and the
+batched executor reports the rows of the nodes that ended the round.
+Properties:
 
 - **Eventual agreement**: once the system stabilizes and some correct
   process's messages reach everyone each round (true under ES/◊LM/◊WLM
@@ -65,62 +70,10 @@ class HeartbeatOmega(Oracle):
         self._last_output: dict[int, int] = {}
 
     def observe(self, round_number: int, delivered: np.ndarray) -> None:
-        """Feed one round's delivery matrix (``delivered[dst, src]``).
-
-        The lockstep runner calls this at the end of every round; each
-        process always "hears" itself.  The freshness map is monotone:
-        a repeated or out-of-order observation (replayed matrices, a
-        fault-injected runner re-driving a round) can only confirm that a
-        process was heard, never roll its last-heard round backwards and
-        resurrect suspicion of a live process.
-        """
-        if delivered.shape != (self.n, self.n):
-            raise ValueError("delivery matrix has wrong shape")
-        heard = delivered.copy()
-        np.fill_diagonal(heard, True)
-        np.maximum(
-            self._last_heard,
-            np.where(heard, round_number, self._last_heard),
-            out=self._last_heard,
-        )
-        suspected = self._last_heard < (round_number - self.suspicion_rounds)
-        raised = int(np.count_nonzero(suspected & ~self._suspected))
-        cleared = int(np.count_nonzero(~suspected & self._suspected))
-        if raised:
-            self._suspicions_raised.inc(raised)
-        if cleared:
-            self._suspicions_cleared.inc(cleared)
-        self._suspected = suspected
-
-    def observe_row(
-        self, pid: int, round_number: int, heard_row: np.ndarray
-    ) -> None:
-        """Feed one process's view of one round: ``heard_row[src]`` says
-        whether ``pid`` heard ``src`` this round.
-
-        The detector is local — :meth:`query`/:meth:`trusted`/:meth:`alive`
-        for ``pid`` read only row ``pid`` of the freshness map — so the
-        event-driven path can report each node's round observation the
-        moment that node's round ends, instead of waiting to assemble the
-        full matrix.  A sequence of per-row observations is exactly
-        equivalent to :meth:`observe` of the assembled matrix: same
-        freshness map, same suspicion counters (summed per row).
-        """
-        heard_row = np.asarray(heard_row, dtype=bool)
-        if heard_row.shape != (self.n,):
-            raise ValueError("delivery row has wrong shape")
-        heard = heard_row.copy()
-        heard[pid] = True
-        row = self._last_heard[pid]
-        np.maximum(row, np.where(heard, round_number, row), out=row)
-        suspected = row < (round_number - self.suspicion_rounds)
-        raised = int(np.count_nonzero(suspected & ~self._suspected[pid]))
-        cleared = int(np.count_nonzero(~suspected & self._suspected[pid]))
-        if raised:
-            self._suspicions_raised.inc(raised)
-        if cleared:
-            self._suspicions_cleared.inc(cleared)
-        self._suspected[pid] = suspected
+        """Feed one round's delivery matrix (``delivered[dst, src]``):
+        the lockstep runner's end-of-round call, :meth:`observe_rows`
+        over every row."""
+        self.observe_rows(round_number, delivered)
 
     def observe_rows(
         self,
@@ -128,14 +81,21 @@ class HeartbeatOmega(Oracle):
         delivered: np.ndarray,
         rows: Optional[Sequence[int]] = None,
     ) -> None:
-        """Feed one round's delivery matrix for a subset of receivers.
+        """Feed the receivers ``rows`` (all when ``None``) their rows of
+        one round's delivery matrix — the detector's one feed, and the
+        one statement of its rule.
 
-        Equivalent to calling :meth:`observe_row` for each pid in
-        ``rows`` (all of them when ``rows`` is ``None``), vectorized:
-        by row-locality the per-row updates are independent, and the
-        suspicion counters receive the same totals (per-row increments
-        sum).  This is the bulk seam the batched round-sync executor
-        uses to replay each round's observations in one pass.
+        Each process always "hears" itself.  The freshness map is
+        monotone: a repeated or out-of-order observation (replayed
+        matrices, a fault-injected runner re-driving a round) can only
+        confirm that a process was heard, never roll its last-heard round
+        backwards and resurrect suspicion of a live process.
+
+        The detector is local (:meth:`query` for ``pid`` reads only row
+        ``pid``), so a round may arrive whole or one receiver at a time,
+        in any order, as each event-driven node's round ends: same
+        freshness map, same suspicion masks, same raised / cleared
+        totals (per-row increments sum).
         """
         delivered = np.asarray(delivered, dtype=bool)
         if delivered.shape != (self.n, self.n):
@@ -147,7 +107,7 @@ class HeartbeatOmega(Oracle):
         )
         if sel.size == 0:
             return
-        heard = delivered[sel].copy()
+        heard = delivered[sel]
         heard[np.arange(sel.size), sel] = True
         block = self._last_heard[sel]
         np.maximum(block, np.where(heard, round_number, block), out=block)
@@ -174,7 +134,7 @@ class HeartbeatOmega(Oracle):
     def suspected(self, pid: int, round_number: int) -> np.ndarray:
         """Mask of processes outside ``pid``'s window at ``round_number``.
 
-        The same windowed comparison :meth:`observe` uses for the
+        The same windowed comparison :meth:`observe_rows` uses for the
         suspicion metrics, exposed per-process for inspection and tests.
         """
         return self._last_heard[pid] < (round_number - self.suspicion_rounds)

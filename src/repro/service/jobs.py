@@ -44,7 +44,6 @@ from repro.experiments.parallel import (
     rows_from_flat,
     wan_cell_tasks,
 )
-from repro.models.registry import get_model
 from repro.net.planetlab import LEADER_NODE
 
 #: Version tag folded into every job key: bump when a job type's
@@ -158,7 +157,7 @@ def _decision_cell(
         model,
         round_length=config.timeouts[t_index],
         start_points=config.start_points,
-        leader=LEADER_NODE if get_model(model).needs_leader else None,
+        leader=LEADER_NODE,
         rng=np.random.default_rng(
             config.run_seed(t_index, r_index, purpose="decision")
         ),

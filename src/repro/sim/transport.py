@@ -10,6 +10,7 @@ statistics of the link model, not from the transport.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Protocol
 
@@ -21,7 +22,8 @@ from repro.sim.events import Simulator
 
 
 class LinkModel(Protocol):
-    """Samples per-message latency; ``None`` means the message is lost."""
+    """Samples per-message latency; ``None`` (or ``+inf``) means the
+    message is lost."""
 
     def sample_latency(self, src: int, dst: int, now: float) -> Optional[float]:
         """Latency in seconds for a message from ``src`` to ``dst`` sent at ``now``."""
@@ -168,6 +170,17 @@ class Transport:
             self._drop_counters[cause] = counter
         counter.inc(count)
 
+    def count_sends(
+        self, sent: int, delivered: int, latencies: np.ndarray
+    ) -> None:
+        """Account ``sent`` messages at once, as :meth:`send` would one
+        by one: ``delivered`` reached a handler, and ``latencies`` holds
+        the latency of each one not lost, in send order."""
+        self.messages_sent += sent
+        self._sent_counter.inc(sent)
+        self._delivered_counter.inc(delivered)
+        self._latency_hist.observe_many(latencies)
+
     def _drop(self, cause: str, src: int, dst: int, now: float) -> None:
         """One message lost on the wire: accounted and put on the timeline."""
         self.count_drops(cause)
@@ -228,12 +241,13 @@ class Transport:
             state[2] = 0
         return state
 
-    def _next_stream_latency(self, src: int, dst: int) -> Optional[float]:
-        """Pop the next pre-sampled latency of the link ``src → dst``."""
+    def _next_stream_latency(self, src: int, dst: int) -> float:
+        """Pop the next pre-sampled latency of the link ``src → dst``
+        (a lost message is ``+inf``)."""
         state = self._stream(src, dst)
         value = state[1][state[2]]
         state[2] += 1
-        return None if np.isinf(value) else float(value)
+        return float(value)
 
     def next_stream_latencies(self, src: int, dst: int, count: int) -> np.ndarray:
         """The next ``count`` pre-sampled latencies of ``src → dst`` at
@@ -277,10 +291,22 @@ class Transport:
             if dropped:
                 latency = None
                 cause = getattr(faults, "last_drop_cause", None) or "fault"
-            elif latency is not None and faults is not None:
-                factor = faults.latency_factor(src, dst, now)
-                if factor != 1.0:
-                    latency = latency * factor
+            elif latency is not None:
+                if faults is not None:
+                    factor = faults.latency_factor(src, dst, now)
+                    if factor != 1.0:
+                        latency = latency * factor
+                # The one door a sampled latency enters by, whichever
+                # source drew it: ``+inf`` is a message the link lost,
+                # and what the event queue cannot place (NaN, a negative
+                # delay) is reported here, by link and model.
+                if latency == math.inf:
+                    latency = None
+                elif not latency >= 0.0:
+                    raise ValueError(
+                        f"link {src} → {dst}: {type(self._link_model).__name__}"
+                        f" sampled latency {latency!r}, not a delay in seconds"
+                    )
         record: Optional[Delivery] = None
         if self._trace:
             record = Delivery(

@@ -16,7 +16,8 @@ event-driven form over the simulator):
 The paper found this achieves very fast synchronization and immediate
 resynchronization after disruptions — properties the test-suite checks.
 
-- :mod:`round_sync` — :class:`SyncedNode` and :class:`SyncRun`.
+- :mod:`round_sync` — :class:`SyncedNode`, :class:`SyncRun` and the
+  :class:`RoundLog` every run records its rounds in.
 - :mod:`heartbeat` — the all-to-all probe algorithm used by measurement
   runs (each node sends to everyone each round, as in the paper's WAN
   experiment).
@@ -24,11 +25,12 @@ resynchronization after disruptions — properties the test-suite checks.
   heartbeat runs (``SyncRun.run`` picks it automatically).
 """
 
-from repro.sync.round_sync import SyncedNode, SyncRun, SyncRunResult
+from repro.sync.round_sync import RoundLog, SyncedNode, SyncRun, SyncRunResult
 from repro.sync.heartbeat import HeartbeatAlgorithm
 from repro.sync.batch import batch_ineligible_reason, run_batched
 
 __all__ = [
+    "RoundLog",
     "SyncedNode",
     "SyncRun",
     "SyncRunResult",

@@ -29,17 +29,19 @@ This module computes the same run in a handful of NumPy passes:
    (a delivery and a round timer at the same timestamp fire in
    scheduling-sequence order) in closed form;
 5. transport and round-sync telemetry (``repro.obs`` counters and the
-   latency histogram) is bulk-accumulated from the same arrays,
-   equivalent to the scalar path's per-event increments, and
+   latency histogram) is bulk-accumulated from the same arrays through
+   the owners' public bulk accountants
+   (:meth:`~repro.sim.transport.Transport.count_sends` /
+   :meth:`~repro.sim.transport.Transport.count_drops`, the run's own
+   registry), equivalent to the scalar path's per-event increments, and
    oracle-bearing runs replay each round's delivery rows into
-   :class:`~repro.oracles.omega.HeartbeatOmega` through its row-local
-   bulk seam;
-6. the per-node observation state (``round_starts``, ``round_ends``,
-   ``timely_receipts``, counters) is written back onto the
-   :class:`~repro.sync.round_sync.SyncedNode` objects and the ordinary
-   :meth:`SyncRun._collect` assembles the result — result construction
-   (including the ``on_round_matrix`` observer replay) runs through the
-   identical code as the scalar path.
+   :class:`~repro.oracles.omega.HeartbeatOmega` through its one feed;
+6. the round boundaries and the timeliness array go, whole, into the
+   run's :class:`~repro.sync.round_sync.RoundLog` — the record the
+   scalar nodes write cell by cell — and :meth:`SyncRun.run` hands that
+   log to the one collector, so result construction (including the
+   ``on_round_matrix`` observer replay) runs through the identical code
+   on both paths.
 
 Bit-identity (same matrices, ``sync_error``, ``jumps``,
 ``late_messages``, decision rounds, node state, transport totals — and,
@@ -186,20 +188,27 @@ def run_divergences(
 
     Given two finished twin runs and their results, the facets on which
     they differ: the :data:`RESULT_FIELDS` (:func:`result_divergences`),
-    then the :data:`RUN_FACETS` — ``"node state"`` (every node's
-    ``round_starts`` / ``round_ends`` / ``timely_receipts`` /
-    ``crashed_permanently``) and ``"transport counters"`` (messages sent
-    and lost) — then the :data:`METRIC_FACETS` read off each run's own
-    registry: ``"metric totals"`` (the comparable counters) and
-    ``"histograms"``.  Every comparison is exact; an empty list means
-    the two executions are indistinguishable.
+    then the :data:`RUN_FACETS` — ``"node state"`` (the two runs'
+    :class:`~repro.sync.round_sync.RoundLog`s, over the rounds either
+    reached, plus every node's ``crashed_permanently``) and
+    ``"transport counters"`` (messages sent and lost) — then the
+    :data:`METRIC_FACETS` read off each run's own registry: ``"metric
+    totals"`` (the comparable counters) and ``"histograms"``.  Every
+    comparison is exact; an empty list means the two executions are
+    indistinguishable.
     """
     diffs = result_divergences(result_a, result_b)
+    log_a, log_b = run_a.log, run_b.log
+    reached = slice(max(log_a.rounds, log_b.rounds) + 1)
     if not all(
-        a.round_starts == b.round_starts
-        and a.round_ends == b.round_ends
-        and a.timely_receipts == b.timely_receipts
-        and a.crashed_permanently == b.crashed_permanently
+        np.array_equal(
+            getattr(log_a, cells)[reached],
+            getattr(log_b, cells)[reached],
+            equal_nan=True,
+        )
+        for cells in ("starts", "ends", "timely")
+    ) or any(
+        a.crashed_permanently != b.crashed_permanently
         for a, b in zip(run_a.nodes, run_b.nodes)
     ):
         diffs.append("node state")
@@ -278,7 +287,7 @@ def _off_grid_reason(run: SyncRun) -> Optional[str]:
             return "fault plan schedules clock steps"
         if any(c.recover_round is not None for c in plan.crashes):
             return "fault plan schedules crash recovery"
-        if policy._burst_counters or policy._seen_activations:
+        if policy.consumed:
             return "fault policy already consumed"
     oracles = {id(node.oracle) for node in run.nodes}
     if len(oracles) != 1:
@@ -322,19 +331,17 @@ def _round_grid(run: SyncRun) -> list[float]:
     return times
 
 
-def run_batched(run: SyncRun, times: list[float]) -> SyncRunResult:
+def run_batched(run: SyncRun, times: list[float]) -> None:
     """Execute an eligible ``run`` on the batched path, over the round
     grid ``times`` that :func:`batch_eligibility` admitted it on.
 
-    Writes the same observation state onto the nodes, the transport, the
-    metrics registries, the oracle, and the simulator clock that the
-    scalar event loop would have left behind —
-    ``round_starts``/``round_ends``/``timely_receipts`` dicts,
-    late-message counters, stream cursors and fault-policy state,
-    ``messages_sent``/``lost``, counter and histogram totals — then
-    delegates to :meth:`SyncRun._collect`, so the result (and the
-    ``on_round_matrix`` observer replay) is assembled by the very same
-    code as the scalar path.
+    Leaves behind what the scalar event loop would have: the run's
+    :class:`~repro.sync.round_sync.RoundLog`, the nodes' late-message
+    counters and crash flags, stream cursors and fault-policy state,
+    ``messages_sent``/``lost``, counter and histogram totals, the
+    oracle's freshness map and the simulator clock.  The caller
+    (:meth:`SyncRun.run`) then collects the result from the log, by the
+    very same code as after a scalar run.
 
     Not mirrored (documented divergence): per-process inboxes, the
     pending outgoing :class:`~repro.giraf.kernel.RoundOutput`, the
@@ -358,7 +365,6 @@ def run_batched(run: SyncRun, times: list[float]) -> SyncRunResult:
     crash_time = np.full(n, np.inf)
     crash_events_fired = 0
     if plan is not None:
-        run._faults_scheduled = True
         for crash in plan.crashes:
             c = policy.start_of(crash.at_round)
             if c <= stop:
@@ -369,12 +375,10 @@ def run_batched(run: SyncRun, times: list[float]) -> SyncRunResult:
     # when it fires; one scheduled before the (uniform) boot instant
     # finds the node not yet booted and does nothing.
     effective = (crash_time <= stop) & (crash_time >= starts[0])
-    begun = np.full(n, rounds, dtype=np.int64)
-    for pid in np.flatnonzero(effective):
-        begun[pid] = min(
-            rounds,
-            1 + int(np.count_nonzero(starts[1:] < crash_time[pid])),
-        )
+    # Round 1 always begins; round k >= 2 begins iff t[k-1] < c.
+    begun = np.where(
+        effective, 1 + (starts[1:, None] < crash_time).sum(axis=0), rounds
+    )
     ended = np.where(effective, begun - 1, rounds)
     # Receives of a crashed node stop strictly before its crash instant.
     cut = np.where(effective, crash_time, np.inf)
@@ -396,8 +400,8 @@ def run_batched(run: SyncRun, times: list[float]) -> SyncRunResult:
                     transport.next_stream_latencies(src, dst, int(begun[src]))
                 )
     k_index = np.arange(1, rounds + 1)
-    off_diag = ~np.eye(n, dtype=bool)
-    sent = (k_index[:, None, None] <= begun[None, None, :]) & off_diag
+    began = k_index[:, None] <= begun  # [k, pid]
+    sent = began[:, None, :] & ~np.eye(n, dtype=bool)
 
     if plan is not None:
         # Grid round k is in the plan round covering its start instant,
@@ -416,16 +420,12 @@ def run_batched(run: SyncRun, times: list[float]) -> SyncRunResult:
             # Burst decisions ride the policy's own per-link counters and
             # SHA draws: calling the installed policy for exactly the
             # messages whose scalar drop() call would reach the burst
-            # loop — per link, in round order — reproduces counters,
-            # draws, activations and metrics verbatim.
+            # loop — in round order, which is all a link's own counter
+            # sees — reproduces counters, draws, activations and metrics
+            # verbatim.
             candidate = sent & ~crash_drop & ~cross & burst_any[:, None, None]
-            for src in range(n):
-                for dst in range(n):
-                    if src == dst:
-                        continue
-                    for k in np.flatnonzero(candidate[:, dst, src]):
-                        if policy.drop(src, dst, float(starts[k])):
-                            burst_drop[k, dst, src] = True
+            for k, dst, src in np.argwhere(candidate).tolist():
+                burst_drop[k, dst, src] = policy.drop(src, dst, times[k])
         fault_drop = crash_drop | part_drop | burst_drop
         factor = slow[:, :, None] * slow[:, None, :]
         values = np.where(factor != 1.0, latencies * factor, latencies)
@@ -441,13 +441,13 @@ def run_batched(run: SyncRun, times: list[float]) -> SyncRunResult:
             # majority keeps broadcasting), so a crash-link episode fires
             # iff the run reaches its first down round.
             if last_pr >= crash.at_round:
-                policy._activate("crash-link", index)
+                policy.activate("crash-link", index)
         if part_drop.any():
             part_rounds = part_drop.any(axis=(1, 2))
             for q in sorted(set(pr[part_rounds].tolist())):
                 for index, partition in enumerate(plan.partitions):
                     if partition.active_at(q):
-                        policy._activate("partition", index)
+                        policy.activate("partition", index)
     else:
         fault_drop = np.zeros_like(sent)
         values = latencies
@@ -475,74 +475,50 @@ def run_batched(run: SyncRun, times: list[float]) -> SyncRunResult:
     # The scalar loop stops at the last surviving node's final timer;
     # deliveries landing exactly then were scheduled after it (and never
     # fire) iff they are round-R sends of a higher-pid (crashed) node.
-    last_alive = int(np.flatnonzero(~effective).max())
+    last_alive = int(np.arange(n)[~effective].max())
     fired = deliverable & (
-        (arrival < stop)
-        | (
-            (arrival == stop)
-            & (
-                (k_index[:, None, None] < rounds)
-                | (np.arange(n)[None, None, :] <= last_alive)
-            )
-        )
+        countable | ((arrival == stop) & (np.arange(n) <= last_alive))
     )
 
     # ------------------------------------------------------------------
-    # Per-node observation state (what _collect and the tests read).
+    # The run's round log, whole, and what the nodes hold beyond it.
     # ------------------------------------------------------------------
-    for node in run.nodes:
-        pid = node.process.pid
-        b = int(begun[pid])
-        e = int(ended[pid])
-        receipts: dict[int, set[int]] = {}
-        timely_to = timely[:, pid, :]
-        for k in range(1, b + 1):
-            srcs = set(np.flatnonzero(timely_to[k - 1]).tolist())
-            srcs.add(pid)
-            receipts[k] = srcs
-        node.timely_receipts = receipts
-        node.round_starts = {k: times[k - 1] for k in range(1, b + 1)}
-        node.round_ends = {k: times[k] for k in range(1, e + 1)}
+    log, rows = run.log, slice(1, rounds + 1)
+    log.reach(rounds)
+    log.starts[rows] = np.where(began, starts[:, None], np.nan)
+    log.ends[rows] = np.where(k_index[:, None] <= ended, ends[:, None], np.nan)
+    log.timely[rows] = (timely | np.eye(n, dtype=bool)) & began[:, :, None]
+    for pid, node in enumerate(run.nodes):
         node.late_messages = int(late_counts[pid])
-        node.jumps = 0
-        node.running = False
-        node.decision_round = None
-        if effective[pid]:
-            node.crashed = True
-            node.crashed_permanently = True
-            node.process.round = b
-            node.process.algorithm.rounds_computed = e
-        else:
-            node.process.round = rounds + 1
-            node.process.algorithm.rounds_computed = rounds
-        node._rounds_started.inc(b)
-        node._timeout_fires.inc(e)
-        if late_counts[pid]:
-            node._late_counter.inc(int(late_counts[pid]))
+        node.crashed = node.crashed_permanently = bool(effective[pid])
+        # A crashed node is frozen in the last round it began; a
+        # survivor stopped on entering round R + 1.
+        node.process.round = int(begun[pid]) if effective[pid] else rounds + 1
+        node.process.algorithm.rounds_computed = int(ended[pid])
+    run.metrics.counter("sync.rounds_started").inc(int(begun.sum()))
+    run.metrics.counter("sync.timeout_fires").inc(int(ended.sum()))
+    run.metrics.counter("sync.late_messages").inc(int(late_counts.sum()))
 
     # ------------------------------------------------------------------
     # Transport state and telemetry, bulk-equivalent to per-send work.
     # ------------------------------------------------------------------
-    sent_total = int(begun.sum()) * (n - 1)
-    transport.messages_sent += sent_total
-    transport._sent_counter.inc(sent_total)
     if plan is not None:
         transport.count_drops("crash", int(crash_drop.sum()))
         transport.count_drops("partition", int(part_drop.sum()))
         transport.count_drops("loss-burst", int(burst_drop.sum()))
     transport.count_drops("link", int(natural_lost.sum()))
-    delivered_total = int(fired.sum())
-    if delivered_total:
-        transport._delivered_counter.inc(delivered_total)
     # Histogram observations happen at send time, in send order:
     # round-major, then sender pid, then ascending destination.
-    values_by_send = np.transpose(values, (0, 2, 1))
-    mask_by_send = np.transpose(deliverable, (0, 2, 1))
-    transport._latency_hist.observe_many(values_by_send[mask_by_send])
+    by_send = (0, 2, 1)
+    transport.count_sends(
+        sent=int(begun.sum()) * (n - 1),
+        delivered=int(fired.sum()),
+        latencies=values.transpose(by_send)[deliverable.transpose(by_send)],
+    )
 
     # ------------------------------------------------------------------
     # Oracle and observer replay: the boot queries, then each round's
-    # per-ender row observations and queries, in scalar order.  The
+    # enders' rows of the log and their queries, in scalar order.  The
     # heartbeat detector is row-local, so bulk row observation followed
     # by in-order queries is bit-equivalent to the interleaved scalar
     # sequence.  Skipped entirely when nothing listens.
@@ -553,16 +529,10 @@ def run_batched(run: SyncRun, times: list[float]) -> SyncRunResult:
         for pid in range(n):
             notify(run.observers, "on_oracle", pid, 0, oracle.query(pid, 0))
         observe_rows = getattr(oracle, "observe_rows", None)
-        ends_per_round = [
-            [pid for pid in range(n) if k <= ended[pid]]
-            for k in range(1, rounds + 1)
-        ]
         for k in range(1, rounds + 1):
-            enders = ends_per_round[k - 1]
-            if not enders:
-                continue
+            enders = [pid for pid in range(n) if k <= ended[pid]]
             if observe_rows is not None:
-                observe_rows(k, timely[k - 1], rows=enders)
+                observe_rows(k, run.log.timely[k], rows=enders)
             for pid in enders:
                 notify(run.observers, "on_oracle", pid, k, oracle.query(pid, k))
 
@@ -570,4 +540,3 @@ def run_batched(run: SyncRun, times: list[float]) -> SyncRunResult:
     # surviving round-end timer, with the never-fired events discarded.
     run.simulator.drain()
     run.simulator.fast_forward(stop)
-    return run._collect()

@@ -11,8 +11,9 @@ transport.  The paper's two threads map onto event handlers:
   round by the expected latency ``L_i[src]``.
 
 :class:`SyncRun` wires ``n`` nodes, staggered starts and skewed clocks
-included, runs the simulator, and condenses the observations into
-per-round delivery matrices comparable with the lockstep ones.
+included, and runs the simulator.  What each round delivered is written
+once, into the run's :class:`RoundLog`, and the collector condenses that
+log into per-round delivery matrices comparable with the lockstep ones.
 """
 
 from __future__ import annotations
@@ -52,6 +53,43 @@ class _Wire:
 MIN_ROUND_FRACTION = 0.05
 
 
+class RoundLog:
+    """What each round of one run delivered: the run's only record of it.
+
+    Row ``k`` is round ``k`` (row 0, the boot round no node ever begins,
+    stays blank, as do the rows past :attr:`rounds`):
+
+    - ``starts[k, pid]`` / ``ends[k, pid]`` — the instant ``pid`` began /
+      ended round ``k``; ``nan`` if it never did (it jumped over the
+      round, was crashed, or the run stopped first);
+    - ``timely[k, dst, src]`` — ``dst`` received ``src``'s round-``k``
+      message while in round ``k``; a node is timely to itself in every
+      round it begins.
+
+    Both engines write it — :class:`SyncedNode` cell by cell as its
+    events fire, :func:`repro.sync.batch.run_batched` as whole arrays —
+    and everything downstream (the collector, the Ω detector's feed, the
+    scalar ≡ batch contract) reads nothing else.
+    """
+
+    def __init__(self, n: int) -> None:
+        #: The highest round any node has reached.
+        self.rounds = 0
+        self.starts = np.full((1, n), np.nan)
+        self.ends = np.full((1, n), np.nan)
+        self.timely = np.zeros((1, n, n), dtype=bool)
+
+    def reach(self, k: int) -> None:
+        """Make round ``k`` writable.  The arrays grow (doubling) with the
+        rounds a run reaches, not with its ``max_rounds``."""
+        self.rounds = max(self.rounds, k)
+        while k >= len(self.starts):
+            blank = np.full_like(self.starts, np.nan)
+            self.starts = np.concatenate([self.starts, blank])
+            self.ends = np.concatenate([self.ends, blank])
+            self.timely = np.concatenate([self.timely, np.zeros_like(self.timely)])
+
+
 class SyncedNode:
     """One process running GIRAF under the Section 5.1 protocol."""
 
@@ -64,6 +102,7 @@ class SyncedNode:
         clock: Clock,
         timeout: float,
         latency_estimates: Sequence[float],
+        log: RoundLog,
         start_time: float = 0.0,
         max_rounds: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -77,6 +116,8 @@ class SyncedNode:
         self.clock = clock
         self.timeout = timeout
         self.latency_estimates = list(latency_estimates)
+        #: Where this node's round observations go (the run's one log).
+        self.log = log
         self.start_time = start_time
         self.max_rounds = max_rounds
         self._metrics = registry_or_null(metrics)
@@ -91,10 +132,7 @@ class SyncedNode:
         self.running = False
         self.crashed = False
         self.crashed_permanently = False
-        # Observations.
-        self.timely_receipts: dict[int, set[int]] = {}
-        self.round_starts: dict[int, float] = {}
-        self.round_ends: dict[int, float] = {}
+        # Observations the log does not hold.
         self.late_messages = 0
         self.jumps = 0
         self.decision_round: Optional[int] = None
@@ -137,11 +175,13 @@ class SyncedNode:
         if self.max_rounds is not None and k > self.max_rounds:
             self.running = False
             return
-        self.round_starts[k] = self.simulator.now
+        pid = self.process.pid
+        self.log.reach(k)
+        self.log.starts[k, pid] = self.simulator.now
+        self.log.timely[k, pid, pid] = True
         self._rounds_started.inc()
         if local_duration < self.timeout:
             self._rounds_shortened.inc()
-        self.timely_receipts.setdefault(k, set()).add(self.process.pid)
         payload = self.process.outgoing_payload
         if payload is not None:
             wire = _Wire(k, payload)
@@ -155,22 +195,21 @@ class SyncedNode:
 
     def _end_round(self, next_round: Optional[int] = None) -> None:
         k = self.process.round
-        self.round_ends[k] = self.simulator.now
+        pid = self.process.pid
+        self.log.ends[k, pid] = self.simulator.now
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
         # Heartbeat-style detectors (HeartbeatOmega) take each node's
         # round observation live, the moment the round ends — the event
         # stack's answer to the lockstep runner's per-round ``observe``
-        # matrix.  The row is this node's local view only; detectors
-        # exposing the seam are row-local by contract.
-        observe_row = getattr(self.oracle, "observe_row", None)
-        if observe_row is not None:
-            row = np.zeros(len(self.latency_estimates), dtype=bool)
-            row[list(self.timely_receipts.get(k, ()))] = True
-            observe_row(self.process.pid, k, row)
-        output = self.oracle.query(self.process.pid, k)
-        notify(self._observers, "on_oracle", self.process.pid, k, output)
+        # matrix.  Only this node's row of the round is final by now;
+        # detectors exposing the feed are row-local by contract.
+        observe_rows = getattr(self.oracle, "observe_rows", None)
+        if observe_rows is not None:
+            observe_rows(k, self.log.timely[k], rows=(pid,))
+        output = self.oracle.query(pid, k)
+        notify(self._observers, "on_oracle", pid, k, output)
         self.process.end_of_round(output, next_round=next_round)
         self._report_decision(k)
 
@@ -237,7 +276,7 @@ class SyncedNode:
         self.process.receive(wire.round_number, src, wire.payload)
         current = self.process.round
         if wire.round_number == current:
-            self.timely_receipts.setdefault(current, set()).add(src)
+            self.log.timely[current, self.process.pid, src] = True
         elif wire.round_number > current:
             # Future-round message: end this round now, join round k_j,
             # and shorten it by the expected latency of the trigger.
@@ -252,9 +291,9 @@ class SyncedNode:
                 src=src,
             )
             self._end_round(next_round=wire.round_number)
-            remaining = self.timeout - self.latency_estimates[src]
-            self.timely_receipts.setdefault(wire.round_number, set()).add(src)
-            self._begin_round(remaining)
+            self._begin_round(self.timeout - self.latency_estimates[src])
+            if self.running:  # it did join: the trigger was in time for it
+                self.log.timely[wire.round_number, self.process.pid, src] = True
         else:
             self.late_messages += 1
             self._late_counter.inc()
@@ -351,6 +390,9 @@ class SyncRun:
         self.recorder = recorder_or_null(recorder)
         self.simulator = Simulator()
         self.transport = transport_factory(self.simulator)
+        #: What each round delivered — written by whichever engine
+        #: executes the run, read by :meth:`_collect`.
+        self.log = RoundLog(n)
         #: The run's link-level fault policy (``None`` without a plan);
         #: the run owns it and hands it to its transport.
         self.link_faults: Optional[PlanLinkFaults] = None
@@ -378,6 +420,7 @@ class SyncRun:
                 clock=clocks[pid],
                 timeout=timeout,
                 latency_estimates=latency_table[pid],
+                log=self.log,
                 start_time=start_times[pid],
                 max_rounds=max_rounds,
                 metrics=metrics,
@@ -480,7 +523,11 @@ class SyncRun:
                 self.metrics.counter(
                     "sync.executed_mode", mode="batch"
                 ).inc()
-                return run_batched(self, grid)
+                # The batched path applies the plan's node-level faults
+                # in closed form; they are spent, as if booked.
+                self._faults_scheduled = True
+                run_batched(self, grid)
+                return self._collect()
             if mode == "batch":
                 raise ValueError(
                     f"batch mode requested but the run is ineligible: {reason}"
@@ -515,53 +562,45 @@ class SyncRun:
                 else frozenset(range(self.n))
             ),
         )
+        log = self.log
+        ended = ~np.isnan(log.ends)
         # Permanently crashed nodes stop recording rounds at their crash;
         # they must not truncate the surviving nodes' observations.
         participants = [
-            node for node in self.nodes if not node.crashed_permanently
-        ] or list(self.nodes)
-        last_round = min(
-            max(node.round_ends, default=0) for node in participants
+            pid
+            for pid, node in enumerate(self.nodes)
+            if not node.crashed_permanently
+        ] or list(range(self.n))
+        last_ended = (ended * np.arange(len(ended))[:, None]).max(axis=0)
+        last = int(last_ended[participants].min())
+        # A row counts only for a node that *executed* round k (ended it,
+        # not skipped it): one that jumped over the round was not timely
+        # even to itself there, and crediting it would inflate P_M.
+        # Nodes that did execute it credited themselves when it began.
+        result.matrices = list(
+            log.timely[1 : last + 1] & ended[1 : last + 1, :, None]
         )
-        for k in range(1, last_round + 1):
-            # No pre-seeded diagonal: a node that jumped over round k was
-            # not timely even to itself there, and crediting it would
-            # inflate P_M.  Nodes that did execute the round credited
-            # themselves in ``timely_receipts`` when the round began.
-            matrix = np.zeros((self.n, self.n), dtype=bool)
-            for dst, node in enumerate(self.nodes):
-                if k in node.round_ends:  # executed (not skipped) round k
-                    for src in node.timely_receipts.get(k, ()):
-                        matrix[dst, src] = True
-            result.matrices.append(matrix)
-            # The event path assembles matrices post-hoc, so observers'
-            # ``on_round_matrix`` hooks fire here as a replay after the
-            # simulation ends — same stream as the lockstep runner's live
-            # notifications, delivered late.
+        # The event path assembles matrices post-hoc, so observers'
+        # ``on_round_matrix`` hooks fire here as a replay after the
+        # simulation ends — same stream as the lockstep runner's live
+        # notifications, delivered late.
+        for k, matrix in enumerate(result.matrices, start=1):
             notify(self.observers, "on_round_matrix", k, matrix)
-            starts = [
-                node.round_starts[k]
-                for node in self.nodes
-                if k in node.round_starts
-            ]
-            # One entry per round, aligned with ``matrices``: rounds some
-            # node never started are nan rather than silently dropped
-            # (dropping them shifted every later reading onto the wrong
-            # round for any run with jumps).
-            if len(starts) == self.n:
-                spread = max(starts) - min(starts)
-                result.sync_error.append(spread)
-                self.metrics.histogram("sync.round_sync_error").observe(spread)
-            else:
-                result.sync_error.append(float("nan"))
-        for node in self.nodes:
-            durations = [
-                node.round_ends[k] - node.round_starts[k]
-                for k in node.round_ends
-                if k in node.round_starts
-            ]
+        # One entry per round, aligned with ``matrices``: rounds some
+        # node never started are nan rather than silently dropped
+        # (dropping them shifted every later reading onto the wrong
+        # round for any run with jumps).
+        starts = log.starts[1 : last + 1]
+        spread = starts.max(axis=1) - starts.min(axis=1)
+        result.sync_error = spread.tolist()
+        measured = spread[~np.isnan(spread)]
+        if measured.size:
+            self.metrics.histogram("sync.round_sync_error").observe_many(measured)
+        # Per node, the rounds it both began and ended, in round order.
+        for node, lengths in zip(self.nodes, (log.ends - log.starts).T):
+            lengths = lengths[~np.isnan(lengths)]
             result.round_durations.append(
-                float(np.mean(durations)) if durations else 0.0
+                float(lengths.mean()) if lengths.size else 0.0
             )
             result.jumps.append(node.jumps)
             result.late_messages.append(node.late_messages)

@@ -29,7 +29,7 @@ from repro.giraf.oracle import EventuallyStableLeaderOracle
 from repro.giraf.process import GirafProcess
 from repro.sim import Clock, Simulator, Transport
 from repro.sync import HeartbeatAlgorithm, SyncRun
-from repro.sync.round_sync import SyncedNode
+from repro.sync.round_sync import RoundLog, SyncedNode
 
 
 class FixedLatency:
@@ -219,6 +219,7 @@ class TestClockSteps:
             clock=Clock(),
             timeout=timeout,
             latency_estimates=[0.0, 0.1],
+            log=RoundLog(2),
             max_rounds=5,
         )
         simulator.schedule(at, lambda: node.apply_clock_step(offset))
@@ -227,27 +228,24 @@ class TestClockSteps:
 
     def test_forward_step_shortens_the_running_round(self):
         node = self.stepped_node(+0.3)
-        assert node.round_ends[1] == pytest.approx(0.7, abs=1e-9)
+        assert node.log.ends[1, 0] == pytest.approx(0.7, abs=1e-9)
         # Subsequent rounds are full length again.
-        assert node.round_ends[2] - node.round_starts[2] == pytest.approx(1.0)
+        assert node.log.ends[2, 0] - node.log.starts[2, 0] == pytest.approx(1.0)
 
     def test_backward_step_stretches_the_running_round(self):
         node = self.stepped_node(-0.3)
-        assert node.round_ends[1] == pytest.approx(1.3, abs=1e-9)
+        assert node.log.ends[1, 0] == pytest.approx(1.3, abs=1e-9)
 
     def test_huge_forward_step_fires_immediately_not_in_the_past(self):
         node = self.stepped_node(+10.0)
-        assert node.round_ends[1] == pytest.approx(0.5, abs=1e-9)
+        assert node.log.ends[1, 0] == pytest.approx(0.5, abs=1e-9)
 
     def test_step_through_sync_run_plan(self):
         plan = FaultPlan(n=N, clock_steps=(ClockStep(0, 2, 0.1),))
         run, result = event_run(plan)
-        durations = [
-            run.nodes[0].round_ends[k] - run.nodes[0].round_starts[k]
-            for k in sorted(run.nodes[0].round_ends)
-        ]
-        # Round 2 (index 1) lost the step's 0.1 s.
-        assert durations[1] == pytest.approx(TIMEOUT - 0.1, abs=1e-6)
+        durations = (run.log.ends - run.log.starts)[:, 0]
+        # Round 2 lost the step's 0.1 s.
+        assert durations[2] == pytest.approx(TIMEOUT - 0.1, abs=1e-6)
 
 
 class TestLockstepConsensusUnderFaults:

@@ -136,10 +136,10 @@ class TestDropReconciliation:
         metrics = MetricsRegistry()
         run, result = instrumented_run(metrics=metrics)
         # A recovering node restarts its current round: the counter sees
-        # both starts, the per-node dict keeps one entry per round.
+        # both starts, the run's log keeps one cell per (round, node).
         restarts = metrics.value("faults.activations", kind="recover")
-        assert metrics.value("sync.rounds_started") == restarts + sum(
-            len(node.round_starts) for node in run.nodes
+        assert metrics.value("sync.rounds_started") == restarts + (
+            np.count_nonzero(~np.isnan(run.log.starts))
         )
         assert metrics.value("sync.rounds_jumped") == sum(result.jumps)
         assert metrics.value("sync.late_messages") == sum(

@@ -1,0 +1,165 @@
+"""Golden round-sync runs: everything a ``SyncRun`` reports, pinned.
+
+Six 60-round runs built like the benchmark ledger's classes — the three
+that ride the batched path (clean, instrumented with a
+:class:`HeartbeatOmega`, the canonical fault plan) and three that fall
+back to the scalar event loop (crash recovery, heterogeneous clocks with
+staggered starts, :class:`WlmConsensus` under a fixed leader).  Each
+digest is a sha256 over the result surface (matrices, ``sync_error``,
+``round_durations``, jumps, late messages, decisions and their rounds),
+the transport totals and the run's counter / histogram snapshot,
+recorded before the per-round observations moved from per-node dicts
+into :class:`repro.sync.RoundLog`.  A batch-eligible class must produce
+its digest on both engines; any change to either engine, the collector,
+the detector feed or the bulk accountants that moves a bit moves these.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from repro.core import WlmConsensus
+from repro.faults.plan import Crash, FaultPlan, LossBurst, Partition, SlowNode
+from repro.giraf.oracle import FixedLeaderOracle, NullOracle
+from repro.net import measure_latency_table, planetlab_profile, select_leader
+from repro.obs.registry import MetricsRegistry
+from repro.oracles.omega import HeartbeatOmega
+from repro.sim import Clock, Transport
+from repro.sim.rng import derive_seed
+from repro.sync import HeartbeatAlgorithm, SyncRun
+
+NODES = 8
+TIMEOUT = 0.21
+ROUNDS = 60
+SEED = 11
+
+CANONICAL_PLAN = FaultPlan(
+    n=NODES,
+    crashes=(Crash(pid=5, at_round=41),),
+    loss_bursts=(LossBurst(4, 7, drop_prob=0.7),),
+    partitions=(
+        Partition(groups=((0, 3, 5, 6), (1, 2, 4, 7)), start_round=17,
+                  heal_round=20),
+    ),
+    slow_nodes=(
+        SlowNode(pid=2, start_round=29, end_round=32, factor=3.0,
+                 drop_prob=0.4),
+    ),
+    seed=derive_seed(SEED, "golden:fault-plan"),
+)
+RECOVERY_PLAN = FaultPlan(
+    n=NODES,
+    crashes=(Crash(pid=3, at_round=9, recover_round=19),),
+    seed=derive_seed(SEED, "golden:recovery-plan"),
+)
+
+
+def build(kind: str) -> SyncRun:
+    table = measure_latency_table(
+        planetlab_profile(seed=derive_seed(SEED, "golden:ping"),
+                          slow_run_prob=0.0),
+        pings=15,
+    )
+    profile = planetlab_profile(
+        seed=derive_seed(SEED, f"golden:{kind}"), slow_run_prob=0.0
+    )
+    metrics = None if kind == "clean" else MetricsRegistry()
+    options = {}
+    oracle = NullOracle()
+    algorithm = lambda pid: HeartbeatAlgorithm(pid, NODES)  # noqa: E731
+    if kind in ("instrumented", "faulted"):
+        oracle = HeartbeatOmega(NODES, metrics=metrics)
+    if kind == "faulted":
+        options["fault_plan"] = CANONICAL_PLAN
+    elif kind == "recovery":
+        options["fault_plan"] = RECOVERY_PLAN
+    elif kind == "hetero":
+        options["clocks"] = [
+            Clock(offset=0.2 * i, drift=2e-5 * (i - 4)) for i in range(NODES)
+        ]
+        options["start_times"] = [0.13 * i for i in range(NODES)]
+    elif kind == "consensus":
+        oracle = FixedLeaderOracle(select_leader(table))
+        algorithm = lambda pid: WlmConsensus(  # noqa: E731
+            pid, NODES, proposal=f"value-{pid}"
+        )
+    return SyncRun(
+        NODES,
+        algorithm,
+        oracle,
+        lambda sim: Transport(sim, profile, metrics=metrics),
+        timeout=TIMEOUT,
+        latency_table=table,
+        max_rounds=ROUNDS,
+        metrics=metrics,
+        **options,
+    )
+
+
+def digest(run: SyncRun, result) -> str:
+    snapshot = run.metrics.snapshot()
+    # Which engine ran is bookkeeping, not an observation of the run.
+    counters = {
+        key: value
+        for key, value in snapshot["counters"].items()
+        if not key.startswith(("sync.executed_mode", "sync.batch_fallback"))
+    }
+    blob = hashlib.sha256()
+    for part in (
+        np.asarray(result.matrices, dtype=bool).tobytes(),
+        np.asarray(result.sync_error, dtype=float).tobytes(),
+        np.asarray(result.round_durations, dtype=float).tobytes(),
+        repr((result.jumps, result.late_messages)).encode(),
+        repr(sorted(result.decisions.items())).encode(),
+        repr(sorted(result.decision_rounds.items())).encode(),
+        repr((run.transport.messages_sent, run.transport.messages_lost)).encode(),
+        json.dumps([counters, snapshot["histograms"]], sort_keys=True).encode(),
+    ):
+        blob.update(hashlib.sha256(part).digest())
+    return blob.hexdigest()
+
+
+#: class -> (the engine ``auto`` picks, rounds collected, digest)
+GOLDEN = {
+    "clean": (
+        "batch", 60,
+        "b300e7f1dcc72ea97ef031f0738ef80e502555d5e74ee165864a079dbe0a59b3",
+    ),
+    "instrumented": (
+        "batch", 60,
+        "3048031aec6506be36bf72771673a8e3df0654e25122c18ebabd268857c8815e",
+    ),
+    "faulted": (
+        "batch", 60,
+        "9915c0ce4e40b10a1a7567e8b6bc83868486338e2caed8be613cd5d375f3f60a",
+    ),
+    "recovery": (
+        "scalar", 60,
+        "d972dae87ec235b8f62e73b80ab8a42e7b8285de6f29f73d7f963b663b9ba709",
+    ),
+    "hetero": (
+        "scalar", 60,
+        "0dad566d474984420b239d376d5ceb630770a7bb968ddecb021ba4de66473072",
+    ),
+    "consensus": (
+        "scalar", 60,
+        "4712bdf922f44324f114c5f9fd5a30e253e8f0b3674566a1b03c0f875c7db769",
+    ),
+}
+
+CASES = [(kind, "auto") for kind in GOLDEN] + [
+    (kind, "scalar") for kind, (engine, _, _) in GOLDEN.items()
+    if engine == "batch"
+]
+
+
+@pytest.mark.parametrize("kind,mode", CASES, ids=lambda value: value)
+def test_golden_run(kind, mode):
+    engine, rounds, expected = GOLDEN[kind]
+    run = build(kind)
+    result = run.run(mode=mode)
+    assert run.executed_mode == (engine if mode == "auto" else "scalar")
+    assert len(result.matrices) == rounds
+    assert digest(run, result) == expected

@@ -114,42 +114,24 @@ def _counters(oracle):
     return dict(oracle._metrics.snapshot()["counters"])
 
 
-@given(data=observation_sequences())
-@settings(max_examples=150)
-def test_per_row_observation_equals_full_matrix(data):
-    """Row-locality: feeding each receiver's row separately (in any
-    per-round receiver order) matches the full-matrix observation —
-    freshness map, suspicion flags, and counter totals."""
-    n, window, observations = data
-    whole = _with_metrics(n, window)
-    by_row = _with_metrics(n, window)
-    by_rows = _with_metrics(n, window)
-    for round_number, matrix in observations:
-        whole.observe(round_number, matrix)
-        for pid in reversed(range(n)):  # order must not matter
-            by_row.observe_row(pid, round_number, matrix[pid])
-        by_rows.observe_rows(round_number, matrix)
-    assert np.array_equal(whole._last_heard, by_row._last_heard)
-    assert np.array_equal(whole._last_heard, by_rows._last_heard)
-    assert np.array_equal(whole._suspected, by_row._suspected)
-    assert np.array_equal(whole._suspected, by_rows._suspected)
-    assert _counters(whole) == _counters(by_row) == _counters(by_rows)
-
-
 @given(data=observation_sequences(), seed=st.integers(0, 2**16))
-@settings(max_examples=100)
-def test_row_subset_observation_equals_row_loop(data, seed):
-    """observe_rows over a receiver subset is exactly the loop of
-    observe_row calls for that subset (crashed nodes stop reporting)."""
+@settings(max_examples=150)
+def test_every_feed_of_a_round_is_the_same_observation(data, seed):
+    """Row-locality, the contract of the detector's one rule:
+    ``observe(k, M)``, ``observe_rows(k, M)`` and any partition of the
+    receivers fed group by group in any order — single rows included, an
+    event-driven node reporting as its own round ends — leave the same
+    freshness map, suspicion masks and ``omega.*`` counter totals."""
     n, window, observations = data
     rng = np.random.default_rng(seed)
-    loop = _with_metrics(n, window)
-    bulk = _with_metrics(n, window)
+    whole, by_rows, in_parts = (_with_metrics(n, window) for _ in range(3))
     for round_number, matrix in observations:
-        rows = [pid for pid in range(n) if rng.random() < 0.7]
-        for pid in rows:
-            loop.observe_row(pid, round_number, matrix[pid])
-        bulk.observe_rows(round_number, matrix, rows=rows)
-    assert np.array_equal(loop._last_heard, bulk._last_heard)
-    assert np.array_equal(loop._suspected, bulk._suspected)
-    assert _counters(loop) == _counters(bulk)
+        whole.observe(round_number, matrix)
+        by_rows.observe_rows(round_number, matrix)
+        cuts = np.flatnonzero(rng.random(n - 1) < 0.5) + 1
+        for group in np.split(rng.permutation(n), cuts):
+            in_parts.observe_rows(round_number, matrix, rows=group.tolist())
+    for other in (by_rows, in_parts):
+        assert np.array_equal(whole._last_heard, other._last_heard)
+        assert np.array_equal(whole._suspected, other._suspected)
+        assert _counters(whole) == _counters(other)

@@ -332,13 +332,13 @@ class TestFallbackTriggers:
             assert diverged(other_run, other) == [field]
 
         def shift(run):
-            run.nodes[0].round_starts[1] -= 1.0
+            run.log.starts[1, 0] -= 1.0
 
         def stretch(run):
-            run.nodes[0].round_ends[1] += 1.0
+            run.log.ends[1, 0] += 1.0
 
         def drop_receipt(run):
-            run.nodes[1].timely_receipts[2] = set()
+            run.log.timely[2, 1] = False
 
         def crash(run):
             run.nodes[2].crashed_permanently = True

@@ -1,5 +1,6 @@
 """Unit tests for the timing-model registry."""
 
+import numpy as np
 import pytest
 
 from repro.models.matrix import full_matrix
@@ -50,6 +51,21 @@ class TestRegistry:
         assert MODELS["AFM"].satisfied(m)
         assert MODELS["WLM"].satisfied(m, leader=0)
         assert MODELS["WLM_SIM"].satisfied(m, leader=0)
+
+    @pytest.mark.parametrize("name", ["ES", "AFM", "GS"])
+    def test_leaderless_models_ignore_a_leader_argument(self, name):
+        # Callers pass the run's leader whatever the model; deciding
+        # whether it matters is the model's job, not the call site's.
+        rng = np.random.default_rng(5)
+        # Per-round delivery probability in [0.6, 1]: every model sees
+        # both satisfying and failing rounds.
+        matrices = rng.random((200, 5, 5)) < rng.uniform(0.6, 1.0, (200, 1, 1))
+        model = MODELS[name]
+        bare = model.satisfied_batch(matrices)
+        assert 0 < bare.sum() < len(bare)  # the stack tells rounds apart
+        for leader in range(5):
+            assert np.array_equal(model.satisfied_batch(matrices, leader=leader), bare)
+            assert [model.satisfied(m, leader=leader) for m in matrices] == list(bare)
 
     def test_wlm_sim_shares_wlm_predicate(self):
         from repro.models.matrix import empty_matrix

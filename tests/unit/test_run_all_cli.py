@@ -1,6 +1,7 @@
 """Unit tests for the evaluation CLI (``python -m repro.experiments``)."""
 
 import itertools
+import json
 import re
 
 import pytest
@@ -248,6 +249,31 @@ class TestMetricsFlag:
             "manifest.json", "timeline.jsonl", "metrics.json", "metrics.txt"
         ):
             assert (metrics_dir / name).exists(), name
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_cache_counters_count_every_cell_for_any_jobs(
+        self, tmp_path, tiny_configs, capsys, jobs
+    ):
+        # With ``--jobs 2`` the cells (and their cache lookups) run in
+        # pool workers; the summary line and the manifest counters used
+        # to read the parent's untouched copy: 0 hits, 0 misses, cold
+        # and warm alike.
+        out = tmp_path / "out"
+        for warm in (False, True):
+            metrics_dir = tmp_path / f"metrics-{warm}"
+            argv = ["--out", str(out), "--jobs", jobs, "--metrics", str(metrics_dir)]
+            assert main(argv) == 0
+            hits, misses = (8, 0) if warm else (0, 8)
+            assert (
+                f"trace cache: {hits} hits, {misses} misses, 8 entries on disk"
+                in capsys.readouterr().out
+            )
+            counters = json.loads((metrics_dir / "metrics.json").read_text())[
+                "counters"
+            ]
+            assert (counters["cache.hits"], counters["cache.misses"]) == (
+                hits, misses,
+            )
 
     def test_no_metrics_flag_writes_nothing(self, tmp_path, tiny_configs):
         assert main(["--out", str(tmp_path / "out")]) == 0

@@ -167,8 +167,7 @@ class TestBatchStreams:
         alone = [popped._next_stream_latency(0, 1) for _ in range(total)]
         for bulk in (0, 7, STREAM_CHUNK - 1, STREAM_CHUNK, STREAM_CHUNK + 5):
             mixed = Transport(Simulator(), self.model())
-            drawn = mixed.next_stream_latencies(0, 1, bulk)
-            head = [None if np.isinf(v) else float(v) for v in drawn]
+            head = mixed.next_stream_latencies(0, 1, bulk).tolist()
             tail = [
                 mixed._next_stream_latency(0, 1) for _ in range(total - bulk)
             ]
@@ -281,6 +280,35 @@ def time_varying_draws():
     return [float(model.sample_latency(0, 1, 0.0)) for _ in range(3)]
 
 
+class ScriptedStream:
+    """A batch-capable, time-invariant model whose every draw is one
+    scripted value — a streamed link with a known next latency."""
+
+    supports_batch_trace = is_time_invariant = True
+
+    def __init__(self, value):
+        self.value = value
+
+    def link_stream(self, src, dst):
+        return None
+
+    def sample_link_batch(self, src, dst, send_times, rng):
+        return np.full(len(send_times), self.value)
+
+
+class Stretch:
+    """A fault policy that drops nothing and stretches every message."""
+
+    def __init__(self, factor):
+        self.factor = factor
+
+    def drop(self, src, dst, now):
+        return False
+
+    def latency_factor(self, src, dst, now):
+        return self.factor
+
+
 class TestFaultSite:
     """``Transport.faults`` is the one place a fault touches a message,
     for both latency sources, and each source keeps its draw discipline:
@@ -352,6 +380,52 @@ class TestFaultSite:
         assert dropped == (
             {f"transport.dropped{{cause={cause}}}": lost} if lost else {}
         )
+
+    SOURCES = {
+        "scalar": lambda value: FixedLatency(value),
+        "streamed": lambda value: ScriptedStream(value),
+    }
+
+    @pytest.mark.parametrize("stretched", [False, True], ids=["plain", "stretched"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5, -0.0])
+    @pytest.mark.parametrize("source", list(SOURCES))
+    def test_sampled_latency_boundary(self, source, value, stretched):
+        """What a link model may hand :meth:`Transport.send`, on either
+        source, stretched by a fault policy or not: ``+inf`` is a message
+        the link lost, zero (of either sign) is a delay, and NaN or a
+        negative number is the model's bug, reported as one."""
+        metrics = MetricsRegistry()
+        sim = Simulator()
+        model = self.SOURCES[source](value)
+        transport = Transport(sim, model, trace=True, metrics=metrics)
+        assert transport.stream_sampling_active == (source == "streamed")
+        if stretched:
+            transport.faults = Stretch(3.0)
+        received = []
+        transport.register(1, lambda src, payload: received.append(sim.now))
+
+        if value != value or value < 0:
+            with pytest.raises(ValueError) as raised:
+                transport.send(0, 1, "m")
+            assert "0 → 1" in str(raised.value)
+            assert type(model).__name__ in str(raised.value)
+            assert sim.pending_events == 0
+            return
+        transport.send(0, 1, "m")
+        sim.run(until=10)
+        lost = value == float("inf")
+        assert sim.pending_events == 0
+        assert received == ([] if lost else [0.0])
+        assert (transport.messages_sent, transport.messages_lost) == (1, int(lost))
+        assert transport.deliveries[0].latency == (None if lost else 0.0)
+        assert metrics.value("transport.dropped", cause="link") == (
+            1 if lost else None
+        )
+        # A lost message's latency never reaches the histogram, whose
+        # total and mean one ``inf`` would poison.
+        latencies = metrics.snapshot()["histograms"]["transport.latency_seconds"]
+        assert latencies.get("total", 0.0) == 0.0
+        assert latencies["count"] == int(not lost)
 
     def test_policy_assignment_leaves_the_streams_alone(self):
         # Assigning (or clearing) the policy mid-run must not reset the

@@ -65,7 +65,7 @@ class TestDispatch:
         run = make_run()
         run.run()
         assert run.simulator.pending_events == 0
-        assert run.simulator.now == max(run.nodes[0].round_ends.values())
+        assert run.simulator.now == np.nanmax(run.log.ends[:, 0])
 
 
 class TestFallbackReasons:

@@ -9,7 +9,7 @@ from repro.giraf.process import GirafProcess
 from repro.sim import Clock, Simulator, Transport
 from repro.sim.transport import LinkModel
 from repro.sync import HeartbeatAlgorithm, SyncRun
-from repro.sync.round_sync import MIN_ROUND_FRACTION, SyncedNode, _Wire
+from repro.sync.round_sync import MIN_ROUND_FRACTION, RoundLog, SyncedNode, _Wire
 
 
 class FixedLatency:
@@ -32,6 +32,7 @@ def make_node(timeout=1.0, latency=0.1, estimates=None, n=3, pid=0,
         clock=clock or Clock(),
         timeout=timeout,
         latency_estimates=estimates or [0.1] * n,
+        log=RoundLog(n),
         start_time=start,
         max_rounds=max_rounds,
     )
@@ -58,7 +59,7 @@ class TestSyncedNode:
         node._on_receive(1, _Wire(7, "future"))
         assert node.process.round == 7
         assert node.jumps == 1
-        assert 1 in node.timely_receipts.get(7, set())
+        assert node.log.timely[7, 0, 1]
 
     def test_joined_round_is_shortened_by_latency_estimate(self):
         simulator, _, node = make_node(estimates=[0.0, 0.4, 0.0])
@@ -67,7 +68,7 @@ class TestSyncedNode:
         join_time = simulator.now
         simulator.run(until=2.0)
         # The joined round 5 lasted timeout - L[1] = 0.6.
-        duration = node.round_ends[5] - join_time
+        duration = node.log.ends[5, 0] - join_time
         assert duration == pytest.approx(0.6, abs=1e-6)
 
     def test_min_round_fraction_floor(self):
@@ -78,14 +79,14 @@ class TestSyncedNode:
         node._on_receive(1, _Wire(5, "future"))
         join_time = simulator.now
         simulator.run(until=2.0)
-        duration = node.round_ends[5] - join_time
+        duration = node.log.ends[5, 0] - join_time
         assert duration >= MIN_ROUND_FRACTION * 1.0 - 1e-9
 
     def test_current_round_message_counts_timely(self):
         simulator, _, node = make_node()
         simulator.run(until=0.5)
         node._on_receive(2, _Wire(1, "now"))
-        assert 2 in node.timely_receipts[1]
+        assert node.log.timely[1, 0, 2]
         assert node.late_messages == 0
 
     def test_past_round_message_counts_late(self):
@@ -93,7 +94,7 @@ class TestSyncedNode:
         simulator.run(until=2.5)  # in round 3
         node._on_receive(2, _Wire(1, "old"))
         assert node.late_messages == 1
-        assert 2 not in node.timely_receipts.get(1, set())
+        assert not node.log.timely[1, 0, 2]
         # Still recorded in the inbox's original slot (Algorithm 1).
         assert node.process.inbox.get(1, 2) == "old"
 
