@@ -13,9 +13,17 @@ from repro.analysis import find_crossover
 from repro.analysis.equations import expected_decision_rounds
 from repro.core import WlmConsensus
 from repro.experiments.decision import decision_stats_from_vector
-from repro.giraf import FixedLeaderOracle, IIDSchedule, LockstepRunner, StableAfterSchedule
+from repro.giraf import (
+    FixedLeaderOracle,
+    IIDSchedule,
+    LockstepRunner,
+    NullOracle,
+    StableAfterSchedule,
+)
 from repro.models import get_model
-from repro.net.planetlab import PlanetLabProfile
+from repro.net.planetlab import PlanetLabProfile, planetlab_profile
+from repro.sim import Clock, Transport
+from repro.sync import HeartbeatAlgorithm, SyncRun
 
 
 def test_perf_wlm_consensus_run(benchmark):
@@ -101,3 +109,31 @@ def test_perf_find_crossover(benchmark):
     """The Section 4.2 headline crossover: a 2048-point grid plus bisection."""
     crossover = benchmark(lambda: find_crossover("LM", "AFM", 8, p_low=0.7))
     assert 0.95 < crossover < 0.97
+
+
+def test_perf_event_loop(benchmark):
+    """One 200-round heartbeat run on the scalar event loop, clocks
+    heterogeneous and starts staggered — a class that is off the common
+    round grid by construction, so the loop is its production engine:
+    ~13k events through the queue, the transport's broadcast and the
+    nodes' handlers."""
+    n = 8
+    profile = planetlab_profile(seed=7, slow_run_prob=0.0)
+
+    def run():
+        sync = SyncRun(
+            n,
+            lambda pid: HeartbeatAlgorithm(pid, n),
+            NullOracle(),
+            lambda sim: Transport(sim, profile),
+            timeout=0.21,
+            latency_table=np.full((n, n), 0.05),
+            clocks=[Clock(offset=0.2 * i, drift=2e-5 * (i - 4)) for i in range(n)],
+            start_times=[0.13 * i for i in range(n)],
+            max_rounds=200,
+        )
+        return sync, sync.run(mode="scalar")
+
+    sync, result = benchmark(run)
+    assert sync.executed_mode == "scalar"
+    assert len(result.matrices) > 0

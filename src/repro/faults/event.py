@@ -24,9 +24,10 @@ assigns the plan's :class:`PlanLinkFaults` to its transport's ``faults``
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, RoundState
 from repro.obs.registry import MetricsRegistry, registry_or_null
 from repro.sim.rng import derive_seed
 
@@ -68,6 +69,9 @@ class PlanLinkFaults:
         self.last_drop_cause: Optional[str] = None
         self._metrics = registry_or_null(metrics)
         self._seen_activations: set[tuple[str, int]] = set()
+        # The last ``now`` asked about (:meth:`_resolve`); NaN equals none.
+        self._instant = math.nan
+        self._state: Optional[RoundState] = None
 
     @property
     def consumed(self) -> bool:
@@ -93,24 +97,37 @@ class PlanLinkFaults:
         round's node-level faults (crash, recovery, clock step) for."""
         return (round_number - 1) * self.timeout
 
+    def _resolve(self, now: float) -> None:
+        """Look up the plan's round and state at ``now`` (one bisect) —
+        only when ``now`` is not the instant last asked about: the messages
+        of one broadcast share one lookup, the rounds of one plan epoch
+        one set of plain-Python views of its state."""
+        self._instant = now
+        self._round = self.round_of(now)
+        state = self.plan.round_state(self._round)
+        if state is not self._state:
+            self._state = state
+            self._down, self._cross = state.down.tolist(), state.cross.tolist()
+            self._slow = state.slow.tolist()
+
     def drop(self, src: int, dst: int, now: float) -> bool:
-        round_number = self.round_of(now)
-        plan = self.plan
-        state = plan.round_state(round_number)
+        if now != self._instant:
+            self._resolve(now)
+        round_number, plan, down = self._round, self.plan, self._down
         self.last_drop_cause = None
-        if state.down[src] or state.down[dst]:
+        if down[src] or down[dst]:
             self.last_drop_cause = "crash"
             for index, crash in enumerate(plan.crashes):
                 if crash.pid in (src, dst) and crash.down_at(round_number):
                     self.activate("crash-link", index)
             return True
-        if state.cross[dst, src]:
+        if self._cross[dst][src]:
             self.last_drop_cause = "partition"
             for index, partition in enumerate(plan.partitions):
                 if partition.active_at(round_number):
                     self.activate("partition", index)
             return True
-        for index in state.bursts:
+        for index in self._state.bursts:
             count = self._burst_counters.get((src, dst), 0)
             self._burst_counters[(src, dst)] = count + 1
             draw = _uniform(
@@ -123,5 +140,6 @@ class PlanLinkFaults:
         return False
 
     def latency_factor(self, src: int, dst: int, now: float) -> float:
-        slow = self.plan.round_state(self.round_of(now)).slow
-        return float(slow[src] * slow[dst])
+        if now != self._instant:
+            self._resolve(now)
+        return self._slow[src] * self._slow[dst]

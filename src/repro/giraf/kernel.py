@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, FrozenSet, Mapping
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundOutput:
     """What an algorithm hands back to the framework at an end-of-round.
 
@@ -45,7 +45,10 @@ class Inbox:
 
     def record(self, round_number: int, sender: int, payload: Any) -> None:
         """Store ``payload`` as the round-``round_number`` message of ``sender``."""
-        self._slots.setdefault(round_number, {})[sender] = payload
+        slot = self._slots.get(round_number)
+        if slot is None:  # not ``setdefault``: that builds a dict per call
+            slot = self._slots[round_number] = {}
+        slot[sender] = payload
 
     def round(self, round_number: int) -> Mapping[int, Any]:
         """All messages of the given round, keyed by sender id."""

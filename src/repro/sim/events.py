@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+import math
+from typing import Callable, Optional
 
 
 class SimulationError(RuntimeError):
     """Raised when the simulator is driven incorrectly."""
 
 
-@dataclass(order=True)
 class Event:
     """A scheduled callback.
 
@@ -28,18 +27,20 @@ class Event:
         seq: global scheduling sequence number (assigned by the queue).
         action: zero-argument callable run when the event fires.
         cancelled: cancelled events stay in the heap but are skipped.
-        tag: free-form label used in tests and tracing.
     """
 
-    time: float
-    priority: int
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    tag: str = field(default="", compare=False)
-    _queue: Optional["EventQueue"] = field(
-        default=None, compare=False, repr=False
-    )
+    __slots__ = ("time", "priority", "seq", "action", "cancelled", "_queue")
+
+    def __init__(
+        self, time: float, priority: int, seq: int,
+        action: Callable[[], None], queue: "EventQueue",
+    ) -> None:
+        self.time = time
+        self.priority = priority
+        self.seq = seq
+        self.action = action
+        self.cancelled = False
+        self._queue = queue
 
     def cancel(self) -> None:
         """Mark the event so the simulator skips it."""
@@ -51,10 +52,15 @@ class Event:
 
 
 class EventQueue:
-    """A priority queue of :class:`Event` objects."""
+    """A priority queue of :class:`Event` objects.
+
+    The heap holds ``(time, priority, seq, event)`` tuples: ``heapq``
+    orders those in C, and since ``seq`` is unique the comparison never
+    reaches the event itself.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -68,30 +74,19 @@ class EventQueue:
         self._live -= 1
         event._queue = None
 
-    def push(
-        self,
-        time: float,
-        action: Callable[[], None],
-        priority: int = 0,
-        tag: str = "",
-    ) -> Event:
+    def push(self, time: float, action: Callable[[], None], priority: int = 0) -> Event:
         """Schedule ``action`` at absolute ``time`` and return the event."""
-        event = Event(
-            time=time,
-            priority=priority,
-            seq=next(self._counter),
-            action=action,
-            tag=tag,
-            _queue=self,
-        )
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, priority, seq, action, self)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return event
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or ``None`` if empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[3]
             if not event.cancelled:
                 self._live -= 1
                 event._queue = None
@@ -100,16 +95,20 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the earliest live event, if any."""
-        while self._heap and self._heap[0].cancelled:
-            # Detach the event as it leaves the heap, exactly as pop()
-            # does for live events: the ``len(queue) == live events``
-            # invariant must never depend on a back-reference to an
-            # event this queue no longer holds.
-            dropped = heapq.heappop(self._heap)
-            dropped._queue = None
-        if not self._heap:
-            return None
-        return self._heap[0].time
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            # Detached when it was cancelled: ``len(queue) == live events``
+            # never depends on an event this queue no longer holds.
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
+
+    def clear(self) -> None:
+        """Discard every pending event, detaching each one so a later
+        ``cancel()`` of it is a true no-op."""
+        for entry in self._heap:
+            entry[3]._queue = None
+        self._heap.clear()
+        self._live = 0
 
 
 class Simulator:
@@ -144,11 +143,7 @@ class Simulator:
         return len(self._queue)
 
     def schedule(
-        self,
-        time: float,
-        action: Callable[[], None],
-        priority: int = 0,
-        tag: str = "",
+        self, time: float, action: Callable[[], None], priority: int = 0
     ) -> Event:
         """Schedule ``action`` at absolute simulation time ``time``.
 
@@ -160,19 +155,16 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at {time} before current time {self._now}"
             )
-        return self._queue.push(time, action, priority=priority, tag=tag)
+        return self._queue.push(time, action, priority)
 
     def schedule_in(
-        self,
-        delay: float,
-        action: Callable[[], None],
-        priority: int = 0,
-        tag: str = "",
+        self, delay: float, action: Callable[[], None], priority: int = 0
     ) -> Event:
         """Schedule ``action`` after ``delay`` units of simulation time."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.schedule(self._now + delay, action, priority=priority, tag=tag)
+        # Written so NaN fails too; ``now + delay`` is then never in the past.
+        if not delay >= 0:
+            raise SimulationError(f"negative or NaN delay {delay}")
+        return self._queue.push(self._now + delay, action, priority)
 
     def run(
         self,
@@ -183,7 +175,10 @@ class Simulator:
         """Process events until the queue drains or a limit is hit.
 
         Args:
-            until: stop once the next event would fire after this time.
+            until: stop once the next event would fire after this time,
+                and advance the clock to it — unless it lies in the
+                past: then nothing fires and the clock stays (the
+                simulator never rewinds).  NaN is an error.
             max_events: stop after this many events fire in this call.
             stop_when: checked on entry and after each event; return
                 ``True`` to stop.
@@ -193,7 +188,12 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() re-entered; the simulator is not reentrant")
+        until = math.inf if until is None else until
+        max_events = math.inf if max_events is None else max_events
+        if math.isnan(until):
+            raise SimulationError("cannot run until NaN")
         self._running = True
+        queue, heap, pop = self._queue, self._queue._heap, heapq.heappop
         fired = 0
         try:
             # A stop condition that already holds must prevent the first
@@ -204,18 +204,18 @@ class Simulator:
             # between it and the next pop.
             if stop_when is not None and stop_when():
                 return self._now
-            while True:
-                if max_events is not None and fired >= max_events:
+            while fired < max_events:
+                while heap and heap[0][3].cancelled:
+                    pop(heap)
+                if not heap:
                     break
-                next_time = self._queue.peek_time()
-                if next_time is None:
+                if heap[0][0] > until:
+                    self._now = max(self._now, until)
                     break
-                if until is not None and next_time > until:
-                    self._now = until
-                    break
-                event = self._queue.pop()
-                assert event is not None
-                self._now = event.time
+                time, _, _, event = pop(heap)
+                queue._live -= 1
+                event._queue = None
+                self._now = time
                 event.action()
                 self._events_processed += 1
                 fired += 1
@@ -243,11 +243,8 @@ class Simulator:
     def drain(self) -> None:
         """Discard all pending events (used when tearing a run down).
 
-        Discarded events are detached from the abandoned queue so a
-        post-drain ``cancel()`` is a true no-op instead of decrementing
-        the dead queue's live count (and pinning it in memory through the
-        back-reference).
+        Discarded events are detached from the queue so a post-drain
+        ``cancel()`` is a true no-op instead of decrementing the live
+        count of a queue that no longer holds them.
         """
-        for event in self._queue._heap:
-            event._queue = None
-        self._queue = EventQueue()
+        self._queue.clear()

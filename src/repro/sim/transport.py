@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Protocol
+from functools import partial
+from typing import Any, Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -81,33 +82,38 @@ class Transport:
     """Delivers payloads between numbered nodes through a :class:`LinkModel`.
 
     Nodes call :meth:`register` once with their receive callback, then
-    :meth:`send`.  Local (self-addressed) messages are delivered with zero
-    latency and never lost, mirroring the paper's convention that a
-    process's link with itself is always timely.
+    :meth:`broadcast` — the unit of sending; :meth:`send` is a broadcast
+    to one destination, so one body decides every message's fate.  Local
+    (self-addressed) messages are delivered with zero latency and never
+    lost, mirroring the paper's convention that a process's link with
+    itself is always timely.
 
     When the installed link model is batch-capable *and* time-invariant
     (no slow windows or load spikes — e.g. a clean
     :class:`~repro.net.hetero.HeterogeneousNetwork` or the Bernoulli
-    model), :meth:`send` consumes pre-sampled per-link latency streams:
+    model), messages consume pre-sampled per-link latency streams:
     each directed link draws :data:`STREAM_CHUNK` latencies at a time
     from its own RNG substream
     (:meth:`~repro.net.base.LatencyModel.link_stream`), so a link's
-    latency sequence is independent of global send interleaving.  Dynamic
-    models (a :class:`~repro.net.planetlab.PlanetLabProfile` in a
-    slow-Poland run) fall back to scalar ``sample_latency`` —
-    time-dependent behaviour cannot be pre-sampled.
+    latency sequence is independent of global send interleaving; a
+    chunk is checked as it is drawn, so a NaN or negative draw raises
+    for whichever engine reads the stream.  Dynamic models (a
+    :class:`~repro.net.planetlab.PlanetLabProfile` in a slow-Poland
+    run) fall back to scalar ``sample_latency`` — time-dependent
+    behaviour cannot be pre-sampled.
 
     :attr:`faults` is the one way a fault reaches a message: assign a
-    :class:`LinkFaults` policy (or ``None``) and :meth:`send` asks it,
-    per message, whether to drop and by how much to stretch — whichever
-    source the latency comes from.  The two sources keep their own draw
-    discipline.  On the stream path every message consumes exactly one
-    base draw from its link's substream — including messages the policy
-    drops — so the ``i``-th message a link carries always sees the
-    link's ``i``-th pre-sampled latency, whatever the faults do (which
-    is what lets :mod:`repro.sync.batch` pre-sample whole fault
-    windows).  On the scalar path the drop is decided first and a
-    dropped message draws nothing from the model.
+    :class:`LinkFaults` policy (or ``None``) and :meth:`broadcast` asks
+    it, once per message in destination order, whether to drop and by
+    how much to stretch — whichever source the latency comes from.  The
+    two sources keep their own draw discipline.  On the stream path
+    every message consumes exactly one base draw from its link's
+    substream — including messages the policy drops — so the ``i``-th
+    message a link carries always sees the link's ``i``-th pre-sampled
+    latency, whatever the faults do (which is what lets
+    :mod:`repro.sync.batch` pre-sample whole fault windows).  On the
+    scalar path the drop is decided first and a dropped message draws
+    nothing from the model.
 
     With ``trace=True`` every delivery is recorded; payload *objects* are
     only retained when ``trace_payloads=True``, so long robustness runs
@@ -225,29 +231,34 @@ class Transport:
         self._streams_usable = self._model_streamable(model)
 
     def _stream(self, src: int, dst: int) -> list:
-        """The ``[rng, chunk, cursor]`` state of the link ``src → dst``
-        with at least one undrawn latency in its chunk — the one place a
-        stream is opened and refilled."""
+        """The ``[rng, chunk, cursor, floats]`` state of the link
+        ``src → dst`` (``floats``: the chunk as plain Python floats, once
+        a message has popped from it) with at least one undrawn latency
+        in its chunk — the one place a stream is opened, refilled and its
+        draws checked, so neither engine ever sees a value the event
+        queue cannot place."""
         state = self._streams.get((src, dst))
         if state is None:
             rng = self._link_model.link_stream(src, dst)
-            state = self._streams[(src, dst)] = [rng, np.empty(0), 0]
+            state = self._streams[(src, dst)] = [rng, np.empty(0), 0, []]
         if state[2] >= state[1].shape[0]:
             # Time-invariant models ignore send times; any placeholder
             # vector of the right length works.
-            state[1] = self._link_model.sample_link_batch(
+            chunk = self._link_model.sample_link_batch(
                 src, dst, np.zeros(STREAM_CHUNK), state[0]
             )
-            state[2] = 0
+            if not chunk.min() >= 0.0:  # NaN or negative; ``+inf`` is a loss
+                raise self._not_a_delay(src, dst, chunk[~(chunk >= 0.0)][0])
+            state[1:] = chunk, 0, []
         return state
 
-    def _next_stream_latency(self, src: int, dst: int) -> float:
-        """Pop the next pre-sampled latency of the link ``src → dst``
-        (a lost message is ``+inf``)."""
-        state = self._stream(src, dst)
-        value = state[1][state[2]]
-        state[2] += 1
-        return float(value)
+    def _not_a_delay(self, src: int, dst: int, latency: float) -> ValueError:
+        """What the event queue cannot place (NaN, a negative delay),
+        reported by link and model."""
+        return ValueError(
+            f"link {src} → {dst}: {type(self._link_model).__name__}"
+            f" sampled latency {float(latency)!r}, not a delay in seconds"
+        )
 
     def next_stream_latencies(self, src: int, dst: int, count: int) -> np.ndarray:
         """The next ``count`` pre-sampled latencies of ``src → dst`` at
@@ -257,7 +268,7 @@ class Transport:
         filled = 0
         while filled < count:
             state = self._stream(src, dst)
-            _, chunk, cursor = state
+            chunk, cursor = state[1], state[2]
             take = min(count - filled, chunk.shape[0] - cursor)
             out[filled : filled + take] = chunk[cursor : cursor + take]
             state[2] = cursor + take
@@ -272,72 +283,76 @@ class Transport:
 
     def send(self, src: int, dst: int, payload: Any) -> None:
         """Send ``payload`` from ``src`` to ``dst``; it may be delayed or lost."""
-        now = self._simulator.now
-        self.messages_sent += 1
-        self._sent_counter.inc()
-        cause: Optional[str] = None
-        latency: Optional[float] = None
-        if src == dst:
-            latency = 0.0
-        else:
-            faults = self.faults
-            dropped = faults is not None and faults.drop(src, dst, now)
-            if self._batch_streams and self._streams_usable:
-                # One base draw per message, dropped or not: the policy
-                # decides on top, without perturbing the substream.
-                latency = self._next_stream_latency(src, dst)
-            elif not dropped:
-                latency = self._link_model.sample_latency(src, dst, now)
-            if dropped:
-                latency = None
-                cause = getattr(faults, "last_drop_cause", None) or "fault"
-            elif latency is not None:
-                if faults is not None:
-                    factor = faults.latency_factor(src, dst, now)
-                    if factor != 1.0:
-                        latency = latency * factor
-                # The one door a sampled latency enters by, whichever
-                # source drew it: ``+inf`` is a message the link lost,
-                # and what the event queue cannot place (NaN, a negative
-                # delay) is reported here, by link and model.
-                if latency == math.inf:
-                    latency = None
-                elif not latency >= 0.0:
-                    raise ValueError(
-                        f"link {src} → {dst}: {type(self._link_model).__name__}"
-                        f" sampled latency {latency!r}, not a delay in seconds"
-                    )
-        record: Optional[Delivery] = None
-        if self._trace:
-            record = Delivery(
-                src=src,
-                dst=dst,
-                sent_at=now,
-                latency=latency,
-                payload=payload if self._trace_payloads else None,
-            )
-            self.deliveries.append(record)
-        if latency is None:
-            self._drop(cause or "link", src, dst, now)
-            return
-        self._latency_hist.observe(latency)
+        self.broadcast(src, (dst,), payload)
 
-        def deliver() -> None:
-            handler = self._handlers.get(dst)
-            if handler is None:
-                # A destination that never registered cannot receive: the
-                # message is lost, and must be counted as such or loss
-                # statistics under-report.
-                self._drop("unregistered", src, dst, self._simulator.now)
-                if record is not None:
-                    record.undeliverable = True
-                return
-            self._delivered_counter.inc()
-            handler(src, payload)
-
-        self._simulator.schedule_in(latency, deliver, tag=f"deliver:{src}->{dst}")
-
-    def broadcast(self, src: int, destinations: list[int], payload: Any) -> None:
-        """Send ``payload`` to each destination (independent loss/latency)."""
+    def broadcast(self, src: int, destinations: Sequence[int], payload: Any) -> None:
+        """Send ``payload`` to each destination in turn (independent
+        loss/latency) — the unit of sending, and the one body that
+        decides what happens to a message.  What the messages of one
+        broadcast share (the instant, the fault policy, the stream
+        table, the instruments) is looked up once."""
+        simulator, faults = self._simulator, self.faults
+        now = simulator.now
+        streams = self._streams if self.stream_sampling_active else None
+        trace, observe = self._trace, self._latency_hist.observe
+        schedule_in, deliver = simulator.schedule_in, self._deliver
+        self.messages_sent += len(destinations)
+        self._sent_counter.inc(len(destinations))
         for dst in destinations:
-            self.send(src, dst, payload)
+            cause: Optional[str] = None
+            latency: Optional[float] = None
+            if src == dst:
+                latency = 0.0
+            else:
+                dropped = faults is not None and faults.drop(src, dst, now)
+                guard = streams is None  # a stream's chunk was checked when drawn
+                if streams is not None:
+                    # One base draw per message, dropped or not: the policy
+                    # decides on top, without perturbing the substream.
+                    state = streams.get((src, dst))
+                    if state is None or state[2] >= len(state[3]):
+                        state = self._stream(src, dst)
+                        state[3] = state[3] or state[1].tolist()
+                    latency = state[3][state[2]]
+                    state[2] += 1
+                elif not dropped:
+                    latency = self._link_model.sample_latency(src, dst, now)
+                if dropped:
+                    latency = None
+                    cause = getattr(faults, "last_drop_cause", None) or "fault"
+                elif latency is not None:
+                    if faults is not None:
+                        factor = faults.latency_factor(src, dst, now)
+                        if factor != 1.0:
+                            latency, guard = latency * factor, True
+                    # The one door a sampled latency enters by, whichever
+                    # source drew it: ``+inf`` is a message the link lost, and
+                    # what the event queue cannot place is reported here.
+                    if latency == math.inf:
+                        latency = None
+                    elif guard and not latency >= 0.0:
+                        raise self._not_a_delay(src, dst, latency)
+            record: Optional[Delivery] = None
+            if trace:
+                kept = payload if self._trace_payloads else None
+                record = Delivery(src, dst, now, latency, kept)
+                self.deliveries.append(record)
+            if latency is None:
+                self._drop(cause or "link", src, dst, now)
+                continue
+            observe(latency)
+            schedule_in(latency, partial(deliver, src, dst, payload, record))
+
+    def _deliver(self, src: int, dst: int, payload: Any, record: Optional[Delivery]) -> None:
+        """A message arrives, at whatever handler ``dst`` has by now."""
+        handler = self._handlers.get(dst)
+        if handler is None:
+            # A destination that never registered cannot receive: the
+            # message is lost, and must be counted as such or loss
+            # statistics under-report.
+            self._drop("unregistered", src, dst, self._simulator.now)
+            if record is not None:
+                record.undeliverable = True
+            return
+        self._delivered_counter.inc()
+        handler(src, payload)

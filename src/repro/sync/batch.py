@@ -339,15 +339,19 @@ def run_batched(run: SyncRun, times: list[float]) -> None:
     :class:`~repro.sync.round_sync.RoundLog`, the nodes' late-message
     counters and crash flags, stream cursors and fault-policy state,
     ``messages_sent``/``lost``, counter and histogram totals, the
-    oracle's freshness map and the simulator clock.  The caller
+    oracle's freshness map, the simulator clock and an empty event
+    queue (the scalar loop drains what never fired once every node has
+    stopped, so a finished run of either engine holds no event that
+    refers back to it and is freed by reference count).  The caller
     (:meth:`SyncRun.run`) then collects the result from the log, by the
     very same code as after a scalar run.
 
     Not mirrored (documented divergence): per-process inboxes, the
     pending outgoing :class:`~repro.giraf.kernel.RoundOutput`, the
-    simulator's ``events_processed``/pending-event bookkeeping, and the
-    fault policy's transient ``last_drop_cause``; none of them feed
-    :class:`~repro.sync.round_sync.SyncRunResult` or the metric totals.
+    simulator's ``events_processed`` (no event fires here), and the
+    fault policy's transient ``last_drop_cause`` and per-instant memo;
+    none of them feed :class:`~repro.sync.round_sync.SyncRunResult` or
+    the metric totals.
     """
     n = run.n
     rounds = run.max_rounds
@@ -488,6 +492,7 @@ def run_batched(run: SyncRun, times: list[float]) -> None:
     log.starts[rows] = np.where(began, starts[:, None], np.nan)
     log.ends[rows] = np.where(k_index[:, None] <= ended, ends[:, None], np.nan)
     log.timely[rows] = (timely | np.eye(n, dtype=bool)) & began[:, :, None]
+    log.stopped = n  # every node crashed for good or ran past round R
     for pid, node in enumerate(run.nodes):
         node.late_messages = int(late_counts[pid])
         node.crashed = node.crashed_permanently = bool(effective[pid])
@@ -536,7 +541,7 @@ def run_batched(run: SyncRun, times: list[float]) -> None:
             for pid in enders:
                 notify(run.observers, "on_oracle", pid, k, oracle.query(pid, k))
 
-    # Leave the simulator where the scalar loop stops: at the last
-    # surviving round-end timer, with the never-fired events discarded.
+    # Leave the simulator where the scalar loop leaves it: at the last
+    # surviving round-end timer, the never-fired events discarded.
     run.simulator.drain()
     run.simulator.fast_forward(stop)

@@ -16,7 +16,7 @@ from typing import Any
 from repro.giraf.kernel import GirafAlgorithm, Inbox, RoundOutput
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Probe:
     """A heartbeat payload: just the sender and the round it belongs to."""
 

@@ -19,6 +19,7 @@ log into per-round delivery matrices comparable with the lockstep ones.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Optional, Sequence
@@ -39,7 +40,7 @@ from repro.sim.events import Event, Simulator
 from repro.sim.transport import Transport
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Wire:
     """What actually travels on the wire: the round number plus payload."""
 
@@ -75,6 +76,9 @@ class RoundLog:
     def __init__(self, n: int) -> None:
         #: The highest round any node has reached.
         self.rounds = 0
+        #: How many nodes have left the run for good (ran past their
+        #: ``max_rounds``, or crashed permanently): all ``n`` = run over.
+        self.stopped = 0
         self.starts = np.full((1, n), np.nan)
         self.ends = np.full((1, n), np.nan)
         self.timely = np.zeros((1, n, n), dtype=bool)
@@ -111,7 +115,11 @@ class SyncedNode:
     ) -> None:
         self.process = process
         self.oracle = oracle
-        self.transport = transport
+        # A proxy: the transport's handler table refers back to this
+        # node, and a strong reference here would close a cycle that keeps
+        # a finished run alive until the garbage collector's next full
+        # pass.  Whoever builds the node (:class:`SyncRun`) owns the transport.
+        self.transport = weakref.proxy(transport)
         self.simulator = simulator
         self.clock = clock
         self.timeout = timeout
@@ -138,7 +146,7 @@ class SyncedNode:
         self.decision_round: Optional[int] = None
 
         transport.register(process.pid, self._on_receive)
-        simulator.schedule(start_time, self._boot, tag=f"boot:{process.pid}")
+        simulator.schedule(start_time, self._boot)
 
     def _report_decision(self, round_number: int) -> None:
         decision = self.process.decision()
@@ -173,7 +181,7 @@ class SyncedNode:
     def _begin_round(self, local_duration: float) -> None:
         k = self.process.round
         if self.max_rounds is not None and k > self.max_rounds:
-            self.running = False
+            self._stop()
             return
         pid = self.process.pid
         self.log.reach(k)
@@ -184,14 +192,17 @@ class SyncedNode:
             self._rounds_shortened.inc()
         payload = self.process.outgoing_payload
         if payload is not None:
-            wire = _Wire(k, payload)
-            for dst in sorted(self.process.send_targets()):
-                self.transport.send(self.process.pid, dst, wire)
+            targets = sorted(self.process.send_targets())
+            self.transport.broadcast(pid, targets, _Wire(k, payload))
         self._timer = self.simulator.schedule_in(
-            self.round_length(local_duration),
-            self._on_timer,
-            tag=f"round-end:{self.process.pid}:{k}",
+            self.round_length(local_duration), self._on_timer
         )
+
+    def _stop(self) -> None:
+        """Leave the run for good — the one place ``running`` goes from
+        ``True`` to ``False``, counted for the run's stop condition."""
+        self.running = False
+        self.log.stopped += 1
 
     def _end_round(self, next_round: Optional[int] = None) -> None:
         k = self.process.round
@@ -235,7 +246,7 @@ class SyncedNode:
         self.crashed = True
         if permanent:
             self.crashed_permanently = True
-            self.running = False
+            self._stop()
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -261,11 +272,7 @@ class SyncedNode:
         remaining = self._timer.time - self.simulator.now
         remaining -= self.clock.global_duration(delta_local)
         self._timer.cancel()
-        self._timer = self.simulator.schedule_in(
-            max(0.0, remaining),
-            self._on_timer,
-            tag=f"round-end:{self.process.pid}:{self.process.round}",
-        )
+        self._timer = self.simulator.schedule_in(max(0.0, remaining), self._on_timer)
 
     # ------------------------------------------------------------------
     # Receive path.
@@ -456,7 +463,7 @@ class SyncRun:
                 )
                 action()
 
-            self.simulator.schedule(time, fire, tag=f"fault:{kind}:{pid}")
+            self.simulator.schedule(time, fire)
 
         for crash in self.fault_plan.crashes:
             node = self.nodes[crash.pid]
@@ -544,13 +551,16 @@ class SyncRun:
         # "Done" must require having started: before the boot events fire
         # no node is running, and a bare ``not running`` predicate would
         # satisfy the simulator's entry check and stop the run at time 0.
-        self.simulator.run(
-            until=time_limit,
-            stop_when=lambda: all(
-                node.process.started and not node.running
-                for node in self.nodes
-            ),
-        )
+        # So the condition counts the nodes that *stopped* running: it is
+        # evaluated after every event, and must not scan the nodes.
+        log, n = self.log, self.n
+        self.simulator.run(until=time_limit, stop_when=lambda: log.stopped == n)
+        if log.stopped == n:
+            # What never fired (deliveries in flight, faults booked past
+            # the end) never will: both engines end on an empty queue, so a
+            # finished run holds no event that refers back to it.  (A run
+            # the time limit truncated keeps its queue.)
+            self.simulator.drain()
         return self._collect()
 
     def _collect(self) -> SyncRunResult:

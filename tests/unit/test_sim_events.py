@@ -155,6 +155,37 @@ class TestSimulator:
         assert fired == [1]
         assert sim.now == 5.0
 
+    def test_until_in_the_past_fires_nothing_and_leaves_the_clock(self):
+        # Regression: ``run(until=t)`` with ``t < now`` set ``now = t`` —
+        # the rewind ``schedule`` and ``fast_forward`` both refuse — after
+        # which an event could be scheduled, and fire, "before" one that
+        # had already fired.
+        sim = Simulator()
+        fired = []
+        sim.schedule(10.0, lambda: fired.append(10))
+        sim.schedule(20.0, lambda: fired.append(20))
+        assert sim.run(until=12.0) == 12.0
+        assert sim.run(until=5.0) == 12.0
+        assert sim.now == 12.0
+        assert fired == [10]
+        with pytest.raises(SimulationError):
+            sim.schedule(6.0, lambda: fired.append(6))
+        sim.run()
+        assert fired == [10, 20]
+
+    def test_nan_until_is_rejected(self):
+        # ``next_time > nan`` is always False: a NaN limit used to be,
+        # silently, no limit at all.
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1))
+        with pytest.raises(SimulationError):
+            sim.run(until=float("nan"))
+        assert fired == []
+        assert sim.now == 0.0
+        sim.run()  # the refused call left the simulator usable
+        assert fired == [1]
+
     def test_events_after_until_survive_for_next_run(self):
         sim = Simulator()
         fired = []

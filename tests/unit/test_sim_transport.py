@@ -161,18 +161,28 @@ class TestBatchStreams:
     def test_bulk_draw_then_pops_equal_pops_alone(self):
         # The batched engine takes a link's latencies in bulk where the
         # event loop pops them one by one; a stream must not be able to
-        # tell — across the STREAM_CHUNK refill boundary included.
+        # tell — across the STREAM_CHUNK refill boundary included.  A
+        # per-message pop is a traced send, read back as its latency.
         total = STREAM_CHUNK + 40
-        popped = Transport(Simulator(), self.model())
-        alone = [popped._next_stream_latency(0, 1) for _ in range(total)]
-        for bulk in (0, 7, STREAM_CHUNK - 1, STREAM_CHUNK, STREAM_CHUNK + 5):
-            mixed = Transport(Simulator(), self.model())
-            head = mixed.next_stream_latencies(0, 1, bulk).tolist()
-            tail = [
-                mixed._next_stream_latency(0, 1) for _ in range(total - bulk)
+
+        def pops(transport, count):
+            sent = len(transport.deliveries)
+            for _ in range(count):
+                transport.send(0, 1, "m")
+            return [
+                np.inf if d.latency is None else d.latency
+                for d in transport.deliveries[sent:]
             ]
-            assert head + tail == alone, bulk
-            assert mixed._streams[0, 1][2] == popped._streams[0, 1][2]
+
+        popped = Transport(Simulator(), self.model(), trace=True)
+        alone = pops(popped, total)
+        after = popped.next_stream_latencies(0, 1, STREAM_CHUNK).tolist()
+        for bulk in (0, 7, STREAM_CHUNK - 1, STREAM_CHUNK, STREAM_CHUNK + 5):
+            mixed = Transport(Simulator(), self.model(), trace=True)
+            head = mixed.next_stream_latencies(0, 1, bulk).tolist()
+            assert head + pops(mixed, total - bulk) == alone, bulk
+            # Same cursor: the next bulk draw is equal too.
+            assert mixed.next_stream_latencies(0, 1, STREAM_CHUNK).tolist() == after
         # A crashed source sends nothing: drawing nothing opens no stream.
         untouched = Transport(Simulator(), self.model())
         untouched.next_stream_latencies(0, 1, 0)
@@ -426,6 +436,41 @@ class TestFaultSite:
         latencies = metrics.snapshot()["histograms"]["transport.latency_seconds"]
         assert latencies.get("total", 0.0) == 0.0
         assert latencies["count"] == int(not lost)
+
+    @pytest.mark.parametrize("mode", ["scalar", "batch"])
+    @pytest.mark.parametrize("value", [float("nan"), -0.5])
+    def test_bad_stream_draw_is_refused_by_both_engines(self, value, mode):
+        """A stream's draws are checked where the chunk is drawn, so the
+        engine that takes them in bulk refuses what the event loop
+        refuses, in the same words.  (The batched engine used to return
+        a result, silently, for a chunk the scalar loop raised on.)"""
+        from repro.giraf.oracle import NullOracle
+        from repro.sync import HeartbeatAlgorithm, SyncRun
+
+        profile = planetlab_profile(seed=3, slow_run_prob=0.0)
+        draw = profile.sample_link_batch
+
+        def planted(src, dst, send_times, rng):
+            chunk = draw(src, dst, send_times, rng)
+            if (src, dst) == (1, 2):
+                chunk[5] = value  # the link's sixth message
+            return chunk
+
+        profile.sample_link_batch = planted
+        run = SyncRun(
+            8,
+            lambda pid: HeartbeatAlgorithm(pid, 8),
+            NullOracle(),
+            lambda sim: Transport(sim, profile),
+            timeout=0.21,
+            latency_table=np.zeros((8, 8)),
+            max_rounds=20,
+        )
+        with pytest.raises(ValueError) as raised:
+            run.run(mode=mode)
+        assert "1 → 2" in str(raised.value)
+        assert "PlanetLabProfile" in str(raised.value)
+        assert repr(value) in str(raised.value)
 
     def test_policy_assignment_leaves_the_streams_alone(self):
         # Assigning (or clearing) the policy mid-run must not reset the

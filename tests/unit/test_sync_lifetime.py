@@ -1,0 +1,123 @@
+"""A finished, dropped ``SyncRun`` is freed by reference count alone.
+
+What a run leaves behind — nodes, transport, simulator, a few megabytes
+of inboxes per thousand rounds — used to be cyclic garbage
+(``transport._handlers`` → bound ``node._on_receive`` → ``node.transport``;
+``transport._simulator`` → heap → never-fired delivery and fault
+callbacks → the transport / the run), freed only when the generational
+collector happened to run a full pass: a sweep's peak memory was "one
+live run plus however many dead ones are still floating".  Both engines
+now end with an empty event queue and the node's reference to its
+transport is weak, so with the collector switched off nothing of a
+dropped run survives.
+"""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from repro.core import WlmConsensus
+from repro.faults.plan import ClockStep, Crash, FaultPlan
+from repro.giraf.oracle import FixedLeaderOracle, NullOracle
+from repro.net import planetlab_profile
+from repro.obs.registry import MetricsRegistry
+from repro.oracles.omega import HeartbeatOmega
+from repro.sim import Clock, Transport
+from repro.sync import HeartbeatAlgorithm, SyncRun
+
+N = 8
+ROUNDS = 25
+
+#: The "late" plans book a fault past the run's end: its event is still
+#: in the queue when the last node stops.
+PLANS = {
+    "late crash": FaultPlan(n=N, crashes=(Crash(pid=2, at_round=ROUNDS + 30),)),
+    "late step": FaultPlan(
+        n=N,
+        clock_steps=(
+            ClockStep(pid=1, at_round=3, offset=0.02),
+            ClockStep(pid=4, at_round=ROUNDS + 30, offset=0.05),
+        ),
+    ),
+    "recovery": FaultPlan(
+        n=N, crashes=(Crash(pid=3, at_round=5, recover_round=11),)
+    ),
+}
+
+
+def build(kind: str) -> SyncRun:
+    metrics = MetricsRegistry() if kind == "instrumented" else None
+    options = {}
+    oracle = HeartbeatOmega(N, metrics=metrics) if metrics else NullOracle()
+    algorithm = lambda pid: HeartbeatAlgorithm(pid, N)  # noqa: E731
+    if kind in PLANS:
+        options["fault_plan"] = PLANS[kind]
+    elif kind == "hetero":
+        options["clocks"] = [Clock(offset=0.2 * i, drift=2e-5 * (i - 4)) for i in range(N)]
+        options["start_times"] = [0.13 * i for i in range(N)]
+    elif kind == "consensus":
+        oracle = FixedLeaderOracle(0)
+        algorithm = lambda pid: WlmConsensus(pid, N, proposal=f"v{pid}")  # noqa: E731
+    profile = planetlab_profile(seed=5, slow_run_prob=0.0)
+    return SyncRun(
+        N,
+        algorithm,
+        oracle,
+        lambda sim: Transport(sim, profile, metrics=metrics),
+        timeout=0.21,
+        latency_table=np.full((N, N), 0.05),
+        max_rounds=ROUNDS,
+        metrics=metrics,
+        **options,
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, mode",
+    [
+        ("clean", "scalar"),
+        ("clean", "batch"),
+        ("instrumented", "scalar"),
+        ("instrumented", "batch"),
+        ("late crash", "scalar"),
+        ("late crash", "batch"),
+        ("late step", "scalar"),
+        ("recovery", "scalar"),
+        ("hetero", "scalar"),
+        ("consensus", "scalar"),
+    ],
+)
+def test_finished_run_is_freed_without_the_collector(kind, mode):
+    gc.collect()
+    gc.disable()
+    try:
+        run = build(kind)
+        result = run.run(mode=mode)
+        assert run.executed_mode == mode
+        assert len(result.matrices) == ROUNDS
+        assert run.simulator.pending_events == 0
+        held = [
+            weakref.ref(run),
+            weakref.ref(run.nodes[0]),
+            weakref.ref(run.nodes[0].process.inbox),
+            weakref.ref(run.transport),
+            weakref.ref(run.simulator),
+        ]
+        del run, result
+        assert [ref() for ref in held] == [None] * len(held)
+    finally:
+        gc.enable()
+
+
+def test_a_truncated_run_keeps_its_queue():
+    # ``time_limit`` cut the run short: its nodes are still running and
+    # what is pending may yet fire (``run`` can be called again).
+    run = build("clean")
+    run.run(time_limit=2.0, mode="scalar")
+    assert run.simulator.pending_events > 0
+    first = run.log.rounds
+    result = run.run(mode="scalar")
+    assert len(result.matrices) == ROUNDS > first
+    assert run.simulator.pending_events == 0
