@@ -7,9 +7,7 @@ files are the source of EXPERIMENTS.md.
 
 Scale: benchmarks default to the QUICK sweep (seconds).  Set
 ``REPRO_BENCH_SCALE=paper`` to run the paper's full 33-runs-by-300-rounds
-protocol (minutes).  Set ``REPRO_BENCH_JOBS=N`` to run the shared sweep
-through the parallel engine with N workers (results are bit-identical to
-the serial engine; see ``test_parallel_speedup.py``).
+protocol (minutes).
 
 The committed sweep-derived tables are the paper-scale ones, so a run at
 any other scale writes its sweep-derived tables under pytest's
@@ -25,17 +23,12 @@ import pytest
 
 from repro.experiments.config import PAPER, PAPER_LAN, QUICK, QUICK_LAN
 from repro.experiments.figures import run_wan_sweep
-from repro.experiments.parallel import run_wan_sweep_parallel
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def bench_scale() -> str:
     return os.environ.get("REPRO_BENCH_SCALE", "quick").lower()
-
-
-def bench_jobs() -> int:
-    return int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
 
 #: The scale ``benchmarks/results/`` holds the sweep-derived tables at.
@@ -70,9 +63,6 @@ def lan_config():
 @pytest.fixture(scope="session")
 def wan_sweep(wan_config):
     """One shared WAN sweep for the measured figures (1d-1i)."""
-    jobs = bench_jobs()
-    if jobs > 1:
-        return run_wan_sweep_parallel(wan_config, jobs=jobs)
     return run_wan_sweep(wan_config)
 
 

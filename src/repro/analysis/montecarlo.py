@@ -15,12 +15,9 @@ Two estimators:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.analysis.equations import DECISION_ROUNDS
-from repro.models.matrix import iid_matrix
 from repro.models.registry import get_model
 
 
@@ -39,16 +36,12 @@ def estimate_p_model(
     differently than other links" — so entries are sampled for all n²
     positions.
     """
-    registry_model = get_model(model)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(samples):
-        matrix = rng.random((n, n)) < p
-        # Keep the self-link assumption OUT, as in the paper's analysis;
-        # the predicate helpers tolerate an arbitrary diagonal.
-        if registry_model.satisfied(matrix, leader=leader):
-            hits += 1
-    return hits / samples
+    # One draw consumes the generator exactly as ``samples`` (n, n) draws
+    # would.  The self-link assumption stays OUT, as in the paper's
+    # analysis; the predicates tolerate an arbitrary diagonal.
+    matrices = np.random.default_rng(seed).random((samples, n, n)) < p
+    hits = get_model(model).satisfied_batch(matrices, leader=leader).sum()
+    return int(hits) / samples
 
 
 def estimate_decision_rounds(
@@ -56,21 +49,19 @@ def estimate_decision_rounds(
     p: float,
     n: int,
     runs: int = 2_000,
-    leader: int = 0,
     seed: int = 0,
-    max_rounds: int = 2_000_000,
-    window: Optional[int] = None,
 ) -> float:
-    """Average round at which ``window`` consecutive satisfying rounds
-    first complete, over ``runs`` independent IID round sequences.
+    """Average round at which the model's ``window`` of consecutive
+    satisfying rounds (:data:`DECISION_ROUNDS`) first completes, over
+    ``runs`` independent IID round sequences, under leader 0.
 
     This is the Monte-Carlo ``E(D_M)``.  Runs that do not stabilize within
-    ``max_rounds`` contribute ``max_rounds`` (a lower bound on the truth —
-    only relevant for tiny ``P_M``).
+    ``max_rounds`` (2 000 000) contribute ``max_rounds`` (a lower bound on
+    the truth — only relevant for tiny ``P_M``).
     """
     registry_model = get_model(model)
-    if window is None:
-        window = DECISION_ROUNDS[model.upper()]
+    leader, max_rounds = 0, 2_000_000
+    window = DECISION_ROUNDS[model.upper()]
     rng = np.random.default_rng(seed)
     total = 0.0
     for _ in range(runs):

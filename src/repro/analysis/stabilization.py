@@ -67,7 +67,6 @@ def simulate_adversary_decision_rounds(
     runs: int = 200,
     seed: int = 0,
     leader: Optional[int] = None,
-    horizon: int = 4096,
 ) -> np.ndarray:
     """Monte-Carlo 1-based decision rounds under the adversary.
 
@@ -91,7 +90,7 @@ def simulate_adversary_decision_rounds(
         start = 0
         satisfied_parts: list[np.ndarray] = []
         decision: Optional[int] = None
-        block = horizon
+        block = 4096
         while decision is None:
             matrices = rng.random((block, n, n)) < p
             stop = min(quiet - start, block)

@@ -280,7 +280,6 @@ def differential_run(
     rounds: int = 120,
     seed: int = 0,
     plan: Optional[FaultPlan] = None,
-    start_points: int = 12,
     metrics: Optional[MetricsRegistry] = None,
     fault_name: Optional[str] = None,
 ) -> DifferentialResult:
@@ -347,7 +346,7 @@ def differential_run(
         )
 
     # Measured decision rounds for the headline model (◊WLM, window 4).
-    window = equations.DECISION_ROUNDS["WLM"]
+    window, start_points = equations.DECISION_ROUNDS["WLM"], 12
     lock_stats = decision_stats_from_vector(
         satisfaction_vector(lock_m, "WLM", leader=leader),
         window=window,
@@ -551,7 +550,6 @@ def montecarlo_vs_equations(
     n: int = 5,
     samples: int = 3000,
     seed: int = 0,
-    leader: int = 0,
 ) -> list[DiffRow]:
     """Cross-check :func:`estimate_p_model` against equations (1)-(10).
 
@@ -569,7 +567,6 @@ def montecarlo_vs_equations(
                 p,
                 n,
                 samples=samples,
-                leader=leader,
                 seed=derive_seed(seed, f"check:mc:{model_name}:{p!r}"),
             )
             sigma = math.sqrt(max(closed * (1.0 - closed), 1e-12) / samples)
@@ -741,13 +738,12 @@ def _mutation_smoke() -> tuple[bool, bool]:
 
 def run_conformance(
     seed: int = 0,
-    rounds: int = 120,
     mc_samples: int = 3000,
-    n: int = 8,
     metrics: Optional[MetricsRegistry] = None,
 ) -> ConformanceReport:
     """The full conformance sweep: every profile, with and without faults,
     plus the Monte-Carlo cross-check and the mutation self-test."""
+    n, rounds = 8, 120
     report = ConformanceReport()
     adversary_plan = canonical_adversary_plan(n, rounds, seed=seed)
     plans = (

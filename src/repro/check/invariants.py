@@ -34,7 +34,7 @@ observer and aggregates their findings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from repro.obs.registry import MetricsRegistry, registry_or_null
 
@@ -351,13 +351,9 @@ class InvariantSuite:
         return not self.violations
 
 
-def default_suite(
-    metrics: Optional[MetricsRegistry] = None,
-    extra: Sequence[Invariant] = (),
-) -> InvariantSuite:
+def default_suite(metrics: Optional[MetricsRegistry] = None) -> InvariantSuite:
     """The safety checkers every consensus run should carry
-    (agreement, validity, integrity), plus any scenario-specific extras
-    (e.g. :class:`LeaderStability` or :class:`WlmDecisionBound`)."""
-    return InvariantSuite(
-        [Agreement(), Validity(), Integrity(), *extra], metrics=metrics
-    )
+    (agreement, validity, integrity); build an :class:`InvariantSuite`
+    directly to add scenario-specific ones (e.g. :class:`LeaderStability`
+    or :class:`WlmDecisionBound`)."""
+    return InvariantSuite([Agreement(), Validity(), Integrity()], metrics=metrics)

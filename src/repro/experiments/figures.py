@@ -307,16 +307,12 @@ def figure_1c(
 # ----------------------------------------------------------------------
 # Figure 1(d): WAN — timeout to measured p.
 # ----------------------------------------------------------------------
-def figure_1d(
-    config: SweepConfig = QUICK, sweep: Optional[WanSweep] = None
-) -> FigureSeries:
+def figure_1d(sweep: WanSweep) -> FigureSeries:
     """Fraction of timely messages per timeout (paper Figure 1(d)).
 
     Landmarks in the paper: 160 ms -> ~0.88, 170 ms -> ~0.90,
     200 ms -> ~0.95, 210 ms -> ~0.96.
     """
-    if sweep is None:
-        sweep = run_wan_sweep(config)
     x = [float(t) for t in sweep.config.timeouts]
     result = FigureSeries(figure="1d", x_label="timeout (s)", x=x)
     result.series["p"] = [
@@ -328,9 +324,7 @@ def figure_1d(
 # ----------------------------------------------------------------------
 # Figure 1(e)/(f): WAN — P_M with confidence intervals; variance.
 # ----------------------------------------------------------------------
-def figure_1e(
-    config: SweepConfig = QUICK, sweep: Optional[WanSweep] = None
-) -> FigureSeries:
+def figure_1e(sweep: WanSweep) -> FigureSeries:
     """Measured P_M with 95% confidence intervals (paper Figure 1(e)).
 
     Shape targets: WLM's conditions hold far more often than the others
@@ -338,8 +332,6 @@ def figure_1e(
     ES confidence intervals *grow* with the timeout while the others
     shrink.
     """
-    if sweep is None:
-        sweep = run_wan_sweep(config)
     x = [float(t) for t in sweep.config.timeouts]
     result = FigureSeries(figure="1e", x_label="timeout (s)", x=x)
     for model in MEASURED_MODELS:
@@ -355,17 +347,13 @@ def figure_1e(
     return result
 
 
-def figure_1f(
-    config: SweepConfig = QUICK, sweep: Optional[WanSweep] = None
-) -> FigureSeries:
+def figure_1f(sweep: WanSweep) -> FigureSeries:
     """Variance of the per-run P_M values (paper Figure 1(f)).
 
     Shape targets: LM has high variance at short timeouts (the slow
     Poland node hurts some runs badly); AFM's incidence is consistently
     low there (low variance); ES variance grows with the timeout.
     """
-    if sweep is None:
-        sweep = run_wan_sweep(config)
     x = [float(t) for t in sweep.config.timeouts]
     result = FigureSeries(figure="1f", x_label="timeout (s)", x=x)
     for model in MEASURED_MODELS:
@@ -390,12 +378,8 @@ def _decision_times(sweep: WanSweep, model: str) -> list[float]:
     ]
 
 
-def figure_1g(
-    config: SweepConfig = QUICK, sweep: Optional[WanSweep] = None
-) -> FigureSeries:
+def figure_1g(sweep: WanSweep) -> FigureSeries:
     """Average rounds to global decision per model (paper Figure 1(g))."""
-    if sweep is None:
-        sweep = run_wan_sweep(config)
     x = [float(t) for t in sweep.config.timeouts]
     result = FigureSeries(figure="1g", x_label="timeout (s)", x=x)
     for model in MEASURED_MODELS:
@@ -403,16 +387,12 @@ def figure_1g(
     return result
 
 
-def figure_1h(
-    config: SweepConfig = QUICK, sweep: Optional[WanSweep] = None
-) -> FigureSeries:
+def figure_1h(sweep: WanSweep) -> FigureSeries:
     """Average time to global decision per model (paper Figure 1(h)).
 
     Shape targets: WLM fastest at low timeouts; comparable to LM from
     ~180 ms; AFM slower than both below ~230 ms.
     """
-    if sweep is None:
-        sweep = run_wan_sweep(config)
     x = [float(t) for t in sweep.config.timeouts]
     result = FigureSeries(figure="1h", x_label="timeout (s)", x=x)
     for model in MEASURED_MODELS:
@@ -420,17 +400,13 @@ def figure_1h(
     return result
 
 
-def figure_1i(
-    config: SweepConfig = QUICK, sweep: Optional[WanSweep] = None
-) -> FigureSeries:
+def figure_1i(sweep: WanSweep) -> FigureSeries:
     """The timeout/decision-time tradeoff for LM and WLM (Figure 1(i)).
 
     The curve is convex: short timeouts need more rounds, long timeouts
     make every round expensive.  The paper reads optima of ~170 ms (WLM,
     ~730 ms decision time) and ~210 ms (LM, ~650 ms).
     """
-    if sweep is None:
-        sweep = run_wan_sweep(config)
     x = [float(t) for t in sweep.config.timeouts]
     result = FigureSeries(figure="1i", x_label="timeout (s)", x=x)
     for model in ("LM", "WLM"):

@@ -25,9 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.config import SweepConfig
 from repro.experiments.decision import mean_decision_rounds
-from repro.experiments.figures import MEASURED_MODELS, WanSweep, run_wan_sweep
+from repro.experiments.figures import MEASURED_MODELS, WanSweep
 from repro.models.registry import get_model
 from repro.faults import (
     Crash,
@@ -171,21 +170,13 @@ def _satisfaction(
 
 
 def measure_robustness(
-    sweep: WanSweep,
-    seed: int = 0,
-    timeout: Optional[float] = None,
-    plans: Optional[dict[str, FaultPlan]] = None,
+    sweep: WanSweep, seed: int = 0, *, timeout: float
 ) -> list[RobustnessCell]:
     """Clean-versus-faulted P_M and decision latency per (fault, model)."""
     config = sweep.config
-    if timeout is None:
-        timeout = min(
-            config.timeouts, key=lambda t: abs(t - CANONICAL_TIMEOUT)
-        )
     runs = sweep.runs[timeout]
     clean = [run.matrices for run in runs]
-    if plans is None:
-        plans = canonical_plans(config.n, config.rounds_per_run, seed)
+    plans = canonical_plans(config.n, config.rounds_per_run, seed)
 
     def vectors(
         matrices_by_run: Sequence[np.ndarray],
@@ -274,11 +265,7 @@ class EventStackRow:
 
 
 def event_stack_crosscheck(
-    n: int,
-    rounds: int,
-    timeout: float,
-    seed: int = 0,
-    plans: Optional[dict[str, FaultPlan]] = None,
+    n: int, rounds: int, timeout: float, seed: int = 0
 ) -> list[EventStackRow]:
     """Run each canonical fault class through :class:`SyncRun` twice —
     auto mode (batched where eligible) and forced scalar — on a static
@@ -291,8 +278,7 @@ def event_stack_crosscheck(
     it bit-identically; the residual classes (crash *recovery*) must
     fall back with an attributed reason.
     """
-    if plans is None:
-        plans = canonical_plans(n, rounds, seed)
+    plans = canonical_plans(n, rounds, seed)
     profile_seed = derive_seed(seed, "faults:event-stack:profile")
     table = measure_latency_table(
         planetlab_profile(
@@ -368,15 +354,8 @@ def render_event_stack(
     return "\n".join(lines)
 
 
-def robustness_report(
-    sweep: Optional[WanSweep] = None,
-    config: Optional[SweepConfig] = None,
-    seed: int = 0,
-) -> str:
-    """Measure and render the robustness phase (building the sweep only
-    if the caller has none to share)."""
-    if sweep is None:
-        sweep = run_wan_sweep(config) if config is not None else run_wan_sweep()
+def robustness_report(sweep: WanSweep, seed: int = 0) -> str:
+    """Measure and render the robustness phase on a shared sweep."""
     timeout = min(
         sweep.config.timeouts, key=lambda t: abs(t - CANONICAL_TIMEOUT)
     )

@@ -17,8 +17,7 @@ new figure, or a different downstream analysis — re-simulates nothing.
 worker processes (0 = one per CPU).
 
 The pipeline is the :data:`PHASES` table below.  The optional phases
-(``--faults``, ``--check``, ``--adaptive``, ``--new-models``) and the
-``--serve`` routing of the sweeps through :mod:`repro.service` are rows
+(``--faults``, ``--check``, ``--adaptive``, ``--new-models``) are rows
 of it; each row's help text says what it runs and which artifact it
 writes.
 
@@ -176,8 +175,8 @@ class RunContext:
     lan_config: SweepConfig
     jobs: int
     profile: _RunProfile
-    #: The shared WAN sweep: set by the ``wan``/``serve`` phase, reused by
-    #: every later phase that works on its matrices.
+    #: The shared WAN sweep: set by the ``wan`` phase, reused by every
+    #: later phase that works on its matrices.
     sweep: Optional[WanSweep] = None
 
     @property
@@ -209,34 +208,6 @@ def _run_analysis(ctx: RunContext) -> None:
     ctx.emit("fig1a", figure_1a(), y_log=True)
     ctx.emit("fig1b", figure_1b(), y_log=True)
     ctx.write("headline.txt", headline_numbers() + "\n")
-
-
-def _run_served(ctx: RunContext) -> None:
-    """The ``--serve`` client path: both sweeps as service jobs.
-
-    Submits the LAN figure and the WAN sweep to a fresh
-    :class:`repro.service.SweepService` up front — so the run exercises
-    the queue, dedup keys and telemetry — and awaits both artifacts.
-    The executor matches the direct path's choice for ``jobs`` (serial
-    in-process for 1, a process pool otherwise, trace cache inherited
-    either way), and the jobs reuse the engine's own cell tasks and
-    assembly, so the returned figure and sweep are bit-identical to the
-    direct engine calls.
-    """
-    # Imported here, not at module top: the CLI should not pay the
-    # service import (and run_all must stay importable from service-free
-    # contexts; the service itself imports the parallel engine).
-    from repro.experiments.parallel import make_cell_executor
-    from repro.service import LanFigureJob, WanSweepJob, run_jobs
-
-    progress = _PhaseProgress("served sweeps")
-    fig1c, ctx.sweep = run_jobs(
-        [LanFigureJob(config=ctx.lan_config), WanSweepJob(config=ctx.wan_config)],
-        executor=make_cell_executor(ctx.jobs),
-        metrics=ctx.metrics,
-    )
-    progress.finish(_cells(ctx.lan_config) + _cells(ctx.wan_config))
-    ctx.emit("fig1c", fig1c)
 
 
 def _sweep(ctx: RunContext, label: str, config: SweepConfig, engine, direct):
@@ -328,13 +299,11 @@ class Phase(NamedTuple):
     #: The ``profile.phase`` span; for an optional row also its CLI switch
     #: (``--<name>``) and its manifest key.
     name: str
-    #: The ``[i/N]`` progress header(s) printed before the phase runs.
-    titles: tuple[str, ...]
+    #: The ``[i/N]`` progress header printed before the phase runs.
+    title: str
     runner: Callable[[RunContext], None]
     #: Help text of the row's switch; ``None`` marks an always-on row.
     help: Optional[str] = None
-    #: Always-on rows this row runs in place of when it is switched on.
-    replaces: tuple[str, ...] = ()
 
     @property
     def flag(self) -> Optional[str]:
@@ -349,36 +318,20 @@ class Phase(NamedTuple):
 #: ``[i/N]`` numbering, the phase spans and the manifest's per-flag fields
 #: are all read off this table: a new scenario is one row plus its runner.
 PHASES = (
-    Phase("analysis", ("analysis figures (Section 4.2)",), _run_analysis),
-    Phase(
-        "serve",
-        (
-            "LAN measurement (Section 5.2) — via repro.service",
-            "WAN sweep (Section 5.3) — via repro.service "
-            "(this is the slow part)",
-        ),
-        _run_served,
-        help="route the LAN/WAN sweeps through the repro.service job "
-        "queue (admission control, in-flight dedup, priority classes) "
-        "instead of driving the engine directly; results are "
-        "bit-identical to the direct path",
-        replaces=("lan", "wan"),
-    ),
-    Phase("lan", ("LAN measurement (Section 5.2)",), _run_lan),
-    Phase(
-        "wan", ("WAN sweep (Section 5.3) — this is the slow part",), _run_wan
-    ),
-    Phase("wan-figures", ("WAN figures",), _run_wan_figures),
+    Phase("analysis", "analysis figures (Section 4.2)", _run_analysis),
+    Phase("lan", "LAN measurement (Section 5.2)", _run_lan),
+    Phase("wan", "WAN sweep (Section 5.3) — this is the slow part", _run_wan),
+    Phase("wan-figures", "WAN figures", _run_wan_figures),
     Phase(
         "faults",
-        ("fault robustness",),
+        "fault robustness",
         _run_faults,
         help="also run the fault-robustness phase (P_M and decision "
         "latency under crash/loss/partition/slow-node/churn plans)",
     ),
     Phase(
         "check",
-        ("conformance check (differential validation)",),
+        "conformance check (differential validation)",
         _run_check,
         help="also run the conformance phase: differential validation of "
         "the lockstep and event-driven stacks (with runtime invariant "
@@ -387,7 +340,7 @@ PHASES = (
     ),
     Phase(
         "adaptive",
-        ("adaptive model selection under churn",),
+        "adaptive model selection under churn",
         _run_adaptive,
         help="also run the adaptive model-selection scenario: the online "
         "timeliness extractor and switching policy under churn (slow "
@@ -396,7 +349,7 @@ PHASES = (
     ),
     Phase(
         "new-models",
-        ("post-paper scenarios (granular synchrony, stabilizing adversary)",),
+        "post-paper scenarios (granular synchrony, stabilizing adversary)",
         _run_new_models,
         help="also run the new-scenario phase: Granular Synchrony analytic "
         "curves (Figure 1(j)) and the eventually-stabilizing message "
@@ -408,13 +361,11 @@ PHASES = (
 
 def selected_phases(args: argparse.Namespace) -> list[Phase]:
     """The rows this invocation runs, in table order."""
-    chosen = [
+    return [
         phase
         for phase in PHASES
         if phase.flag is None or getattr(args, phase.dest)
     ]
-    replaced = {name for phase in chosen for name in phase.replaces}
-    return [phase for phase in chosen if phase.name not in replaced]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -487,12 +438,8 @@ def main(argv: list[str] | None = None) -> int:
 
     start = time.perf_counter()
     phases = selected_phases(args)
-    total = sum(len(phase.titles) for phase in phases)
-    step = 0
-    for phase in phases:
-        for title in phase.titles:
-            step += 1
-            print(f"[{step}/{total}] {title}", flush=True)
+    for step, phase in enumerate(phases, start=1):
+        print(f"[{step}/{len(phases)}] {phase.title}", flush=True)
         with ctx.profile.phase(phase.name):
             phase.runner(ctx)
 

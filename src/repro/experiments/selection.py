@@ -132,7 +132,6 @@ class Recommendation:
 def choose_timing_model(
     network: type | "LatencyModelFactory",
     timeouts: Sequence[float],
-    n: int = 8,
     rounds_per_run: int = 200,
     runs: int = 6,
     start_points: int = 10,
@@ -145,7 +144,6 @@ def choose_timing_model(
         network: a factory ``network(seed=...) -> LatencyModel`` (e.g.
             :func:`repro.net.planetlab.planetlab_profile`).
         timeouts: the timeout grid to sweep (seconds).
-        n: number of processes (must match the factory's).
         rounds_per_run, runs, start_points: sweep effort.
         seed: root seed.
         linear_tolerance: recommend the linear-message ◊WLM whenever its

@@ -37,22 +37,17 @@ class FaultSchedule(Schedule):
         super().__init__(base.n)
         self._base = base
         self.plan = plan
-        self._cache: dict[int, np.ndarray] = {}
 
     def matrix(self, round_number: int) -> np.ndarray:
-        cached = self._cache.get(round_number)
-        if cached is None:
-            cached = self._base.matrix(round_number) & ~self.plan.mask(
-                round_number
-            )
-            np.fill_diagonal(cached, True)
-            self._cache[round_number] = cached
-        return cached
+        mask = self._per_round(round_number, self.plan.mask)
+        matrix = self._base.matrix(round_number) & ~mask
+        np.fill_diagonal(matrix, True)
+        return matrix
 
     def delivered_round(
         self, round_number: int, src: int, dst: int
     ) -> Optional[int]:
-        if self.plan.mask(round_number)[dst, src]:
+        if self._per_round(round_number, self.plan.mask)[dst, src]:
             return None
         return self._base.delivered_round(round_number, src, dst)
 

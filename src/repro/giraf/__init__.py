@@ -39,7 +39,6 @@ from repro.giraf.adversary import (
     TargetedSilenceSchedule,
 )
 from repro.giraf.runner import LockstepRunner, RunResult
-from repro.giraf.tracing import RunTrace, TracingAlgorithm, render_trace
 
 __all__ = [
     "GirafAlgorithm",
@@ -62,7 +61,4 @@ __all__ = [
     "TargetedSilenceSchedule",
     "LockstepRunner",
     "RunResult",
-    "RunTrace",
-    "TracingAlgorithm",
-    "render_trace",
 ]

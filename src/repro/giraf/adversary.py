@@ -58,25 +58,22 @@ class PartitionSchedule(Schedule):
         self.heal_round = heal_round
         self.intra_group_p = intra_group_p
         self._seed = seed
-        self._cache: dict[int, np.ndarray] = {}
 
     def matrix(self, round_number: int) -> np.ndarray:
         if round_number >= self.heal_round:
             return full_matrix(self.n)
-        cached = self._cache.get(round_number)
-        if cached is None:
-            rng = np.random.default_rng((self._seed, round_number, 0x9A27))
-            cached = empty_matrix(self.n)
-            for group in self.groups:
-                for src in group:
-                    for dst in group:
-                        if src != dst:
-                            cached[dst, src] = (
-                                rng.random() < self.intra_group_p
-                            )
-            np.fill_diagonal(cached, True)
-            self._cache[round_number] = cached
-        return cached
+        return self._per_round(round_number, self._draw)
+
+    def _draw(self, round_number: int) -> np.ndarray:
+        rng = np.random.default_rng((self._seed, round_number, 0x9A27))
+        matrix = empty_matrix(self.n)
+        for group in self.groups:
+            for src in group:
+                for dst in group:
+                    if src != dst:
+                        matrix[dst, src] = rng.random() < self.intra_group_p
+        np.fill_diagonal(matrix, True)
+        return matrix
 
 
 class BurstyLossSchedule(Schedule):
@@ -109,21 +106,20 @@ class BurstyLossSchedule(Schedule):
         self.calm_p = calm_p
         self.burst_p = burst_p
         self._seed = seed
-        self._cache: dict[int, np.ndarray] = {}
 
     def in_burst(self, round_number: int) -> bool:
         period = self.calm_rounds + self.burst_rounds
         return (round_number - 1) % period >= self.calm_rounds
 
     def matrix(self, round_number: int) -> np.ndarray:
-        cached = self._cache.get(round_number)
-        if cached is None:
-            p = self.burst_p if self.in_burst(round_number) else self.calm_p
-            rng = np.random.default_rng((self._seed, round_number, 0xB125))
-            cached = rng.random((self.n, self.n)) < p
-            np.fill_diagonal(cached, True)
-            self._cache[round_number] = cached
-        return cached
+        return self._per_round(round_number, self._draw)
+
+    def _draw(self, round_number: int) -> np.ndarray:
+        p = self.burst_p if self.in_burst(round_number) else self.calm_p
+        rng = np.random.default_rng((self._seed, round_number, 0xB125))
+        matrix = rng.random((self.n, self.n)) < p
+        np.fill_diagonal(matrix, True)
+        return matrix
 
 
 class TargetedSilenceSchedule(Schedule):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,18 @@ class Schedule(abc.ABC):
             raise ValueError("a distributed system needs at least 2 processes")
         self.n = n
         self._late_lag = late_lag
+        self._memo: dict[int, np.ndarray] = {}
+
+    def _per_round(
+        self, round_number: int, draw: Callable[[int], np.ndarray]
+    ) -> np.ndarray:
+        """``draw(round_number)``, computed on first use and kept: the
+        one per-round memo behind every seeded schedule, so random access
+        is deterministic and a repeated read draws nothing."""
+        cached = self._memo.get(round_number)
+        if cached is None:
+            cached = self._memo[round_number] = draw(round_number)
+        return cached
 
     @abc.abstractmethod
     def matrix(self, round_number: int) -> np.ndarray:
@@ -98,18 +110,17 @@ class IIDSchedule(Schedule):
             raise ValueError(f"p must be a probability, got {p}")
         self.p = p
         self._seed = seed
-        self._cache: dict[int, np.ndarray] = {}
 
     def matrix(self, round_number: int) -> np.ndarray:
         if round_number < 1:
             raise ValueError("rounds are 1-based")
-        cached = self._cache.get(round_number)
-        if cached is None:
-            rng = np.random.default_rng((self._seed, round_number))
-            cached = rng.random((self.n, self.n)) < self.p
-            np.fill_diagonal(cached, True)
-            self._cache[round_number] = cached
-        return cached
+        return self._per_round(round_number, self._draw)
+
+    def _draw(self, round_number: int) -> np.ndarray:
+        rng = np.random.default_rng((self._seed, round_number))
+        matrix = rng.random((self.n, self.n)) < self.p
+        np.fill_diagonal(matrix, True)
+        return matrix
 
 
 class _RepairingSchedule(Schedule):
@@ -135,7 +146,6 @@ class _RepairingSchedule(Schedule):
         self._leader = leader
         self._seed = seed
         self._correct = None if correct is None else tuple(sorted(set(correct)))
-        self._cache: dict[int, np.ndarray] = {}
 
     @abc.abstractmethod
     def good_round(self, round_number: int) -> bool:
@@ -144,18 +154,16 @@ class _RepairingSchedule(Schedule):
     def matrix(self, round_number: int) -> np.ndarray:
         if not self.good_round(round_number):
             return self._base.matrix(round_number)
-        cached = self._cache.get(round_number)
-        if cached is None:
-            rng = np.random.default_rng((self._seed, round_number, 0xFACE))
-            cached = repair_to_satisfy(
-                self._base.matrix(round_number),
-                self._model,
-                leader=self._leader,
-                rng=rng,
-                correct=self._correct,
-            )
-            self._cache[round_number] = cached
-        return cached
+        return self._per_round(round_number, self._repair)
+
+    def _repair(self, round_number: int) -> np.ndarray:
+        return repair_to_satisfy(
+            self._base.matrix(round_number),
+            self._model,
+            leader=self._leader,
+            rng=np.random.default_rng((self._seed, round_number, 0xFACE)),
+            correct=self._correct,
+        )
 
 
 class StableAfterSchedule(_RepairingSchedule):
@@ -210,11 +218,10 @@ class IntermittentlyStableSchedule(_RepairingSchedule):
         model: TimingModel | str,
         leader: Optional[int] = None,
         seed: int = 0,
-        correct: Optional[Sequence[int]] = None,
     ) -> None:
         if not 0.0 <= stability_prob <= 1.0:
             raise ValueError("stability_prob must be a probability")
-        super().__init__(base, model, leader, seed, correct)
+        super().__init__(base, model, leader, seed, correct=None)
         self.stability_prob = stability_prob
 
     def good_round(self, round_number: int) -> bool:

@@ -23,11 +23,6 @@ import numpy as np
 
 from repro.sim.rng import derive_pcg64_state
 
-#: (seed, src, dst) -> raw PCG64 state dict.  Substreams are pure
-#: functions of their key (model-independent by design), so the cache is
-#: shared process-wide; entries are a few hundred bytes each.
-_LINK_STATE_CACHE: dict = {}
-
 
 class LatencyModel(abc.ABC):
     """A network: per-message latency sampling plus whole-trace sampling.
@@ -61,9 +56,7 @@ class LatencyModel(abc.ABC):
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         # One scratch bit generator the trace loop reuses; see
-        # _trace_stream.  Link substream states live in the module-level
-        # _LINK_STATE_CACHE: they depend only on (seed, link), never on
-        # the model, so fresh instances of the same seed share them.
+        # _trace_stream.
         self._scratch_bitgen: Optional[np.random.PCG64] = None
 
     @abc.abstractmethod
@@ -112,24 +105,15 @@ class LatencyModel(abc.ABC):
         seed-sequence mixing pass — SHA-256 already did the mixing.
         """
         bitgen = np.random.PCG64(0)
-        bitgen.state = self._link_state(src, dst)
+        bitgen.state = derive_pcg64_state(self.seed, f"link:{src}->{dst}")
         return np.random.Generator(bitgen)
-
-    def _link_state(self, src: int, dst: int) -> dict:
-        """The cached raw PCG64 state of one link's substream."""
-        key = (self.seed, src, dst)
-        state = _LINK_STATE_CACHE.get(key)
-        if state is None:
-            state = derive_pcg64_state(self.seed, f"link:{src}->{dst}")
-            _LINK_STATE_CACHE[key] = state
-        return state
 
     def _trace_stream(self, src: int, dst: int) -> np.random.Generator:
         """:meth:`link_stream`, but recycling one scratch bit generator.
 
         Seeding a fresh PCG64 object costs ~10x a raw state assignment,
         and trace sampling needs n² streams per call; assigning each
-        link's cached state to a single shared bit generator yields
+        link's derived state to a single shared bit generator yields
         bit-identical draws.  The returned generator is therefore only
         valid until the next ``_trace_stream`` call on this model —
         callers must finish with it immediately, which the
@@ -139,7 +123,7 @@ class LatencyModel(abc.ABC):
         bitgen = self._scratch_bitgen
         if bitgen is None:
             bitgen = self._scratch_bitgen = np.random.PCG64(0)
-        bitgen.state = self._link_state(src, dst)
+        bitgen.state = derive_pcg64_state(self.seed, f"link:{src}->{dst}")
         return np.random.Generator(bitgen)
 
     def sample_link_batch(

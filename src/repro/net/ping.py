@@ -12,11 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.net.base import LatencyModel
+from repro.sim.transport import not_a_delay
 
 
-def measure_latency_table(
-    model: LatencyModel, pings: int = 20, start_time: float = 0.0
-) -> np.ndarray:
+def measure_latency_table(model: LatencyModel, pings: int = 20) -> np.ndarray:
     """Measure typical one-way latencies by repeated pings.
 
     Returns the ``n x n`` matrix ``L`` with ``L[i, j]`` the *median*
@@ -28,21 +27,26 @@ def measure_latency_table(
     dozen pings is dominated by a single excursion.
 
     The measurement consumes randomness from the model, like real pings
-    consume wall-clock time before the experiment starts.
+    consume wall-clock time before the experiment starts.  A NaN or
+    negative sample is the model's error and raises the transport's
+    ``ValueError`` naming link, model and value.
     """
     if pings < 1:
         raise ValueError("need at least one ping")
     n = model.n
     samples = np.full((pings, n, n), np.inf)
     for k in range(pings):
-        now = start_time + 0.1 * k
+        now = 0.1 * k
         for src in range(n):
             for dst in range(n):
                 if src == dst:
                     continue
                 sample = model.sample_latency(src, dst, now)
-                if sample is not None:
-                    samples[k, dst, src] = sample
+                if sample is None:
+                    continue
+                if not sample >= 0.0:
+                    raise not_a_delay(model, src, dst, sample)
+                samples[k, dst, src] = sample
     table = np.median(samples, axis=0)
     np.fill_diagonal(table, 0.0)
     return table

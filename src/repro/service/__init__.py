@@ -7,10 +7,9 @@ robustness studies; this package turns the engine that runs them
 library every caller drives alone:
 
 - **Jobs** (:mod:`repro.service.jobs`): typed requests —
-  :class:`WanSweepJob`, :class:`LanFigureJob`, :class:`DecisionQuery`,
-  :class:`RobustnessJob` — each a set of pure cell tasks plus an
-  assembly step, keyed by a content hash (the trace cache's
-  discipline), in one of two priority classes
+  :class:`WanSweepJob`, :class:`DecisionQuery` — each a set of pure
+  cell tasks plus an assembly step, keyed by a content hash (the trace
+  cache's discipline), in one of two priority classes
   (:attr:`Priority.INTERACTIVE` / :attr:`Priority.BATCH`).
 - **Scheduler** (:mod:`repro.service.scheduler`):
   :class:`SweepService`, an asyncio job queue with admission control
@@ -30,8 +29,7 @@ depths, wait/service-time histograms per class, dedup hits, admission
 rejections, per-cell timing, worker utilization) on any
 :class:`repro.obs.MetricsRegistry` you pass in.
 
-Synchronous clients use :func:`run_jobs`; ``python -m repro.experiments
---serve`` routes the standard pipeline through it.
+Synchronous clients use :func:`run_jobs`.
 """
 
 from repro.experiments.parallel import (
@@ -44,9 +42,7 @@ from repro.experiments.parallel import (
 from repro.service.jobs import (
     DecisionQuery,
     JobSpec,
-    LanFigureJob,
     Priority,
-    RobustnessJob,
     WanSweepJob,
 )
 from repro.service.scheduler import (
@@ -64,10 +60,8 @@ __all__ = [
     "DecisionQuery",
     "JobHandle",
     "JobSpec",
-    "LanFigureJob",
     "Priority",
     "ProcessCellExecutor",
-    "RobustnessJob",
     "SerialCellExecutor",
     "SweepService",
     "ThreadCellExecutor",

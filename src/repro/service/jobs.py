@@ -1,8 +1,8 @@
 """Typed job specs for the sweep service.
 
-A :class:`JobSpec` is one client request — a WAN sweep, the LAN figure,
-a robustness study, or a single interactive decision query — expressed
-as independent cell tasks plus an assembly step:
+A :class:`JobSpec` is one client request — a WAN sweep or a single
+interactive decision query — expressed as independent cell tasks plus
+an assembly step:
 
 - :meth:`JobSpec.cells` returns picklable ``(task, args)`` pairs (the
   engine's cells-as-tasks surface, :mod:`repro.experiments.parallel`),
@@ -32,15 +32,13 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.experiments.cache import content_key
-from repro.experiments.config import QUICK, QUICK_LAN, SweepConfig
+from repro.experiments.config import QUICK, SweepConfig
 from repro.experiments.decision import DecisionStats, decision_stats
-from repro.experiments.figures import FigureSeries, WanSweep, wan_cell
+from repro.experiments.figures import WanSweep, wan_cell
 from repro.experiments.parallel import (
     CellOutcome,
     _profiled,
-    assemble_lan_figure,
     assemble_wan_sweep,
-    lan_cell_tasks,
     rows_from_flat,
     wan_cell_tasks,
 )
@@ -120,28 +118,6 @@ class WanSweepJob(JobSpec):
         )
 
 
-@dataclass(frozen=True)
-class LanFigureJob(JobSpec):
-    """The LAN measurement figure (Section 5.2); resolves to the
-    figure 1(c) :class:`~repro.experiments.figures.FigureSeries`."""
-
-    config: SweepConfig = QUICK_LAN
-    priority: Priority = Priority.BATCH
-
-    def key(self) -> str:
-        return content_key(
-            "job:lan_figure", JOB_KEY_VERSION, **_config_params(self.config)
-        )
-
-    def cells(self) -> Sequence[CellTask]:
-        return lan_cell_tasks(self.config)
-
-    def assemble(self, results: Sequence[Any]) -> FigureSeries:
-        return assemble_lan_figure(
-            self.config, rows_from_flat(results, self.config)
-        )
-
-
 def _decision_cell(
     config: SweepConfig, t_index: int, r_index: int, model: str
 ) -> DecisionStats:
@@ -201,37 +177,3 @@ class DecisionQuery(JobSpec):
 
     def assemble(self, results: Sequence[Any]) -> DecisionStats:
         return results[0]
-
-
-@dataclass(frozen=True)
-class RobustnessJob(JobSpec):
-    """The fault-robustness study: a WAN sweep's cells plus the
-    robustness report as the assembly step; resolves to the rendered
-    report string (see :mod:`repro.experiments.robustness`)."""
-
-    config: SweepConfig = QUICK
-    seed: int = 0
-    leader: int = LEADER_NODE
-    priority: Priority = Priority.BATCH
-
-    def key(self) -> str:
-        return content_key(
-            "job:robustness",
-            JOB_KEY_VERSION,
-            fault_seed=self.seed,
-            leader=self.leader,
-            **_config_params(self.config),
-        )
-
-    def cells(self) -> Sequence[CellTask]:
-        return wan_cell_tasks(self.config)
-
-    def assemble(self, results: Sequence[Any]) -> str:
-        # Imported here: robustness pulls in the figure/decision stack,
-        # which not every service deployment needs at import time.
-        from repro.experiments.robustness import robustness_report
-
-        sweep = assemble_wan_sweep(
-            self.config, self.leader, rows_from_flat(results, self.config)
-        )
-        return robustness_report(sweep=sweep, seed=self.seed)

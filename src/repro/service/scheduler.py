@@ -146,18 +146,17 @@ class SweepService:
             ``__aenter__`` and shut down on :meth:`close`.
         workers: thread count for the default executor (ignored when
             ``executor`` is given).
-        budgets: per-class cap on concurrently executing cells.  The
-            default reserves one worker slot from the batch class
-            (``{INTERACTIVE: W, BATCH: max(1, W - 1)}``), trading a
-            sliver of batch throughput for an always-free slot under a
-            sustained interactive stream; pass ``{Priority.BATCH: W}``
-            to make batch work-conserving.
         max_depth: per-class admission bound on unfinished jobs
             (:data:`DEFAULT_MAX_DEPTH`).
         priorities: when ``False``, dispatch is a single FIFO over
             arrival order with no class budgets — the no-priority
             baseline the service benchmark compares against.
         metrics: optional registry receiving the ``service.*`` family.
+
+    The per-class cap on concurrently executing cells reserves one
+    worker slot from the batch class (``{INTERACTIVE: W, BATCH: max(1,
+    W - 1)}``), trading a sliver of batch throughput for an always-free
+    slot under a sustained interactive stream.
 
     All methods must be called from the event-loop thread.
     """
@@ -167,29 +166,23 @@ class SweepService:
         executor: Optional[CellExecutor] = None,
         *,
         workers: Optional[int] = None,
-        budgets: Optional[Dict[Priority, int]] = None,
         max_depth: Optional[Dict[Priority, int]] = None,
         priorities: bool = True,
         metrics: Optional[MetricsRegistry] = None,
-        clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         if executor is None:
             executor = ThreadCellExecutor(workers if workers else 2)
         self._executor = executor
         slots = executor.workers
-        defaults = {
+        self._budgets = {
             Priority.INTERACTIVE: slots,
             Priority.BATCH: max(1, slots - 1),
         }
-        if budgets:
-            defaults.update(budgets)
-        self._budgets = defaults
         self._max_depth = dict(DEFAULT_MAX_DEPTH)
         if max_depth:
             self._max_depth.update(max_depth)
         self._priorities = priorities
         self._metrics = registry_or_null(metrics)
-        self._clock = clock
 
         self._inflight: Dict[str, _JobRecord] = {}
         self._queues: Dict[Priority, deque] = {
@@ -236,7 +229,7 @@ class SweepService:
                 f"{depth} unfinished {priority.value} jobs at limit {limit}",
             )
 
-        now = self._clock()
+        now = time.perf_counter()
         if self._first_submit is None:
             self._first_submit = now
         future: asyncio.Future[Any] = (
@@ -276,7 +269,7 @@ class SweepService:
         self._closed = True
         await self.drain()
         if self._first_submit is not None:
-            elapsed = self._clock() - self._first_submit
+            elapsed = time.perf_counter() - self._first_submit
             if elapsed > 0:
                 self._metrics.gauge("service.worker_utilization").set(
                     min(
@@ -344,7 +337,7 @@ class SweepService:
             index = record.next_cell
             record.next_cell += 1
             if record.started is None:
-                record.started = self._clock()
+                record.started = time.perf_counter()
                 self._observe_wait(record)
             self._cells_in_flight[record.priority] += 1
             self._total_in_flight += 1
@@ -394,7 +387,7 @@ class SweepService:
         started = record.started if record.started is not None else record.submitted
         self._metrics.histogram(
             "service.service_seconds", **{"class": record.priority.value}
-        ).observe(self._clock() - started)
+        ).observe(time.perf_counter() - started)
         self._metrics.counter(
             "service.jobs",
             **{"class": record.priority.value, "state": "completed"},
@@ -434,27 +427,18 @@ def run_jobs(
     *,
     executor: Optional[CellExecutor] = None,
     workers: Optional[int] = None,
-    budgets: Optional[Dict[Priority, int]] = None,
-    max_depth: Optional[Dict[Priority, int]] = None,
-    priorities: bool = True,
     metrics: Optional[MetricsRegistry] = None,
 ) -> list[Any]:
     """Synchronous client: run ``jobs`` through a fresh service.
 
     Submits everything up front (so dedup and priorities apply across
     the set), awaits all results in submission order, and closes the
-    service.  This is the ``--serve`` path of ``python -m
-    repro.experiments``.
+    service.
     """
 
     async def _go() -> list[Any]:
         async with SweepService(
-            executor=executor,
-            workers=workers,
-            budgets=budgets,
-            max_depth=max_depth,
-            priorities=priorities,
-            metrics=metrics,
+            executor=executor, workers=workers, metrics=metrics
         ) as service:
             handles = [service.submit(job) for job in jobs]
             return [await handle.result() for handle in handles]

@@ -142,9 +142,7 @@ class Simulator:
         """Number of live (non-cancelled) events awaiting execution."""
         return len(self._queue)
 
-    def schedule(
-        self, time: float, action: Callable[[], None], priority: int = 0
-    ) -> Event:
+    def schedule(self, time: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` at absolute simulation time ``time``.
 
         Scheduling in the past is an error: the simulator never rewinds.
@@ -155,16 +153,14 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at {time} before current time {self._now}"
             )
-        return self._queue.push(time, action, priority)
+        return self._queue.push(time, action)
 
-    def schedule_in(
-        self, delay: float, action: Callable[[], None], priority: int = 0
-    ) -> Event:
+    def schedule_in(self, delay: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` after ``delay`` units of simulation time."""
         # Written so NaN fails too; ``now + delay`` is then never in the past.
         if not delay >= 0:
             raise SimulationError(f"negative or NaN delay {delay}")
-        return self._queue.push(self._now + delay, action, priority)
+        return self._queue.push(self._now + delay, action)
 
     def run(
         self,

@@ -78,6 +78,15 @@ class Delivery:
 STREAM_CHUNK = 256
 
 
+def not_a_delay(model: LinkModel, src: int, dst: int, latency: float) -> ValueError:
+    """What the event queue cannot place (NaN, a negative delay),
+    reported by link and model."""
+    return ValueError(
+        f"link {src} → {dst}: {type(model).__name__}"
+        f" sampled latency {float(latency)!r}, not a delay in seconds"
+    )
+
+
 class Transport:
     """Delivers payloads between numbered nodes through a :class:`LinkModel`.
 
@@ -248,17 +257,11 @@ class Transport:
                 src, dst, np.zeros(STREAM_CHUNK), state[0]
             )
             if not chunk.min() >= 0.0:  # NaN or negative; ``+inf`` is a loss
-                raise self._not_a_delay(src, dst, chunk[~(chunk >= 0.0)][0])
+                raise not_a_delay(
+                    self._link_model, src, dst, chunk[~(chunk >= 0.0)][0]
+                )
             state[1:] = chunk, 0, []
         return state
-
-    def _not_a_delay(self, src: int, dst: int, latency: float) -> ValueError:
-        """What the event queue cannot place (NaN, a negative delay),
-        reported by link and model."""
-        return ValueError(
-            f"link {src} → {dst}: {type(self._link_model).__name__}"
-            f" sampled latency {float(latency)!r}, not a delay in seconds"
-        )
 
     def next_stream_latencies(self, src: int, dst: int, count: int) -> np.ndarray:
         """The next ``count`` pre-sampled latencies of ``src → dst`` at
@@ -331,7 +334,7 @@ class Transport:
                     if latency == math.inf:
                         latency = None
                     elif guard and not latency >= 0.0:
-                        raise self._not_a_delay(src, dst, latency)
+                        raise not_a_delay(self._link_model, src, dst, latency)
             record: Optional[Delivery] = None
             if trace:
                 kept = payload if self._trace_payloads else None

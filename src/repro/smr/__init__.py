@@ -19,11 +19,8 @@ from repro.smr.command import Command, noop
 from repro.smr.statemachine import StateMachine, KVStore
 from repro.smr.log import ReplicatedLog
 from repro.smr.replica import ReplicaGroup, SlotResult
-from repro.smr.sequence import ConsensusSequence, SequenceMessage
 
 __all__ = [
-    "ConsensusSequence",
-    "SequenceMessage",
     "Command",
     "noop",
     "StateMachine",

@@ -236,11 +236,12 @@ def batch_ineligible_reason(
     crashes, loss bursts, partitions, slow nodes, leader churn), live
     telemetry, observers, and a :class:`HeartbeatOmega` oracle.  What
     still forces the scalar path is anything that can move a node off
-    the common round grid (crash *recovery*, clock steps), randomness
-    that cannot be pre-sampled (dynamic link models, a fault policy
-    other than the run's own), or per-event instrumentation with
-    event-level semantics (the JSONL recorder, delivery tracing).  The
-    returned string is the fallback taxonomy, surfaced as
+    the common round grid (crash *recovery*, clock steps, drift,
+    staggered starts), randomness that cannot be pre-sampled (dynamic
+    link models), an oracle or algorithm the path does not replay, a
+    ``time_limit`` inside the run — eight named reasons — or a run that
+    is no longer, or never was, a stock one (``"not a stock run"``).
+    The returned string is the fallback taxonomy, surfaced as
     :attr:`SyncRun.fallback_reason` and counted per run in the
     ``sync.batch_fallback`` counter family.
     """
@@ -262,55 +263,50 @@ def batch_eligibility(
 
 def _off_grid_reason(run: SyncRun) -> Optional[str]:
     """What keeps ``run`` off one common, pre-computable round grid."""
-    for node in run.nodes:
-        if node.process.round != 0 or node.running or node.crashed:
-            return "a node already started"
-    if run.recorder.enabled:
-        return "run recorder enabled"
-    transport = run.transport
-    if type(transport) is not Transport:
-        return f"transport subclass {type(transport).__name__}"
-    if transport.trace_enabled:
-        return "delivery tracing enabled"
-    if transport.recorder_enabled:
-        return "transport recorder enabled"
+    transport, policy, plan = run.transport, run.link_faults, run.fault_plan
+    inner = base_oracle(run.nodes[0].oracle)
+    # The run is not as its constructor left it (a node, the transport,
+    # the simulator or the fault policy already used; a node given its
+    # own timeout, ``max_rounds`` or oracle), or it carries per-event
+    # instrumentation (JSONL recorder, delivery tracing) or a foreign
+    # transport — nothing a constructor argument of a stock run produces.
+    if (
+        any(
+            node.process.round != 0 or node.running or node.crashed
+            for node in run.nodes
+        )
+        or run.recorder.enabled
+        or type(transport) is not Transport
+        or transport.trace_enabled
+        or transport.recorder_enabled
+        or transport.streams_started
+        or transport.messages_sent
+        or transport.faults is not policy
+        or (policy is not None and policy.consumed)
+        or len({id(node.oracle) for node in run.nodes}) != 1
+        or (type(inner) is HeartbeatOmega and inner.n != run.n)
+        or any(node.max_rounds != run.max_rounds for node in run.nodes)
+        or len({node.timeout for node in run.nodes}) != 1
+        or run.simulator.events_processed
+        or run.simulator.pending_events != run.n
+    ):
+        return "not a stock run"
     if not transport.stream_sampling_active:
         return "link model is not batch-capable and time-invariant"
-    if transport.streams_started or transport.messages_sent:
-        return "transport already carried traffic"
-    policy = run.link_faults
-    if transport.faults is not policy:
-        return "transport fault policy is not the run's own"
-    plan = run.fault_plan
     if plan is not None:
         if plan.clock_steps:
             return "fault plan schedules clock steps"
         if any(c.recover_round is not None for c in plan.crashes):
             return "fault plan schedules crash recovery"
-        if policy.consumed:
-            return "fault policy already consumed"
-    oracles = {id(node.oracle) for node in run.nodes}
-    if len(oracles) != 1:
-        return "nodes use distinct oracle instances"
-    inner = base_oracle(run.nodes[0].oracle)
-    if type(inner) is HeartbeatOmega:
-        if inner.n != run.n:
-            return "oracle dimension mismatch"
-    elif type(inner) is not NullOracle:
+    if type(inner) not in (HeartbeatOmega, NullOracle):
         return f"oracle {type(inner).__name__} is not batch-supported"
     for node in run.nodes:
         if type(node.process.algorithm) is not HeartbeatAlgorithm:
             return "algorithm is not the heartbeat probe stream"
-        if node.max_rounds != run.max_rounds:
-            return "per-node max_rounds override"
-    if len({node.timeout for node in run.nodes}) != 1:
-        return "heterogeneous timeouts"
     if len({node.clock.drift for node in run.nodes}) != 1:
         return "heterogeneous clock drift"
     if len({node.start_time for node in run.nodes}) != 1:
         return "staggered start times"
-    if run.simulator.events_processed or run.simulator.pending_events != run.n:
-        return "simulator already used or extra events scheduled"
     return None
 
 

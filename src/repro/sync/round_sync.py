@@ -385,6 +385,8 @@ class SyncRun:
             raise ValueError(f"max_rounds must be at least 1: {max_rounds!r}")
         if np.shape(latency_table) != (n, n):
             raise ValueError(f"latency_table must have shape ({n}, {n})")
+        if not (np.asarray(latency_table) >= 0).all():  # +inf: a dead link
+            raise ValueError("latency_table entries must be non-negative, not NaN")
         if len(clocks) != n or len(start_times) != n:
             raise ValueError(f"need {n} clocks and {n} start times")
         if not all(math.isfinite(t) and t >= 0 for t in start_times):
@@ -505,13 +507,12 @@ class SyncRun:
           stream, batch-capable time-invariant link model, no faults, no
           instrumentation, lockstep-uniform nodes — and fall back to the
           scalar event loop otherwise (``fallback_reason`` says why);
-        - ``"scalar"``: always run the event loop (the reference path);
-        - ``"batch"``: require the batched path; raise if ineligible.
+        - ``"scalar"``: always run the event loop (the reference path).
 
         Both paths produce bit-identical :class:`SyncRunResult`s; the
         property suite and the conformance axis assert it.
         """
-        if mode not in ("auto", "scalar", "batch"):
+        if mode not in ("auto", "scalar"):
             raise ValueError(f"unknown mode {mode!r}")
         if time_limit is None:
             # Generous default: every round at full length plus slack —
@@ -535,10 +536,6 @@ class SyncRun:
                 self._faults_scheduled = True
                 run_batched(self, grid)
                 return self._collect()
-            if mode == "batch":
-                raise ValueError(
-                    f"batch mode requested but the run is ineligible: {reason}"
-                )
             self.fallback_reason = reason
             # The fallback taxonomy, as telemetry: one increment per run
             # that wanted the fast path and couldn't take it.

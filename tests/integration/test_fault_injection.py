@@ -273,3 +273,28 @@ class TestLockstepConsensusUnderFaults:
         result = runner.run(max_rounds=gsr + 20)
         assert result.agreement_holds() and result.validity_holds()
         assert result.all_correct_decided
+
+    def test_each_rounds_mask_is_computed_once(self, monkeypatch):
+        """The runner asks ``delivered_round`` per message; the plan's
+        mask (RNG draws included) used to be rebuilt for every one of
+        them — 3 360 times for these 60 rounds of ◊LM at n = 8."""
+        from repro.check.differential import canonical_diff_plan
+        from repro.consensus import LmConsensus
+        from repro.giraf import FixedLeaderOracle
+
+        plan = canonical_diff_plan(8, 60)
+        computed = []
+        mask = FaultPlan.mask
+        monkeypatch.setattr(
+            FaultPlan, "mask", lambda self, k: computed.append(k) or mask(self, k)
+        )
+        runner = faulty_lockstep_runner(
+            plan,
+            lambda pid: LmConsensus(pid, 8, pid + 1),
+            FixedLeaderOracle(0),
+            IIDSchedule(8, p=0.9, seed=1),
+        )
+        result = runner.run(max_rounds=60, stop_on_global_decision=False)
+        assert result.rounds_executed == 60
+        assert sorted(computed) == sorted(set(computed))
+        assert 0 < len(computed) <= 60

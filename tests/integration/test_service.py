@@ -18,14 +18,11 @@ import pytest
 
 from repro.experiments import cache as cache_module
 from repro.experiments.config import SweepConfig
-from repro.experiments.figures import figure_1c, run_wan_sweep
+from repro.experiments.figures import run_wan_sweep
 from repro.experiments.parallel import ProcessCellExecutor
-from repro.experiments.robustness import robustness_report
 from repro.obs.registry import MetricsRegistry
 from repro.service import (
     DecisionQuery,
-    LanFigureJob,
-    RobustnessJob,
     SweepService,
     ThreadCellExecutor,
     WanSweepJob,
@@ -35,10 +32,6 @@ from repro.service.jobs import JobSpec, Priority, _decision_cell
 
 TINY = SweepConfig(
     rounds_per_run=30, runs=2, start_points=3, timeouts=(0.16, 0.21), seed=11
-)
-TINY_LAN = SweepConfig(
-    rounds_per_run=30, runs=2, start_points=3,
-    timeouts=(0.0002, 0.0009), seed=5,
 )
 
 
@@ -70,32 +63,21 @@ def assert_sweeps_identical(a, b):
 class TestServiceResultsMatchDirectEngine:
     def test_all_job_types_bit_identical_over_threads(self):
         metrics = MetricsRegistry()
-        sweep, figure, stats, robustness = run_jobs(
+        sweep, stats = run_jobs(
             [
                 WanSweepJob(config=TINY),
-                LanFigureJob(config=TINY_LAN),
                 DecisionQuery(config=TINY, t_index=0, r_index=1, model="WLM"),
-                RobustnessJob(config=TINY, seed=3),
             ],
             workers=2,
             metrics=metrics,
         )
         assert_sweeps_identical(run_wan_sweep(TINY), sweep)
-
-        direct_figure = figure_1c(TINY_LAN)
-        assert figure.x == direct_figure.x
-        assert figure.series == direct_figure.series
-        assert figure.notes == direct_figure.notes
-
         assert_stats_identical(stats, _decision_cell(TINY, 0, 1, "WLM"))
 
-        direct_report = robustness_report(sweep=run_wan_sweep(TINY), seed=3)
-        assert robustness == direct_report
-
-        # The telemetry saw all four jobs complete.
+        # The telemetry saw both jobs complete.
         assert metrics.value(
             "service.jobs", **{"class": "batch", "state": "completed"}
-        ) == 3
+        ) == 1
         assert metrics.value(
             "service.jobs", **{"class": "interactive", "state": "completed"}
         ) == 1

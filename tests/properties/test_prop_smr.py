@@ -1,18 +1,11 @@
 """Property-based tests of the SMR layer: random workloads, random
-networks — replicas must stay identical and logs must share prefixes."""
-
-from collections import deque
+networks — replicas must stay identical."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core import WlmConsensus
-from repro.giraf import (
-    FixedLeaderOracle,
-    IIDSchedule,
-    LockstepRunner,
-    StableAfterSchedule,
-)
-from repro.smr import Command, ConsensusSequence, KVStore, ReplicaGroup
+from repro.giraf import FixedLeaderOracle, IIDSchedule, StableAfterSchedule
+from repro.smr import Command, KVStore, ReplicaGroup
 
 keys = st.sampled_from(["a", "b", "c"])
 operations = st.one_of(
@@ -66,40 +59,3 @@ def test_replica_group_stays_consistent(world):
     assert group.consistent()
     decided = [entry for entry in group.log if not entry.is_noop()]
     assert len(decided) == len(commands)
-
-
-@given(world=workload())
-@settings(max_examples=20, deadline=None)
-def test_consensus_sequence_logs_share_prefix(world):
-    n, commands, seed, gsr, p_chaos = world
-    sequences = []
-
-    def factory(pid):
-        mine = deque(
-            f"{pid}:{index}:{op[0]}"
-            for index, (replica, op) in enumerate(commands)
-            if replica == pid
-        )
-        sequence = ConsensusSequence(
-            pid,
-            n,
-            lambda p, size, proposal: WlmConsensus(p, size, proposal),
-            proposals=mine,
-        )
-        sequences.append(sequence)
-        return sequence
-
-    schedule = StableAfterSchedule(
-        IIDSchedule(n, p=p_chaos, seed=seed),
-        gsr=gsr,
-        model="WLM",
-        leader=0,
-        seed=seed + 1,
-    )
-    runner = LockstepRunner(n, factory, FixedLeaderOracle(0), schedule)
-    runner.run(max_rounds=gsr + 50, stop_on_global_decision=False)
-
-    shortest = min(len(s.decided_log) for s in sequences)
-    reference = sequences[0].decided_log[:shortest]
-    for sequence in sequences[1:]:
-        assert sequence.decided_log[:shortest] == reference

@@ -291,7 +291,7 @@ class TestFallbackTriggers:
         assert run.executed_mode == "scalar"
         # The model still streams, but an ad-hoc policy that is not the
         # run's own plan policy cannot be replicated by the batch path.
-        assert "not the run's own" in run.fallback_reason
+        assert run.fallback_reason == "not a stock run"
         assert len(result.matrices) == 8
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))

@@ -31,6 +31,19 @@ class PartitionedPings(LatencyModel):
         return self._base.sample_latency(src, dst, now)
 
 
+class OneOddLink(BernoulliLinkModel):
+    """A uniform 4-node WAN whose link 2 → 1 always samples ``value``."""
+
+    def __init__(self, value):
+        super().__init__(4, p=1.0, timeout=0.1)
+        self._value = value
+
+    def sample_latency(self, src, dst, now):
+        if (src, dst) == (2, 1):
+            return self._value
+        return super().sample_latency(src, dst, now)
+
+
 class TestMeasureLatencyTable:
     def test_shape_and_diagonal(self):
         table = measure_latency_table(planetlab_profile(seed=1), pings=5)
@@ -54,6 +67,23 @@ class TestMeasureLatencyTable:
         table = measure_latency_table(model, pings=5)
         off = ~np.eye(4, dtype=bool)
         assert np.isinf(table[off]).all()
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_a_sample_that_is_not_a_delay_is_refused(self, bad):
+        """A NaN entry used to be scored as a dead link, and a negative
+        one became a negative median that *won* the election (node 2 on
+        this uniform WAN); both now raise what the transport raises."""
+        with pytest.raises(ValueError) as raised:
+            measure_latency_table(OneOddLink(bad), pings=5)
+        message = str(raised.value)
+        assert "2 → 1" in message
+        assert "OneOddLink" in message and repr(bad) in message
+
+    @pytest.mark.parametrize("lost", [None, float("inf")])
+    def test_none_and_inf_stay_lost_pings(self, lost):
+        table = measure_latency_table(OneOddLink(lost), pings=5)
+        assert np.isinf(table[1, 2])
+        assert np.isfinite(np.delete(table.ravel(), 1 * 4 + 2)).all()
 
 
 class TestSelectLeader:

@@ -110,3 +110,38 @@ class TestPlanetLabProfile:
         a = planetlab_profile(seed=5).sample_round_latencies(0.0)
         b = planetlab_profile(seed=5).sample_round_latencies(0.0)
         assert np.allclose(a, b)
+
+
+
+# A link's substream is a pure function of ``(seed, link)``: derived where
+# it is installed, tabled nowhere.
+def test_sampling_traces_retains_no_per_seed_state():
+    import tracemalloc
+
+    def sample(seeds):
+        for seed in seeds:
+            planetlab_profile(seed=seed).sample_trace_batch(5, 0.21)
+
+    sample(range(10))  # warm-up: imports, NumPy's own pools
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sample(range(1000, 1200))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # A process-wide table of per-(seed, link) states kept ~6 MB here.
+    assert retained < 64 * 1024
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_link_stream_is_a_function_of_seed_and_link(order):
+    profiles = [None, None]
+    for index in order:
+        profiles[index] = planetlab_profile(seed=2007)
+    draws = [p.link_stream(1, 2).standard_normal(3) for p in profiles]
+    assert np.array_equal(*draws)
+    other_link = profiles[0].link_stream(2, 1).standard_normal(3)
+    other_seed = planetlab_profile(seed=2008).link_stream(1, 2).standard_normal(3)
+    assert not np.array_equal(draws[0], other_link)
+    assert not np.array_equal(draws[0], other_seed)

@@ -51,14 +51,15 @@ class TestPhaseTable:
         self, capsys
     ):
         flags = [phase.flag for phase in PHASES if phase.flag is not None]
-        assert sorted(flags) == [
-            "--adaptive", "--check", "--faults", "--new-models", "--serve",
-        ]
+        assert flags == ["--faults", "--check", "--adaptive", "--new-models"]
         with pytest.raises(SystemExit):
             main(["--help"])
         listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
-        for flag in flags:
-            assert listed.count(flag) == 1, flag
+        # The whole CLI surface: an option added or lost shows up here.
+        assert listed == [
+            "--scale", "--out", "--charts", "--jobs", "--cache-dir",
+            "--no-cache", *flags, "--metrics",
+        ]
 
     def test_headers_are_contiguous_for_every_flag_subset(
         self, tmp_path, monkeypatch, capsys
@@ -72,25 +73,21 @@ class TestPhaseTable:
         appended = ["--faults", "--check", "--adaptive", "--new-models"]
         for size in range(len(appended) + 1):
             for subset in itertools.combinations(appended, size):
-                for serve in ([], ["--serve"]):
-                    argv = ["--out", str(tmp_path), "--no-cache"]
-                    assert main(argv + list(subset) + serve) == 0
-                    headers = re.findall(
-                        r"^\[(\d+)/(\d+)\] (.*)$", capsys.readouterr().out, re.M
-                    )
-                    total = 4 + size
-                    assert [(int(i), int(n)) for i, n, _ in headers] == [
-                        (i, total) for i in range(1, total + 1)
-                    ], argv
-                    names = (
-                        ["analysis"]
-                        + (["serve"] if serve else ["lan", "wan"])
-                        + ["wan-figures"]
-                        + [flag.lstrip("-") for flag in subset]
-                    )
-                    assert [title for _, _, title in headers] == [
-                        title for name in names for title in rows[name].titles
-                    ], argv
+                argv = ["--out", str(tmp_path), "--no-cache", *subset]
+                assert main(argv) == 0
+                headers = re.findall(
+                    r"^\[(\d+)/(\d+)\] (.*)$", capsys.readouterr().out, re.M
+                )
+                total = 4 + size
+                assert [(int(i), int(n)) for i, n, _ in headers] == [
+                    (i, total) for i in range(1, total + 1)
+                ], argv
+                names = ["analysis", "lan", "wan", "wan-figures"] + [
+                    flag.lstrip("-") for flag in subset
+                ]
+                assert [title for _, _, title in headers] == [
+                    rows[name].title for name in names
+                ], argv
 
 
 class TestMain:
@@ -218,24 +215,6 @@ class TestMonotonicTiming:
         out = capsys.readouterr().out
         assert "done in -" not in out
         assert " in -" not in out
-
-
-class TestServeFlag:
-    def test_serve_artifacts_byte_identical_to_direct(
-        self, tmp_path, tiny_configs
-    ):
-        """``--serve`` routes the sweeps through the service layer; every
-        figure file must come out byte-identical to the direct path."""
-        direct_out = tmp_path / "direct"
-        served_out = tmp_path / "served"
-        assert main(["--out", str(direct_out)]) == 0
-        assert main(["--out", str(served_out), "--serve"]) == 0
-        for name in (
-            "fig1c", "fig1d", "fig1e", "fig1f", "fig1g", "fig1h", "fig1i"
-        ):
-            direct = (direct_out / f"{name}.txt").read_bytes()
-            served = (served_out / f"{name}.txt").read_bytes()
-            assert direct == served, name
 
 
 class TestMetricsFlag:

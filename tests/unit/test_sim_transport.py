@@ -467,7 +467,9 @@ class TestFaultSite:
             max_rounds=20,
         )
         with pytest.raises(ValueError) as raised:
-            run.run(mode=mode)
+            # "batch" names the engine expected of the default ``auto``.
+            run.run(mode="scalar" if mode == "scalar" else "auto")
+        assert run.executed_mode == mode
         assert "1 → 2" in str(raised.value)
         assert "PlanetLabProfile" in str(raised.value)
         assert repr(value) in str(raised.value)

@@ -166,6 +166,13 @@ N = 8
 TABLE = np.full((N, N), 0.02)
 
 
+def table_with(estimate):
+    """``TABLE`` with node 1's estimate of its link from node 2 replaced."""
+    table = TABLE.copy()
+    table[1, 2] = estimate
+    return table
+
+
 class TestConstructionValidatesInputs:
     """Each bad input used to fail differently per engine — an ``assert``
     or a NumPy/``IndexError`` in auto mode, a ``SimulationError``, five
@@ -182,6 +189,16 @@ class TestConstructionValidatesInputs:
             pytest.param({"max_rounds": 0}, "max_rounds", id="max-rounds-0"),
             pytest.param(
                 {"latency_table": TABLE[:4, :4]}, "latency_table", id="table-4x4"
+            ),
+            pytest.param(
+                {"latency_table": table_with(float("nan"))},
+                "latency_table",
+                id="table-nan",
+            ),
+            pytest.param(
+                {"latency_table": table_with(-0.5)},
+                "latency_table",
+                id="table-negative",
             ),
             pytest.param(
                 {"start_times": [0.0] * 3}, "start time", id="three-start-times"
@@ -211,3 +228,18 @@ class TestConstructionValidatesInputs:
                 lambda sim: Transport(sim, profile),
                 **arguments,
             ).run(mode=mode)
+
+    @pytest.mark.parametrize("mode", ["auto", "scalar"])
+    def test_an_infinite_estimate_is_a_dead_link_and_stays_legal(self, mode):
+        # ``+inf`` floors the joined round at MIN_ROUND_FRACTION instead.
+        profile = uniform_wan_profile(n=N, seed=0)
+        run = SyncRun(
+            N,
+            lambda pid: HeartbeatAlgorithm(pid, N),
+            NullOracle(),
+            lambda sim: Transport(sim, profile),
+            timeout=0.1,
+            latency_table=table_with(float("inf")),
+            max_rounds=5,
+        )
+        assert len(run.run(mode=mode).matrices) == 5
