@@ -7,13 +7,15 @@ asserts the batch path is at least 10x faster *while producing the
 bit-identical* :class:`~repro.sync.round_sync.SyncRunResult` — speed
 bought by changing the answer would be no speedup at all.
 
-A second guard covers the widened fast path: the same scenario under a
-round-granular :class:`~repro.faults.plan.FaultPlan` (permanent crash,
-loss burst, partition, slow node), with live ``repro.obs`` metrics and
-the :class:`~repro.oracles.omega.HeartbeatOmega` detector — the four
-configurations that used to force the scalar fallback — must still be
-at least 5x faster, bit-identical results and equal metric totals
-asserted.
+A second guard holds the widened fast path to the same floor: the same
+scenario under a round-granular :class:`~repro.faults.plan.FaultPlan`
+(permanent crash, loss burst, partition, slow node), with live
+``repro.obs`` metrics and the
+:class:`~repro.oracles.omega.HeartbeatOmega` detector — the four
+configurations that used to force the scalar fallback — bit-identical
+results and equal metric totals asserted.  The detector reads the round
+log in one array pass; a per-round oracle loop in the batch engine
+(7.8x when it had one) fails this guard.
 
 Measured ratios go to ``benchmarks/results/round_sync_speedup.txt`` and
 ``benchmarks/results/round_sync_faulted_speedup.txt``.
@@ -36,7 +38,6 @@ NODES = 8
 ROUNDS = 1500
 TIMEOUT = 0.21
 MIN_SPEEDUP = 10.0
-MIN_FAULTED_SPEEDUP = 5.0
 
 
 def best_of(fn, reps, builder=None):
@@ -195,13 +196,13 @@ def test_batched_faulted_instrumented_speedup(save_result):
         f"{'scalar':<8} {scalar_s * 1e3:>10.1f}ms",
         f"{'batch':<8} {batch_s * 1e3:>10.2f}ms",
         "",
-        f"speedup: {speedup:.1f}x  (floor: {MIN_FAULTED_SPEEDUP:.0f}x, "
+        f"speedup: {speedup:.1f}x  (floor: {MIN_SPEEDUP:.0f}x, "
         "bit-identical results and equal metric totals asserted)",
     ]
     save_result("round_sync_faulted_speedup", "\n".join(lines))
 
-    assert speedup >= MIN_FAULTED_SPEEDUP, (
+    assert speedup >= MIN_SPEEDUP, (
         f"faulted+instrumented batched speedup {speedup:.1f}x below the "
-        f"{MIN_FAULTED_SPEEDUP:.0f}x floor (scalar {scalar_s:.3f}s, "
+        f"{MIN_SPEEDUP:.0f}x floor (scalar {scalar_s:.3f}s, "
         f"batch {batch_s:.3f}s)"
     )

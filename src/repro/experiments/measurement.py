@@ -23,6 +23,7 @@ from repro.models.registry import TimingModel, get_model
 from repro.net.base import LatencyModel
 from repro.net.lan import LanProfile
 from repro.net.planetlab import PlanetLabProfile
+from repro.sim.transport import not_a_delay
 
 
 #: Version tag of the batch trace sampler, folded into the trace-cache key
@@ -42,10 +43,20 @@ def sample_latency_trace(
     pure function of ``(model parameters, seed)``, bit-identical across
     calls, processes and ``--jobs`` values.  Other models fall back to
     the per-round scalar loop (:func:`sample_latency_trace_scalar`).
+
+    The trace is checked once, here, before anything thresholds or
+    caches it: under ``latency < timeout`` a NaN would read "lost" and a
+    negative value "timely", so either raises the transport's
+    ``ValueError`` naming link, model and value.  ``+inf`` is a loss.
     """
     if model.supports_batch_trace:
-        return model.sample_trace_batch(rounds, round_length)
-    return sample_latency_trace_scalar(model, rounds, round_length)
+        trace = model.sample_trace_batch(rounds, round_length)
+    else:
+        trace = sample_latency_trace_scalar(model, rounds, round_length)
+    if trace.size and not trace.min() >= 0.0:
+        k, dst, src = np.argwhere(~(trace >= 0.0))[0]
+        raise not_a_delay(model, src, dst, trace[k, dst, src])
+    return trace
 
 
 def sample_latency_trace_scalar(

@@ -11,7 +11,7 @@ bundles the three.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +65,22 @@ class ChurningOracle(Oracle):
         if self.plan.churning_at(round_number):
             return self.plan.churn_leader(round_number)
         return self.base.query(pid, round_number)
+
+    def replay(self, timely: np.ndarray, ended: Sequence[int]) -> np.ndarray:
+        """A whole run's feed and queries at once (see
+        :meth:`repro.oracles.omega.HeartbeatOmega.replay`, whose table
+        this returns): the base detector observes every round but is not
+        asked in the churn rounds — :meth:`query` never forwards those —
+        and every receiver that did ask in one gets its churn leader."""
+        rounds = np.arange(len(timely) + 1)
+        churning = np.zeros(len(rounds), dtype=bool)
+        for churn in self.plan.leader_churn:
+            churning[churn.start_round : churn.end_round + 1] = True
+        leaders = self.base.replay(timely, ended, churning)
+        asked = rounds[:, None] <= np.asarray(ended)
+        for k in np.flatnonzero(churning).tolist():
+            leaders[k, asked[k]] = self.plan.churn_leader(k)
+        return leaders
 
     def __getattr__(self, name: str):
         # Churn perturbs queries, never observations: the base detector's

@@ -310,6 +310,20 @@ class FaultPlan:
             )
         return state
 
+    def round_states(
+        self, round_numbers: np.ndarray
+    ) -> tuple[list[RoundState], np.ndarray]:
+        """:meth:`round_state` for many rounds at once: the distinct
+        states among them (one per epoch touched) and, per round, the
+        index of its own — for consumers that stack the table as arrays."""
+        edges, _ = self._epochs
+        _, first, index = np.unique(
+            np.searchsorted(edges, round_numbers, side="right"),
+            return_index=True,
+            return_inverse=True,
+        )
+        return [self.round_state(int(round_numbers[i])) for i in first], index
+
     def churning_at(self, round_number: int) -> bool:
         return any(c.active_at(round_number) for c in self.leader_churn)
 

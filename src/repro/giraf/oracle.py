@@ -32,6 +32,17 @@ class NullOracle(Oracle):
     def query(self, pid: int, round_number: int) -> None:
         return None
 
+    def replay(
+        self,
+        timely: np.ndarray,
+        ended: Sequence[int],
+        unasked: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """The bulk form of a whole run's queries (see
+        :meth:`repro.oracles.omega.HeartbeatOmega.replay`): rounds
+        ``0..len(timely)`` by receiver, and no leader (``-1``) anywhere."""
+        return np.full((len(timely) + 1, len(ended)), -1)
+
 
 class FixedLeaderOracle(Oracle):
     """An :math:`\\Omega` oracle that outputs the same leader from the start.

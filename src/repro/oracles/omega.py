@@ -11,10 +11,12 @@ and trusts the smallest-id process heard within the last
 ``suspicion_rounds`` rounds.  It has one feed,
 :meth:`~HeartbeatOmega.observe_rows`: the lockstep runner reports each
 round's whole delivery matrix (``observe``, the same call over every
-row), the event-driven nodes each report their own row of the run's
-:class:`~repro.sync.round_sync.RoundLog` as their round ends, and the
-batched executor reports the rows of the nodes that ended the round.
-Properties:
+row) and the event-driven nodes each report their own row of the run's
+:class:`~repro.sync.round_sync.RoundLog` as their round ends.  The
+batched executor, which holds the whole log before the detector sees any
+of it, hands the log over in one call: :meth:`~HeartbeatOmega.replay` is
+that feed's closed form over the round axis — the same observations and
+queries, in the same order, as array passes.  Properties:
 
 - **Eventual agreement**: once the system stabilizes and some correct
   process's messages reach everyone each round (true under ES/◊LM/◊WLM
@@ -100,11 +102,23 @@ class HeartbeatOmega(Oracle):
         delivered = np.asarray(delivered, dtype=bool)
         if delivered.shape != (self.n, self.n):
             raise ValueError("delivery matrix has wrong shape")
-        sel = (
-            np.arange(self.n)
-            if rows is None
-            else np.asarray(list(rows), dtype=int)
-        )
+        if rows is None:
+            sel = np.arange(self.n)
+        else:
+            # Checked on the plain sequence, before any array is built:
+            # the event-driven nodes pass a 1-tuple per node per round.
+            # A repeated row would count its raised suspicions twice; a
+            # negative one would silently feed the wrong receiver.
+            seen: set[int] = set()
+            for row in rows:
+                if not 0 <= row < self.n:
+                    raise ValueError(
+                        f"receiver row {row} out of range for n={self.n}"
+                    )
+                if row in seen:
+                    raise ValueError(f"receiver row {row} given twice")
+                seen.add(row)
+            sel = np.asarray(rows, dtype=int)
         if sel.size == 0:
             return
         heard = delivered[sel]
@@ -112,7 +126,7 @@ class HeartbeatOmega(Oracle):
         block = self._last_heard[sel]
         np.maximum(block, np.where(heard, round_number, block), out=block)
         self._last_heard[sel] = block
-        suspected = block < (round_number - self.suspicion_rounds)
+        suspected = ~self._in_window(block, round_number)
         previous = self._suspected[sel]
         raised = int(np.count_nonzero(suspected & ~previous))
         cleared = int(np.count_nonzero(~suspected & previous))
@@ -122,22 +136,141 @@ class HeartbeatOmega(Oracle):
             self._suspicions_cleared.inc(cleared)
         self._suspected[sel] = suspected
 
-    def alive(self, pid: int, round_number: int) -> np.ndarray:
-        """Mask of processes inside ``pid``'s trust window at ``round_number``.
+    def replay(
+        self,
+        timely: np.ndarray,
+        ended: Sequence[int],
+        unasked: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """A whole run's feed and queries at once: :meth:`observe_rows`'s
+        closed form over the round axis.
 
-        This is the window :meth:`trusted` selects from; it must be the
-        exact complement of :meth:`suspected` at every round, or trust
-        and suspicion accounting drift apart at the window boundary.
+        ``timely[k - 1]`` is round ``k``'s delivery matrix, ``k = 1..R``;
+        receiver ``pid`` ended rounds ``1..ended[pid]``.  Leaves the
+        detector — freshness map, suspicion masks, last outputs, the
+        three ``omega.*`` counters — exactly where this sequence does,
+        whatever it had observed and answered before::
+
+            for pid in range(n):
+                query(pid, 0)                        # the boot queries
+            for k in 1..R:
+                enders = [pid for pid in range(n) if k <= ended[pid]]
+                observe_rows(k, timely[k - 1], rows=enders)
+                for pid in enders:
+                    query(pid, k)
+
+        with the queries of every round ``k`` where ``unasked[k]`` is set
+        (a mask over rounds ``0..R``) left out: a wrapper that answers
+        those rounds itself never forwards them.  Returns the
+        ``(R + 1, n)`` table of the answers, ``-1`` where ``pid`` made no
+        query in round ``k``.
+
+        Rows are independent (the detector is local), so each receiver's
+        rounds are one prefix of the round axis: freshness is a running
+        maximum of "round ``k`` where heard" folded with the stored map,
+        suspicion is that stamp against the window, raised / cleared
+        compare each round's mask with the one before it (the stored one
+        for round 1), and a leader change is a step along the receiver's
+        own sequence of answers.
         """
-        return self._last_heard[pid] >= round_number - self.suspicion_rounds
+        timely = np.asarray(timely, dtype=bool)
+        n = self.n
+        if timely.ndim != 3 or timely.shape[1:] != (n, n):
+            raise ValueError("delivery matrix has wrong shape")
+        rounds = len(timely)
+        if len(ended) != n:
+            raise ValueError(f"need {n} last ended rounds, got {len(ended)}")
+        for pid, last in enumerate(ended):
+            if not 0 <= last <= rounds:
+                raise ValueError(
+                    f"receiver {pid}'s last ended round {last} is outside"
+                    f" 0..{rounds}"
+                )
+        if unasked is None:
+            unasked = np.zeros(rounds + 1, dtype=bool)
+        unasked = np.asarray(unasked, dtype=bool)
+        if unasked.shape != (rounds + 1,):
+            raise ValueError(f"unasked must mask rounds 0..{rounds}")
+        ended = np.asarray(ended, dtype=int)
+        pids = np.arange(n)
+        ks = np.arange(rounds + 1)
+        round_col = ks[:, None, None]
+
+        # heard[k, dst, src]: dst's freshness stamp of src once it has
+        # observed rounds 1..k — the running maximum of "k where heard,
+        # else 0" — and row 0 is the map as stored.
+        heard = np.empty((rounds + 1, n, n), dtype=int)
+        heard[0] = self._last_heard
+        np.multiply(timely | np.eye(n, dtype=bool), round_col[1:], out=heard[1:])
+        np.maximum.accumulate(heard, axis=0, out=heard)
+        alive = self._in_window(heard, round_col)
+        suspected = ~alive
+        suspected[0] = self._suspected
+        # Only a receiver that ends round k observes it.
+        observes = (ks[1:, None] <= ended)[:, :, None]
+        before, after = suspected[:-1], suspected[1:]
+        self._suspicions_raised.inc(
+            int(np.count_nonzero(after & ~before & observes))
+        )
+        self._suspicions_cleared.inc(
+            int(np.count_nonzero(before & ~after & observes))
+        )
+
+        # Trust: the first alive column (a receiver hears itself in
+        # every round it ends, and no stamp is below round 0's window, so
+        # there is one wherever it asks).  Row 0 answers the boot queries
+        # from the stored map.
+        asked = (ks[:, None] <= ended) & ~unasked[:, None]
+        leaders = np.where(asked, alive.argmax(axis=2), -1)
+
+        # Leader changes: each receiver's answers in order, its previous
+        # output first; ``latest`` carries the last answer forward over
+        # the rounds it did not ask in (-1 until there is one).
+        previous = [self._last_output.get(pid, -1) for pid in range(n)]
+        answers = np.vstack([previous, leaders])
+        answered = answers >= 0
+        at = np.where(answered, np.arange(rounds + 2)[:, None], 0)
+        latest = np.take_along_axis(
+            answers, np.maximum.accumulate(at, axis=0), axis=0
+        )
+        self._leader_changes.inc(
+            int(
+                np.count_nonzero(
+                    answered[1:]
+                    & (latest[:-1] >= 0)
+                    & (answers[1:] != latest[:-1])
+                )
+            )
+        )
+
+        # Everything ends at each receiver's own last ended round.
+        self._last_heard = heard[ended, pids]
+        self._suspected = suspected[ended, pids]
+        for pid, leader in enumerate(latest[-1].tolist()):
+            if leader >= 0:
+                self._last_output[pid] = leader
+        return leaders
+
+    def _in_window(self, last_heard, round_number):
+        """The window comparison, stated once: a process last heard in
+        round ``last_heard`` is inside the trust window at
+        ``round_number``.  Trust (:meth:`alive`), suspicion
+        (:meth:`suspected`, the accounting in :meth:`observe_rows`) and
+        the bulk form (:meth:`replay`) all read it — array or scalar —
+        so they cannot drift apart at the window boundary."""
+        return last_heard >= round_number - self.suspicion_rounds
+
+    def alive(self, pid: int, round_number: int) -> np.ndarray:
+        """Mask of processes inside ``pid``'s trust window at
+        ``round_number`` — the window :meth:`trusted` selects from, and
+        the exact complement of :meth:`suspected` at every round."""
+        return self._in_window(self._last_heard[pid], round_number)
 
     def suspected(self, pid: int, round_number: int) -> np.ndarray:
-        """Mask of processes outside ``pid``'s window at ``round_number``.
-
-        The same windowed comparison :meth:`observe_rows` uses for the
-        suspicion metrics, exposed per-process for inspection and tests.
-        """
-        return self._last_heard[pid] < (round_number - self.suspicion_rounds)
+        """Mask of processes outside ``pid``'s window at ``round_number``:
+        what :meth:`observe_rows` counts for the suspicion metrics,
+        exposed per-process for inspection and tests."""
+        return ~self._in_window(self._last_heard[pid], round_number)
 
     def trusted(self, pid: int, round_number: int) -> int:
         """The smallest-id process ``pid`` heard within the suspicion window."""

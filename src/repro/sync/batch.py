@@ -34,8 +34,11 @@ This module computes the same run in a handful of NumPy passes:
    (:meth:`~repro.sim.transport.Transport.count_sends` /
    :meth:`~repro.sim.transport.Transport.count_drops`, the run's own
    registry), equivalent to the scalar path's per-event increments, and
-   oracle-bearing runs replay each round's delivery rows into
-   :class:`~repro.oracles.omega.HeartbeatOmega` through its one feed;
+   the oracle reads the finished round log whole, in one call
+   (:meth:`~repro.oracles.omega.HeartbeatOmega.replay`: the detector's
+   per-round feed and queries in closed form over the round axis, as the
+   tie rules below are the event queue's) — the answers are walked one
+   by one only when an observer wants ``on_oracle``;
 6. the round boundaries and the timeliness array go, whole, into the
    run's :class:`~repro.sync.round_sync.RoundLog` — the record the
    scalar nodes write cell by cell — and :meth:`SyncRun.run` hands that
@@ -335,7 +338,8 @@ def run_batched(run: SyncRun, times: list[float]) -> None:
     :class:`~repro.sync.round_sync.RoundLog`, the nodes' late-message
     counters and crash flags, stream cursors and fault-policy state,
     ``messages_sent``/``lost``, counter and histogram totals, the
-    oracle's freshness map, the simulator clock and an empty event
+    oracle's freshness map, suspicion masks and last outputs, the
+    simulator clock and an empty event
     queue (the scalar loop drains what never fired once every node has
     stopped, so a finished run of either engine holds no event that
     refers back to it and is freed by reference count).  The caller
@@ -406,13 +410,14 @@ def run_batched(run: SyncRun, times: list[float]) -> None:
     if plan is not None:
         # Grid round k is in the plan round covering its start instant,
         # where the policy places each of its messages, and every round
-        # of one plan epoch shares that epoch's state object.
+        # of one plan epoch shares that epoch's state: each distinct
+        # state is stacked once and the rounds gather by index.
         pr = np.array([policy.round_of(t) for t in times[:-1]])
-        states = [plan.round_state(q) for q in pr]
-        down = np.array([state.down for state in states])
-        cross = np.array([state.cross for state in states])
-        slow = np.array([state.slow for state in states])
-        burst_any = np.array([bool(state.bursts) for state in states])
+        epochs, epoch = plan.round_states(pr)
+        down = np.array([state.down for state in epochs])[epoch]
+        cross = np.array([state.cross for state in epochs])[epoch]
+        slow = np.array([state.slow for state in epochs])[epoch]
+        burst_any = np.array([bool(state.bursts) for state in epochs])[epoch]
         crash_drop = sent & (down[:, :, None] | down[:, None, :])
         part_drop = sent & ~crash_drop & cross
         burst_drop = np.zeros_like(sent)
@@ -518,24 +523,23 @@ def run_batched(run: SyncRun, times: list[float]) -> None:
     )
 
     # ------------------------------------------------------------------
-    # Oracle and observer replay: the boot queries, then each round's
-    # enders' rows of the log and their queries, in scalar order.  The
-    # heartbeat detector is row-local, so bulk row observation followed
-    # by in-order queries is bit-equivalent to the interleaved scalar
-    # sequence.  Skipped entirely when nothing listens.
+    # Oracle and observer replay.  The detector reads the round log
+    # whole: one call observes every round's enders' rows and answers
+    # the boot queries and each round's enders' queries, leaving the
+    # oracle where the interleaved scalar sequence does.  Only observers
+    # need the answers one by one — in scalar order: boot in pid order,
+    # then each round's enders in pid order.
     # ------------------------------------------------------------------
-    oracle = run.nodes[0].oracle
-    wants_oracle = type(base_oracle(oracle)) is not NullOracle
-    if wants_oracle or run.observers:
-        for pid in range(n):
-            notify(run.observers, "on_oracle", pid, 0, oracle.query(pid, 0))
-        observe_rows = getattr(oracle, "observe_rows", None)
-        for k in range(1, rounds + 1):
-            enders = [pid for pid in range(n) if k <= ended[pid]]
-            if observe_rows is not None:
-                observe_rows(k, run.log.timely[k], rows=enders)
-            for pid in enders:
-                notify(run.observers, "on_oracle", pid, k, oracle.query(pid, k))
+    leaders = run.nodes[0].oracle.replay(log.timely[rows], ended)
+    if run.observers:
+        leaders = leaders.tolist()
+        queried = np.arange(rounds + 1)[:, None] <= ended
+        for k, pid in np.argwhere(queried).tolist():
+            leader = leaders[k][pid]
+            notify(
+                run.observers, "on_oracle", pid, k,
+                None if leader < 0 else leader,
+            )
 
     # Leave the simulator where the scalar loop leaves it: at the last
     # surviving round-end timer, the never-fired events discarded.

@@ -255,6 +255,18 @@ def test_round_state_tabulates_the_per_call_predicates(data):
             for p in plan.partitions
         )
         assert plan.partitioned(0, 1, k) == separated
+    # The many-rounds form hands each round the state ``round_state``
+    # does — the same object, one per epoch touched — in any order, with
+    # repeats (several grid rounds can share a plan round).
+    asked = np.array(
+        data.draw(
+            st.lists(st.integers(1, MAX_FAULT_ROUND + 8), min_size=1, max_size=30)
+        )
+    )
+    states, index = plan.round_states(asked)
+    assert len({id(state) for state in states}) == len(states)
+    for k, row in zip(asked.tolist(), index.tolist()):
+        assert states[row] is plan.round_state(k)
 
 
 @given(world=plan_worlds())

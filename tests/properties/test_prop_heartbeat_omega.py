@@ -135,3 +135,79 @@ def test_every_feed_of_a_round_is_the_same_observation(data, seed):
         assert np.array_equal(whole._last_heard, other._last_heard)
         assert np.array_equal(whole._suspected, other._suspected)
         assert _counters(whole) == _counters(other)
+
+
+@st.composite
+def replay_cases(draw):
+    """A detector that has already lived a little, then a run to replay:
+    delivery tensor, each receiver's last ended round (0 included) and a
+    mask of rounds whose queries are never forwarded."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    window = draw(st.integers(min_value=1, max_value=5))
+    rounds = draw(st.integers(min_value=0, max_value=12))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    density = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    history = [
+        (int(rng.integers(1, 9)), rng.random((n, n)) < density)
+        for _ in range(draw(st.integers(min_value=0, max_value=4)))
+    ]
+    answered = rng.random(n) < 0.5
+    timely = rng.random((rounds, n, n)) < density
+    ended = [
+        draw(st.sampled_from([0, rounds, int(rng.integers(0, rounds + 1))]))
+        for _ in range(n)
+    ]
+    unasked = draw(st.sampled_from([None, rng.random(rounds + 1) < 0.3]))
+    return n, window, history, answered, timely, ended, unasked
+
+
+def _lived(n, window, history, answered):
+    """A detector with a live registry that observed ``history`` and
+    answered the receivers marked in ``answered`` afterwards."""
+    oracle = _with_metrics(n, window)
+    for round_number, matrix in history:
+        oracle.observe(round_number, matrix)
+        for pid in np.flatnonzero(answered).tolist():
+            oracle.query(pid, round_number)
+    return oracle
+
+
+@given(case=replay_cases())
+@settings(max_examples=300, deadline=None)
+def test_replay_is_the_interleaved_sequence(case):
+    """``replay`` is ``observe_rows`` + ``query`` in closed form: same
+    answers, same windows now and once everything has aged out, same
+    leader-change accounting on the next query, same counter totals —
+    from whatever state the detector was in."""
+    n, window, history, answered, timely, ended, unasked = case
+    rounds = len(timely)
+    looped = _lived(n, window, history, answered)
+    bulk = _lived(n, window, history, answered)
+
+    expected = np.full((rounds + 1, n), -1)
+    for k in range(rounds + 1):
+        enders = [pid for pid in range(n) if k <= ended[pid]]
+        if k:
+            looped.observe_rows(k, timely[k - 1], rows=enders)
+        if unasked is None or not unasked[k]:
+            for pid in enders:
+                expected[k, pid] = looped.query(pid, k)
+
+    table = bulk.replay(timely, ended, unasked)
+
+    assert np.array_equal(table, expected)
+    assert np.array_equal(bulk._last_heard, looped._last_heard)
+    assert np.array_equal(bulk._suspected, looped._suspected)
+    for pid in range(n):
+        for at in (rounds, rounds + window + 1):
+            assert (bulk.alive(pid, at) == looped.alive(pid, at)).all()
+            assert (bulk.suspected(pid, at) == looped.suspected(pid, at)).all()
+            assert bulk.trusted(pid, at) == looped.trusted(pid, at)
+    assert _counters(bulk) == _counters(looped)
+    # The next query counts a leader change against the same last output.
+    for pid in range(n):
+        assert bulk.query(pid, rounds + window + 1) == looped.query(
+            pid, rounds + window + 1
+        )
+    assert _counters(bulk) == _counters(looped)

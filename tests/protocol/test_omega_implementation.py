@@ -20,6 +20,7 @@ from repro.giraf import (
     StableAfterSchedule,
 )
 from repro.models.matrix import empty_matrix, full_matrix
+from repro.obs.registry import MetricsRegistry
 from repro.oracles import HeartbeatOmega
 from tests.conftest import assert_safety
 
@@ -54,6 +55,43 @@ class TestHeartbeatOmegaUnit:
             HeartbeatOmega(n=3, suspicion_rounds=0)
         with pytest.raises(ValueError):
             HeartbeatOmega(n=3).observe(1, np.eye(4, dtype=bool))
+
+    def test_a_repeated_row_is_refused_not_counted_twice(self):
+        """``rows=(0, 0)`` used to count each of receiver 0's raised
+        suspicions twice (4 instead of 2 here)."""
+        metrics = MetricsRegistry()
+        omega = HeartbeatOmega(n=3, suspicion_rounds=1, metrics=metrics)
+        with pytest.raises(ValueError, match="row 0 given twice"):
+            omega.observe_rows(5, np.eye(3, dtype=bool), rows=(0, 0))
+        assert metrics.value("omega.suspicions_raised") == 0
+        omega.observe_rows(5, np.eye(3, dtype=bool), rows=(0,))
+        assert metrics.value("omega.suspicions_raised") == 2
+
+    @pytest.mark.parametrize("row", [-1, 3, 7])
+    def test_a_row_out_of_range_is_refused(self, row):
+        """``rows=(-1,)`` used to feed the *last* receiver silently and
+        ``rows=(7,)`` surfaced a bare NumPy ``IndexError``."""
+        omega = HeartbeatOmega(n=3)
+        with pytest.raises(ValueError, match=f"row {row} out of range"):
+            omega.observe_rows(5, np.ones((3, 3), dtype=bool), rows=(1, row))
+        assert not omega._last_heard.any()
+
+    def test_replay_validates_its_arguments(self):
+        omega = HeartbeatOmega(n=3)
+        timely = np.ones((4, 3, 3), dtype=bool)
+        with pytest.raises(ValueError, match="delivery matrix has wrong shape"):
+            omega.replay(np.ones((4, 3, 2), dtype=bool), [4, 4, 4])
+        with pytest.raises(ValueError, match="delivery matrix has wrong shape"):
+            omega.replay(np.ones((3, 3), dtype=bool), [4, 4, 4])
+        with pytest.raises(ValueError, match="need 3 last ended rounds"):
+            omega.replay(timely, [4, 4])
+        with pytest.raises(ValueError, match="receiver 1's last ended round 5"):
+            omega.replay(timely, [4, 5, 4])
+        with pytest.raises(ValueError, match="receiver 2's last ended round -1"):
+            omega.replay(timely, [4, 4, -1])
+        with pytest.raises(ValueError, match="unasked must mask rounds 0..4"):
+            omega.replay(timely, [4, 4, 4], np.zeros(4, dtype=bool))
+        assert not omega._last_heard.any() and not omega._last_output
 
 
 class TestOmegaProperty:

@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.experiments import measurement
+from repro.experiments.cache import TraceCache, cached_trace
 from repro.experiments.measurement import (
     measured_p,
     model_satisfaction,
     sample_lan_trace,
+    sample_latency_trace,
     sample_wan_trace,
     satisfaction_vector,
     timely_matrices,
 )
 from repro.models.matrix import empty_matrix, full_matrix
+from repro.net.base import LatencyModel
 
 
 class TestTraces:
@@ -32,6 +36,57 @@ class TestTraces:
         a = sample_wan_trace(5, 0.2, seed=1)
         b = sample_wan_trace(5, 0.2, seed=2)
         assert not np.allclose(a, b)
+
+
+class ScriptedLink(LatencyModel):
+    """A batch-capable 3-node model: every draw is 10 ms, except that
+    link 2 → 1 draws ``value`` in its second round."""
+
+    supports_batch_trace = True
+
+    def __init__(self, value):
+        super().__init__(n=3)
+        self.value = value
+
+    def sample_latency(self, src, dst, now):
+        raise AssertionError("the batch path draws whole links")
+
+    def sample_link_batch(self, src, dst, times, rng=None):
+        column = np.full(len(times), 0.01)
+        if (src, dst) == (2, 1):
+            column[1] = self.value
+        return column
+
+
+class TestTraceIsCheckedWhereItIsDrawn:
+    """ROADMAP 3c: under ``latency < timeout`` a NaN read "lost" and a
+    negative value "timely", and ``cached_trace`` stored either."""
+
+    @pytest.mark.parametrize("value", [float("nan"), -0.004])
+    def test_not_a_delay_is_refused(self, value):
+        with pytest.raises(ValueError) as error:
+            sample_latency_trace(ScriptedLink(value), 4, 0.2)
+        message = str(error.value)
+        assert "link 2 → 1" in message and "ScriptedLink" in message
+        assert repr(value) in message
+
+    def test_a_bad_trace_never_reaches_the_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            measurement,
+            "sample_wan_trace",
+            lambda rounds, round_length, seed: sample_latency_trace(
+                ScriptedLink(float("nan")), rounds, round_length
+            ),
+        )
+        cache = TraceCache(tmp_path)
+        with pytest.raises(ValueError, match="not a delay"):
+            cached_trace("wan", 3, 4, 0.2, seed=1, cache=cache)
+        assert cache.entries() == 0
+
+    def test_an_infinite_latency_stays_a_loss(self):
+        trace = sample_latency_trace(ScriptedLink(float("inf")), 4, 0.2)
+        assert np.isinf(trace[1, 1, 2])
+        assert not timely_matrices(trace, 0.2)[1, 1, 2]
 
 
 class TestTimelyMatrices:
