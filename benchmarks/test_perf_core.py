@@ -17,13 +17,12 @@ from repro.giraf import (
     FixedLeaderOracle,
     IIDSchedule,
     LockstepRunner,
-    NullOracle,
     StableAfterSchedule,
 )
 from repro.models import get_model
 from repro.net.planetlab import PlanetLabProfile, planetlab_profile
-from repro.sim import Clock, Transport
-from repro.sync import HeartbeatAlgorithm, SyncRun
+from repro.sim import Clock
+from repro.sync import probe_run
 
 
 def test_perf_wlm_consensus_run(benchmark):
@@ -121,16 +120,13 @@ def test_perf_event_loop(benchmark):
     profile = planetlab_profile(seed=7, slow_run_prob=0.0)
 
     def run():
-        sync = SyncRun(
-            n,
-            lambda pid: HeartbeatAlgorithm(pid, n),
-            NullOracle(),
-            lambda sim: Transport(sim, profile),
-            timeout=0.21,
-            latency_table=np.full((n, n), 0.05),
+        sync = probe_run(
+            profile,
+            np.full((n, n), 0.05),
+            0.21,
+            200,
             clocks=[Clock(offset=0.2 * i, drift=2e-5 * (i - 4)) for i in range(n)],
             start_times=[0.13 * i for i in range(n)],
-            max_rounds=200,
         )
         return sync, sync.run(mode="scalar")
 

@@ -4,25 +4,21 @@ timeout."""
 
 import numpy as np
 
-from repro.giraf.oracle import NullOracle
 from repro.net import measure_latency_table, planetlab_profile
-from repro.sim import Clock, Transport
-from repro.sync import HeartbeatAlgorithm, SyncRun
+from repro.sim import Clock
+from repro.sync import probe_run
 
 
 def run_sync(timeout=0.2, max_rounds=60, seed=31, n=8):
     profile = planetlab_profile(seed=seed)
     table = measure_latency_table(planetlab_profile(seed=seed + 1), pings=15)
-    run = SyncRun(
-        n,
-        lambda pid: HeartbeatAlgorithm(pid, n),
-        NullOracle(),
-        lambda sim: Transport(sim, profile),
-        timeout=timeout,
-        latency_table=table,
+    run = probe_run(
+        profile,
+        table,
+        timeout,
+        max_rounds,
         clocks=[Clock(offset=0.03 * i, drift=1.5e-5 * (i - 4)) for i in range(n)],
         start_times=[0.17 * i for i in range(n)],
-        max_rounds=max_rounds,
     )
     return run.run()
 

@@ -26,12 +26,9 @@ import time
 import numpy as np
 
 from repro.faults.plan import Crash, FaultPlan, LossBurst, Partition, SlowNode
-from repro.giraf.oracle import NullOracle
 from repro.net import measure_latency_table, planetlab_profile
 from repro.obs.registry import MetricsRegistry
-from repro.oracles.omega import HeartbeatOmega
-from repro.sim import Transport
-from repro.sync import HeartbeatAlgorithm, SyncRun
+from repro.sync import probe_run
 from repro.sync.batch import run_divergences
 
 NODES = 8
@@ -58,20 +55,12 @@ def best_of(fn, reps, builder=None):
     return best, run, result
 
 
-def build_run():
+def build_run(**extras):
     profile = planetlab_profile(seed=7, slow_run_prob=0.0)
     table = measure_latency_table(
         planetlab_profile(seed=8, slow_run_prob=0.0), pings=15
     )
-    return SyncRun(
-        NODES,
-        lambda pid: HeartbeatAlgorithm(pid, NODES),
-        NullOracle(),
-        lambda sim: Transport(sim, profile),
-        timeout=TIMEOUT,
-        latency_table=table,
-        max_rounds=ROUNDS,
-    )
+    return probe_run(profile, table, TIMEOUT, ROUNDS, **extras)
 
 
 def faulted_plan():
@@ -109,22 +98,7 @@ def faulted_plan():
 
 
 def build_faulted_run():
-    profile = planetlab_profile(seed=7, slow_run_prob=0.0)
-    table = measure_latency_table(
-        planetlab_profile(seed=8, slow_run_prob=0.0), pings=15
-    )
-    metrics = MetricsRegistry()
-    return SyncRun(
-        NODES,
-        lambda pid: HeartbeatAlgorithm(pid, NODES),
-        HeartbeatOmega(NODES, metrics=metrics),
-        lambda sim: Transport(sim, profile, metrics=metrics),
-        timeout=TIMEOUT,
-        latency_table=table,
-        max_rounds=ROUNDS,
-        fault_plan=faulted_plan(),
-        metrics=metrics,
-    )
+    return build_run(plan=faulted_plan(), metrics=MetricsRegistry(), omega=True)
 
 
 def test_batched_round_sync_speedup(save_result):

@@ -17,11 +17,10 @@ from repro.experiments.measurement import (
     sample_latency_trace,
     timely_matrices,
 )
-from repro.giraf.oracle import NullOracle
 from repro.net import measure_latency_table, planetlab_profile
 from repro.net.planetlab import LEADER_NODE
-from repro.sim import Clock, Transport
-from repro.sync import HeartbeatAlgorithm, SyncRun
+from repro.sim import Clock
+from repro.sync import probe_run
 
 TIMEOUTS = (0.17, 0.23)
 ROUNDS = 150
@@ -45,18 +44,15 @@ def measure_both():
                     table = measure_latency_table(
                         planetlab_profile(seed=seed + 1), pings=12
                     )
-                    sync = SyncRun(
-                        8,
-                        lambda pid: HeartbeatAlgorithm(pid, 8),
-                        NullOracle(),
-                        lambda sim: Transport(sim, profile),
-                        timeout=timeout,
-                        latency_table=table,
+                    sync = probe_run(
+                        profile,
+                        table,
+                        timeout,
+                        ROUNDS,
                         clocks=[
                             Clock(offset=0.01 * i, drift=1e-5 * (i - 4))
                             for i in range(8)
                         ],
-                        max_rounds=ROUNDS,
                     )
                     matrices = np.array(sync.run().matrices)
                 pm_values.append(

@@ -10,29 +10,27 @@ through the ``on_round_matrix`` seam — and because round-granular slow
 nodes and partitions are inside the widened batch eligibility, the whole
 run executes on the vectorized fast path while the extractor watches.
 
-The leg cross-checks itself: the same run forced through the scalar
-event loop must produce bit-identical results *and* an extractor with
-byte-identical windows, estimates, and recommendation.  That is the
-adaptive phase's half of the fast path's contract.
+The leg is one :class:`~repro.sync.heartbeat.ProbeScenario` row and
+cross-checks itself through :func:`~repro.sync.batch.twin_runs`: the
+same run forced through the scalar event loop must produce bit-identical
+results *and* an extractor with byte-identical windows, estimates, and
+recommendation.  That is the adaptive phase's half of the fast path's
+contract.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
-
-import numpy as np
 
 from repro.adaptive.extractor import ModelEstimate, TimelinessExtractor
 from repro.adaptive.scenario import ScenarioConfig, churn_plan
-from repro.net.ping import measure_latency_table, select_leader
+from repro.experiments.report import format_cell
 from repro.net.planetlab import planetlab_profile
 from repro.obs.registry import MetricsRegistry
-from repro.oracles.omega import HeartbeatOmega
-from repro.sim.rng import derive_seed
-from repro.sim.transport import Transport
-from repro.sync.batch import run_divergences
-from repro.sync.heartbeat import HeartbeatAlgorithm
+from repro.sync.batch import twin_runs
+from repro.sync.heartbeat import ProbeScenario
 from repro.sync.round_sync import SyncRun
 
 #: Rounds past the plan's heal point the live run keeps observing, so
@@ -60,24 +58,6 @@ def _windows(extractor: TimelinessExtractor) -> dict[int, bytes]:
     }
 
 
-def _same_estimate(
-    a: Optional[ModelEstimate], b: Optional[ModelEstimate]
-) -> bool:
-    """Field equality with NaN == NaN (a never-held cell's expected time
-    is NaN on both sides and must compare as the same answer)."""
-    if a is None or b is None:
-        return a is b
-    return (
-        (a.model, a.timeout, a.leader, a.satisfaction, a.holds)
-        == (b.model, b.timeout, b.leader, b.satisfaction, b.holds)
-        and (
-            a.expected_time == b.expected_time
-            or (a.expected_time != a.expected_time
-                and b.expected_time != b.expected_time)
-        )
-    )
-
-
 def run_live_extraction(
     config: ScenarioConfig = ScenarioConfig(),
     metrics: Optional[MetricsRegistry] = None,
@@ -88,21 +68,26 @@ def run_live_extraction(
     ``[(k-1)·tick, k·tick)`` wall-time grid and the protocol's round
     grid coincide — the same anchoring the scenario's matrix path uses.
     """
-    ping_profile = planetlab_profile(
-        seed=derive_seed(config.seed, "adaptive:ping")
+    pinged = ProbeScenario(
+        "planetlab-wan",
+        planetlab_profile,
+        config.tick,
+        COOLDOWN_ROUNDS,
+        config.seed,
+        "adaptive",
     )
-    table = measure_latency_table(ping_profile, pings=15)
-    leader = select_leader(table)
-    plan = churn_plan(config, leader=leader)
-    heal = max(
-        (p.heal_round for p in plan.partitions),
-        default=max((s.end_round for s in plan.slow_nodes), default=1),
+    plan = churn_plan(config, leader=pinged.leader)
+    row = replace(
+        pinged,
+        profile=partial(planetlab_profile, slow_run_prob=0.0),
+        # The partition is the plan's last fault: it heals the round
+        # after the plan falls quiet.
+        rounds=plan.quiet_after() + 1 + COOLDOWN_ROUNDS,
+        plan=plan,
+        fault="churn",
     )
-    rounds = heal + COOLDOWN_ROUNDS
-    timeout = config.tick
-    profile_seed = derive_seed(config.seed, "adaptive:live:profile")
 
-    def build() -> tuple[SyncRun, TimelinessExtractor]:
+    def build() -> SyncRun:
         extractor = TimelinessExtractor(
             config.n,
             config.timeouts,
@@ -110,47 +95,27 @@ def run_live_extraction(
             min_rounds=config.min_window,
             metrics=metrics,
         )
-        extractor.running_timeout = timeout
-        run = SyncRun(
-            config.n,
-            lambda pid: HeartbeatAlgorithm(pid, config.n),
-            HeartbeatOmega(config.n),
-            lambda sim: Transport(
-                sim,
-                planetlab_profile(seed=profile_seed, slow_run_prob=0.0),
-            ),
-            timeout=timeout,
-            latency_table=table,
-            max_rounds=rounds,
-            fault_plan=plan,
-            observers=[extractor],
-        )
-        return run, extractor
+        extractor.running_timeout = row.timeout
+        return row.event_run("live:profile", omega=True, observers=[extractor])
 
-    live_run, live_extractor = build()
-    live_result = live_run.run()
-    scalar_run, scalar_extractor = build()
-    scalar_result = scalar_run.run(mode="scalar")
-
+    twins = twin_runs(build)
+    (live_extractor,) = twins.auto_run.observers
+    (scalar_extractor,) = twins.scalar_run.observers
     live_rec = live_extractor.recommend()
-    scalar_estimates = scalar_extractor.estimates()
-    live_estimates = live_extractor.estimates()
+    # ``repr`` equality: field by field to the last bit, with NaN == NaN (a
+    # never-held cell's expected time is NaN on both sides).
     identical = (
-        not run_divergences(scalar_run, scalar_result, live_run, live_result)
+        not twins.diverged
         and _windows(scalar_extractor) == _windows(live_extractor)
-        and len(scalar_estimates) == len(live_estimates)
-        and all(
-            _same_estimate(a, b)
-            for a, b in zip(scalar_estimates, live_estimates)
-        )
-        and _same_estimate(scalar_extractor.recommend(), live_rec)
+        and repr(scalar_extractor.estimates()) == repr(live_extractor.estimates())
+        and repr(scalar_extractor.recommend()) == repr(live_rec)
     )
     return LiveExtractionReport(
-        executed_mode=live_run.executed_mode,
-        fallback_reason=live_run.fallback_reason,
+        executed_mode=twins.auto_run.executed_mode,
+        fallback_reason=twins.auto_run.fallback_reason,
         identical=identical,
-        rounds=rounds,
-        timeout=timeout,
+        rounds=row.rounds,
+        timeout=row.timeout,
         window_rounds=live_extractor.rounds_seen,
         holding=live_extractor.holding(),
         recommendation=live_rec,
@@ -187,11 +152,7 @@ def render_live_extraction(report: LiveExtractionReport) -> str:
     best = report.recommendation
     if best is not None:
         leader = "-" if best.leader is None else str(best.leader)
-        expected = (
-            f"{best.expected_time:.2f}s"
-            if np.isfinite(best.expected_time)
-            else "-"
-        )
+        expected = format_cell(best.expected_time, ".2f", unit="s")
         lines.append(
             f"recommendation: {best.model}@{best.timeout:.2f}s "
             f"(leader {leader}, expected {expected})"

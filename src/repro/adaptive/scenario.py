@@ -48,6 +48,7 @@ from repro.adaptive.policy import (
 )
 from repro.check.invariants import default_suite
 from repro.experiments.measurement import sample_latency_trace
+from repro.experiments.report import format_cell
 from repro.faults.plan import FaultPlan, Partition, SlowNode
 from repro.giraf.schedule import MatrixSchedule
 from repro.net.granular import GranularProfile
@@ -439,8 +440,9 @@ def adaptive_report(comparison: ScenarioComparison) -> str:
 
     def row(report: PolicyRunReport) -> str:
         return (
-            f"{report.name:<12}{report.mean_latency:>9.2f}s"
-            f"{report.max_latency:>9.2f}s"
+            f"{report.name:<12}"
+            f"{format_cell(report.mean_latency, '.2f', unit='s'):>10}"
+            f"{format_cell(report.max_latency, '.2f', unit='s'):>10}"
             f"{'yes' if report.decided_all else 'NO':>9}"
             f"{report.switches:>10}{report.violations:>12}"
         )
@@ -453,8 +455,9 @@ def adaptive_report(comparison: ScenarioComparison) -> str:
     best = comparison.best_fixed
     lines.append("")
     lines.append(
-        f"best fixed: {best.name} at {best.mean_latency:.2f}s mean; "
-        f"adaptive regret {comparison.regret_seconds:+.2f}s "
+        f"best fixed: {best.name} at "
+        f"{format_cell(best.mean_latency, '.2f', unit='s')} mean; adaptive "
+        f"regret {format_cell(comparison.regret_seconds, '+.2f', unit='s')} "
         f"({'adaptive wins' if comparison.regret_seconds < 0 else 'fixed wins'})"
     )
     if comparison.adaptive.timeline:

@@ -90,7 +90,9 @@ def simulate_adversary_decision_rounds(
         start = 0
         satisfied_parts: list[np.ndarray] = []
         decision: Optional[int] = None
-        block = 4096
+        # Decisions arrive within tens of rounds: draw a short block and
+        # double it (``random`` fills in order, so the prefix is the same).
+        block = 64
         while decision is None:
             matrices = rng.random((block, n, n)) < p
             stop = min(quiet - start, block)
@@ -102,6 +104,7 @@ def simulate_adversary_decision_rounds(
             satisfied = np.concatenate(satisfied_parts)
             decision = _first_decision_round(satisfied, c)
             start += block
+            block = min(2 * block, 4096)
             if start > 10_000_000:
                 raise RuntimeError(
                     f"no decision within {start} rounds (p={p}, model={model})"

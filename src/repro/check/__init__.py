@@ -40,10 +40,8 @@ from repro.check.differential import (
     canonical_diff_plan,
     conformance_report,
     differential_run,
-    granular_wan_profile,
     montecarlo_vs_equations,
     run_conformance,
-    uniform_wan_profile,
 )
 from repro.check.mutation import BrokenAgreementWlm, agreement_violation_run
 
@@ -65,10 +63,8 @@ __all__ = [
     "canonical_diff_plan",
     "conformance_report",
     "differential_run",
-    "granular_wan_profile",
     "montecarlo_vs_equations",
     "run_conformance",
-    "uniform_wan_profile",
     "BrokenAgreementWlm",
     "agreement_violation_run",
 ]

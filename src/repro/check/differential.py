@@ -6,8 +6,9 @@ batch model predicates) and once through the event-driven protocol stack
 (:class:`~repro.sync.round_sync.SyncRun` over the simulated transport).
 The figures lean on the idealization; Section 5.1's protocol is what
 justifies it.  This module makes that justification executable: drive
-one ``(network profile, FaultPlan, seed)`` scenario through both stacks
-and diff what comes out —
+one scenario row (:class:`~repro.sync.heartbeat.ProbeScenario`: network
+profile, ping table, ``FaultPlan``, seed) through both stacks and diff
+what comes out —
 
 - the measured timely fraction ``p``,
 - ``P_M`` for each timing model (ES, AFM, ◊LM, ◊WLM),
@@ -18,7 +19,8 @@ and diff what comes out —
 each within a stated tolerance, while :mod:`repro.check.invariants`
 checkers ride along on consensus runs through both stacks.  A separate
 cross-check pits the Monte-Carlo estimators against the Section 4
-closed forms on a grid of ``p`` values.
+closed forms on a grid of ``p`` values.  The sweep itself is data:
+:data:`GRID`, one ``(check, profile, fault)`` row per scenario.
 
 Tolerances are deliberately loose statistical bounds, not equality: the
 two stacks share a latency trace seed but cut rounds differently (local
@@ -31,9 +33,9 @@ add variance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -49,31 +51,24 @@ from repro.experiments.measurement import (
     satisfaction_vector,
     timely_matrices,
 )
+from repro.experiments.report import format_cell
 from repro.faults.adversary import StabilityWindowAdversary
-from repro.faults.lockstep import inject_lockstep
 from repro.faults.plan import Crash, FaultPlan, LossBurst, Partition, SlowNode
-from repro.giraf.oracle import FixedLeaderOracle, NullOracle, Oracle
-from repro.giraf.runner import LockstepRunner
-from repro.giraf.schedule import MatrixSchedule
-from repro.models.registry import get_model
+from repro.giraf.oracle import FixedLeaderOracle
 from repro.net.base import LatencyModel
-from repro.net.granular import GranularProfile
-from repro.net.hetero import HeterogeneousNetwork
+from repro.net.granular import granular_wan_profile
+from repro.net.hetero import uniform_wan_profile
 from repro.net.lan import lan_profile
-from repro.net.ping import measure_latency_table, select_leader
 from repro.net.planetlab import planetlab_profile
 from repro.obs.registry import MetricsRegistry
-from repro.oracles.omega import HeartbeatOmega
 from repro.sim.rng import derive_seed
 from repro.sim.transport import Transport
-from repro.sync.batch import (
-    METRIC_FACETS,
-    RESULT_FIELDS,
-    RUN_FACETS,
-    run_divergences,
-)
-from repro.sync.heartbeat import HeartbeatAlgorithm
+from repro.sync.batch import METRIC_FACETS, RESULT_FIELDS, RUN_FACETS, twin_runs
+from repro.sync.heartbeat import ProbeScenario
 from repro.sync.round_sync import SyncRun
+
+#: A network profile's factory: takes the ``seed`` keyword.
+_Factory = Callable[..., LatencyModel]
 
 #: The models whose ``P_M`` both stacks must agree on.  GS is the
 #: post-paper Granular Synchrony model (canonical hub-based assumption
@@ -133,18 +128,19 @@ class DiffRow:
 
 @dataclass
 class DifferentialResult:
-    """Everything one differential scenario produced."""
+    """Everything one row of the conformance grid produced."""
 
+    scenario: ProbeScenario
+    #: The scenario's name in the report (the twin axis appends itself).
     profile: str
-    fault: str
-    timeout: float
-    rounds: int
-    seed: int
-    leader: int
-    rows: list[DiffRow] = field(default_factory=list)
+    rows: list[DiffRow]
     #: ``(stack, violation)`` pairs from the consensus safety runs, where
     #: ``stack`` is ``"lockstep"`` or ``"event"``.
     violations: list[tuple[str, Violation]] = field(default_factory=list)
+
+    @property
+    def fault(self) -> str:
+        return self.scenario.fault
 
     @property
     def ok(self) -> bool:
@@ -200,16 +196,8 @@ def canonical_adversary_plan(n: int, rounds: int, seed: int = 0) -> FaultPlan:
 
 
 def _consensus_safety(
-    n: int,
-    leader: int,
+    row: ProbeScenario,
     ideal_matrices: np.ndarray,
-    profile_factory: Callable[..., LatencyModel],
-    table: np.ndarray,
-    timeout: float,
-    rounds: int,
-    seed: int,
-    name: str,
-    plan: Optional[FaultPlan],
     metrics: Optional[MetricsRegistry],
 ) -> list[tuple[str, Violation]]:
     """Run Algorithm 2 through both stacks with the safety checkers on.
@@ -223,23 +211,14 @@ def _consensus_safety(
     """
 
     def factory(pid: int) -> WlmConsensus:
-        return WlmConsensus(pid, n, f"value-{pid}")
+        return WlmConsensus(pid, row.n, f"value-{pid}")
 
     violations: list[tuple[str, Violation]] = []
 
     lock_suite = default_suite(metrics=metrics)
-    base = MatrixSchedule([np.array(m) for m in ideal_matrices])
-    oracle: Oracle = FixedLeaderOracle(leader)
-    if plan is not None:
-        schedule, oracle, crash_plan = inject_lockstep(plan, base, oracle)
-    else:
-        schedule, crash_plan = base, None
-    runner = LockstepRunner(
-        n, factory, oracle, schedule, crash_plan=crash_plan,
-        observers=[lock_suite],
-    )
+    runner = row.lockstep_run(factory, ideal_matrices, observers=[lock_suite])
     lock_run = runner.run(
-        max_rounds=rounds,
+        max_rounds=row.rounds,
         stop_on_global_decision=True,
         extra_rounds_after_decision=2,
     )
@@ -247,16 +226,16 @@ def _consensus_safety(
     violations.extend(("lockstep", v) for v in lock_suite.violations)
 
     event_suite = default_suite(metrics=metrics)
-    profile = profile_factory(seed=derive_seed(seed, f"check:{name}:consensus"))
+    profile = row.network("consensus")
     sync = SyncRun(
-        n,
+        row.n,
         factory,
-        FixedLeaderOracle(leader),
+        FixedLeaderOracle(row.leader),
         lambda sim: Transport(sim, profile),
-        timeout=timeout,
-        latency_table=table,
-        max_rounds=rounds,
-        fault_plan=plan,
+        timeout=row.timeout,
+        latency_table=row.table,
+        max_rounds=row.rounds,
+        fault_plan=row.plan,
         metrics=metrics,
         observers=[event_suite],
     )
@@ -265,56 +244,45 @@ def _consensus_safety(
     return violations
 
 
-def _fault_label(plan: Optional[FaultPlan], fault_name: Optional[str]) -> str:
-    """The ``faults=`` label of a scenario header: the caller's name for
-    its plan, else ``canonical``/``none`` by whether there is one."""
-    if fault_name is not None:
-        return fault_name
-    return "canonical" if plan is not None else "none"
+def _observables(matrices: np.ndarray, row: ProbeScenario) -> dict[str, float]:
+    """What one stack measured, by quantity: the timely fraction ``p``,
+    ``P_M`` per model and the headline model's (◊WLM, window 4) measured
+    decision rounds."""
+    leader = row.leader
+    off_diag = ~np.eye(row.n, dtype=bool)
+    values = {"measured p": float(matrices[:, off_diag].mean())}
+    for model in DIFF_MODELS:
+        values[f"P_{model}"] = model_satisfaction(matrices, model, leader=leader)
+    values["D_WLM rounds"] = decision_stats_from_vector(
+        satisfaction_vector(matrices, "WLM", leader=leader),
+        window=equations.DECISION_ROUNDS["WLM"],
+        round_length=row.timeout,
+        start_points=12,
+    ).mean_rounds
+    return values
 
 
 def differential_run(
-    profile_name: str,
-    profile_factory: Callable[..., LatencyModel],
-    timeout: float,
-    rounds: int = 120,
-    seed: int = 0,
-    plan: Optional[FaultPlan] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    fault_name: Optional[str] = None,
+    row: ProbeScenario, metrics: Optional[MetricsRegistry] = None
 ) -> DifferentialResult:
     """Drive one scenario through both stacks and diff the observables.
 
-    ``profile_factory`` must accept a ``seed`` keyword and return a
-    :class:`~repro.net.base.LatencyModel`; both stacks consume the *same*
-    trace seed (the event transport draws per-link substreams from it,
-    the lockstep path samples the batch trace), so differences reflect
-    the round-cutting protocol, not different networks.
+    Both stacks consume the *same* trace seed — the row's ``"trace"``
+    stream: the event transport draws per-link substreams from it, the
+    lockstep path samples the batch trace — so differences reflect the
+    round-cutting protocol, not different networks.
     """
-    ping_model = profile_factory(seed=derive_seed(seed, f"check:{profile_name}:ping"))
-    n = ping_model.n
-    table = measure_latency_table(ping_model, pings=15)
-    leader = select_leader(table)
-    trace_seed = derive_seed(seed, f"check:{profile_name}:trace")
+    timeout = row.timeout
 
     # Event path: the heartbeat probe stream through the real protocol.
-    sync = SyncRun(
-        n,
-        lambda pid: HeartbeatAlgorithm(pid, n),
-        NullOracle(),
-        lambda sim: Transport(sim, profile_factory(seed=trace_seed)),
-        timeout=timeout,
-        latency_table=table,
-        max_rounds=rounds,
-        fault_plan=plan,
-        metrics=metrics,
-    )
-    event_result = sync.run()
+    event_result = row.event_run("trace", metrics=metrics).run()
 
     # Lockstep path: same trace seed, synchronized windows, plan masks.
-    trace = sample_latency_trace(profile_factory(seed=trace_seed), rounds, timeout)
+    trace = sample_latency_trace(row.network("trace"), row.rounds, timeout)
     ideal = timely_matrices(trace, timeout)
-    faulted = plan.apply_to_matrices(ideal) if plan is not None else ideal
+    faulted = (
+        row.plan.apply_to_matrices(ideal) if row.plan is not None else ideal
+    )
 
     depth = min(len(event_result.matrices), len(faulted))
     if depth <= WARMUP_ROUNDS + 20:
@@ -324,46 +292,17 @@ def differential_run(
     lock_m = np.asarray(faulted[WARMUP_ROUNDS:depth])
     event_m = np.asarray(event_result.matrices[WARMUP_ROUNDS:depth])
 
-    rows: list[DiffRow] = []
-    off_diag = ~np.eye(n, dtype=bool)
-    rows.append(
-        DiffRow(
-            "measured p",
-            float(lock_m[:, off_diag].mean()),
-            float(event_m[:, off_diag].mean()),
-            P_TOLERANCE,
-        )
+    lock, event = _observables(lock_m, row), _observables(event_m, row)
+    tolerances = dict.fromkeys(lock, PM_TOLERANCE)
+    tolerances["measured p"] = P_TOLERANCE
+    lock_mean = lock["D_WLM rounds"]
+    tolerances["D_WLM rounds"] = (
+        6.0 if math.isnan(lock_mean) else max(6.0, 0.8 * lock_mean)
     )
-    for model_name in DIFF_MODELS:
-        model = get_model(model_name)
-        rows.append(
-            DiffRow(
-                f"P_{model_name}",
-                model_satisfaction(lock_m, model, leader=leader),
-                model_satisfaction(event_m, model, leader=leader),
-                PM_TOLERANCE,
-            )
-        )
-
-    # Measured decision rounds for the headline model (◊WLM, window 4).
-    window, start_points = equations.DECISION_ROUNDS["WLM"], 12
-    lock_stats = decision_stats_from_vector(
-        satisfaction_vector(lock_m, "WLM", leader=leader),
-        window=window,
-        round_length=timeout,
-        start_points=start_points,
-    )
-    event_stats = decision_stats_from_vector(
-        satisfaction_vector(event_m, "WLM", leader=leader),
-        window=window,
-        round_length=timeout,
-        start_points=start_points,
-    )
-    lock_mean = lock_stats.mean_rounds
-    d_tolerance = 6.0 if math.isnan(lock_mean) else max(6.0, 0.8 * lock_mean)
-    rows.append(
-        DiffRow("D_WLM rounds", lock_mean, event_stats.mean_rounds, d_tolerance)
-    )
+    rows = [
+        DiffRow(quantity, lock[quantity], event[quantity], tolerance)
+        for quantity, tolerance in tolerances.items()
+    ]
 
     # Round synchronization: the idealization assumes perfectly aligned
     # windows; the protocol must stay within a fraction of the timeout.
@@ -372,29 +311,8 @@ def differential_run(
     sync_ratio = float(finite.mean() / timeout) if finite.size else float("nan")
     rows.append(DiffRow("sync error / timeout", 0.0, sync_ratio, SYNC_TOLERANCE))
 
-    violations = _consensus_safety(
-        n=n,
-        leader=leader,
-        ideal_matrices=ideal,
-        profile_factory=profile_factory,
-        table=table,
-        timeout=timeout,
-        rounds=rounds,
-        seed=seed,
-        name=profile_name,
-        plan=plan,
-        metrics=metrics,
-    )
-
     return DifferentialResult(
-        profile=profile_name,
-        fault=_fault_label(plan, fault_name),
-        timeout=timeout,
-        rounds=rounds,
-        seed=seed,
-        leader=leader,
-        rows=rows,
-        violations=violations,
+        row, row.name, rows, _consensus_safety(row, ideal, metrics)
     )
 
 
@@ -441,14 +359,7 @@ def canonical_batch_plan(n: int, rounds: int, seed: int = 0) -> FaultPlan:
 
 
 def batched_differential_run(
-    profile_name: str,
-    static_factory: Callable[..., LatencyModel],
-    timeout: float,
-    rounds: int = 120,
-    seed: int = 0,
-    dynamic_factory: Optional[Callable[..., LatencyModel]] = None,
-    plan: Optional[FaultPlan] = None,
-    fault_name: Optional[str] = None,
+    row: ProbeScenario, dynamic: Optional[_Factory] = None
 ) -> DifferentialResult:
     """Cross-check the two execution paths *within* the event stack.
 
@@ -456,71 +367,45 @@ def batched_differential_run(
     idealizations within tolerances — the batched structure-of-arrays
     path (:mod:`repro.sync.batch`) claims **bit identity** with the
     scalar event loop, so every row here carries tolerance ``0.0``: a
-    facet of :func:`~repro.sync.batch.run_divergences` either matches
+    facet of :func:`~repro.sync.batch.twin_runs`' verdict either matches
     exactly (``1.0``) or the axis fails (``0.0``).
 
-    ``static_factory`` must build a time-invariant variant of the
-    profile (the batch path's eligibility condition);
-    ``dynamic_factory``, when given, builds the time-*varying* variant
-    and probes the other half of the contract — that such a run falls
-    back to the scalar loop and reports why.
+    The row's profile must be a time-invariant variant (the batch path's
+    eligibility condition); ``dynamic``, when given, builds the
+    time-*varying* variant and probes the other half of the contract —
+    that such a run falls back to the scalar loop and reports why.
 
-    With a ``plan`` — which must be batch-eligible, like
+    With a plan on the row — which must be batch-eligible, like
     :func:`canonical_batch_plan` or the round-granular loss bursts and
     stability-window partitions of :func:`canonical_adversary_plan` —
     the twin runs carry the widened fast path's full load: the plan, a
     live metrics registry on the run and the transport, and the
     :class:`HeartbeatOmega` detector — and two extra rows assert that
     the ``repro.obs`` counter totals and latency histograms match
-    exactly too.  ``fault_name`` labels the plan in the report, as in
-    :func:`differential_run`.
+    exactly too.
     """
-    ping_model = static_factory(
-        seed=derive_seed(seed, f"check:{profile_name}:ping")
-    )
-    n = ping_model.n
-    table = measure_latency_table(ping_model, pings=15)
-    leader = select_leader(table)
-    trace_seed = derive_seed(seed, f"check:{profile_name}:batch-axis")
-    instrumented = plan is not None
+    instrumented = row.plan is not None
 
-    def build(factory: Callable[..., LatencyModel]) -> SyncRun:
+    def build(scenario: ProbeScenario = row) -> SyncRun:
         metrics = MetricsRegistry() if instrumented else None
-        oracle = (
-            HeartbeatOmega(n, metrics=metrics) if instrumented else NullOracle()
-        )
-        return SyncRun(
-            n,
-            lambda pid: HeartbeatAlgorithm(pid, n),
-            oracle,
-            lambda sim: Transport(
-                sim, factory(seed=trace_seed), metrics=metrics
-            ),
-            timeout=timeout,
-            latency_table=table,
-            max_rounds=rounds,
-            fault_plan=plan,
-            metrics=metrics,
+        return scenario.event_run(
+            "batch-axis", metrics=metrics, omega=instrumented
         )
 
     def exact(quantity: str, holds: bool) -> DiffRow:
         return DiffRow(quantity, 1.0, 1.0 if holds else 0.0, 0.0)
 
-    scalar_run = build(static_factory)
-    scalar = scalar_run.run(mode="scalar")
-    batched_run = build(static_factory)
-    batched = batched_run.run()
-
-    diverged = run_divergences(scalar_run, scalar, batched_run, batched)
+    twins = twin_runs(build)
     facets = RESULT_FIELDS + RUN_FACETS
     if instrumented:
         facets += METRIC_FACETS
-    rows = [exact("batch path engaged", batched_run.executed_mode == "batch")]
+    rows = [exact("batch path engaged", twins.auto_run.executed_mode == "batch")]
     rows.extend(
-        exact(f"identical: {facet}", facet not in diverged) for facet in facets
+        exact(f"identical: {facet}", facet not in twins.diverged)
+        for facet in facets
     )
-    if dynamic_factory is not None:
-        probe = build(dynamic_factory)
+    if dynamic is not None:
+        probe = build(replace(row, profile=dynamic))
         probe.run()
         rows.append(
             exact(
@@ -530,15 +415,7 @@ def batched_differential_run(
             )
         )
 
-    return DifferentialResult(
-        profile=f"{profile_name} [scalar-vs-batched]",
-        fault=_fault_label(plan, fault_name),
-        timeout=timeout,
-        rounds=rounds,
-        seed=seed,
-        leader=leader,
-        rows=rows,
-    )
+    return DifferentialResult(row, f"{row.name} [{TWIN}]", rows)
 
 
 # ----------------------------------------------------------------------
@@ -597,93 +474,86 @@ UNIFORM_TIMEOUT = 0.1
 #: Timeout for the Granular Synchrony scenario (same regime as the
 #: uniform WAN it wraps; the per-link bounds sit well below it).
 GRANULAR_TIMEOUT = 0.1
-#: The per-link contracts of the conformance granular profile.
-GRANULAR_SYNC_BOUND = 0.03
-GRANULAR_PSYNC_BOUND = 0.06
 
 
-def uniform_wan_profile(n: int = 8, seed: int = 0) -> HeterogeneousNetwork:
-    """A symmetric mid-latency WAN: ~20-40 ms links, lognormal spread,
-    occasional heavy-tail excursions and light loss.
+class Profile(NamedTuple):
+    """One conformance network (``n = 8``): its timeout, the profile as
+    the two-stack diff runs it, its time-invariant (batch-eligible)
+    variant and, where there is one, the time-varying variant that must
+    fall back.  Every factory takes the ``seed`` keyword."""
 
-    The third conformance profile deliberately sits — like the two real
-    ones — in the regime the Section 5.1 protocol assumes: typical
-    latency well below the timeout.  A profile whose latencies fill the
-    whole timeout window (e.g. :class:`~repro.net.iid.BernoulliLinkModel`
-    at its own timeout) breaks round synchronization *by design* once a
-    fault desynchronizes the starts — the jump correction is only as good
-    as the latency estimate — so it cannot be used to validate the
-    idealization, only to (correctly) watch it degrade.
-    """
-    spread = 0.020 + 0.010 * (np.add.outer(np.arange(n), np.arange(n)) % 5) / 4.0
-    base = (spread + spread.T) / 2.0
-    np.fill_diagonal(base, 0.0)
-    return HeterogeneousNetwork(
-        base=base,
-        sigma=np.full((n, n), 0.25),
-        tail_prob=np.full((n, n), 0.04),
-        tail_shape=1.2,
-        loss_prob=np.full((n, n), 0.002),
-        seed=seed,
-    )
+    timeout: float
+    full: _Factory
+    static: _Factory
+    dynamic: Optional[_Factory]
 
 
-def granular_wan_profile(
-    n: int = 8, seed: int = 0, stabilization_time: float = 0.0
-) -> GranularProfile:
-    """The uniform WAN under the canonical Granular Synchrony contract.
+#: The four network profiles every conformance run covers.
+PROFILES = {
+    "planetlab-wan": Profile(
+        WAN_TIMEOUT,
+        planetlab_profile,
+        partial(planetlab_profile, slow_run_prob=0.0),
+        partial(planetlab_profile, slow_run_prob=1.0),
+    ),
+    "lan": Profile(
+        LAN_TIMEOUT, lan_profile, partial(lan_profile, slow_node=None), lan_profile
+    ),
+    "uniform-wan": Profile(
+        UNIFORM_TIMEOUT, uniform_wan_profile, uniform_wan_profile, None
+    ),
+    "granular-wan": Profile(
+        GRANULAR_TIMEOUT,
+        granular_wan_profile,
+        granular_wan_profile,
+        # A pending psync stabilization makes the contract
+        # time-varying: the batch path must fall back and say why.
+        partial(granular_wan_profile, stabilization_time=4.0),
+    ),
+}
 
-    Sync links (the hub's column) always deliver within
-    ``GRANULAR_SYNC_BOUND``; psync links (the ring majority) within
-    ``GRANULAR_PSYNC_BOUND`` once ``stabilization_time`` has passed.
-    With ``stabilization_time = 0`` the profile is time-invariant and
-    batch-eligible; a positive value builds the time-varying variant
-    that must fall back to the scalar event loop.
-    """
-    return GranularProfile(
-        uniform_wan_profile(n=n, seed=seed),
-        sync_bound=GRANULAR_SYNC_BOUND,
-        psync_bound=GRANULAR_PSYNC_BOUND,
-        stabilization_time=stabilization_time,
-    )
+#: Fault label -> the plan's builder ``(n, rounds, seed=)``; the
+#: ``-batch`` plans are the batch-eligible ones the twin runs carry.
+PLANS = {
+    "none": None,
+    "canonical": canonical_diff_plan,
+    "adversary": canonical_adversary_plan,
+    "canonical-batch": canonical_batch_plan,
+    "adversary-batch": canonical_adversary_plan,
+}
+
+TWO_STACK, TWIN = "two-stack", "scalar-vs-batched"
 
 
-_Factory = Callable[..., LatencyModel]
+class GridRow(NamedTuple):
+    """One scenario of the conformance sweep: which check — :data:`TWO_STACK`
+    is :func:`differential_run`, :data:`TWIN` is
+    :func:`batched_differential_run` — on which of :data:`PROFILES`, under
+    which of :data:`PLANS`.  Adding a scenario is adding a row."""
+
+    check: str
+    profile: str
+    fault: str
 
 
-def _scenarios(
-    n: int = 8,
-) -> tuple[tuple[str, float, _Factory, _Factory, Optional[_Factory]], ...]:
-    """The four network profiles every conformance run covers.
-
-    Per profile: its timeout, the profile as the two-stack diff runs it,
-    the static (batch-eligible) variant for the scalar-vs-batched axis
-    and, where the profile has one, the dynamic variant that must fall
-    back.  Every factory takes the ``seed`` keyword.
-    """
-    lan = partial(lan_profile, n=n)
-    uniform = partial(uniform_wan_profile, n=n)
-    granular = partial(granular_wan_profile, n=n)
-    return (
-        (
-            "planetlab-wan",
-            WAN_TIMEOUT,
-            planetlab_profile,
-            partial(planetlab_profile, slow_run_prob=0.0),
-            partial(planetlab_profile, slow_run_prob=1.0),
-        ),
-        ("lan", LAN_TIMEOUT, lan, partial(lan, slow_node=None), lan),
-        ("uniform-wan", UNIFORM_TIMEOUT, uniform, uniform, None),
-        (
-            "granular-wan",
-            GRANULAR_TIMEOUT,
-            granular,
-            granular,
-            # A pending psync stabilization makes the contract
-            # time-varying: the batch path must fall back and say why.
-            partial(granular, stabilization_time=4.0),
-        ),
-    )
+GRID = (
+    *(
+        GridRow(TWO_STACK, profile, fault)
+        for profile in PROFILES
+        for fault in ("none", "canonical", "adversary")
+    ),
+    # The clean twin also probes the profile's dynamic variant; the
+    # canonical-batch one is the widened fast path under live metrics
+    # and the Omega detector.
+    *(
+        GridRow(TWIN, profile, fault)
+        for profile in PROFILES
+        for fault in ("none", "canonical-batch")
+    ),
+    # One adversary run on the granular profile proves the stability-window
+    # plan's epoch segmentation stays on the bit-identical fast path.
+    GridRow(TWIN, "granular-wan", "adversary-batch"),
+)
 
 
 @dataclass
@@ -741,71 +611,34 @@ def run_conformance(
     mc_samples: int = 3000,
     metrics: Optional[MetricsRegistry] = None,
 ) -> ConformanceReport:
-    """The full conformance sweep: every profile, with and without faults,
-    plus the Monte-Carlo cross-check and the mutation self-test."""
+    """The full conformance sweep: every row of :data:`GRID`, plus the
+    Monte-Carlo cross-check and the mutation self-test.  Rows over one
+    profile variant share its ping."""
     n, rounds = 8, 120
     report = ConformanceReport()
-    adversary_plan = canonical_adversary_plan(n, rounds, seed=seed)
-    plans = (
-        (None, None),
-        (canonical_diff_plan(n, rounds, seed=seed), None),
-        (adversary_plan, "adversary"),
-    )
-    scenarios = _scenarios(n)
-    for profile_name, timeout, factory, _, _ in scenarios:
-        for plan, fault_name in plans:
-            report.results.append(
-                differential_run(
-                    profile_name,
-                    factory,
-                    timeout=timeout,
-                    rounds=rounds,
-                    seed=seed,
-                    plan=plan,
-                    metrics=metrics,
-                    fault_name=fault_name,
-                )
+    plans = {
+        fault: build(n, rounds, seed=seed) if build else None
+        for fault, build in PLANS.items()
+    }
+    pinged: dict[tuple[str, _Factory], ProbeScenario] = {}
+    for grid_row in GRID:
+        name, profile = grid_row.profile, PROFILES[grid_row.profile]
+        twin = grid_row.check == TWIN
+        variant = profile.static if twin else profile.full
+        if (name, variant) not in pinged:
+            pinged[name, variant] = ProbeScenario(
+                name, variant, profile.timeout, rounds, seed, f"check:{name}"
             )
-    batch_plan = canonical_batch_plan(n, rounds, seed=seed)
-    for profile_name, timeout, _, static, dynamic in scenarios:
-        report.batch_axis.append(
-            batched_differential_run(
-                profile_name,
-                static,
-                timeout=timeout,
-                rounds=rounds,
-                seed=seed,
-                dynamic_factory=dynamic,
-            )
+        row = replace(
+            pinged[name, variant],
+            plan=plans[grid_row.fault],
+            fault=grid_row.fault,
         )
-        # The widened fast path: same profile under the canonical fault
-        # plan with live metrics and the Omega detector.  The dynamic
-        # fallback probe already ran on the clean axis above.
-        report.batch_axis.append(
-            batched_differential_run(
-                profile_name,
-                static,
-                timeout=timeout,
-                rounds=rounds,
-                seed=seed,
-                plan=batch_plan,
-                fault_name="canonical-batch",
-            )
-        )
-    # One adversary run on the granular profile proves the stability-window
-    # plan's epoch segmentation stays on the bit-identical fast path.
-    profile_name, timeout, _, static, _ = scenarios[-1]
-    report.batch_axis.append(
-        batched_differential_run(
-            profile_name,
-            static,
-            timeout=timeout,
-            rounds=rounds,
-            seed=seed,
-            plan=adversary_plan,
-            fault_name="adversary-batch",
-        )
-    )
+        if twin:
+            dynamic = profile.dynamic if row.plan is None else None
+            report.batch_axis.append(batched_differential_run(row, dynamic))
+        else:
+            report.results.append(differential_run(row, metrics=metrics))
     report.mc_rows = montecarlo_vs_equations(samples=mc_samples, seed=seed)
     report.mutation_detected, report.mutation_clean = _mutation_smoke()
     return report
@@ -816,17 +649,12 @@ def run_conformance(
 # ----------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return "-"
-    return f"{value:.4f}"
-
-
 def _render_result(result: DifferentialResult, lines: list[str]) -> None:
+    scenario = result.scenario
     lines.append(
         f"scenario: {result.profile}  faults={result.fault}  "
-        f"timeout={result.timeout:g}s  rounds={result.rounds}  "
-        f"leader={result.leader}  seed={result.seed}"
+        f"timeout={scenario.timeout:g}s  rounds={scenario.rounds}  "
+        f"leader={scenario.leader}  seed={scenario.seed}"
     )
     header = (
         f"  {'quantity':<28}{'lockstep':>10}{'event':>10}"
@@ -835,10 +663,10 @@ def _render_result(result: DifferentialResult, lines: list[str]) -> None:
     lines.append(header)
     lines.append("  " + "-" * (len(header) - 2))
     for row in result.rows:
-        delta = "-" if math.isnan(row.delta) else f"{row.delta:+.4f}"
         lines.append(
-            f"  {row.quantity:<28}{_fmt(row.lockstep):>10}"
-            f"{_fmt(row.event):>10}{delta:>10}{row.tolerance:>8.3f}  "
+            f"  {row.quantity:<28}{format_cell(row.lockstep):>10}"
+            f"{format_cell(row.event):>10}"
+            f"{format_cell(row.delta, '+.4f'):>10}{row.tolerance:>8.3f}  "
             f"{'ok' if row.ok else 'FAIL'}"
         )
     if result.violations:
@@ -875,8 +703,9 @@ def conformance_report(report: ConformanceReport) -> str:
     for row in report.mc_rows:
         relation = ">=" if row.kind == "lower-bound" else "~="
         lines.append(
-            f"  {row.quantity:<24} closed={_fmt(row.lockstep):>8}  "
-            f"mc={_fmt(row.event):>8}  ({relation} within {row.tolerance:.4f})  "
+            f"  {row.quantity:<24} closed={format_cell(row.lockstep):>8}  "
+            f"mc={format_cell(row.event):>8}  "
+            f"({relation} within {row.tolerance:.4f})  "
             f"{'ok' if row.ok else 'FAIL'}"
         )
     lines.append("")

@@ -18,17 +18,16 @@ import json
 import sys
 from pathlib import Path
 
+from repro.experiments.report import format_cell
 from repro.obs.recorder import read_jsonl, read_manifest
 
 
-def _format_value(value: float) -> str:
-    if value != value:  # NaN
-        return "-"
-    if isinstance(value, int) or float(value).is_integer():
-        return str(int(value))
-    if abs(value) >= 100:
-        return f"{value:.1f}"
-    return f"{value:.4f}"
+def _value(value: float) -> str:
+    """A gauge or histogram statistic: whole numbers bare, large ones to
+    one decimal, the rest to four."""
+    if float(value).is_integer():
+        return format_cell(int(value), "d")
+    return format_cell(value, ".1f" if abs(value) >= 100 else ".4f")
 
 
 def render_metrics(snapshot: dict) -> str:
@@ -54,7 +53,7 @@ def render_metrics(snapshot: dict) -> str:
         width = max(len(name) for name in gauges)
         for name in sorted(gauges):
             lines.append(
-                f"{name:<{width}}  {_format_value(gauges[name]):>12}"
+                f"{name:<{width}}  {_value(gauges[name]):>12}"
             )
 
     histograms = snapshot.get("histograms", {})
@@ -73,11 +72,11 @@ def render_metrics(snapshot: dict) -> str:
                 continue
             lines.append(
                 f"{name:<{width}}  {summary['count']:>8}  "
-                f"{_format_value(summary['mean']):>10}  "
-                f"{_format_value(summary['p50']):>10}  "
-                f"{_format_value(summary['p90']):>10}  "
-                f"{_format_value(summary['p99']):>10}  "
-                f"{_format_value(summary['max']):>10}"
+                f"{_value(summary['mean']):>10}  "
+                f"{_value(summary['p50']):>10}  "
+                f"{_value(summary['p90']):>10}  "
+                f"{_value(summary['p99']):>10}  "
+                f"{_value(summary['max']):>10}"
             )
 
     if not lines:

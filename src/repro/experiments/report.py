@@ -12,16 +12,36 @@ from typing import Mapping, Optional, Sequence
 from repro.experiments.figures import FigureSeries
 
 
-def _format(value: float) -> str:
+def format_cell(
+    value: float, spec: str = ".4f", missing: str = "-", unit: str = ""
+) -> str:
+    """One table cell: the number every report of the repo prints.
+
+    A NaN — a censored measurement, a model that never decided, a policy
+    with no latencies — is the ``missing`` marker, never the literal
+    ``nan`` a bare format spec leaks; an infinity is a bare ``inf`` /
+    ``-inf``, not padded to the spec's width as if it had a magnitude;
+    anything else is ``format(value, spec)``.  ``unit`` follows a value
+    that is there (``"38 ms"``), not the marker.  Width and alignment
+    are the caller's column's business: pad the returned string.
+    """
     if value != value:  # NaN
-        return "     -"
+        return missing
     if math.isinf(value):
-        return "   inf" if value > 0 else "  -inf"
+        return ("inf" if value > 0 else "-inf") + unit
+    return format(value, spec) + unit
+
+
+def _format(value: float) -> str:
+    """A figure-table cell, ten wide: four decimals, fewer as the
+    magnitude grows (the NaN and infinity sentinels are six wide)."""
     if abs(value) >= 10000:
-        return f"{value:10.3g}"
-    if abs(value) >= 100:
-        return f"{value:10.1f}"
-    return f"{value:10.4f}"
+        spec = "10.3g"
+    elif abs(value) >= 100:
+        spec = "10.1f"
+    else:
+        spec = "10.4f"
+    return format_cell(value, spec).rjust(6)
 
 
 def render_series(result: FigureSeries, max_rows: Optional[int] = None) -> str:

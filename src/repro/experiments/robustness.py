@@ -14,19 +14,26 @@ experimental form of the paper's question "which model should you
 assume?": a model whose ``P_M`` collapses under a realistic fault class
 is a bad bet no matter how it scores on a clean network.
 
+The report's tail is the phase's half of the fast path's contract: each
+canonical plan as a row over one pinged WAN
+(:class:`~repro.sync.heartbeat.ProbeScenario`), executed both ways by
+:func:`~repro.sync.batch.twin_runs`.
+
 Run it through ``python -m repro.experiments --faults`` or directly via
 :func:`robustness_report`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.experiments.decision import mean_decision_rounds
 from repro.experiments.figures import MEASURED_MODELS, WanSweep
+from repro.experiments.report import format_cell
 from repro.models.registry import get_model
 from repro.faults import (
     Crash,
@@ -36,15 +43,11 @@ from repro.faults import (
     Partition,
     SlowNode,
 )
-from repro.net.ping import measure_latency_table
-from repro.net.planetlab import LEADER_NODE, planetlab_profile
+from repro.net.planetlab import planetlab_profile
 from repro.obs.registry import MetricsRegistry
-from repro.oracles.omega import HeartbeatOmega
 from repro.sim.rng import derive_seed
-from repro.sim.transport import Transport
-from repro.sync.batch import run_divergences
-from repro.sync.heartbeat import HeartbeatAlgorithm
-from repro.sync.round_sync import SyncRun
+from repro.sync.batch import twin_runs
+from repro.sync.heartbeat import ProbeScenario
 
 #: The timeout the robustness tables are measured at (the sweep grid's
 #: canonical mid-range point; the paper's WAN discussion centers there).
@@ -131,42 +134,29 @@ class RobustnessCell:
 def _satisfaction(
     matrices: np.ndarray,
     model: str,
-    leader: Optional[int],
-    plan: Optional[FaultPlan],
+    leaders: np.ndarray,
+    correct: Optional[list[int]],
 ) -> np.ndarray:
     """Per-round model satisfaction, against the round's *acting* leader.
 
     Leader churn never touches the wire, so its whole measured effect is
     that churn rounds are judged against whichever leader the plan's
-    oracle elected that round instead of the designated one.  Permanent
-    crashes shrink the correct set the model predicates quantify over
-    (the paper's models count links *from correct processes*).
+    oracle elected that round (``leaders[k - 1]``) instead of the
+    designated one.  Permanent crashes shrink the ``correct`` set the
+    model predicates quantify over (the paper's models count links *from
+    correct processes*).
     """
     resolved = get_model(model)
-    correct = None
-    if plan is not None and len(plan.correct()) < plan.n:
-        correct = sorted(plan.correct())
-    if (
-        plan is None
-        or not resolved.needs_leader
-        or not plan.leader_churn
-    ):
-        return resolved.satisfied_batch(
-            np.asarray(matrices), leader=leader, correct=correct
+    matrices = np.asarray(matrices)
+    if not resolved.needs_leader:
+        return resolved.satisfied_batch(matrices, correct=correct)
+    satisfied = np.empty(len(matrices), dtype=bool)
+    for acting in np.unique(leaders):
+        led = leaders == acting
+        satisfied[led] = resolved.satisfied_batch(
+            matrices[led], leader=int(acting), correct=correct
         )
-    return np.array(
-        [
-            resolved.satisfied(
-                matrix,
-                leader=(
-                    plan.churn_leader(k) if plan.churning_at(k) else leader
-                ),
-                correct=correct,
-            )
-            for k, matrix in enumerate(np.asarray(matrices), start=1)
-        ],
-        dtype=bool,
-    )
+    return satisfied
 
 
 def measure_robustness(
@@ -177,18 +167,17 @@ def measure_robustness(
     runs = sweep.runs[timeout]
     clean = [run.matrices for run in runs]
     plans = canonical_plans(config.n, config.rounds_per_run, seed)
+    designated = np.full(config.rounds_per_run, sweep.leader)
 
-    def vectors(
+    def summarize(
         matrices_by_run: Sequence[np.ndarray],
         model: str,
-        plan: Optional[FaultPlan],
-    ) -> list[np.ndarray]:
-        return [
-            _satisfaction(m, model, sweep.leader, plan)
-            for m in matrices_by_run
+        leaders: np.ndarray = designated,
+        correct: Optional[list[int]] = None,
+    ) -> tuple[float, float]:
+        vecs = [
+            _satisfaction(m, model, leaders, correct) for m in matrices_by_run
         ]
-
-    def summarize(vecs: Sequence[np.ndarray], model: str) -> tuple[float, float]:
         pm = float(np.mean([vec.mean() for vec in vecs]))
         rounds = mean_decision_rounds(
             vecs,
@@ -199,18 +188,24 @@ def measure_robustness(
         )
         return pm, rounds
 
-    clean_summary = {
-        model: summarize(vectors(clean, model, None), model)
-        for model in MEASURED_MODELS
-    }
+    clean_summary = {model: summarize(clean, model) for model in MEASURED_MODELS}
 
     cells: list[RobustnessCell] = []
     for fault_name, plan in plans.items():
         faulted = [plan.apply_to_matrices(matrices) for matrices in clean]
+        # Whoever a churn round elects: drawn once per plan, not per
+        # (run, model).
+        leaders = np.array(
+            [
+                plan.churn_leader(k) if plan.churning_at(k) else sweep.leader
+                for k in range(1, config.rounds_per_run + 1)
+            ]
+        )
+        correct = sorted(plan.correct()) if len(plan.correct()) < plan.n else None
         for model in MEASURED_MODELS:
             pm_clean, rounds_clean = clean_summary[model]
             pm_faulted, rounds_faulted = summarize(
-                vectors(faulted, model, plan), model
+                faulted, model, leaders, correct
             )
             cells.append(
                 RobustnessCell(
@@ -239,12 +234,12 @@ def render_robustness(
         f"{'D clean':>10}{'D fault':>10}{'D ratio':>9}"
     )
     for cell in cells:
-        ratio = cell.latency_degradation
         lines.append(
             f"{cell.fault:<16}{cell.model:<7}"
             f"{cell.pm_clean:>10.3f}{cell.pm_faulted:>10.3f}"
-            f"{cell.rounds_clean:>10.2f}{cell.rounds_faulted:>10.2f}"
-            + (f"{ratio:>9.2f}" if np.isfinite(ratio) else f"{'-':>9}")
+            f"{format_cell(cell.rounds_clean, '.2f'):>10}"
+            f"{format_cell(cell.rounds_faulted, '.2f'):>10}"
+            f"{format_cell(cell.latency_degradation, '.2f'):>9}"
         )
     lines.append(
         "notes: faulted matrices are the sweep's cached traces with each "
@@ -276,53 +271,35 @@ def event_stack_crosscheck(
     contract: fault classes the batch path claims (loss bursts,
     partitions, slow nodes, permanent crashes, leader churn) must ride
     it bit-identically; the residual classes (crash *recovery*) must
-    fall back with an attributed reason.
+    fall back with an attributed reason.  One row per
+    :func:`canonical_plans` entry, all over one pinged network.
     """
-    plans = canonical_plans(n, rounds, seed)
-    profile_seed = derive_seed(seed, "faults:event-stack:profile")
-    table = measure_latency_table(
-        planetlab_profile(
-            seed=derive_seed(seed, "faults:event-stack:ping"),
-            slow_run_prob=0.0,
-        ),
-        pings=15,
+    network = ProbeScenario(
+        "planetlab-static",
+        partial(planetlab_profile, slow_run_prob=0.0),
+        timeout,
+        rounds,
+        seed,
+        "faults:event-stack",
     )
 
-    def build(plan: FaultPlan) -> SyncRun:
-        metrics = MetricsRegistry()
-        return SyncRun(
-            n,
-            lambda pid: HeartbeatAlgorithm(pid, n),
-            HeartbeatOmega(n, metrics=metrics),
-            lambda sim: Transport(
-                sim,
-                planetlab_profile(seed=profile_seed, slow_run_prob=0.0),
-                metrics=metrics,
-            ),
-            timeout=timeout,
-            latency_table=table,
-            max_rounds=rounds,
-            fault_plan=plan,
-            metrics=metrics,
+    def crosscheck(fault: str, plan: FaultPlan) -> EventStackRow:
+        # The verdict only: the pair of runs is let go on return.
+        row = replace(network, plan=plan, fault=fault)
+        twins = twin_runs(
+            lambda: row.event_run("profile", metrics=MetricsRegistry(), omega=True)
+        )
+        return EventStackRow(
+            fault,
+            twins.auto_run.executed_mode,
+            twins.auto_run.fallback_reason,
+            identical=not twins.diverged,
         )
 
-    rows = []
-    for fault_name, plan in plans.items():
-        auto_run = build(plan)
-        auto_result = auto_run.run()
-        scalar_run = build(plan)
-        scalar_result = scalar_run.run(mode="scalar")
-        rows.append(
-            EventStackRow(
-                fault=fault_name,
-                executed_mode=auto_run.executed_mode,
-                fallback_reason=auto_run.fallback_reason,
-                identical=not run_divergences(
-                    scalar_run, scalar_result, auto_run, auto_result
-                ),
-            )
-        )
-    return rows
+    return [
+        crosscheck(fault, plan)
+        for fault, plan in canonical_plans(n, rounds, seed).items()
+    ]
 
 
 def render_event_stack(

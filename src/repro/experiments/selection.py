@@ -25,6 +25,7 @@ from repro.experiments.measurement import (
     satisfied_fraction,
     timely_matrices,
 )
+from repro.experiments.report import format_cell
 from repro.models.registry import MODELS
 from repro.net.base import LatencyModel
 from repro.net.ping import measure_latency_table, select_leader
@@ -56,21 +57,11 @@ def _decision_seed(seed: int, t_index: int, run: int) -> int:
     return derive_seed(seed, f"selection:decision:{t_index}:{run}")
 
 
-def _format_ms(seconds: float) -> str:
-    """Milliseconds with enough precision for sub-millisecond LANs."""
-    if seconds != seconds:  # NaN
-        return "—"
+def _ms(seconds: float) -> str:
+    """Milliseconds with enough precision for sub-millisecond LANs; a
+    model that never decided reports ``—``."""
     ms = seconds * 1000
-    return f"{ms:.0f} ms" if ms >= 10 else f"{ms:.2f} ms"
-
-
-def _format_ratio(value: float) -> str:
-    """A dimensionless quantity (e.g. ``P_M``), NaN-aware like
-    :func:`_format_ms`: a model that never decided reports ``—``, not a
-    literal ``nan`` leaking out of ``%.2f``."""
-    if value != value:  # NaN
-        return "—"
-    return f"{value:.2f}"
+    return format_cell(ms, ".0f" if ms >= 10 else ".2f", "—", unit=" ms")
 
 
 @dataclass(frozen=True)
@@ -113,9 +104,9 @@ class Recommendation:
             report = self.reports.get(model)
             if report is None:
                 continue
-            timeout = _format_ms(report.optimal_timeout)
-            best = _format_ms(report.best_decision_time)
-            satisfaction = _format_ratio(report.satisfaction_at_best)
+            timeout = _ms(report.optimal_timeout)
+            best = _ms(report.best_decision_time)
+            satisfaction = format_cell(report.satisfaction_at_best, ".2f", "—")
             lines.append(
                 f"{model:<6}{timeout:>12}{best:>12}"
                 f"{satisfaction:>8}"
@@ -124,7 +115,7 @@ class Recommendation:
         lines.append("")
         lines.append(
             f"recommendation: {self.chosen_model} with a "
-            f"{_format_ms(self.chosen_timeout)} timeout — {self.rationale}"
+            f"{_ms(self.chosen_timeout)} timeout — {self.rationale}"
         )
         return "\n".join(lines)
 

@@ -341,12 +341,13 @@ class FaultPlan:
         """
         state = self.round_state(round_number)
         masked = state.cross.copy()
-        rng = self.rng("mask", round_number)
-        for index in state.bursts:
-            drop_prob = self.loss_bursts[index].drop_prob
-            masked |= rng.random((self.n, self.n)) < drop_prob
-        for slow in self.slow_nodes:
-            if slow.active_at(round_number):
+        slow_nodes = [s for s in self.slow_nodes if s.active_at(round_number)]
+        if state.bursts or slow_nodes:  # most rounds draw nothing
+            rng = self.rng("mask", round_number)
+            for index in state.bursts:
+                drop_prob = self.loss_bursts[index].drop_prob
+                masked |= rng.random((self.n, self.n)) < drop_prob
+            for slow in slow_nodes:
                 rows = rng.random((2, self.n)) < slow.drop_prob
                 masked[slow.pid, :] |= rows[0]
                 masked[:, slow.pid] |= rows[1]

@@ -7,7 +7,8 @@ provides the simulated stand-ins (see DESIGN.md, "Substitutions"):
   per-message sampling for the transport, per-link RNG substreams and
   whole-trace batch sampling for the measurement sweeps.
 - :mod:`hetero` — the shared implementation behind the LAN and PlanetLab
-  profiles (log-normal body, Pareto tail, loss, slow-node windows).
+  profiles (log-normal body, Pareto tail, loss, slow-node windows), and
+  the symmetric mid-latency ``uniform_wan_profile``.
 - :mod:`iid` — the Section 4 IID Bernoulli abstraction as a link model.
 - :mod:`lan` — an 8-node switched-LAN profile (sub-millisecond latencies,
   one occasionally slow node, as observed in Section 5.2).
@@ -18,12 +19,14 @@ provides the simulated stand-ins (see DESIGN.md, "Substitutions"):
 - :mod:`ping` — latency-table measurement and well-connected-leader
   selection (how the paper "elects" its designated leader).
 - :mod:`granular` — Granular Synchrony wrapper: a per-link
-  sync/psync/async assumption matrix enforced on top of any profile.
+  sync/psync/async assumption matrix enforced on top of any profile
+  (``granular_wan_profile``: the uniform WAN under the canonical one).
 """
 
 from repro.net.base import LatencyModel
 from repro.net.iid import BernoulliLinkModel
-from repro.net.granular import GranularProfile
+from repro.net.granular import GranularProfile, granular_wan_profile
+from repro.net.hetero import uniform_wan_profile
 from repro.net.lan import LanProfile, lan_profile
 from repro.net.planetlab import PlanetLabProfile, planetlab_profile, PLANETLAB_SITES
 from repro.net.ping import measure_latency_table, select_leader
@@ -32,6 +35,8 @@ __all__ = [
     "LatencyModel",
     "BernoulliLinkModel",
     "GranularProfile",
+    "granular_wan_profile",
+    "uniform_wan_profile",
     "LanProfile",
     "lan_profile",
     "PlanetLabProfile",

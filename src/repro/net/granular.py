@@ -31,6 +31,7 @@ from repro.models.properties import (
     canonical_granular_assumptions,
 )
 from repro.net.base import LatencyModel
+from repro.net.hetero import uniform_wan_profile
 
 
 class GranularProfile(LatencyModel):
@@ -143,3 +144,28 @@ class GranularProfile(LatencyModel):
     def reseed(self, seed: int) -> None:
         super().reseed(seed)
         self.base.reseed(seed)
+
+
+#: The per-link contracts of the conformance granular profile.
+GRANULAR_SYNC_BOUND = 0.03
+GRANULAR_PSYNC_BOUND = 0.06
+
+
+def granular_wan_profile(
+    n: int = 8, seed: int = 0, stabilization_time: float = 0.0
+) -> GranularProfile:
+    """The uniform WAN under the canonical Granular Synchrony contract.
+
+    Sync links (the hub's column) always deliver within
+    ``GRANULAR_SYNC_BOUND``; psync links (the ring majority) within
+    ``GRANULAR_PSYNC_BOUND`` once ``stabilization_time`` has passed.
+    With ``stabilization_time = 0`` the profile is time-invariant and
+    batch-eligible; a positive value builds the time-varying variant
+    that must fall back to the scalar event loop.
+    """
+    return GranularProfile(
+        uniform_wan_profile(n=n, seed=seed),
+        sync_bound=GRANULAR_SYNC_BOUND,
+        psync_bound=GRANULAR_PSYNC_BOUND,
+        stabilization_time=stabilization_time,
+    )

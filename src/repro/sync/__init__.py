@@ -20,14 +20,16 @@ resynchronization after disruptions — properties the test-suite checks.
   :class:`RoundLog` every run records its rounds in.
 - :mod:`heartbeat` — the all-to-all probe algorithm used by measurement
   runs (each node sends to everyone each round, as in the paper's WAN
-  experiment).
+  experiment), the one constructor of such a run (:func:`probe_run`) and
+  the run as a row of data (:class:`ProbeScenario`).
 - :mod:`batch` — the batched structure-of-arrays execution of eligible
-  heartbeat runs (``SyncRun.run`` picks it automatically).
+  heartbeat runs (``SyncRun.run`` picks it automatically) and the
+  scalar ≡ batch identity contract (:func:`twin_runs`).
 """
 
 from repro.sync.round_sync import RoundLog, SyncedNode, SyncRun, SyncRunResult
-from repro.sync.heartbeat import HeartbeatAlgorithm
-from repro.sync.batch import batch_ineligible_reason, run_batched
+from repro.sync.heartbeat import HeartbeatAlgorithm, ProbeScenario, probe_run
+from repro.sync.batch import batch_ineligible_reason, run_batched, twin_runs
 
 __all__ = [
     "RoundLog",
@@ -35,6 +37,9 @@ __all__ = [
     "SyncRun",
     "SyncRunResult",
     "HeartbeatAlgorithm",
+    "ProbeScenario",
+    "probe_run",
     "batch_ineligible_reason",
     "run_batched",
+    "twin_runs",
 ]

@@ -49,7 +49,8 @@ This module computes the same run in a handful of NumPy passes:
 Bit-identity (same matrices, ``sync_error``, ``jumps``,
 ``late_messages``, decision rounds, node state, transport totals — and,
 for instrumented runs, the same metric totals and histograms) is the
-contract :func:`run_divergences` states; every guard of it
+contract :func:`run_divergences` states, and :func:`twin_runs` is the one
+place a run is executed both ways to be held to it; every guard of it
 (``tests/properties/test_prop_sync_batch.py``, the scalar-vs-batched
 axis of :mod:`repro.check.differential`, the robustness and adaptive
 phases' self-checks, the speedup benchmark) calls that one function.
@@ -109,7 +110,7 @@ same boundaries, which is what keeps the whole run vectorizable.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -226,6 +227,33 @@ def run_divergences(
     if metrics_a["histograms"] != metrics_b["histograms"]:
         diffs.append("histograms")
     return diffs
+
+
+class TwinRuns(NamedTuple):
+    """What :func:`twin_runs` executed and found."""
+
+    auto_run: SyncRun
+    auto: SyncRunResult
+    scalar_run: SyncRun
+    scalar: SyncRunResult
+    #: :func:`run_divergences` of the pair; empty = indistinguishable.
+    diverged: list[str]
+
+
+def twin_runs(build: Callable[[], SyncRun]) -> TwinRuns:
+    """Hold one run to the identity contract: ``build`` it twice, execute
+    the first under ``auto`` (batched where eligible) and the second on
+    the forced scalar event loop, and diff the two.  ``build`` must give
+    each call a run of its own — network, registry, observers — built
+    from the same seeds."""
+    auto_run = build()
+    auto = auto_run.run()
+    scalar_run = build()
+    scalar = scalar_run.run(mode="scalar")
+    return TwinRuns(
+        auto_run, auto, scalar_run, scalar,
+        run_divergences(scalar_run, scalar, auto_run, auto),
+    )
 
 
 def batch_ineligible_reason(

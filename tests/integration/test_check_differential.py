@@ -7,47 +7,51 @@ ride through, the invariant suites attach to the event stack, and the
 Monte-Carlo cross-check holds.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.check import (
     ConformanceReport,
     DiffRow,
+    batched_differential_run,
     conformance_report,
     default_suite,
     differential_run,
     montecarlo_vs_equations,
+    run_conformance,
 )
-from repro.check.differential import canonical_diff_plan, uniform_wan_profile
+from repro.check.differential import GRID, canonical_diff_plan
 from repro.core import WlmConsensus
 from repro.giraf.oracle import FixedLeaderOracle
-from repro.net import measure_latency_table
+from repro.net import measure_latency_table, uniform_wan_profile
 from repro.sim import Transport
-from repro.sync import SyncRun
+from repro.sync import ProbeScenario, SyncRun, heartbeat
 
 ROUNDS = 80
 TIMEOUT = 0.1
 
 
 @pytest.fixture(scope="module")
-def clean_result():
-    return differential_run(
-        "uniform-wan",
-        lambda seed: uniform_wan_profile(seed=seed),
-        timeout=TIMEOUT,
-        rounds=ROUNDS,
-        seed=7,
+def clean_row():
+    return ProbeScenario(
+        "uniform-wan", uniform_wan_profile, TIMEOUT, ROUNDS, 7, "check:uniform-wan"
     )
 
 
 @pytest.fixture(scope="module")
-def faulted_result():
+def clean_result(clean_row):
+    return differential_run(clean_row)
+
+
+@pytest.fixture(scope="module")
+def faulted_result(clean_row):
     return differential_run(
-        "uniform-wan",
-        lambda seed: uniform_wan_profile(seed=seed),
-        timeout=TIMEOUT,
-        rounds=ROUNDS,
-        seed=7,
-        plan=canonical_diff_plan(8, ROUNDS, seed=7),
+        replace(
+            clean_row,
+            plan=canonical_diff_plan(8, ROUNDS, seed=7),
+            fault="canonical",
+        )
     )
 
 
@@ -94,6 +98,37 @@ class TestDifferentialRun:
             measured_p(faulted_result).lockstep
             < measured_p(clean_result).lockstep
         )
+
+
+class TestOnePingPerRow:
+    @pytest.fixture
+    def pings(self, monkeypatch):
+        calls = []
+
+        def counted(model, pings):
+            calls.append(pings)
+            return measure_latency_table(model, pings=pings)
+
+        monkeypatch.setattr(heartbeat, "measure_latency_table", counted)
+        return calls
+
+    def test_every_use_of_a_row_shares_its_table(self, pings):
+        row = ProbeScenario(
+            "uniform-wan", uniform_wan_profile, TIMEOUT, ROUNDS, 3, "check:uniform-wan"
+        )
+        faulted = replace(
+            row, plan=canonical_diff_plan(8, ROUNDS, seed=3), fault="canonical"
+        )
+        # Two-stack diff (its consensus-safety runs included), twin runs.
+        assert differential_run(faulted).ok
+        assert batched_differential_run(row).ok
+        assert pings == [15]
+        assert faulted.table is row.table and faulted.leader == row.leader
+
+    def test_the_grid_pings_each_profile_variant_once(self, pings):
+        report = run_conformance(mc_samples=50)
+        assert len(report.results) + len(report.batch_axis) == len(GRID) == 21
+        assert len(pings) <= 8
 
 
 class TestDiffRow:

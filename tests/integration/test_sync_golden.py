@@ -22,13 +22,12 @@ import pytest
 
 from repro.core import WlmConsensus
 from repro.faults.plan import Crash, FaultPlan, LossBurst, Partition, SlowNode
-from repro.giraf.oracle import FixedLeaderOracle, NullOracle
+from repro.giraf.oracle import FixedLeaderOracle
 from repro.net import measure_latency_table, planetlab_profile, select_leader
 from repro.obs.registry import MetricsRegistry
-from repro.oracles.omega import HeartbeatOmega
 from repro.sim import Clock, Transport
 from repro.sim.rng import derive_seed
-from repro.sync import HeartbeatAlgorithm, SyncRun
+from repro.sync import SyncRun, probe_run
 
 NODES = 8
 TIMEOUT = 0.21
@@ -66,35 +65,30 @@ def build(kind: str) -> SyncRun:
         seed=derive_seed(SEED, f"golden:{kind}"), slow_run_prob=0.0
     )
     metrics = None if kind == "clean" else MetricsRegistry()
-    options = {}
-    oracle = NullOracle()
-    algorithm = lambda pid: HeartbeatAlgorithm(pid, NODES)  # noqa: E731
-    if kind in ("instrumented", "faulted"):
-        oracle = HeartbeatOmega(NODES, metrics=metrics)
-    if kind == "faulted":
-        options["fault_plan"] = CANONICAL_PLAN
-    elif kind == "recovery":
-        options["fault_plan"] = RECOVERY_PLAN
-    elif kind == "hetero":
-        options["clocks"] = [
-            Clock(offset=0.2 * i, drift=2e-5 * (i - 4)) for i in range(NODES)
-        ]
-        options["start_times"] = [0.13 * i for i in range(NODES)]
-    elif kind == "consensus":
-        oracle = FixedLeaderOracle(select_leader(table))
-        algorithm = lambda pid: WlmConsensus(  # noqa: E731
-            pid, NODES, proposal=f"value-{pid}"
+    if kind == "consensus":
+        return SyncRun(
+            NODES,
+            lambda pid: WlmConsensus(pid, NODES, proposal=f"value-{pid}"),
+            FixedLeaderOracle(select_leader(table)),
+            lambda sim: Transport(sim, profile, metrics=metrics),
+            timeout=TIMEOUT,
+            latency_table=table,
+            max_rounds=ROUNDS,
+            metrics=metrics,
         )
-    return SyncRun(
-        NODES,
-        algorithm,
-        oracle,
-        lambda sim: Transport(sim, profile, metrics=metrics),
-        timeout=TIMEOUT,
-        latency_table=table,
-        max_rounds=ROUNDS,
-        metrics=metrics,
-        **options,
+    extras = {
+        "faulted": {"plan": CANONICAL_PLAN},
+        "recovery": {"plan": RECOVERY_PLAN},
+        "hetero": {
+            "clocks": [
+                Clock(offset=0.2 * i, drift=2e-5 * (i - 4)) for i in range(NODES)
+            ],
+            "start_times": [0.13 * i for i in range(NODES)],
+        },
+    }.get(kind, {})
+    return probe_run(
+        profile, table, TIMEOUT, ROUNDS, metrics=metrics,
+        omega=kind in ("instrumented", "faulted"), **extras,
     )
 
 

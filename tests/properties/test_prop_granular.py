@@ -31,12 +31,13 @@ from repro.models.properties import (
     satisfies_granular,
     satisfies_gs,
 )
-from repro.net import GranularProfile, lan_profile, measure_latency_table
-from repro.check.differential import uniform_wan_profile
-from repro.giraf.oracle import NullOracle
-from repro.sim import Transport
-from repro.sync import HeartbeatAlgorithm, SyncRun
-from repro.sync.batch import result_divergences
+from repro.net import (
+    GranularProfile,
+    lan_profile,
+    measure_latency_table,
+    uniform_wan_profile,
+)
+from repro.sync import probe_run, twin_runs
 
 
 class TestPredicateEquivalence:
@@ -159,27 +160,14 @@ class TestAdversaryBitReproducibility:
         table = measure_latency_table(
             uniform_wan_profile(n=n, seed=seed + 1), pings=3
         )
-
-        def build():
-            return SyncRun(
-                n,
-                lambda pid: HeartbeatAlgorithm(pid, n),
-                NullOracle(),
-                lambda sim: Transport(
-                    sim, uniform_wan_profile(n=n, seed=seed)
-                ),
-                timeout=0.1,
-                latency_table=table,
-                max_rounds=gsr + 10,
-                fault_plan=plan,
+        twins = twin_runs(
+            lambda: probe_run(
+                uniform_wan_profile(n=n, seed=seed), table, 0.1, gsr + 10,
+                plan=plan,
             )
-
-        scalar_run = build()
-        scalar = scalar_run.run(mode="scalar")
-        batched_run = build()
-        batched = batched_run.run()
-        assert batched_run.executed_mode == "batch"
-        assert result_divergences(scalar, batched) == []
+        )
+        assert twins.auto_run.executed_mode == "batch"
+        assert twins.diverged == []
 
     def test_granular_profile_rides_the_batch_path_under_the_adversary(self):
         n = 8
@@ -190,16 +178,7 @@ class TestAdversaryBitReproducibility:
             psync_bound=0.0009,
         )
         table = measure_latency_table(profile(), pings=3)
-        run = SyncRun(
-            n,
-            lambda pid: HeartbeatAlgorithm(pid, n),
-            NullOracle(),
-            lambda sim: Transport(sim, profile()),
-            timeout=0.001,
-            latency_table=table,
-            max_rounds=20,
-            fault_plan=plan,
-        )
+        run = probe_run(profile(), table, 0.001, 20, plan=plan)
         run.run()
         assert run.executed_mode == "batch"
 

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.check.differential import uniform_wan_profile
 from repro.faults.plan import (
     Crash,
     FaultPlan,
@@ -26,12 +25,14 @@ from repro.faults.plan import (
     Partition,
     SlowNode,
 )
-from repro.giraf.oracle import NullOracle
-from repro.net import lan_profile, measure_latency_table, planetlab_profile
+from repro.net import (
+    lan_profile,
+    measure_latency_table,
+    planetlab_profile,
+    uniform_wan_profile,
+)
 from repro.obs.registry import MetricsRegistry
-from repro.oracles.omega import HeartbeatOmega
-from repro.sim import Transport
-from repro.sync import HeartbeatAlgorithm, SyncRun
+from repro.sync import probe_run, twin_runs
 from repro.sync.batch import (
     METRIC_FACETS,
     RESULT_FIELDS,
@@ -51,18 +52,9 @@ PROFILES = {
 }
 
 
-def build_run(factory, timeout, seed, rounds, n=8):
-    profile = factory(seed)
+def build_run(factory, timeout, seed, rounds, **extras):
     table = measure_latency_table(factory(seed + 1), pings=3)
-    return SyncRun(
-        n,
-        lambda pid: HeartbeatAlgorithm(pid, n),
-        NullOracle(),
-        lambda sim: Transport(sim, profile),
-        timeout=timeout,
-        latency_table=table,
-        max_rounds=rounds,
-    )
+    return probe_run(factory(seed), table, timeout, rounds, **extras)
 
 
 def assert_same_internal_state(scalar_run, batched_run):
@@ -91,12 +83,10 @@ class TestBitIdentity:
         # up ties, late messages, and losses — the hard cases.
         factory, base_timeout = PROFILES[name]
         timeout = base_timeout * squeeze
-        scalar_run = build_run(factory, timeout, seed, rounds)
-        scalar = scalar_run.run(mode="scalar")
-        batched_run = build_run(factory, timeout, seed, rounds)
-        batched = batched_run.run()
+        twins = twin_runs(lambda: build_run(factory, timeout, seed, rounds))
+        batched_run, scalar_run = twins.auto_run, twins.scalar_run
         assert batched_run.executed_mode == "batch", batched_run.fallback_reason
-        assert run_divergences(scalar_run, scalar, batched_run, batched) == []
+        assert twins.diverged == []
         assert_same_internal_state(scalar_run, batched_run)
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -187,21 +177,10 @@ def fault_plans(draw, n=8, rounds_cap=45):
     )
 
 
-def build_widened_run(factory, timeout, seed, rounds, plan, metrics_on, omega, n=8):
-    profile = factory(seed)
-    table = measure_latency_table(factory(seed + 1), pings=3)
+def build_widened_run(factory, timeout, seed, rounds, plan, metrics_on, omega):
     metrics = MetricsRegistry() if metrics_on else None
-    oracle = HeartbeatOmega(n, metrics=metrics) if omega else NullOracle()
-    return SyncRun(
-        n,
-        lambda pid: HeartbeatAlgorithm(pid, n),
-        oracle,
-        lambda sim: Transport(sim, profile, metrics=metrics),
-        timeout=timeout,
-        latency_table=table,
-        max_rounds=rounds,
-        fault_plan=plan,
-        metrics=metrics,
+    return build_run(
+        factory, timeout, seed, rounds, plan=plan, metrics=metrics, omega=omega
     )
 
 
@@ -223,18 +202,16 @@ class TestFaultedBitIdentity:
     ):
         factory, base_timeout = PROFILES["uniform-wan"]
         timeout = base_timeout * squeeze
-        scalar_run = build_widened_run(
-            factory, timeout, seed, rounds, plan, metrics_on, omega
+        twins = twin_runs(
+            lambda: build_widened_run(
+                factory, timeout, seed, rounds, plan, metrics_on, omega
+            )
         )
-        scalar = scalar_run.run(mode="scalar")
-        batched_run = build_widened_run(
-            factory, timeout, seed, rounds, plan, metrics_on, omega
-        )
-        batched = batched_run.run()
+        batched_run, scalar_run = twins.auto_run, twins.scalar_run
         assert batched_run.executed_mode == "batch", batched_run.fallback_reason
         # With ``metrics_on`` the same call also compares the counter
         # totals and histograms of the two runs' registries.
-        assert run_divergences(scalar_run, scalar, batched_run, batched) == []
+        assert twins.diverged == []
         assert_same_internal_state(scalar_run, batched_run)
         policy_a = scalar_run.link_faults
         policy_b = batched_run.link_faults
@@ -271,6 +248,24 @@ class TestFaultedBitIdentity:
         assert np.array_equal(states["scalar"][0], states["auto"][0])
         assert np.array_equal(states["scalar"][1], states["auto"][1])
         assert states["scalar"][2] == states["auto"][2]
+
+
+class TestTwinRuns:
+    def test_the_pair_is_built_fresh_and_diffed(self):
+        factory, timeout = PROFILES["uniform-wan"]
+        twins = twin_runs(lambda: build_run(factory, timeout, 5, 12))
+        assert twins.auto_run is not twins.scalar_run
+        assert (twins.auto_run.executed_mode, twins.scalar_run.executed_mode) == (
+            "batch", "scalar",
+        )
+        assert len(twins.auto.matrices) == len(twins.scalar.matrices) == 12
+        assert twins.diverged == []
+
+    def test_a_build_that_is_not_the_same_twice_is_named(self):
+        factory, timeout = PROFILES["uniform-wan"]
+        seeds = iter((5, 6))
+        twins = twin_runs(lambda: build_run(factory, timeout, next(seeds), 12))
+        assert "matrices" in twins.diverged
 
 
 class TestFallbackTriggers:

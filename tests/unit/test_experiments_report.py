@@ -4,7 +4,13 @@ import pytest
 
 from repro.experiments.config import PAPER, QUICK, SweepConfig
 from repro.experiments.figures import FigureSeries
-from repro.experiments.report import render_comparison, render_series
+from repro.adaptive.scenario import (
+    PolicyRunReport,
+    ScenarioComparison,
+    adaptive_report,
+)
+from repro.experiments.report import format_cell, render_comparison, render_series
+from repro.experiments.robustness import RobustnessCell, render_robustness
 
 
 class TestRenderSeries:
@@ -96,6 +102,57 @@ class TestRenderComparison:
         assert _format(float("inf")) == "   inf"
         assert _format(float("-inf")) == "  -inf"
         assert len(_format(float("-inf"))) == len(_format(float("inf")))
+
+
+class TestFormatCell:
+    def test_a_value_takes_the_spec_and_the_unit(self):
+        assert format_cell(0.123456) == "0.1235"
+        assert format_cell(38.4, ".0f", unit=" ms") == "38 ms"
+        assert format_cell(-0.5, "+.2f") == "-0.50"
+
+    def test_nan_is_the_marker_without_the_unit(self):
+        assert format_cell(float("nan")) == "-"
+        assert format_cell(float("nan"), ".0f", "—", unit=" ms") == "—"
+
+    def test_infinities_ignore_the_width_of_the_spec(self):
+        assert format_cell(float("inf"), "10.3g") == "inf"
+        assert format_cell(float("-inf"), "10.3g", unit="s") == "-infs"
+
+
+class TestCensoredCells:
+    """A cell with nothing to report prints the table's marker — the
+    legend of ``faults.txt`` reads "'-' = censored" — never ``nan``."""
+
+    def test_robustness_table(self):
+        nan = float("nan")
+        cells = [
+            RobustnessCell("partition", "ES", 0.5, 0.0, nan, nan),
+            RobustnessCell("partition", "WLM", 0.9, 0.8, 6.25, nan),
+        ]
+        rows = render_robustness(cells, 0.21).splitlines()[3:5]
+        assert "nan" not in "".join(rows)
+        assert rows[0].split()[-3:] == ["-", "-", "-"]
+        assert rows[1].split()[-3:] == ["6.25", "-", "-"]
+        assert len(rows[0]) == len(rows[1]) == 72
+
+    def test_adaptive_table(self):
+        def report(name, latencies):
+            return PolicyRunReport(
+                name=name, latencies=latencies, decided_all=bool(latencies),
+                consistent=True, switches=0, violations=0, slots=1, rounds=1,
+            )
+
+        comparison = ScenarioComparison(
+            adaptive=report("adaptive", [1.5, 2.5]),
+            baselines={"ES@0.16": report("ES@0.16", [])},
+            leader=6,
+        )
+        text = adaptive_report(comparison)
+        assert "nan" not in text
+        rows = text.splitlines()
+        assert rows[3].split()[:3] == ["adaptive", "2.00s", "2.50s"]
+        assert rows[4].split()[:3] == ["ES@0.16", "-", "-"]
+        assert rows[3].index("yes") + 3 == rows[4].index("NO") + 2
 
 
 class TestSweepConfig:

@@ -10,7 +10,9 @@ from repro.analysis import (
 )
 from repro.analysis.equations import p_wlm
 from repro.faults import StabilityWindowAdversary
+from repro.models import get_model
 from repro.models.matrix import majority
+from repro.sim.rng import derive_seed
 
 
 def make_adversary(**kwargs):
@@ -150,6 +152,28 @@ class TestPredictions:
             adversary, 0.99, "WLM", runs=50, seed=1, leader=0
         )
         assert (rounds >= adversary.gsr_round).all()
+
+    def test_the_growing_block_reads_the_prefix_of_one_big_draw(self):
+        # The reference: one 4096-round draw per run, masked and scanned
+        # whole — what the simulation did before it drew in doubling blocks.
+        adversary = make_adversary(gsr_round=25)
+        plan, model = adversary.to_plan(), get_model("WLM")
+        expected = []
+        for index in range(12):
+            rng = np.random.default_rng(
+                derive_seed(4, f"stabilization:WLM:{adversary.seed}:{index}")
+            )
+            matrices = rng.random((4096, 8, 8)) < 0.9
+            for k in range(1, plan.quiet_after() + 1):
+                matrices[k - 1] &= ~plan.mask(k)
+            held = model.satisfied_batch(matrices, leader=0)
+            run = np.convolve(held, np.ones(4, dtype=int), "valid")
+            expected.append(int(np.flatnonzero(run == 4)[0]) + 4)
+        rounds = simulate_adversary_decision_rounds(
+            adversary, 0.9, "WLM", runs=12, seed=4, leader=0
+        )
+        assert rounds.tolist() == expected
+        assert max(expected) > 64  # some run needed more than one block
 
     def test_simulation_is_deterministic(self):
         adversary = make_adversary()

@@ -156,6 +156,30 @@ class TestMask:
         assert mask[np.ix_(others, others)].sum() == 0
 
 
+    def test_a_round_that_draws_nothing_seeds_no_generator(self, monkeypatch):
+        plan = FaultPlan(
+            n=5,
+            crashes=(Crash(0, 2, recover_round=4),),
+            loss_bursts=(LossBurst(6, 7, 0.5),),
+            partitions=(Partition(((0, 1), (2, 3, 4)), 3, 5),),
+            slow_nodes=(SlowNode(4, 9, 9, drop_prob=0.5),),
+            seed=9,
+        )
+        expected = {k: plan.mask(k) for k in range(1, 12)}
+        seeded, rng = [], FaultPlan.rng
+
+        def counted(self, *parts):
+            seeded.append(parts[1])
+            return rng(self, *parts)
+
+        monkeypatch.setattr(FaultPlan, "rng", counted)
+        for k, mask in expected.items():
+            assert (plan.mask(k) == mask).all()
+        # Only the burst's and the slow node's rounds draw; crash and
+        # partition rounds are tabulated, quiet rounds empty.
+        assert seeded == [6, 7, 9]
+
+
 class TestApplication:
     def test_apply_to_matrices_masks_and_preserves_diagonal(self):
         plan = FaultPlan(n=4, loss_bursts=(LossBurst(2, 3, 1.0),))

@@ -8,8 +8,12 @@ from repro.models.properties import (
     canonical_granular_assumptions,
     granular_guaranteed,
 )
-from repro.net import GranularProfile, lan_profile, planetlab_profile
-from repro.check.differential import uniform_wan_profile
+from repro.net import (
+    GranularProfile,
+    lan_profile,
+    planetlab_profile,
+    uniform_wan_profile,
+)
 
 SYNC = 0.03
 PSYNC = 0.06

@@ -7,20 +7,20 @@ from repro.experiments.selection import (
     Recommendation,
     _cell_seed,
     _decision_seed,
-    _format_ms,
+    _ms,
     _ping_seed,
 )
 
 
 class TestFormatMs:
     def test_large_values_rounded(self):
-        assert _format_ms(0.73) == "730 ms"
+        assert _ms(0.73) == "730 ms"
 
     def test_small_values_keep_precision(self):
-        assert _format_ms(0.00035) == "0.35 ms"
+        assert _ms(0.00035) == "0.35 ms"
 
     def test_nan_is_dash(self):
-        assert _format_ms(float("nan")) == "—"
+        assert _ms(float("nan")) == "—"
 
 
 class TestRecommendationSummary:

@@ -12,31 +12,43 @@ import numpy as np
 import pytest
 
 import repro.sync.batch as batch_module
-from repro.check.differential import uniform_wan_profile
 from repro.faults.plan import ClockStep, Crash, FaultPlan, LeaderChurn, LossBurst
 from repro.giraf.oracle import NullOracle
-from repro.net import lan_profile, planetlab_profile
+from repro.net import lan_profile, planetlab_profile, uniform_wan_profile
 from repro.obs.recorder import RunRecorder
 from repro.obs.registry import MetricsRegistry
-from repro.oracles.omega import HeartbeatOmega
 from repro.sim import Clock, Transport
-from repro.sync import HeartbeatAlgorithm, SyncRun, batch_ineligible_reason
+from repro.sync import (
+    HeartbeatAlgorithm,
+    SyncRun,
+    batch_ineligible_reason,
+    probe_run,
+)
 
 
 def make_run(n=4, timeout=0.1, max_rounds=15, factory=uniform_wan_profile,
-             seed=0, transport_kwargs=None, oracle_factory=NullOracle, **kwargs):
+             seed=0, **extras):
     table = np.full((n, n), 0.02)
     np.fill_diagonal(table, 0.0)
     profile = factory(n=n, seed=seed) if factory is uniform_wan_profile else factory(seed=seed)
+    return probe_run(profile, table, timeout, max_rounds, **extras)
+
+
+def make_odd_run(recorder=None, **transport_kwargs):
+    """What no argument of the stock constructor produces: a recorder on
+    the run, options on the transport."""
+    n = 4
     return SyncRun(
         n,
         lambda pid: HeartbeatAlgorithm(pid, n),
-        oracle_factory(),
-        lambda sim: Transport(sim, profile, **(transport_kwargs or {})),
-        timeout=timeout,
-        latency_table=table,
-        max_rounds=max_rounds,
-        **kwargs,
+        NullOracle(),
+        lambda sim: Transport(
+            sim, uniform_wan_profile(n=n, seed=0), **transport_kwargs
+        ),
+        timeout=0.1,
+        latency_table=np.full((n, n), 0.02),
+        max_rounds=15,
+        recorder=recorder,
     )
 
 
@@ -76,15 +88,15 @@ class TestFallbackReasons:
         # Recovery moves a node off the common grid (it rejoins by
         # jumping): still scalar-only.
         plan = FaultPlan(n=4, crashes=(Crash(pid=1, at_round=3, recover_round=5),))
-        self.assert_falls_back(make_run(fault_plan=plan), "crash recovery")
+        self.assert_falls_back(make_run(plan=plan), "crash recovery")
 
     def test_clock_step_plan(self):
         plan = FaultPlan(n=4, clock_steps=(ClockStep(pid=1, at_round=3, offset=0.05),))
-        self.assert_falls_back(make_run(fault_plan=plan), "clock steps")
+        self.assert_falls_back(make_run(plan=plan), "clock steps")
 
     def test_run_recorder(self):
         self.assert_falls_back(
-            make_run(recorder=RunRecorder()), "not a stock run"
+            make_odd_run(recorder=RunRecorder()), "not a stock run"
         )
 
     def test_fault_policy_already_consumed(self):
@@ -92,18 +104,18 @@ class TestFallbackReasons:
             n=4,
             loss_bursts=(LossBurst(start_round=2, end_round=4, drop_prob=0.5),),
         )
-        run = make_run(fault_plan=plan)
+        run = make_run(plan=plan)
         run.link_faults.drop(0, 1, 0.15)
         assert batch_ineligible_reason(run, 1e9) == "not a stock run"
 
     def test_transport_trace(self):
         self.assert_falls_back(
-            make_run(transport_kwargs={"trace": True}), "not a stock run"
+            make_odd_run(trace=True), "not a stock run"
         )
 
     def test_streams_disabled(self):
         self.assert_falls_back(
-            make_run(transport_kwargs={"batch_streams": False}),
+            make_odd_run(batch_streams=False),
             "batch-capable",
         )
 
@@ -197,7 +209,7 @@ class TestWidenedEligibility:
         )
 
     def test_permanent_crash_plan_is_eligible(self):
-        run = make_run(fault_plan=self.faulted_plan())
+        run = make_run(plan=self.faulted_plan())
         result = run.run()
         assert run.executed_mode == "batch"
         assert run.nodes[1].crashed_permanently
@@ -205,9 +217,7 @@ class TestWidenedEligibility:
 
     def test_metrics_ride_the_batch_path(self):
         metrics = MetricsRegistry()
-        run = make_run(
-            metrics=metrics, transport_kwargs={"metrics": metrics}
-        )
+        run = make_run(metrics=metrics)
         run.run()
         assert run.executed_mode == "batch"
         # Bulk accumulation stands in for the per-event increments.
@@ -237,7 +247,7 @@ class TestWidenedEligibility:
         assert len(collector.oracle_outputs) == n + n * 15
 
     def test_heartbeat_omega_rides_the_batch_path(self):
-        run = make_run(oracle_factory=lambda: HeartbeatOmega(4))
+        run = make_run(omega=True)
         run.run()
         assert run.executed_mode == "batch"
 
@@ -247,11 +257,12 @@ class TestWidenedEligibility:
         run.run()
         assert metrics.value("sync.executed_mode", mode="batch") == 1
         metrics = MetricsRegistry()
-        run = make_run(metrics=metrics, transport_kwargs={"trace": True})
+        run = make_run(metrics=metrics, start_times=[0.0, 0.1, 0.2, 0.3])
         run.run()
         assert metrics.value("sync.executed_mode", mode="scalar") == 1
         assert (
-            metrics.value("sync.batch_fallback", reason="not a stock run") == 1
+            metrics.value("sync.batch_fallback", reason="staggered start times")
+            == 1
         )
 
     def test_forced_scalar_does_not_count_a_fallback(self):
@@ -275,7 +286,7 @@ class TestOracleReplay:
     )
 
     @staticmethod
-    def oracle_calls(mode, oracle_factory, plan):
+    def oracle_calls(mode, omega, plan):
         class Recorder:
             def __init__(self):
                 self.calls = []
@@ -285,10 +296,7 @@ class TestOracleReplay:
 
         recorder = Recorder()
         run = make_run(
-            observers=[recorder],
-            oracle_factory=oracle_factory,
-            fault_plan=plan,
-            max_rounds=20,
+            observers=[recorder], omega=omega, plan=plan, max_rounds=20
         )
         run.run(mode=mode)
         assert run.executed_mode == ("scalar" if mode == "scalar" else "batch")
@@ -296,9 +304,8 @@ class TestOracleReplay:
 
     @pytest.mark.parametrize("plan", [PLAN, None], ids=["crash+churn", "no-plan"])
     def test_observers_hear_the_scalar_call_list_from_heartbeat_omega(self, plan):
-        factory = lambda: HeartbeatOmega(4, suspicion_rounds=2)
-        scalar = self.oracle_calls("scalar", factory, plan)
-        assert self.oracle_calls("auto", factory, plan) == scalar
+        scalar = self.oracle_calls("scalar", True, plan)
+        assert self.oracle_calls("auto", True, plan) == scalar
         assert [call[:2] for call in scalar[:4]] == [(pid, 0) for pid in range(4)]
         assert all(type(leader) is int for _, _, leader in scalar)
         if plan is not None:
@@ -315,8 +322,8 @@ class TestOracleReplay:
 
     @pytest.mark.parametrize("plan", [PLAN, None], ids=["crash+churn", "no-plan"])
     def test_observers_hear_the_scalar_call_list_from_null_oracle(self, plan):
-        scalar = self.oracle_calls("scalar", NullOracle, plan)
-        assert self.oracle_calls("auto", NullOracle, plan) == scalar
+        scalar = self.oracle_calls("scalar", False, plan)
+        assert self.oracle_calls("auto", False, plan) == scalar
         assert all(
             leader is None
             for _, k, leader in scalar
@@ -327,13 +334,7 @@ class TestOracleReplay:
     def omega_calls(rounds):
         """Calls into functions defined in ``repro/oracles/omega.py``
         during one instrumented batched run of ``rounds`` rounds."""
-        metrics = MetricsRegistry()
-        run = make_run(
-            max_rounds=rounds,
-            metrics=metrics,
-            transport_kwargs={"metrics": metrics},
-            oracle_factory=lambda: HeartbeatOmega(4, metrics=metrics),
-        )
+        run = make_run(max_rounds=rounds, metrics=MetricsRegistry(), omega=True)
         calls = 0
 
         def profiler(frame, event, arg):

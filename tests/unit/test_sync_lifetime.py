@@ -20,12 +20,11 @@ import pytest
 
 from repro.core import WlmConsensus
 from repro.faults.plan import ClockStep, Crash, FaultPlan
-from repro.giraf.oracle import FixedLeaderOracle, NullOracle
+from repro.giraf.oracle import FixedLeaderOracle
 from repro.net import planetlab_profile
 from repro.obs.registry import MetricsRegistry
-from repro.oracles.omega import HeartbeatOmega
 from repro.sim import Clock, Transport
-from repro.sync import HeartbeatAlgorithm, SyncRun
+from repro.sync import SyncRun, probe_run
 
 N = 8
 ROUNDS = 25
@@ -49,28 +48,27 @@ PLANS = {
 
 def build(kind: str) -> SyncRun:
     metrics = MetricsRegistry() if kind == "instrumented" else None
-    options = {}
-    oracle = HeartbeatOmega(N, metrics=metrics) if metrics else NullOracle()
-    algorithm = lambda pid: HeartbeatAlgorithm(pid, N)  # noqa: E731
-    if kind in PLANS:
-        options["fault_plan"] = PLANS[kind]
-    elif kind == "hetero":
-        options["clocks"] = [Clock(offset=0.2 * i, drift=2e-5 * (i - 4)) for i in range(N)]
-        options["start_times"] = [0.13 * i for i in range(N)]
-    elif kind == "consensus":
-        oracle = FixedLeaderOracle(0)
-        algorithm = lambda pid: WlmConsensus(pid, N, proposal=f"v{pid}")  # noqa: E731
     profile = planetlab_profile(seed=5, slow_run_prob=0.0)
-    return SyncRun(
-        N,
-        algorithm,
-        oracle,
-        lambda sim: Transport(sim, profile, metrics=metrics),
-        timeout=0.21,
-        latency_table=np.full((N, N), 0.05),
-        max_rounds=ROUNDS,
-        metrics=metrics,
-        **options,
+    table = np.full((N, N), 0.05)
+    if kind == "consensus":
+        return SyncRun(
+            N,
+            lambda pid: WlmConsensus(pid, N, proposal=f"v{pid}"),
+            FixedLeaderOracle(0),
+            lambda sim: Transport(sim, profile),
+            timeout=0.21,
+            latency_table=table,
+            max_rounds=ROUNDS,
+        )
+    extras = {}
+    if kind in PLANS:
+        extras["plan"] = PLANS[kind]
+    elif kind == "hetero":
+        extras["clocks"] = [Clock(offset=0.2 * i, drift=2e-5 * (i - 4)) for i in range(N)]
+        extras["start_times"] = [0.13 * i for i in range(N)]
+    return probe_run(
+        profile, table, 0.21, ROUNDS, metrics=metrics,
+        omega=kind == "instrumented", **extras,
     )
 
 

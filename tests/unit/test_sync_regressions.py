@@ -13,8 +13,8 @@ resurrected suspicion of live processes.
 import numpy as np
 import pytest
 
-from repro.check.differential import uniform_wan_profile
 from repro.giraf.oracle import NullOracle
+from repro.net import uniform_wan_profile
 from repro.oracles.omega import HeartbeatOmega
 from repro.sim import Clock, Transport
 from repro.sync import HeartbeatAlgorithm, SyncRun
