@@ -1,8 +1,8 @@
 """Speedup guard for vectorized batch trace generation.
 
-Times the whole-trace batch sampler (per-link RNG substreams, one NumPy
-pass per link — see DESIGN.md, "Batch trace generation") against the
-per-message scalar baseline: the generic
+Times the whole-trace batch sampler (per-link RNG substreams; the draws
+per link, the arithmetic once per trace — see DESIGN.md, "Batch trace
+generation") against the per-message scalar baseline: the generic
 :meth:`~repro.net.base.LatencyModel.sample_round_latencies` fallback,
 which draws every message individually through ``sample_latency`` — the
 cost any model pays without the batch engine, and the granularity of the

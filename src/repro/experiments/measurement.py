@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.models.registry import TimingModel, get_model
-from repro.net.base import LatencyModel
+from repro.net.base import LatencyModel, off_diagonal
 from repro.net.lan import LanProfile
 from repro.net.planetlab import PlanetLabProfile
 from repro.sim.transport import not_a_delay
@@ -97,9 +97,8 @@ def measured_p(latency_trace: np.ndarray, timeout: float) -> float:
     This is the measured analogue of the IID ``p`` — the paper's
     Figure 1(d) maps timeouts to these values.
     """
-    n = latency_trace.shape[1]
-    off_diagonal = ~np.eye(n, dtype=bool)
-    return float((latency_trace[:, off_diagonal] < timeout).mean())
+    links = off_diagonal(latency_trace.shape[1])
+    return float((latency_trace[:, links] < timeout).mean())
 
 
 def satisfaction_vector(

@@ -17,11 +17,17 @@ see statistically identical networks.
 from __future__ import annotations
 
 import abc
-from typing import Optional
+from functools import partial
+from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.sim.rng import derive_pcg64_state
+from repro.sim.rng import derive_pcg64_state, derive_pcg64_states
+
+
+def off_diagonal(n: int) -> np.ndarray:
+    """The ``(n, n)`` boolean mask of the directed links (no self-links)."""
+    return ~np.eye(n, dtype=bool)
 
 
 class LatencyModel(abc.ABC):
@@ -34,11 +40,14 @@ class LatencyModel(abc.ABC):
       stateful generator, one message or one round at a time;
     - the *batch* path (:meth:`sample_link_batch`,
       :meth:`sample_trace_batch`) draws each directed link's full column
-      of rounds in one vectorized pass from a per-link RNG substream
-      derived by :func:`repro.sim.rng.derive_seed` — counter-style
+      of rounds from a per-link RNG substream derived by
+      :func:`repro.sim.rng.derive_pcg64_states` — counter-style
       splittable seeding, so a whole trace is a pure function of
       ``(model parameters, seed)``, independent of sampling order and of
-      which process samples it.
+      which process samples it.  :meth:`sample_trace_batch` here is
+      generic, one :meth:`sample_link_batch` call per link; a model whose
+      per-link arithmetic is elementwise keeps only the draws per link
+      (:class:`~repro.net.hetero.HeterogeneousNetwork`).
 
     The paths consume randomness differently and therefore do not
     reproduce each other draw-for-draw; they sample identical per-link
@@ -55,8 +64,8 @@ class LatencyModel(abc.ABC):
         self.n = n
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        # One scratch bit generator the trace loop reuses; see
-        # _trace_stream.
+        # One scratch bit generator every trace of this model re-seats;
+        # see _trace_streams.
         self._scratch_bitgen: Optional[np.random.PCG64] = None
 
     @abc.abstractmethod
@@ -108,23 +117,28 @@ class LatencyModel(abc.ABC):
         bitgen.state = derive_pcg64_state(self.seed, f"link:{src}->{dst}")
         return np.random.Generator(bitgen)
 
-    def _trace_stream(self, src: int, dst: int) -> np.random.Generator:
-        """:meth:`link_stream`, but recycling one scratch bit generator.
+    def _trace_streams(self) -> tuple[np.random.Generator, Iterator]:
+        """``(rng, seated)`` — the one place a trace's streams are seated.
 
-        Seeding a fresh PCG64 object costs ~10x a raw state assignment,
-        and trace sampling needs n² streams per call; assigning each
-        link's derived state to a single shared bit generator yields
-        bit-identical draws.  The returned generator is therefore only
-        valid until the next ``_trace_stream`` call on this model —
-        callers must finish with it immediately, which the
-        one-link-at-a-time trace loop does.  Long-lived consumers (the
-        transport's per-link streams) use :meth:`link_stream` instead.
+        ``seated`` yields ``((src, dst), None)`` per directed link in
+        trace order (``src`` outer, no self-links), having re-seated
+        ``rng`` on that link's :meth:`link_stream` state: one generator
+        draws every link from its own substream, bit for bit.  Built once
+        per trace — the n(n-1) states are derived in one call, and one
+        recycled ``PCG64`` takes raw state assignments (~1 µs each) where
+        a fresh one costs a ``SeedSequence`` pass (~7 µs) — so ``rng`` is
+        only good until the next call on this model; long-lived consumers
+        (the transport's per-link streams) use :meth:`link_stream`.
         """
         bitgen = self._scratch_bitgen
         if bitgen is None:
             bitgen = self._scratch_bitgen = np.random.PCG64(0)
-        bitgen.state = derive_pcg64_state(self.seed, f"link:{src}->{dst}")
-        return np.random.Generator(bitgen)
+        links = [(s, d) for s in range(self.n) for d in range(self.n) if s != d]
+        states = derive_pcg64_states(
+            self.seed, [b"link:%d->%d" % link for link in links]
+        )
+        seats = map(partial(setattr, bitgen, "state"), states)
+        return np.random.Generator(bitgen), zip(links, seats)
 
     def sample_link_batch(
         self,
@@ -154,14 +168,9 @@ class LatencyModel(abc.ABC):
         """
         times = np.arange(rounds) * round_length
         trace = np.zeros((rounds, self.n, self.n))
-        for src in range(self.n):
-            for dst in range(self.n):
-                if src == dst:
-                    continue
-                rng = self._trace_stream(src, dst)
-                trace[:, dst, src] = self.sample_link_batch(
-                    src, dst, times, rng
-                )
+        rng, seated = self._trace_streams()
+        for (src, dst), _ in seated:
+            trace[:, dst, src] = self.sample_link_batch(src, dst, times, rng)
         return trace
 
     def reseed(self, seed: int) -> None:

@@ -13,18 +13,21 @@ Latency of the message ``src -> dst`` sent at time ``now``::
                   * (1 + Pareto(tail_shape))   with prob tail[dst, src]
                   * slow_factor[dst]           if dst is in a slow window
 
-Whole rounds are sampled with vectorized numpy operations, which keeps the
-33-runs-by-300-rounds WAN sweeps fast.
+Three samplers share these distributions: one message, one round (both on
+the model's shared generator) and the batch sampler — whole traces and
+the transport's per-link chunks — which keeps only the RNG draws per link
+and does the arithmetic once per block of links (``_sample_links``), which
+is what keeps the 33-runs-by-300-rounds WAN sweeps fast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.net.base import LatencyModel
+from repro.net.base import LatencyModel, off_diagonal
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,16 @@ class SlowWindows:
             raise ValueError("per_message_prob must be a probability")
         if self.mode == "queue" and self.queue_unit <= 0:
             raise ValueError("queue mode needs a positive queue_unit")
+        if not self.period > 0.0:
+            raise ValueError(f"period must be positive, got {self.period!r}")
+        if not 0.0 <= self.duty <= 1.0:
+            raise ValueError(f"duty must be in [0, 1], got {self.duty!r}")
+        if not np.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase!r}")
+        if not 0.0 < self.factor < np.inf:
+            raise ValueError(
+                f"factor must be positive and finite, got {self.factor!r}"
+            )
 
     def active(self, now: float) -> bool:
         position = ((now + self.phase) % self.period) / self.period
@@ -77,6 +90,13 @@ class SlowWindows:
         times = np.asarray(times, dtype=float)
         position = ((times + self.phase) % self.period) / self.period
         return position < self.duty
+
+
+def _per_link(value, n: int) -> np.ndarray:
+    """A fresh ``(n, n)`` float matrix of ``value`` (scalar or matrix)."""
+    matrix = np.empty((n, n))
+    matrix[...] = value
+    return matrix
 
 
 class HeterogeneousNetwork(LatencyModel):
@@ -99,20 +119,48 @@ class HeterogeneousNetwork(LatencyModel):
         super().__init__(n, seed)
         if base.shape != (n, n):
             raise ValueError("base latency matrix must be square")
-        if np.any(base[~np.eye(n, dtype=bool)] <= 0):
-            raise ValueError("off-diagonal base latencies must be positive")
         self.base = base
-        self.sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (n, n)).copy()
-        self.tail_prob = np.broadcast_to(
-            np.asarray(tail_prob, dtype=float), (n, n)
-        ).copy()
+        self.sigma = _per_link(sigma, n)
+        self.tail_prob = _per_link(tail_prob, n)
         self.tail_shape = tail_shape
-        if loss_prob is None:
-            loss_prob = np.zeros((n, n))
-        self.loss_prob = np.broadcast_to(
-            np.asarray(loss_prob, dtype=float), (n, n)
-        ).copy()
+        self.loss_prob = _per_link(0.0 if loss_prob is None else loss_prob, n)
         self.slow_nodes = dict(slow_nodes or {})
+        # The directed links as rows, in trace order (src outer; see
+        # LatencyModel._trace_streams), each parameter gathered per row —
+        # as a column where the block arithmetic broadcasts it.
+        self._links = src, dst = np.nonzero(off_diagonal(n))
+        link_base, link_sigma = base[dst, src], self.sigma[dst, src]
+        link_tail, link_loss = self.tail_prob[dst, src], self.loss_prob[dst, src]
+        self._link_params = (
+            link_base[:, None], link_sigma[:, None], link_tail, link_loss[:, None]
+        )
+        if np.any(link_base <= 0):
+            raise ValueError("off-diagonal base latencies must be positive")
+        for rule, values, ok in (
+            ("sigma must be finite and >= 0", link_sigma,
+             np.isfinite(link_sigma) & (link_sigma >= 0)),
+            ("tail_prob must be in [0, 1]", link_tail,
+             (link_tail >= 0) & (link_tail <= 1)),
+            ("loss_prob must be in [0, 1]", link_loss,
+             (link_loss >= 0) & (link_loss <= 1)),
+        ):
+            if not ok.all():
+                row = int(np.argmin(ok))
+                raise ValueError(
+                    f"{type(self).__name__}: {rule}; link "
+                    f"{src[row]}->{dst[row]} has {float(values[row])!r}"
+                )
+        if not tail_shape > 0:
+            raise ValueError(
+                f"{type(self).__name__}: tail_shape must be positive, "
+                f"got {tail_shape!r}"
+            )
+        for node in self.slow_nodes:
+            if node not in range(n):
+                raise ValueError(
+                    f"{type(self).__name__}: slow node {node!r} is not one "
+                    f"of the {n} nodes"
+                )
 
     # ------------------------------------------------------------------
     # Single-message path (event-driven transport).
@@ -191,70 +239,144 @@ class HeterogeneousNetwork(LatencyModel):
         return latencies
 
     # ------------------------------------------------------------------
-    # Batch path: whole-trace sampling from per-link RNG substreams.
+    # Batch path: draws per link, arithmetic per block of links.
     # ------------------------------------------------------------------
     @property
     def is_time_invariant(self) -> bool:
         return not self.slow_nodes
 
-    def _link_column(
+    def _sample_links(
         self,
-        src: int,
-        dst: int,
+        ends: tuple,
+        params: tuple,
         times: np.ndarray,
         rng: np.random.Generator,
-        defer_queue: bool,
-        active_masks: Optional[dict] = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One link's latencies for all of ``times`` plus its loss mask.
+        seats: Iterable,
+        whole_burst: bool,
+    ) -> np.ndarray:
+        """The one body of the batch path: latencies (lost = ``+inf``) of a
+        block of link rows at every send time, shape ``(rows, times)``.
 
-        Loss is returned separately (not yet ``+inf``) because the
-        whole-round queue ranking must see lost messages' sampled
-        latencies, exactly as :meth:`sample_round_latencies` ranks before
-        applying loss.  ``defer_queue`` skips queue-mode slowness so the
-        trace path can rank actual arrivals in a post-pass; the single-link
-        path charges the expected rank instead, like
-        :meth:`sample_latency`.  ``active_masks`` (node -> boolean mask
-        over ``times``) lets the trace loop precompute each slow node's
-        windows once instead of per link.
+        ``ends`` is the rows' ``(src, dst)`` and ``params`` their ``(base,
+        sigma, tail_prob, loss_prob)``: vectors for a trace (``base``,
+        ``sigma`` and ``loss_prob`` as columns), plain scalars and a
+        one-entry ``tail_prob`` for a single link.
+
+        Only the draws happen per link.  ``seats`` yields once per row,
+        having put ``rng`` on that row's stream, and the row then draws,
+        in this order and nothing else:
+
+        1. one normal vector (the log-normal body);
+        2. one 2-row uniform block (tail odds, loss);
+        3. one Pareto excess per tail hit;
+        4. one uniform vector per slow-window block of :meth:`_slow_plan`
+           the row is in — its ``dst``'s ("in") before its ``src``'s.
+
+        Everything else is elementwise, so it runs once over the block,
+        each link keeping its operand order — body, tail, ``dst``'s slow
+        factor, ``src``'s: floating-point products do not reassociate.
         """
-        count = np.asarray(times, dtype=float).shape[0]
-        # One normal vector and one 2-row uniform block (tail odds, loss)
-        # per link: RNG call count, not element count, dominates here.
-        latencies = self.base[dst, src] * np.exp(
-            self.sigma[dst, src] * rng.standard_normal(count)
+        base, sigma, tail_prob, loss_prob = params
+        count = len(times)
+        plan, row_draws = (
+            self._slow_plan(ends, np.asarray(times, dtype=float), whole_burst)
+            if self.slow_nodes
+            else ((), {})
         )
-        uniforms = rng.random((2, count))
-        tails = uniforms[0] < self.tail_prob[dst, src]
-        hits = np.count_nonzero(tails)
-        if hits:
-            latencies[tails] *= 1.0 + rng.pareto(self.tail_shape, size=hits)
-        for node, role in ((dst, "in"), (src, "out")) if self.slow_nodes else ():
-            slow = self.slow_nodes.get(node)
-            if slow is None:
-                continue
-            if active_masks is not None:
-                active = active_masks[node]
-            else:
-                active = slow.active_mask(times)
-            if not active.any():
-                continue
-            if slow.mode == "queue":
-                if not defer_queue and role == "in":
-                    latencies[active] += (
-                        slow.queue_unit * self._expected_rank(src, dst)
+        latencies = np.empty((len(tail_prob), count))
+        uniforms = np.empty((len(tail_prob), 2, count))
+        tails = np.empty(latencies.shape, dtype=bool)
+        tail_shape = self.tail_shape
+        less, count_nonzero = np.less, np.count_nonzero
+        excess = []
+        for row, _ in enumerate(seats):
+            rng.standard_normal(out=latencies[row])
+            rng.random(out=uniforms[row])
+            hits = count_nonzero(
+                less(uniforms[row, 0], tail_prob[row], out=tails[row])
+            )
+            if hits:
+                excess.append(rng.pareto(tail_shape, hits))
+            if row in row_draws:
+                for vector in row_draws[row]:
+                    rng.random(out=vector)
+
+        latencies *= sigma
+        np.exp(latencies, out=latencies)
+        latencies *= base
+        if excess:  # row-major mask order is row order
+            factors = np.concatenate(excess) if len(excess) > 1 else excess[0]
+            factors += 1.0
+            latencies[tails] *= factors
+        for touched, draws, slow, active in plan:
+            if slow.mode == "scale":
+                if draws is not None:
+                    active = active & (draws < slow.per_message_prob)
+                slowed = latencies[touched]
+                np.multiply(slowed, slow.factor, out=slowed, where=active)
+                latencies[touched] = slowed
+            elif whole_burst:
+                # Rank each active round's arrivals (rows are in sender
+                # order and the sort is stable, so ties go to the lower
+                # pid); each waits its queue position out.
+                burst = np.ix_(touched, np.flatnonzero(active))
+                order = np.argsort(latencies[burst], axis=0, kind="stable")
+                latencies[burst] += slow.queue_unit * np.argsort(order, axis=0)
+            else:  # a single link: its expected place in the burst
+                for row in touched:
+                    latencies[row, active] += (
+                        slow.queue_unit * self._expected_rank(*ends)
                     )
-                continue
-            if slow.direction not in (role, "both"):
-                continue
-            affected = active
-            if slow.per_message_prob < 1.0:
-                affected = active & (
-                    rng.random(count) < slow.per_message_prob
-                )
-            latencies[affected] *= slow.factor
-        lost = uniforms[1] < self.loss_prob[dst, src]
-        return latencies, lost
+        latencies[uniforms[:, 1] < loss_prob] = np.inf
+        return latencies
+
+    def _slow_plan(
+        self, ends: tuple, times: np.ndarray, whole_burst: bool
+    ) -> tuple[list, dict[int, list[np.ndarray]]]:
+        """``(plan, row_draws)``: how the slow nodes active somewhere in
+        ``times`` touch the link rows whose ``(src, dst)`` are ``ends``.
+
+        ``plan`` lists ``(touched rows, draws, slow, active mask)`` in
+        application order: every node slowing what it receives (the rows
+        whose ``dst`` it is), then every node slowing what it sends, so a
+        link's ``dst`` factor lands before its ``src`` factor as in
+        :meth:`sample_latency`.  ``draws`` is the uniform block a
+        scale-mode node with ``per_message_prob < 1`` decides each
+        message by (else ``None``); ``row_draws`` maps a row to the
+        vectors of those blocks it fills, in that order.
+
+        Queue-mode slowness needs the rest of the burst.  With
+        ``whole_burst`` (a trace: every sender into the node is a row) the
+        node ranks its actual arrivals after every slow factor and before
+        loss — lost messages still queue, as in
+        :meth:`sample_round_latencies`; a single link is charged its
+        expected rank where :meth:`sample_latency` charges it, between
+        the two factors.
+        """
+        src, dst = ends
+        live = [
+            (node, slow, active)
+            for node, slow in self.slow_nodes.items()
+            for active in (slow.active_mask(times),)
+            if active.any()
+        ]
+        plan, ranked, row_draws = [], [], {}
+        for role, end in (("in", dst), ("out", src)):
+            for node, slow, active in live:
+                touched = np.flatnonzero(end == node)
+                draws = None
+                if slow.mode == "queue":
+                    if role == "in":
+                        (ranked if whole_burst else plan).append(
+                            (touched, None, slow, active)
+                        )
+                elif slow.direction in (role, "both"):
+                    if slow.per_message_prob < 1.0:
+                        draws = np.empty((touched.size, times.size))
+                        for row, vector in zip(touched.tolist(), draws):
+                            row_draws.setdefault(row, []).append(vector)
+                    plan.append((touched, draws, slow, active))
+        return plan + ranked, row_draws
 
     def sample_link_batch(
         self,
@@ -263,60 +385,33 @@ class HeterogeneousNetwork(LatencyModel):
         times: np.ndarray,
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
+        """The one-row case of :meth:`_sample_links`: the caller's
+        long-lived generator is already on the link's stream."""
         if rng is None:
             rng = self.link_stream(src, dst)
-        latencies, lost = self._link_column(
-            src, dst, times, rng, defer_queue=False
+        at = dst, src
+        params = (
+            self.base[at], self.sigma[at], (self.tail_prob[at],),
+            self.loss_prob[at],
         )
-        latencies[lost] = np.inf
-        return latencies
+        return self._sample_links(
+            (src, dst), params, times, rng, (None,), whole_burst=False
+        )[0]
 
     def sample_trace_batch(self, rounds: int, round_length: float) -> np.ndarray:
-        times = np.arange(rounds) * round_length
+        """Every link as a row of :meth:`_sample_links`, each seated on its
+        own substream, laid out as ``(rounds, n, n)``."""
+        rng, seated = self._trace_streams()
         n = self.n
-        latencies = np.zeros((rounds, n, n))
-        lost = np.zeros((rounds, n, n), dtype=bool)
-        active_masks = {
-            node: slow.active_mask(times)
-            for node, slow in self.slow_nodes.items()
-        }
-        for src in range(n):
-            for dst in range(n):
-                if src == dst:
-                    continue
-                rng = self._trace_stream(src, dst)
-                column, column_lost = self._link_column(
-                    src, dst, times, rng, defer_queue=True,
-                    active_masks=active_masks,
-                )
-                latencies[:, dst, src] = column
-                lost[:, dst, src] = column_lost
-        for node, slow in self.slow_nodes.items():
-            if slow.mode != "queue":
-                continue
-            active = np.flatnonzero(slow.active_mask(times))
-            if active.size == 0:
-                continue
-            senders = np.array(
-                [src for src in range(n) if src != node], dtype=int
-            )
-            incoming = latencies[np.ix_(active, [node], senders)][:, 0, :]
-            order = np.argsort(incoming, axis=1, kind="stable")
-            ranks = np.empty_like(order)
-            np.put_along_axis(
-                ranks,
-                order,
-                np.broadcast_to(
-                    np.arange(senders.size), order.shape
-                ).copy(),
-                axis=1,
-            )
-            latencies[np.ix_(active, [node], senders)] += (
-                slow.queue_unit * ranks[:, None, :]
-            )
-        latencies[lost] = np.inf
-        latencies[:, np.arange(n), np.arange(n)] = 0.0
-        return latencies
+        src, dst = self._links
+        # Whole rows into a link-major block (the diagonal's stay zero),
+        # then one transposing copy: cheaper than a strided scatter.
+        by_link = np.zeros((n * n, rounds))
+        by_link[dst * n + src] = self._sample_links(
+            self._links, self._link_params,
+            np.arange(rounds) * round_length, rng, seated, whole_burst=True,
+        )
+        return np.ascontiguousarray(by_link.T).reshape(rounds, n, n)
 
     # ------------------------------------------------------------------
     # Introspection helpers used by leader selection and tests.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.net.base import LatencyModel
+from repro.net.base import LatencyModel, off_diagonal
 from repro.sim.transport import not_a_delay
 
 
@@ -95,7 +95,7 @@ def select_leader(latency_table: np.ndarray, method: str = "mean_rtt") -> int:
     """
     n = latency_table.shape[0]
     rtt = latency_table + latency_table.T
-    off_diag = ~np.eye(n, dtype=bool)
+    off_diag = off_diagonal(n)
     penalized = np.where(np.isfinite(rtt), rtt, _loss_penalty(rtt, off_diag))
     if method == "mean_rtt":
         scores = np.array([penalized[i][off_diag[i]].mean() for i in range(n)])

@@ -116,6 +116,10 @@ def _base_latency_matrix() -> np.ndarray:
     return base
 
 
+#: The site matrix is the same for every run; each profile takes a copy.
+_BASE_LATENCY = _base_latency_matrix()
+
+
 class PlanetLabProfile(HeterogeneousNetwork):
     """Synthetic 8-site PlanetLab latency model."""
 
@@ -133,7 +137,7 @@ class PlanetLabProfile(HeterogeneousNetwork):
         slow_duty: float = 0.4,
         slow_period: float = 25.0,
     ) -> None:
-        base = _base_latency_matrix()
+        base = _BASE_LATENCY.copy()
         n = base.shape[0]
         sigmas = np.full((n, n), sigma)
         sigmas[:, CN] = china_sigma  # China's egress jitters hard

@@ -11,8 +11,12 @@ algorithm observes it.
 from __future__ import annotations
 
 import hashlib
+from typing import Iterable
 
 import numpy as np
+
+
+_LOW_128 = (1 << 128) - 1
 
 
 def derive_seed(root: int, name: str) -> int:
@@ -27,27 +31,39 @@ def derive_seed(root: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def derive_pcg64_state(root: int, name: str) -> dict:
-    """A full raw PCG64 state derived from ``(root, name)`` by SHA-256.
+def derive_pcg64_states(root: int, names: Iterable[bytes]) -> list[dict]:
+    """Raw PCG64 states derived from ``(root, name)`` by SHA-256, one per
+    (encoded) name.
 
     Seeding ``PCG64(seed)`` runs a ``SeedSequence`` entropy-mixing pass
     (~10x the cost of a raw state assignment), which dominates batch trace
     sampling — every directed link of every model needs its own stream.
-    SHA-256 already *is* a high-quality mixer, so its 256-bit digest is
-    used directly: 128 bits of state plus a 128-bit stream increment
-    (forced odd, as the PCG setseq variant requires).  The resulting dict
-    can be assigned to ``PCG64.state`` in about a microsecond.
+    SHA-256 already *is* a high-quality mixer, so the 256-bit digest of
+    ``pcg64:<root>:<name>`` is used directly: 128 bits of state plus a
+    128-bit stream increment (forced odd, as the PCG setseq variant
+    requires).  Each dict can be assigned to ``PCG64.state`` in about a
+    microsecond.  A trace derives its n(n-1) link states in one call, so
+    the per-name work is three C calls and no Python frame.
     """
-    digest = hashlib.sha256(f"pcg64:{int(root)}:{name}".encode()).digest()
-    return {
-        "bit_generator": "PCG64",
-        "state": {
-            "state": int.from_bytes(digest[:16], "big"),
-            "inc": int.from_bytes(digest[16:], "big") | 1,
-        },
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    head = f"pcg64:{int(root)}:".encode()
+    digests = [
+        int.from_bytes(hashlib.sha256(head + name).digest(), "big")
+        for name in names
+    ]
+    return [
+        {
+            "bit_generator": "PCG64",
+            "state": {"state": digest >> 128, "inc": digest & _LOW_128 | 1},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for digest in digests
+    ]
+
+
+def derive_pcg64_state(root: int, name: str) -> dict:
+    """The one-name case of :func:`derive_pcg64_states`."""
+    return derive_pcg64_states(root, (name.encode(),))[0]
 
 
 class RandomStreams:

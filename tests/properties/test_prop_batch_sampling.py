@@ -11,8 +11,13 @@ Two families of guarantees (see DESIGN.md, "Batch trace generation"):
   seed)``.  It is bit-identical across repeated calls, across fresh model
   instances, and across worker processes — which is what makes the
   on-disk trace cache and the ``--jobs`` sweep engine safe.
+
+- *One body*: a trace is the single-link sampler run on every link's own
+  substream — bit for bit — with only the draws left in the per-link
+  loop.
 """
 
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -24,8 +29,10 @@ from repro.experiments.measurement import (
     sample_latency_trace,
     sample_latency_trace_scalar,
 )
+from repro.net.hetero import HeterogeneousNetwork, SlowWindows, uniform_wan_profile
 from repro.net.lan import LanProfile
 from repro.net.planetlab import PlanetLabProfile
+from repro.sim.rng import derive_pcg64_state
 
 #: Seed 3 makes the PlanetLab decider choose a slow-Poland run, so the
 #: comparison exercises the scale-mode slow windows too.
@@ -162,3 +169,109 @@ class TestBatchTracePurity:
         via_entry = sample_latency_trace(model, 40, 0.2)
         direct = PlanetLabProfile(seed=SLOW_WAN_SEED).sample_trace_batch(40, 0.2)
         assert np.array_equal(via_entry, direct)
+
+
+def with_slow_nodes(model, slow_nodes):
+    """``model``'s links under ``slow_nodes`` (same seed, same streams)."""
+    return HeterogeneousNetwork(
+        model.base, model.sigma, model.tail_prob, model.tail_shape,
+        model.loss_prob, slow_nodes, seed=model.seed,
+    )
+
+
+@st.composite
+def scale_mode_models(draw):
+    """A uniform WAN of 2..6 nodes under random scale-mode slow nodes."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    windows = st.builds(
+        SlowWindows,
+        factor=st.floats(min_value=1.1, max_value=4.0),
+        period=st.floats(min_value=0.2, max_value=2.0),
+        duty=st.floats(min_value=0.0, max_value=1.0),
+        phase=st.floats(min_value=0.0, max_value=2.0),
+        per_message_prob=st.sampled_from([1.0, 0.7, 0.3]),
+        direction=st.sampled_from(["in", "out", "both"]),
+    )
+    slow_nodes = draw(
+        st.dictionaries(st.integers(min_value=0, max_value=n - 1), windows)
+    )
+    return with_slow_nodes(uniform_wan_profile(n=n, seed=seed), slow_nodes)
+
+
+def calls_into_repro(fn):
+    """How many Python functions defined under ``repro/`` ``fn`` enters."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call" and "/repro/" in frame.f_code.co_filename:
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestTraceIsTheLinkSamplerOnEveryLink:
+    @given(model=scale_mode_models(), rounds=st.integers(min_value=1, max_value=40))
+    @settings(max_examples=40, deadline=None)
+    def test_trace_columns_equal_single_link_batches(self, model, rounds):
+        # Queue-mode nodes are excluded by construction: a trace ranks a
+        # burst's actual arrivals where a lone link is charged its
+        # expected rank, so the two agree only in distribution.
+        round_length = 0.05
+        trace = model.sample_trace_batch(rounds, round_length)
+        times = np.arange(rounds) * round_length
+        for src in range(model.n):
+            for dst in range(model.n):
+                if src != dst:
+                    column = model.sample_link_batch(
+                        src, dst, times, model.link_stream(src, dst)
+                    )
+                    assert trace[:, dst, src].tobytes() == column.tobytes()
+        assert not trace[:, np.arange(model.n), np.arange(model.n)].any()
+
+    @given(model=scale_mode_models())
+    @settings(max_examples=15, deadline=None)
+    def test_trace_loop_seats_the_one_derived_state_per_link(self, model):
+        rng, seated = model._trace_streams()
+        links = []
+        for (src, dst), _ in seated:
+            links.append((src, dst))
+            assert rng.bit_generator.state == derive_pcg64_state(
+                model.seed, f"link:{src}->{dst}"
+            )
+            assert rng.bit_generator.state == (
+                model.link_stream(src, dst).bit_generator.state
+            )
+        assert links == [
+            (src, dst)
+            for src in range(model.n)
+            for dst in range(model.n)
+            if src != dst
+        ]
+
+    @pytest.mark.parametrize(
+        "slow_nodes",
+        [
+            {},
+            {
+                1: SlowWindows(factor=2.0, duty=0.5, per_message_prob=0.5,
+                               direction="both"),
+                2: SlowWindows(duty=0.5, mode="queue", queue_unit=0.004),
+            },
+        ],
+        ids=["plain", "slow"],
+    )
+    def test_no_python_call_per_link(self, slow_nodes):
+        # The per-link loop holds RNG draws only: the Python functions a
+        # trace enters do not grow with the number of links (12 vs 56).
+        def calls(n):
+            model = with_slow_nodes(uniform_wan_profile(n=n, seed=4), slow_nodes)
+            return calls_into_repro(lambda: model.sample_trace_batch(300, 0.2))
+
+        assert calls(4) == calls(8)

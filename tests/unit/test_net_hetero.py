@@ -94,3 +94,84 @@ class TestHeterogeneousNetwork:
         net.reseed(2)
         second = net.sample_round_latencies(0.0)
         assert not np.allclose(first, second)
+
+
+class TestSlowWindowsValidation:
+    """Every field is checked at construction, so the scalar path
+    (``active``: a ``ZeroDivisionError`` on the first message) and the
+    batch path (``active_mask``: a NumPy warning, then "never slow") can
+    no longer disagree about a malformed window."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("period", 0.0),
+            ("period", -1.0),
+            ("period", float("nan")),
+            ("duty", 1.5),
+            ("duty", -0.1),
+            ("duty", float("nan")),
+            ("phase", float("inf")),
+            ("phase", float("nan")),
+            ("factor", float("nan")),
+            ("factor", -2.0),
+            ("factor", 0.0),
+            ("factor", float("inf")),
+        ],
+    )
+    def test_malformed_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SlowWindows(**{field: value})
+
+    def test_the_stock_windows_pass(self):
+        SlowWindows()
+        SlowWindows(factor=2.8, period=25.0, duty=0.4, phase=24.9)
+        SlowWindows(period=0.002, duty=1.0, mode="queue", queue_unit=0.00025)
+
+
+class TestModelParameterValidation:
+    """The model's own parameters are the one ``LatencyModel`` boundary
+    nothing downstream guards: a NaN ``sigma`` reaches a direct
+    ``sample_trace_batch`` caller as NaN latencies that read "lost"."""
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("sigma", float("nan")),
+            ("sigma", float("inf")),
+            ("sigma", -0.1),
+            ("tail_prob", 1.5),
+            ("tail_prob", float("nan")),
+            ("loss_prob", -0.2),
+            ("loss_prob", 1.01),
+        ],
+    )
+    def test_offending_link_and_model_are_named(self, name, value):
+        matrix = np.full((4, 4), 0.1)
+        matrix[3, 1] = value  # the 1 -> 3 link
+        with pytest.raises(ValueError) as caught:
+            tiny_network(**{name: matrix})
+        message = str(caught.value)
+        assert "HeterogeneousNetwork" in message
+        assert name in message and "1->3" in message
+
+    def test_diagonal_entries_are_not_links(self):
+        sigma = np.full((4, 4), 0.1)
+        np.fill_diagonal(sigma, np.nan)
+        tiny_network(sigma=sigma)
+
+    @pytest.mark.parametrize("shape", [0.0, -1.0, float("nan")])
+    def test_tail_shape_must_be_positive(self, shape):
+        with pytest.raises(ValueError, match="tail_shape"):
+            tiny_network(tail_shape=shape)
+
+    @pytest.mark.parametrize("node", [-1, 4, 1.5])
+    def test_slow_node_must_be_a_node(self, node):
+        with pytest.raises(ValueError, match="slow node"):
+            tiny_network(slow_nodes={node: SlowWindows()})
+
+    def test_subclass_is_named_in_its_own_message(self):
+        from repro.net import lan_profile
+
+        with pytest.raises(ValueError, match="LanProfile.*loss_prob"):
+            lan_profile(loss_prob=1.2)
