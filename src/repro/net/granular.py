@@ -13,7 +13,7 @@ and enforces a per-link assumption matrix on top of it:
 Clamping consumes no randomness, so the wrapper preserves the base
 model's draw-for-draw RNG structure: the scalar path clamps the base's
 scalar samples and the batch path clamps the base's per-link substream
-columns, keeping the wrapper eligible for the transport's pre-sampled
+rows, keeping the wrapper eligible for the transport's pre-sampled
 stream path (and hence :mod:`repro.sync.batch`) whenever the base is
 batch-capable and the contract is time-invariant
 (``stabilization_time == 0`` or no psync links).
@@ -21,7 +21,7 @@ batch-capable and the contract is time-invariant
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -104,6 +104,26 @@ class GranularProfile(LatencyModel):
             )
         return latencies
 
+    def sample_link_block(
+        self,
+        links: Sequence[tuple],
+        times: np.ndarray,
+        rngs: Iterable[np.random.Generator],
+    ) -> np.ndarray:
+        """The base's block, each row clamped to its link's contract."""
+        block = np.array(self.base.sample_link_block(links, times, rngs))
+        src, dst = np.array(links).T
+        np.minimum(
+            block, self.sync_bound, out=block,
+            where=self._sync_mask[dst, src][:, None],
+        )
+        stable = np.asarray(times) >= self.stabilization_time
+        np.minimum(
+            block, self.psync_bound, out=block,
+            where=self._psync_mask[dst, src][:, None] & stable,
+        )
+        return block
+
     def sample_link_batch(
         self,
         src: int,
@@ -111,15 +131,10 @@ class GranularProfile(LatencyModel):
         times: np.ndarray,
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
+        """The one-row case of :meth:`sample_link_block`."""
         if rng is None:
             rng = self.link_stream(src, dst)
-        column = np.array(self.base.sample_link_batch(src, dst, times, rng))
-        if self._sync_mask[dst, src]:
-            np.minimum(column, self.sync_bound, out=column)
-        elif self._psync_mask[dst, src]:
-            stable = np.asarray(times) >= self.stabilization_time
-            np.minimum(column, self.psync_bound, out=column, where=stable)
-        return column
+        return self.sample_link_block(((src, dst),), times, (rng,))[0]
 
     def sample_trace_batch(self, rounds: int, round_length: float) -> np.ndarray:
         # Delegate to the base so profiles with coupled per-trace passes
@@ -140,10 +155,6 @@ class GranularProfile(LatencyModel):
                 where=self._psync_mask[None, :, :] & stable[:, None, None],
             )
         return trace
-
-    def reseed(self, seed: int) -> None:
-        super().reseed(seed)
-        self.base.reseed(seed)
 
 
 #: The per-link contracts of the conformance granular profile.

@@ -14,16 +14,17 @@ Latency of the message ``src -> dst`` sent at time ``now``::
                   * slow_factor[dst]           if dst is in a slow window
 
 Three samplers share these distributions: one message, one round (both on
-the model's shared generator) and the batch sampler — whole traces and
-the transport's per-link chunks — which keeps only the RNG draws per link
-and does the arithmetic once per block of links (``_sample_links``), which
-is what keeps the 33-runs-by-300-rounds WAN sweeps fast.
+the model's shared generator) and the batch sampler — whole traces, the
+transport's blocks of per-link chunks, a single link — which keeps only
+the RNG draws per link and does the arithmetic once per block of links
+(``_sample_links``), which is what keeps the 33-runs-by-300-rounds WAN
+sweeps and the 8-node round-synchronised runs fast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -250,21 +251,20 @@ class HeterogeneousNetwork(LatencyModel):
         ends: tuple,
         params: tuple,
         times: np.ndarray,
-        rng: np.random.Generator,
-        seats: Iterable,
+        seats: Iterable[np.random.Generator],
         whole_burst: bool,
     ) -> np.ndarray:
         """The one body of the batch path: latencies (lost = ``+inf``) of a
         block of link rows at every send time, shape ``(rows, times)``.
 
-        ``ends`` is the rows' ``(src, dst)`` and ``params`` their ``(base,
-        sigma, tail_prob, loss_prob)``: vectors for a trace (``base``,
-        ``sigma`` and ``loss_prob`` as columns), plain scalars and a
-        one-entry ``tail_prob`` for a single link.
+        ``ends`` is the rows' ``(src, dst)`` vectors and ``params`` their
+        ``(base, sigma, tail_prob, loss_prob)`` vectors (``base``,
+        ``sigma`` and ``loss_prob`` as columns).
 
-        Only the draws happen per link.  ``seats`` yields once per row,
-        having put ``rng`` on that row's stream, and the row then draws,
-        in this order and nothing else:
+        Only the draws happen per link.  ``seats`` yields once per row
+        the generator on that row's stream — a trace's one scratch
+        generator re-seated, a transport link's own — and the row then
+        draws from it, in this order and nothing else:
 
         1. one normal vector (the log-normal body);
         2. one 2-row uniform block (tail odds, loss);
@@ -277,6 +277,7 @@ class HeterogeneousNetwork(LatencyModel):
         factor, ``src``'s: floating-point products do not reassociate.
         """
         base, sigma, tail_prob, loss_prob = params
+        src, dst = ends
         count = len(times)
         plan, row_draws = (
             self._slow_plan(ends, np.asarray(times, dtype=float), whole_burst)
@@ -289,7 +290,7 @@ class HeterogeneousNetwork(LatencyModel):
         tail_shape = self.tail_shape
         less, count_nonzero = np.less, np.count_nonzero
         excess = []
-        for row, _ in enumerate(seats):
+        for row, rng in enumerate(seats):
             rng.standard_normal(out=latencies[row])
             rng.random(out=uniforms[row])
             hits = count_nonzero(
@@ -322,10 +323,10 @@ class HeterogeneousNetwork(LatencyModel):
                 burst = np.ix_(touched, np.flatnonzero(active))
                 order = np.argsort(latencies[burst], axis=0, kind="stable")
                 latencies[burst] += slow.queue_unit * np.argsort(order, axis=0)
-            else:  # a single link: its expected place in the burst
-                for row in touched:
-                    latencies[row, active] += (
-                        slow.queue_unit * self._expected_rank(*ends)
+            else:  # a link on its own: its expected place in the burst
+                for row in touched.tolist():
+                    latencies[row, active] += slow.queue_unit * (
+                        self._expected_rank(src[row], dst[row])
                     )
         latencies[uniforms[:, 1] < loss_prob] = np.inf
         return latencies
@@ -349,9 +350,9 @@ class HeterogeneousNetwork(LatencyModel):
         ``whole_burst`` (a trace: every sender into the node is a row) the
         node ranks its actual arrivals after every slow factor and before
         loss — lost messages still queue, as in
-        :meth:`sample_round_latencies`; a single link is charged its
-        expected rank where :meth:`sample_latency` charges it, between
-        the two factors.
+        :meth:`sample_round_latencies`; a link sampled on its own is
+        charged its expected rank where :meth:`sample_latency` charges
+        it, between the two factors.
         """
         src, dst = ends
         live = [
@@ -378,6 +379,22 @@ class HeterogeneousNetwork(LatencyModel):
                     plan.append((touched, draws, slow, active))
         return plan + ranked, row_draws
 
+    def sample_link_block(
+        self,
+        links: Sequence[tuple],
+        times: np.ndarray,
+        rngs: Iterable[np.random.Generator],
+    ) -> np.ndarray:
+        """Any links as rows of :meth:`_sample_links`, each drawn from its
+        own generator and sampled on its own (no shared burst)."""
+        src, dst = ends = np.array(links).T
+        at = dst, src
+        params = (
+            self.base[at][:, None], self.sigma[at][:, None],
+            self.tail_prob[at], self.loss_prob[at][:, None],
+        )
+        return self._sample_links(ends, params, times, rngs, whole_burst=False)
+
     def sample_link_batch(
         self,
         src: int,
@@ -385,23 +402,15 @@ class HeterogeneousNetwork(LatencyModel):
         times: np.ndarray,
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
-        """The one-row case of :meth:`_sample_links`: the caller's
-        long-lived generator is already on the link's stream."""
+        """The one-row case of :meth:`sample_link_block`."""
         if rng is None:
             rng = self.link_stream(src, dst)
-        at = dst, src
-        params = (
-            self.base[at], self.sigma[at], (self.tail_prob[at],),
-            self.loss_prob[at],
-        )
-        return self._sample_links(
-            (src, dst), params, times, rng, (None,), whole_burst=False
-        )[0]
+        return self.sample_link_block(((src, dst),), times, (rng,))[0]
 
     def sample_trace_batch(self, rounds: int, round_length: float) -> np.ndarray:
         """Every link as a row of :meth:`_sample_links`, each seated on its
         own substream, laid out as ``(rounds, n, n)``."""
-        rng, seated = self._trace_streams()
+        _, seats = self._trace_streams()
         n = self.n
         src, dst = self._links
         # Whole rows into a link-major block (the diagonal's stay zero),
@@ -409,7 +418,7 @@ class HeterogeneousNetwork(LatencyModel):
         by_link = np.zeros((n * n, rounds))
         by_link[dst * n + src] = self._sample_links(
             self._links, self._link_params,
-            np.arange(rounds) * round_length, rng, seated, whole_burst=True,
+            np.arange(rounds) * round_length, seats, whole_burst=True,
         )
         return np.ascontiguousarray(by_link.T).reshape(rounds, n, n)
 

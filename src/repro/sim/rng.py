@@ -61,11 +61,6 @@ def derive_pcg64_states(root: int, names: Iterable[bytes]) -> list[dict]:
     ]
 
 
-def derive_pcg64_state(root: int, name: str) -> dict:
-    """The one-name case of :func:`derive_pcg64_states`."""
-    return derive_pcg64_states(root, (name.encode(),))[0]
-
-
 class RandomStreams:
     """A factory of named, reproducible :class:`numpy.random.Generator` objects."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Optional, Protocol, Sequence
+from typing import Any, Callable, Iterable, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -102,14 +102,18 @@ class Transport:
     :class:`~repro.net.hetero.HeterogeneousNetwork` or the Bernoulli
     model), messages consume pre-sampled per-link latency streams:
     each directed link draws :data:`STREAM_CHUNK` latencies at a time
-    from its own RNG substream
-    (:meth:`~repro.net.base.LatencyModel.link_stream`), so a link's
-    latency sequence is independent of global send interleaving; a
-    chunk is checked as it is drawn, so a NaN or negative draw raises
-    for whichever engine reads the stream.  Dynamic models (a
-    :class:`~repro.net.planetlab.PlanetLabProfile` in a slow-Poland
-    run) fall back to scalar ``sample_latency`` — time-dependent
-    behaviour cannot be pre-sampled.
+    on its own RNG substream
+    (:meth:`~repro.net.base.LatencyModel.link_streams`), so a link's
+    latency sequence is independent of global send interleaving — and
+    of how many links refill together: a refill is one block call
+    (:meth:`~repro.net.base.LatencyModel.sample_link_block`) for every
+    dry link it is asked about, a broadcast's destinations or the whole
+    table (:meth:`next_stream_block`), each row on its link's
+    generator.  The block is checked as it is drawn, so a NaN or
+    negative draw raises for whichever engine reads the stream.
+    Dynamic models (a :class:`~repro.net.planetlab.PlanetLabProfile` in
+    a slow-Poland run) fall back to scalar ``sample_latency`` —
+    time-dependent behaviour cannot be pre-sampled.
 
     :attr:`faults` is the one way a fault reaches a message: assign a
     :class:`LinkFaults` policy (or ``None``) and :meth:`broadcast` asks
@@ -239,43 +243,73 @@ class Transport:
         self._streams.clear()
         self._streams_usable = self._model_streamable(model)
 
-    def _stream(self, src: int, dst: int) -> list:
-        """The ``[rng, chunk, cursor, floats]`` state of the link
-        ``src → dst`` (``floats``: the chunk as plain Python floats, once
-        a message has popped from it) with at least one undrawn latency
-        in its chunk — the one place a stream is opened, refilled and its
-        draws checked, so neither engine ever sees a value the event
+    def _refill(self, links: Iterable[tuple[int, int]]) -> None:
+        """Give every dry link among ``links`` — no undrawn latency left,
+        or never opened — its next :data:`STREAM_CHUNK` latencies, all in
+        one model call, each row drawn on its link's own long-lived
+        generator.  A link's state is ``[rng, chunk, cursor, floats]``
+        (``floats``: the chunk as plain Python floats, once a message has
+        popped from it).  The one place a stream is opened, refilled and
+        its draws checked, so neither engine ever sees a value the event
         queue cannot place."""
-        state = self._streams.get((src, dst))
-        if state is None:
-            rng = self._link_model.link_stream(src, dst)
-            state = self._streams[(src, dst)] = [rng, np.empty(0), 0, []]
-        if state[2] >= state[1].shape[0]:
-            # Time-invariant models ignore send times; any placeholder
-            # vector of the right length works.
-            chunk = self._link_model.sample_link_batch(
-                src, dst, np.zeros(STREAM_CHUNK), state[0]
-            )
-            if not chunk.min() >= 0.0:  # NaN or negative; ``+inf`` is a loss
-                raise not_a_delay(
-                    self._link_model, src, dst, chunk[~(chunk >= 0.0)][0]
-                )
+        streams, model = self._streams, self._link_model
+        dry = [
+            link
+            for link in dict.fromkeys(links)
+            for state in (streams.get(link),)
+            if state is None or state[2] >= state[1].shape[0]
+        ]
+        if not dry:
+            return
+        unopened = [link for link in dry if link not in streams]
+        if unopened:
+            for link, rng in zip(unopened, model.link_streams(unopened)):
+                streams[link] = [rng, np.empty(0), 0, []]
+        states = [streams[link] for link in dry]
+        # Time-invariant models ignore send times; any placeholder
+        # vector of the right length works.
+        block = model.sample_link_block(
+            dry, np.zeros(STREAM_CHUNK), [state[0] for state in states]
+        )
+        if not block.min() >= 0.0:  # NaN or negative; ``+inf`` is a loss
+            row, at = np.argwhere(~(block >= 0.0))[0]
+            raise not_a_delay(model, *dry[row], block[row, at])
+        for state, chunk in zip(states, block):
             state[1:] = chunk, 0, []
-        return state
 
-    def next_stream_latencies(self, src: int, dst: int, count: int) -> np.ndarray:
-        """The next ``count`` pre-sampled latencies of ``src → dst`` at
-        once (a lost message is ``+inf``), leaving the stream exactly
-        where ``count`` per-message pops would."""
-        out = np.empty(count)
-        filled = 0
-        while filled < count:
-            state = self._stream(src, dst)
-            chunk, cursor = state[1], state[2]
-            take = min(count - filled, chunk.shape[0] - cursor)
-            out[filled : filled + take] = chunk[cursor : cursor + take]
-            state[2] = cursor + take
-            filled += take
+    def next_stream_block(
+        self, links: Sequence[tuple[int, int]], counts: Sequence[int]
+    ) -> np.ndarray:
+        """The next ``counts[i]`` pre-sampled latencies of each (distinct)
+        link ``links[i] = (src, dst)`` at once, as row ``i`` of a
+        ``(links, max(counts))`` block — a lost message is ``+inf``, as
+        is a row's padding past its count — leaving every stream exactly
+        where that many per-message pops would (a count of 0 opens no
+        stream)."""
+        if not self.stream_sampling_active:
+            raise ValueError(
+                f"{type(self._link_model).__name__} has no pre-sampled link"
+                " streams on this transport: it is not batch-capable and"
+                " time-invariant, or batch_streams is off"
+            )
+        if len(set(links)) != len(links):
+            raise ValueError("a block takes each link's stream once")
+        streams = self._streams
+        out = np.full((len(links), max(counts, default=0)), np.inf)
+        filled = [0] * len(links)
+        rows = [row for row, count in enumerate(counts) if count]
+        while rows:
+            # What each link's chunk still holds, the dry ones' next
+            # chunks drawn together first: one model call per pass.
+            self._refill(links[row] for row in rows)
+            for row in rows:
+                state = streams[links[row]]
+                chunk, cursor, at = state[1], state[2], filled[row]
+                take = min(counts[row] - at, chunk.shape[0] - cursor)
+                out[row, at : at + take] = chunk[cursor : cursor + take]
+                state[2] = cursor + take
+                filled[row] = at + take
+            rows = [row for row in rows if filled[row] < counts[row]]
         return out
 
     def register(self, node: int, handler: Callable[[int, Any], None]) -> None:
@@ -301,7 +335,7 @@ class Transport:
         schedule_in, deliver = simulator.schedule_in, self._deliver
         self.messages_sent += len(destinations)
         self._sent_counter.inc(len(destinations))
-        for dst in destinations:
+        for index, dst in enumerate(destinations):
             cause: Optional[str] = None
             latency: Optional[float] = None
             if src == dst:
@@ -314,8 +348,18 @@ class Transport:
                     # decides on top, without perturbing the substream.
                     state = streams.get((src, dst))
                     if state is None or state[2] >= len(state[3]):
-                        state = self._stream(src, dst)
-                        state[3] = state[3] or state[1].tolist()
+                        # Dry, or its chunk not yet read as floats.  What
+                        # this message finds dry, the messages behind it
+                        # in the broadcast mostly do too (a heartbeat's
+                        # seven links run dry together): refill them in
+                        # one call — each would have been on its turn.
+                        self._refill(
+                            (src, later)
+                            for later in destinations[index:]
+                            if later != src
+                        )
+                        state = streams[(src, dst)]
+                        state[3] = state[1].tolist()
                     latency = state[3][state[2]]
                     state[2] += 1
                 elif not dropped:

@@ -14,10 +14,10 @@ This module computes the same run in a handful of NumPy passes:
 
 1. the common round grid ``t[0..R]`` is accumulated with the exact float
    additions the scalar timers perform (``t[k] = t[k-1] + D``);
-2. every link's latency column is drawn in bulk from the transport's
-   own pre-sampled stream of that link
-   (:meth:`~repro.sim.transport.Transport.next_stream_latencies`), so
-   the two paths consume bit-identical random values;
+2. the whole ``(links, rounds)`` latency table is taken in one call
+   from the transport's own pre-sampled per-link streams
+   (:meth:`~repro.sim.transport.Transport.next_stream_block`), so the
+   two paths consume bit-identical random values;
 3. a :class:`~repro.faults.plan.FaultPlan`'s link-level faults are applied
    as whole-array passes over the plan's own per-round state table
    (:meth:`~repro.faults.plan.FaultPlan.round_state`: who is down, which
@@ -425,12 +425,11 @@ def run_batched(run: SyncRun, times: list[float]) -> None:
     # the never-sent rounds, which ``sent`` masks out.
     # ------------------------------------------------------------------
     latencies = np.full((rounds, n, n), np.inf)
-    for src in range(n):
-        for dst in range(n):
-            if src != dst:
-                latencies[: begun[src], dst, src] = (
-                    transport.next_stream_latencies(src, dst, int(begun[src]))
-                )
+    dst, src = np.nonzero(~np.eye(n, dtype=bool))
+    block = transport.next_stream_block(
+        list(zip(src.tolist(), dst.tolist())), begun[src].tolist()
+    )
+    latencies[: block.shape[1], dst, src] = block.T
     k_index = np.arange(1, rounds + 1)
     began = k_index[:, None] <= begun  # [k, pid]
     sent = began[:, None, :] & ~np.eye(n, dtype=bool)

@@ -503,10 +503,14 @@ class SyncRun:
         ``mode`` selects the execution path:
 
         - ``"auto"`` (default): use the batched structure-of-arrays path
-          (:mod:`repro.sync.batch`) when the run is eligible — probe
-          stream, batch-capable time-invariant link model, no faults, no
-          instrumentation, lockstep-uniform nodes — and fall back to the
-          scalar event loop otherwise (``fallback_reason`` says why);
+          (:mod:`repro.sync.batch`) when the run is eligible — a stock
+          run of the probe stream over a batch-capable time-invariant
+          link model, lockstep-uniform nodes, with or without a fault
+          plan of permanent crashes, bursts, partitions, slow nodes and
+          churn, live metrics, observers and a ``HeartbeatOmega`` or
+          null oracle (:func:`~repro.sync.batch.batch_ineligible_reason`
+          is the rule) — and fall back to the scalar event loop
+          otherwise (``fallback_reason`` says why);
         - ``"scalar"``: always run the event loop (the reference path).
 
         Both paths produce bit-identical :class:`SyncRunResult`s; the

@@ -32,7 +32,7 @@ from repro.experiments.measurement import (
 from repro.net.hetero import HeterogeneousNetwork, SlowWindows, uniform_wan_profile
 from repro.net.lan import LanProfile
 from repro.net.planetlab import PlanetLabProfile
-from repro.sim.rng import derive_pcg64_state
+from repro.sim.rng import derive_pcg64_states
 
 #: Seed 3 makes the PlanetLab decider choose a slow-Poland run, so the
 #: comparison exercises the scale-mode slow windows too.
@@ -238,22 +238,23 @@ class TestTraceIsTheLinkSamplerOnEveryLink:
     @given(model=scale_mode_models())
     @settings(max_examples=15, deadline=None)
     def test_trace_loop_seats_the_one_derived_state_per_link(self, model):
-        rng, seated = model._trace_streams()
-        links = []
-        for (src, dst), _ in seated:
-            links.append((src, dst))
-            assert rng.bit_generator.state == derive_pcg64_state(
-                model.seed, f"link:{src}->{dst}"
-            )
-            assert rng.bit_generator.state == (
-                model.link_stream(src, dst).bit_generator.state
-            )
+        links, seats = model._trace_streams()
         assert links == [
             (src, dst)
             for src in range(model.n)
             for dst in range(model.n)
             if src != dst
         ]
+        long_lived = model.link_streams(links)
+        for (src, dst), rng, own in zip(links, seats, long_lived, strict=True):
+            assert [rng.bit_generator.state] == derive_pcg64_states(
+                model.seed, [f"link:{src}->{dst}".encode()]
+            )
+            assert rng.bit_generator.state == own.bit_generator.state
+            assert own.bit_generator.state == (
+                model.link_stream(src, dst).bit_generator.state
+            )
+        assert len({id(own.bit_generator) for own in long_lived}) == len(links)
 
     @pytest.mark.parametrize(
         "slow_nodes",

@@ -1,0 +1,129 @@
+"""``next_stream_block`` ≡ each link's stream, chunk by chunk.
+
+The transport refills its pre-sampled link streams a block at a time —
+every dry link it is asked about in one model call — where it used to
+refill one link per call.  Streams are per link, so nothing may tell:
+for every model that streams (the block sampler of
+``HeterogeneousNetwork``, the Granular wrapper that clamps its base's
+block, the IID model on ``LatencyModel``'s generic row-by-row body), any
+mix of block reads — counts of zero, under a chunk, exact multiples,
+uneven across links — and per-message ``send`` pops reads each link's
+stream as the reference builds it: ``STREAM_CHUNK`` draws at a time, from
+``link_stream`` through ``sample_link_batch``, on a model of its own.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.net import (
+    BernoulliLinkModel,
+    granular_wan_profile,
+    planetlab_profile,
+    uniform_wan_profile,
+)
+from repro.sim import Simulator, Transport
+from repro.sim.transport import STREAM_CHUNK
+
+N = 8
+MODELS = {
+    "planetlab": lambda seed: planetlab_profile(seed=seed, slow_run_prob=0.0),
+    "uniform": lambda seed: uniform_wan_profile(n=N, seed=seed),
+    "granular": lambda seed: granular_wan_profile(n=N, seed=seed),
+    "bernoulli": lambda seed: BernoulliLinkModel(
+        N, p=0.8, timeout=0.1, seed=seed, loss_prob=0.05
+    ),
+}
+
+
+class ReferenceStreams:
+    """Every link's latency stream, one link and one chunk at a time."""
+
+    def __init__(self, model):
+        self.model = model
+        self.streams = {}
+
+    def take(self, link, count):
+        if link not in self.streams:
+            self.streams[link] = [self.model.link_stream(*link), np.empty(0)]
+        stream = self.streams[link]
+        while stream[1].size < count:
+            chunk = self.model.sample_link_batch(
+                *link, np.zeros(STREAM_CHUNK), stream[0]
+            )
+            stream[1] = np.concatenate([stream[1], chunk])
+        head, stream[1] = stream[1][:count], stream[1][count:]
+        return head
+
+
+LINKS = st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)).filter(
+    lambda link: link[0] != link[1]
+)
+COUNTS = st.one_of(
+    st.sampled_from(
+        [0, 1, STREAM_CHUNK - 1, STREAM_CHUNK, STREAM_CHUNK + 1, 2 * STREAM_CHUNK]
+    ),
+    st.integers(0, 3 * STREAM_CHUNK),
+)
+BLOCK = st.tuples(
+    st.just("block"),
+    st.lists(st.tuples(LINKS, COUNTS), unique_by=lambda row: row[0], max_size=12),
+)
+SENDS = st.tuples(st.just("sends"), st.tuples(LINKS, st.integers(1, 300)))
+STEPS = st.lists(st.one_of(BLOCK, SENDS), min_size=1, max_size=5)
+
+
+def assert_steps_read_the_reference(name, seed, steps):
+    transport = Transport(Simulator(), MODELS[name](seed), trace=True)
+    reference = ReferenceStreams(MODELS[name](seed))
+    for kind, step in steps:
+        if kind == "block":
+            links = [link for link, _ in step]
+            counts = [count for _, count in step]
+            block = transport.next_stream_block(links, counts)
+            assert block.shape == (len(links), max(counts, default=0))
+            for row, link, count in zip(block, links, counts):
+                expected = reference.take(link, count)
+                assert row[:count].tobytes() == expected.tobytes(), link
+                assert np.isinf(row[count:]).all()
+        else:
+            link, count = step
+            sent = len(transport.deliveries)
+            for _ in range(count):
+                transport.send(*link, "m")
+            popped = [
+                np.inf if d.latency is None else d.latency
+                for d in transport.deliveries[sent:]
+            ]
+            assert popped == reference.take(link, count).tolist(), link
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@given(seed=st.integers(0, 2**31 - 1), steps=STEPS)
+@settings(max_examples=40, deadline=None)
+def test_blocks_and_pops_read_each_links_stream(name, seed, steps):
+    assert_steps_read_the_reference(name, seed, steps)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_the_whole_table_with_a_crashed_sender_and_a_part_read_link(name):
+    """The batched engine's shape, past what short Hypothesis lists
+    reach: all 56 links at once after some traffic, a sender that stops
+    early, exact multiples of the chunk, then a second block and pops."""
+    links = [(src, dst) for src in range(N) for dst in range(N) if src != dst]
+    counts = [
+        {0: 3 * STREAM_CHUNK, 1: 40, 2: 0}.get(src, 2 * STREAM_CHUNK + 88)
+        for src, _ in links
+    ]
+    assert_steps_read_the_reference(
+        name,
+        5,
+        [
+            ("sends", ((3, 4), 300)),
+            ("sends", ((0, 1), STREAM_CHUNK)),
+            ("block", list(zip(links, counts))),
+            ("sends", ((1, 0), 250)),
+            ("block", list(zip(links, counts[::-1]))),
+            ("sends", ((3, 4), 10)),
+        ],
+    )

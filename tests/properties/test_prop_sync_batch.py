@@ -101,14 +101,16 @@ class TestBitIdentity:
         for mode in ("scalar", "auto"):
             run = build_run(factory, timeout, seed, rounds=12)
             run.run(mode=mode)
-            draws[mode] = {
-                (src, dst): run.transport.next_stream_latencies(src, dst, 300)
+            links = [
+                (src, dst)
                 for src in range(run.n)
                 for dst in range(run.n)
                 if src != dst
-            }
-        for link, scalar in draws["scalar"].items():
-            assert np.array_equal(scalar, draws["auto"][link]), link
+            ]
+            draws[mode] = run.transport.next_stream_block(
+                links, [300] * len(links)
+            )
+        assert np.array_equal(draws["scalar"], draws["auto"])
 
 
 @st.composite

@@ -100,10 +100,10 @@ class Twin:
             deliveries=transport.deliveries,
         )
         if transport.stream_sampling_active:
-            facts["next draws"] = [
-                transport.next_stream_latencies(src, dst, 5).tolist()
-                for src in range(N) for dst in range(N) if src != dst
-            ]
+            links = [(src, dst) for src in range(N) for dst in range(N) if src != dst]
+            facts["next draws"] = transport.next_stream_block(
+                links, [5] * len(links)
+            ).tolist()
         else:
             facts["next draws"] = [self.model.sample_latency(0, 1, 0.0) for _ in range(5)]
         return facts

@@ -19,7 +19,7 @@ Pareto excess, slow-window uniforms ``dst`` then ``src``) and the
 operand order of the slow factors are both load-bearing.  The single
 link digests pin ``sample_link_batch`` — the expected-rank queue charge
 lands between the two slow factors — and the transport's 256-draw
-stream chunks.
+stream chunks, read out of a block refill of the whole table.
 """
 
 import hashlib
@@ -171,11 +171,12 @@ def test_single_link_bytes(src, dst):
 
 @pytest.mark.parametrize("src,dst", sorted(CHUNK_DIGESTS))
 def test_transport_stream_chunks(src, dst):
+    # Taken with every other link of the table, in one block: a link's
+    # bytes do not depend on what refills beside it.
     transport = Transport(
         Simulator(), planetlab_profile(seed=9, slow_run_prob=0.0)
     )
-    chunks = [
-        digest(transport.next_stream_latencies(src, dst, STREAM_CHUNK))
-        for _ in range(3)
-    ]
-    assert chunks == CHUNK_DIGESTS[src, dst]
+    links = [(s, d) for s in range(8) for d in range(8) if s != d]
+    block = transport.next_stream_block(links, [3 * STREAM_CHUNK] * len(links))
+    chunks = np.split(block[links.index((src, dst))], 3)
+    assert [digest(chunk) for chunk in chunks] == CHUNK_DIGESTS[src, dst]

@@ -5,6 +5,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from repro.net.base import LatencyModel
 from repro.net.iid import BernoulliLinkModel
 from repro.net.planetlab import planetlab_profile
 from repro.obs.registry import MetricsRegistry
@@ -174,19 +175,48 @@ class TestBatchStreams:
                 for d in transport.deliveries[sent:]
             ]
 
+        def bulk(transport, count):
+            (row,) = transport.next_stream_block([(0, 1)], [count])
+            assert row.shape == (count,)
+            return row.tolist()
+
         popped = Transport(Simulator(), self.model(), trace=True)
         alone = pops(popped, total)
-        after = popped.next_stream_latencies(0, 1, STREAM_CHUNK).tolist()
-        for bulk in (0, 7, STREAM_CHUNK - 1, STREAM_CHUNK, STREAM_CHUNK + 5):
+        after = bulk(popped, STREAM_CHUNK)
+        for count in (0, 7, STREAM_CHUNK - 1, STREAM_CHUNK, STREAM_CHUNK + 5):
             mixed = Transport(Simulator(), self.model(), trace=True)
-            head = mixed.next_stream_latencies(0, 1, bulk).tolist()
-            assert head + pops(mixed, total - bulk) == alone, bulk
+            head = bulk(mixed, count)
+            assert head + pops(mixed, total - count) == alone, count
             # Same cursor: the next bulk draw is equal too.
-            assert mixed.next_stream_latencies(0, 1, STREAM_CHUNK).tolist() == after
+            assert bulk(mixed, STREAM_CHUNK) == after
         # A crashed source sends nothing: drawing nothing opens no stream.
         untouched = Transport(Simulator(), self.model())
-        untouched.next_stream_latencies(0, 1, 0)
+        assert untouched.next_stream_block([(0, 1), (2, 3)], [0, 0]).shape == (2, 0)
+        assert untouched.next_stream_block([], []).shape == (0, 0)
         assert not untouched.streams_started
+
+    def test_a_block_pads_short_rows_and_takes_each_link_once(self):
+        transport = Transport(Simulator(), self.model())
+        block = transport.next_stream_block([(0, 1), (2, 3), (1, 0)], [3, 0, 5])
+        assert block.shape == (3, 5)
+        assert np.isinf(block[0, 3:]).all() and np.isinf(block[1]).all()
+        lone = Transport(Simulator(), self.model())
+        assert block[2].tolist() == lone.next_stream_block([(1, 0)], [5])[0].tolist()
+        with pytest.raises(ValueError, match="once"):
+            transport.next_stream_block([(0, 1), (0, 1)], [1, 1])
+
+    @pytest.mark.parametrize("why", ["time-varying", "streams-off"])
+    def test_a_transport_without_streams_has_no_block_to_give(self, why):
+        # It used to draw a chunk "sent at" 256 zeros — slow windows and
+        # all — and hand it over as if it were the link's stream.
+        model = time_varying_model() if why == "time-varying" else self.model()
+        transport = Transport(
+            Simulator(), model, batch_streams=why != "streams-off"
+        )
+        assert not transport.stream_sampling_active
+        with pytest.raises(ValueError, match=type(model).__name__):
+            transport.next_stream_block([(0, 1)], [4])
+        assert not transport.streams_started
 
     def test_link_sequence_independent_of_interleaving(self):
         # The whole point of per-link substreams: what 2->3 traffic does
@@ -290,19 +320,20 @@ def time_varying_draws():
     return [float(model.sample_latency(0, 1, 0.0)) for _ in range(3)]
 
 
-class ScriptedStream:
+class ScriptedStream(LatencyModel):
     """A batch-capable, time-invariant model whose every draw is one
     scripted value — a streamed link with a known next latency."""
 
     supports_batch_trace = is_time_invariant = True
 
     def __init__(self, value):
+        super().__init__(n=2)
         self.value = value
 
-    def link_stream(self, src, dst):
-        return None
+    def sample_latency(self, src, dst, now):
+        raise AssertionError("a streamed link draws whole chunks")
 
-    def sample_link_batch(self, src, dst, send_times, rng):
+    def sample_link_batch(self, src, dst, send_times, rng=None):
         return np.full(len(send_times), self.value)
 
 
@@ -437,26 +468,37 @@ class TestFaultSite:
         assert latencies.get("total", 0.0) == 0.0
         assert latencies["count"] == int(not lost)
 
+    @staticmethod
+    def planted_profile(value, row_of):
+        """A clean PlanetLab profile whose block sampler — the entry the
+        transport refills through — writes ``value`` as the sixth draw
+        of row ``row_of(links)`` (no row: the block goes untouched)."""
+        profile = planetlab_profile(seed=3, slow_run_prob=0.0)
+        draw = profile.sample_link_block
+
+        def planted(links, send_times, rngs):
+            block = draw(links, send_times, rngs)
+            row = row_of(list(links))
+            if row is not None:
+                block[row, 5] = value
+            return block
+
+        profile.sample_link_block = planted
+        return profile
+
     @pytest.mark.parametrize("mode", ["scalar", "batch"])
     @pytest.mark.parametrize("value", [float("nan"), -0.5])
     def test_bad_stream_draw_is_refused_by_both_engines(self, value, mode):
-        """A stream's draws are checked where the chunk is drawn, so the
+        """A stream's draws are checked where the block is drawn, so the
         engine that takes them in bulk refuses what the event loop
         refuses, in the same words.  (The batched engine used to return
         a result, silently, for a chunk the scalar loop raised on.)"""
         from repro.giraf.oracle import NullOracle
         from repro.sync import HeartbeatAlgorithm, SyncRun
 
-        profile = planetlab_profile(seed=3, slow_run_prob=0.0)
-        draw = profile.sample_link_batch
-
-        def planted(src, dst, send_times, rng):
-            chunk = draw(src, dst, send_times, rng)
-            if (src, dst) == (1, 2):
-                chunk[5] = value  # the link's sixth message
-            return chunk
-
-        profile.sample_link_batch = planted
+        profile = self.planted_profile(
+            value, lambda links: links.index((1, 2)) if (1, 2) in links else None
+        )
         run = SyncRun(
             8,
             lambda pid: HeartbeatAlgorithm(pid, 8),
@@ -473,6 +515,19 @@ class TestFaultSite:
         assert "1 → 2" in str(raised.value)
         assert "PlanetLabProfile" in str(raised.value)
         assert repr(value) in str(raised.value)
+
+    def test_a_bad_draw_in_a_block_is_reported_by_its_own_link(self):
+        # One check over the whole table must still name the row's link,
+        # not the first link of the block or of the call.
+        links = [(src, dst) for src in range(8) for dst in range(8) if src != dst]
+        transport = Transport(
+            Simulator(), self.planted_profile(-0.5, lambda links: 37)
+        )
+        with pytest.raises(ValueError) as raised:
+            transport.next_stream_block(links, [20] * len(links))
+        assert links[37] == (5, 2)
+        assert "link 5 → 2:" in str(raised.value)
+        assert "-0.5" in str(raised.value)
 
     def test_policy_assignment_leaves_the_streams_alone(self):
         # Assigning (or clearing) the policy mid-run must not reset the
