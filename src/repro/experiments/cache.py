@@ -10,28 +10,53 @@ analysis) then never re-simulates an unchanged cell.
 Layout and invalidation
 -----------------------
 
-Each trace lives at ``<root>/<profile>/<sha256[:32]>.npy``.  The key is a
-SHA-256 hash of the canonical parameter string, versioned twice over:
-``trace:v2`` covers the trace *format*, and a ``sampler=`` field carries
-:data:`repro.experiments.measurement.TRACE_SAMPLER_VERSION` so a change
-to the sampler's draw order (e.g. the v2 move to per-link RNG
+The cache is a log-structured store (the Bitcask shape).  A
+:class:`TraceCache` that stores appends records to *its own* segment,
+``<root>/<pid>-<random>.traces``, created on its first store and never
+reopened for writing by anyone else.  One record is a fixed header
+(magic, meta length, payload length, CRC-32 of meta + payload), the meta
+(``"<profile>/<key>"``, dtype, shape) and the array's bytes, written
+with one ``writev``.  A reader builds its index once, by walking the
+record headers of every ``*.traces`` under the root (two small reads per
+record); it stops a segment at the first record whose magic is wrong or
+whose declared extent passes end-of-file, keeps *every* candidate per
+key, and a load reads candidates into a fresh array until one passes its
+CRC.  So a torn tail or a flipped byte is a miss, never wrong latencies:
+the caller resamples and appends a good record, which later loads find.
+Loads copy (``preadv``) rather than map the file, so resident memory
+stays one trace, not the segment.
+
+The key is a SHA-256 hash of the canonical parameter string, versioned
+twice over: ``trace:v2`` covers the trace *format*, and a ``sampler=``
+field carries :data:`repro.experiments.measurement.TRACE_SAMPLER_VERSION`
+so a change to the sampler's draw order (e.g. the v2 move to per-link RNG
 substreams) retires entries sampled by older code.  Changing *any*
 parameter — including the root seed — changes the key, so stale entries
-are never read, only orphaned.  Deleting the cache directory is always
-safe.
+are never read, only orphaned.
 
-Writes go through a temp file plus :func:`os.replace`, so concurrent
-sweep workers racing on the same key are harmless: both compute the same
-bytes and the rename is atomic.
+Concurrent sweep workers never share a segment, so they cannot tear each
+other's records; two that race on one key both append the same bytes.
+An index does not see what *other* writers append after it was built —
+that is a miss and a duplicate record, not an error.  Nothing is ever
+rewritten or compacted: segments accumulate one per writer that missed
+(a reader holds one descriptor per segment it found records in), and
+deleting the cache directory — always safe — is the whole reclamation
+story.  A directory in the older one-file-per-trace layout is simply not
+read.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 import os
-import tempfile
+import re
+import struct
+import threading
+import zlib
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -73,54 +98,223 @@ def trace_key(
     return _digest(blob)
 
 
+_SEGMENT_SUFFIX = ".traces"
+
+#: A record is this header, then ``meta_len`` bytes of JSON meta
+#: (``["<profile>/<key>", dtype, shape]``), then ``payload_len`` bytes of
+#: C-ordered array data.  The CRC covers meta and payload, so a flipped
+#: byte cannot serve one key's latencies under another key's name.
+_MAGIC = b"TRC1"
+_HEADER = struct.Struct("<4sIQI")  # magic, meta_len, payload_len, crc32
+#: The dtypes a record may declare: fixed-size numbers, nothing that
+#: holds references or needs a parser of its own.
+_DTYPE = re.compile(r"[<>|][biufc]\d+")
+
+
+class _Segment:
+    """One open segment file; collecting the object closes it."""
+
+    def __init__(self, descriptor: int) -> None:
+        self.descriptor = descriptor
+
+    def __del__(self, _close=os.close) -> None:  # bound early: runs at exit too
+        _close(self.descriptor)
+
+
+class _Record(NamedTuple):
+    """Where one stored array lies, and what its bytes must hash to."""
+
+    segment: _Segment
+    offset: int  # of the payload
+    dtype: np.dtype
+    shape: tuple[int, ...]
+    meta_crc: int
+    crc: int
+
+
+def _bytes_of(array: np.ndarray) -> np.ndarray:
+    """A C-contiguous array's memory as a flat byte view (no copy)."""
+    return array.reshape(-1).view(np.uint8)
+
+
+def _parse_meta(
+    meta: bytes, payload_len: int
+) -> Optional[tuple[str, np.dtype, tuple[int, ...]]]:
+    """``(name, dtype, shape)`` of a record, or ``None`` if malformed.
+
+    The CRC vouches for the meta only once the payload is read, so what
+    a scan believes before that is checked here: a plain numeric dtype
+    and a shape that accounts for exactly the payload's bytes.
+    """
+    try:
+        name, dtype_str, shape = json.loads(meta)
+        if not _DTYPE.fullmatch(dtype_str):  # TypeError unless a string
+            return None
+        dtype = np.dtype(dtype_str)
+    except (ValueError, TypeError):
+        return None
+    if (
+        not isinstance(name, str)
+        or not isinstance(shape, list)
+        or not all(type(extent) is int and extent >= 0 for extent in shape)
+        or math.prod(shape) * dtype.itemsize != payload_len
+    ):
+        return None
+    return name, dtype, tuple(shape)
+
+
+def _walk(segment: _Segment) -> Iterator[tuple[str, _Record]]:
+    """Every well-formed record of ``segment``, in file order.
+
+    Stops at the first record whose magic is wrong or whose declared
+    extent passes end-of-file: that is a torn tail, and since a writer
+    never appends to a file it did not create, nothing valid follows it.
+    A record whose meta does not parse is skipped, not trusted.
+    """
+    descriptor = segment.descriptor
+    size = os.fstat(descriptor).st_size
+    start = 0
+    while start + _HEADER.size <= size:
+        header = os.pread(descriptor, _HEADER.size, start)
+        if len(header) < _HEADER.size:
+            return  # cut short since the fstat
+        magic, meta_len, payload_len, crc = _HEADER.unpack(header)
+        offset = start + _HEADER.size + meta_len
+        if magic != _MAGIC or offset + payload_len > size:
+            return
+        meta = os.pread(descriptor, meta_len, start + _HEADER.size)
+        start = offset + payload_len
+        parsed = _parse_meta(meta, payload_len)
+        if parsed is not None:
+            name, dtype, shape = parsed
+            yield name, _Record(
+                segment, offset, dtype, shape, zlib.crc32(meta), crc
+            )
+
+
+def _read(record: _Record) -> Optional[np.ndarray]:
+    """The record's array, or ``None`` if its bytes fail the CRC."""
+    trace = np.empty(record.shape, record.dtype)
+    raw = _bytes_of(trace)
+    try:
+        got = os.preadv(record.segment.descriptor, [raw], record.offset)
+    except OSError:
+        return None
+    if got != raw.size or zlib.crc32(raw, record.meta_crc) != record.crc:
+        return None
+    return trace
+
+
 class TraceCache:
-    """A directory of ``.npy`` traces keyed by :func:`trace_key`."""
+    """A directory of append-only trace segments keyed by :func:`trace_key`.
+
+    ``hits`` / ``misses`` and the index are guarded by one lock, so
+    totals are exact under concurrent :meth:`load` calls.
+    """
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
+        self._lock = threading.Lock()
+        # name -> every record stored under it, oldest first; built on
+        # the first load, then extended by this instance's own stores.
+        self._index: Optional[dict[str, list[_Record]]] = None
+        # This instance's own segment and its length, once it has stored.
+        self._writer: Optional[_Segment] = None
+        self._end = 0
 
-    def path(self, profile: str, key: str) -> Path:
-        return self.root / profile / f"{key}.npy"
+    def _scan(self) -> dict[str, list[_Record]]:
+        """Index every segment under the root by walking record headers."""
+        index: dict[str, list[_Record]] = {}
+        try:
+            names = sorted(os.listdir(self.root))
+        except OSError:
+            return index  # no directory yet: nothing stored
+        for filename in names:
+            if not filename.endswith(_SEGMENT_SUFFIX):
+                continue
+            try:
+                # Only records keep the segment (and its descriptor) alive.
+                segment = _Segment(os.open(self.root / filename, os.O_RDONLY))
+                for name, record in _walk(segment):
+                    index.setdefault(name, []).append(record)
+            except OSError:
+                continue  # unreadable from here on: the rest are misses
+        return index
 
     def load(self, profile: str, key: str) -> Optional[np.ndarray]:
         """The cached trace, or ``None`` on a miss (never raises)."""
-        path = self.path(profile, key)
-        try:
-            trace = np.load(path)
-        except (OSError, ValueError, EOFError):
-            # A torn entry (truncated header or body: ValueError; a
-            # zero-byte file: EOFError) is a miss like a missing one, so
-            # the caller resamples and atomically overwrites it.
-            self.misses += 1
-            return None
-        self.hits += 1
+        with self._lock:
+            if self._index is None:
+                self._index = self._scan()
+            candidates = tuple(self._index.get(f"{profile}/{key}", ()))
+        # Newest first: a record re-appended after a failed read is the
+        # one most likely to verify.  A torn or bit-flipped candidate is
+        # passed over; with none left the caller resamples and appends.
+        trace = None
+        for record in reversed(candidates):
+            trace = _read(record)
+            if trace is not None:
+                break
+        with self._lock:
+            if trace is None:
+                self.misses += 1
+            else:
+                self.hits += 1
         return trace
 
     def store(self, profile: str, key: str, trace: np.ndarray) -> None:
-        """Atomically persist ``trace`` under ``key``."""
-        path = self.path(profile, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=path.parent, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                np.save(handle, trace)
-            os.replace(temp_name, path)
-        except BaseException:
+        """Append ``trace`` under ``key`` to this instance's segment."""
+        trace = np.ascontiguousarray(trace)
+        if not _DTYPE.fullmatch(trace.dtype.str):
+            raise TypeError(
+                f"the trace cache stores plain numeric arrays, not {trace.dtype}"
+            )
+        name = f"{profile}/{key}"
+        meta = json.dumps([name, trace.dtype.str, trace.shape]).encode()
+        raw = _bytes_of(trace)
+        meta_crc = zlib.crc32(meta)
+        crc = zlib.crc32(raw, meta_crc)
+        header = _HEADER.pack(_MAGIC, len(meta), raw.size, crc)
+        with self._lock:
+            if self._writer is None:
+                self.root.mkdir(parents=True, exist_ok=True)
+                unique = f"{os.getpid()}-{os.urandom(6).hex()}{_SEGMENT_SUFFIX}"
+                self._writer = _Segment(os.open(
+                    self.root / unique,
+                    os.O_RDWR | os.O_CREAT | os.O_EXCL | os.O_APPEND,
+                    0o644,
+                ))
+                self._end = 0
+            segment = self._writer
+            pending = [memoryview(header), memoryview(meta), memoryview(raw)]
             try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+                while pending:
+                    written = os.writev(segment.descriptor, pending)
+                    while pending and written >= len(pending[0]):
+                        written -= len(pending.pop(0))
+                    if pending:
+                        pending[0] = pending[0][written:]
+            except BaseException:
+                # Whatever reached the file is a torn tail; nothing may
+                # follow it, so the next store starts a new segment.
+                self._writer = None
+                raise
+            offset = self._end + len(header) + len(meta)
+            self._end = offset + raw.size
+            if self._index is not None:
+                self._index.setdefault(name, []).append(_Record(
+                    segment, offset, trace.dtype, trace.shape, meta_crc, crc
+                ))
 
     def entries(self) -> int:
-        """Number of traces currently on disk."""
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.npy"))
+        """Number of distinct traces currently on disk.
+
+        Rescans the directory rather than trusting this instance's
+        index: pool workers each append to a segment of their own.
+        """
+        return len(self._scan())
 
 
 #: The process-wide active cache; ``None`` means caching is off.

@@ -221,8 +221,8 @@ class ThreadCellExecutor(CellExecutor):
     the sweep service's default backend: it shares the process-wide
     trace cache without pickling and keeps the event loop responsive.
     (Per-cell cache hit/miss attribution is approximate under threads —
-    the counters are shared — but totals remain exact on the cache
-    object itself.)
+    the counters are shared — but totals are exact on the cache object
+    itself: it counts under the lock that guards its index.)
     """
 
     inline = False

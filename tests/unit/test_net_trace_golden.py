@@ -3,7 +3,7 @@
 Every digest below was taken at the commit before the sampler was
 restated as "draws per link, arithmetic per trace" (DESIGN.md, "Batch
 trace generation") and pins what ``TRACE_SAMPLER_VERSION = "batch1"``
-means: the trace cache keys on that tag, so a cached ``.npy`` is only a
+means: the trace cache keys on that tag, so a cached record is only a
 valid hit while the sampler still produces these bytes.  **A digest may
 move only together with a version bump** — a change that moves one
 without bumping the tag silently serves stale traces.
