@@ -15,6 +15,13 @@ stretch latencies.  Burst drops are deterministic: the decision for the
 or a differently-ordered event interleaving that sends the same messages
 per link — sees the same realization.
 
+The policy also answers :meth:`PlanLinkFaults.quiet`, the transport's
+optional per-broadcast query: in a round where nothing is down, no link
+is cut, no burst is live and every slow factor is 1.0, every message
+would pass untouched, so the transport skips the per-message questions.
+Recovery and clock-step plans are quiet on every link in almost every
+round.
+
 Node-level faults (crash, recovery, clock steps) and leader churn cannot
 be expressed on the wire; :class:`~repro.sync.round_sync.SyncRun` takes
 the plan directly, drives its nodes' crash/recover/clock-step hooks and
@@ -109,6 +116,18 @@ class PlanLinkFaults:
             self._state = state
             self._down, self._cross = state.down.tolist(), state.cross.tolist()
             self._slow = state.slow.tolist()
+            self._quiet = not (
+                state.down.any() or state.cross.any() or state.bursts
+                or (state.slow != 1.0).any()
+            )
+
+    def quiet(self, now: float) -> bool:
+        """Whether every message sent at ``now`` passes untouched: then
+        :meth:`drop` would say ``False`` and :meth:`latency_factor`
+        ``1.0`` for each, advance no burst counter and fire no episode."""
+        if now != self._instant:
+            self._resolve(now)
+        return self._quiet
 
     def drop(self, src: int, dst: int, now: float) -> bool:
         if now != self._instant:

@@ -4,6 +4,12 @@ Events are ordered by ``(time, priority, sequence)``.  The sequence number
 makes the order total and deterministic: two events scheduled for the same
 instant fire in scheduling order, so a run is fully reproducible from its
 seed.
+
+A heap entry is the tuple ``(time, priority, seq, fn, args)`` and firing
+it is ``fn(*args)``.  Only timers — what :meth:`Simulator.schedule` and
+:meth:`~Simulator.schedule_in` return — can be cancelled, so only they
+carry an :class:`Event` handle (as their ``fn``, with no ``args``); a
+message delivery is the bare tuple the transport posts.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from functools import partial
 from typing import Callable, Optional
 
 
@@ -19,21 +26,21 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled, cancellable callback (a timer).
 
     Attributes:
         time: absolute simulation time at which the event fires.
         priority: tie-breaker before the sequence number; lower fires first.
         seq: global scheduling sequence number (assigned by the queue).
         action: zero-argument callable run when the event fires.
-        cancelled: cancelled events stay in the heap but are skipped.
+        cancelled: whether :meth:`cancel` was called.
     """
 
     __slots__ = ("time", "priority", "seq", "action", "cancelled", "_queue")
 
     def __init__(
         self, time: float, priority: int, seq: int,
-        action: Callable[[], None], queue: "EventQueue",
+        action: Callable[[], None], queue: Optional["EventQueue"],
     ) -> None:
         self.time = time
         self.priority = priority
@@ -42,73 +49,72 @@ class Event:
         self.cancelled = False
         self._queue = queue
 
+    def __call__(self) -> None:
+        """Fire: leave the queue, then run the action."""
+        self._queue = None
+        self.action()
+
     def cancel(self) -> None:
-        """Mark the event so the simulator skips it."""
+        """Make sure the event never fires; a no-op once it has left the
+        queue (fired, popped or drained)."""
         if self.cancelled:
             return
         self.cancelled = True
         if self._queue is not None:
-            self._queue._on_cancel(self)
+            self._queue._cancelled.add(self.seq)
+            self._queue = None
 
 
 class EventQueue:
-    """A priority queue of :class:`Event` objects.
+    """A priority queue of ``(time, priority, seq, fn, args)`` entries.
 
-    The heap holds ``(time, priority, seq, event)`` tuples: ``heapq``
-    orders those in C, and since ``seq`` is unique the comparison never
-    reaches the event itself.
+    ``heapq`` orders the tuples in C, and since ``seq`` is unique the
+    comparison never reaches ``fn``.  A cancelled timer stays in the heap
+    and its ``seq`` in :attr:`_cancelled` until it reaches the top, so
+    the live count is ``len(heap) - len(cancelled)``.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[tuple[float, int, int, Callable[..., None], tuple]] = []
         self._counter = itertools.count()
-        self._live = 0
+        self._cancelled: set[int] = set()
 
     def __len__(self) -> int:
         # O(1): simulator loops poll the queue length, and a heap scan
         # here turns those loops quadratic.
-        return self._live
-
-    def _on_cancel(self, event: Event) -> None:
-        """Called exactly once per cancelled in-queue event."""
-        self._live -= 1
-        event._queue = None
+        return len(self._heap) - len(self._cancelled)
 
     def push(self, time: float, action: Callable[[], None], priority: int = 0) -> Event:
         """Schedule ``action`` at absolute ``time`` and return the event."""
         seq = next(self._counter)
         event = Event(time, priority, seq, action, self)
-        heapq.heappush(self._heap, (time, priority, seq, event))
-        self._live += 1
+        heapq.heappush(self._heap, (time, priority, seq, event, ()))
         return event
 
     def pop(self) -> Optional[Event]:
-        """Remove and return the earliest live event, or ``None`` if empty."""
-        heap = self._heap
+        """Remove and return the earliest live event, or ``None`` if empty.
+        An entry that is not a timer comes back as a detached
+        :class:`Event` whose action fires it."""
+        heap, cancelled = self._heap, self._cancelled
         while heap:
-            event = heapq.heappop(heap)[3]
-            if not event.cancelled:
-                self._live -= 1
-                event._queue = None
-                return event
+            time, priority, seq, fn, args = heapq.heappop(heap)
+            if seq in cancelled:
+                cancelled.discard(seq)
+                continue
+            if isinstance(fn, Event):
+                fn._queue = None
+                return fn
+            return Event(time, priority, seq, partial(fn, *args), None)
         return None
 
-    def peek_time(self) -> Optional[float]:
-        """Return the firing time of the earliest live event, if any."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            # Detached when it was cancelled: ``len(queue) == live events``
-            # never depends on an event this queue no longer holds.
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
-
     def clear(self) -> None:
-        """Discard every pending event, detaching each one so a later
+        """Discard every pending entry, detaching each timer so a later
         ``cancel()`` of it is a true no-op."""
         for entry in self._heap:
-            entry[3]._queue = None
+            if isinstance(entry[3], Event):
+                entry[3]._queue = None
         self._heap.clear()
-        self._live = 0
+        self._cancelled.clear()
 
 
 class Simulator:
@@ -125,6 +131,7 @@ class Simulator:
         self._queue = EventQueue()
         self._now = 0.0
         self._running = False
+        self._stopped = False
         self._events_processed = 0
 
     @property
@@ -134,7 +141,8 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Number of events that have fired so far."""
+        """Number of events fired by the :meth:`run` calls that have
+        returned."""
         return self._events_processed
 
     @property
@@ -162,22 +170,20 @@ class Simulator:
             raise SimulationError(f"negative or NaN delay {delay}")
         return self._queue.push(self._now + delay, action)
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> float:
-        """Process events until the queue drains or a limit is hit.
+    def stop(self) -> None:
+        """Finish the simulation: the running :meth:`run` returns once the
+        current event has fired, and no later call fires anything."""
+        self._stopped = True
+
+    def run(self, until: Optional[float] = None) -> float:
+        """Process events until the queue drains, the time limit is
+        reached or an event calls :meth:`stop`.
 
         Args:
             until: stop once the next event would fire after this time,
                 and advance the clock to it — unless it lies in the
                 past: then nothing fires and the clock stays (the
                 simulator never rewinds).  NaN is an error.
-            max_events: stop after this many events fire in this call.
-            stop_when: checked on entry and after each event; return
-                ``True`` to stop.
 
         Returns:
             The simulation time when the loop stopped.
@@ -185,39 +191,27 @@ class Simulator:
         if self._running:
             raise SimulationError("run() re-entered; the simulator is not reentrant")
         until = math.inf if until is None else until
-        max_events = math.inf if max_events is None else max_events
         if math.isnan(until):
             raise SimulationError("cannot run until NaN")
         self._running = True
-        queue, heap, pop = self._queue, self._queue._heap, heapq.heappop
-        fired = 0
+        heap, cancelled = self._queue._heap, self._queue._cancelled
+        pop, fired = heapq.heappop, 0
         try:
-            # A stop condition that already holds must prevent the first
-            # event from firing at all: one extra event can mutate state
-            # the caller considers final (e.g. a fault callback after
-            # every node has stopped).  After this entry check, the
-            # per-event check below is exhaustive — no event can run
-            # between it and the next pop.
-            if stop_when is not None and stop_when():
-                return self._now
-            while fired < max_events:
-                while heap and heap[0][3].cancelled:
-                    pop(heap)
-                if not heap:
-                    break
-                if heap[0][0] > until:
+            while heap and not self._stopped:
+                entry = pop(heap)
+                time, _, seq, fn, args = entry
+                if cancelled and seq in cancelled:
+                    cancelled.discard(seq)
+                    continue
+                if time > until:
+                    heapq.heappush(heap, entry)  # same key: same place
                     self._now = max(self._now, until)
                     break
-                time, _, _, event = pop(heap)
-                queue._live -= 1
-                event._queue = None
                 self._now = time
-                event.action()
-                self._events_processed += 1
+                fn(*args)
                 fired += 1
-                if stop_when is not None and stop_when():
-                    break
         finally:
+            self._events_processed += fired
             self._running = False
         return self._now
 
@@ -240,7 +234,7 @@ class Simulator:
         """Discard all pending events (used when tearing a run down).
 
         Discarded events are detached from the queue so a post-drain
-        ``cancel()`` is a true no-op instead of decrementing the live
-        count of a queue that no longer holds them.
+        ``cancel()`` is a true no-op instead of marking an entry in a
+        queue that no longer holds it.
         """
         self._queue.clear()

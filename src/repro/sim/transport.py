@@ -10,9 +10,9 @@ statistics of the link model, not from the transport.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Iterable, Optional, Protocol, Sequence
 
 import numpy as np
@@ -32,11 +32,16 @@ class LinkModel(Protocol):
 
 
 class LinkFaults(Protocol):
-    """Per-message fault decisions, consulted by :meth:`Transport.send`.
+    """Per-message fault decisions, consulted by :meth:`Transport.broadcast`.
 
     A policy may also publish ``last_drop_cause`` — why its most recent
-    :meth:`drop` returned ``True`` — to label the drop in telemetry
-    (:class:`repro.faults.event.PlanLinkFaults` does).
+    :meth:`drop` returned ``True`` — to label the drop in telemetry, and
+    a ``quiet(now) -> bool`` query: ``True`` promises that at ``now``
+    every :meth:`drop` would return ``False`` and every
+    :meth:`latency_factor` ``1.0``, with no side effect, so a broadcast
+    that finds the policy quiet asks it nothing per message
+    (:class:`repro.faults.event.PlanLinkFaults` publishes both).  A
+    policy without ``quiet`` is asked about every message.
     """
 
     def drop(self, src: int, dst: int, now: float) -> bool:
@@ -118,7 +123,8 @@ class Transport:
     :attr:`faults` is the one way a fault reaches a message: assign a
     :class:`LinkFaults` policy (or ``None``) and :meth:`broadcast` asks
     it, once per message in destination order, whether to drop and by
-    how much to stretch — whichever source the latency comes from.  The
+    how much to stretch — whichever source the latency comes from —
+    unless the policy says it is quiet at the broadcast's instant.  The
     two sources keep their own draw discipline.  On the stream path
     every message consumes exactly one base draw from its link's
     substream — including messages the policy drops — so the ``i``-th
@@ -145,6 +151,9 @@ class Transport:
         recorder: Optional[RunRecorder] = None,
     ) -> None:
         self._simulator = simulator
+        # Deliveries go on the simulator's heap as bare entries: nothing
+        # ever cancels a message, so it needs no Event handle.
+        self._queue = simulator._queue
         self._link_model = link_model
         self._handlers: dict[int, Callable[[int, Any], None]] = {}
         self._trace = trace
@@ -328,11 +337,15 @@ class Transport:
         decides what happens to a message.  What the messages of one
         broadcast share (the instant, the fault policy, the stream
         table, the instruments) is looked up once."""
-        simulator, faults = self._simulator, self.faults
-        now = simulator.now
+        faults, now = self.faults, self._simulator.now
+        if faults is not None:
+            quiet = getattr(faults, "quiet", None)
+            if quiet is not None and quiet(now):
+                faults = None
         streams = self._streams if self.stream_sampling_active else None
         trace, observe = self._trace, self._latency_hist.observe
-        schedule_in, deliver = simulator.schedule_in, self._deliver
+        heap, seqs = self._queue._heap, self._queue._counter
+        push, deliver = heapq.heappush, self._deliver
         self.messages_sent += len(destinations)
         self._sent_counter.inc(len(destinations))
         for index, dst in enumerate(destinations):
@@ -388,7 +401,10 @@ class Transport:
                 self._drop(cause or "link", src, dst, now)
                 continue
             observe(latency)
-            schedule_in(latency, partial(deliver, src, dst, payload, record))
+            # Every latency is a checked delay by now (a stream chunk
+            # when drawn, anything else above), so it goes on the heap as
+            # ``schedule_in`` would put it, without the handle.
+            push(heap, (now + latency, 0, next(seqs), deliver, (src, dst, payload, record)))
 
     def _deliver(self, src: int, dst: int, payload: Any, record: Optional[Delivery]) -> None:
         """A message arrives, at whatever handler ``dst`` has by now."""

@@ -74,6 +74,8 @@ class RoundLog:
     """
 
     def __init__(self, n: int) -> None:
+        #: The number of nodes in the run.
+        self.n = n
         #: The highest round any node has reached.
         self.rounds = 0
         #: How many nodes have left the run for good (ran past their
@@ -200,9 +202,11 @@ class SyncedNode:
 
     def _stop(self) -> None:
         """Leave the run for good — the one place ``running`` goes from
-        ``True`` to ``False``, counted for the run's stop condition."""
+        ``True`` to ``False``.  The last node to leave stops the simulator."""
         self.running = False
         self.log.stopped += 1
+        if self.log.stopped == self.log.n:
+            self.simulator.stop()
 
     def _end_round(self, next_round: Optional[int] = None) -> None:
         k = self.process.round
@@ -549,14 +553,10 @@ class SyncRun:
         if self.fault_plan is not None and not self._faults_scheduled:
             self._faults_scheduled = True
             self._schedule_node_faults()
-        # "Done" must require having started: before the boot events fire
-        # no node is running, and a bare ``not running`` predicate would
-        # satisfy the simulator's entry check and stop the run at time 0.
-        # So the condition counts the nodes that *stopped* running: it is
-        # evaluated after every event, and must not scan the nodes.
-        log, n = self.log, self.n
-        self.simulator.run(until=time_limit, stop_when=lambda: log.stopped == n)
-        if log.stopped == n:
+        # The node whose ``_stop`` ends the run stops the simulator, so
+        # "done" requires having started, and no event fires after it.
+        self.simulator.run(until=time_limit)
+        if self.log.stopped == self.n:
             # What never fired (deliveries in flight, faults booked past
             # the end) never will: both engines end on an empty queue, so a
             # finished run holds no event that refers back to it.  (A run

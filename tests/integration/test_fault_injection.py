@@ -21,12 +21,15 @@ from repro.faults import (
     LossBurst,
     Partition,
     PlanLinkFaults,
+    SlowNode,
     faulty_lockstep_runner,
 )
 from repro.giraf import IIDSchedule, NullOracle, StableAfterSchedule
 from repro.giraf.kernel import GirafAlgorithm
 from repro.giraf.oracle import EventuallyStableLeaderOracle
 from repro.giraf.process import GirafProcess
+from repro.net import planetlab_profile
+from repro.obs.registry import MetricsRegistry
 from repro.sim import Clock, Simulator, Transport
 from repro.sync import HeartbeatAlgorithm, SyncRun
 from repro.sync.round_sync import RoundLog, SyncedNode
@@ -204,6 +207,74 @@ class TestEventPathFaults:
     def test_mismatched_plan_size_rejected(self):
         with pytest.raises(ValueError, match="n="):
             event_run(FaultPlan(n=N + 1))
+
+
+class TestQuietBroadcast:
+    """A broadcast that finds :class:`PlanLinkFaults` quiet skips the
+    per-message questions; with the query switched off the same policy is
+    asked about every message, as a foreign policy is.  Both must be the
+    same run, to the last counter."""
+
+    PLAN = FaultPlan(
+        n=N,
+        crashes=(Crash(1, 3, recover_round=6),),
+        clock_steps=(ClockStep(2, 8, offset=0.03),),
+        loss_bursts=(LossBurst(10, 12, drop_prob=0.5),),
+        slow_nodes=(SlowNode(3, 14, 16, factor=2.0),),
+        seed=5,
+    )
+
+    @classmethod
+    def observe(cls, link_model, quiet):
+        table = np.full((N, N), 0.05)
+        np.fill_diagonal(table, 0.0)
+        metrics = MetricsRegistry()
+        run = SyncRun(
+            N,
+            lambda pid: HeartbeatAlgorithm(pid, N),
+            NullOracle(),
+            lambda sim: Transport(sim, link_model(), metrics=metrics),
+            timeout=TIMEOUT,
+            latency_table=table,
+            max_rounds=25,
+            fault_plan=cls.PLAN,
+            metrics=metrics,
+        )
+        policy = run.link_faults
+        if not quiet:
+            policy.quiet = None  # a policy without the query
+        asked = []
+        drop = policy.drop
+        policy.drop = lambda *link: asked.append(link) or drop(*link)
+        result = run.run()
+        assert run.executed_mode == "scalar"
+        return run, result, metrics.snapshot(), len(asked)
+
+    @pytest.mark.parametrize(
+        "link_model",
+        [lambda: FixedLatency(0.05), lambda: planetlab_profile(seed=3, slow_run_prob=0.0)],
+        ids=["scalar-sampled", "streamed"],
+    )
+    def test_quiet_shortcut_changes_nothing_but_the_questions(self, link_model):
+        run, result, snapshot, asked = self.observe(link_model, quiet=True)
+        twin, expected, expected_snapshot, asked_all = self.observe(
+            link_model, quiet=False
+        )
+        np.testing.assert_array_equal(result.matrices, expected.matrices)
+        np.testing.assert_array_equal(result.sync_error, expected.sync_error)
+        assert result.round_durations == expected.round_durations
+        assert result.jumps == expected.jumps
+        assert result.late_messages == expected.late_messages
+        assert result.correct == expected.correct
+        assert snapshot == expected_snapshot
+        counters = snapshot["counters"]
+        for kind in ("crash", "recover", "clock-step", "loss-burst"):
+            assert any(kind in name for name in counters), kind
+        assert any("dropped" in name for name in counters)
+        assert run.link_faults._burst_counters == twin.link_faults._burst_counters
+        assert run.simulator.events_processed == twin.simulator.events_processed
+        # Not vacuous: most broadcasts were quiet, some were not.
+        assert 0 < asked < asked_all / 2
 
 
 class TestClockSteps:

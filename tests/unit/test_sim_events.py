@@ -81,14 +81,6 @@ class TestEventQueue:
         popped.cancel()  # fired-then-cancelled must not double-decrement
         assert len(queue) == 1
 
-    def test_len_stays_consistent_after_peek_discards_cancelled(self):
-        queue = EventQueue()
-        head = queue.push(1.0, lambda: None)
-        queue.push(5.0, lambda: None)
-        head.cancel()
-        assert queue.peek_time() == 5.0
-        assert len(queue) == 1
-
     def test_len_is_constant_time(self):
         # The live count must be maintained incrementally: polling len()
         # inside a simulator loop was O(heap) and made such loops
@@ -101,32 +93,21 @@ class TestEventQueue:
         elapsed = timeit.timeit(lambda: len(queue), number=10_000)
         assert elapsed < 0.5  # a heap scan would take tens of seconds
 
-    def test_peek_time_skips_cancelled_head(self):
-        queue = EventQueue()
-        head = queue.push(1.0, lambda: None)
-        queue.push(5.0, lambda: None)
-        head.cancel()
-        assert queue.peek_time() == 5.0
-
-    def test_peek_time_detaches_dropped_cancelled_events(self):
-        # peek_time() discards cancelled events from the heap; they must
-        # be detached exactly as pop() detaches live ones, so no code
-        # path can ever reach the queue's bookkeeping through an event
-        # the heap no longer holds.
+    def test_cancelled_events_skimmed_by_pop_stay_detached(self):
+        # pop() discards a cancelled head on its way to a live event; the
+        # discarded handle has no way back into the queue's bookkeeping.
         queue = EventQueue()
         head = queue.push(1.0, lambda: None)
         kept = queue.push(5.0, lambda: None)
         head.cancel()
-        assert queue.peek_time() == 5.0
+        assert queue.pop() is kept
         assert head._queue is None
         head.cancel()  # must stay a no-op after the heap dropped it
-        assert len(queue) == 1
-        assert queue.pop() is kept
         assert len(queue) == 0
+        assert queue.pop() is None
 
     def test_empty_queue_pops_none(self):
         assert EventQueue().pop() is None
-        assert EventQueue().peek_time() is None
 
 
 class TestSimulator:
@@ -194,48 +175,52 @@ class TestSimulator:
         sim.run()
         assert fired == [10]
 
-    def test_max_events_limit(self):
+    def test_stop_ends_the_run_after_the_current_event(self):
         sim = Simulator()
         fired = []
-        for t in range(5):
-            sim.schedule(float(t + 1), lambda t=t: fired.append(t))
-        sim.run(max_events=2)
-        assert fired == [0, 1]
 
-    def test_stop_when_predicate(self):
-        sim = Simulator()
-        fired = []
+        def record(t):
+            fired.append(t)
+            if len(fired) == 3:
+                sim.stop()
+
         for t in range(5):
-            sim.schedule(float(t + 1), lambda t=t: fired.append(t))
-        sim.run(stop_when=lambda: len(fired) >= 3)
+            sim.schedule(float(t + 1), lambda t=t: record(t))
+        assert sim.run() == 3.0
         assert fired == [0, 1, 2]
+        assert sim.events_processed == 3
+        assert sim.pending_events == 2
 
     def test_stop_when_holding_on_entry_fires_nothing(self):
-        # Regression: the stop condition used to be checked only after
-        # each event, so a condition already true on entry still let one
-        # event fire — e.g. a fault callback mutating state after every
-        # node had stopped and been collected.
+        # A simulator stopped before run() is entered fires nothing: one
+        # extra event could mutate state the caller considers final (e.g.
+        # a fault callback after every node has stopped and been
+        # collected).
         sim = Simulator()
         fired = []
         sim.schedule(1.0, lambda: fired.append("extra"))
-        assert sim.run(stop_when=lambda: True) == 0.0
+        sim.stop()
+        assert sim.run() == 0.0
+        assert sim.run(until=10.0) == 0.0
         assert fired == []
-        assert sim.pending_events == 1  # the event survives for later
+        assert sim.pending_events == 1  # the event survives, unfired
 
     def test_stop_when_entry_check_respects_prior_run_state(self):
-        # The second run() must notice the condition reached by the first
-        # before popping anything.
+        # The stop reached inside one run() holds for every later run():
+        # the second call must notice it before popping anything.
         sim = Simulator()
         state = {"done": False, "late": False}
 
         def finish():
             state["done"] = True
+            sim.stop()
 
         sim.schedule(1.0, finish)
         sim.schedule(2.0, lambda: state.update(late=True))
-        sim.run(stop_when=lambda: state["done"])
-        sim.run(stop_when=lambda: state["done"])
+        assert sim.run() == 1.0
+        assert sim.run() == 1.0
         assert state == {"done": True, "late": False}
+        assert sim.pending_events == 1
 
     def test_pending_events_counts_live_events(self):
         sim = Simulator()
