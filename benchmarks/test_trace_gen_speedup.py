@@ -1,16 +1,17 @@
 """Speedup guard for vectorized batch trace generation.
 
-Times the whole-trace batch sampler (per-link RNG substreams; the draws
-per link, the arithmetic once per trace — see DESIGN.md, "Batch trace
-generation") against the per-message scalar baseline: the generic
+Times the whole-trace batch sampler (256-round columns of the whole link
+table, a few generator calls per column, the arithmetic once per trace —
+see DESIGN.md, "Batch trace generation") against the per-message scalar
+baseline: the generic
 :meth:`~repro.net.base.LatencyModel.sample_round_latencies` fallback,
 which draws every message individually through ``sample_latency`` — the
 cost any model pays without the batch engine, and the granularity of the
 event-driven transport.
 
 Both sides construct the model fresh per trace (the sweeps do: each run
-seed builds its own profile), so the batch figure includes substream
-derivation, not just the warm inner loop.  The guard asserts the paper
+seed builds its own profile), so the batch figure includes seating each
+column's generators, not just the warm inner loop.  The guard asserts the paper
 protocol's trace shape (8 nodes x 300 rounds) generates at least 20x
 faster and records the measured ratios in
 ``benchmarks/results/trace_gen_speedup.txt``.
@@ -78,7 +79,7 @@ def test_batch_trace_generation_speedup(save_result):
     lines += [
         "",
         f"floor: {MIN_SPEEDUP:.0f}x on every profile "
-        "(fresh model per trace, cold substream cache)",
+        "(fresh model per trace, column generators seated per trace)",
     ]
     save_result("trace_gen_speedup", "\n".join(lines))
     for name, ratio in speedups.items():

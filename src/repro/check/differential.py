@@ -268,8 +268,8 @@ def differential_run(
     """Drive one scenario through both stacks and diff the observables.
 
     Both stacks consume the *same* trace seed — the row's ``"trace"``
-    stream: the event transport draws per-link substreams from it, the
-    lockstep path samples the batch trace — so differences reflect the
+    stream: the event transport reads each link's lane of its columns,
+    the lockstep path samples the batch trace — so differences reflect the
     round-cutting protocol, not different networks.
     """
     timeout = row.timeout

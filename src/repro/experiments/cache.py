@@ -29,8 +29,9 @@ stays one trace, not the segment.
 The key is a SHA-256 hash of the canonical parameter string, versioned
 twice over: ``trace:v2`` covers the trace *format*, and a ``sampler=``
 field carries :data:`repro.experiments.measurement.TRACE_SAMPLER_VERSION`
-so a change to the sampler's draw order (e.g. the v2 move to per-link RNG
-substreams) retires entries sampled by older code.  Changing *any*
+so a change to the sampler's draw order (e.g. the ``batch2`` move to
+256-round columns of the whole link table) retires entries sampled by
+older code.  Changing *any*
 parameter — including the root seed — changes the key, so stale entries
 are never read, only orphaned.
 

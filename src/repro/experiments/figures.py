@@ -231,10 +231,12 @@ def lan_cell(config: SweepConfig, t_index: int, r_index: int) -> LanCell:
     """One independent (timeout, run) cell of the LAN measurement.
 
     Like :func:`wan_cell`, a pure function of its arguments, shared by
-    the serial and parallel engines.
+    the serial and parallel engines.  Its trace seed names the profile:
+    the LAN and WAN sweeps share a root seed, and a LAN cell must not
+    draw the latencies of the WAN cell with the same indices.
     """
     timeout = config.timeouts[t_index]
-    seed = config.run_seed(t_index, r_index)
+    seed = config.run_seed(t_index, r_index, purpose="lan:trace")
     trace = cached_trace(
         "lan", config.n, config.rounds_per_run, timeout, seed
     )

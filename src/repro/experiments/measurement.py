@@ -29,7 +29,7 @@ from repro.sim.transport import not_a_delay
 #: Version tag of the batch trace sampler, folded into the trace-cache key
 #: (see :func:`repro.experiments.cache.trace_key`): bump it whenever the
 #: sampler's draw order changes so stale cached traces orphan cleanly.
-TRACE_SAMPLER_VERSION = "batch1"
+TRACE_SAMPLER_VERSION = "batch2"
 
 
 def sample_latency_trace(
@@ -39,8 +39,8 @@ def sample_latency_trace(
 
     Batch-capable models (see
     :meth:`~repro.net.base.LatencyModel.sample_trace_batch`) sample the
-    whole trace in one vectorized pass from per-link RNG substreams — a
-    pure function of ``(model parameters, seed)``, bit-identical across
+    whole trace in one vectorized pass over 256-round columns of every
+    link — a pure function of ``(model parameters, seed)``, bit-identical across
     calls, processes and ``--jobs`` values.  Other models fall back to
     the per-round scalar loop (:func:`sample_latency_trace_scalar`).
 

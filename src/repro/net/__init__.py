@@ -4,8 +4,9 @@ The paper evaluates on a real 100 Mbit LAN and on PlanetLab.  This package
 provides the simulated stand-ins (see DESIGN.md, "Substitutions"):
 
 - :mod:`base` — :class:`LatencyModel`, the one latency interface: scalar
-  per-message sampling for the transport, per-link RNG substreams and
-  whole-trace batch sampling for the measurement sweeps.
+  per-message sampling for the transport, and batch sampling in
+  256-round columns of every link for the transport's streams and the
+  measurement sweeps' whole traces.
 - :mod:`hetero` — the shared implementation behind the LAN and PlanetLab
   profiles (log-normal body, Pareto tail, loss, slow-node windows), and
   the symmetric mid-latency ``uniform_wan_profile``.

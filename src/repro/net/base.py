@@ -17,23 +17,11 @@ see statistically identical networks.
 from __future__ import annotations
 
 import abc
-from functools import partial
-from itertools import repeat
-from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.sim.rng import derive_pcg64_states
-
-
-#: What a directed ``(src, dst)`` link's substream is hashed from.
-_LINK_NAME = b"link:%d->%d"
-
-#: What a ``PCG64`` is built from when its raw state is assigned straight
-#: after: the constructor insists on a seed, and mixing a fresh
-#: ``SeedSequence(0)`` per bit generator is half of its ~15 µs.
-_ANY_SEED = np.random.SeedSequence(0)
+from repro.sim.rng import STREAM_CHUNK, column_generators
 
 
 def off_diagonal(n: int) -> np.ndarray:
@@ -49,31 +37,25 @@ class LatencyModel(abc.ABC):
     - the *scalar* path (:meth:`sample_latency`,
       :meth:`sample_round_latencies`) draws from the model's shared
       stateful generator, one message or one round at a time;
-    - the *batch* path draws each directed link's sends from a per-link
-      RNG substream derived by :func:`repro.sim.rng.derive_pcg64_states`
-      — counter-style splittable seeding, so what a link draws is a pure
-      function of ``(model parameters, seed, link)``, independent of
-      sampling order and of which process samples it.  Its two
-      primitives come per link and per block of links:
-      :meth:`link_stream` / :meth:`link_streams` open the substreams, and
-      :meth:`sample_link_batch` / :meth:`sample_link_block` draw one
-      link's sends or a ``(links, times)`` block, each row from its own
-      generator.  The block is what the consumers call — a whole trace
-      (:meth:`sample_trace_batch`: every link a row, one scratch
-      generator re-seated per row) and the transport's stream refill (the
-      dry links' next chunks, each row on its link's long-lived
-      generator).  Here both are generic, one :meth:`sample_link_batch`
-      call per row, which serves a model that only knows one link at a
-      time; a model whose per-link arithmetic is elementwise keeps only
-      the draws per row
-      (:class:`~repro.net.hetero.HeterogeneousNetwork`).
+    - the *batch* path (:meth:`sample_lanes`) draws in *columns*: column
+      ``c`` is rounds ``[256c, 256c + 256)`` (:data:`STREAM_CHUNK`) of
+      every directed link, each link a *lane* (:attr:`lanes`), drawn by
+      one generator per draw kind seated on ``(seed, c, kind)``
+      (:func:`~repro.sim.rng.column_generators`) and filled round-major,
+      so the first ``h`` rounds of a column are the same bytes whether
+      ``h`` or 256 rounds are drawn.  A link's stream is its lane through
+      the columns: a pure function of ``(model parameters, seed, link,
+      column)``, independent of sampling order and of which process
+      samples it.  A trace (:meth:`sample_trace_batch`) is the first
+      ``rounds`` rows of the columns; the transport's stream refill is
+      one whole column.
 
     The paths consume randomness differently and therefore do not
     reproduce each other draw-for-draw; they sample identical per-link
     distributions (asserted by ``tests/properties``).
     """
 
-    #: Subclasses that implement :meth:`sample_link_batch` set this True;
+    #: Subclasses that implement :meth:`sample_lanes` set this True;
     #: consumers use it to choose the batch trace path.
     supports_batch_trace: bool = False
 
@@ -83,9 +65,9 @@ class LatencyModel(abc.ABC):
         self.n = n
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        # One scratch bit generator every trace of this model re-seats;
-        # see _trace_streams.
-        self._scratch_bitgen: Optional[np.random.PCG64] = None
+        #: ``(dst, src)`` of every lane: the directed links in row-major
+        #: order of an ``[dst, src]`` matrix.
+        self.lanes = np.nonzero(off_diagonal(n))
 
     @abc.abstractmethod
     def sample_latency(self, src: int, dst: int, now: float) -> Optional[float]:
@@ -112,7 +94,7 @@ class LatencyModel(abc.ABC):
         return latencies
 
     # ------------------------------------------------------------------
-    # Batch path: per-link substreams, whole-trace sampling.
+    # Batch path: columns of every link, whole-trace sampling.
     # ------------------------------------------------------------------
     #: Time-invariant models (no slow windows, no load spikes) can be
     #: pre-sampled without knowing send times; the event-driven transport
@@ -121,109 +103,50 @@ class LatencyModel(abc.ABC):
     def is_time_invariant(self) -> bool:
         return False
 
-    def link_streams(self, links: Sequence[tuple]) -> list[np.random.Generator]:
-        """The independent RNG substream of each directed ``(src, dst)``
-        link, as a long-lived generator of its own.
+    def lane(self, src: int, dst: int) -> int:
+        """The lane of the directed link ``src → dst``."""
+        return dst * (self.n - 1) + src - (src > dst)
 
-        Seeded by hashing ``(seed, link)``, so every link's stream is
-        distinct, stable across runs, and independent of the order links
-        are sampled in.
+    def _columns(
+        self, start: int, stop: int, kinds: str
+    ) -> Iterator[tuple[slice, list[np.random.Generator]]]:
+        """Each column rounds ``[start, stop)`` touch, as ``(rows,
+        generators)``: the rows of the ``(stop - start, lanes)`` output it
+        fills, and its generators, one per character of ``kinds``, seated
+        as the column is reached (so good until the next step)."""
+        if start % STREAM_CHUNK:
+            raise ValueError(
+                f"rounds start at a column boundary, not at {start}"
+            )
+        for first in range(start, stop, STREAM_CHUNK):
+            yield (
+                slice(first - start, min(first + STREAM_CHUNK, stop) - start),
+                column_generators(self.seed, first // STREAM_CHUNK, kinds),
+            )
 
-        The hash digest is installed as the raw PCG64 state
-        (:func:`~repro.sim.rng.derive_pcg64_states`, one call for the
-        block), skipping numpy's seed-sequence mixing pass — SHA-256
-        already did the mixing.
-        """
-        generators = []
-        for state in derive_pcg64_states(
-            self.seed, [_LINK_NAME % link for link in links]
-        ):
-            bitgen = np.random.PCG64(_ANY_SEED)
-            bitgen.state = state
-            generators.append(np.random.Generator(bitgen))
-        return generators
-
-    def link_stream(self, src: int, dst: int) -> np.random.Generator:
-        """The one-link case of :meth:`link_streams`."""
-        return self.link_streams(((src, dst),))[0]
-
-    def _trace_streams(self) -> tuple[list, Iterator[np.random.Generator]]:
-        """``(links, seats)`` — the one place a trace's streams are seated.
-
-        ``links`` is every directed link in trace order (``src`` outer,
-        no self-links) and ``seats`` yields, once per link, the generator
-        that link draws from: one scratch generator, re-seated on the
-        link's :meth:`link_streams` state, bit for bit.  Built once per
-        trace — the n(n-1) states are derived in one call, and one
-        recycled ``PCG64`` takes raw state assignments (~1 µs each) where
-        a fresh one costs its construction (~7 µs) — so what
-        ``seats`` yields is only good until the next seat; long-lived
-        consumers (the transport's per-link streams) use
-        :meth:`link_streams`.
-        """
-        bitgen = self._scratch_bitgen
-        if bitgen is None:
-            bitgen = self._scratch_bitgen = np.random.PCG64(_ANY_SEED)
-        rng = np.random.Generator(bitgen)
-        links = [(s, d) for s in range(self.n) for d in range(self.n) if s != d]
-        states = derive_pcg64_states(
-            self.seed, [_LINK_NAME % link for link in links]
-        )
-        # Each seat paired with the generator it readied, the generator
-        # kept: C iterators throughout, no Python frame per link.
-        seats = map(partial(setattr, bitgen, "state"), states)
-        return links, map(itemgetter(1), zip(seats, repeat(rng)))
-
-    def sample_link_batch(
-        self,
-        src: int,
-        dst: int,
-        times: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Latencies of every message ``src → dst`` sent at ``times``.
-
-        Lost messages appear as ``+inf``.  With no explicit ``rng`` the
-        link's own substream (:meth:`link_stream`) is used.  Subclasses
-        that override this must also set ``supports_batch_trace``.
-        """
+    def sample_lanes(self, start: int, stop: int, round_length: float) -> np.ndarray:
+        """Latencies of rounds ``[start, stop)`` on every lane, shape
+        ``(stop - start, lanes)`` (lost = ``+inf``).  Round ``k`` is sent
+        at ``k * round_length``; ``start`` is a column boundary.
+        Subclasses that implement this set ``supports_batch_trace``."""
         raise NotImplementedError(
             f"{type(self).__name__} does not implement batch sampling"
         )
-
-    def sample_link_block(
-        self,
-        links: Sequence[tuple],
-        times: np.ndarray,
-        rngs: Iterable[np.random.Generator],
-    ) -> np.ndarray:
-        """Latencies of every message sent at ``times`` on each ``(src,
-        dst)`` of ``links``, shape ``(links, times)``: row ``i`` is what
-        :meth:`sample_link_batch` draws for ``links[i]`` from the ``i``-th
-        generator of ``rngs``.  Rows are drawn in order, each generator
-        taken from ``rngs`` only when its row is about to draw: a trace's
-        seats (:meth:`_trace_streams`) ready one scratch generator per
-        row as they yield it.
-
-        Generic: one :meth:`sample_link_batch` call per row.
-        """
-        return np.array([
-            self.sample_link_batch(src, dst, times, rng)
-            for (src, dst), rng in zip(links, rngs)
-        ])
 
     def sample_trace_batch(self, rounds: int, round_length: float) -> np.ndarray:
         """A whole latency trace, shape ``(rounds, n, n)``, batch-sampled.
 
         Round ``k`` is sent at ``k * round_length``; entry
         ``[k, dst, src]`` is the latency of ``src``'s message to ``dst``
-        (``+inf`` = lost, diagonal 0).  Each link's column comes from its
-        own substream, so the result is bit-reproducible across calls and
+        (``+inf`` = lost, diagonal 0): the first ``rounds`` rows of the
+        columns, so the result is bit-reproducible across calls and
         across processes — it never touches the model's shared ``_rng``.
         """
-        times = np.arange(rounds) * round_length
-        trace = np.zeros((rounds, self.n, self.n))
-        links, seats = self._trace_streams()
-        src, dst = np.array(links).T
-        trace[:, dst, src] = self.sample_link_block(links, times, seats).T
-        return trace
+        n = self.n
+        trace = np.zeros((rounds, n * n))
+        # The off-diagonal entries of a row-major (n, n) matrix, in lane
+        # order, are the first n of every n + 1 after the first entry.
+        trace[:, 1:].reshape(rounds, n - 1, n + 1)[:, :, :n] = self.sample_lanes(
+            0, rounds, round_length
+        ).reshape(rounds, n - 1, n)
+        return trace.reshape(rounds, n, n)

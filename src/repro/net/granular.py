@@ -12,8 +12,8 @@ and enforces a per-link assumption matrix on top of it:
 
 Clamping consumes no randomness, so the wrapper preserves the base
 model's draw-for-draw RNG structure: the scalar path clamps the base's
-scalar samples and the batch path clamps the base's per-link substream
-rows, keeping the wrapper eligible for the transport's pre-sampled
+scalar samples and the batch path clamps the base's columns lane by
+lane, keeping the wrapper eligible for the transport's pre-sampled
 stream path (and hence :mod:`repro.sync.batch`) whenever the base is
 batch-capable and the contract is time-invariant
 (``stabilization_time == 0`` or no psync links).
@@ -21,7 +21,7 @@ batch-capable and the contract is time-invariant
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -66,8 +66,11 @@ class GranularProfile(LatencyModel):
             raise ValueError(
                 f"assumption matrix shape {assumptions.shape} does not match n={base.n}"
             )
-        if sync_bound <= 0 or psync_bound <= 0:
-            raise ValueError("latency bounds must be positive")
+        for field, bound in (("sync_bound", sync_bound), ("psync_bound", psync_bound)):
+            if not 0.0 < bound < np.inf:
+                raise ValueError(
+                    f"{field} must be positive and finite, got {bound!r}"
+                )
         self.base = base
         self.assumptions = assumptions
         self.sync_bound = float(sync_bound)
@@ -75,6 +78,8 @@ class GranularProfile(LatencyModel):
         self.stabilization_time = float(stabilization_time)
         self._sync_mask = assumptions == LINK_SYNC
         self._psync_mask = assumptions == LINK_PSYNC
+        self._sync_lanes = self._sync_mask[self.lanes]
+        self._psync_lanes = self._psync_mask[self.lanes]
         self.supports_batch_trace = base.supports_batch_trace
 
     @property
@@ -104,57 +109,16 @@ class GranularProfile(LatencyModel):
             )
         return latencies
 
-    def sample_link_block(
-        self,
-        links: Sequence[tuple],
-        times: np.ndarray,
-        rngs: Iterable[np.random.Generator],
-    ) -> np.ndarray:
-        """The base's block, each row clamped to its link's contract."""
-        block = np.array(self.base.sample_link_block(links, times, rngs))
-        src, dst = np.array(links).T
+    def sample_lanes(self, start: int, stop: int, round_length: float) -> np.ndarray:
+        """The base's columns, each lane clamped to its link's contract."""
+        lanes = self.base.sample_lanes(start, stop, round_length)
+        np.minimum(lanes, self.sync_bound, out=lanes, where=self._sync_lanes)
+        stable = np.arange(start, stop) * round_length >= self.stabilization_time
         np.minimum(
-            block, self.sync_bound, out=block,
-            where=self._sync_mask[dst, src][:, None],
+            lanes, self.psync_bound, out=lanes,
+            where=self._psync_lanes & stable[:, None],
         )
-        stable = np.asarray(times) >= self.stabilization_time
-        np.minimum(
-            block, self.psync_bound, out=block,
-            where=self._psync_mask[dst, src][:, None] & stable,
-        )
-        return block
-
-    def sample_link_batch(
-        self,
-        src: int,
-        dst: int,
-        times: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """The one-row case of :meth:`sample_link_block`."""
-        if rng is None:
-            rng = self.link_stream(src, dst)
-        return self.sample_link_block(((src, dst),), times, (rng,))[0]
-
-    def sample_trace_batch(self, rounds: int, round_length: float) -> np.ndarray:
-        # Delegate to the base so profiles with coupled per-trace passes
-        # (e.g. queue-mode slow windows) keep their own batch semantics,
-        # then clamp — clamping is deterministic, so the result matches
-        # the per-link path bit for bit.
-        trace = self.base.sample_trace_batch(rounds, round_length)
-        np.minimum(
-            trace, self.sync_bound, out=trace, where=self._sync_mask[None, :, :]
-        )
-        times = np.arange(rounds) * round_length
-        stable = times >= self.stabilization_time
-        if stable.any():
-            np.minimum(
-                trace,
-                self.psync_bound,
-                out=trace,
-                where=self._psync_mask[None, :, :] & stable[:, None, None],
-            )
-        return trace
+        return lanes
 
 
 #: The per-link contracts of the conformance granular profile.

@@ -14,21 +14,22 @@ Latency of the message ``src -> dst`` sent at time ``now``::
                   * slow_factor[dst]           if dst is in a slow window
 
 Three samplers share these distributions: one message, one round (both on
-the model's shared generator) and the batch sampler — whole traces, the
-transport's blocks of per-link chunks, a single link — which keeps only
-the RNG draws per link and does the arithmetic once per block of links
-(``_sample_links``), which is what keeps the 33-runs-by-300-rounds WAN
-sweeps and the 8-node round-synchronised runs fast.
+the model's shared generator) and the batch sampler — whole traces and
+the transport's stream columns — which makes a handful of RNG calls per
+256-round column of the whole link table and does the arithmetic once
+over the block (:meth:`HeterogeneousNetwork.sample_lanes`), which is what
+keeps the 33-runs-by-300-rounds WAN sweeps and the 8-node
+round-synchronised runs fast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.net.base import LatencyModel, off_diagonal
+from repro.net.base import LatencyModel
 
 
 @dataclass(frozen=True)
@@ -126,18 +127,15 @@ class HeterogeneousNetwork(LatencyModel):
         self.tail_shape = tail_shape
         self.loss_prob = _per_link(0.0 if loss_prob is None else loss_prob, n)
         self.slow_nodes = dict(slow_nodes or {})
-        # The directed links as rows, in trace order (src outer; see
-        # LatencyModel._trace_streams), each parameter gathered per row —
-        # as a column where the block arithmetic broadcasts it.
-        self._links = src, dst = np.nonzero(off_diagonal(n))
+        # Every parameter gathered per lane, once: the batch sampler's
+        # arithmetic broadcasts these vectors over a column's rounds.
+        dst, src = self.lanes
         link_base, link_sigma = base[dst, src], self.sigma[dst, src]
         link_tail, link_loss = self.tail_prob[dst, src], self.loss_prob[dst, src]
-        self._link_params = (
-            link_base[:, None], link_sigma[:, None], link_tail, link_loss[:, None]
-        )
-        if np.any(link_base <= 0):
-            raise ValueError("off-diagonal base latencies must be positive")
+        self._lane_params = link_base, link_sigma, link_tail, link_loss
         for rule, values, ok in (
+            ("base must be positive and finite", link_base,
+             np.isfinite(link_base) & (link_base > 0)),
             ("sigma must be finite and >= 0", link_sigma,
              np.isfinite(link_sigma) & (link_sigma >= 0)),
             ("tail_prob must be in [0, 1]", link_tail,
@@ -162,6 +160,12 @@ class HeterogeneousNetwork(LatencyModel):
                     f"{type(self).__name__}: slow node {node!r} is not one "
                     f"of the {n} nodes"
                 )
+        # A column's draw kinds: normal, uniform, Pareto — and a second
+        # uniform kind when some slow node decides message by message.
+        self._kinds = "nup" + "s" * any(
+            slow.mode == "scale" and slow.per_message_prob < 1.0
+            for slow in self.slow_nodes.values()
+        )
 
     # ------------------------------------------------------------------
     # Single-message path (event-driven transport).
@@ -240,187 +244,105 @@ class HeterogeneousNetwork(LatencyModel):
         return latencies
 
     # ------------------------------------------------------------------
-    # Batch path: draws per link, arithmetic per block of links.
+    # Batch path: a few draws per column, arithmetic once per block.
     # ------------------------------------------------------------------
     @property
     def is_time_invariant(self) -> bool:
         return not self.slow_nodes
 
-    def _sample_links(
-        self,
-        ends: tuple,
-        params: tuple,
-        times: np.ndarray,
-        seats: Iterable[np.random.Generator],
-        whole_burst: bool,
-    ) -> np.ndarray:
-        """The one body of the batch path: latencies (lost = ``+inf``) of a
-        block of link rows at every send time, shape ``(rows, times)``.
+    def sample_lanes(self, start: int, stop: int, round_length: float) -> np.ndarray:
+        """Rounds ``[start, stop)`` of every lane (lost = ``+inf``).
 
-        ``ends`` is the rows' ``(src, dst)`` vectors and ``params`` their
-        ``(base, sigma, tail_prob, loss_prob)`` vectors (``base``,
-        ``sigma`` and ``loss_prob`` as columns).
+        Each column draws from its own generators, one per kind, each
+        kind filled round-major over the whole link table:
 
-        Only the draws happen per link.  ``seats`` yields once per row
-        the generator on that row's stream — a trace's one scratch
-        generator re-seated, a transport link's own — and the row then
-        draws from it, in this order and nothing else:
-
-        1. one normal vector (the log-normal body);
-        2. one 2-row uniform block (tail odds, loss);
-        3. one Pareto excess per tail hit;
-        4. one uniform vector per slow-window block of :meth:`_slow_plan`
-           the row is in — its ``dst``'s ("in") before its ``src``'s.
+        - ``n``: one normal per message (the log-normal body);
+        - ``u``: two uniforms per message, the tail odds, then the loss;
+        - ``p``: one Pareto excess per tail hit, in round-major order;
+        - ``s`` (only when some scale-mode node has ``per_message_prob``
+          below 1): two uniforms per message, deciding its ``dst``'s
+          ("in") then its ``src``'s ("out") slow factor.
 
         Everything else is elementwise, so it runs once over the block,
-        each link keeping its operand order — body, tail, ``dst``'s slow
-        factor, ``src``'s: floating-point products do not reassociate.
+        each message keeping its operand order — body, tail, ``dst``'s
+        slow factor, ``src``'s: floating-point products do not
+        reassociate.  Queue-mode nodes then rank each active round's
+        actual arrivals (:meth:`_slow_down`), and loss comes last.
         """
-        base, sigma, tail_prob, loss_prob = params
-        src, dst = ends
-        count = len(times)
-        plan, row_draws = (
-            self._slow_plan(ends, np.asarray(times, dtype=float), whole_burst)
-            if self.slow_nodes
-            else ((), {})
-        )
-        latencies = np.empty((len(tail_prob), count))
-        uniforms = np.empty((len(tail_prob), 2, count))
-        tails = np.empty(latencies.shape, dtype=bool)
-        tail_shape = self.tail_shape
-        less, count_nonzero = np.less, np.count_nonzero
-        excess = []
-        for row, rng in enumerate(seats):
-            rng.standard_normal(out=latencies[row])
-            rng.random(out=uniforms[row])
-            hits = count_nonzero(
-                less(uniforms[row, 0], tail_prob[row], out=tails[row])
+        base, sigma, tail_prob, loss_prob = self._lane_params
+        shape = (stop - start, tail_prob.size)
+        latencies = np.empty(shape)
+        uniforms = np.empty((shape[0], 2, shape[1]))
+        tails = np.empty(shape, dtype=bool)
+        decides = np.empty(uniforms.shape) if "s" in self._kinds else None
+        tail_shape, excess = self.tail_shape, []
+        for rows, (normal, uniform, pareto, *slow) in self._columns(
+            start, stop, self._kinds
+        ):
+            normal.standard_normal(out=latencies[rows])
+            uniform.random(out=uniforms[rows])
+            hits = np.count_nonzero(
+                np.less(uniforms[rows, 0], tail_prob, out=tails[rows])
             )
             if hits:
-                excess.append(rng.pareto(tail_shape, hits))
-            if row in row_draws:
-                for vector in row_draws[row]:
-                    rng.random(out=vector)
+                excess.append(pareto.pareto(tail_shape, hits))
+            if slow:
+                slow[0].random(out=decides[rows])
 
         latencies *= sigma
         np.exp(latencies, out=latencies)
         latencies *= base
-        if excess:  # row-major mask order is row order
+        if excess:  # row-major mask order is round-major draw order
             factors = np.concatenate(excess) if len(excess) > 1 else excess[0]
             factors += 1.0
             latencies[tails] *= factors
-        for touched, draws, slow, active in plan:
-            if slow.mode == "scale":
-                if draws is not None:
-                    active = active & (draws < slow.per_message_prob)
-                slowed = latencies[touched]
-                np.multiply(slowed, slow.factor, out=slowed, where=active)
-                latencies[touched] = slowed
-            elif whole_burst:
-                # Rank each active round's arrivals (rows are in sender
-                # order and the sort is stable, so ties go to the lower
-                # pid); each waits its queue position out.
-                burst = np.ix_(touched, np.flatnonzero(active))
-                order = np.argsort(latencies[burst], axis=0, kind="stable")
-                latencies[burst] += slow.queue_unit * np.argsort(order, axis=0)
-            else:  # a link on its own: its expected place in the burst
-                for row in touched.tolist():
-                    latencies[row, active] += slow.queue_unit * (
-                        self._expected_rank(src[row], dst[row])
-                    )
+        if self.slow_nodes:
+            self._slow_down(
+                latencies, decides, np.arange(start, stop) * round_length
+            )
         latencies[uniforms[:, 1] < loss_prob] = np.inf
         return latencies
 
-    def _slow_plan(
-        self, ends: tuple, times: np.ndarray, whole_burst: bool
-    ) -> tuple[list, dict[int, list[np.ndarray]]]:
-        """``(plan, row_draws)``: how the slow nodes active somewhere in
-        ``times`` touch the link rows whose ``(src, dst)`` are ``ends``.
+    def _slow_down(
+        self, latencies: np.ndarray, decides: Optional[np.ndarray], times: np.ndarray
+    ) -> None:
+        """Apply every slow node active somewhere in ``times`` to the
+        ``(rounds, lanes)`` block ``latencies``, in place.
 
-        ``plan`` lists ``(touched rows, draws, slow, active mask)`` in
-        application order: every node slowing what it receives (the rows
-        whose ``dst`` it is), then every node slowing what it sends, so a
-        link's ``dst`` factor lands before its ``src`` factor as in
-        :meth:`sample_latency`.  ``draws`` is the uniform block a
-        scale-mode node with ``per_message_prob < 1`` decides each
-        message by (else ``None``); ``row_draws`` maps a row to the
-        vectors of those blocks it fills, in that order.
-
-        Queue-mode slowness needs the rest of the burst.  With
-        ``whole_burst`` (a trace: every sender into the node is a row) the
-        node ranks its actual arrivals after every slow factor and before
-        loss — lost messages still queue, as in
-        :meth:`sample_round_latencies`; a link sampled on its own is
-        charged its expected rank where :meth:`sample_latency` charges
-        it, between the two factors.
+        Scale-mode nodes multiply what they receive (the lanes whose
+        ``dst`` they are) in a first pass and what they send in a second,
+        so a link's ``dst`` factor lands before its ``src`` factor as in
+        :meth:`sample_latency`; with ``per_message_prob < 1`` each message
+        is decided by its ``decides`` uniform of that role.  Queue-mode
+        nodes go last: each active round's arrivals at the node are ranked
+        (lanes are in sender order and the sort is stable, so ties go to
+        the lower pid) and each waits its queue position out — after every
+        slow factor and before loss, so lost messages still queue, as in
+        :meth:`sample_round_latencies`.
         """
-        src, dst = ends
         live = [
             (node, slow, active)
             for node, slow in self.slow_nodes.items()
             for active in (slow.active_mask(times),)
             if active.any()
         ]
-        plan, ranked, row_draws = [], [], {}
-        for role, end in (("in", dst), ("out", src)):
+        dst, src = self.lanes
+        for role, (name, end) in enumerate((("in", dst), ("out", src))):
             for node, slow, active in live:
+                if slow.mode != "scale" or slow.direction not in (name, "both"):
+                    continue
                 touched = np.flatnonzero(end == node)
-                draws = None
-                if slow.mode == "queue":
-                    if role == "in":
-                        (ranked if whole_burst else plan).append(
-                            (touched, None, slow, active)
-                        )
-                elif slow.direction in (role, "both"):
-                    if slow.per_message_prob < 1.0:
-                        draws = np.empty((touched.size, times.size))
-                        for row, vector in zip(touched.tolist(), draws):
-                            row_draws.setdefault(row, []).append(vector)
-                    plan.append((touched, draws, slow, active))
-        return plan + ranked, row_draws
-
-    def sample_link_block(
-        self,
-        links: Sequence[tuple],
-        times: np.ndarray,
-        rngs: Iterable[np.random.Generator],
-    ) -> np.ndarray:
-        """Any links as rows of :meth:`_sample_links`, each drawn from its
-        own generator and sampled on its own (no shared burst)."""
-        src, dst = ends = np.array(links).T
-        at = dst, src
-        params = (
-            self.base[at][:, None], self.sigma[at][:, None],
-            self.tail_prob[at], self.loss_prob[at][:, None],
-        )
-        return self._sample_links(ends, params, times, rngs, whole_burst=False)
-
-    def sample_link_batch(
-        self,
-        src: int,
-        dst: int,
-        times: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """The one-row case of :meth:`sample_link_block`."""
-        if rng is None:
-            rng = self.link_stream(src, dst)
-        return self.sample_link_block(((src, dst),), times, (rng,))[0]
-
-    def sample_trace_batch(self, rounds: int, round_length: float) -> np.ndarray:
-        """Every link as a row of :meth:`_sample_links`, each seated on its
-        own substream, laid out as ``(rounds, n, n)``."""
-        _, seats = self._trace_streams()
-        n = self.n
-        src, dst = self._links
-        # Whole rows into a link-major block (the diagonal's stay zero),
-        # then one transposing copy: cheaper than a strided scatter.
-        by_link = np.zeros((n * n, rounds))
-        by_link[dst * n + src] = self._sample_links(
-            self._links, self._link_params,
-            np.arange(rounds) * round_length, seats, whole_burst=True,
-        )
-        return np.ascontiguousarray(by_link.T).reshape(rounds, n, n)
+                hit = active[:, None]
+                if slow.per_message_prob < 1.0:
+                    hit = hit & (decides[:, role, touched] < slow.per_message_prob)
+                slowed = latencies[:, touched]
+                np.multiply(slowed, slow.factor, out=slowed, where=hit)
+                latencies[:, touched] = slowed
+        for node, slow, active in live:
+            if slow.mode == "queue":
+                burst = np.ix_(np.flatnonzero(active), np.flatnonzero(dst == node))
+                order = np.argsort(latencies[burst], axis=1, kind="stable")
+                latencies[burst] += slow.queue_unit * np.argsort(order, axis=1)
 
     # ------------------------------------------------------------------
     # Introspection helpers used by leader selection and tests.

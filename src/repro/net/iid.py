@@ -33,10 +33,10 @@ class BernoulliLinkModel(LatencyModel):
         super().__init__(n, seed)
         if not 0.0 <= p <= 1.0:
             raise ValueError("p must be a probability")
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if late_factor <= 1.0:
-            raise ValueError("late_factor must exceed 1")
+        if not 0.0 < timeout < np.inf:
+            raise ValueError(f"timeout must be positive and finite, got {timeout!r}")
+        if not 1.0 < late_factor < np.inf:
+            raise ValueError(f"late_factor must exceed 1 and be finite, got {late_factor!r}")
         if not 0.0 <= loss_prob <= 1.0:
             raise ValueError("loss_prob must be a probability")
         self.p = p
@@ -52,26 +52,21 @@ class BernoulliLinkModel(LatencyModel):
         return float(self.timeout * (1.0 + self._rng.random() * (self.late_factor - 1.0)))
 
     # ------------------------------------------------------------------
-    # Batch path: the whole column of a link's rounds in one pass.
+    # Batch path: one uniform kind per column, three uniforms a message.
     # ------------------------------------------------------------------
     @property
     def is_time_invariant(self) -> bool:
         return True
 
-    def sample_link_batch(
-        self,
-        src: int,
-        dst: int,
-        times: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        if rng is None:
-            rng = self.link_stream(src, dst)
-        count = np.asarray(times, dtype=float).shape[0]
-        uniforms = rng.random((3, count))
-        lost = uniforms[0] < self.loss_prob
-        timely = uniforms[1] < self.p
-        spread = uniforms[2]
+    def sample_lanes(self, start: int, stop: int, round_length: float) -> np.ndarray:
+        """Rounds ``[start, stop)`` of every lane: per message, round-major,
+        the loss odds, the timely odds and the spread."""
+        uniforms = np.empty((stop - start, 3, self.n * (self.n - 1)))
+        for rows, (uniform,) in self._columns(start, stop, "u"):
+            uniform.random(out=uniforms[rows])
+        lost, timely, spread = (
+            uniforms[:, 0] < self.loss_prob, uniforms[:, 1] < self.p, uniforms[:, 2]
+        )
         latencies = np.where(
             timely,
             spread * self.timeout,

@@ -1,7 +1,7 @@
 """Named, independently seeded random streams.
 
-Every stochastic component of a run (each link's latency sampler, the loss
-process, clock skews, workload arrival, ...) draws from its own stream so
+Every stochastic component of a run (each column of link latencies, the
+loss process, clock skews, workload arrival, ...) draws from its own stream so
 that changing one component does not perturb the randomness seen by the
 others.  This keeps A/B comparisons between models paired: the same seed
 produces the same latency realization regardless of which consensus
@@ -11,12 +11,22 @@ algorithm observes it.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
+import threading
 
 import numpy as np
 
 
 _LOW_128 = (1 << 128) - 1
+
+#: Rounds per column: the unit a latency model's batch sampler draws in
+#: (:func:`column_generators`) and the transport refills its streams by.
+STREAM_CHUNK = 256
+
+#: Per thread, one scratch generator per draw kind a column can have,
+#: re-seated for every column: a raw state assignment costs ~1 µs where
+#: a fresh ``PCG64`` costs its ~12 µs of seed mixing.  Per thread,
+#: because sweep cells may sample on worker threads.
+_column_seats = threading.local()
 
 
 def derive_seed(root: int, name: str) -> int:
@@ -31,34 +41,33 @@ def derive_seed(root: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def derive_pcg64_states(root: int, names: Iterable[bytes]) -> list[dict]:
-    """Raw PCG64 states derived from ``(root, name)`` by SHA-256, one per
-    (encoded) name.
+def column_generators(root: int, column: int, kinds: str) -> list[np.random.Generator]:
+    """One generator per draw kind (a character of ``kinds``) of column
+    ``column`` — rounds ``[STREAM_CHUNK * column, STREAM_CHUNK * (column
+    + 1))`` of a model seeded ``root``.
 
-    Seeding ``PCG64(seed)`` runs a ``SeedSequence`` entropy-mixing pass
-    (~10x the cost of a raw state assignment), which dominates batch trace
-    sampling — every directed link of every model needs its own stream.
-    SHA-256 already *is* a high-quality mixer, so the 256-bit digest of
-    ``pcg64:<root>:<name>`` is used directly: 128 bits of state plus a
-    128-bit stream increment (forced odd, as the PCG setseq variant
-    requires).  Each dict can be assigned to ``PCG64.state`` in about a
-    microsecond.  A trace derives its n(n-1) link states in one call, so
-    the per-name work is three C calls and no Python frame.
+    Each is seated on the SHA-256 digest of ``pcg64:<root>:<column>:<kind>``
+    used as the raw PCG64 state: 128 bits of state plus a 128-bit stream
+    increment (forced odd, as the PCG setseq variant requires).  SHA-256
+    already is the mixer, so numpy's ``SeedSequence`` pass is skipped.
+    The generators are the calling thread's scratch ones, re-seated by
+    its next call: draw what the column needs before asking for another.
     """
-    head = f"pcg64:{int(root)}:".encode()
-    digests = [
-        int.from_bytes(hashlib.sha256(head + name).digest(), "big")
-        for name in names
-    ]
-    return [
-        {
+    seats = getattr(_column_seats, "generators", None)
+    if seats is None:
+        seats = _column_seats.generators = [
+            np.random.Generator(np.random.PCG64(kind)) for kind in range(4)
+        ]
+    head = b"pcg64:%d:%d:" % (root, column)
+    for kind, rng in zip(kinds.encode(), seats):
+        digest = int.from_bytes(hashlib.sha256(head + bytes((kind,))).digest(), "big")
+        rng.bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": digest >> 128, "inc": digest & _LOW_128 | 1},
             "has_uint32": 0,
             "uinteger": 0,
         }
-        for digest in digests
-    ]
+    return seats[: len(kinds)]
 
 
 class RandomStreams:

@@ -20,6 +20,7 @@ import numpy as np
 from repro.obs.recorder import RunRecorder, recorder_or_null
 from repro.obs.registry import Counter, MetricsRegistry, registry_or_null
 from repro.sim.events import Simulator
+from repro.sim.rng import STREAM_CHUNK
 
 
 class LinkModel(Protocol):
@@ -79,10 +80,6 @@ class Delivery:
         return self.sent_at + self.latency
 
 
-#: How many latencies a pre-sampled link stream draws per refill.
-STREAM_CHUNK = 256
-
-
 def not_a_delay(model: LinkModel, src: int, dst: int, latency: float) -> ValueError:
     """What the event queue cannot place (NaN, a negative delay),
     reported by link and model."""
@@ -105,20 +102,21 @@ class Transport:
     When the installed link model is batch-capable *and* time-invariant
     (no slow windows or load spikes — e.g. a clean
     :class:`~repro.net.hetero.HeterogeneousNetwork` or the Bernoulli
-    model), messages consume pre-sampled per-link latency streams:
-    each directed link draws :data:`STREAM_CHUNK` latencies at a time
-    on its own RNG substream
-    (:meth:`~repro.net.base.LatencyModel.link_streams`), so a link's
-    latency sequence is independent of global send interleaving — and
-    of how many links refill together: a refill is one block call
-    (:meth:`~repro.net.base.LatencyModel.sample_link_block`) for every
-    dry link it is asked about, a broadcast's destinations or the whole
-    table (:meth:`next_stream_block`), each row on its link's
-    generator.  The block is checked as it is drawn, so a NaN or
-    negative draw raises for whichever engine reads the stream.
-    Dynamic models (a :class:`~repro.net.planetlab.PlanetLabProfile` in
-    a slow-Poland run) fall back to scalar ``sample_latency`` —
-    time-dependent behaviour cannot be pre-sampled.
+    model), messages consume pre-sampled per-link latency streams.  A
+    link's stream is its lane through the model's columns
+    (:meth:`~repro.net.base.LatencyModel.sample_lanes`: rounds
+    ``[256c, 256c + 256)`` of every link, :data:`STREAM_CHUNK` high), so
+    a link's latency sequence is the same as its column of a trace,
+    independent of global send interleaving.  When a link runs dry, the
+    next column is drawn for the whole table at once and every link
+    keeps its own cursor into it; a column is kept only while some
+    opened link has yet to read it, so a crashed or idle sender pins
+    one column, not every column drawn after it.  A column is checked
+    as it is drawn, so a NaN or negative draw raises, naming its link,
+    for whichever engine reads the stream.  Dynamic models (a
+    :class:`~repro.net.planetlab.PlanetLabProfile` in a slow-Poland
+    run) fall back to scalar ``sample_latency`` — time-dependent
+    behaviour cannot be pre-sampled.
 
     :attr:`faults` is the one way a fault reaches a message: assign a
     :class:`LinkFaults` policy (or ``None``) and :meth:`broadcast` asks
@@ -127,7 +125,7 @@ class Transport:
     unless the policy says it is quiet at the broadcast's instant.  The
     two sources keep their own draw discipline.  On the stream path
     every message consumes exactly one base draw from its link's
-    substream — including messages the policy drops — so the ``i``-th
+    stream — including messages the policy drops — so the ``i``-th
     message a link carries always sees the link's ``i``-th pre-sampled
     latency, whatever the faults do (which is what lets
     :mod:`repro.sync.batch` pre-sample whole fault windows).  On the
@@ -160,6 +158,7 @@ class Transport:
         self._trace_payloads = trace_payloads
         self._batch_streams = batch_streams
         self._streams: dict[tuple[int, int], list] = {}
+        self._columns: dict[int, np.ndarray] = {}
         self._streams_usable = self._model_streamable(link_model)
         #: The per-message fault policy, or ``None``.  Assignable at any
         #: time; it never touches the link model or its streams.
@@ -250,41 +249,57 @@ class Transport:
     def link_model(self, model: LinkModel) -> None:
         self._link_model = model
         self._streams.clear()
+        self._columns.clear()
         self._streams_usable = self._model_streamable(model)
 
+    def _column(self, column: int) -> np.ndarray:
+        """Rounds ``[256 * column, 256 * (column + 1))`` of every lane of
+        the model, drawn on first need — the one place a column is drawn
+        and its draws checked, so neither engine ever sees a value the
+        event queue cannot place.  Drawing one first drops every column no
+        opened link has left to read: a link holding its column's floats
+        wants the next column, a link holding only a cursor wants the
+        column the cursor points into."""
+        columns = self._columns
+        block = columns.get(column)
+        if block is None:
+            wanted = {
+                state[2] + (1 if state[0] else state[1] // STREAM_CHUNK)
+                for state in self._streams.values()
+            }
+            for stale in columns.keys() - wanted:
+                del columns[stale]
+            model = self._link_model
+            # Time-invariant models ignore send times: any round length
+            # draws the same column.
+            first = column * STREAM_CHUNK
+            block = model.sample_lanes(first, first + STREAM_CHUNK, 0.0)
+            if not block.min() >= 0.0:  # NaN or negative; ``+inf`` is a loss
+                at, lane = np.argwhere(~(block >= 0.0))[0]
+                dst, src = model.lanes
+                raise not_a_delay(model, src[lane], dst[lane], block[at, lane])
+            columns[column] = block
+        return block
+
     def _refill(self, links: Iterable[tuple[int, int]]) -> None:
-        """Give every dry link among ``links`` — no undrawn latency left,
-        or never opened — its next :data:`STREAM_CHUNK` latencies, all in
-        one model call, each row drawn on its link's own long-lived
-        generator.  A link's state is ``[rng, chunk, cursor, floats]``
-        (``floats``: the chunk as plain Python floats, once a message has
-        popped from it).  The one place a stream is opened, refilled and
-        its draws checked, so neither engine ever sees a value the event
-        queue cannot place."""
-        streams, model = self._streams, self._link_model
-        dry = [
-            link
-            for link in dict.fromkeys(links)
-            for state in (streams.get(link),)
-            if state is None or state[2] >= state[1].shape[0]
-        ]
-        if not dry:
-            return
-        unopened = [link for link in dry if link not in streams]
-        if unopened:
-            for link, rng in zip(unopened, model.link_streams(unopened)):
-                streams[link] = [rng, np.empty(0), 0, []]
-        states = [streams[link] for link in dry]
-        # Time-invariant models ignore send times; any placeholder
-        # vector of the right length works.
-        block = model.sample_link_block(
-            dry, np.zeros(STREAM_CHUNK), [state[0] for state in states]
-        )
-        if not block.min() >= 0.0:  # NaN or negative; ``+inf`` is a loss
-            row, at = np.argwhere(~(block >= 0.0))[0]
-            raise not_a_delay(model, *dry[row], block[row, at])
-        for state, chunk in zip(states, block):
-            state[1:] = chunk, 0, []
+        """Give every dry link among ``links`` — its floats read out, or
+        never opened — the floats of the column its cursor is in.  A
+        link's state is ``[floats, cursor, column]``: its position is
+        ``256 * column + cursor``, and ``floats`` is its lane of that
+        column as plain Python floats, or empty until a message pops."""
+        streams, lane = self._streams, self._link_model.lane
+        for link in links:
+            state = streams.get(link)
+            if state is None:
+                state = streams[link] = [[], 0, 0]
+            elif state[1] < len(state[0]):
+                continue
+            column = state[2] + state[1] // STREAM_CHUNK
+            state[:] = (
+                self._column(column)[:, lane(*link)].tolist(),
+                state[1] % STREAM_CHUNK,
+                column,
+            )
 
     def next_stream_block(
         self, links: Sequence[tuple[int, int]], counts: Sequence[int]
@@ -303,22 +318,31 @@ class Transport:
             )
         if len(set(links)) != len(links):
             raise ValueError("a block takes each link's stream once")
-        streams = self._streams
-        out = np.full((len(links), max(counts, default=0)), np.inf)
-        filled = [0] * len(links)
-        rows = [row for row, count in enumerate(counts) if count]
-        while rows:
-            # What each link's chunk still holds, the dry ones' next
-            # chunks drawn together first: one model call per pass.
-            self._refill(links[row] for row in rows)
+        streams, lane = self._streams, self._link_model.lane
+        width = max(counts, default=0)
+        out = np.empty((len(links), width))
+        # Rows at one position read the same rows of each column: one
+        # gather per (position, column), whatever the number of links.
+        at: dict[int, list[int]] = {}
+        for row, count in enumerate(counts):
+            if count:
+                state = streams.get(links[row], (None, 0, 0))
+                at.setdefault(STREAM_CHUNK * state[2] + state[1], []).append(row)
+        for start, rows in at.items():
+            stop = start + max(counts[row] for row in rows)
+            lanes = [lane(*links[row]) for row in rows]
+            for first in range(start - start % STREAM_CHUNK, stop, STREAM_CHUNK):
+                column = self._column(first // STREAM_CHUNK)
+                lo, hi = max(start, first), min(stop, first + STREAM_CHUNK)
+                out[rows, lo - start : hi - start] = (
+                    column[lo - first : hi - first, lanes].T
+                )
             for row in rows:
-                state = streams[links[row]]
-                chunk, cursor, at = state[1], state[2], filled[row]
-                take = min(counts[row] - at, chunk.shape[0] - cursor)
-                out[row, at : at + take] = chunk[cursor : cursor + take]
-                state[2] = cursor + take
-                filled[row] = at + take
-            rows = [row for row in rows if filled[row] < counts[row]]
+                streams[links[row]] = [
+                    [], (start + counts[row]) % STREAM_CHUNK,
+                    (start + counts[row]) // STREAM_CHUNK,
+                ]
+        out[np.arange(width) >= np.asarray(counts)[:, None]] = np.inf
         return out
 
     def register(self, node: int, handler: Callable[[int, Any], None]) -> None:
@@ -358,10 +382,10 @@ class Transport:
                 guard = streams is None  # a stream's chunk was checked when drawn
                 if streams is not None:
                     # One base draw per message, dropped or not: the policy
-                    # decides on top, without perturbing the substream.
+                    # decides on top, without perturbing the stream.
                     state = streams.get((src, dst))
-                    if state is None or state[2] >= len(state[3]):
-                        # Dry, or its chunk not yet read as floats.  What
+                    if state is None or state[1] >= len(state[0]):
+                        # Dry, or its column not yet read as floats.  What
                         # this message finds dry, the messages behind it
                         # in the broadcast mostly do too (a heartbeat's
                         # seven links run dry together): refill them in
@@ -372,9 +396,8 @@ class Transport:
                             if later != src
                         )
                         state = streams[(src, dst)]
-                        state[3] = state[1].tolist()
-                    latency = state[3][state[2]]
-                    state[2] += 1
+                    latency = state[0][state[1]]
+                    state[1] += 1
                 elif not dropped:
                     latency = self._link_model.sample_latency(src, dst, now)
                 if dropped:

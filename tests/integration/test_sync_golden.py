@@ -7,11 +7,13 @@ back to the scalar event loop (crash recovery, heterogeneous clocks with
 staggered starts, :class:`WlmConsensus` under a fixed leader).  Each
 digest is a sha256 over the result surface (matrices, ``sync_error``,
 ``round_durations``, jumps, late messages, decisions and their rounds),
-the transport totals and the run's counter / histogram snapshot,
-recorded before the per-round observations moved from per-node dicts
-into :class:`repro.sync.RoundLog`.  A batch-eligible class must produce
-its digest on both engines; any change to either engine, the collector,
-the detector feed or the bulk accountants that moves a bit moves these.
+the transport totals and the run's counter / histogram snapshot.  The
+digests were re-taken once, when the link streams became lanes through
+256-round columns of the whole link table (``TRACE_SAMPLER_VERSION =
+"batch2"``): every run draws new latencies.  A batch-eligible class must
+produce its digest on both engines; any change to either engine, the
+collector, the detector feed or the bulk accountants that moves a bit
+moves these.
 """
 
 import hashlib
@@ -119,27 +121,27 @@ def digest(run: SyncRun, result) -> str:
 GOLDEN = {
     "clean": (
         "batch", 60,
-        "b300e7f1dcc72ea97ef031f0738ef80e502555d5e74ee165864a079dbe0a59b3",
+        "accb006000596a842ec0c9a114ff7225532e5691a37f7570f078dec2f312a9d9",
     ),
     "instrumented": (
         "batch", 60,
-        "3048031aec6506be36bf72771673a8e3df0654e25122c18ebabd268857c8815e",
+        "ab362b7f51dd9087a9d9694ac989adb4656875e15279cb9d9a1490548be1a2b7",
     ),
     "faulted": (
         "batch", 60,
-        "9915c0ce4e40b10a1a7567e8b6bc83868486338e2caed8be613cd5d375f3f60a",
+        "93176325878aaca87cbcfbccdd5207c67e43c185fcea188b7f1d9ab90161bc11",
     ),
     "recovery": (
         "scalar", 60,
-        "d972dae87ec235b8f62e73b80ab8a42e7b8285de6f29f73d7f963b663b9ba709",
+        "a5318bfae241e668f7f1921e69a4458ad7edbef65fccc2149df4b6c97b893ee6",
     ),
     "hetero": (
         "scalar", 60,
-        "0dad566d474984420b239d376d5ceb630770a7bb968ddecb021ba4de66473072",
+        "bb3a5c2e428d64626e6fca1f987df741ebdd6121cacaa3e381d052b0fd978a69",
     ),
     "consensus": (
         "scalar", 60,
-        "4712bdf922f44324f114c5f9fd5a30e253e8f0b3674566a1b03c0f875c7db769",
+        "969eb0f9bde8b8a4559106774d5277906433ffbbc83cb76dda07008561a5174b",
     ),
 }
 

@@ -12,11 +12,14 @@ Two families of guarantees (see DESIGN.md, "Batch trace generation"):
   instances, and across worker processes — which is what makes the
   on-disk trace cache and the ``--jobs`` sweep engine safe.
 
-- *One body*: a trace is the single-link sampler run on every link's own
-  substream — bit for bit — with only the draws left in the per-link
-  loop.
+- *Columns*: a trace is the first ``rounds`` rows of 256-round columns
+  of the whole link table, each column drawn by its own generators,
+  round-major — so any prefix of a trace is the shorter trace, and a
+  column drawn alone, in any order or again, is the same bytes — with
+  a Python-level cost per column, not per link.
 """
 
+import hashlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -32,7 +35,7 @@ from repro.experiments.measurement import (
 from repro.net.hetero import HeterogeneousNetwork, SlowWindows, uniform_wan_profile
 from repro.net.lan import LanProfile
 from repro.net.planetlab import PlanetLabProfile
-from repro.sim.rng import derive_pcg64_states
+from repro.sim.rng import STREAM_CHUNK, column_generators
 
 #: Seed 3 makes the PlanetLab decider choose a slow-Poland run, so the
 #: comparison exercises the scale-mode slow windows too.
@@ -100,23 +103,23 @@ class TestScalarVsBatchDistributions:
 
     def test_per_link_agreement_on_a_plain_and_a_slow_link(self, name):
         # Link into the slow node (LAN node 6 / WAN Poland node 5) and a
-        # plain link, each compared marginally.
+        # plain link, each compared marginally.  Both sides see whole
+        # bursts: every batch column is drawn for the whole link table,
+        # so the queue-mode node ranks actual arrivals, as the scalar
+        # whole-round sampler does.
         seed = SLOW_WAN_SEED if name == "wan-slow" else 0
         factory, round_length = PROFILES[name]
         slow_node = 6 if name == "lan" else 5
+        scalar_trace = sample_latency_trace_scalar(
+            factory(seed=seed), self.ROUNDS, round_length
+        )
+        batch_trace = factory(seed=seed).sample_trace_batch(
+            self.ROUNDS, round_length
+        )
         for dst in (1, slow_node):
             src = 0 if dst != 0 else 1
-            times = np.arange(self.ROUNDS) * round_length
-            model = factory(seed=seed)
-            scalar = np.array(
-                [
-                    np.inf if value is None else value
-                    for value in (
-                        model.sample_latency(src, dst, t) for t in times
-                    )
-                ]
-            )
-            batch = factory(seed=seed).sample_link_batch(src, dst, times)
+            scalar = scalar_trace[:, dst, src]
+            batch = batch_trace[:, dst, src]
             assert np.isfinite(batch).mean() == pytest.approx(
                 np.isfinite(scalar).mean(), abs=0.02
             )
@@ -217,44 +220,79 @@ def calls_into_repro(fn):
 
 
 class TestTraceIsTheLinkSamplerOnEveryLink:
-    @given(model=scale_mode_models(), rounds=st.integers(min_value=1, max_value=40))
+    @given(
+        model=scale_mode_models(),
+        rounds=st.integers(min_value=1, max_value=3 * STREAM_CHUNK),
+        order=st.randoms(use_true_random=False),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_trace_columns_equal_single_link_batches(self, model, rounds):
-        # Queue-mode nodes are excluded by construction: a trace ranks a
-        # burst's actual arrivals where a lone link is charged its
-        # expected rank, so the two agree only in distribution.
+    def test_trace_columns_equal_single_link_batches(self, model, rounds, order):
+        # Each column drawn on its own — in a shuffled order, the first
+        # one twice — is the same bytes as that column of the trace, slow
+        # windows and all: a column is a function of (seed, column).
         round_length = 0.05
         trace = model.sample_trace_batch(rounds, round_length)
-        times = np.arange(rounds) * round_length
-        for src in range(model.n):
-            for dst in range(model.n):
-                if src != dst:
-                    column = model.sample_link_batch(
-                        src, dst, times, model.link_stream(src, dst)
-                    )
-                    assert trace[:, dst, src].tobytes() == column.tobytes()
+        starts = list(range(0, rounds, STREAM_CHUNK))
+        order.shuffle(starts)
+        for start in starts + starts[:1]:
+            stop = min(start + STREAM_CHUNK, rounds)
+            lanes = model.sample_lanes(start, stop, round_length)
+            for lane, (dst, src) in enumerate(zip(*model.lanes)):
+                assert model.lane(src, dst) == lane
+                assert (
+                    trace[start:stop, dst, src].tobytes()
+                    == lanes[:, lane].tobytes()
+                )
         assert not trace[:, np.arange(model.n), np.arange(model.n)].any()
 
-    @given(model=scale_mode_models())
-    @settings(max_examples=15, deadline=None)
-    def test_trace_loop_seats_the_one_derived_state_per_link(self, model):
-        links, seats = model._trace_streams()
-        assert links == [
-            (src, dst)
-            for src in range(model.n)
-            for dst in range(model.n)
-            if src != dst
-        ]
-        long_lived = model.link_streams(links)
-        for (src, dst), rng, own in zip(links, seats, long_lived, strict=True):
-            assert [rng.bit_generator.state] == derive_pcg64_states(
-                model.seed, [f"link:{src}->{dst}".encode()]
+    @given(
+        model=scale_mode_models(),
+        rounds=st.integers(min_value=STREAM_CHUNK, max_value=2 * STREAM_CHUNK + 9),
+        prefix=st.integers(min_value=0, max_value=STREAM_CHUNK),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_a_trace_prefix_is_the_shorter_trace(self, model, rounds, prefix):
+        # Round-major columns: a 100-round trace never draws 256 rounds,
+        # and what it draws is the head of the longer trace.
+        long = model.sample_trace_batch(rounds, 0.05)
+        assert long[:STREAM_CHUNK].tobytes() == (
+            model.sample_trace_batch(STREAM_CHUNK, 0.05).tobytes()
+        )
+        assert long[:prefix].tobytes() == (
+            model.sample_trace_batch(prefix, 0.05).tobytes()
+        )
+
+    def test_trace_loop_seats_one_generator_per_kind_per_column(self, monkeypatch):
+        # Seats are per column and draw kind, never per link: a 300-round
+        # trace of 56 links seats its normal, uniform and Pareto kinds
+        # for columns 0 and 1, each on the state hashed from (seed,
+        # column, kind).
+        seated = []
+
+        def recording(root, column, kinds):
+            generators = column_generators(root, column, kinds)
+            seated.append(
+                (root, column, kinds, [g.bit_generator.state for g in generators])
             )
-            assert rng.bit_generator.state == own.bit_generator.state
-            assert own.bit_generator.state == (
-                model.link_stream(src, dst).bit_generator.state
-            )
-        assert len({id(own.bit_generator) for own in long_lived}) == len(links)
+            return generators
+
+        model = uniform_wan_profile(n=8, seed=4)
+        monkeypatch.setattr("repro.net.base.column_generators", recording)
+        model.sample_trace_batch(300, 0.2)
+        assert [entry[:3] for entry in seated] == [(4, 0, "nup"), (4, 1, "nup")]
+        for root, column, kinds, states in seated:
+            for kind, state in zip(kinds, states):
+                digest = int.from_bytes(
+                    hashlib.sha256(
+                        f"pcg64:{root}:{column}:{kind}".encode()
+                    ).digest(),
+                    "big",
+                )
+                assert state["state"] == {
+                    "state": digest >> 128, "inc": digest & (2**128 - 1) | 1
+                }
+        distinct = {state["state"]["state"] for *_, states in seated for state in states}
+        assert len(distinct) == 6
 
     @pytest.mark.parametrize(
         "slow_nodes",

@@ -1,15 +1,13 @@
-"""``next_stream_block`` ≡ each link's stream, chunk by chunk.
+"""``next_stream_block`` and ``send`` ≡ each link's column of a trace.
 
-The transport refills its pre-sampled link streams a block at a time —
-every dry link it is asked about in one model call — where it used to
-refill one link per call.  Streams are per link, so nothing may tell:
-for every model that streams (the block sampler of
-``HeterogeneousNetwork``, the Granular wrapper that clamps its base's
-block, the IID model on ``LatencyModel``'s generic row-by-row body), any
-mix of block reads — counts of zero, under a chunk, exact multiples,
-uneven across links — and per-message ``send`` pops reads each link's
-stream as the reference builds it: ``STREAM_CHUNK`` draws at a time, from
-``link_stream`` through ``sample_link_batch``, on a model of its own.
+A link's transport stream is its lane through the model's 256-round
+columns: the transport draws the next column of the whole table when any
+link runs dry and keeps a cursor per link.  So for every time-invariant
+model that streams (``HeterogeneousNetwork``, the Granular wrapper that
+clamps its base's columns, the IID model), any mix of block reads —
+counts of zero, under a column, exact multiples, uneven across links —
+and per-message ``send`` pops reads each link's stream as
+``trace[:, dst, src]`` of one long trace of a model of its own.
 """
 
 import numpy as np
@@ -37,23 +35,20 @@ MODELS = {
 
 
 class ReferenceStreams:
-    """Every link's latency stream, one link and one chunk at a time."""
+    """Every link's stream, read off one trace long enough for it."""
 
     def __init__(self, model):
         self.model = model
-        self.streams = {}
+        self.trace = model.sample_trace_batch(0, 0.1)
+        self.read = {}
 
     def take(self, link, count):
-        if link not in self.streams:
-            self.streams[link] = [self.model.link_stream(*link), np.empty(0)]
-        stream = self.streams[link]
-        while stream[1].size < count:
-            chunk = self.model.sample_link_batch(
-                *link, np.zeros(STREAM_CHUNK), stream[0]
-            )
-            stream[1] = np.concatenate([stream[1], chunk])
-        head, stream[1] = stream[1][:count], stream[1][count:]
-        return head
+        start = self.read.get(link, 0)
+        self.read[link] = stop = start + count
+        if stop > len(self.trace):
+            self.trace = self.model.sample_trace_batch(2 * stop, 0.1)
+        src, dst = link
+        return self.trace[start:stop, dst, src]
 
 
 LINKS = st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)).filter(

@@ -1,6 +1,12 @@
 """Unit tests for sweep configurations, chiefly seed derivation."""
 
-from repro.experiments.config import QUICK, SweepConfig
+import numpy as np
+import pytest
+
+from repro.experiments import figures
+from repro.experiments.config import PAPER, PAPER_LAN, QUICK, SweepConfig
+from repro.net.lan import LanProfile
+from repro.net.planetlab import PlanetLabProfile
 from repro.sim.rng import derive_seed
 
 
@@ -38,3 +44,39 @@ class TestRunSeed:
     def test_quick_config_shape(self):
         assert QUICK.n == 8
         assert QUICK.runs == 6
+
+
+class TestLanAndWanCellsDrawIndependently:
+    """``PAPER`` and ``PAPER_LAN`` share a root seed, so a LAN cell whose
+    trace seed does not name its profile draws the WAN cell's normals on
+    every link: the two sweeps were one sample seen twice."""
+
+    @pytest.mark.parametrize("t_index,r_index", [(0, 0), (2, 7)])
+    def test_same_cell_indices_draw_independent_bodies(
+        self, monkeypatch, t_index, r_index
+    ):
+        assert PAPER.seed == PAPER_LAN.seed
+        drawn = {}
+        sample = figures.cached_trace
+
+        def recording(profile, n, rounds, timeout, seed):
+            drawn[profile] = seed, sample(profile, n, rounds, timeout, seed)
+            return drawn[profile][1]
+
+        monkeypatch.setattr(figures, "cached_trace", recording)
+        figures.lan_cell(PAPER_LAN, t_index, r_index)
+        figures.wan_cell(PAPER, t_index, r_index)
+        bodies = []
+        for profile, factory in (("lan", LanProfile), ("wan", PlanetLabProfile)):
+            seed, trace = drawn[profile]
+            model = factory(seed=seed)
+            links = ~np.eye(model.n, dtype=bool)
+            latency = trace[:PAPER_LAN.rounds_per_run][:, links]
+            # The standard normal behind each log-normal body.
+            bodies.append(
+                np.log(latency / model.base[links]) / model.sigma[links]
+            )
+        # Tails, losses and slow windows aside, shared normals make most
+        # bodies equal to the last bits; independent ones make none.
+        shared = np.isclose(bodies[0], bodies[1], rtol=0.0, atol=1e-9)
+        assert shared.mean() < 0.01

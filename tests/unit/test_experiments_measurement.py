@@ -51,11 +51,11 @@ class ScriptedLink(LatencyModel):
     def sample_latency(self, src, dst, now):
         raise AssertionError("the batch path draws whole links")
 
-    def sample_link_batch(self, src, dst, times, rng=None):
-        column = np.full(len(times), 0.01)
-        if (src, dst) == (2, 1):
-            column[1] = self.value
-        return column
+    def sample_lanes(self, start, stop, round_length):
+        lanes = np.full((stop - start, 6), 0.01)
+        if start <= 1 < stop:
+            lanes[1 - start, self.lane(2, 1)] = self.value
+        return lanes
 
 
 class TestTraceIsCheckedWhereItIsDrawn:

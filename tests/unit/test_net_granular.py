@@ -14,6 +14,7 @@ from repro.net import (
     planetlab_profile,
     uniform_wan_profile,
 )
+from repro.sim import Simulator, Transport
 
 SYNC = 0.03
 PSYNC = 0.06
@@ -52,6 +53,14 @@ class TestConstruction:
             GranularProfile(
                 uniform_wan_profile(n=8), sync_bound=SYNC, psync_bound=-1.0
             )
+
+    @pytest.mark.parametrize("field", ["sync_bound", "psync_bound"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_bounds_raise_naming_the_field(self, field, value):
+        # A NaN bound used to pass ``bound <= 0`` and clamp nothing.
+        bounds = {"sync_bound": SYNC, "psync_bound": PSYNC, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            GranularProfile(uniform_wan_profile(n=8), **bounds)
 
 
 class TestContract:
@@ -140,9 +149,9 @@ class TestBatchEligibility:
         )
 
     def test_link_batch_matches_trace_batch(self):
-        # The transport's stream path samples per-link columns; the batch
-        # runner samples whole traces.  Bit-identity of the two stacks
-        # rests on the clamp commuting with both.
+        # The transport's stream is a link's lane through the clamped
+        # columns; the batch runner samples whole traces.  Bit-identity
+        # of the two stacks rests on the clamp commuting with both.
         profile = make_profile()
         lan = GranularProfile(
             lan_profile(n=8, seed=3, slow_node=None),
@@ -150,13 +159,11 @@ class TestBatchEligibility:
             psync_bound=PSYNC,
         )
         for model in (profile, lan):
-            times = np.arange(12) * 0.1
-            rng_seed = np.random.default_rng(9)
-            column = model.sample_link_batch(2, 5, times, rng_seed)
-            assert (column <= max(SYNC, PSYNC, column.max())).all()
-            bound_code = model.assumptions[5, 2]
+            trace = model.sample_trace_batch(300, 0.1)
+            transport = Transport(Simulator(), model)
+            (column,) = transport.next_stream_block([(2, 5)], [300])
+            assert column.tobytes() == trace[:, 5, 2].tobytes()
             if model._sync_mask[5, 2]:
                 assert (column <= SYNC).all()
             elif model._psync_mask[5, 2]:
                 assert (column <= PSYNC).all()
-            assert bound_code == model.assumptions[5, 2]

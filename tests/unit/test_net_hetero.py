@@ -147,6 +147,19 @@ class TestModelParameterValidation:
         assert "HeterogeneousNetwork" in message
         assert name in message and "1->3" in message
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_a_base_latency_must_be_positive_and_finite(self, value):
+        # A NaN base surfaced only at sampling time; +inf silently made
+        # the link always lost.
+        base = np.full((4, 4), 0.05)
+        np.fill_diagonal(base, 0.0)
+        base[3, 1] = value  # the 1 -> 3 link
+        with pytest.raises(ValueError) as caught:
+            tiny_network(base=base)
+        message = str(caught.value)
+        assert "HeterogeneousNetwork: base must be" in message
+        assert "1->3" in message
+
     def test_diagonal_entries_are_not_links(self):
         sigma = np.full((4, 4), 0.1)
         np.fill_diagonal(sigma, np.nan)

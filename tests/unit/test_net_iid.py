@@ -30,3 +30,14 @@ class TestBernoulliLinkModel:
             BernoulliLinkModel(4, p=0.5, timeout=0.1, late_factor=1.0)
         with pytest.raises(ValueError):
             BernoulliLinkModel(1, p=0.5, timeout=0.1)
+
+    @pytest.mark.parametrize(
+        "field", ["timeout", "late_factor"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameters_raise_naming_the_field(self, field, value):
+        # A NaN timeout or late_factor passed the ``<=`` checks and made
+        # every latency NaN.
+        params = {"timeout": 0.1, "late_factor": 4.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            BernoulliLinkModel(4, p=0.5, **params)

@@ -139,9 +139,9 @@ def test_link_stream_is_a_function_of_seed_and_link(order):
     profiles = [None, None]
     for index in order:
         profiles[index] = planetlab_profile(seed=2007)
-    draws = [p.link_stream(1, 2).standard_normal(3) for p in profiles]
+    draws = [p.sample_trace_batch(3, 0.2)[:, 2, 1] for p in profiles]
     assert np.array_equal(*draws)
-    other_link = profiles[0].link_stream(2, 1).standard_normal(3)
-    other_seed = planetlab_profile(seed=2008).link_stream(1, 2).standard_normal(3)
+    other_link = profiles[0].sample_trace_batch(3, 0.2)[:, 1, 2]
+    other_seed = planetlab_profile(seed=2008).sample_trace_batch(3, 0.2)[:, 2, 1]
     assert not np.array_equal(draws[0], other_link)
     assert not np.array_equal(draws[0], other_seed)

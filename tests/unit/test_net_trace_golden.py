@@ -1,25 +1,25 @@
 """Golden digests of the batch sampler's bytes.
 
-Every digest below was taken at the commit before the sampler was
-restated as "draws per link, arithmetic per trace" (DESIGN.md, "Batch
-trace generation") and pins what ``TRACE_SAMPLER_VERSION = "batch1"``
-means: the trace cache keys on that tag, so a cached record is only a
-valid hit while the sampler still produces these bytes.  **A digest may
-move only together with a version bump** — a change that moves one
-without bumping the tag silently serves stale traces.
+Every digest below was re-taken when the sampler's unit of drawing
+became the 256-round column of the whole link table (DESIGN.md, "Batch
+trace generation") — the bump to ``TRACE_SAMPLER_VERSION = "batch2"``,
+which also retired every cached ``batch1`` trace.  They pin what
+``batch2`` means: the trace cache keys on that tag, so a cached record is
+only a valid hit while the sampler still produces these bytes.  **A
+digest may move only together with a version bump** — a change that
+moves one without bumping the tag silently serves stale traces.
 
 The grid covers each rider of the batch path: the two paper profiles
 through the measurement entry points (one WAN seed whose decider picks a
 slow-Poland run, one clean), the uniform WAN, the Granular wrapper over
-it, the IID model (which rides ``LatencyModel``'s generic per-link
-loop), and a hand-built network whose slow nodes meet on shared links —
-a queue-mode node plus two scale-mode nodes with ``per_message_prob``
-below 1, so the per-link draw order (normal vector, uniform block,
-Pareto excess, slow-window uniforms ``dst`` then ``src``) and the
-operand order of the slow factors are both load-bearing.  The single
-link digests pin ``sample_link_batch`` — the expected-rank queue charge
-lands between the two slow factors — and the transport's 256-draw
-stream chunks, read out of a block refill of the whole table.
+it, the IID model, and a hand-built network whose slow nodes meet on
+shared links — a queue-mode node plus two scale-mode nodes with
+``per_message_prob`` below 1, so the column's draw kinds (normal,
+uniform, Pareto, slow-window uniforms) and the operand order of the
+slow factors are both load-bearing.  Traces of 300 rounds span a full
+and a partial column.  The single-link digests pin a link's lane of the
+second column drawn on its own, and the chunk digests the transport's
+stream, read out of a block refill of the whole table.
 """
 
 import hashlib
@@ -96,48 +96,48 @@ TRACES = {
 }
 
 TRACE_DIGESTS = {
-    ("wan-slow", 1): "d10fb3ef998c2f22ad88c02dd7769c7467dc2aaf09730342355558dda4ba8290",
-    ("wan-slow", 37): "3c270ef83d5df207082346a753abf49981fa031b4d549dc1fc4959cf5577b458",
-    ("wan-slow", 300): "286e2bc92ce371fe33a83d462a17924b912b4a394a209b00cebedaf225620c0e",
-    ("wan-clean", 300): "86c1b0b3ebecb5bd8cd52e21c35dc44072c8303b89e2548669b2eaa6fbe65182",
-    ("lan", 1): "79d901fecdbd16eddc5824f0ca338e80403ae23957437bb7f302c694590ae814",
-    ("lan", 37): "ba98f80cef5998bf1f4efd94a651ae5855aa54fa6e3a9dc30d1206f59c8dfee9",
-    ("lan", 100): "64a7cfac81cce36918365d69571dbb1f850fb14c5da8b61924a8939accb69b74",
-    ("uniform", 1): "14ca3782aec4a664e67b3ea41db4ba240148e872d3491ad5581ac7422db7f1ed",
-    ("uniform", 37): "fa30b85ddc9bbc3f5d290a5e9244cf929c84c69b3cd8e652b239ed3f10484d29",
-    ("uniform", 300): "c5375486b1d5508650695734ae848a9a37b4becf510fadc662dbd1fa9f15f1c0",
-    ("granular", 37): "114a824988281d7a49c5953375452405c7f225f9f1d4517513f8067a32e8f98c",
-    ("bernoulli", 1): "03a8dc0c620f41beb30bf718b4decf092256257e4a1629e2e2b2035b86c79197",
-    ("bernoulli", 37): "7402f9364bd123e5ef20bb39ba196fcf4e04e3e447e782b805d43e9b59c1893a",
-    ("bernoulli", 300): "dd4925dbd0755c98256f383467b9296323d5e8b4c870584bb37b243eabf73c9e",
-    ("crowded", 1): "10d8f61db671e6f0ebabdb7ce9d0fedd99e1b92b0f5c464a8e9f3e4adccdca3e",
-    ("crowded", 37): "ef5a46521b741c5b105c0e5903d65b1e6da600c58ab11baf305dc0be7554e8f7",
-    ("crowded", 300): "13152281e7f271edb33124eaeb5be89177003e789de5a0d1e9c7eb4d72d1beb5",
+    ("wan-slow", 1): "34efa7eef39f6c5c299010a0c8ce26b2060a1426bd2517b0e814eb032f62be92",
+    ("wan-slow", 37): "bbd40b3c235796eb2814469a04441ed6257c604852a71b336776ba1a61910581",
+    ("wan-slow", 300): "0a918bf4b97564de43d431eb0a918a989021dd95a13a70cdb8252bc913381947",
+    ("wan-clean", 300): "64ccafebf19cf6be564c9c81cf2dc36f1266e9d59b7bb818fdda83dcdeffcd16",
+    ("lan", 1): "c0d54398ba2a5ac6657242eecebbf7def05809507c70c45de77a246d2be24480",
+    ("lan", 37): "98cd8c5f16d6e0d84473e5d92aa46df8e0abcffb87b7d12c5e97851fffecf7ad",
+    ("lan", 100): "3525e90fb7d699b2ebe95891474c717eed26ad6d8c8db0ed9b87b91f10763fae",
+    ("uniform", 1): "d531b5f8e8c52f8f02321f33a2e345d8b4aed497325045dbf072d170ceb340ca",
+    ("uniform", 37): "257d0502e73461ba5b29da8251d6cfbd6fd70d510bc62be434fbb157f7ad0d8f",
+    ("uniform", 300): "92a0e59c970cba5bf7c632be3d52b93ba95575bc4a0c755a77bc258390729866",
+    ("granular", 37): "ff8af256ca5c5124e9b4612013a73ec11b4be3b7d161fc27422916f787f7ef22",
+    ("bernoulli", 1): "ee0308c50d8d1cfee27f18cedc0f5b7d635d15f552e7dd669707d98a5e00cbd1",
+    ("bernoulli", 37): "94c3b3472c7c3f45928efee1412af1389f42a94c56afe868beabcabe7d573e43",
+    ("bernoulli", 300): "f91f169fcae0b1409d19985c332540bdbc4411dd162aeda8beab499278c46ac4",
+    ("crowded", 1): "6cebcbd444e7faaefb6cc58c808d77e165534ed8254243bae0e4001722e36f95",
+    ("crowded", 37): "ee947b437142f2fa5eff2469f7bdf6d7dba369abdc9380e43115f52730d3ca86",
+    ("crowded", 300): "20a8a71e46006062fb7fb76b1274028c11f5b02cd2e058804544f6d8e56cf5cc",
 }
 
-#: ``crowded_network().sample_link_batch(src, dst, 300 send times)`` on
-#: the link's own substream.
+#: The lane of ``src → dst`` in ``crowded_network().sample_lanes(256,
+#: 300, 0.05)``: the second column, drawn on its own.
 LINK_DIGESTS = {
-    (4, 1): "17d3600beb1156a82f32be70a95b52a1620ae22dd791e1942c4bfd1446730ba2",
-    (1, 4): "98c08fec6886862aed81ca995d676f809b285ade0d21932730f87b68bed80f78",
-    (1, 2): "ab4d017c4bbef836375d9d16f8f1a7f7341b608078592a6af278e07db741eee3",
-    (4, 2): "9b392e7301242941ebb7efb1d841157e8d617efe1ec6f1a196c801370f40f507",
-    (0, 2): "1998d56caab4b9c090f7d4048049d3c7039af05d66e1ec6805959d8e5a3595e1",
-    (3, 0): "65cf045cde7edf5c56cabb16b48f7e4204563fa19ee9c3284e6955867c9378df",
+    (4, 1): "b116eeec973dd6874c0e8ed9512ba4e2af27fd65090384c718927e237ea9760e",
+    (1, 4): "9d5095378227611102bcc04043707375e05b6513759f18e163f153635302db24",
+    (1, 2): "943728dc4c6f32171e9a68a758d29ccc24148dce5bfea9a16e0b07e3f09f9843",
+    (4, 2): "9a60776fdcf45a16ce287276986b67a5f9fb005ee4dc524e91955f33e0ac7844",
+    (0, 2): "a2bc75cdb40789fbc6c52f06825a92c9a1767063d9141fb301f0d0815e566614",
+    (3, 0): "b6f7a0f46e146dac10e9a5e9de5c9722daf0009b5d8b93b5d6fca97f3998dd8a",
 }
 
 #: Three consecutive ``STREAM_CHUNK`` draws of the transport's stream on
 #: ``planetlab_profile(seed=9, slow_run_prob=0.0)``.
 CHUNK_DIGESTS = {
     (0, 1): [
-        "41169df6cdc29ef309b7a11f998193698759dd4fb940fe87ae3bcf6dace146bf",
-        "c66a19812a3650c75f7040469c9cf9668ec7f11e46c747656ae61b67fb7478ae",
-        "9bf5fd114605dc34bc075533e4094e984507405dc712bd1dc607da5e2f0d9e5c",
+        "729a60246592f8ca1c8ecc03f1e8144a57addd25739fa5689ef703d08da0f56e",
+        "9a361b79d47570802a22e4f5acfd906e42267d8511ab48945a6b1f9baf0e5062",
+        "98b20472fb1eb6468776a882af22e5e0848c5652b6246f43fefa991fd83ea655",
     ],
     (4, 6): [
-        "55c4cf789726043e5fe21b6fb75c721baba3a3500a25f525cff23c0c8d5b719c",
-        "e1d515232c598e8ff674b409f882d15705de5c879f15204662e35dbbbf482d77",
-        "e3a6e32678425352afa087ff1e514ed6d298614dc87ea5347d52d1ade288a0fb",
+        "76ce19f6c03258d87867235fb121276ab31eb5a6d0f1a47d684d85e31c9ee3af",
+        "fdb7c0c026cb919b034e4d92830a1fdc76517ec8cd116e50dca200d856b0d9d4",
+        "a2c102cd3d538ff6514e632e3958b488b9b61b44579fafff4cf978fcc81910e0",
     ],
 }
 
@@ -146,8 +146,8 @@ def digest(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
-def test_the_digests_are_those_of_sampler_version_batch1():
-    assert TRACE_SAMPLER_VERSION == "batch1"
+def test_the_digests_are_those_of_sampler_version_batch2():
+    assert TRACE_SAMPLER_VERSION == "batch2"
 
 
 def test_wan_seeds_cover_a_slow_and_a_clean_run():
@@ -164,9 +164,9 @@ def test_trace_bytes(name, rounds):
 
 @pytest.mark.parametrize("src,dst", sorted(LINK_DIGESTS))
 def test_single_link_bytes(src, dst):
-    times = np.arange(300) * 0.05
-    column = crowded_network().sample_link_batch(src, dst, times)
-    assert digest(column) == LINK_DIGESTS[src, dst]
+    network = crowded_network()
+    lane = network.sample_lanes(256, 300, 0.05)[:, network.lane(src, dst)]
+    assert digest(lane) == LINK_DIGESTS[src, dst]
 
 
 @pytest.mark.parametrize("src,dst", sorted(CHUNK_DIGESTS))

@@ -1,11 +1,13 @@
 """Unit tests for the message transport."""
 
+import tracemalloc
 from typing import Optional
 
 import numpy as np
 import pytest
 
 from repro.net.base import LatencyModel
+from repro.net.hetero import uniform_wan_profile
 from repro.net.iid import BernoulliLinkModel
 from repro.net.planetlab import planetlab_profile
 from repro.obs.registry import MetricsRegistry
@@ -149,15 +151,12 @@ class TestBatchStreams:
         for _ in range(20):
             transport.send(0, 1, "m")
         sim.run()
-        # The transport refills STREAM_CHUNK latencies at a time, and a
-        # batch of k consumes the generator differently than a batch of
-        # STREAM_CHUNK — so the reference must draw the same chunk shape.
-        reference = self.model().sample_link_batch(
-            0, 1, np.zeros(STREAM_CHUNK), self.model().link_stream(0, 1)
-        )[:20]
+        # A link's stream is its column of a trace: the transport draws
+        # whole STREAM_CHUNK-round columns, a 20-round trace their head.
+        reference = self.model().sample_trace_batch(20, 0.1)[:, 1, 0]
         observed = [d.latency for d in transport.deliveries]
         expected = [None if np.isinf(v) else float(v) for v in reference]
-        assert observed == expected  # bit-identical: same substream
+        assert observed == expected  # bit-identical: same stream
 
     def test_bulk_draw_then_pops_equal_pops_alone(self):
         # The batched engine takes a link's latencies in bulk where the
@@ -194,6 +193,31 @@ class TestBatchStreams:
         assert untouched.next_stream_block([(0, 1), (2, 3)], [0, 0]).shape == (2, 0)
         assert untouched.next_stream_block([], []).shape == (0, 0)
         assert not untouched.streams_started
+
+    def test_an_idle_link_pins_no_column_drawn_after_it(self):
+        # A column is drawn for the whole table, but kept only while an
+        # opened link has it left to read: a sender that stopped after
+        # one message (a crash) must not hold every later column alive.
+        transport = Transport(Simulator(), uniform_wan_profile(n=8, seed=3))
+        transport.register(1, lambda s, p: None)
+        transport.send(0, 1, "m")
+
+        def read_columns(count):
+            for _ in range(count):
+                transport.next_stream_block([(2, 3)], [STREAM_CHUNK])
+
+        # Trace from before the warm-up, so the column held at the baseline
+        # is traced too and its release is counted against its successor.
+        tracemalloc.start()
+        try:
+            read_columns(4)
+            before = tracemalloc.get_traced_memory()[0]
+            read_columns(32)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        column_bytes = STREAM_CHUNK * 8 * 7 * 8
+        assert retained < column_bytes
 
     def test_a_block_pads_short_rows_and_takes_each_link_once(self):
         transport = Transport(Simulator(), self.model())
@@ -303,10 +327,7 @@ def streamable_model():
 
 
 def streamable_draws():
-    model = streamable_model()
-    return model.sample_link_batch(
-        0, 1, np.zeros(STREAM_CHUNK), model.link_stream(0, 1)
-    )[:3].tolist()
+    return streamable_model().sample_trace_batch(3, 0.1)[:, 1, 0].tolist()
 
 
 def time_varying_model():
@@ -321,8 +342,9 @@ def time_varying_draws():
 
 
 class ScriptedStream(LatencyModel):
-    """A batch-capable, time-invariant model whose every draw is one
-    scripted value — a streamed link with a known next latency."""
+    """A batch-capable, time-invariant model whose every draw on link
+    0 → 1 is one scripted value — a streamed link with a known next
+    latency — and 1 s on the other link."""
 
     supports_batch_trace = is_time_invariant = True
 
@@ -333,8 +355,10 @@ class ScriptedStream(LatencyModel):
     def sample_latency(self, src, dst, now):
         raise AssertionError("a streamed link draws whole chunks")
 
-    def sample_link_batch(self, src, dst, send_times, rng=None):
-        return np.full(len(send_times), self.value)
+    def sample_lanes(self, start, stop, round_length):
+        lanes = np.ones((stop - start, 2))
+        lanes[:, self.lane(0, 1)] = self.value
+        return lanes
 
 
 class Stretch:
@@ -469,21 +493,20 @@ class TestFaultSite:
         assert latencies["count"] == int(not lost)
 
     @staticmethod
-    def planted_profile(value, row_of):
-        """A clean PlanetLab profile whose block sampler — the entry the
+    def planted_profile(value, link):
+        """A clean PlanetLab profile whose column sampler — the entry the
         transport refills through — writes ``value`` as the sixth draw
-        of row ``row_of(links)`` (no row: the block goes untouched)."""
+        of ``link``."""
         profile = planetlab_profile(seed=3, slow_run_prob=0.0)
-        draw = profile.sample_link_block
+        draw = profile.sample_lanes
 
-        def planted(links, send_times, rngs):
-            block = draw(links, send_times, rngs)
-            row = row_of(list(links))
-            if row is not None:
-                block[row, 5] = value
-            return block
+        def planted(start, stop, round_length):
+            lanes = draw(start, stop, round_length)
+            if start <= 5 < stop:
+                lanes[5 - start, profile.lane(*link)] = value
+            return lanes
 
-        profile.sample_link_block = planted
+        profile.sample_lanes = planted
         return profile
 
     @pytest.mark.parametrize("mode", ["scalar", "batch"])
@@ -496,9 +519,7 @@ class TestFaultSite:
         from repro.giraf.oracle import NullOracle
         from repro.sync import HeartbeatAlgorithm, SyncRun
 
-        profile = self.planted_profile(
-            value, lambda links: links.index((1, 2)) if (1, 2) in links else None
-        )
+        profile = self.planted_profile(value, (1, 2))
         run = SyncRun(
             8,
             lambda pid: HeartbeatAlgorithm(pid, 8),
@@ -517,15 +538,12 @@ class TestFaultSite:
         assert repr(value) in str(raised.value)
 
     def test_a_bad_draw_in_a_block_is_reported_by_its_own_link(self):
-        # One check over the whole table must still name the row's link,
-        # not the first link of the block or of the call.
+        # One check over the whole column must still name the draw's
+        # link, not the first link of the block or of the call.
         links = [(src, dst) for src in range(8) for dst in range(8) if src != dst]
-        transport = Transport(
-            Simulator(), self.planted_profile(-0.5, lambda links: 37)
-        )
+        transport = Transport(Simulator(), self.planted_profile(-0.5, (5, 2)))
         with pytest.raises(ValueError) as raised:
             transport.next_stream_block(links, [20] * len(links))
-        assert links[37] == (5, 2)
         assert "link 5 → 2:" in str(raised.value)
         assert "-0.5" in str(raised.value)
 
