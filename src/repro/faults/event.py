@@ -9,11 +9,20 @@ the measurement figures use.
 :class:`PlanLinkFaults` answers the :class:`~repro.sim.transport.LinkFaults`
 protocol from a :class:`~repro.faults.plan.FaultPlan`: partitions,
 frozen processes and loss bursts drop messages, slow-node episodes
-stretch latencies.  Burst drops are deterministic: the decision for the
-``i``-th message a link carries during burst windows comes from
-``SHA-256(seed, link, i)``, never from shared random state, so a rerun —
-or a differently-ordered event interleaving that sends the same messages
-per link — sees the same realization.
+stretch latencies.  Burst drops are deterministic: each link counts the
+burst draws it has made, and the draw with count ``i`` for burst ``b``
+is ``SHA-256(seed, b, link, i)``, never shared random state, so a rerun
+— or a differently-ordered event interleaving that sends the same
+messages per link — sees the same realization.  A message in a round
+with several live bursts walks them in order, one count each, up to the
+first that drops it.
+
+:meth:`PlanLinkFaults.drop` decides one message;
+:meth:`PlanLinkFaults.burst_drops` decides the burst branch for a whole
+batch of messages in round order — what the batched engine asks — with
+the same draws, counters and activations: each link's run of
+single-burst messages is hashed in one pass over consecutive counts, and
+only a round with several live bursts takes :meth:`drop`'s walk.
 
 The policy also answers :meth:`PlanLinkFaults.quiet`, the transport's
 optional per-broadcast query: in a round where nothing is down, no link
@@ -34,17 +43,26 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+import numpy as np
+
 from repro.faults.plan import FaultPlan, RoundState
 from repro.obs.registry import MetricsRegistry, registry_or_null
-from repro.sim.rng import derive_seed
+from repro.sim.rng import derive_seed_heads
 
 #: One uniform draw from SHA-256 output: 53 bits into [0, 1).
 _DENOMINATOR = float(1 << 53)
 
 
-def _uniform(seed: int, name: str) -> float:
-    """A deterministic uniform in [0, 1) for ``(seed, name)``."""
-    return (derive_seed(seed, name) >> 11) / _DENOMINATOR
+def _burst_heads(seed: int, index: int, src: int, dst: int, counts) -> bytes:
+    """The SHA-256 heads of burst ``index``'s draws on link ``src -> dst``
+    at the link's draw ``counts`` — 8 bytes each, joined."""
+    return derive_seed_heads(seed, f"faults:burst:{index}:{src}:{dst}:", counts)
+
+
+def _uniform(heads):
+    """The uniform in [0, 1) of a 64-bit head (an ``int``, or a uint64
+    array of them): its top 53 bits, exactly, over 2**53."""
+    return (heads >> 11) / _DENOMINATOR
 
 
 class PlanLinkFaults:
@@ -68,8 +86,10 @@ class PlanLinkFaults:
         timeout: float,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
+        # Written so NaN fails: a NaN or infinite timeout folds every
+        # instant into one plan round, or none.
+        if not 0 < timeout < math.inf:
+            raise ValueError(f"timeout must be finite and positive: {timeout!r}")
         self.plan = plan
         self.timeout = timeout
         self._burst_counters: dict[tuple[int, int], int] = {}
@@ -97,6 +117,13 @@ class PlanLinkFaults:
     def round_of(self, now: float) -> int:
         """The 1-based plan round covering simulation time ``now``."""
         return max(1, int(now // self.timeout) + 1)
+
+    def rounds_of(self, times: np.ndarray) -> np.ndarray:
+        """:meth:`round_of` of every instant in ``times``, as one array:
+        NumPy's float floor division is Python's, so exact multiples of
+        the timeout land in the round :meth:`round_of` puts them in."""
+        quotient = np.asarray(times) // self.timeout
+        return np.maximum(1, quotient.astype(np.int64) + 1)
 
     def start_of(self, round_number: int) -> float:
         """The simulation time plan round ``round_number`` starts at —
@@ -146,17 +173,79 @@ class PlanLinkFaults:
                 if partition.active_at(round_number):
                     self.activate("partition", index)
             return True
-        for index in self._state.bursts:
+        if self._burst_walk(src, dst, self._state.bursts):
+            self.last_drop_cause = "loss-burst"
+            return True
+        return False
+
+    def _burst_walk(self, src: int, dst: int, bursts: tuple[int, ...]) -> bool:
+        """Whether one message on ``src -> dst`` is lost to the live
+        ``bursts``: each in turn takes the link's next count and draws,
+        up to the first that drops the message (activated)."""
+        plan = self.plan
+        for index in bursts:
             count = self._burst_counters.get((src, dst), 0)
             self._burst_counters[(src, dst)] = count + 1
-            draw = _uniform(
-                plan.seed, f"faults:burst:{index}:{src}:{dst}:{count}"
-            )
+            head = _burst_heads(plan.seed, index, src, dst, (count,))
+            draw = _uniform(int.from_bytes(head, "big"))
             if draw < plan.loss_bursts[index].drop_prob:
-                self.last_drop_cause = "loss-burst"
                 self.activate("loss-burst", index)
                 return True
         return False
+
+    def burst_drops(
+        self, messages: np.ndarray, plan_rounds: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`drop`'s burst verdicts for many messages in one call.
+
+        ``messages`` has one row ``(k, dst, src)`` per message, sent at an
+        instant of plan round ``plan_rounds[k]``, not already lost to a
+        crash or a partition, in ascending ``k`` (round order).  Returns
+        one boolean per row and leaves the burst counters, activations and
+        ``faults.activations`` totals where :meth:`drop` asked about the
+        rows in order would: each link's draws depend only on its own
+        count, so the rows are taken link by link.  A link's run of
+        messages under one lone live burst draws consecutive counts,
+        hashed in one pass; a message in a round with several live bursts
+        takes :meth:`drop`'s walk.  ``last_drop_cause`` is left alone.
+        """
+        messages = np.asarray(messages).reshape(-1, 3)
+        drops = np.zeros(len(messages), dtype=bool)
+        if not len(messages):
+            return drops
+        plan = self.plan
+        states, epoch = plan.round_states(np.asarray(plan_rounds))
+        epoch = epoch[messages[:, 0]]
+        # Per message: the index of its lone live burst, or -1 to walk
+        # (several live; with none, the walk draws nothing).
+        lone = np.array([
+            state.bursts[0] if len(state.bursts) == 1 else -1
+            for state in states
+        ])[epoch]
+        link = messages[:, 1] * plan.n + messages[:, 2]
+        order = np.argsort(link, kind="stable")
+        link, key = link[order], lone[order]
+        cuts = 1 + np.flatnonzero(
+            (link[1:] != link[:-1]) | (key[1:] != key[:-1])
+        )
+        for rows in np.split(order, cuts):
+            index = int(lone[rows[0]])
+            _, dst, src = messages[rows[0]].tolist()
+            if index == -1:
+                for row in rows.tolist():
+                    bursts = states[epoch[row]].bursts
+                    drops[row] = self._burst_walk(src, dst, bursts)
+            else:
+                count = self._burst_counters.get((src, dst), 0)
+                self._burst_counters[(src, dst)] = count + len(rows)
+                heads = _burst_heads(
+                    plan.seed, index, src, dst, range(count, count + len(rows))
+                )
+                draws = _uniform(np.frombuffer(heads, ">u8"))
+                drops[rows] = hit = draws < plan.loss_bursts[index].drop_prob
+                if hit.any():
+                    self.activate("loss-burst", index)
+        return drops
 
     def latency_factor(self, src: int, dst: int, now: float) -> float:
         if now != self._instant:

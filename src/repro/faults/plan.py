@@ -53,7 +53,9 @@ class Crash:
     With ``recover_round`` it wakes at the start of that round (state
     intact); without, it is gone for good.  ``final_sends`` optionally
     restricts the dying round's broadcast to a subset of destinations
-    (the crash-mid-broadcast adversary; permanent crashes only).
+    (the crash-mid-broadcast adversary; permanent crashes only, and the
+    lockstep runner only: :class:`~repro.sync.round_sync.SyncRun`, whose
+    nodes crash at a round boundary, refuses such a plan).
     """
 
     pid: int
@@ -186,6 +188,13 @@ class FaultPlan:
                 raise ValueError(f"crash pid {crash.pid} out of range")
             if crash.at_round < 1:
                 raise ValueError("crash rounds are 1-based")
+            if crash.final_sends is not None and not all(
+                0 <= dst < self.n for dst in crash.final_sends
+            ):
+                raise ValueError(
+                    f"final_sends {sorted(crash.final_sends)} of crash pid "
+                    f"{crash.pid} out of range for n={self.n}"
+                )
             if crash.recover_round is not None:
                 if crash.recover_round <= crash.at_round:
                     raise ValueError("recovery must follow the crash")

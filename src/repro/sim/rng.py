@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from typing import Iterable
 
 import numpy as np
 
@@ -39,6 +40,22 @@ def derive_seed(root: int, name: str) -> int:
     """
     digest = hashlib.sha256(f"{int(root)}:{name}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def derive_seed_heads(root: int, stem: str, suffixes: Iterable[int]) -> bytes:
+    """:func:`derive_seed` of ``(root, f"{stem}{suffix}")`` for every
+    ``suffix``, as its 8 big-endian bytes, joined: ``int.from_bytes`` of
+    one head or ``np.frombuffer(heads, ">u8")`` of many reads back the
+    seeds.  The shared ``<root>:<stem>`` prefix is hashed once and each
+    name continues a copy of that state, so a long run of names costs
+    little more than its suffixes."""
+    prefix = hashlib.sha256(f"{int(root)}:{stem}".encode())
+    heads = []
+    for suffix in suffixes:
+        name = prefix.copy()
+        name.update(b"%d" % suffix)
+        heads.append(name.digest()[:8])
+    return b"".join(heads)
 
 
 def column_generators(root: int, column: int, kinds: str) -> list[np.random.Generator]:

@@ -24,6 +24,9 @@ This module computes the same run in a handful of NumPy passes:
    links are partitioned, which nodes are slowed, which bursts are live
    — one memoised entry per plan *epoch*), the table the scalar
    :class:`~repro.faults.event.PlanLinkFaults` policy reads per message;
+   loss bursts, which draw, are decided by that policy in one bulk call
+   (:meth:`~repro.faults.event.PlanLinkFaults.burst_drops`) over the
+   same per-link counters and SHA draws its per-message path uses;
 4. timeliness, late arrivals, and loss counts are evaluated as whole
    ``(rounds, n, n)`` arrays, applying the event queue's tie rules
    (a delivery and a round timer at the same timestamp fire in
@@ -439,7 +442,7 @@ def run_batched(run: SyncRun, times: list[float]) -> None:
         # where the policy places each of its messages, and every round
         # of one plan epoch shares that epoch's state: each distinct
         # state is stacked once and the rounds gather by index.
-        pr = np.array([policy.round_of(t) for t in times[:-1]])
+        pr = policy.rounds_of(starts)
         epochs, epoch = plan.round_states(pr)
         down = np.array([state.down for state in epochs])[epoch]
         cross = np.array([state.cross for state in epochs])[epoch]
@@ -450,14 +453,14 @@ def run_batched(run: SyncRun, times: list[float]) -> None:
         burst_drop = np.zeros_like(sent)
         if burst_any.any():
             # Burst decisions ride the policy's own per-link counters and
-            # SHA draws: calling the installed policy for exactly the
-            # messages whose scalar drop() call would reach the burst
-            # loop — in round order, which is all a link's own counter
-            # sees — reproduces counters, draws, activations and metrics
-            # verbatim.
+            # SHA draws: handing the installed policy, in one call,
+            # exactly the messages whose scalar drop() call would reach
+            # the burst loop — in round order, which is all a link's own
+            # counter sees — reproduces counters, draws, activations and
+            # metrics verbatim.
             candidate = sent & ~crash_drop & ~cross & burst_any[:, None, None]
-            for k, dst, src in np.argwhere(candidate).tolist():
-                burst_drop[k, dst, src] = policy.drop(src, dst, times[k])
+            messages = np.argwhere(candidate)
+            burst_drop[tuple(messages.T)] = policy.burst_drops(messages, pr)
         fault_drop = crash_drop | part_drop | burst_drop
         factor = slow[:, :, None] * slow[:, None, :]
         values = np.where(factor != 1.0, latencies * factor, latencies)

@@ -414,6 +414,15 @@ class SyncRun:
                 raise ValueError(
                     f"fault plan is for n={fault_plan.n}, run for n={n}"
                 )
+            # Both engines crash a node at a round boundary, before it
+            # sends; a partial final broadcast is the lockstep runner's
+            # alone, and running it as a plain crash would be silent.
+            for crash in fault_plan.crashes:
+                if crash.final_sends is not None:
+                    raise ValueError(
+                        f"{crash} dies mid-broadcast (final_sends): the "
+                        "event-driven stack crashes at round boundaries only"
+                    )
             # Link-level faults (bursts, partitions, slow links, frozen
             # peers) ride on the wire.  The policy also owns the plan's
             # round <-> time mapping, anchored to this construction-time

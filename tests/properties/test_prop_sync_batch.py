@@ -223,6 +223,34 @@ class TestFaultedBitIdentity:
             assert policy_a._burst_counters == policy_b._burst_counters
             assert policy_a._seen_activations == policy_b._seen_activations
 
+    def test_overlapping_bursts_share_each_link_counter(self):
+        # Rounds 6-9 have both bursts live: there a message walks them in
+        # order, one count of its link each, up to the first that drops
+        # it — the rule the batched engine's bulk burst call must follow.
+        # ``fault_plans`` overlaps its bursts only by chance.
+        plan = FaultPlan(
+            n=8,
+            crashes=(Crash(pid=2, at_round=8),),
+            loss_bursts=(
+                LossBurst(start_round=3, end_round=9, drop_prob=0.3),
+                LossBurst(start_round=6, end_round=12, drop_prob=0.5),
+            ),
+            seed=29,
+        )
+        factory, timeout = PROFILES["uniform-wan"]
+        twins = twin_runs(
+            lambda: build_widened_run(factory, timeout, 7, 20, plan, True, True)
+        )
+        assert twins.auto_run.executed_mode == "batch"
+        assert twins.diverged == []
+        policy_a = twins.scalar_run.link_faults
+        policy_b = twins.auto_run.link_faults
+        assert policy_a._burst_counters == policy_b._burst_counters
+        assert policy_a._seen_activations == policy_b._seen_activations
+        # Not vacuous: a link sends at most 10 messages in the 10 burst
+        # rounds, so a larger count means the overlap drew twice.
+        assert max(policy_b._burst_counters.values()) > 10
+
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=10, deadline=None)
     def test_omega_state_matches_after_replay(self, seed):

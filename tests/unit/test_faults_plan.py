@@ -43,6 +43,15 @@ class TestValidation:
                 ),
             )
 
+    def test_final_sends_must_name_processes_of_the_system(self):
+        # Out-of-range targets used to vanish silently in the lockstep
+        # runner's ``targets & final_sends``.
+        for targets in ({0, 3}, {-1}):
+            with pytest.raises(ValueError, match="final_sends"):
+                FaultPlan(
+                    n=3, crashes=(Crash(1, 2, final_sends=frozenset(targets)),)
+                )
+
     def test_partition_must_cover_all_processes(self):
         with pytest.raises(ValueError, match="cover"):
             FaultPlan(

@@ -1,6 +1,8 @@
 """Unit tests for the named random streams."""
 
-from repro.sim.rng import RandomStreams
+import numpy as np
+
+from repro.sim.rng import RandomStreams, derive_seed, derive_seed_heads
 
 
 class TestRandomStreams:
@@ -40,3 +42,17 @@ class TestRandomStreams:
         # Child streams reproducible from the same spawn path.
         again = RandomStreams(5).spawn("run-0")
         assert (child.stream("x").random(4) == again.stream("x").random(4)).all()
+
+
+class TestDeriveSeedHeads:
+    def test_heads_are_derive_seed_of_each_name(self):
+        suffixes = [0, 1, 9, 10, 255, 10**12]
+        heads = derive_seed_heads(2**40 + 3, "faults:x:1:2:", suffixes)
+        assert len(heads) == 8 * len(suffixes)
+        assert np.frombuffer(heads, ">u8").tolist() == [
+            derive_seed(2**40 + 3, f"faults:x:1:2:{s}") for s in suffixes
+        ]
+        assert int.from_bytes(heads[:8], "big") == derive_seed(
+            2**40 + 3, "faults:x:1:2:0"
+        )
+        assert derive_seed_heads(1, "stem:", range(0)) == b""

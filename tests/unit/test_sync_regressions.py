@@ -13,6 +13,7 @@ resurrected suspicion of live processes.
 import numpy as np
 import pytest
 
+from repro.faults import Crash, FaultPlan
 from repro.giraf.oracle import NullOracle
 from repro.net import uniform_wan_profile
 from repro.oracles.omega import HeartbeatOmega
@@ -211,6 +212,15 @@ class TestConstructionValidatesInputs:
                 {"start_times": [-0.5] + [0.0] * (N - 1)},
                 "start times",
                 id="start-negative",
+            ),
+            # Dying mid-broadcast is the lockstep runner's alone; the event
+            # stack used to run it as a plain round-boundary crash.
+            pytest.param(
+                {"fault_plan": FaultPlan(
+                    n=N, crashes=(Crash(3, 4, final_sends=frozenset({0, 1})),)
+                )},
+                r"Crash\(pid=3.*final_sends",
+                id="crash-final-sends",
             ),
         ],
     )
