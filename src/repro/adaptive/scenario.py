@@ -17,9 +17,9 @@ Each policy runs the same workload on its own
   with the leader the initial ping measurement elected;
 - the **adaptive policy**: starts on the most conservative fixed
   configuration, watches the network through its
-  :class:`~repro.adaptive.extractor.TimelinessExtractor` (fed both the
-  per-round latency probes and the runner's own delivery matrices via
-  ``on_round_matrix``), and switches model/timeout/leader between slots.
+  :class:`~repro.adaptive.extractor.TimelinessExtractor` (fed the
+  per-round latency probes of every slot it ran), and switches
+  model/timeout/leader between slots.
 
 Per-command decision latency is measured arrival-to-decision in wall
 time, queueing included: a policy that stalls through the slow phase
@@ -238,20 +238,6 @@ def faulted_latencies(
     return latencies
 
 
-class _GlobalRoundAdapter:
-    """Forwards the runner's slot-local ``on_round_matrix`` stream to the
-    extractor with globally unique round numbers (slot-local round ``k``
-    of a slot that starts after ``base`` consumed rounds is global round
-    ``base + k``), so windows never collide across slots."""
-
-    def __init__(self, extractor: TimelinessExtractor) -> None:
-        self.extractor = extractor
-        self.base = 0
-
-    def on_round_matrix(self, round_number: int, delivered: np.ndarray) -> None:
-        self.extractor.observe(self.base + round_number, delivered)
-
-
 def _run_policy(
     name: str,
     policy: FixedPolicy,
@@ -262,7 +248,6 @@ def _run_policy(
 ) -> PolicyRunReport:
     total_rounds = base_trace.shape[0]
     extractor = getattr(policy, "extractor", None)
-    adapter = _GlobalRoundAdapter(extractor) if extractor is not None else None
     clock = {"cursor": 0, "wall": 0.0}
 
     def slot_matrices(timeout: float) -> list[np.ndarray]:
@@ -290,7 +275,6 @@ def _run_policy(
         KVStore,
         max_rounds_per_instance=config.max_rounds_per_slot,
         policy=policy,
-        observers=[adapter] if adapter is not None else [],
         invariant_factory=lambda slot: default_suite(metrics=metrics),
     )
 
@@ -312,8 +296,6 @@ def _run_policy(
             if command not in submitted and arrivals[command] <= clock["wall"]:
                 group.submit(command.seq % config.n, command)
                 submitted.add(command)
-        if adapter is not None:
-            adapter.base = clock["cursor"]
         result = group.run_slot()
         timeout = policy.timeout  # unchanged since this slot's begin_slot
         if extractor is not None:

@@ -203,11 +203,11 @@ def _consensus_safety(
     """Run Algorithm 2 through both stacks with the safety checkers on.
 
     The lockstep side replays the scenario's *unfaulted* idealized
-    matrices through :func:`inject_lockstep` (so the plan perturbs it the
-    canonical way); the event side runs the full protocol with the plan
-    installed on the wire.  Neither run is required to decide — safety
-    invariants are unconditional — but on these profiles they normally
-    do, which is what makes the check non-vacuous.
+    matrices with the plan installed as the runner's ``fault_plan``; the
+    event side runs the full protocol with the plan installed on the
+    wire.  Neither run is required to decide — safety invariants are
+    unconditional — but on these profiles they normally do, which is
+    what makes the check non-vacuous.
     """
 
     def factory(pid: int) -> WlmConsensus:

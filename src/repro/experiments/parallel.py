@@ -132,13 +132,6 @@ def wan_cell_tasks(
     return [(wan_task, cell) for cell in cell_grid(config)]
 
 
-def lan_cell_tasks(
-    config: SweepConfig,
-) -> list[tuple[Callable[[CellArgs], CellOutcome], CellArgs]]:
-    """The LAN figure as independent ``(task, args)`` pairs."""
-    return [(lan_task, cell) for cell in cell_grid(config)]
-
-
 def rows_from_flat(flat: Sequence[Any], config: SweepConfig) -> list[list[Any]]:
     """Reshape serial-order flat cell results to ``rows[t_index][r_index]``."""
     return [

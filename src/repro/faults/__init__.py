@@ -5,10 +5,11 @@ message-loss bursts, network partitions, slow-node episodes, clock-offset
 steps and forced leader churn on a 1-based round timeline.  The same plan
 drives
 
-- the lockstep GIRAF runner, via :func:`inject_lockstep` /
-  :class:`FaultSchedule` (delivery-matrix masking + crash plan + churned
-  oracle), and
-- the event-driven stack, via the ``fault_plan`` of
+- the lockstep GIRAF runner, via the ``fault_plan`` of
+  :class:`repro.giraf.runner.LockstepRunner`: permanent crashes kill
+  their processes, each round's :meth:`FaultPlan.mask` loses messages
+  and a :class:`ChurningOracle` overrides the oracle in churn windows, and
+- the event-driven stack, via the same ``fault_plan`` of
   :class:`repro.sync.round_sync.SyncRun`: the run books the node-level
   faults on its simulator and assigns a :class:`PlanLinkFaults` policy to
   its transport's ``faults`` for the link-level ones,
@@ -27,12 +28,7 @@ from repro.faults.plan import (
     Partition,
     SlowNode,
 )
-from repro.faults.lockstep import (
-    ChurningOracle,
-    FaultSchedule,
-    faulty_lockstep_runner,
-    inject_lockstep,
-)
+from repro.faults.lockstep import ChurningOracle
 from repro.faults.event import PlanLinkFaults
 
 __all__ = [
@@ -45,8 +41,5 @@ __all__ = [
     "SlowNode",
     "StabilityWindowAdversary",
     "ChurningOracle",
-    "FaultSchedule",
-    "faulty_lockstep_runner",
-    "inject_lockstep",
     "PlanLinkFaults",
 ]

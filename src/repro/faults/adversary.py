@@ -94,11 +94,6 @@ class StabilityWindowAdversary:
             majority(self.n) if self.component_size is None else self.component_size
         )
 
-    @property
-    def stabilization_round(self) -> int:
-        """First round of the stable suffix (alias of ``gsr_round``)."""
-        return self.gsr_round
-
     def windows(self) -> list[tuple[int, tuple[int, ...]]]:
         """``(start_round, members)`` of every pre-GSR stability window.
 

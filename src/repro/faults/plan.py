@@ -2,20 +2,17 @@
 
 DESIGN.md promises failure injection — crashes below the resilience
 bound, message-loss bursts, partitions, slow nodes, clock trouble and
-leader churn — but the knobs for those lived scattered across
-``giraf.schedule`` (:class:`~repro.giraf.schedule.CrashPlan`), the
-adversarial schedules, and ad-hoc network-profile parameters, and none
-of them reached the event-driven :class:`~repro.sync.round_sync.SyncRun`
-path.  A :class:`FaultPlan` is the single declarative timeline that both
-execution paths consume:
+leader churn.  A :class:`FaultPlan` is the single declarative timeline
+for all of them, and both execution paths take it as the same
+``fault_plan`` argument:
 
-- the lockstep GIRAF runner, through
-  :class:`~repro.faults.lockstep.FaultSchedule` (which masks delivery
-  matrices) plus :meth:`FaultPlan.to_crash_plan`;
-- the event-driven stack, through
-  :class:`~repro.faults.event.PlanLinkFaults` (assigned to the
-  transport's ``faults``) plus the crash/recover/clock-step hooks of
-  :class:`~repro.sync.round_sync.SyncRun`.
+- the lockstep :class:`~repro.giraf.runner.LockstepRunner` kills the
+  permanent crashes, loses each round's messages where :meth:`FaultPlan.mask`
+  says so and churns the oracle;
+- the event-driven :class:`~repro.sync.round_sync.SyncRun` assigns a
+  :class:`~repro.faults.event.PlanLinkFaults` policy to its transport's
+  ``faults`` and books the crash/recover/clock-step hooks on its
+  simulator.
 
 Rounds are 1-based, matching the schedules.  Every random choice a plan
 implies (which burst messages drop, which leader a churn round elects)
@@ -23,11 +20,10 @@ is derived from the plan's ``seed`` with the same SHA-256 rule as
 :meth:`repro.sim.rng.RandomStreams.spawn`, so the two injectors — and
 repeated runs of either — see bit-identical fault realizations.
 
-Crash semantics: a crash with ``recover_round=None`` is permanent and
-(on the lockstep path) becomes a :class:`CrashPlan` entry.  A crash
-*with* a recovery round models crash-recovery with stable storage: the
-process freezes — sends nothing, hears nothing — and resumes with its
-state intact.  On the lockstep path the freeze is expressed through the
+Crash semantics: a crash with ``recover_round=None`` is permanent (on
+the lockstep path a real process death).  A crash *with* a recovery
+round models crash-recovery with stable storage: the process freezes —
+sends nothing, hears nothing — and resumes with its state intact.  On the lockstep path the freeze is expressed through the
 delivery mask (the process sleeps through the rounds); on the event path
 the node's timers are actually paused.
 """
@@ -42,7 +38,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from repro.giraf.schedule import CrashPlan
 from repro.sim.rng import derive_seed
 
 
@@ -360,11 +355,19 @@ class FaultPlan:
                 rows = rng.random((2, self.n)) < slow.drop_prob
                 masked[slow.pid, :] |= rows[0]
                 masked[:, slow.pid] |= rows[1]
-        # Dead and frozen processes alike send and hear nothing.  (On
-        # the lockstep path the permanent crashes are additionally real
-        # process deaths, via :meth:`to_crash_plan`.)
+        # Dead and frozen processes alike send and hear nothing, except
+        # that a process dying mid-broadcast still reaches its
+        # ``final_sends`` in its last round (other faults permitting).
+        last_words = [
+            (c.pid, sorted(c.final_sends))
+            for c in self.crashes
+            if c.final_sends and c.at_round == round_number
+        ]
+        kept = [masked[dsts, pid] | state.down[dsts] for pid, dsts in last_words]
         masked[state.down, :] = True
         masked[:, state.down] = True
+        for (pid, dsts), column in zip(last_words, kept):
+            masked[dsts, pid] = column
         np.fill_diagonal(masked, False)
         return masked
 
@@ -379,19 +382,6 @@ class FaultPlan:
         diag = np.arange(self.n)
         faulted[:, diag, diag] = matrices[:, diag, diag]
         return faulted
-
-    def to_crash_plan(self) -> CrashPlan:
-        """The permanent crashes, as the lockstep runner's :class:`CrashPlan`
-        (recoverable crashes are expressed through :meth:`mask` instead)."""
-        crash_rounds = {
-            c.pid: c.at_round for c in self.crashes if c.recover_round is None
-        }
-        final_sends = {
-            c.pid: c.final_sends
-            for c in self.crashes
-            if c.recover_round is None and c.final_sends is not None
-        }
-        return CrashPlan(crash_rounds=crash_rounds, final_sends=final_sends)
 
     def correct(self) -> frozenset[int]:
         """Processes that never crash permanently."""

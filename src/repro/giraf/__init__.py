@@ -31,7 +31,6 @@ from repro.giraf.schedule import (
     IIDSchedule,
     StableAfterSchedule,
     IntermittentlyStableSchedule,
-    CrashPlan,
 )
 from repro.giraf.adversary import (
     PartitionSchedule,
@@ -55,7 +54,6 @@ __all__ = [
     "IIDSchedule",
     "StableAfterSchedule",
     "IntermittentlyStableSchedule",
-    "CrashPlan",
     "PartitionSchedule",
     "BurstyLossSchedule",
     "TargetedSilenceSchedule",

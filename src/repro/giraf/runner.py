@@ -15,14 +15,17 @@ global-decision round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.giraf.kernel import GirafAlgorithm
 from repro.giraf.oracle import Oracle
 from repro.giraf.process import GirafProcess
-from repro.giraf.schedule import CrashPlan, Schedule
+from repro.giraf.schedule import Schedule
+
+if TYPE_CHECKING:
+    from repro.faults.plan import Crash, FaultPlan
 
 
 @dataclass
@@ -107,6 +110,13 @@ class LockstepRunner:
     ``on_round_matrix`` fires live, right where an implementable oracle's
     ``observe`` sees the round's deliveries — the seam timeliness
     extractors (:mod:`repro.adaptive`) tap without being an oracle.
+
+    A ``fault_plan`` (:class:`~repro.faults.plan.FaultPlan`) is the same
+    argument :class:`~repro.sync.round_sync.SyncRun` takes: its permanent
+    crashes are real process deaths (a dying process still reaches its
+    crash's ``final_sends``), every round's messages are lost where the
+    plan's :meth:`~repro.faults.plan.FaultPlan.mask` says so, and its
+    leader-churn windows override the oracle.
     """
 
     def __init__(
@@ -115,35 +125,37 @@ class LockstepRunner:
         algorithm_factory: Callable[[int], GirafAlgorithm],
         oracle: Oracle,
         schedule: Schedule,
-        crash_plan: Optional[CrashPlan] = None,
+        fault_plan: Optional[FaultPlan] = None,
         observers: Sequence[Any] = (),
     ) -> None:
         if schedule.n != n:
             raise ValueError(f"schedule is for n={schedule.n}, runner for n={n}")
         self.n = n
-        self.oracle = oracle
         self.schedule = schedule
-        self.crash_plan = crash_plan or CrashPlan()
-        self.crash_plan.validate(n)
+        self.fault_plan = fault_plan
+        # The plan's permanent crashes, by pid: the processes that die.
+        self._deaths: dict[int, Crash] = {}
+        if fault_plan is not None:
+            if fault_plan.n != n:
+                raise ValueError(f"fault plan is for n={fault_plan.n}, runner for n={n}")
+            self._deaths = {
+                c.pid: c for c in fault_plan.crashes if c.recover_round is None
+            }
+            if fault_plan.leader_churn:
+                # Imported here: repro.faults itself imports repro.giraf.
+                from repro.faults.lockstep import ChurningOracle
+
+                oracle = ChurningOracle(oracle, fault_plan)
+        self.oracle = oracle
         self.observers = list(observers)
         self.processes = [GirafProcess(pid, algorithm_factory(pid)) for pid in range(n)]
         # Late messages queued as (delivery_round, original_round, src, dst, payload).
         self._late_queue: dict[int, list[tuple[int, int, int, Any]]] = {}
 
-    def _live(self, round_number: int) -> list[GirafProcess]:
-        return [
-            proc
-            for proc in self.processes
-            if not self.crash_plan.crashed_at(proc.pid, round_number)
-            or self.crash_plan.in_final_round(proc.pid, round_number)
-        ]
-
-    def _alive_for_compute(self, round_number: int) -> list[GirafProcess]:
-        return [
-            proc
-            for proc in self.processes
-            if not self.crash_plan.crashed_at(proc.pid, round_number)
-        ]
+    def _dead(self, pid: int, round_number: int) -> bool:
+        """Is ``pid`` dead for good at (the start of) this round?"""
+        crash = self._deaths.get(pid)
+        return crash is not None and round_number >= crash.at_round
 
     def run(
         self,
@@ -160,11 +172,12 @@ class LockstepRunner:
                 global decision (useful to observe stable-state message
                 complexity after the protocol quiesces).
         """
-        result = RunResult(n=self.n, correct=self.crash_plan.correct(self.n))
+        correct = frozenset(range(self.n)).difference(self._deaths)
+        result = RunResult(n=self.n, correct=correct)
 
         # Round 0: the first end-of-round initializes everyone.
         for proc in self.processes:
-            if not self.crash_plan.crashed_at(proc.pid, 1):
+            if not self._dead(proc.pid, 1):
                 output = self.oracle.query(proc.pid, 0)
                 notify(self.observers, "on_oracle", proc.pid, 0, output)
                 proc.end_of_round(output)
@@ -184,22 +197,30 @@ class LockstepRunner:
             result.rounds_executed = k
             sent = np.eye(self.n, dtype=bool)
             delivered = np.eye(self.n, dtype=bool)
+            lost = None if self.fault_plan is None else self.fault_plan.mask(k)
 
             # Transmissions of round-k messages.
-            for proc in self._live(k):
-                targets = proc.send_targets()
-                if self.crash_plan.in_final_round(proc.pid, k):
-                    targets = targets & self.crash_plan.final_sends[proc.pid]
+            for proc in self.processes:
+                if self._dead(proc.pid, k):
+                    # Dead, unless dying mid-broadcast in this very round.
+                    crash = self._deaths[proc.pid]
+                    if k > crash.at_round or crash.final_sends is None:
+                        continue
+                    targets = proc.send_targets() & crash.final_sends
+                else:
+                    targets = proc.send_targets()
                 payload = proc.outgoing_payload
                 for dst in sorted(targets):
                     sent[dst, proc.pid] = True
                     result.messages_sent += 1
+                    if lost is not None and lost[dst, proc.pid]:
+                        continue
                     arrival = self.schedule.delivered_round(k, proc.pid, dst)
                     if arrival is None:
                         continue
                     if arrival == k:
                         delivered[dst, proc.pid] = True
-                        if not self.crash_plan.crashed_at(dst, k):
+                        if not self._dead(dst, k):
                             self.processes[dst].receive(k, proc.pid, payload)
                     else:
                         self._late_queue.setdefault(arrival, []).append(
@@ -210,7 +231,7 @@ class LockstepRunner:
             # Late arrivals scheduled for this round (stored in their
             # original slot; harmless to the algorithms, visible to tests).
             for original_round, src, dst, payload in self._late_queue.pop(k, []):
-                if not self.crash_plan.crashed_at(dst, k):
+                if not self._dead(dst, k):
                     self.processes[dst].receive(original_round, src, payload)
 
             result.sent_matrices.append(sent)
@@ -224,7 +245,9 @@ class LockstepRunner:
             notify(self.observers, "on_round_matrix", k, delivered)
 
             # End-of-round computations.
-            for proc in self._alive_for_compute(k):
+            for proc in self.processes:
+                if self._dead(proc.pid, k):
+                    continue
                 output = self.oracle.query(proc.pid, k)
                 notify(self.observers, "on_oracle", proc.pid, k, output)
                 proc.end_of_round(output)

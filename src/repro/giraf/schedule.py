@@ -14,8 +14,7 @@ instrumentation via :meth:`Schedule.matrix`.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -227,43 +226,3 @@ class IntermittentlyStableSchedule(_RepairingSchedule):
     def good_round(self, round_number: int) -> bool:
         rng = np.random.default_rng((self._seed, round_number, 0xBEEF))
         return bool(rng.random() < self.stability_prob)
-
-
-@dataclass
-class CrashPlan:
-    """Which processes crash, and when.
-
-    ``crash_rounds[pid] = r`` means ``pid`` executes end-of-rounds
-    ``0 .. r-1`` (so it sends its round-1 .. round-(r-1) messages) and is
-    dead from the start of round ``r``.  ``final_sends[pid]``, if present,
-    lets the process transmit its round-``r`` message to just that subset
-    before dying — the classic "crash mid-broadcast" adversary.
-    """
-
-    crash_rounds: Mapping[int, int] = field(default_factory=dict)
-    final_sends: Mapping[int, frozenset[int]] = field(default_factory=dict)
-
-    def validate(self, n: int) -> None:
-        """Check the plan against the model's resilience bound (< n/2 crashes)."""
-        for pid, r in self.crash_rounds.items():
-            if not 0 <= pid < n:
-                raise ValueError(f"crash pid {pid} out of range")
-            if r < 1:
-                raise ValueError(f"crash round {r} must be >= 1")
-        if len(self.crash_rounds) >= (n + 1) // 2:
-            raise ValueError(
-                f"{len(self.crash_rounds)} crashes violate the <n/2 bound for n={n}"
-            )
-
-    def crashed_at(self, pid: int, round_number: int) -> bool:
-        """Is ``pid`` dead at (the start of) the given round?"""
-        r = self.crash_rounds.get(pid)
-        return r is not None and round_number >= r
-
-    def in_final_round(self, pid: int, round_number: int) -> bool:
-        """Is this the round in which ``pid`` dies mid-broadcast?"""
-        return self.crash_rounds.get(pid) == round_number and pid in self.final_sends
-
-    def correct(self, n: int) -> frozenset[int]:
-        """Processes that never crash."""
-        return frozenset(pid for pid in range(n) if pid not in self.crash_rounds)

@@ -22,10 +22,9 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.faults.lockstep import inject_lockstep
 from repro.faults.plan import FaultPlan
 from repro.giraf.kernel import GirafAlgorithm, Inbox, RoundOutput
-from repro.giraf.oracle import FixedLeaderOracle, NullOracle, Oracle
+from repro.giraf.oracle import FixedLeaderOracle, NullOracle
 from repro.giraf.runner import LockstepRunner
 from repro.giraf.schedule import MatrixSchedule
 from repro.net.base import LatencyModel
@@ -165,15 +164,9 @@ class ProbeScenario:
     ) -> LockstepRunner:
         """The scenario on the lockstep stack: ``algorithm`` under the
         pinged leader over the *unfaulted* round ``matrices``, the plan
-        injected the canonical way (:func:`inject_lockstep`)."""
-        schedule = MatrixSchedule([np.array(m) for m in matrices])
-        oracle: Oracle = FixedLeaderOracle(self.leader)
-        crash_plan = None
-        if self.plan is not None:
-            schedule, oracle, crash_plan = inject_lockstep(
-                self.plan, schedule, oracle
-            )
+        installed as the runner's ``fault_plan``."""
         return LockstepRunner(
-            self.n, algorithm, oracle, schedule,
-            crash_plan=crash_plan, observers=observers,
+            self.n, algorithm, FixedLeaderOracle(self.leader),
+            MatrixSchedule([np.array(m) for m in matrices]),
+            fault_plan=self.plan, observers=observers,
         )

@@ -14,8 +14,8 @@ import pytest
 
 from repro.consensus import AfmConsensus, EsConsensus, LmConsensus, PaxosConsensus
 from repro.core import WlmConsensus
+from repro.faults import FaultPlan
 from repro.giraf import (
-    CrashPlan,
     EventuallyStableLeaderOracle,
     FixedLeaderOracle,
     IIDSchedule,
@@ -58,7 +58,7 @@ def make_consensus_run(
     proposals: Optional[Sequence[Any]] = None,
     oracle: Optional[Oracle] = None,
     schedule: Optional[Schedule] = None,
-    crash_plan: Optional[CrashPlan] = None,
+    fault_plan: Optional[FaultPlan] = None,
     max_rounds: int = 120,
     oracle_stable_from: Optional[int] = None,
 ) -> RunResult:
@@ -70,8 +70,8 @@ def make_consensus_run(
     if schedule is None:
         base = IIDSchedule(n, p=p_chaos, seed=seed)
         correct = None
-        if crash_plan is not None:
-            correct = sorted(crash_plan.correct(n))
+        if fault_plan is not None:
+            correct = sorted(fault_plan.correct())
         schedule = StableAfterSchedule(
             base, gsr=gsr, model=model, leader=leader, seed=seed + 1,
             correct=correct,
@@ -89,7 +89,7 @@ def make_consensus_run(
         lambda pid: algorithm_cls(pid, n, proposals[pid]),
         oracle,
         schedule,
-        crash_plan=crash_plan,
+        fault_plan=fault_plan,
     )
     return runner.run(max_rounds=max_rounds)
 

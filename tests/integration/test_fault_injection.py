@@ -16,15 +16,13 @@ from repro.faults import (
     ClockStep,
     Crash,
     FaultPlan,
-    FaultSchedule,
     LeaderChurn,
     LossBurst,
     Partition,
     PlanLinkFaults,
     SlowNode,
-    faulty_lockstep_runner,
 )
-from repro.giraf import IIDSchedule, NullOracle, StableAfterSchedule
+from repro.giraf import IIDSchedule, LockstepRunner, NullOracle, StableAfterSchedule
 from repro.giraf.kernel import GirafAlgorithm
 from repro.giraf.oracle import EventuallyStableLeaderOracle
 from repro.giraf.process import GirafProcess
@@ -70,11 +68,12 @@ def lockstep_run(plan, seed=1):
     oracle = EventuallyStableLeaderOracle(
         leader=0, stable_from=plan.quiet_after() + 2, n=N, seed=seed + 2
     )
-    runner = faulty_lockstep_runner(
-        plan,
+    runner = LockstepRunner(
+        N,
         lambda pid: WlmConsensus(pid, N, 10 * (pid + 1)),
         oracle,
         schedule,
+        fault_plan=plan,
     )
     return runner.run(max_rounds=40, stop_on_global_decision=False)
 
@@ -129,18 +128,23 @@ class TestSeedReproducibility:
             partitions=(Partition(((0, 1, 2), (3, 4)), 5, 7),),
             seed=7,
         )
-        schedule = FaultSchedule(IIDSchedule(N, p=1.0, seed=0), plan)
+        lockstep = LockstepRunner(
+            N,
+            lambda pid: HeartbeatAlgorithm(pid, N),
+            NullOracle(),
+            IIDSchedule(N, p=1.0, seed=0),
+            fault_plan=plan,
+        ).run(max_rounds=11, stop_on_global_decision=False)
         link_faults = PlanLinkFaults(plan, TIMEOUT)
         for k in range(1, 12):
             mid_round = (k - 0.5) * TIMEOUT
             mask = plan.mask(k)
+            delivered = lockstep.delivered_matrices[k - 1]
             for src in range(N):
                 for dst in range(N):
                     if src == dst:
                         continue
-                    lockstep_lost = (
-                        schedule.delivered_round(k, src, dst) is None
-                    )
+                    lockstep_lost = not delivered[dst, src]
                     event_lost = link_faults.drop(src, dst, mid_round)
                     assert lockstep_lost == event_lost == mask[dst, src], (
                         k, src, dst,
@@ -335,20 +339,21 @@ class TestLockstepConsensusUnderFaults:
             leader=0,
             seed=2,
         )
-        runner = faulty_lockstep_runner(
-            plan,
+        runner = LockstepRunner(
+            N,
             lambda pid: EsConsensus(pid, N, pid + 1),
             NullOracle(),
             schedule,
+            fault_plan=plan,
         )
         result = runner.run(max_rounds=gsr + 20)
         assert result.agreement_holds() and result.validity_holds()
         assert result.all_correct_decided
 
     def test_each_rounds_mask_is_computed_once(self, monkeypatch):
-        """The runner asks ``delivered_round`` per message; the plan's
-        mask (RNG draws included) used to be rebuilt for every one of
-        them — 3 360 times for these 60 rounds of ◊LM at n = 8."""
+        """The runner decides every message of a round against one mask:
+        60 builds (RNG draws included) for these 60 rounds of ◊LM at
+        n = 8, not one per message (3 360)."""
         from repro.check.differential import canonical_diff_plan
         from repro.consensus import LmConsensus
         from repro.giraf import FixedLeaderOracle
@@ -359,11 +364,12 @@ class TestLockstepConsensusUnderFaults:
         monkeypatch.setattr(
             FaultPlan, "mask", lambda self, k: computed.append(k) or mask(self, k)
         )
-        runner = faulty_lockstep_runner(
-            plan,
+        runner = LockstepRunner(
+            8,
             lambda pid: LmConsensus(pid, 8, pid + 1),
             FixedLeaderOracle(0),
             IIDSchedule(8, p=0.9, seed=1),
+            fault_plan=plan,
         )
         result = runner.run(max_rounds=60, stop_on_global_decision=False)
         assert result.rounds_executed == 60

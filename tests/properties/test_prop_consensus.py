@@ -8,8 +8,8 @@ validity, and must decide when the world stabilizes.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.faults import Crash, FaultPlan
 from repro.giraf import (
-    CrashPlan,
     IIDSchedule,
     LockstepRunner,
     NullOracle,
@@ -100,9 +100,7 @@ def test_safety_with_random_minority_crashes(name, world, crash_fraction):
     # Crash the highest pids (keeping the leader alive keeps the run
     # decidable; safety must hold regardless).
     crashed = [pid for pid in range(n - 1, -1, -1) if pid != leader][:crash_count]
-    plan = CrashPlan(
-        crash_rounds={pid: 1 + (pid % 5) for pid in crashed}
-    )
+    plan = FaultPlan(n, crashes=tuple(Crash(pid, 1 + (pid % 5)) for pid in crashed))
     model, _ = LIVENESS[name]
     schedule = StableAfterSchedule(
         IIDSchedule(n, p=p_chaos, seed=seed),
@@ -110,7 +108,7 @@ def test_safety_with_random_minority_crashes(name, world, crash_fraction):
         model=model,
         leader=leader,
         seed=seed + 1,
-        correct=sorted(plan.correct(n)),
+        correct=sorted(plan.correct()),
     )
     if name in ("ES", "AFM"):
         oracle = NullOracle()
@@ -123,7 +121,7 @@ def test_safety_with_random_minority_crashes(name, world, crash_fraction):
         lambda pid: ALGORITHMS[name](pid, n, proposals[pid]),
         oracle,
         schedule,
-        crash_plan=plan,
+        fault_plan=plan,
     )
     result = runner.run(max_rounds=gsr + 80)
     assert_safety(result)

@@ -23,7 +23,6 @@ from repro.faults import (
     LossBurst,
     Partition,
     SlowNode,
-    inject_lockstep,
 )
 from repro.giraf import (
     IIDSchedule,
@@ -147,18 +146,15 @@ def test_consensus_safety_under_generated_plans(name, world):
     once the plan goes quiet and the schedule stabilizes."""
     n, plan, proposals, p_chaos, seed = world
     model, _ = LIVENESS[name]
-    crash_plan = plan.to_crash_plan()
     gsr = plan.quiet_after() + 2
-    correct = (
-        sorted(crash_plan.correct(n)) if crash_plan.crash_rounds else None
-    )
+    dies = len(plan.correct()) < n
     schedule = StableAfterSchedule(
         IIDSchedule(n, p=p_chaos, seed=seed),
         gsr=gsr,
         model=model,
         leader=0,
         seed=seed + 1,
-        correct=correct,
+        correct=sorted(plan.correct()) if dies else None,
     )
     if name in ("ES", "AFM"):
         oracle = NullOracle()
@@ -166,19 +162,16 @@ def test_consensus_safety_under_generated_plans(name, world):
         oracle = EventuallyStableLeaderOracle(
             leader=0, stable_from=gsr, n=n, seed=seed + 2
         )
-    fault_schedule, wrapped_oracle, extracted = inject_lockstep(
-        plan, schedule, oracle
-    )
     runner = LockstepRunner(
         n,
         lambda pid: ALGORITHMS[name](pid, n, proposals[pid]),
-        wrapped_oracle,
-        fault_schedule,
-        crash_plan=extracted,
+        oracle,
+        schedule,
+        fault_plan=plan,
     )
     result = runner.run(max_rounds=gsr + 90)
     assert_safety(result)
-    if not crash_plan.crash_rounds:
+    if not dies:
         assert result.all_correct_decided, (
             f"{name} did not decide by round {result.rounds_executed} "
             f"(gsr={gsr}, plan={plan})"

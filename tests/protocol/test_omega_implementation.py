@@ -12,8 +12,8 @@ import pytest
 
 from repro.consensus import LmConsensus
 from repro.core import WlmConsensus
+from repro.faults import Crash, FaultPlan
 from repro.giraf import (
-    CrashPlan,
     IIDSchedule,
     LockstepRunner,
     MatrixSchedule,
@@ -123,7 +123,7 @@ class TestOmegaProperty:
             lambda pid: WlmConsensus(pid, n, pid),
             omega,
             schedule,
-            crash_plan=CrashPlan(crash_rounds={0: 4}),
+            fault_plan=FaultPlan(n, crashes=(Crash(0, 4),)),
         )
         runner.run(max_rounds=10, stop_on_global_decision=False)
         for pid in range(1, n):
@@ -168,7 +168,7 @@ class TestConsensusWithImplementedOmega:
         consensus still terminates on a valid value."""
         n = 5
         gsr = 8
-        plan = CrashPlan(crash_rounds={0: 5})
+        plan = FaultPlan(n, crashes=(Crash(0, 5),))
         schedule = StableAfterSchedule(
             IIDSchedule(n, p=0.5, seed=3),
             gsr=gsr,
@@ -183,7 +183,7 @@ class TestConsensusWithImplementedOmega:
             lambda pid: WlmConsensus(pid, n, (pid + 1) * 10),
             omega,
             schedule,
-            crash_plan=plan,
+            fault_plan=plan,
         )
         result = runner.run(max_rounds=80)
         assert_safety(result)

@@ -7,8 +7,8 @@ they never decide.  These tests throw chaos at all five algorithms.
 
 import pytest
 
+from repro.faults import Crash, FaultPlan
 from repro.giraf import (
-    CrashPlan,
     IIDSchedule,
     LockstepRunner,
     RotatingLeaderOracle,
@@ -81,9 +81,9 @@ class TestSafetyWithCrashes:
     @pytest.mark.parametrize("crash_round", [1, 3, 6])
     def test_minority_crash_before_stability(self, name, crash_round):
         n = 5
-        plan = CrashPlan(crash_rounds={1: crash_round, 4: crash_round + 1})
+        plan = FaultPlan(n, crashes=(Crash(1, crash_round), Crash(4, crash_round + 1)))
         result = make_consensus_run(
-            name, n=n, gsr=10, crash_plan=plan, max_rounds=150, leader=0
+            name, n=n, gsr=10, fault_plan=plan, max_rounds=150, leader=0
         )
         assert_safety(result)
         assert result.all_correct_decided
@@ -91,11 +91,9 @@ class TestSafetyWithCrashes:
     def test_crash_mid_broadcast(self, name):
         """The classic adversary: a process dies sending to only a subset."""
         n = 5
-        plan = CrashPlan(
-            crash_rounds={2: 4}, final_sends={2: frozenset({0, 1})}
-        )
+        plan = FaultPlan(n, crashes=(Crash(2, 4, final_sends=frozenset({0, 1})),))
         result = make_consensus_run(
-            name, n=n, gsr=9, crash_plan=plan, max_rounds=150, leader=0
+            name, n=n, gsr=9, fault_plan=plan, max_rounds=150, leader=0
         )
         assert_safety(result)
         assert result.all_correct_decided
@@ -107,14 +105,14 @@ class TestSafetyWithCrashes:
             pytest.skip("leaderless algorithm")
         n = 5
         gsr = 8
-        plan = CrashPlan(crash_rounds={0: 4})
+        plan = FaultPlan(n, crashes=(Crash(0, 4),))
         # Oracle points at crashed 0 before stabilizing on 2.
         script = [[0] * n] * 4 + [[2] * n]
         result = make_consensus_run(
             name,
             n=n,
             gsr=gsr,
-            crash_plan=plan,
+            fault_plan=plan,
             leader=2,
             oracle=ScriptedOracle(script),
             max_rounds=150,

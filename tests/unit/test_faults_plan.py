@@ -12,6 +12,8 @@ from repro.faults import (
     Partition,
     SlowNode,
 )
+from repro.giraf import LockstepRunner, MatrixSchedule, NullOracle
+from repro.sync import HeartbeatAlgorithm
 
 
 def full_stack(rounds, n):
@@ -206,6 +208,8 @@ class TestApplication:
         assert stack.all()
 
     def test_to_crash_plan_keeps_only_permanent_crashes(self):
+        """The lockstep runner kills the permanent crashes only; a
+        recovering crash freezes through the mask and stays correct."""
         plan = FaultPlan(
             n=7,
             crashes=(
@@ -214,10 +218,32 @@ class TestApplication:
                 Crash(5, 2),
             ),
         )
-        crash_plan = plan.to_crash_plan()
-        assert crash_plan.crash_rounds == {3: 6, 5: 2}
-        assert crash_plan.final_sends == {3: frozenset({0, 2})}
-        crash_plan.validate(7)
+        runner = LockstepRunner(
+            7, lambda pid: HeartbeatAlgorithm(pid, 7), NullOracle(),
+            MatrixSchedule([np.ones((7, 7), dtype=bool)]), fault_plan=plan,
+        )
+        result = runner.run(max_rounds=10, stop_on_global_decision=False)
+        assert result.correct == frozenset({0, 1, 2, 4, 6})
+        senders = [set(np.flatnonzero(m.sum(axis=0) > 1)) for m in result.sent_matrices]
+        assert senders[0] == set(range(7))
+        assert senders[1] == senders[4] == {0, 1, 2, 3, 4, 6}
+        assert senders[5] == {0, 1, 2, 3, 4, 6}  # pid 3's dying round
+        assert result.sent_matrices[5][:, 3].tolist() == [1, 0, 1, 1, 0, 0, 0]
+        assert senders[6] == senders[9] == {0, 1, 2, 4, 6}
+
+    def test_final_sends_survive_the_dying_processs_own_mask(self):
+        """In its crash round a process dying mid-broadcast still reaches
+        its ``final_sends``, masked only by that round's other faults."""
+        plan = FaultPlan(
+            n=5,
+            crashes=(Crash(0, 3, final_sends=frozenset({1, 2, 4})), Crash(4, 2)),
+            partitions=(Partition(((0, 1, 3), (2, 4)), 3, 4),),
+        )
+        faulted = plan.apply_to_matrices(full_stack(4, 5))
+        # Round 3: 1 hears it; 2 is across the partition; 4 is dead.
+        assert faulted[2][:, 0].tolist() == [True, True, False, False, False]
+        assert faulted[1][:, 0].tolist() == [True, True, True, True, False]
+        assert faulted[3][:, 0].tolist() == [True, False, False, False, False]
 
     def test_churn_leader_deterministic_and_in_range(self):
         plan = FaultPlan(n=6, leader_churn=(LeaderChurn(1, 30),), seed=3)

@@ -2,10 +2,11 @@
 
 import numpy as np
 
+from repro.faults import Crash, FaultPlan
 from repro.giraf.kernel import GirafAlgorithm, RoundOutput
 from repro.giraf.oracle import NullOracle
 from repro.giraf.runner import LockstepRunner
-from repro.giraf.schedule import CrashPlan, MatrixSchedule
+from repro.giraf.schedule import MatrixSchedule
 from repro.models.matrix import full_matrix, empty_matrix
 
 
@@ -47,13 +48,13 @@ class DecideAtRound(GirafAlgorithm):
         return self._decision
 
 
-def make_runner(n, matrices, algorithm=Collector, crash_plan=None, **kwargs):
+def make_runner(n, matrices, algorithm=Collector, fault_plan=None, **kwargs):
     return LockstepRunner(
         n,
         lambda pid: algorithm(pid, n, **kwargs),
         NullOracle(),
         MatrixSchedule(matrices),
-        crash_plan=crash_plan,
+        fault_plan=fault_plan,
     )
 
 
@@ -94,8 +95,8 @@ class TestLockstepRunner:
         assert result.rounds_executed == 5
 
     def test_crashed_process_stops_participating(self):
-        plan = CrashPlan(crash_rounds={0: 2})
-        runner = make_runner(3, [full_matrix(3)], crash_plan=plan)
+        plan = FaultPlan(3, crashes=(Crash(0, 2),))
+        runner = make_runner(3, [full_matrix(3)], fault_plan=plan)
         runner.run(max_rounds=3, stop_on_global_decision=False)
         # Round 1: everyone hears 0.  Round 2+: nobody does.
         assert runner.processes[1].algorithm.heard[1] == frozenset({0, 1, 2})
@@ -104,12 +105,32 @@ class TestLockstepRunner:
         assert list(runner.processes[0].algorithm.heard) == [1]
 
     def test_final_round_partial_send(self):
-        plan = CrashPlan(crash_rounds={0: 2}, final_sends={0: frozenset({1})})
-        runner = make_runner(3, [full_matrix(3)], crash_plan=plan)
+        plan = FaultPlan(3, crashes=(Crash(0, 2, final_sends=frozenset({1})),))
+        runner = make_runner(3, [full_matrix(3)], fault_plan=plan)
         runner.run(max_rounds=3, stop_on_global_decision=False)
         # In its dying round 2, process 0 reached only process 1.
         assert 0 in runner.processes[1].algorithm.heard[2]
         assert 0 not in runner.processes[2].algorithm.heard[2]
+
+    def test_final_sends_are_delivered_not_just_sent(self):
+        """The plan's own mask must not swallow a dying process's last
+        words: they were sent but lost when the mask cut the whole column
+        of a process that dies in the round."""
+        plan = FaultPlan(4, crashes=(Crash(0, 3, final_sends=frozenset({1})),))
+        runner = make_runner(4, [full_matrix(4)], fault_plan=plan)
+        result = runner.run(max_rounds=4, stop_on_global_decision=False)
+        assert result.sent_matrices[2][:, 0].tolist() == [True, True, False, False]
+        assert result.delivered_matrices[2][:, 0].tolist() == [True, True, False, False]
+        assert 0 in runner.processes[1].algorithm.heard[3]
+        # From round 4 on it is gone, and a dead process's row stays undelivered.
+        assert not result.sent_matrices[3][1:, 0].any()
+        assert result.delivered_matrices[3][0].tolist() == [True, False, False, False]
+
+    def test_plan_for_another_size_rejected(self):
+        import pytest
+
+        with pytest.raises(ValueError, match="n=5"):
+            make_runner(4, [full_matrix(4)], fault_plan=FaultPlan(5))
 
     def test_late_messages_delivered_into_original_slot(self):
         schedule = MatrixSchedule([empty_matrix(3)], late_lag=2)
@@ -124,8 +145,8 @@ class TestLockstepRunner:
         assert proc.inbox.senders(1) == frozenset({0, 1, 2})
 
     def test_correct_set_in_result(self):
-        plan = CrashPlan(crash_rounds={2: 3})
-        runner = make_runner(5, [full_matrix(5)], crash_plan=plan)
+        plan = FaultPlan(5, crashes=(Crash(2, 3),))
+        runner = make_runner(5, [full_matrix(5)], fault_plan=plan)
         result = runner.run(max_rounds=2, stop_on_global_decision=False)
         assert result.correct == frozenset({0, 1, 3, 4})
 

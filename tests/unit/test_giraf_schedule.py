@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.faults import Crash, FaultPlan
+from repro.giraf.oracle import NullOracle
+from repro.giraf.runner import LockstepRunner
 from repro.giraf.schedule import (
-    CrashPlan,
     IIDSchedule,
     MatrixSchedule,
     StableAfterSchedule,
 )
 from repro.models import get_model
 from repro.models.matrix import empty_matrix, full_matrix
+from repro.sync import HeartbeatAlgorithm
 
 
 class TestMatrixSchedule:
@@ -101,27 +104,43 @@ class TestStableAfterSchedule:
 
 
 class TestCrashPlan:
+    """Crash timelines, stated as a :class:`FaultPlan` and realized by the
+    lockstep runner."""
+
+    @staticmethod
+    def run(plan, rounds=4):
+        n = plan.n
+        return LockstepRunner(
+            n, lambda pid: HeartbeatAlgorithm(pid, n), NullOracle(),
+            MatrixSchedule([full_matrix(n)]), fault_plan=plan,
+        ).run(max_rounds=rounds, stop_on_global_decision=False)
+
     def test_crashed_at_semantics(self):
-        plan = CrashPlan(crash_rounds={1: 3})
-        assert not plan.crashed_at(1, 2)
-        assert plan.crashed_at(1, 3)
-        assert plan.crashed_at(1, 99)
-        assert not plan.crashed_at(0, 99)
+        plan = FaultPlan(5, crashes=(Crash(1, 3),))
+        assert not plan.down_at(1, 2)
+        assert plan.down_at(1, 3)
+        assert plan.down_at(1, 99)
+        assert not plan.down_at(0, 99)
+        # Process 1 sends in rounds 1 and 2 and is silent from round 3 on.
+        sent = self.run(plan).sent_matrices
+        assert [m[0, 1] for m in sent] == [True, True, False, False]
 
     def test_correct_set(self):
-        plan = CrashPlan(crash_rounds={0: 2, 3: 5})
-        assert plan.correct(5) == frozenset({1, 2, 4})
+        plan = FaultPlan(5, crashes=(Crash(0, 2), Crash(3, 5)))
+        assert plan.correct() == frozenset({1, 2, 4})
+        assert self.run(plan).correct == frozenset({1, 2, 4})
 
     def test_majority_crash_rejected(self):
-        plan = CrashPlan(crash_rounds={0: 1, 1: 1, 2: 1})
         with pytest.raises(ValueError):
-            plan.validate(5)  # 3 >= ceil(5/2)
+            FaultPlan(5, crashes=(Crash(0, 1), Crash(1, 1), Crash(2, 1)))  # 3 >= ceil(5/2)
 
     def test_validate_accepts_minority(self):
-        CrashPlan(crash_rounds={0: 1, 1: 1}).validate(5)
+        plan = FaultPlan(5, crashes=(Crash(0, 1), Crash(1, 1)))
+        assert self.run(plan).correct == frozenset({2, 3, 4})
 
     def test_final_round_partial_send(self):
-        plan = CrashPlan(crash_rounds={0: 2}, final_sends={0: frozenset({1})})
-        assert plan.in_final_round(0, 2)
-        assert not plan.in_final_round(0, 1)
-        assert not plan.in_final_round(0, 3)
+        plan = FaultPlan(3, crashes=(Crash(0, 2, final_sends=frozenset({1})),))
+        sent = self.run(plan).sent_matrices
+        assert sent[0][:, 0].all()  # round 1: a full broadcast
+        assert sent[1][:, 0].tolist() == [True, True, False]  # dying in round 2
+        assert not sent[2][1:, 0].any()  # dead in round 3
