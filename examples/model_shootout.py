@@ -71,9 +71,6 @@ class PoisonedMajoritySchedule:
             m[self.leader, others[(start + offset) % len(others)]] = True
         return m
 
-    def delivered_round(self, round_number, src, dst):
-        return round_number if self.matrix(round_number)[dst, src] else None
-
 
 def run_poisoned_paxos(n, leader=0):
     schedule = PoisonedMajoritySchedule(n, leader, gsr=2)

@@ -12,8 +12,9 @@ it:
 - :mod:`kernel` — the algorithm interface and per-round inbox.
 - :mod:`process` — the generic process automaton of Algorithm 1.
 - :mod:`oracle` — failure-detector oracles (:math:`\\Omega` and friends).
-- :mod:`schedule` — delivery schedules (who hears whom, per round).
-- :mod:`runner` — a lockstep executor with full instrumentation.
+- :mod:`schedule` — delivery schedules: one timely matrix per round.
+- :mod:`runner` — a lockstep executor with full instrumentation; each
+  round's timely graph is the schedule's matrix minus a fault plan's mask.
 """
 
 from repro.giraf.kernel import GirafAlgorithm, Inbox, RoundOutput
@@ -32,11 +33,6 @@ from repro.giraf.schedule import (
     StableAfterSchedule,
     IntermittentlyStableSchedule,
 )
-from repro.giraf.adversary import (
-    PartitionSchedule,
-    BurstyLossSchedule,
-    TargetedSilenceSchedule,
-)
 from repro.giraf.runner import LockstepRunner, RunResult
 
 __all__ = [
@@ -54,9 +50,6 @@ __all__ = [
     "IIDSchedule",
     "StableAfterSchedule",
     "IntermittentlyStableSchedule",
-    "PartitionSchedule",
-    "BurstyLossSchedule",
-    "TargetedSilenceSchedule",
     "LockstepRunner",
     "RunResult",
 ]

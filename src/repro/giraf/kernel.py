@@ -34,10 +34,11 @@ class RoundOutput:
 class Inbox:
     """The message store ``M_i[N][\\Pi]`` of Algorithm 1.
 
-    Maps ``(round, sender) -> payload``.  Late messages (a round-``k``
-    message arriving while the receiver is past round ``k``) are still
-    recorded in slot ``k`` — exactly as Algorithm 1 does — which makes
-    them harmless to round-driven algorithms but available to inspection.
+    Maps ``(round, sender) -> payload``.  A round-``k`` message is
+    recorded in slot ``k`` whenever it arrives — exactly as Algorithm 1
+    does.  On the event-driven stack that makes a late message harmless
+    to round-driven algorithms, and puts a future-round message where the
+    process finds it after jumping to that round.
     """
 
     def __init__(self) -> None:
@@ -61,10 +62,6 @@ class Inbox:
     def senders(self, round_number: int) -> frozenset[int]:
         """Ids of processes whose round-``round_number`` message arrived."""
         return frozenset(self._slots.get(round_number, {}))
-
-    def rounds_recorded(self) -> list[int]:
-        """Round numbers for which at least one message is stored."""
-        return sorted(self._slots)
 
 
 class GirafAlgorithm(abc.ABC):

@@ -10,7 +10,7 @@ asynchronous (round-synchronized) runner both drive it through
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Optional
+from typing import Any, Optional
 
 from repro.giraf.kernel import GirafAlgorithm, Inbox, RoundOutput
 
@@ -32,12 +32,6 @@ class GirafProcess:
         self.round = 0  # k_i
         self.inbox = Inbox()
         self._outgoing: Optional[RoundOutput] = None
-        self.crashed = False
-
-    @property
-    def started(self) -> bool:
-        """Whether the first end-of-round (initialization) has happened."""
-        return self.round > 0
 
     @property
     def outgoing_payload(self) -> Any:
@@ -45,13 +39,6 @@ class GirafProcess:
         if self._outgoing is None:
             return None
         return self._outgoing.payload
-
-    @property
-    def destinations(self) -> FrozenSet[int]:
-        """The paper's ``D_i`` for the current round (includes ``i`` if returned)."""
-        if self._outgoing is None:
-            return frozenset()
-        return self._outgoing.destinations
 
     def send_targets(self) -> frozenset[int]:
         """Destinations actually transmitted to: ``D_i \\ {i}``."""
@@ -61,8 +48,6 @@ class GirafProcess:
 
     def receive(self, round_number: int, sender: int, payload: Any) -> None:
         """Deliver a round-``round_number`` message from ``sender``."""
-        if self.crashed:
-            return
         self.inbox.record(round_number, sender, payload)
 
     def end_of_round(
@@ -76,8 +61,6 @@ class GirafProcess:
         can use the future-round message that triggered the jump.  Rounds
         only ever move forward.
         """
-        if self.crashed:
-            raise RuntimeError(f"end_of_round on crashed process {self.pid}")
         if self.round == 0:
             output = self.algorithm.initialize(oracle_output)
         else:
@@ -95,10 +78,6 @@ class GirafProcess:
         if output.payload is not None:
             self.inbox.record(self.round, self.pid, output.payload)
         return output
-
-    def crash(self) -> None:
-        """Crash the process: it stops sending, receiving and computing."""
-        self.crashed = True
 
     def decision(self) -> Any:
         """The algorithm's decision value, or ``None``."""

@@ -3,9 +3,12 @@
 The runner advances all live processes through synchronized rounds (the
 paper makes the same simplification for its analysis: "we assume that
 processes proceed in synchronized rounds, although this is not required
-for correctness").  Asynchrony is expressed through the schedule: messages
-may be late or lost arbitrarily, and the oracle may lie, until the run's
-GSR.
+for correctness").  Asynchrony is expressed through one matrix per round:
+round ``k``'s timely graph is ``schedule.matrix(k)`` with the fault plan's
+``mask(k)`` taken out, read once at the top of the round.  A sent message
+is delivered iff its entry is set; an untimely message is useless to a
+round-driven algorithm, so it is simply lost.  Until the run's GSR the
+graph may be arbitrary and the oracle may lie.
 
 The runner instruments everything the evaluation needs: per-round sent and
 delivered matrices, message counts, per-process decision rounds, and the
@@ -114,9 +117,10 @@ class LockstepRunner:
     A ``fault_plan`` (:class:`~repro.faults.plan.FaultPlan`) is the same
     argument :class:`~repro.sync.round_sync.SyncRun` takes: its permanent
     crashes are real process deaths (a dying process still reaches its
-    crash's ``final_sends``), every round's messages are lost where the
-    plan's :meth:`~repro.faults.plan.FaultPlan.mask` says so, and its
-    leader-churn windows override the oracle.
+    crash's ``final_sends``), its
+    :meth:`~repro.faults.plan.FaultPlan.mask` is taken out of every
+    round's timely graph, and its leader-churn windows override the
+    oracle.
     """
 
     def __init__(
@@ -149,8 +153,6 @@ class LockstepRunner:
         self.oracle = oracle
         self.observers = list(observers)
         self.processes = [GirafProcess(pid, algorithm_factory(pid)) for pid in range(n)]
-        # Late messages queued as (delivery_round, original_round, src, dst, payload).
-        self._late_queue: dict[int, list[tuple[int, int, int, Any]]] = {}
 
     def _dead(self, pid: int, round_number: int) -> bool:
         """Is ``pid`` dead for good at (the start of) this round?"""
@@ -197,7 +199,9 @@ class LockstepRunner:
             result.rounds_executed = k
             sent = np.eye(self.n, dtype=bool)
             delivered = np.eye(self.n, dtype=bool)
-            lost = None if self.fault_plan is None else self.fault_plan.mask(k)
+            timely = self.schedule.matrix(k)
+            if self.fault_plan is not None:
+                timely = timely & ~self.fault_plan.mask(k)
 
             # Transmissions of round-k messages.
             for proc in self.processes:
@@ -213,26 +217,11 @@ class LockstepRunner:
                 for dst in sorted(targets):
                     sent[dst, proc.pid] = True
                     result.messages_sent += 1
-                    if lost is not None and lost[dst, proc.pid]:
-                        continue
-                    arrival = self.schedule.delivered_round(k, proc.pid, dst)
-                    if arrival is None:
-                        continue
-                    if arrival == k:
+                    if timely[dst, proc.pid]:
                         delivered[dst, proc.pid] = True
                         if not self._dead(dst, k):
                             self.processes[dst].receive(k, proc.pid, payload)
-                    else:
-                        self._late_queue.setdefault(arrival, []).append(
-                            (k, proc.pid, dst, payload)
-                        )
             result.per_round_messages.append(int(sent.sum()) - self.n)
-
-            # Late arrivals scheduled for this round (stored in their
-            # original slot; harmless to the algorithms, visible to tests).
-            for original_round, src, dst, payload in self._late_queue.pop(k, []):
-                if not self._dead(dst, k):
-                    self.processes[dst].receive(original_round, src, payload)
 
             result.sent_matrices.append(sent)
             result.delivered_matrices.append(delivered)

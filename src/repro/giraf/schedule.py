@@ -1,20 +1,20 @@
 """Delivery schedules: who hears whom, in which round.
 
-A :class:`Schedule` decides, for each (round, source, destination) triple,
-whether the message is *timely* (arrives in the round it was sent), *late*
-(arrives some rounds afterwards — recorded in its original slot, hence
-useless to a round-driven algorithm, exactly as in the paper), or *lost*.
+A :class:`Schedule` is one boolean matrix per round, ``A[dst, src]``:
+an entry is set when the round-``k`` message from ``src`` to ``dst`` is
+*timely* (arrives in round ``k``).  An untimely message is useless to a
+round-driven algorithm, exactly as in the paper, so the lockstep runner
+treats it as lost.
 
-Schedules are oblivious to the algorithm: they answer for every pair, and
-the runner consults them only for messages actually sent (the algorithm's
-``D_i``).  The full per-round matrix is still available for model
-instrumentation via :meth:`Schedule.matrix`.
+Schedules are oblivious to the algorithm: every matrix is a pure function
+of the schedule's arguments and the round, so rounds can be read in any
+order, and the runner reads each one once, at the top of its round.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,41 +24,16 @@ from repro.models.repair import repair_to_satisfy
 
 
 class Schedule(abc.ABC):
-    """Per-round delivery decisions for an ``n``-process system."""
+    """Per-round timely matrices for an ``n``-process system."""
 
-    def __init__(self, n: int, late_lag: Optional[int] = None) -> None:
+    def __init__(self, n: int) -> None:
         if n < 2:
             raise ValueError("a distributed system needs at least 2 processes")
         self.n = n
-        self._late_lag = late_lag
-        self._memo: dict[int, np.ndarray] = {}
-
-    def _per_round(
-        self, round_number: int, draw: Callable[[int], np.ndarray]
-    ) -> np.ndarray:
-        """``draw(round_number)``, computed on first use and kept: the
-        one per-round memo behind every seeded schedule, so random access
-        is deterministic and a repeated read draws nothing."""
-        cached = self._memo.get(round_number)
-        if cached is None:
-            cached = self._memo[round_number] = draw(round_number)
-        return cached
 
     @abc.abstractmethod
     def matrix(self, round_number: int) -> np.ndarray:
         """The timely-delivery matrix ``A`` of the given round (``A[dst, src]``)."""
-
-    def delivered_round(self, round_number: int, src: int, dst: int) -> Optional[int]:
-        """Round in which the round-``round_number`` message from ``src``
-        reaches ``dst``: ``round_number`` if timely, a later round if late,
-        ``None`` if lost.  An untimely message is lost, or arrives
-        ``late_lag`` rounds late when the schedule was built with one.
-        """
-        if self.matrix(round_number)[dst, src]:
-            return round_number
-        if self._late_lag is not None:
-            return round_number + self._late_lag
-        return None
 
 
 class MatrixSchedule(Schedule):
@@ -69,16 +44,12 @@ class MatrixSchedule(Schedule):
     1-based (round 1 uses ``matrices[0]``).
     """
 
-    def __init__(
-        self,
-        matrices: Sequence[np.ndarray],
-        late_lag: Optional[int] = None,
-    ) -> None:
+    def __init__(self, matrices: Sequence[np.ndarray]) -> None:
         if not matrices:
             raise ValueError("need at least one matrix")
         for m in matrices:
             validate_matrix(m, n=matrices[0].shape[0])
-        super().__init__(matrices[0].shape[0], late_lag)
+        super().__init__(matrices[0].shape[0])
         self._matrices = [np.array(m, dtype=bool) for m in matrices]
 
     def matrix(self, round_number: int) -> np.ndarray:
@@ -91,20 +62,12 @@ class MatrixSchedule(Schedule):
 class IIDSchedule(Schedule):
     """The Section 4 link model: every entry timely IID with probability ``p``.
 
-    Matrices are generated lazily per round from a seed, so random access
-    is deterministic.  Untimely messages are lost by default, or arrive
-    ``late_lag`` rounds late when configured (they are equally useless to
-    the algorithms; late delivery only matters to inbox-inspection tests).
+    Each round's matrix is drawn from a generator seeded by
+    ``(seed, round)``, so random access is deterministic.
     """
 
-    def __init__(
-        self,
-        n: int,
-        p: float,
-        seed: int = 0,
-        late_lag: Optional[int] = None,
-    ) -> None:
-        super().__init__(n, late_lag)
+    def __init__(self, n: int, p: float, seed: int = 0) -> None:
+        super().__init__(n)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must be a probability, got {p}")
         self.p = p
@@ -113,9 +76,6 @@ class IIDSchedule(Schedule):
     def matrix(self, round_number: int) -> np.ndarray:
         if round_number < 1:
             raise ValueError("rounds are 1-based")
-        return self._per_round(round_number, self._draw)
-
-    def _draw(self, round_number: int) -> np.ndarray:
         rng = np.random.default_rng((self._seed, round_number))
         matrix = rng.random((self.n, self.n)) < self.p
         np.fill_diagonal(matrix, True)
@@ -126,9 +86,10 @@ class _RepairingSchedule(Schedule):
     """A base schedule whose *good* rounds are repaired to satisfy a model.
 
     Subclasses say which rounds are good (:meth:`good_round`); the repair
-    itself — links turned on by a per-round seeded rng until the model's
-    predicate holds, memoised so random access is deterministic — is
-    stated here once.
+    itself — links turned on by a generator seeded by ``(seed, round)``
+    until the model's predicate holds — is stated here once.  A leader
+    model needs a leader among the ``n`` processes, checked here rather
+    than at the first good round.
     """
 
     def __init__(
@@ -140,8 +101,12 @@ class _RepairingSchedule(Schedule):
         correct: Optional[Sequence[int]],
     ) -> None:
         super().__init__(base.n)
-        self._base = base
         self._model = get_model(model) if isinstance(model, str) else model
+        if leader is None and self._model.needs_leader:
+            raise ValueError(f"{self._model.name} needs a leader")
+        if leader is not None and not 0 <= leader < base.n:
+            raise ValueError(f"leader {leader} out of range for n={base.n}")
+        self._base = base
         self._leader = leader
         self._seed = seed
         self._correct = None if correct is None else tuple(sorted(set(correct)))
@@ -153,9 +118,6 @@ class _RepairingSchedule(Schedule):
     def matrix(self, round_number: int) -> np.ndarray:
         if not self.good_round(round_number):
             return self._base.matrix(round_number)
-        return self._per_round(round_number, self._repair)
-
-    def _repair(self, round_number: int) -> np.ndarray:
         return repair_to_satisfy(
             self._base.matrix(round_number),
             self._model,
@@ -190,13 +152,6 @@ class StableAfterSchedule(_RepairingSchedule):
 
     def good_round(self, round_number: int) -> bool:
         return round_number >= self.gsr
-
-    def delivered_round(self, round_number: int, src: int, dst: int) -> Optional[int]:
-        if self.matrix(round_number)[dst, src]:
-            return round_number
-        if round_number >= self.gsr:
-            return None
-        return self._base.delivered_round(round_number, src, dst)
 
 
 class IntermittentlyStableSchedule(_RepairingSchedule):

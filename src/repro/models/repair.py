@@ -65,7 +65,7 @@ def repair_to_satisfy(
     Args:
         matrix: a sampled round matrix.
         model: registry key or :class:`TimingModel`.
-        leader: required for leader-based models.
+        leader: required for leader-based models; one of the ``n`` processes.
         rng: source of randomness for choosing which links to fix.  When
             omitted, the default seed is derived from the call's own
             content (the matrix plus the model/leader/correct arguments)
@@ -95,6 +95,8 @@ def repair_to_satisfy(
 
     repaired = matrix.copy()
     n = repaired.shape[0]
+    if leader is not None and not 0 <= leader < n:
+        raise ValueError(f"leader {leader} out of range for n={n}")
     maj = majority(n)
     if correct is None:
         live = np.arange(n)

@@ -1,61 +1,55 @@
-"""Property-based tests for the adversarial schedules."""
+"""Property-based tests for the structured adversaries a :class:`FaultPlan`
+states: partitions, periodic loss bursts and a silenced process, read
+through :meth:`FaultPlan.mask`."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.giraf.adversary import (
-    BurstyLossSchedule,
-    PartitionSchedule,
-    TargetedSilenceSchedule,
-)
+from repro.faults import Crash, FaultPlan, LossBurst, Partition
+from repro.giraf import IIDSchedule
 
 
 @st.composite
 def partition_world(draw):
     n = draw(st.integers(min_value=2, max_value=10))
     pids = list(range(n))
-    cut = draw(st.integers(min_value=1, max_value=n - 1)) if n > 1 else 1
-    groups = [tuple(pids[:cut]), tuple(pids[cut:])]
-    heal = draw(st.integers(min_value=1, max_value=15))
+    cut = draw(st.integers(min_value=1, max_value=n - 1))
+    groups = (tuple(pids[:cut]), tuple(pids[cut:]))
+    heal = draw(st.integers(min_value=2, max_value=15))
     seed = draw(st.integers(0, 2**31))
-    return n, groups, heal, seed
+    plan = FaultPlan(n, partitions=(Partition(groups, 1, heal),), seed=seed)
+    return n, groups, heal, plan
+
+
+def cross_group(n, groups):
+    group_of = {pid: index for index, group in enumerate(groups) for pid in group}
+    return np.array(
+        [[group_of[src] != group_of[dst] for src in range(n)] for dst in range(n)]
+    )
 
 
 @given(world=partition_world())
 @settings(max_examples=100)
 def test_partition_blocks_cross_group_until_heal(world):
-    n, groups, heal, seed = world
-    schedule = PartitionSchedule(n, groups, heal_round=heal, seed=seed)
-    group_of = {}
-    for index, group in enumerate(groups):
-        for pid in group:
-            group_of[pid] = index
-    for k in {1, heal - 1} - {0}:
-        if k >= heal:
-            continue  # heal == 1 means the partition never manifests
-        matrix = schedule.matrix(k)
-        for dst in range(n):
-            for src in range(n):
-                if src != dst and group_of[src] != group_of[dst]:
-                    assert not matrix[dst, src]
-    healed = schedule.matrix(heal)
-    assert healed.all()
+    n, groups, heal, plan = world
+    for k in {1, heal - 1}:
+        assert (plan.mask(k) == cross_group(n, groups)).all()
+    assert not plan.mask(heal).any()
 
 
 @given(world=partition_world(), p=st.floats(0.0, 1.0))
 @settings(max_examples=50)
 def test_partition_intra_group_rate(world, p):
-    n, groups, heal, seed = world
-    schedule = PartitionSchedule(
-        n, groups, heal_round=heal, intra_group_p=p, seed=seed
-    )
-    matrix = schedule.matrix(1)
-    assert np.diagonal(matrix).all()
+    """Inside a group the timely graph is the schedule's own draw."""
+    n, groups, _heal, plan = world
+    drawn = IIDSchedule(n, p=p, seed=plan.seed).matrix(1)
+    timely = drawn & ~plan.mask(1)
+    cross = cross_group(n, groups)
+    assert np.diagonal(timely).all()
+    assert (timely[~cross] == drawn[~cross]).all()
+    assert not timely[cross].any()
     if p == 1.0:
-        for group in groups:
-            for src in group:
-                for dst in group:
-                    assert matrix[dst, src]
+        assert timely[~cross].all()
 
 
 @given(
@@ -66,48 +60,40 @@ def test_partition_intra_group_rate(world, p):
 )
 @settings(max_examples=100)
 def test_bursty_phase_structure(n, calm, burst, seed):
-    schedule = BurstyLossSchedule(
-        n, calm_rounds=calm, burst_rounds=burst, calm_p=1.0, burst_p=0.0,
+    period = calm + burst
+    last = 3 * period
+    plan = FaultPlan(
+        n,
+        loss_bursts=tuple(
+            LossBurst(start, start + burst - 1, 1.0)
+            for start in range(calm + 1, last + 1, period)
+        )
+        if burst
+        else (),
         seed=seed,
     )
-    period = calm + burst
     off = ~np.eye(n, dtype=bool)
-    for k in range(1, 3 * period + 1):
+    for k in range(1, last + 1):
         in_burst = (k - 1) % period >= calm
-        assert schedule.in_burst(k) == in_burst
-        matrix = schedule.matrix(k)
+        assert any(b.active_at(k) for b in plan.loss_bursts) == in_burst
+        mask = plan.mask(k)
+        assert not mask.diagonal().any()
         if in_burst:
-            assert not matrix[off].any()
+            assert mask[off].all()
         else:
-            assert matrix[off].all()
+            assert not mask.any()
 
 
-@given(
-    n=st.integers(2, 8),
-    until=st.integers(1, 10),
-    direction=st.sampled_from(["in", "out", "both"]),
-)
+@given(n=st.integers(3, 8), until=st.integers(2, 10))
 @settings(max_examples=100)
-def test_targeted_silence_scope(n, until, direction):
+def test_targeted_silence_scope(n, until):
+    """A process frozen until ``until`` is cut off in both directions;
+    everyone else communicates perfectly, and all of it heals at once."""
     victim = n - 1
-    schedule = TargetedSilenceSchedule(
-        n, victim=victim, until_round=until, direction=direction
-    )
-    before = schedule.matrix(max(1, until - 1)) if until > 1 else None
-    after = schedule.matrix(until)
-    assert after.all()
-    if before is None:
-        return
+    plan = FaultPlan(n, crashes=(Crash(victim, 1, recover_round=until),))
+    before = plan.mask(until - 1)
+    assert not plan.mask(until).any()
     others = [pid for pid in range(n) if pid != victim]
-    if direction in ("in", "both"):
-        assert not before[victim, others].any()
-    else:
-        assert before[victim, others].all()
-    if direction in ("out", "both"):
-        assert not before[others, victim].any()
-    else:
-        assert before[others, victim].all()
-    # Everyone else communicates perfectly.
-    if len(others) > 1:
-        sub = before[np.ix_(others, others)]
-        assert sub.all()
+    assert before[victim, others].all()
+    assert before[others, victim].all()
+    assert not before[np.ix_(others, others)].any()

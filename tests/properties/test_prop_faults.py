@@ -171,6 +171,14 @@ def test_consensus_safety_under_generated_plans(name, world):
     )
     result = runner.run(max_rounds=gsr + 90)
     assert_safety(result)
+    # The runner's per-round transition: off the diagonal, a message is
+    # delivered iff it was sent and the round's one timely graph has it.
+    off = ~np.eye(n, dtype=bool)
+    for k, (sent, delivered) in enumerate(
+        zip(result.sent_matrices, result.delivered_matrices), start=1
+    ):
+        timely = sent & schedule.matrix(k) & ~plan.mask(k)
+        assert (delivered[off] == timely[off]).all(), k
     if not dies:
         assert result.all_correct_decided, (
             f"{name} did not decide by round {result.rounds_executed} "

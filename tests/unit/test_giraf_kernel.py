@@ -40,12 +40,6 @@ class TestInbox:
         inbox.record(1, 0, "second")
         assert inbox.get(1, 0) == "second"
 
-    def test_rounds_recorded_sorted(self):
-        inbox = Inbox()
-        for k in (5, 1, 3):
-            inbox.record(k, 0, "x")
-        assert inbox.rounds_recorded() == [1, 3, 5]
-
 
 class TestRoundOutput:
     def test_round_output_is_frozen(self):

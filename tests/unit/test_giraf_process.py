@@ -75,15 +75,6 @@ class TestGirafProcess:
         with pytest.raises(ValueError):
             proc.end_of_round(None, next_round=1)
 
-    def test_crashed_process_ignores_receives_and_rejects_rounds(self):
-        proc = self.make()
-        proc.end_of_round(None)
-        proc.crash()
-        proc.receive(1, 2, "ghost")
-        assert proc.inbox.get(1, 2) is None
-        with pytest.raises(RuntimeError):
-            proc.end_of_round(None)
-
     def test_oracle_output_passed_through(self):
         proc = self.make()
         proc.end_of_round("a")

@@ -8,6 +8,7 @@ from repro.giraf.oracle import NullOracle
 from repro.giraf.runner import LockstepRunner
 from repro.giraf.schedule import (
     IIDSchedule,
+    IntermittentlyStableSchedule,
     MatrixSchedule,
     StableAfterSchedule,
 )
@@ -19,13 +20,9 @@ from repro.sync import HeartbeatAlgorithm
 class TestMatrixSchedule:
     def test_uses_given_matrices_then_repeats_last(self):
         schedule = MatrixSchedule([empty_matrix(3), full_matrix(3)])
-        assert schedule.delivered_round(1, 0, 1) is None
-        assert schedule.delivered_round(2, 0, 1) == 2
-        assert schedule.delivered_round(99, 0, 1) == 99
-
-    def test_late_lag_delays_instead_of_dropping(self):
-        schedule = MatrixSchedule([empty_matrix(3)], late_lag=2)
-        assert schedule.delivered_round(1, 0, 1) == 3
+        assert (schedule.matrix(1) == empty_matrix(3)).all()
+        assert schedule.matrix(2).all()
+        assert schedule.matrix(99).all()
 
     def test_rounds_are_one_based(self):
         schedule = MatrixSchedule([full_matrix(2)])
@@ -69,10 +66,6 @@ class TestIIDSchedule:
         with pytest.raises(ValueError):
             IIDSchedule(4, p=1.5)
 
-    def test_late_lag(self):
-        schedule = IIDSchedule(4, p=0.0, seed=0, late_lag=3)
-        assert schedule.delivered_round(2, 0, 1) == 5
-
 
 class TestStableAfterSchedule:
     @pytest.mark.parametrize("model_name", ["ES", "LM", "WLM", "AFM"])
@@ -101,6 +94,25 @@ class TestStableAfterSchedule:
     def test_gsr_must_be_positive(self):
         with pytest.raises(ValueError):
             StableAfterSchedule(IIDSchedule(4, p=0.5), gsr=0, model="ES")
+
+    @pytest.mark.parametrize("leader", [-1, 4, 9])
+    @pytest.mark.parametrize("schedule_type", ["stable-after", "intermittent"])
+    def test_leader_outside_the_system_rejected_at_construction(
+        self, schedule_type, leader
+    ):
+        """Not at the first good round: -1 would silently repair pid 3
+        while the oracle names 0, and 9 would fail mid-run."""
+        base = IIDSchedule(4, p=0.5)
+        with pytest.raises(ValueError, match="out of range"):
+            if schedule_type == "stable-after":
+                StableAfterSchedule(base, gsr=3, model="LM", leader=leader)
+            else:
+                IntermittentlyStableSchedule(base, 0.5, model="LM", leader=leader)
+
+    @pytest.mark.parametrize("model", ["LM", "WLM"])
+    def test_leader_model_without_a_leader_rejected_at_construction(self, model):
+        with pytest.raises(ValueError, match="needs a leader"):
+            StableAfterSchedule(IIDSchedule(4, p=0.5), gsr=3, model=model)
 
 
 class TestCrashPlan:

@@ -44,6 +44,12 @@ class TestRepairEdges:
         with pytest.raises(ValueError):
             repair_to_satisfy(empty_matrix(5), "LM")
 
+    @pytest.mark.parametrize("leader", [-1, 5, 9])
+    def test_leader_outside_the_system_rejected(self, leader):
+        # -1 would otherwise index pid 4 and 5 fail mid-repair.
+        with pytest.raises(ValueError, match="out of range"):
+            repair_to_satisfy(empty_matrix(5), "WLM", leader=leader)
+
     def test_es_repair_fills_matrix(self):
         repaired = repair_to_satisfy(empty_matrix(5), "ES")
         assert repaired.all()
