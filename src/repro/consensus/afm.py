@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Any, Mapping, Optional, Tuple
 
 from repro.consensus.base import ConsensusMessage, MsgType, TimestampedConsensus
-from repro.giraf.kernel import Inbox, RoundOutput
+from repro.giraf.kernel import RoundOutput
 
 
 class AfmConsensus(TimestampedConsensus):
@@ -46,9 +46,13 @@ class AfmConsensus(TimestampedConsensus):
     def initialize(self, oracle_output: Any) -> RoundOutput:
         return RoundOutput(self._message(), self._all)
 
-    def compute(self, round_number: int, inbox: Inbox, oracle_output: Any) -> RoundOutput:
+    def compute(
+        self,
+        round_number: int,
+        messages: Mapping[int, ConsensusMessage],
+        oracle_output: Any,
+    ) -> RoundOutput:
         if self._decision is None:
-            messages: Mapping[int, ConsensusMessage] = inbox.round(round_number)
             pairs = [(m.ts, m.est) for m in messages.values()]
             max_pair = max(pairs)
             commit_votes: dict[Tuple[int, Any], int] = {}

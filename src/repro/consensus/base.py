@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, FrozenSet, Mapping, Optional, Tuple
 
-from repro.giraf.kernel import GirafAlgorithm, Inbox, RoundOutput
+from repro.giraf.kernel import GirafAlgorithm, RoundOutput
 
 
 class MsgType(enum.IntEnum):
@@ -72,9 +72,9 @@ def round_maximum(messages: Mapping[int, ConsensusMessage]) -> Tuple[int, Any]:
     """
     if not messages:
         raise ValueError("round_maximum needs at least one message")
-    max_ts = max(m.ts for m in messages.values())
-    max_est = max(m.est for m in messages.values() if m.ts == max_ts)
-    return max_ts, max_est
+    top_ts = max(m.ts for m in messages.values())
+    top_est = max(m.est for m in messages.values() if m.ts == top_ts)
+    return top_ts, top_est
 
 
 class ConsensusAlgorithm(GirafAlgorithm):
@@ -179,12 +179,6 @@ class LeaderConsensus(TimestampedConsensus):
       ES and ◊LM every process, not just the leader, hears from a majority.
     """
 
-    def __init__(self, pid: int, n: int, proposal: Any) -> None:
-        super().__init__(pid, n, proposal)
-        # Additional state (Algorithm 2, lines 1-6) beyond the base's.
-        self.max_ts: int = 0
-        self.prev_leader: Optional[int] = None  # prevLD_i
-
     def _leader(
         self, oracle_output: Any, messages: Mapping[int, ConsensusMessage]
     ) -> int:
@@ -205,22 +199,26 @@ class LeaderConsensus(TimestampedConsensus):
     # ------------------------------------------------------------------
     def initialize(self, oracle_output: Any) -> RoundOutput:
         leader = self._leader(oracle_output, {})
-        self.prev_leader = leader
         self.new_leader = leader
         return RoundOutput(self._message(), self._destinations(leader))
 
     # ------------------------------------------------------------------
     # procedure compute(k_i, M[*][*], leader_i)  (lines 15-30)
     # ------------------------------------------------------------------
-    def compute(self, round_number: int, inbox: Inbox, oracle_output: Any) -> RoundOutput:
-        messages: Mapping[int, ConsensusMessage] = inbox.round(round_number)
+    def compute(
+        self,
+        round_number: int,
+        messages: Mapping[int, ConsensusMessage],
+        oracle_output: Any,
+    ) -> RoundOutput:
         leader = self._leader(oracle_output, messages)
         if self._decision is None:
             # Update variables (lines 18-21).  The process always has its
-            # own round-k message, so `messages` is never empty.
-            self.prev_leader = self.new_leader
-            self.new_leader = leader
-            self.max_ts, max_est = round_maximum(messages)
+            # own round-k message, so `messages` is never empty.  The
+            # paper's prevLD_i and maxTS_i are written before they are read
+            # every round: locals.
+            prev_ld, self.new_leader = self.new_leader, leader
+            top_ts, top_est = round_maximum(messages)
             self.maj_approved = (
                 sum(1 for m in messages.values() if m.leader == self.pid)
                 > self.n // 2
@@ -232,7 +230,7 @@ class LeaderConsensus(TimestampedConsensus):
                 1 for m in messages.values() if m.msg_type == MsgType.COMMIT
             )
             own = messages.get(self.pid)
-            leader_msg = messages.get(self.prev_leader)
+            leader_msg = messages.get(prev_ld)
             if decide_msg is not None:
                 # decide-1 (lines 23-24)
                 self._decide(decide_msg.est, round_number)
@@ -250,8 +248,8 @@ class LeaderConsensus(TimestampedConsensus):
                 self.msg_type = MsgType.COMMIT
             else:
                 # prepare (line 29)
-                self.ts = self.max_ts
-                self.est = max_est
+                self.ts = top_ts
+                self.est = top_est
                 self.msg_type = MsgType.PREPARE
 
         return RoundOutput(self._message(), self._destinations(leader))

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Optional
+from typing import Any, FrozenSet, Mapping, Optional
 
 from repro.consensus.base import ConsensusAlgorithm
-from repro.giraf.kernel import Inbox, RoundOutput
+from repro.giraf.kernel import RoundOutput
 
 
 class PaxosCmd(enum.IntEnum):
@@ -121,9 +121,13 @@ class PaxosConsensus(ConsensusAlgorithm):
             self._pending_cmd = PaxosCmd.P1A
         return RoundOutput(self._message(), self._destinations(leader))
 
-    def compute(self, round_number: int, inbox: Inbox, oracle_output: Any) -> RoundOutput:
+    def compute(
+        self,
+        round_number: int,
+        messages: Mapping[int, PaxosMessage],
+        oracle_output: Any,
+    ) -> RoundOutput:
         leader = int(oracle_output)
-        messages: dict[int, PaxosMessage] = dict(inbox.round(round_number))
 
         if self._decision is None:
             self._acceptor_step(messages, round_number)
@@ -136,7 +140,7 @@ class PaxosConsensus(ConsensusAlgorithm):
     # Acceptor: obey commands in ballot order.
     # ------------------------------------------------------------------
     def _acceptor_step(
-        self, messages: dict[int, PaxosMessage], round_number: int
+        self, messages: Mapping[int, PaxosMessage], round_number: int
     ) -> None:
         commands = sorted(
             (m for m in messages.values() if m.cmd != PaxosCmd.NONE),
@@ -159,7 +163,7 @@ class PaxosConsensus(ConsensusAlgorithm):
     # Proposer: run phases, restart on higher ballots.
     # ------------------------------------------------------------------
     def _proposer_step(
-        self, messages: dict[int, PaxosMessage], leader: int, round_number: int
+        self, messages: Mapping[int, PaxosMessage], leader: int, round_number: int
     ) -> None:
         if leader != self.pid:
             # Demoted: stop proposing, keep acceptor state.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, FrozenSet, Mapping, Optional
 
-from repro.giraf.kernel import GirafAlgorithm, Inbox, RoundOutput
+from repro.giraf.kernel import GirafAlgorithm, RoundOutput
 
 
 class LmOverWlmSimulation(GirafAlgorithm):
@@ -37,7 +37,9 @@ class LmOverWlmSimulation(GirafAlgorithm):
         self.n = n
         self.inner = inner
         self._all = frozenset(range(n))
-        self._fixed = Inbox()  # M_i^fixed: reconstructed ◊LM inboxes
+        #: M_i^fixed: the reconstructed ◊LM rounds not yet computed,
+        #: ``lm_round -> sender -> message``.
+        self._fixed: dict[int, dict[int, Any]] = {}
         #: ``lm_round -> giraf round`` at which the inner compute ran —
         #: the data behind the α-reducibility measurement (Lemma 12:
         #: simulated round GSR_LM + l happens by GSR_WLM + 2l + 2).
@@ -47,29 +49,30 @@ class LmOverWlmSimulation(GirafAlgorithm):
         inner_output = self.inner.initialize(oracle_output)
         # Record the inner algorithm's own round-1 message so the
         # reconstruction sees it even if no forwarded array carries it.
-        self._fixed.record(1, self.pid, inner_output.payload)
+        self._fixed[1] = {self.pid: inner_output.payload}
         return RoundOutput(inner_output.payload, self._all)
 
-    def compute(self, round_number: int, inbox: Inbox, oracle_output: Any) -> RoundOutput:
+    def compute(
+        self, round_number: int, messages: Mapping[int, Any], oracle_output: Any
+    ) -> RoundOutput:
         if round_number % 2 == 1:
             # Odd round: forward everything received this round (line 6).
-            forwarded: dict[int, Any] = dict(inbox.round(round_number))
-            return RoundOutput(forwarded, self._all)
+            return RoundOutput(messages, self._all)
 
         # Even round k: each received message is an array of the round-(k-1)
         # messages its sender collected; reconstruct round k/2 of ◊LM
         # (lines 8-10).
         lm_round = round_number // 2
-        for array in inbox.round(round_number).values():
+        fixed = self._fixed.pop(lm_round, {})
+        for array in messages.values():
             if not isinstance(array, Mapping):
                 continue
             for original_sender, message in array.items():
-                if self._fixed.get(lm_round, original_sender) is None:
-                    self._fixed.record(lm_round, original_sender, message)
+                fixed.setdefault(original_sender, message)
 
-        inner_output = self.inner.compute(lm_round, self._fixed, oracle_output)
+        inner_output = self.inner.compute(lm_round, fixed, oracle_output)
         self.lm_round_log[lm_round] = round_number
-        self._fixed.record(lm_round + 1, self.pid, inner_output.payload)
+        self._fixed[lm_round + 1] = {self.pid: inner_output.payload}
         return RoundOutput(inner_output.payload, self._all)
 
     def decision(self) -> Any:

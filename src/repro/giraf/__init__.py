@@ -9,15 +9,17 @@ messages arrive in the round they were sent.
 This package contains the framework itself plus the machinery to execute
 it:
 
-- :mod:`kernel` — the algorithm interface and per-round inbox.
-- :mod:`process` — the generic process automaton of Algorithm 1.
+- :mod:`kernel` — the algorithm interface: ``compute`` reads one round's
+  messages.
+- :mod:`process` — the generic process automaton of Algorithm 1 and its
+  end-of-round action, the one both runners call.
 - :mod:`oracle` — failure-detector oracles (:math:`\\Omega` and friends).
 - :mod:`schedule` — delivery schedules: one timely matrix per round.
 - :mod:`runner` — a lockstep executor with full instrumentation; each
   round's timely graph is the schedule's matrix minus a fault plan's mask.
 """
 
-from repro.giraf.kernel import GirafAlgorithm, Inbox, RoundOutput
+from repro.giraf.kernel import GirafAlgorithm, RoundOutput
 from repro.giraf.oracle import (
     Oracle,
     FixedLeaderOracle,
@@ -37,7 +39,6 @@ from repro.giraf.runner import LockstepRunner, RunResult
 
 __all__ = [
     "GirafAlgorithm",
-    "Inbox",
     "RoundOutput",
     "Oracle",
     "FixedLeaderOracle",

@@ -1,4 +1,4 @@
-"""The GIRAF algorithm interface and the per-round message store.
+"""The GIRAF algorithm interface.
 
 An algorithm instantiates Algorithm 1 of the paper by implementing
 :class:`GirafAlgorithm`.  Both hooks return a :class:`RoundOutput`: the
@@ -31,39 +31,6 @@ class RoundOutput:
     destinations: FrozenSet[int]
 
 
-class Inbox:
-    """The message store ``M_i[N][\\Pi]`` of Algorithm 1.
-
-    Maps ``(round, sender) -> payload``.  A round-``k`` message is
-    recorded in slot ``k`` whenever it arrives — exactly as Algorithm 1
-    does.  On the event-driven stack that makes a late message harmless
-    to round-driven algorithms, and puts a future-round message where the
-    process finds it after jumping to that round.
-    """
-
-    def __init__(self) -> None:
-        self._slots: dict[int, dict[int, Any]] = {}
-
-    def record(self, round_number: int, sender: int, payload: Any) -> None:
-        """Store ``payload`` as the round-``round_number`` message of ``sender``."""
-        slot = self._slots.get(round_number)
-        if slot is None:  # not ``setdefault``: that builds a dict per call
-            slot = self._slots[round_number] = {}
-        slot[sender] = payload
-
-    def round(self, round_number: int) -> Mapping[int, Any]:
-        """All messages of the given round, keyed by sender id."""
-        return self._slots.get(round_number, {})
-
-    def get(self, round_number: int, sender: int) -> Any:
-        """The round-``round_number`` message of ``sender``, or ``None``."""
-        return self._slots.get(round_number, {}).get(sender)
-
-    def senders(self, round_number: int) -> frozenset[int]:
-        """Ids of processes whose round-``round_number`` message arrived."""
-        return frozenset(self._slots.get(round_number, {}))
-
-
 class GirafAlgorithm(abc.ABC):
     """One process's instantiation of Algorithm 1.
 
@@ -76,12 +43,17 @@ class GirafAlgorithm(abc.ABC):
         """Called at the first end-of-round (round 0): produce round 1's message."""
 
     @abc.abstractmethod
-    def compute(self, round_number: int, inbox: Inbox, oracle_output: Any) -> RoundOutput:
+    def compute(
+        self, round_number: int, messages: Mapping[int, Any], oracle_output: Any
+    ) -> RoundOutput:
         """Called at the end of round ``round_number``: produce the next message.
 
         Args:
             round_number: the round that just ended (``k_i`` in the paper).
-            inbox: all messages received so far (``M_i``).
+            messages: the round-``round_number`` messages received, keyed by
+                sender (the paper's ``M_i[k_i][*]``; the own message
+                included).  A round-driven algorithm reads no other round,
+                so the framework keeps no other round for it.
             oracle_output: this round's failure-detector output (``FD_i``).
         """
 

@@ -1,8 +1,8 @@
 """The generic round automaton of Algorithm 1.
 
 :class:`GirafProcess` holds the framework state of one process — the round
-counter ``k_i``, the inbox ``M_i``, the pending outgoing message and its
-destination set ``D_i`` — and wires the two algorithm hooks into the
+counter ``k_i``, the messages of its current and future rounds, the pending
+outgoing message and its destination set ``D_i`` — and runs the
 end-of-round action.  It is execution-agnostic: the lockstep runner and the
 asynchronous (round-synchronized) runner both drive it through
 :meth:`receive` and :meth:`end_of_round`.
@@ -10,9 +10,23 @@ asynchronous (round-synchronized) runner both drive it through
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
-from repro.giraf.kernel import GirafAlgorithm, Inbox, RoundOutput
+from repro.giraf.kernel import GirafAlgorithm, RoundOutput
+from repro.giraf.oracle import Oracle
+
+
+def notify(observers: Sequence[Any], hook: str, *args: Any) -> None:
+    """Call ``hook(*args)`` on every observer that implements it.
+
+    An observer implements any subset of the hooks (see
+    :class:`~repro.giraf.runner.LockstepRunner`); this is the one dispatch
+    both the lockstep and the round-synchronized runners use.
+    """
+    for observer in observers:
+        method = getattr(observer, hook, None)
+        if method is not None:
+            method(*args)
 
 
 class GirafProcess:
@@ -20,17 +34,22 @@ class GirafProcess:
 
     The life cycle per the paper: the first ``end-of-round`` queries the
     oracle and calls ``initialize()``; each subsequent ``end-of-round``
-    queries the oracle and calls ``compute()``.  Between end-of-rounds the
-    process sends its current message to ``D_i \\ {i}`` and receives
-    whatever arrives.  The self-copy of each round's message is recorded
-    into the inbox immediately when the message is produced.
+    queries the oracle and calls ``compute()`` on the round's messages.
+    Between end-of-rounds the process sends its current message to
+    ``D_i \\ {i}`` and receives whatever arrives.  The self-copy of each
+    round's message is stored immediately when the message is produced.
+
+    Of the paper's ``M_i[N][\\Pi]`` only the current and future rounds are
+    kept: an end-of-round hands its round's messages to ``compute`` and
+    forgets them, and a message for a round already over is dropped.
     """
 
     def __init__(self, pid: int, algorithm: GirafAlgorithm) -> None:
         self.pid = pid
         self.algorithm = algorithm
         self.round = 0  # k_i
-        self.inbox = Inbox()
+        #: ``round -> sender -> payload`` for the current and future rounds.
+        self.slots: dict[int, dict[int, Any]] = {}
         self._outgoing: Optional[RoundOutput] = None
 
     @property
@@ -47,13 +66,28 @@ class GirafProcess:
         return frozenset(d for d in self._outgoing.destinations if d != self.pid)
 
     def receive(self, round_number: int, sender: int, payload: Any) -> None:
-        """Deliver a round-``round_number`` message from ``sender``."""
-        self.inbox.record(round_number, sender, payload)
+        """Deliver a round-``round_number`` message from ``sender``; one for
+        a round already over is useless to a round-driven algorithm and is
+        dropped."""
+        if round_number < self.round:
+            return
+        slot = self.slots.get(round_number)
+        if slot is None:  # not ``setdefault``: that builds a dict per call
+            slot = self.slots[round_number] = {}
+        slot[sender] = payload
 
     def end_of_round(
-        self, oracle_output: Any, next_round: Optional[int] = None
-    ) -> RoundOutput:
-        """Fire the ``end-of-round_i`` action; returns the next round's output.
+        self,
+        oracle: Oracle,
+        observers: Sequence[Any] = (),
+        next_round: Optional[int] = None,
+    ) -> Any:
+        """Fire the ``end-of-round_i`` action; returns the decision, if any.
+
+        Queries ``oracle`` (reported to ``observers`` as ``on_oracle``),
+        calls ``initialize`` (round 0) or ``compute`` on the round's
+        messages, and reports a decision as ``on_decision`` — every round
+        while it is latched, so integrity checkers see a value change.
 
         ``next_round`` lets the round-synchronization protocol of
         Section 5.1 *jump*: after computing, the process joins its peers
@@ -61,23 +95,27 @@ class GirafProcess:
         can use the future-round message that triggered the jump.  Rounds
         only ever move forward.
         """
-        if self.round == 0:
+        k = self.round
+        if next_round is None:
+            next_round = k + 1
+        elif next_round <= k:
+            raise ValueError(f"cannot jump from round {k} back to {next_round}")
+        oracle_output = oracle.query(self.pid, k)
+        notify(observers, "on_oracle", self.pid, k, oracle_output)
+        if k == 0:
             output = self.algorithm.initialize(oracle_output)
         else:
-            output = self.algorithm.compute(self.round, self.inbox, oracle_output)
-        if next_round is None:
-            next_round = self.round + 1
-        elif next_round <= self.round:
-            raise ValueError(
-                f"cannot jump from round {self.round} back to {next_round}"
-            )
+            output = self.algorithm.compute(k, self.slots.pop(k, {}), oracle_output)
         self.round = next_round
         self._outgoing = output
         # The process "receives" its own message in the round it sends it
         # (Algorithm 1 never transmits to self, but M_i[k][i] is defined).
         if output.payload is not None:
-            self.inbox.record(self.round, self.pid, output.payload)
-        return output
+            self.receive(next_round, self.pid, output.payload)
+        decision = self.algorithm.decision()
+        if decision is not None:
+            notify(observers, "on_decision", self.pid, k, decision)
+        return decision
 
     def decision(self) -> Any:
         """The algorithm's decision value, or ``None``."""

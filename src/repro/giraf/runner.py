@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.giraf.kernel import GirafAlgorithm
 from repro.giraf.oracle import Oracle
-from repro.giraf.process import GirafProcess
+from repro.giraf.process import GirafProcess, notify
 from repro.giraf.schedule import Schedule
 
 if TYPE_CHECKING:
@@ -88,19 +88,6 @@ class RunResult:
         return all(value in proposed for value in self.decisions.values())
 
 
-def notify(observers: Sequence[Any], hook: str, *args: Any) -> None:
-    """Call ``hook(*args)`` on every observer that implements it.
-
-    An observer implements any subset of the hooks (see
-    :class:`LockstepRunner`); this is the one dispatch both the lockstep
-    and the round-synchronized runners use.
-    """
-    for observer in observers:
-        method = getattr(observer, hook, None)
-        if method is not None:
-            method(*args)
-
-
 class LockstepRunner:
     """Drives ``n`` GIRAF processes through synchronized rounds.
 
@@ -159,6 +146,14 @@ class LockstepRunner:
         crash = self._deaths.get(pid)
         return crash is not None and round_number >= crash.at_round
 
+    def _end_round(self, proc: GirafProcess, result: RunResult) -> None:
+        """Fire ``proc``'s end-of-round, booking its first decision."""
+        k = proc.round
+        decision = proc.end_of_round(self.oracle, self.observers)
+        if decision is not None and proc.pid not in result.decisions:
+            result.decisions[proc.pid] = decision
+            result.decision_rounds[proc.pid] = k
+
     def run(
         self,
         max_rounds: int,
@@ -173,21 +168,18 @@ class LockstepRunner:
             extra_rounds_after_decision: keep running this many rounds past
                 global decision (useful to observe stable-state message
                 complexity after the protocol quiesces).
+
+        A runner runs once: its processes and oracle carry the run's state.
         """
+        if any(proc.round for proc in self.processes):
+            raise RuntimeError("this runner has already run; build a new one")
         correct = frozenset(range(self.n)).difference(self._deaths)
         result = RunResult(n=self.n, correct=correct)
 
         # Round 0: the first end-of-round initializes everyone.
         for proc in self.processes:
             if not self._dead(proc.pid, 1):
-                output = self.oracle.query(proc.pid, 0)
-                notify(self.observers, "on_oracle", proc.pid, 0, output)
-                proc.end_of_round(output)
-                decision = proc.decision()
-                if decision is not None:
-                    notify(self.observers, "on_decision", proc.pid, 0, decision)
-                    result.decisions[proc.pid] = decision
-                    result.decision_rounds[proc.pid] = 0
+                self._end_round(proc, result)
         for proc in self.processes:
             proposal = getattr(proc.algorithm, "proposal", None)
             if proposal is not None:
@@ -235,17 +227,8 @@ class LockstepRunner:
 
             # End-of-round computations.
             for proc in self.processes:
-                if self._dead(proc.pid, k):
-                    continue
-                output = self.oracle.query(proc.pid, k)
-                notify(self.observers, "on_oracle", proc.pid, k, output)
-                proc.end_of_round(output)
-                decision = proc.decision()
-                if decision is not None:
-                    notify(self.observers, "on_decision", proc.pid, k, decision)
-                    if proc.pid not in result.decisions:
-                        result.decisions[proc.pid] = decision
-                        result.decision_rounds[proc.pid] = k
+                if not self._dead(proc.pid, k):
+                    self._end_round(proc, result)
 
             if stop_on_global_decision and result.all_correct_decided:
                 if decided_deadline is None:

@@ -119,7 +119,7 @@ import numpy as np
 
 from repro.faults.lockstep import base_oracle
 from repro.giraf.oracle import NullOracle
-from repro.giraf.runner import notify
+from repro.giraf.process import notify
 from repro.oracles.omega import HeartbeatOmega
 from repro.sim.transport import Transport
 from repro.sync.heartbeat import HeartbeatAlgorithm
@@ -377,8 +377,8 @@ def run_batched(run: SyncRun, times: list[float]) -> None:
     (:meth:`SyncRun.run`) then collects the result from the log, by the
     very same code as after a scalar run.
 
-    Not mirrored (documented divergence): per-process inboxes, the
-    pending outgoing :class:`~repro.giraf.kernel.RoundOutput`, the
+    Not mirrored (documented divergence): each process's message slots
+    (:attr:`~repro.giraf.process.GirafProcess.slots`), the pending outgoing :class:`~repro.giraf.kernel.RoundOutput`, the
     simulator's ``events_processed`` (no event fires here), and the
     fault policy's transient ``last_drop_cause`` and per-instant memo;
     none of them feed :class:`~repro.sync.round_sync.SyncRunResult` or

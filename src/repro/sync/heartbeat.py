@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.faults.plan import FaultPlan
-from repro.giraf.kernel import GirafAlgorithm, Inbox, RoundOutput
+from repro.giraf.kernel import GirafAlgorithm, RoundOutput
 from repro.giraf.oracle import FixedLeaderOracle, NullOracle
 from repro.giraf.runner import LockstepRunner
 from repro.giraf.schedule import MatrixSchedule
@@ -57,7 +57,9 @@ class HeartbeatAlgorithm(GirafAlgorithm):
     def initialize(self, oracle_output: Any) -> RoundOutput:
         return RoundOutput(Probe(self.pid, 1), self._all)
 
-    def compute(self, round_number: int, inbox: Inbox, oracle_output: Any) -> RoundOutput:
+    def compute(
+        self, round_number: int, messages: Mapping[int, Any], oracle_output: Any
+    ) -> RoundOutput:
         self.rounds_computed += 1
         return RoundOutput(Probe(self.pid, round_number + 1), self._all)
 

@@ -3,7 +3,8 @@
 One :class:`SyncedNode` per process runs GIRAF over the simulated
 transport.  The paper's two threads map onto event handlers:
 
-- the *receive* path records every arriving message and, on a
+- the *receive* path records every current- or future-round message
+  (counting one for a round already over as late) and, on a
   future-round message, notifies the round driver;
 - the *round driver* starts each round by transmitting, waits out the
   (local-clock) timeout, then fires the end-of-round; on a future-round
@@ -31,8 +32,7 @@ from repro.faults.lockstep import ChurningOracle
 from repro.faults.plan import FaultPlan
 from repro.giraf.kernel import GirafAlgorithm
 from repro.giraf.oracle import Oracle
-from repro.giraf.process import GirafProcess
-from repro.giraf.runner import notify
+from repro.giraf.process import GirafProcess, notify
 from repro.obs.recorder import RunRecorder, recorder_or_null
 from repro.obs.registry import MetricsRegistry, registry_or_null
 from repro.sim.clock import Clock
@@ -150,25 +150,12 @@ class SyncedNode:
         transport.register(process.pid, self._on_receive)
         simulator.schedule(start_time, self._boot)
 
-    def _report_decision(self, round_number: int) -> None:
-        decision = self.process.decision()
-        if decision is None:
-            return
-        if self.decision_round is None:
-            self.decision_round = round_number
-        notify(
-            self._observers, "on_decision", self.process.pid, round_number, decision
-        )
-
     # ------------------------------------------------------------------
     # Lifecycle.
     # ------------------------------------------------------------------
     def _boot(self) -> None:
         self.running = True
-        output = self.oracle.query(self.process.pid, 0)
-        notify(self._observers, "on_oracle", self.process.pid, 0, output)
-        self.process.end_of_round(output)
-        self._report_decision(0)
+        self._end_round()
         self._begin_round(self.timeout)
 
     def round_length(self, local_duration: float) -> float:
@@ -210,23 +197,23 @@ class SyncedNode:
 
     def _end_round(self, next_round: Optional[int] = None) -> None:
         k = self.process.round
-        pid = self.process.pid
-        self.log.ends[k, pid] = self.simulator.now
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        # Heartbeat-style detectors (HeartbeatOmega) take each node's
-        # round observation live, the moment the round ends — the event
-        # stack's answer to the lockstep runner's per-round ``observe``
-        # matrix.  Only this node's row of the round is final by now;
-        # detectors exposing the feed are row-local by contract.
-        observe_rows = getattr(self.oracle, "observe_rows", None)
-        if observe_rows is not None:
-            observe_rows(k, self.log.timely[k], rows=(pid,))
-        output = self.oracle.query(pid, k)
-        notify(self._observers, "on_oracle", pid, k, output)
-        self.process.end_of_round(output, next_round=next_round)
-        self._report_decision(k)
+        if k:  # round 0, the boot, has no round to close
+            pid = self.process.pid
+            self.log.ends[k, pid] = self.simulator.now
+            if self._timer is not None:
+                self._timer.cancel()
+                self._timer = None
+            # Heartbeat-style detectors (HeartbeatOmega) take each node's
+            # round observation live, the moment the round ends — the event
+            # stack's answer to the lockstep runner's per-round ``observe``
+            # matrix.  Only this node's row of the round is final by now;
+            # detectors exposing the feed are row-local by contract.
+            observe_rows = getattr(self.oracle, "observe_rows", None)
+            if observe_rows is not None:
+                observe_rows(k, self.log.timely[k], rows=(pid,))
+        decision = self.process.end_of_round(self.oracle, self._observers, next_round)
+        if decision is not None and self.decision_round is None:
+            self.decision_round = k
 
     def _on_timer(self) -> None:
         if not self.running or self.crashed:

@@ -2,7 +2,7 @@
 
 :class:`~repro.check.mutation.BrokenAgreementWlm` overrides only
 ``_commit_guard`` and ``_decide3_guard``.  Behaviourally: from any state
-Algorithm 2 reaches, on any inbox, one ``compute`` step of the mutant
+Algorithm 2 reaches, on any round's messages, one ``compute`` step of the mutant
 yields the same message, destinations and decision as Algorithm 2's —
 unless a stripped guard *binds* in that step (returns ``False`` where the
 rest of its rule held), in which case it yields a different message.  By
@@ -41,12 +41,12 @@ class ShadowedWlm(WlmConsensus):
         self._guard_bound |= not passed
         return passed
 
-    def compute(self, round_number, inbox, oracle_output):
+    def compute(self, round_number, messages, oracle_output):
         shadow = BrokenAgreementWlm(self.pid, self.n, self.proposal)
         shadow.__dict__.update(self.__dict__)
         self._guard_bound = False
-        output = super().compute(round_number, inbox, oracle_output)
-        shadow_output = shadow.compute(round_number, inbox, oracle_output)
+        output = super().compute(round_number, messages, oracle_output)
+        shadow_output = shadow.compute(round_number, messages, oracle_output)
 
         self._tally[self._guard_bound] += 1
         if self._guard_bound:

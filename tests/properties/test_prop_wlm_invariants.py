@@ -18,7 +18,7 @@ from repro.giraf import (
     LockstepRunner,
     StableAfterSchedule,
 )
-from repro.giraf.kernel import Inbox, RoundOutput
+from repro.giraf.kernel import RoundOutput
 from repro.giraf.oracle import EventuallyStableLeaderOracle
 
 
@@ -29,8 +29,8 @@ class InstrumentedWlm(WlmConsensus):
         super().__init__(pid, n, proposal)
         self.log = log
 
-    def compute(self, round_number: int, inbox: Inbox, oracle_output) -> RoundOutput:
-        output = super().compute(round_number, inbox, oracle_output)
+    def compute(self, round_number: int, messages, oracle_output) -> RoundOutput:
+        output = super().compute(round_number, messages, oracle_output)
         self.log.append(
             {
                 "pid": self.pid,

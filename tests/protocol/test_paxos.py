@@ -68,16 +68,11 @@ class TestPaxosBasics:
         leader = PaxosConsensus(0, n, proposal="mine")
         leader.initialize(0)  # starts phase 1 with ballot b
         ballot = leader.cballot
-        inbox_messages = {
+        messages = {
             0: PaxosMessage(promised=ballot, vrnd=0, vval=None),
             1: PaxosMessage(promised=ballot, vrnd=1, vval="theirs"),
         }
-
-        class FakeInbox:
-            def round(self, k):
-                return inbox_messages
-
-        leader.compute(1, FakeInbox(), 0)
+        leader.compute(1, messages, 0)
         assert leader.phase == 2
         assert leader.cvalue == "theirs"
 

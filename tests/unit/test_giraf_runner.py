@@ -1,12 +1,14 @@
 """Unit tests for the lockstep runner's mechanics (not protocol logic)."""
 
 import numpy as np
+import pytest
 
+from repro.core import WlmConsensus
 from repro.faults import Crash, FaultPlan
 from repro.giraf.kernel import GirafAlgorithm, RoundOutput
-from repro.giraf.oracle import NullOracle
+from repro.giraf.oracle import FixedLeaderOracle, NullOracle
 from repro.giraf.runner import LockstepRunner
-from repro.giraf.schedule import MatrixSchedule
+from repro.giraf.schedule import IIDSchedule, MatrixSchedule
 from repro.models.matrix import full_matrix, empty_matrix
 
 
@@ -21,8 +23,8 @@ class Collector(GirafAlgorithm):
     def initialize(self, oracle_output):
         return RoundOutput(self.pid, frozenset(range(self.n)))
 
-    def compute(self, round_number, inbox, oracle_output):
-        self.heard[round_number] = inbox.senders(round_number)
+    def compute(self, round_number, messages, oracle_output):
+        self.heard[round_number] = frozenset(messages)
         return RoundOutput(self.pid, frozenset(range(self.n)))
 
 
@@ -39,7 +41,7 @@ class DecideAtRound(GirafAlgorithm):
     def initialize(self, oracle_output):
         return RoundOutput(self.pid, frozenset(range(self.n)))
 
-    def compute(self, round_number, inbox, oracle_output):
+    def compute(self, round_number, messages, oracle_output):
         if round_number >= self.decide_round:
             self._decision = 42
         return RoundOutput(self.pid, frozenset(range(self.n)))
@@ -126,9 +128,23 @@ class TestLockstepRunner:
         assert not result.sent_matrices[3][1:, 0].any()
         assert result.delivered_matrices[3][0].tolist() == [True, False, False, False]
 
-    def test_plan_for_another_size_rejected(self):
-        import pytest
+    def test_second_run_raises(self):
+        """A runner's processes and oracle carry its run: a second ``run``
+        used to return ``rounds_executed=1`` with every process "deciding"
+        in round 0, without any error."""
+        n = 5
+        runner = LockstepRunner(
+            n,
+            lambda pid: WlmConsensus(pid, n, proposal=pid),
+            FixedLeaderOracle(0),
+            IIDSchedule(n, p=1.0),
+        )
+        first = runner.run(max_rounds=20)
+        assert first.all_correct_decided and first.global_decision_round > 0
+        with pytest.raises(RuntimeError, match="already run"):
+            runner.run(max_rounds=20)
 
+    def test_plan_for_another_size_rejected(self):
         with pytest.raises(ValueError, match="n=5"):
             make_runner(4, [full_matrix(4)], fault_plan=FaultPlan(5))
 
@@ -145,8 +161,6 @@ class TestLockstepRunner:
         assert (result.delivered_matrices[0] == np.eye(3, dtype=bool)).all()
 
     def test_schedule_size_mismatch_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError):
             LockstepRunner(
                 4,

@@ -1,7 +1,7 @@
 """A finished, dropped ``SyncRun`` is freed by reference count alone.
 
-What a run leaves behind — nodes, transport, simulator, a few megabytes
-of inboxes per thousand rounds — used to be cyclic garbage
+What a run leaves behind — nodes, transport, simulator, processes —
+used to be cyclic garbage
 (``transport._handlers`` → bound ``node._on_receive`` → ``node.transport``;
 ``transport._simulator`` → heap → never-fired delivery and fault
 callbacks → the transport / the run), freed only when the generational
@@ -10,6 +10,9 @@ live run plus however many dead ones are still floating".  Both engines
 now end with an empty event queue and the node's reference to its
 transport is weak, so with the collector switched off nothing of a
 dropped run survives.
+
+Nor does a live run grow with its rounds: a process keeps the messages
+of its current and future rounds only, on either stack.
 """
 
 import gc
@@ -20,6 +23,7 @@ import pytest
 
 from repro.core import WlmConsensus
 from repro.faults.plan import ClockStep, Crash, FaultPlan
+from repro.giraf import IIDSchedule, LockstepRunner
 from repro.giraf.oracle import FixedLeaderOracle
 from repro.net import planetlab_profile
 from repro.obs.registry import MetricsRegistry
@@ -100,7 +104,9 @@ def test_finished_run_is_freed_without_the_collector(kind, mode):
         held = [
             weakref.ref(run),
             weakref.ref(run.nodes[0]),
-            weakref.ref(run.nodes[0].process.inbox),
+            # The process owns its slot store (a dict cannot be
+            # weak-referenced itself).
+            weakref.ref(run.nodes[0].process),
             weakref.ref(run.transport),
             weakref.ref(run.simulator),
         ]
@@ -120,3 +126,30 @@ def test_a_truncated_run_keeps_its_queue():
     result = run.run(mode="scalar")
     assert len(result.matrices) == ROUNDS > first
     assert run.simulator.pending_events == 0
+
+
+@pytest.mark.parametrize("stack", ["event", "lockstep"])
+def test_a_process_keeps_no_past_round(stack):
+    rounds = 1_000
+    n = 5
+
+    def factory(pid):
+        return WlmConsensus(pid, n, proposal=pid)
+
+    if stack == "event":
+        run = SyncRun(
+            n, factory, FixedLeaderOracle(0),
+            lambda sim: Transport(sim, planetlab_profile(seed=5, slow_run_prob=0.0)),
+            timeout=0.21, latency_table=np.full((n, n), 0.05), max_rounds=rounds,
+        )
+        run.run(mode="scalar")
+        processes = [node.process for node in run.nodes]
+    else:
+        runner = LockstepRunner(
+            n, factory, FixedLeaderOracle(0), IIDSchedule(n, p=0.5, seed=3)
+        )
+        runner.run(max_rounds=rounds, stop_on_global_decision=False)
+        processes = runner.processes
+    for process in processes:
+        assert process.round == rounds + 1
+        assert all(k >= process.round for k in process.slots)

@@ -28,7 +28,7 @@ class SilentAlgorithm(GirafAlgorithm):
     def initialize(self, oracle_output):
         return RoundOutput(None, frozenset())
 
-    def compute(self, round_number, inbox, oracle_output):
+    def compute(self, round_number, messages, oracle_output):
         return RoundOutput(None, frozenset())
 
 
