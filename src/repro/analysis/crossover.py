@@ -93,17 +93,3 @@ def optimal_timeout(
         raise ValueError("all decision times are NaN: no timeout ever decided")
     index = int(np.nanargmin(times))
     return float(timeouts[index]), float(times[index])
-
-
-def decision_time_curve(
-    timeouts: Sequence[float],
-    rounds_per_timeout: Sequence[float],
-) -> list[float]:
-    """Decision time = (rounds to decision) x (round duration).
-
-    The idealized Section 5.3 tradeoff: each round lasts the timeout, so a
-    longer timeout lowers the round count but raises the per-round cost.
-    """
-    if len(timeouts) != len(rounds_per_timeout):
-        raise ValueError("sequences must have equal length")
-    return [t * r for t, r in zip(timeouts, rounds_per_timeout)]

@@ -26,10 +26,6 @@ class Summary:
     ci_high: float
     count: int
 
-    @property
-    def ci_half_width(self) -> float:
-        return (self.ci_high - self.ci_low) / 2.0
-
 
 def mean_confidence_interval(
     values: Sequence[float], confidence: float = 0.95

@@ -207,12 +207,17 @@ class LockstepRunner:
                     targets = proc.send_targets()
                 payload = proc.outgoing_payload
                 for dst in sorted(targets):
+                    if not 0 <= dst < self.n:
+                        raise ValueError(
+                            f"process {proc.pid} addressed its round-{k}"
+                            f" message to {dst}, outside range({self.n})"
+                        )
                     sent[dst, proc.pid] = True
                     result.messages_sent += 1
+                    # The plan's mask silences a dead destination's row.
                     if timely[dst, proc.pid]:
                         delivered[dst, proc.pid] = True
-                        if not self._dead(dst, k):
-                            self.processes[dst].receive(k, proc.pid, payload)
+                        self.processes[dst].receive(k, proc.pid, payload)
             result.per_round_messages.append(int(sent.sum()) - self.n)
 
             result.sent_matrices.append(sent)

@@ -13,7 +13,7 @@ unsynchronized clocks.
 """
 
 from repro.sim.events import Event, EventQueue, Simulator
-from repro.sim.clock import Clock, PerfectClock
+from repro.sim.clock import Clock
 from repro.sim.rng import RandomStreams
 from repro.sim.transport import Transport, Delivery
 
@@ -22,7 +22,6 @@ __all__ = [
     "EventQueue",
     "Simulator",
     "Clock",
-    "PerfectClock",
     "RandomStreams",
     "Transport",
     "Delivery",

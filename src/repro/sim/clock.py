@@ -21,35 +21,23 @@ class Clock:
     """An affine local clock.
 
     Attributes:
-        offset: local time at global time zero (seconds).
+        offset: local time at global time zero (seconds).  It does not
+            affect the event stack, which cuts rounds by durations alone.
         drift: rate error; the local clock advances ``1 + drift`` local
-            seconds per global second.  Must be greater than ``-1`` so the
-            clock always moves forward.
+            seconds per global second.  Must be finite and greater than
+            ``-1``, so the clock always moves forward at a finite rate.
     """
 
     offset: float = 0.0
     drift: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.drift <= -1.0:
-            raise ValueError(f"drift {self.drift} would freeze or reverse the clock")
-
-    def local_time(self, global_time: float) -> float:
-        """Local reading at the given global simulation time."""
-        return self.offset + (1.0 + self.drift) * global_time
-
-    def global_time(self, local_time: float) -> float:
-        """Inverse mapping: global instant at which the clock reads ``local_time``."""
-        return (local_time - self.offset) / (1.0 + self.drift)
-
-    def local_duration(self, global_duration: float) -> float:
-        """How long ``global_duration`` appears to last on this clock."""
-        return (1.0 + self.drift) * global_duration
+        if not -1.0 < self.drift < float("inf"):
+            raise ValueError(
+                f"drift {self.drift} must be finite and above -1, so the clock"
+                " moves forward at a finite rate"
+            )
 
     def global_duration(self, local_duration: float) -> float:
         """How much global time passes while this clock advances ``local_duration``."""
         return local_duration / (1.0 + self.drift)
-
-
-#: A clock with no skew and no drift — local time equals global time.
-PerfectClock = Clock(offset=0.0, drift=0.0)

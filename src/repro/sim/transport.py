@@ -73,12 +73,6 @@ class Delivery:
     def lost(self) -> bool:
         return self.latency is None or self.undeliverable
 
-    @property
-    def delivered_at(self) -> Optional[float]:
-        if self.latency is None:
-            return None
-        return self.sent_at + self.latency
-
 
 def not_a_delay(model: LinkModel, src: int, dst: int, latency: float) -> ValueError:
     """What the event queue cannot place (NaN, a negative delay),

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional, Sequence
 
+import numpy as np
 import pytest
 
 from repro.consensus import AfmConsensus, EsConsensus, LmConsensus, PaxosConsensus
 from repro.core import WlmConsensus
+from repro.experiments import cache as cache_module
 from repro.faults import FaultPlan
 from repro.giraf import (
     EventuallyStableLeaderOracle,
@@ -106,3 +108,35 @@ def assert_safety(result: RunResult) -> None:
 @pytest.fixture
 def small_n() -> int:
     return 5
+
+
+@pytest.fixture(autouse=True)
+def no_global_cache():
+    """Keep the process-wide trace cache state clean across tests."""
+    cache_module.deactivate()
+    yield
+    cache_module.deactivate()
+
+
+class FixedLatency:
+    """A link model with scripted latencies (None = lost); it records
+    every link and instant it is asked about."""
+
+    def __init__(self, latency: Optional[float]):
+        self.latency = latency
+        self.asked: list[tuple[int, int, float]] = []
+
+    def sample_latency(self, src: int, dst: int, now: float) -> Optional[float]:
+        self.asked.append((src, dst, now))
+        return self.latency
+
+
+def assert_sweeps_identical(a, b) -> None:
+    """Two WAN sweeps hold the same leader, runs, ``p`` and matrices."""
+    assert a.leader == b.leader
+    assert list(a.runs) == list(b.runs)
+    for timeout in a.runs:
+        for run_a, run_b in zip(a.runs[timeout], b.runs[timeout]):
+            assert run_a.p == run_b.p
+            assert run_a.matrices.dtype == run_b.matrices.dtype
+            assert np.array_equal(run_a.matrices, run_b.matrices)

@@ -31,14 +31,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.sim import Clock, Simulator, Transport
 from repro.sync import HeartbeatAlgorithm, SyncRun
 from repro.sync.round_sync import RoundLog, SyncedNode
-
-
-class FixedLatency:
-    def __init__(self, latency):
-        self.latency = latency
-
-    def sample_latency(self, src, dst, now):
-        return self.latency
+from tests.conftest import FixedLatency
 
 
 N = 5

@@ -17,14 +17,7 @@ from repro.giraf import NullOracle
 from repro.obs import MetricsRegistry, RunRecorder, read_jsonl, read_manifest
 from repro.sim import Transport
 from repro.sync import HeartbeatAlgorithm, SyncRun
-
-
-class FixedLatency:
-    def __init__(self, latency):
-        self.latency = latency
-
-    def sample_latency(self, src, dst, now):
-        return self.latency
+from tests.conftest import FixedLatency
 
 
 N = 5

@@ -19,6 +19,7 @@ from repro.experiments.parallel import (
     figure_1c_parallel,
     run_wan_sweep_parallel,
 )
+from tests.conftest import assert_sweeps_identical
 
 TINY_LAN = SweepConfig(
     rounds_per_run=40,
@@ -27,23 +28,6 @@ TINY_LAN = SweepConfig(
     timeouts=(0.0002, 0.0009),
     seed=5,
 )
-
-
-@pytest.fixture(autouse=True)
-def no_global_cache():
-    cache_module.deactivate()
-    yield
-    cache_module.deactivate()
-
-
-def assert_sweeps_identical(a, b):
-    assert a.leader == b.leader
-    assert list(a.runs) == list(b.runs)
-    for timeout in a.runs:
-        for run_a, run_b in zip(a.runs[timeout], b.runs[timeout]):
-            assert run_a.p == run_b.p
-            assert run_a.matrices.dtype == run_b.matrices.dtype
-            assert np.array_equal(run_a.matrices, run_b.matrices)
 
 
 class TestParallelDeterminism:

@@ -29,17 +29,11 @@ from repro.service import (
     run_jobs,
 )
 from repro.service.jobs import JobSpec, Priority, _decision_cell
+from tests.conftest import assert_sweeps_identical
 
 TINY = SweepConfig(
     rounds_per_run=30, runs=2, start_points=3, timeouts=(0.16, 0.21), seed=11
 )
-
-
-@pytest.fixture(autouse=True)
-def no_global_cache():
-    cache_module.deactivate()
-    yield
-    cache_module.deactivate()
 
 
 def assert_stats_identical(a, b):
@@ -48,16 +42,6 @@ def assert_stats_identical(a, b):
     assert a.censored == b.censored
     assert np.array_equal(a.mean_rounds, b.mean_rounds, equal_nan=True)
     assert np.array_equal(a.mean_time, b.mean_time, equal_nan=True)
-
-
-def assert_sweeps_identical(a, b):
-    assert a.leader == b.leader
-    assert list(a.runs) == list(b.runs)
-    for timeout in a.runs:
-        for run_a, run_b in zip(a.runs[timeout], b.runs[timeout]):
-            assert run_a.p == run_b.p
-            assert run_a.matrices.dtype == run_b.matrices.dtype
-            assert np.array_equal(run_a.matrices, run_b.matrices)
 
 
 class TestServiceResultsMatchDirectEngine:

@@ -127,3 +127,14 @@ class TestReplicationUnderInstability:
         group.run_until_drained()
         assert group.total_messages > 0
         assert group.total_rounds > 0
+
+    def test_an_idle_leader_forwards_the_oldest_pending_command(self):
+        """Paxos decides its leader's proposal: with nothing of its own,
+        leader 0 proposes the oldest command pending anywhere, so commands
+        are decided in client order."""
+        group = make_group("PAXOS", p_chaos=1.0)
+        for client in (2, 1):
+            group.submit(client, Command(client, 0, ("set", "k", str(client))))
+        group.run_until_drained(max_slots=10)
+        decided = [entry.client_id for entry in group.log if not entry.is_noop()]
+        assert decided == [1, 2]

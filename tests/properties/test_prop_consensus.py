@@ -9,15 +9,8 @@ validity, and must decide when the world stabilizes.
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import Crash, FaultPlan
-from repro.giraf import (
-    IIDSchedule,
-    LockstepRunner,
-    NullOracle,
-    RotatingLeaderOracle,
-    StableAfterSchedule,
-)
-from repro.giraf.oracle import EventuallyStableLeaderOracle
-from tests.conftest import ALGORITHMS, LIVENESS, assert_safety
+from repro.giraf import IIDSchedule, LockstepRunner, NullOracle, RotatingLeaderOracle
+from tests.conftest import ALGORITHMS, LIVENESS, assert_safety, make_consensus_run
 
 algorithm_names = st.sampled_from(sorted(ALGORITHMS))
 
@@ -42,27 +35,10 @@ def consensus_world(draw):
 @settings(max_examples=60, deadline=None)
 def test_safety_and_liveness_with_stabilization(name, world):
     n, proposals, p_chaos, gsr, leader, seed = world
-    model, allowance = LIVENESS[name]
-    schedule = StableAfterSchedule(
-        IIDSchedule(n, p=p_chaos, seed=seed),
-        gsr=gsr,
-        model=model,
-        leader=leader,
-        seed=seed + 1,
+    _, allowance = LIVENESS[name]
+    result = make_consensus_run(
+        name, n, gsr, p_chaos, leader, seed, proposals, max_rounds=gsr + 120
     )
-    if name in ("ES", "AFM"):
-        oracle = NullOracle()
-    else:
-        oracle = EventuallyStableLeaderOracle(
-            leader=leader, stable_from=gsr, n=n, seed=seed + 2
-        )
-    runner = LockstepRunner(
-        n,
-        lambda pid: ALGORITHMS[name](pid, n, proposals[pid]),
-        oracle,
-        schedule,
-    )
-    result = runner.run(max_rounds=gsr + 120)
     assert_safety(result)
     assert result.all_correct_decided
     # Hard per-algorithm bound for the leader-based algorithms; the AFM
@@ -101,29 +77,10 @@ def test_safety_with_random_minority_crashes(name, world, crash_fraction):
     # decidable; safety must hold regardless).
     crashed = [pid for pid in range(n - 1, -1, -1) if pid != leader][:crash_count]
     plan = FaultPlan(n, crashes=tuple(Crash(pid, 1 + (pid % 5)) for pid in crashed))
-    model, _ = LIVENESS[name]
-    schedule = StableAfterSchedule(
-        IIDSchedule(n, p=p_chaos, seed=seed),
-        gsr=gsr,
-        model=model,
-        leader=leader,
-        seed=seed + 1,
-        correct=sorted(plan.correct()),
+    result = make_consensus_run(
+        name, n, gsr, p_chaos, leader, seed, proposals, fault_plan=plan,
+        max_rounds=gsr + 80,
     )
-    if name in ("ES", "AFM"):
-        oracle = NullOracle()
-    else:
-        oracle = EventuallyStableLeaderOracle(
-            leader=leader, stable_from=gsr, n=n, seed=seed + 2
-        )
-    runner = LockstepRunner(
-        n,
-        lambda pid: ALGORITHMS[name](pid, n, proposals[pid]),
-        oracle,
-        schedule,
-        fault_plan=plan,
-    )
-    result = runner.run(max_rounds=gsr + 80)
     assert_safety(result)
 
 
@@ -134,27 +91,8 @@ def test_unanimous_proposals_always_win(world):
     any algorithm and any world."""
     n, _proposals, p_chaos, gsr, leader, seed = world
     for name in sorted(ALGORITHMS):
-        model, _ = LIVENESS[name]
-        schedule = StableAfterSchedule(
-            IIDSchedule(n, p=p_chaos, seed=seed),
-            gsr=gsr,
-            model=model,
-            leader=leader,
-            seed=seed + 1,
+        result = make_consensus_run(
+            name, n, gsr, p_chaos, leader, seed, [7] * n, max_rounds=gsr + 60
         )
-        oracle = (
-            NullOracle()
-            if name in ("ES", "AFM")
-            else EventuallyStableLeaderOracle(
-                leader=leader, stable_from=gsr, n=n, seed=seed + 2
-            )
-        )
-        runner = LockstepRunner(
-            n,
-            lambda pid: ALGORITHMS[name](pid, n, 7),
-            oracle,
-            schedule,
-        )
-        result = runner.run(max_rounds=gsr + 60)
         for value in result.decisions.values():
             assert value == 7

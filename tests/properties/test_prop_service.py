@@ -24,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import cache as cache_module
 from repro.experiments.config import SweepConfig
 from repro.experiments.figures import run_wan_sweep
 from repro.obs.registry import MetricsRegistry
@@ -36,6 +35,7 @@ from repro.service import (
     WanSweepJob,
 )
 
+from tests.conftest import assert_sweeps_identical
 from tests.stub_executor import StubCellExecutor
 
 TINY = SweepConfig(
@@ -47,25 +47,10 @@ TINY_CELLS = len(TINY.timeouts) * TINY.runs
 MAX_STEPS = 500
 
 
-@pytest.fixture(autouse=True)
-def no_global_cache():
-    cache_module.deactivate()
-    yield
-    cache_module.deactivate()
-
-
 async def _settle(stub):
     """Let the scheduler react to whatever the stub just resolved."""
     for _ in range(10):
         await asyncio.sleep(0)
-
-
-def assert_sweeps_identical(a, b):
-    assert list(a.runs) == list(b.runs)
-    for timeout in a.runs:
-        for run_a, run_b in zip(a.runs[timeout], b.runs[timeout]):
-            assert run_a.p == run_b.p
-            assert np.array_equal(run_a.matrices, run_b.matrices)
 
 
 class TestInFlightDedup:

@@ -45,6 +45,7 @@ class TestHeartbeatOmegaUnit:
         assert omega.query(3, 6) == 0  # still in window
         omega.observe(6, np.eye(4, dtype=bool))
         omega.observe(7, np.eye(4, dtype=bool))
+        assert omega.query(3, 7) == 0  # the window's oldest round still counts
         omega.observe(8, np.eye(4, dtype=bool))
         assert omega.query(3, 8) == 3  # 0 expired; only self remains
 

@@ -7,6 +7,7 @@ stable-state message complexity claim of Section 3.
 
 import pytest
 
+from repro.consensus.base import ConsensusMessage, MsgType
 from repro.core import WlmConsensus
 from repro.giraf import (
     EventuallyStableLeaderOracle,
@@ -122,3 +123,25 @@ class TestPipelining:
         result = make_consensus_run("WLM", n=5, gsr=5)
         rounds = sorted(result.decision_rounds.values())
         assert rounds[-1] - rounds[0] <= 2
+
+
+class TestDecide3:
+    @pytest.mark.parametrize("approved", [False, True])
+    def test_a_majority_of_commits_decides_only_a_maj_approved_committer(
+        self, approved
+    ):
+        """decide-3 (line 26): in ◊WLM only the leader is sure to hear a
+        majority, so a majority of COMMITs decides a process only if its
+        own COMMIT was majApproved; otherwise it commits again."""
+        proc = WlmConsensus(1, 3, proposal="v")
+        proc.initialize(0)
+        proc.ts, proc.msg_type = 3, MsgType.COMMIT
+        messages = {
+            pid: ConsensusMessage(
+                MsgType.COMMIT, "v", 3, leader=0,
+                maj_approved=approved if pid == 1 else pid == 0,
+            )
+            for pid in range(3)
+        }
+        proc.compute(4, messages, 0)
+        assert proc.decision() == ("v" if approved else None)

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.crossover import (
-    decision_time_curve,
-    find_crossover,
-    optimal_timeout,
-)
+from repro.analysis.crossover import find_crossover, optimal_timeout
 from repro.analysis.equations import expected_decision_rounds
 
 N = 8
@@ -112,26 +108,3 @@ class TestOptimalTimeout:
     def test_all_nan_raises(self):
         with pytest.raises(ValueError, match="NaN"):
             optimal_timeout([0.1, 0.2], [float("nan"), float("nan")])
-
-
-class TestDecisionTimeCurve:
-    def test_elementwise_product(self):
-        assert decision_time_curve([0.1, 0.2], [10, 4]) == [
-            pytest.approx(1.0),
-            pytest.approx(0.8),
-        ]
-
-    def test_tradeoff_shape_from_analysis(self):
-        # The analytic version of Figure 1(i): rounds fall as p rises with
-        # the timeout, cost per round rises; the product is convex-ish with
-        # an interior optimum.
-        import numpy as np
-        from repro.analysis.equations import expected_decision_rounds
-
-        # Toy timeout -> p mapping resembling Figure 1(d).
-        timeouts = np.linspace(0.14, 0.35, 15)
-        p_of_t = 0.999 - 0.15 * np.exp(-(timeouts - 0.13) / 0.04)
-        rounds = [float(expected_decision_rounds(p, N, "WLM")) for p in p_of_t]
-        curve = decision_time_curve(list(timeouts), rounds)
-        best = int(np.argmin(curve))
-        assert 0 < best < len(curve) - 1  # interior optimum

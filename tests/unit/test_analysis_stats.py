@@ -54,12 +54,12 @@ class TestSummarize:
         assert summary.mean == pytest.approx(2.0)
         assert summary.variance == pytest.approx(1.0)
         assert summary.count == 3
-        assert summary.ci_half_width > 0
+        assert summary.ci_low < summary.mean < summary.ci_high
 
     def test_single_value_zero_variance(self):
         summary = summarize([7.0])
         assert summary.variance == 0.0
-        assert summary.ci_half_width == 0.0
+        assert summary.ci_low == summary.ci_high == 7.0
 
 
 def test_the_cli_imports_without_scipy():

@@ -14,14 +14,6 @@ from repro.experiments import measurement
 from repro.experiments.cache import TraceCache, cached_trace, trace_key
 
 
-@pytest.fixture(autouse=True)
-def no_global_cache():
-    """Keep the process-wide cache state clean across tests."""
-    cache_module.deactivate()
-    yield
-    cache_module.deactivate()
-
-
 def segments(root):
     """The cache directory's segment files, sorted."""
     return sorted(root.glob("*.traces"))

@@ -144,6 +144,20 @@ class TestLockstepRunner:
         with pytest.raises(RuntimeError, match="already run"):
             runner.run(max_rounds=20)
 
+    @pytest.mark.parametrize("leader", [-1, 5])
+    def test_destination_outside_the_system_rejected(self, leader):
+        """A message to "leader -1" used to land at process n-1 (Python's
+        negative indexing), and one to pid n raised a bare IndexError."""
+        n = 5
+        runner = LockstepRunner(
+            n,
+            lambda pid: WlmConsensus(pid, n, proposal=pid),
+            FixedLeaderOracle(leader),
+            IIDSchedule(n, p=1.0),
+        )
+        with pytest.raises(ValueError, match=rf"process 0 .*round-1 .* to {leader},"):
+            runner.run(max_rounds=5)
+
     def test_plan_for_another_size_rejected(self):
         with pytest.raises(ValueError, match="n=5"):
             make_runner(4, [full_matrix(4)], fault_plan=FaultPlan(5))

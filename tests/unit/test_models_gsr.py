@@ -16,40 +16,12 @@ def trace_from_bits(bits):
 
 
 class TestGsrOfTrace:
-    def test_suffix_of_good_rounds(self):
-        trace = trace_from_bits([0, 1, 0, 1, 1, 1])
-        assert gsr_of_trace(trace, "ES") == 3
-
-    def test_all_good(self):
-        assert gsr_of_trace(trace_from_bits([1, 1, 1]), "ES") == 0
-
-    def test_bad_final_round_means_no_gsr(self):
-        assert gsr_of_trace(trace_from_bits([1, 1, 0]), "ES") is None
-
     def test_leader_passed_through(self):
         trace = trace_from_bits([0, 1, 1])
         assert gsr_of_trace(trace, "WLM", leader=1) == 1
 
 
 class TestFirstSatisfyingWindow:
-    def test_finds_first_run(self):
-        trace = trace_from_bits([1, 0, 1, 1, 1, 0])
-        assert first_satisfying_window(trace, "ES", window=3) == 2
-        assert first_satisfying_window(trace, "ES", window=1) == 0
-
-    def test_start_offset(self):
-        trace = trace_from_bits([1, 1, 0, 1, 1])
-        assert first_satisfying_window(trace, "ES", window=2, start=1) == 3
-
-    def test_window_spanning_start_does_not_count_earlier_rounds(self):
-        # A run that began before `start` must be re-counted from start.
-        trace = trace_from_bits([1, 1, 1, 0])
-        assert first_satisfying_window(trace, "ES", window=3, start=1) is None
-
-    def test_none_when_absent(self):
-        trace = trace_from_bits([1, 0, 1, 0])
-        assert first_satisfying_window(trace, "ES", window=2) is None
-
     def test_bad_args(self):
         trace = trace_from_bits([1])
         with pytest.raises(ValueError):

@@ -1,6 +1,5 @@
 """Unit tests for the timing-model predicates."""
 
-import numpy as np
 import pytest
 
 from repro.models.matrix import empty_matrix, full_matrix, majority
@@ -155,20 +154,3 @@ class TestAFM:
                 m[i, (i + step) % n] = True
         # Each row has maj entries; columns symmetric.
         assert satisfies_afm(m)
-
-
-class TestImplicationChain:
-    def test_es_implies_lm_implies_wlm(self):
-        # ES ⇒ LM ⇒ WLM for any leader (on correct processes): stronger
-        # models' rounds are a subset of weaker models' rounds.
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            m = rng.random((7, 7)) < 0.8
-            np.fill_diagonal(m, True)
-            for leader in range(7):
-                if satisfies_es(m):
-                    assert satisfies_lm(m, leader)
-                if satisfies_lm(m, leader):
-                    assert satisfies_wlm(m, leader)
-                if satisfies_es(m):
-                    assert satisfies_afm(m)

@@ -2,33 +2,16 @@
 
 import pytest
 
-from repro.sim.clock import Clock, PerfectClock
+from repro.sim.clock import Clock
 
 
 class TestClock:
-    def test_perfect_clock_is_identity(self):
-        assert PerfectClock.local_time(12.5) == 12.5
-        assert PerfectClock.global_time(12.5) == 12.5
-
-    def test_offset_shifts_local_time(self):
-        clock = Clock(offset=3.0)
-        assert clock.local_time(0.0) == 3.0
-        assert clock.local_time(10.0) == 13.0
-
     def test_drift_scales_durations(self):
         clock = Clock(drift=0.01)  # gains 1%
-        assert clock.local_duration(100.0) == pytest.approx(101.0)
         assert clock.global_duration(101.0) == pytest.approx(100.0)
-
-    def test_local_and_global_are_inverses(self):
-        clock = Clock(offset=-2.5, drift=1e-4)
-        for t in [0.0, 1.0, 1234.5]:
-            assert clock.global_time(clock.local_time(t)) == pytest.approx(t)
-            assert clock.local_time(clock.global_time(t)) == pytest.approx(t)
 
     def test_negative_drift_slows_the_clock(self):
         clock = Clock(drift=-0.5)
-        assert clock.local_duration(10.0) == pytest.approx(5.0)
         assert clock.global_duration(5.0) == pytest.approx(10.0)
 
     def test_drift_at_or_below_minus_one_rejected(self):
@@ -36,6 +19,13 @@ class TestClock:
             Clock(drift=-1.0)
         with pytest.raises(ValueError):
             Clock(drift=-2.0)
+
+    @pytest.mark.parametrize("drift", [float("inf"), float("nan"), -float("inf")])
+    def test_non_finite_drift_rejected(self, drift):
+        # An infinite drift makes every round zero global seconds long and a
+        # NaN one fails only deep inside the run: both are refused up front.
+        with pytest.raises(ValueError, match="finite"):
+            Clock(drift=drift)
 
     def test_clock_is_frozen(self):
         clock = Clock(offset=1.0)
@@ -46,5 +36,5 @@ class TestClock:
         # 10 ppm drift accumulates 36 ms over an hour — the reason the
         # paper needs round synchronization at all.
         clock = Clock(drift=1e-5)
-        skew = clock.local_time(3600.0) - 3600.0
-        assert skew == pytest.approx(0.036)
+        skew = 3600.0 - clock.global_duration(3600.0)
+        assert skew == pytest.approx(0.036, abs=1e-6)

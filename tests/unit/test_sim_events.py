@@ -6,81 +6,6 @@ from repro.sim.events import EventQueue, SimulationError, Simulator
 
 
 class TestEventQueue:
-    def test_pop_returns_events_in_time_order(self):
-        queue = EventQueue()
-        fired = []
-        queue.push(3.0, lambda: fired.append("c"))
-        queue.push(1.0, lambda: fired.append("a"))
-        queue.push(2.0, lambda: fired.append("b"))
-        while (event := queue.pop()) is not None:
-            event.action()
-        assert fired == ["a", "b", "c"]
-
-    def test_same_time_events_fire_in_scheduling_order(self):
-        queue = EventQueue()
-        order = []
-        for label in "abcde":
-            queue.push(1.0, lambda lbl=label: order.append(lbl))
-        while (event := queue.pop()) is not None:
-            event.action()
-        assert order == list("abcde")
-
-    def test_priority_breaks_ties_before_sequence(self):
-        queue = EventQueue()
-        order = []
-        queue.push(1.0, lambda: order.append("low"), priority=5)
-        queue.push(1.0, lambda: order.append("high"), priority=0)
-        while (event := queue.pop()) is not None:
-            event.action()
-        assert order == ["high", "low"]
-
-    def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        fired = []
-        event = queue.push(1.0, lambda: fired.append("x"))
-        queue.push(2.0, lambda: fired.append("y"))
-        event.cancel()
-        while (live := queue.pop()) is not None:
-            live.action()
-        assert fired == ["y"]
-
-    def test_len_excludes_cancelled(self):
-        queue = EventQueue()
-        kept = queue.push(1.0, lambda: None)
-        cancelled = queue.push(2.0, lambda: None)
-        cancelled.cancel()
-        assert len(queue) == 1
-        assert kept.cancelled is False
-
-    def test_len_tracks_push_pop_cancel(self):
-        queue = EventQueue()
-        events = [queue.push(float(t), lambda: None) for t in range(4)]
-        assert len(queue) == 4
-        queue.pop()
-        assert len(queue) == 3
-        events[2].cancel()
-        assert len(queue) == 2
-        while queue.pop() is not None:
-            pass
-        assert len(queue) == 0
-
-    def test_double_cancel_does_not_corrupt_len(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        event = queue.push(2.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert len(queue) == 1
-
-    def test_cancel_after_pop_does_not_corrupt_len(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        popped = queue.pop()
-        assert popped is first
-        popped.cancel()  # fired-then-cancelled must not double-decrement
-        assert len(queue) == 1
-
     def test_len_is_constant_time(self):
         # The live count must be maintained incrementally: polling len()
         # inside a simulator loop was O(heap) and made such loops
@@ -105,9 +30,6 @@ class TestEventQueue:
         head.cancel()  # must stay a no-op after the heap dropped it
         assert len(queue) == 0
         assert queue.pop() is None
-
-    def test_empty_queue_pops_none(self):
-        assert EventQueue().pop() is None
 
 
 class TestSimulator:

@@ -1,7 +1,6 @@
 """Unit tests for the message transport."""
 
 import tracemalloc
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -13,18 +12,7 @@ from repro.net.planetlab import planetlab_profile
 from repro.obs.registry import MetricsRegistry
 from repro.sim.events import Simulator
 from repro.sim.transport import STREAM_CHUNK, Transport
-
-
-class FixedLatency:
-    """A link model with scripted latencies (None = lost)."""
-
-    def __init__(self, latency: Optional[float]):
-        self.latency = latency
-        self.asked = []
-
-    def sample_latency(self, src: int, dst: int, now: float) -> Optional[float]:
-        self.asked.append((src, dst, now))
-        return self.latency
+from tests.conftest import FixedLatency
 
 
 class TestTransport:
@@ -111,7 +99,7 @@ class TestTransport:
         transport.send(0, 1, "b")
         sim.run()
         assert len(transport.deliveries) == 2
-        assert transport.deliveries[0].delivered_at == 0.5
+        assert transport.deliveries[0].latency == 0.5
         assert transport.deliveries[1].lost
 
     def test_trace_keeps_metadata_but_not_payloads_by_default(self):

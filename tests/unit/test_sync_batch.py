@@ -15,6 +15,7 @@ import repro.sync.batch as batch_module
 from repro.faults.plan import ClockStep, Crash, FaultPlan, LeaderChurn, LossBurst
 from repro.giraf.oracle import NullOracle
 from repro.net import lan_profile, planetlab_profile, uniform_wan_profile
+from repro.net.base import LatencyModel
 from repro.obs.recorder import RunRecorder
 from repro.obs.registry import MetricsRegistry
 from repro.sim import Clock, Transport
@@ -23,6 +24,7 @@ from repro.sync import (
     SyncRun,
     batch_ineligible_reason,
     probe_run,
+    twin_runs,
 )
 
 
@@ -386,3 +388,36 @@ class TestLanStaticProfile:
         run.run()
         assert run.executed_mode == "scalar"
         assert "time-invariant" in run.fallback_reason
+
+
+class ConstantLatency(LatencyModel):
+    """Every link takes exactly ``value`` seconds, drawn in columns."""
+
+    supports_batch_trace = is_time_invariant = True
+
+    def __init__(self, n, value):
+        super().__init__(n=n)
+        self.value = value
+
+    def sample_latency(self, src, dst, now):
+        return self.value
+
+    def sample_lanes(self, start, stop, round_length):
+        return np.full((stop - start, self.n * (self.n - 1)), self.value)
+
+
+class TestArrivalTies:
+    def test_a_message_landing_on_the_round_end_is_timely_iff_its_sender_is_lower(self):
+        """With every latency equal to the round length, every message
+        lands at the instant its receiver's round timer fires.  The event
+        queue fires whichever was scheduled first: the delivery, when the
+        sender began the round before the receiver (lower pid).  The
+        batched engine must break the tie the same way."""
+        n = 4
+        twins = twin_runs(
+            lambda: probe_run(ConstantLatency(n, 0.25), np.zeros((n, n)), 0.25, 6)
+        )
+        assert twins.auto_run.executed_mode == "batch"
+        assert twins.diverged == []
+        lower = np.tril(np.ones((n, n), dtype=bool))  # [dst, src]: src <= dst
+        assert all((matrix == lower).all() for matrix in twins.scalar.matrices)

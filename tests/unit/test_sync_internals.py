@@ -10,14 +10,7 @@ from repro.sim import Clock, Simulator, Transport
 from repro.sim.transport import LinkModel
 from repro.sync import HeartbeatAlgorithm, SyncRun
 from repro.sync.round_sync import MIN_ROUND_FRACTION, RoundLog, SyncedNode, _Wire
-
-
-class FixedLatency:
-    def __init__(self, latency):
-        self.latency = latency
-
-    def sample_latency(self, src, dst, now):
-        return self.latency
+from tests.conftest import FixedLatency
 
 
 def make_node(timeout=1.0, latency=0.1, estimates=None, n=3, pid=0,

@@ -19,14 +19,7 @@ from repro.net import uniform_wan_profile
 from repro.oracles.omega import HeartbeatOmega
 from repro.sim import Clock, Transport
 from repro.sync import HeartbeatAlgorithm, SyncRun
-
-
-class FixedLatency:
-    def __init__(self, latency):
-        self.latency = latency
-
-    def sample_latency(self, src, dst, now):
-        return self.latency
+from tests.conftest import FixedLatency
 
 
 def jumpy_run(n=3, timeout=0.2, late_start=0.65, max_rounds=12):
