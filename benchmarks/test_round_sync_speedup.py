@@ -17,24 +17,36 @@ results and equal metric totals asserted.  The detector reads the round
 log in one array pass; a per-round oracle loop in the batch engine
 (7.8x when it had one) fails this guard.
 
-Measured ratios go to ``benchmarks/results/round_sync_speedup.txt`` and
-``benchmarks/results/round_sync_faulted_speedup.txt``.
+A third guard times consensus, which the batched engine steps one grid
+round at a time rather than computing whole: Algorithm 2
+(:class:`~repro.core.wlm.WlmConsensus`) under a fixed leader, 1500
+rounds on the same network, at least 1.3x the scalar loop with the
+identity contract held.
+
+Measured ratios go to ``benchmarks/results/round_sync_speedup.txt``,
+``benchmarks/results/round_sync_faulted_speedup.txt`` and
+``benchmarks/results/round_sync_consensus_speedup.txt``.
 """
 
 import time
 
 import numpy as np
 
+from repro.core import WlmConsensus
 from repro.faults.plan import Crash, FaultPlan, LossBurst, Partition, SlowNode
-from repro.net import measure_latency_table, planetlab_profile
+from repro.giraf.oracle import FixedLeaderOracle
+from repro.net import measure_latency_table, planetlab_profile, select_leader
 from repro.obs.registry import MetricsRegistry
-from repro.sync import probe_run
+from repro.sim import Transport
+from repro.sync import SyncRun, probe_run
 from repro.sync.batch import run_divergences
 
 NODES = 8
 ROUNDS = 1500
 TIMEOUT = 0.21
 MIN_SPEEDUP = 10.0
+#: The stepped path still runs every end-of-round of the algorithm.
+MIN_STEPPED_SPEEDUP = 1.3
 
 
 def best_of(fn, reps, builder=None):
@@ -94,6 +106,22 @@ def faulted_plan():
             ),
         ),
         seed=21,
+    )
+
+
+def build_consensus_run():
+    profile = planetlab_profile(seed=7, slow_run_prob=0.0)
+    table = measure_latency_table(
+        planetlab_profile(seed=8, slow_run_prob=0.0), pings=15
+    )
+    return SyncRun(
+        NODES,
+        lambda pid: WlmConsensus(pid, NODES, proposal=f"value-{pid}"),
+        FixedLeaderOracle(select_leader(table)),
+        lambda sim: Transport(sim, profile),
+        timeout=TIMEOUT,
+        latency_table=table,
+        max_rounds=ROUNDS,
     )
 
 
@@ -178,5 +206,45 @@ def test_batched_faulted_instrumented_speedup(save_result):
     assert speedup >= MIN_SPEEDUP, (
         f"faulted+instrumented batched speedup {speedup:.1f}x below the "
         f"{MIN_SPEEDUP:.0f}x floor (scalar {scalar_s:.3f}s, "
+        f"batch {batch_s:.3f}s)"
+    )
+
+
+def test_stepped_consensus_speedup(save_result):
+    scalar_s, scalar_run, scalar_result = best_of(
+        lambda run: run.run(mode="scalar"), reps=5, builder=build_consensus_run
+    )
+    batch_s, batch_run, batch_result = best_of(
+        lambda run: run.run(), reps=5, builder=build_consensus_run
+    )
+    assert batch_run.executed_mode == "batch", batch_run.fallback_reason
+    speedup = scalar_s / batch_s
+
+    assert (
+        run_divergences(scalar_run, scalar_result, batch_run, batch_result)
+        == []
+    )
+    assert len(set(batch_result.decisions.values())) == 1
+    assert len(batch_result.decisions) == NODES
+
+    lines = [
+        f"Round sync, consensus: scalar event loop vs stepped batched path "
+        f"({NODES} nodes x {ROUNDS} rounds, static PlanetLab WAN, "
+        f"timeout {TIMEOUT:g}s)",
+        "",
+        "algorithm: WlmConsensus (Algorithm 2); oracle: FixedLeaderOracle",
+        "",
+        f"{'path':<8} {'wall':>12}",
+        f"{'scalar':<8} {scalar_s * 1e3:>10.1f}ms",
+        f"{'batch':<8} {batch_s * 1e3:>10.2f}ms",
+        "",
+        f"speedup: {speedup:.1f}x  (floor: {MIN_STEPPED_SPEEDUP:.1f}x, "
+        "bit-identical results asserted)",
+    ]
+    save_result("round_sync_consensus_speedup", "\n".join(lines))
+
+    assert speedup >= MIN_STEPPED_SPEEDUP, (
+        f"stepped consensus speedup {speedup:.2f}x below the "
+        f"{MIN_STEPPED_SPEEDUP:.1f}x floor (scalar {scalar_s:.3f}s, "
         f"batch {batch_s:.3f}s)"
     )

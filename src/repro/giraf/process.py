@@ -63,7 +63,7 @@ class GirafProcess:
         """Destinations actually transmitted to: ``D_i \\ {i}``."""
         if self._outgoing is None or self._outgoing.payload is None:
             return frozenset()
-        return frozenset(d for d in self._outgoing.destinations if d != self.pid)
+        return frozenset(self._outgoing.destinations).difference((self.pid,))
 
     def receive(self, round_number: int, sender: int, payload: Any) -> None:
         """Deliver a round-``round_number`` message from ``sender``; one for

@@ -339,6 +339,31 @@ class Transport:
         out[np.arange(width) >= np.asarray(counts)[:, None]] = np.inf
         return out
 
+    def stream_latency(
+        self, src: int, destinations: Sequence[int], index: int
+    ) -> float:
+        """The next pre-sampled latency of link ``src -> destinations[index]``
+        (``+inf``: the link lost the message) — the one per-message read
+        of the streams, for :meth:`broadcast` and for the stepped batched
+        engine (:mod:`repro.sync.batch`), which sends the same messages
+        in the same order.  ``destinations`` is the sender's whole
+        transmission, in order, and ``index`` the message's place in it:
+        what finds its link dry refills the dry links of the messages
+        behind it too (a heartbeat's seven links run dry together), in
+        one call — each would have been on its turn.  Only while
+        :attr:`stream_sampling_active`, and never for ``src`` itself."""
+        link = (src, destinations[index])
+        state = self._streams.get(link)
+        if state is None or state[1] >= len(state[0]):
+            # Dry, or its column not yet read as floats.
+            self._refill(
+                (src, later) for later in destinations[index:] if later != src
+            )
+            state = self._streams[link]
+        latency = state[0][state[1]]
+        state[1] += 1
+        return latency
+
     def register(self, node: int, handler: Callable[[int, Any], None]) -> None:
         """Install ``handler(src, payload)`` as the receive callback of ``node``."""
         if node in self._handlers:
@@ -360,7 +385,7 @@ class Transport:
             quiet = getattr(faults, "quiet", None)
             if quiet is not None and quiet(now):
                 faults = None
-        streams = self._streams if self.stream_sampling_active else None
+        read = self.stream_latency if self.stream_sampling_active else None
         trace, observe = self._trace, self._latency_hist.observe
         heap, seqs = self._queue._heap, self._queue._counter
         push, deliver = heapq.heappush, self._deliver
@@ -373,25 +398,11 @@ class Transport:
                 latency = 0.0
             else:
                 dropped = faults is not None and faults.drop(src, dst, now)
-                guard = streams is None  # a stream's chunk was checked when drawn
-                if streams is not None:
+                guard = read is None  # a stream's chunk was checked when drawn
+                if read is not None:
                     # One base draw per message, dropped or not: the policy
                     # decides on top, without perturbing the stream.
-                    state = streams.get((src, dst))
-                    if state is None or state[1] >= len(state[0]):
-                        # Dry, or its column not yet read as floats.  What
-                        # this message finds dry, the messages behind it
-                        # in the broadcast mostly do too (a heartbeat's
-                        # seven links run dry together): refill them in
-                        # one call — each would have been on its turn.
-                        self._refill(
-                            (src, later)
-                            for later in destinations[index:]
-                            if later != src
-                        )
-                        state = streams[(src, dst)]
-                    latency = state[0][state[1]]
-                    state[1] += 1
+                    latency = read(src, destinations, index)
                 elif not dropped:
                     latency = self._link_model.sample_latency(src, dst, now)
                 if dropped:

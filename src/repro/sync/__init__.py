@@ -22,9 +22,10 @@ resynchronization after disruptions — properties the test-suite checks.
   runs (each node sends to everyone each round, as in the paper's WAN
   experiment), the one constructor of such a run (:func:`probe_run`) and
   the run as a row of data (:class:`ProbeScenario`).
-- :mod:`batch` — the batched structure-of-arrays execution of eligible
-  heartbeat runs (``SyncRun.run`` picks it automatically) and the
-  scalar ≡ batch identity contract (:func:`twin_runs`).
+- :mod:`batch` — the batched execution of eligible runs, the probe
+  stream as whole arrays and any other algorithm stepped round by round
+  (``SyncRun.run`` picks it automatically), and the scalar ≡ batch
+  identity contract (:func:`twin_runs`).
 """
 
 from repro.sync.round_sync import RoundLog, SyncedNode, SyncRun, SyncRunResult

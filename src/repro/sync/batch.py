@@ -1,53 +1,64 @@
-"""Batched structure-of-arrays execution of heartbeat round-sync runs.
+"""Batched execution of round-sync runs that stay on one round grid.
 
-The measurement experiments run the Section 5.1 protocol with the
-all-to-all probe stream (:class:`~repro.sync.heartbeat.HeartbeatAlgorithm`)
-over a time-invariant network.  In that configuration the protocol
-degenerates into perfect lockstep: every node starts round ``k`` at the
-same instant, no future-round message ever arrives (a message can never
-outrun its own round's start), so no node ever jumps, and every round
-lasts exactly ``timeout / (1 + drift)`` of global time.  The event loop
-still pays one Python callback per message — ``rounds * n * (n - 1)``
-heap operations that all compute a foregone conclusion.
+Over a time-invariant network, with uniform clocks and starts, the
+Section 5.1 protocol degenerates into perfect lockstep: every node
+starts round ``k`` at the same instant, no future-round message ever
+arrives (a message can never outrun its own round's start), so no node
+ever jumps, and every round lasts exactly ``timeout / (1 + drift)`` of
+global time.  The argument (below) never looks at what the messages say
+or whom they go to, so it holds for any GIRAF algorithm — the
+measurement probe stream and consensus alike.  The event loop still pays
+a heap operation and a Python callback per message to reach a foregone
+conclusion.
 
-This module computes the same run in a handful of NumPy passes:
+This module executes such a run without the event heap:
 
 1. the common round grid ``t[0..R]`` is accumulated with the exact float
-   additions the scalar timers perform (``t[k] = t[k-1] + D``);
-2. the whole ``(links, rounds)`` latency table is taken in one call
-   from the transport's own pre-sampled per-link streams
-   (:meth:`~repro.sim.transport.Transport.next_stream_block`), so the
-   two paths consume bit-identical random values;
-3. a :class:`~repro.faults.plan.FaultPlan`'s link-level faults are applied
-   as whole-array passes over the plan's own per-round state table
-   (:meth:`~repro.faults.plan.FaultPlan.round_state`: who is down, which
-   links are partitioned, which nodes are slowed, which bursts are live
-   — one memoised entry per plan *epoch*), the table the scalar
-   :class:`~repro.faults.event.PlanLinkFaults` policy reads per message;
-   loss bursts, which draw, are decided by that policy in one bulk call
-   (:meth:`~repro.faults.event.PlanLinkFaults.burst_drops`) over the
-   same per-link counters and SHA draws its per-message path uses;
-4. timeliness, late arrivals, and loss counts are evaluated as whole
-   ``(rounds, n, n)`` arrays, applying the event queue's tie rules
-   (a delivery and a round timer at the same timestamp fire in
-   scheduling-sequence order) in closed form;
-5. transport and round-sync telemetry (``repro.obs`` counters and the
-   latency histogram) is bulk-accumulated from the same arrays through
-   the owners' public bulk accountants
+   additions the scalar timers perform (``t[k] = t[k-1] + D``), and the
+   run's permanent crashes are placed on it in closed form;
+2. the probe stream (:class:`~repro.sync.heartbeat.HeartbeatAlgorithm`,
+   under a :class:`~repro.oracles.omega.HeartbeatOmega` or no oracle)
+   sends to everyone every round and ignores what it hears, so its whole
+   run is known up front and is computed **whole**, in a handful of
+   NumPy passes (:func:`_run_whole`): one ``(links, rounds)`` latency
+   block from the transport's pre-sampled per-link streams
+   (:meth:`~repro.sim.transport.Transport.next_stream_block`), the fault
+   plan's per-round state table (:meth:`~repro.faults.plan.FaultPlan.round_state`)
+   as array passes, loss bursts in one bulk policy call
+   (:meth:`~repro.faults.event.PlanLinkFaults.burst_drops`), timeliness
+   as ``(rounds, n, n)`` arrays under the tie rules below, and the
+   oracle reading the finished round log in one call
+   (:meth:`~repro.oracles.omega.HeartbeatOmega.replay`) — its answers
+   walked one by one only when an observer wants ``on_oracle``;
+3. any other algorithm, under any oracle, is **stepped** one grid round
+   at a time (:func:`_run_stepped`): the processes that begin round ``k``
+   send their outgoing message to their
+   :func:`~repro.sync.round_sync.transmit_targets`, each message taking
+   its link's next draw through the transport's one per-message stream
+   reader (:meth:`~repro.sim.transport.Transport.stream_latency`), in
+   send order; the plan's state table decides crash and partition drops
+   and slow factors, and the live bursts go through ``burst_drops`` a
+   round at a time; the tie rules below decide which messages are
+   timely; the timely ones reach
+   :meth:`~repro.giraf.process.GirafProcess.receive` in the order the
+   event queue fires them (by arrival, then by sender: slot order is
+   visible to algorithms); and at ``t[k]`` the enders run
+   :meth:`~repro.giraf.process.GirafProcess.end_of_round` in pid order —
+   the oracle's only query site — a detector exposing ``observe_rows``
+   having been fed their rows first.  A stepped run leaves the
+   processes' message slots and outgoing messages as the event loop
+   does; the whole-array path leaves only their round counters;
+4. transport and round-sync telemetry (``repro.obs`` counters and the
+   latency histogram) goes through the owners' public bulk accountants
    (:meth:`~repro.sim.transport.Transport.count_sends` /
    :meth:`~repro.sim.transport.Transport.count_drops`, the run's own
-   registry), equivalent to the scalar path's per-event increments, and
-   the oracle reads the finished round log whole, in one call
-   (:meth:`~repro.oracles.omega.HeartbeatOmega.replay`: the detector's
-   per-round feed and queries in closed form over the round axis, as the
-   tie rules below are the event queue's) — the answers are walked one
-   by one only when an observer wants ``on_oracle``;
-6. the round boundaries and the timeliness array go, whole, into the
-   run's :class:`~repro.sync.round_sync.RoundLog` — the record the
-   scalar nodes write cell by cell — and :meth:`SyncRun.run` hands that
-   log to the one collector, so result construction (including the
+   registry), equivalent to the scalar path's per-event increments;
+5. the round boundaries and the timeliness go into the run's
+   :class:`~repro.sync.round_sync.RoundLog` — the record the scalar
+   nodes write cell by cell — and :meth:`SyncRun.run` hands that log to
+   the one collector, so result construction (including the
    ``on_round_matrix`` observer replay) runs through the identical code
-   on both paths.
+   on every path.
 
 Bit-identity (same matrices, ``sync_error``, ``jumps``,
 ``late_messages``, decision rounds, node state, transport totals — and,
@@ -85,6 +96,15 @@ A future-round message is impossible: a round-``k`` message arrives at
 delivered the receiver has already begun round ``k`` (a zero-latency
 delivery is scheduled *after* the receiver's begin block of the same
 instant, by the sequence argument above).  Hence no jumps, ever.
+Nothing in the argument reads a payload or a destination set, so it
+holds whatever the algorithm sends, to whom, and whether it sends at
+all.
+
+The same sequence fixes the order in which the stepped path hands a
+round's timely messages to ``receive``: deliveries to one receiver fire
+by arrival and, at one instant, by sender (the lower sender's begin
+block scheduled its deliveries first); the receiver's own message went
+into the round's slot before any of them, at its previous end of round.
 
 Crashes at round granularity keep the lockstep shape
 ----------------------------------------------------
@@ -108,11 +128,14 @@ the boot events.  Consequences, all closed-form:
 
 The surviving majority (guaranteed by ``FaultPlan`` validation) keeps
 the common grid: every non-crashed node runs all ``R`` rounds on the
-same boundaries, which is what keeps the whole run vectorizable.
+same boundaries, which is what keeps a run on one grid, whole or
+stepped.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -123,7 +146,7 @@ from repro.giraf.process import notify
 from repro.oracles.omega import HeartbeatOmega
 from repro.sim.transport import Transport
 from repro.sync.heartbeat import HeartbeatAlgorithm
-from repro.sync.round_sync import SyncRun, SyncRunResult
+from repro.sync.round_sync import SyncRun, SyncRunResult, transmit_targets
 
 
 #: Fields of :class:`SyncRunResult` whose exact equality the batched path
@@ -265,16 +288,16 @@ def batch_ineligible_reason(
     """Why ``run`` cannot take the batched path, or ``None`` if it can.
 
     The batched path reproduces the scalar event loop bit-for-bit for
-    lockstep-uniform heartbeat runs — now including runs with a
-    round-granular :class:`~repro.faults.plan.FaultPlan` (permanent
-    crashes, loss bursts, partitions, slow nodes, leader churn), live
-    telemetry, observers, and a :class:`HeartbeatOmega` oracle.  What
-    still forces the scalar path is anything that can move a node off
-    the common round grid (crash *recovery*, clock steps, drift,
-    staggered starts), randomness that cannot be pre-sampled (dynamic
-    link models), an oracle or algorithm the path does not replay, a
-    ``time_limit`` inside the run — eight named reasons — or a run that
-    is no longer, or never was, a stock one (``"not a stock run"``).
+    lockstep-uniform runs of any GIRAF algorithm under any oracle —
+    including runs with a round-granular
+    :class:`~repro.faults.plan.FaultPlan` (permanent crashes, loss
+    bursts, partitions, slow nodes, leader churn), live telemetry and
+    observers.  What still forces the scalar path is anything that can
+    move a node off the common round grid (crash *recovery*, clock
+    steps, drift, staggered starts), randomness that cannot be
+    pre-sampled (dynamic link models), a ``time_limit`` inside the run
+    — six named reasons — or a run that is no longer, or never was, a
+    stock one (``"not a stock run"``).
     The returned string is the fallback taxonomy, surfaced as
     :attr:`SyncRun.fallback_reason` and counted per run in the
     ``sync.batch_fallback`` counter family.
@@ -332,11 +355,6 @@ def _off_grid_reason(run: SyncRun) -> Optional[str]:
             return "fault plan schedules clock steps"
         if any(c.recover_round is not None for c in plan.crashes):
             return "fault plan schedules crash recovery"
-    if type(inner) not in (HeartbeatOmega, NullOracle):
-        return f"oracle {type(inner).__name__} is not batch-supported"
-    for node in run.nodes:
-        if type(node.process.algorithm) is not HeartbeatAlgorithm:
-            return "algorithm is not the heartbeat probe stream"
     if len({node.clock.drift for node in run.nodes}) != 1:
         return "heterogeneous clock drift"
     if len({node.start_time for node in run.nodes}) != 1:
@@ -361,49 +379,45 @@ def _round_grid(run: SyncRun) -> list[float]:
     return times
 
 
-def run_batched(run: SyncRun, times: list[float]) -> None:
-    """Execute an eligible ``run`` on the batched path, over the round
-    grid ``times`` that :func:`batch_eligibility` admitted it on.
+class _Grid(NamedTuple):
+    """An eligible run's common round grid and who runs on it: the closed
+    form of its permanent crashes (module docstring), which both batched
+    paths share."""
 
-    Leaves behind what the scalar event loop would have: the run's
-    :class:`~repro.sync.round_sync.RoundLog`, the nodes' late-message
-    counters and crash flags, stream cursors and fault-policy state,
-    ``messages_sent``/``lost``, counter and histogram totals, the
-    oracle's freshness map, suspicion masks and last outputs, the
-    simulator clock and an empty event
-    queue (the scalar loop drains what never fired once every node has
-    stopped, so a finished run of either engine holds no event that
-    refers back to it and is freed by reference count).  The caller
-    (:meth:`SyncRun.run`) then collects the result from the log, by the
-    very same code as after a scalar run.
+    #: The round boundaries ``t[0..R]`` as exact scalar floats.
+    times: list[float]
+    #: ``t[0..R-1]`` and ``t[1..R]``: each round's start and end.
+    starts: np.ndarray
+    ends: np.ndarray
+    #: Per pid, the last round it begins / ends.
+    begun: np.ndarray
+    ended: np.ndarray
+    #: ``[k, pid]``: ``pid`` begins round ``k``.
+    began: np.ndarray
+    #: Per pid, its crash instant, before which alone it receives
+    #: (``+inf`` for a survivor).
+    cut: np.ndarray
+    #: Per pid, whether it crashes while running.
+    effective: np.ndarray
+    #: The highest pid that survives: the run stops at its last timer.
+    last_alive: int
+    #: Crash events that fire before the run stops.
+    crash_events: int
 
-    Not mirrored (documented divergence): each process's message slots
-    (:attr:`~repro.giraf.process.GirafProcess.slots`), the pending outgoing :class:`~repro.giraf.kernel.RoundOutput`, the
-    simulator's ``events_processed`` (no event fires here), and the
-    fault policy's transient ``last_drop_cause`` and per-instant memo;
-    none of them feed :class:`~repro.sync.round_sync.SyncRunResult` or
-    the metric totals.
-    """
-    n = run.n
-    rounds = run.max_rounds
+
+def _grid(run: SyncRun, times: list[float]) -> _Grid:
+    """Who begins, ends and hears which rounds of ``times``: permanent
+    crashes only (eligibility rejects recoveries and clock steps)."""
+    n, rounds, plan = run.n, run.max_rounds, run.fault_plan
     starts = np.asarray(times[:-1])
-    ends = np.asarray(times[1:])
     stop = times[-1]
-    transport = run.transport
-    plan = run.fault_plan
-    policy = run.link_faults
-
-    # ------------------------------------------------------------------
-    # Node-level crash schedule (permanent crashes only; eligibility
-    # rejects recoveries and clock steps).
-    # ------------------------------------------------------------------
     crash_time = np.full(n, np.inf)
-    crash_events_fired = 0
+    crash_events = 0
     if plan is not None:
         for crash in plan.crashes:
-            c = policy.start_of(crash.at_round)
+            c = run.link_faults.start_of(crash.at_round)
             if c <= stop:
-                crash_events_fired += 1
+                crash_events += 1
             if c < crash_time[crash.pid]:
                 crash_time[crash.pid] = c
     # A crash event is *effective* only if the node is already running
@@ -414,9 +428,111 @@ def run_batched(run: SyncRun, times: list[float]) -> None:
     begun = np.where(
         effective, 1 + (starts[1:, None] < crash_time).sum(axis=0), rounds
     )
-    ended = np.where(effective, begun - 1, rounds)
-    # Receives of a crashed node stop strictly before its crash instant.
-    cut = np.where(effective, crash_time, np.inf)
+    return _Grid(
+        times=times,
+        starts=starts,
+        ends=np.asarray(times[1:]),
+        begun=begun,
+        ended=np.where(effective, begun - 1, rounds),
+        began=np.arange(1, rounds + 1)[:, None] <= begun,
+        # Receives of a crashed node stop strictly before its crash instant.
+        cut=np.where(effective, crash_time, np.inf),
+        effective=effective,
+        last_alive=int(np.arange(n)[~effective].max()),
+        crash_events=crash_events,
+    )
+
+
+def run_batched(run: SyncRun, times: list[float]) -> None:
+    """Execute an eligible ``run`` on the batched path, over the round
+    grid ``times`` that :func:`batch_eligibility` admitted it on: the
+    probe stream as whole arrays, any other algorithm stepped one grid
+    round at a time (module docstring).
+
+    Leaves behind what the scalar event loop would have: the run's
+    :class:`~repro.sync.round_sync.RoundLog`, the nodes' late-message
+    counters, crash flags and decision rounds, stream cursors and
+    fault-policy state, ``messages_sent``/``lost``, counter and
+    histogram totals, the oracle's state, the simulator clock and an
+    empty event queue (the scalar loop drains what never fired once
+    every node has stopped, so a finished run of either engine holds no
+    event that refers back to it and is freed by reference count).  A
+    stepped run also leaves each process's message slots and pending
+    outgoing message as the scalar loop does; a whole-array run leaves
+    only the round counters.  The caller (:meth:`SyncRun.run`) then
+    collects the result from the log, by the very same code as after a
+    scalar run.
+
+    Not mirrored (documented divergence): the simulator's
+    ``events_processed`` (no event fires here), and the fault policy's
+    transient ``last_drop_cause`` and per-instant memo; none of them
+    feed :class:`~repro.sync.round_sync.SyncRunResult` or the metric
+    totals.
+    """
+    grid = _grid(run, times)
+    run.log.reach(run.max_rounds)
+    inner = base_oracle(run.nodes[0].oracle)
+    if type(inner) in (HeartbeatOmega, NullOracle) and all(
+        type(node.process.algorithm) is HeartbeatAlgorithm for node in run.nodes
+    ):
+        _run_whole(run, grid)
+    else:
+        _run_stepped(run, grid)
+    # Leave the simulator where the scalar loop leaves it: at the last
+    # surviving round-end timer, the never-fired events discarded.
+    run.simulator.drain()
+    run.simulator.fast_forward(times[-1])
+
+
+def _close(
+    run: SyncRun,
+    grid: _Grid,
+    late_counts: np.ndarray,
+    drops: dict[str, int],
+    delivered: int,
+    latencies: np.ndarray,
+) -> None:
+    """What both paths book once the rounds are decided: the log's round
+    boundaries, the nodes' counters and crash flags, the sync, crash and
+    transport telemetry.  Every message sent is either in ``drops``, by
+    cause, or in ``latencies``, which holds the latency of each one not
+    lost in send order: round-major, then sender pid, then destination."""
+    n, rounds = run.n, run.max_rounds
+    log, rows = run.log, slice(1, rounds + 1)
+    k_index = np.arange(1, rounds + 1)[:, None]
+    log.starts[rows] = np.where(grid.began, grid.starts[:, None], np.nan)
+    log.ends[rows] = np.where(k_index <= grid.ended, grid.ends[:, None], np.nan)
+    log.stopped = n  # every node crashed for good or ran past round R
+    for pid, node in enumerate(run.nodes):
+        node.late_messages = int(late_counts[pid])
+        node.crashed = node.crashed_permanently = bool(grid.effective[pid])
+    run.metrics.counter("sync.rounds_started").inc(int(grid.begun.sum()))
+    run.metrics.counter("sync.timeout_fires").inc(int(grid.ended.sum()))
+    run.metrics.counter("sync.late_messages").inc(int(late_counts.sum()))
+    if grid.crash_events:
+        run.metrics.counter("faults.activations", kind="crash").inc(
+            grid.crash_events
+        )
+    for cause, count in drops.items():
+        run.transport.count_drops(cause, count)
+    run.transport.count_sends(
+        sent=sum(drops.values()) + len(latencies),
+        delivered=delivered,
+        latencies=latencies,
+    )
+
+
+def _run_whole(run: SyncRun, grid: _Grid) -> None:
+    """The probe stream in a handful of NumPy passes: its sends never
+    change and its ``compute`` ignores its messages, so every round's
+    traffic is known before any round runs."""
+    n = run.n
+    rounds = run.max_rounds
+    starts, ends, stop = grid.starts, grid.ends, grid.times[-1]
+    transport = run.transport
+    plan = run.fault_plan
+    policy = run.link_faults
+    begun, ended, began = grid.begun, grid.ended, grid.began
 
     # ------------------------------------------------------------------
     # Draw every link's latencies — ``[k, dst, src]``, one per message
@@ -434,9 +550,9 @@ def run_batched(run: SyncRun, times: list[float]) -> None:
     )
     latencies[: block.shape[1], dst, src] = block.T
     k_index = np.arange(1, rounds + 1)
-    began = k_index[:, None] <= begun  # [k, pid]
     sent = began[:, None, :] & ~np.eye(n, dtype=bool)
 
+    drops: dict[str, int] = {}
     if plan is not None:
         # Grid round k is in the plan round covering its start instant,
         # where the policy places each of its messages, and every round
@@ -466,10 +582,6 @@ def run_batched(run: SyncRun, times: list[float]) -> None:
         values = np.where(factor != 1.0, latencies * factor, latencies)
         # Fault-episode activation telemetry the skipped scalar drop()
         # calls would have produced, deduplicated the same way.
-        if crash_events_fired:
-            run.metrics.counter("faults.activations", kind="crash").inc(
-                crash_events_fired
-            )
         last_pr = int(pr[-1])
         for index, crash in enumerate(plan.crashes):
             # Messages touch every process in every round (the healthy
@@ -483,12 +595,15 @@ def run_batched(run: SyncRun, times: list[float]) -> None:
                 for index, partition in enumerate(plan.partitions):
                     if partition.active_at(q):
                         policy.activate("partition", index)
+        drops["crash"] = int(crash_drop.sum())
+        drops["partition"] = int(part_drop.sum())
+        drops["loss-burst"] = int(burst_drop.sum())
     else:
         fault_drop = np.zeros_like(sent)
         values = latencies
 
     deliverable = sent & ~fault_drop & np.isfinite(values)
-    natural_lost = sent & ~fault_drop & np.isinf(values)
+    drops["link"] = int((sent & ~fault_drop & np.isinf(values)).sum())
     arrival = starts[:, None, None] + values
 
     # ------------------------------------------------------------------
@@ -497,7 +612,7 @@ def run_batched(run: SyncRun, times: list[float]) -> None:
     # [dst, src] orientation: rows are receivers, columns senders.
     src_before_dst = np.arange(n)[None, :] < np.arange(n)[:, None]
     end_col = ends[:, None, None]
-    received = deliverable & (arrival < cut[None, :, None])
+    received = deliverable & (arrival < grid.cut[None, :, None])
     timely = received & (
         (arrival < end_col) | ((arrival == end_col) & src_before_dst)
     )
@@ -505,51 +620,32 @@ def run_batched(run: SyncRun, times: list[float]) -> None:
         (arrival == stop) & (k_index[:, None, None] < rounds)
     )
     late = received & ~timely & countable
-    late_counts = late.sum(axis=(0, 2))
 
     # The scalar loop stops at the last surviving node's final timer;
     # deliveries landing exactly then were scheduled after it (and never
     # fire) iff they are round-R sends of a higher-pid (crashed) node.
-    last_alive = int(np.arange(n)[~effective].max())
     fired = deliverable & (
-        countable | ((arrival == stop) & (np.arange(n) <= last_alive))
+        countable | ((arrival == stop) & (np.arange(n) <= grid.last_alive))
     )
 
     # ------------------------------------------------------------------
-    # The run's round log, whole, and what the nodes hold beyond it.
+    # The run's round log, whole, what the nodes hold beyond it, and the
+    # telemetry, bulk-equivalent to per-send work.  Histogram
+    # observations happen at send time, in send order: round-major, then
+    # sender pid, then ascending destination.
     # ------------------------------------------------------------------
     log, rows = run.log, slice(1, rounds + 1)
-    log.reach(rounds)
-    log.starts[rows] = np.where(began, starts[:, None], np.nan)
-    log.ends[rows] = np.where(k_index[:, None] <= ended, ends[:, None], np.nan)
     log.timely[rows] = (timely | np.eye(n, dtype=bool)) & began[:, :, None]
-    log.stopped = n  # every node crashed for good or ran past round R
+    effective = grid.effective
     for pid, node in enumerate(run.nodes):
-        node.late_messages = int(late_counts[pid])
-        node.crashed = node.crashed_permanently = bool(effective[pid])
         # A crashed node is frozen in the last round it began; a
         # survivor stopped on entering round R + 1.
         node.process.round = int(begun[pid]) if effective[pid] else rounds + 1
         node.process.algorithm.rounds_computed = int(ended[pid])
-    run.metrics.counter("sync.rounds_started").inc(int(begun.sum()))
-    run.metrics.counter("sync.timeout_fires").inc(int(ended.sum()))
-    run.metrics.counter("sync.late_messages").inc(int(late_counts.sum()))
-
-    # ------------------------------------------------------------------
-    # Transport state and telemetry, bulk-equivalent to per-send work.
-    # ------------------------------------------------------------------
-    if plan is not None:
-        transport.count_drops("crash", int(crash_drop.sum()))
-        transport.count_drops("partition", int(part_drop.sum()))
-        transport.count_drops("loss-burst", int(burst_drop.sum()))
-    transport.count_drops("link", int(natural_lost.sum()))
-    # Histogram observations happen at send time, in send order:
-    # round-major, then sender pid, then ascending destination.
     by_send = (0, 2, 1)
-    transport.count_sends(
-        sent=int(begun.sum()) * (n - 1),
-        delivered=int(fired.sum()),
-        latencies=values.transpose(by_send)[deliverable.transpose(by_send)],
+    _close(
+        run, grid, late.sum(axis=(0, 2)), drops, int(fired.sum()),
+        values.transpose(by_send)[deliverable.transpose(by_send)],
     )
 
     # ------------------------------------------------------------------
@@ -571,7 +667,156 @@ def run_batched(run: SyncRun, times: list[float]) -> None:
                 None if leader < 0 else leader,
             )
 
-    # Leave the simulator where the scalar loop leaves it: at the last
-    # surviving round-end timer, the never-fired events discarded.
-    run.simulator.drain()
-    run.simulator.fast_forward(stop)
+
+def _run_stepped(run: SyncRun, grid: _Grid) -> None:
+    """Any GIRAF algorithm, one grid round at a time, with no event heap.
+
+    Round ``k``: every process that begins it sends its outgoing message
+    to :func:`~repro.sync.round_sync.transmit_targets`, each message
+    taking its link's next draw (:meth:`Transport.stream_latency`) in
+    send order; the plan's faults decide on top (:func:`_wire_faults`);
+    the tie rules say which messages are timely, late or never fire;
+    the timely ones reach :meth:`GirafProcess.receive` in the order the
+    event queue fires them — by arrival, then by sender — and at
+    ``t[k]`` the enders run their end-of-round in pid order, a detector
+    exposing ``observe_rows`` having been fed their rows first."""
+    n, rounds = run.n, run.max_rounds
+    nodes = run.nodes
+    procs = [node.process for node in nodes]
+    oracle, observers = nodes[0].oracle, run.observers
+    observe_rows = getattr(oracle, "observe_rows", None)
+    read = run.transport.stream_latency
+    faulted = _wire_faults(run, grid)
+    times, timely = grid.times, run.log.timely
+    stop = times[-1]
+    begun, ended = grid.begun.tolist(), grid.ended.tolist()
+    cut, last_alive = grid.cut.tolist(), grid.last_alive
+    pids = range(n)
+    drops = {"link": 0}
+    late = [0] * n
+    observed = array("d")  # 8 bytes a latency: a long run keeps them all
+    delivered = 0
+
+    def end_of_round(k: int) -> None:
+        enders = [pid for pid in pids if k <= ended[pid]]
+        run.simulator.fast_forward(times[k])
+        if k and observe_rows is not None and enders:
+            observe_rows(k, timely[k], rows=enders)
+        for pid in enders:
+            decision = procs[pid].end_of_round(oracle, observers)
+            if decision is not None and nodes[pid].decision_round is None:
+                nodes[pid].decision_round = k
+
+    idx = np.arange(n)
+    timely[1 : rounds + 1][:, idx, idx] = grid.began
+    end_of_round(0)
+    for k in range(1, rounds + 1):
+        start, end = times[k - 1], times[k]
+        wire = []
+        for src in pids:
+            if k > begun[src]:
+                continue
+            proc = procs[src]
+            payload = proc.outgoing_payload
+            if payload is None:
+                continue
+            targets = transmit_targets(proc, n)
+            for index, dst in enumerate(targets):
+                wire.append((src, dst, read(src, targets, index), payload))
+        if faulted is not None:
+            wire = faulted(k, wire, drops)
+        inbox = []
+        for src, dst, latency, payload in wire:
+            if latency == math.inf:
+                drops["link"] += 1
+                continue
+            observed.append(latency)
+            arrival = start + latency
+            if arrival < stop or (
+                arrival == stop and (k < rounds or src <= last_alive)
+            ):
+                delivered += 1
+            if arrival >= cut[dst]:
+                continue
+            if arrival < end or (arrival == end and src < dst):
+                inbox.append((arrival, src, dst, payload))
+            elif arrival < stop or (arrival == stop and k < rounds):
+                late[dst] += 1
+        # (src, dst) is unique within a round: payloads never compare.
+        inbox.sort()
+        heard = timely[k]
+        for _, src, dst, payload in inbox:
+            procs[dst].receive(k, src, payload)
+            heard[dst, src] = True
+        end_of_round(k)
+    _close(run, grid, np.array(late), drops, delivered, np.frombuffer(observed))
+
+
+def _wire_faults(
+    run: SyncRun, grid: _Grid
+) -> Optional[Callable[[int, list, dict], list]]:
+    """The plan's link faults as a filter over one grid round's messages
+    ``(src, dst, latency, payload)`` in send order, or ``None`` without a
+    plan: what :meth:`~repro.faults.event.PlanLinkFaults.drop` and
+    ``latency_factor`` decide for each, with the same episode
+    activations — down ends first, then a partition cut, then the live
+    loss bursts, through the policy's bulk call — the drops counted by
+    cause and the survivors' latencies stretched by their slow factor.
+    A round whose plan state touches no message passes untouched, as
+    the transport skips a quiet policy."""
+    plan, policy = run.fault_plan, run.link_faults
+    if plan is None:
+        return None
+    pr = policy.rounds_of(grid.starts)
+    states, epoch = plan.round_states(pr)
+    pr, epoch = pr.tolist(), epoch.tolist()
+    # Each plan epoch's state as plain Python (``None``: quiet), with the
+    # crash and partition episodes a drop in it activates.
+    views: list[Optional[tuple]] = []
+    for e, state in enumerate(states):
+        q = pr[epoch.index(e)]
+        quiet = not (
+            state.down.any() or state.cross.any() or state.bursts
+            or (state.slow != 1.0).any()
+        )
+        views.append(None if quiet else (
+            state.down.tolist(), state.cross.tolist(), state.slow.tolist(),
+            state.bursts,
+            [i for i, c in enumerate(plan.crashes) if c.down_at(q)],
+            [i for i, p in enumerate(plan.partitions) if p.active_at(q)],
+        ))
+
+    def faulted(k: int, wire: list, drops: dict[str, int]) -> list:
+        state = views[epoch[k - 1]]
+        if state is None:
+            return wire
+        down, cross, slow, bursts, crashed, cutting = state
+        kept = []
+        for message in wire:
+            src, dst = message[0], message[1]
+            if down[src] or down[dst]:
+                drops["crash"] = drops.get("crash", 0) + 1
+                for index in crashed:
+                    if plan.crashes[index].pid in (src, dst):
+                        policy.activate("crash-link", index)
+            elif cross[dst][src]:
+                drops["partition"] = drops.get("partition", 0) + 1
+                for index in cutting:
+                    policy.activate("partition", index)
+            else:
+                kept.append(message)
+        if bursts and kept:
+            hit = policy.burst_drops(
+                [(0, dst, src) for src, dst, _, _ in kept], np.array([pr[k - 1]])
+            ).tolist()
+            drops["loss-burst"] = drops.get("loss-burst", 0) + sum(hit)
+            kept = [message for message, lost in zip(kept, hit) if not lost]
+        out = []
+        for src, dst, latency, payload in kept:
+            factor = slow[src] * slow[dst]
+            if factor != 1.0:
+                latency = latency * factor
+            out.append((src, dst, latency, payload))
+        return out
+
+    return faulted

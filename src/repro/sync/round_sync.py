@@ -54,6 +54,23 @@ class _Wire:
 MIN_ROUND_FRACTION = 0.05
 
 
+def transmit_targets(process: GirafProcess, n: int) -> list[int]:
+    """Where ``process`` sends its current round's message: ``D_i \\ {i}``
+    in ascending order — the transmit step both engines take
+    (:class:`SyncedNode` and the stepped batched engine).  A destination
+    outside ``range(n)`` is refused, naming the sender, the round and the
+    destination, as the lockstep runner does: the transport would lose
+    it as unregistered, or read a real link's stream for it."""
+    targets = sorted(process.send_targets())
+    if targets and not (0 <= targets[0] and targets[-1] < n):
+        dst = targets[0] if targets[0] < 0 else targets[-1]
+        raise ValueError(
+            f"process {process.pid} addressed its round-{process.round}"
+            f" message to {dst}, outside range({n})"
+        )
+    return targets
+
+
 class RoundLog:
     """What each round of one run delivered: the run's only record of it.
 
@@ -68,7 +85,8 @@ class RoundLog:
       round it begins.
 
     Both engines write it — :class:`SyncedNode` cell by cell as its
-    events fire, :func:`repro.sync.batch.run_batched` as whole arrays —
+    events fire, :func:`repro.sync.batch.run_batched` as whole arrays or
+    round by round —
     and everything downstream (the collector, the Ω detector's feed, the
     scalar ≡ batch contract) reads nothing else.
     """
@@ -181,7 +199,7 @@ class SyncedNode:
             self._rounds_shortened.inc()
         payload = self.process.outgoing_payload
         if payload is not None:
-            targets = sorted(self.process.send_targets())
+            targets = transmit_targets(self.process, self.log.n)
             self.transport.broadcast(pid, targets, _Wire(k, payload))
         self._timer = self.simulator.schedule_in(
             self.round_length(local_duration), self._on_timer
@@ -502,15 +520,16 @@ class SyncRun:
 
         ``mode`` selects the execution path:
 
-        - ``"auto"`` (default): use the batched structure-of-arrays path
+        - ``"auto"`` (default): use the batched path
           (:mod:`repro.sync.batch`) when the run is eligible — a stock
-          run of the probe stream over a batch-capable time-invariant
-          link model, lockstep-uniform nodes, with or without a fault
-          plan of permanent crashes, bursts, partitions, slow nodes and
-          churn, live metrics, observers and a ``HeartbeatOmega`` or
-          null oracle (:func:`~repro.sync.batch.batch_ineligible_reason`
-          is the rule) — and fall back to the scalar event loop
-          otherwise (``fallback_reason`` says why);
+          run of any algorithm under any oracle over a batch-capable
+          time-invariant link model, lockstep-uniform nodes, with or
+          without a fault plan of permanent crashes, bursts, partitions,
+          slow nodes and churn, live metrics and observers
+          (:func:`~repro.sync.batch.batch_ineligible_reason` is the
+          rule: six named reasons and ``"not a stock run"`` keep a run
+          off it) — and fall back to the scalar event loop otherwise
+          (``fallback_reason`` says why);
         - ``"scalar"``: always run the event loop (the reference path).
 
         Both paths produce bit-identical :class:`SyncRunResult`s; the

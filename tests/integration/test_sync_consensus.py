@@ -72,3 +72,31 @@ class TestConsensusOverWan:
             max_rounds=150,
         )
         assert len(set(result.decisions.values())) <= 1
+
+
+class TestDestinationRange:
+    @pytest.mark.parametrize("mode", ["auto", "scalar"])
+    @pytest.mark.parametrize("leader", [-1, 8])
+    def test_destination_outside_the_system_rejected(self, leader, mode):
+        """A message to "leader -1" used to be lost as unregistered while
+        its draw came off a real link's stream; one to "leader 8" died in
+        the stream table.  Both engines refuse it at the transmit step."""
+        n = 8
+        table = measure_latency_table(
+            planetlab_profile(seed=4, slow_run_prob=0.0), pings=3
+        )
+        run = SyncRun(
+            n,
+            lambda pid: WlmConsensus(pid, n, pid),
+            FixedLeaderOracle(leader),
+            lambda sim: Transport(
+                sim, planetlab_profile(seed=3, slow_run_prob=0.0)
+            ),
+            timeout=0.21,
+            latency_table=table,
+            max_rounds=20,
+        )
+        message = f"process 0 addressed its round-1 message to {leader}"
+        with pytest.raises(ValueError, match=rf"{message}, outside range\(8\)"):
+            run.run(mode=mode)
+        assert run.executed_mode == ("batch" if mode == "auto" else "scalar")

@@ -1,10 +1,12 @@
 """Golden round-sync runs: everything a ``SyncRun`` reports, pinned.
 
-Six 60-round runs built like the benchmark ledger's classes — the three
+Seven 60-round runs built like the benchmark ledger's classes — five
 that ride the batched path (clean, instrumented with a
-:class:`HeartbeatOmega`, the canonical fault plan) and three that fall
-back to the scalar event loop (crash recovery, heterogeneous clocks with
-staggered starts, :class:`WlmConsensus` under a fixed leader).  Each
+:class:`HeartbeatOmega`, the canonical fault plan, and
+:class:`WlmConsensus` under a fixed leader, stepped round by round,
+without a plan and under the canonical one) and two that fall back to
+the scalar event loop (crash recovery, heterogeneous clocks with
+staggered starts).  Each
 digest is a sha256 over the result surface (matrices, ``sync_error``,
 ``round_durations``, jumps, late messages, decisions and their rounds),
 the transport totals and the run's counter / histogram snapshot.  The
@@ -67,7 +69,7 @@ def build(kind: str) -> SyncRun:
         seed=derive_seed(SEED, f"golden:{kind}"), slow_run_prob=0.0
     )
     metrics = None if kind == "clean" else MetricsRegistry()
-    if kind == "consensus":
+    if kind.startswith("consensus"):
         return SyncRun(
             NODES,
             lambda pid: WlmConsensus(pid, NODES, proposal=f"value-{pid}"),
@@ -76,6 +78,7 @@ def build(kind: str) -> SyncRun:
             timeout=TIMEOUT,
             latency_table=table,
             max_rounds=ROUNDS,
+            fault_plan=CANONICAL_PLAN if kind == "consensus-faulted" else None,
             metrics=metrics,
         )
     extras = {
@@ -140,8 +143,12 @@ GOLDEN = {
         "bb3a5c2e428d64626e6fca1f987df741ebdd6121cacaa3e381d052b0fd978a69",
     ),
     "consensus": (
-        "scalar", 60,
+        "batch", 60,
         "969eb0f9bde8b8a4559106774d5277906433ffbbc83cb76dda07008561a5174b",
+    ),
+    "consensus-faulted": (
+        "batch", 60,
+        "b9aef73eacca24f565c4e1f440fa454079610c0b8bd4a7c300506e90f8be5dd0",
     ),
 }
 

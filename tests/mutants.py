@@ -167,15 +167,23 @@ MUTANTS = tuple(Mutant(*row) for row in (
     ("dropped-message-no-draw", "sim",
      "a message the fault policy drops takes no draw from its link's stream",
      "repro.sim.transport:Transport.broadcast",
-     "if streams is not None:\n", "if streams is not None and not dropped:\n"),
+     "if read is not None:\n", "if read is not None and not dropped:\n"),
     ("forward-newest", "smr",
      "an idle replica forwards the newest pending command, not the oldest",
      "repro.smr.replica:ReplicaGroup._proposal_for",
      "return min(candidates)", "return max(candidates)"),
     ("src-before-dst-flipped", "sync",
-     "run_batched breaks same-instant arrival ties the wrong way",
-     "repro.sync.batch:run_batched",
+     "the whole-array batched path breaks same-instant arrival ties the wrong way",
+     "repro.sync.batch:_run_whole",
      "np.arange(n)[None, :] < np.arange(n)[:, None]", "np.arange(n)[None, :] > np.arange(n)[:, None]"),
+    ("stepped-tie-flipped", "sync",
+     "the stepped batched path breaks same-instant arrival ties the wrong way",
+     "repro.sync.batch:_run_stepped",
+     "(arrival == end and src < dst)", "(arrival == end and src > dst)"),
+    ("destination-range-unchecked", "sync",
+     "the event stack transmits to a destination outside range(n)",
+     "repro.sync.round_sync:transmit_targets",
+     "if targets and not (0 <= targets[0] and targets[-1] < n):", "if False:"),
     ("jump-not-shortened", "sync",
      "a jump's joined round is not shortened by L_i[src]",
      "repro.sync.round_sync:SyncedNode._on_receive",

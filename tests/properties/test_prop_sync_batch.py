@@ -9,6 +9,11 @@ the scalar event loop, over random profiles, seeds, timeouts, and round
 counts.  Both paths consume each link's RNG substream in the same
 chunked order, so even the latencies are the same IEEE doubles.
 
+The same holds for every other GIRAF algorithm, which the batched
+engine steps one grid round at a time: the consensus algorithms under
+fixed, rotating and heartbeat-elected leaders, with and without a fault
+plan, down to what their observers hear.
+
 The fallback triggers are properties too: anything time-varying or
 instrumented must run the scalar path and say why.
 """
@@ -17,6 +22,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.consensus import (
+    AfmConsensus,
+    EsConsensus,
+    LmConsensus,
+    PaxosConsensus,
+)
+from repro.core import WlmConsensus
 from repro.faults.plan import (
     Crash,
     FaultPlan,
@@ -25,6 +37,7 @@ from repro.faults.plan import (
     Partition,
     SlowNode,
 )
+from repro.giraf.oracle import FixedLeaderOracle, NullOracle, RotatingLeaderOracle
 from repro.net import (
     lan_profile,
     measure_latency_table,
@@ -32,7 +45,9 @@ from repro.net import (
     uniform_wan_profile,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.sync import probe_run, twin_runs
+from repro.oracles.omega import HeartbeatOmega
+from repro.sim import Transport
+from repro.sync import SyncRun, probe_run, twin_runs
 from repro.sync.batch import (
     METRIC_FACETS,
     RESULT_FIELDS,
@@ -278,6 +293,125 @@ class TestFaultedBitIdentity:
         assert np.array_equal(states["scalar"][0], states["auto"][0])
         assert np.array_equal(states["scalar"][1], states["auto"][1])
         assert states["scalar"][2] == states["auto"][2]
+
+
+class CallLog:
+    """Records the end-of-round notifications an observer hears."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_oracle(self, pid, round_number, output):
+        self.calls.append(("oracle", pid, round_number, output))
+
+    def on_decision(self, pid, round_number, value):
+        self.calls.append(("decision", pid, round_number, value))
+
+
+ALGORITHMS = {
+    "WLM": WlmConsensus,
+    "ES": EsConsensus,
+    "LM": LmConsensus,
+    "Paxos": PaxosConsensus,
+    "AFM": AfmConsensus,
+}
+ORACLES = {
+    "fixed": lambda n, metrics: FixedLeaderOracle(2),
+    # A new leader every round: the destinations change round to round.
+    "rotating": lambda n, metrics: RotatingLeaderOracle(n),
+    "omega": lambda n, metrics: HeartbeatOmega(n, metrics=metrics),
+    "null": lambda n, metrics: NullOracle(),
+}
+PAIRS = [
+    (algorithm, oracle)
+    for algorithm in ("WLM", "ES", "LM", "Paxos")
+    for oracle in ("fixed", "rotating", "omega")
+] + [("AFM", "null")]
+
+#: The canonical batch plan — a permanent crash, a loss burst, a
+#: partition and a slow node — with leader churn on top.
+CHURNED_PLAN = FaultPlan(
+    n=8,
+    crashes=(Crash(pid=5, at_round=21),),
+    loss_bursts=(LossBurst(3, 6, drop_prob=0.7),),
+    partitions=(
+        Partition(groups=((0, 3, 5, 6), (1, 2, 4, 7)), start_round=9,
+                  heal_round=12),
+    ),
+    slow_nodes=(
+        SlowNode(pid=2, start_round=14, end_round=17, factor=3.0,
+                 drop_prob=0.4),
+    ),
+    leader_churn=(LeaderChurn(start_round=7, end_round=10),),
+    seed=13,
+)
+
+
+def consensus_run(algorithm, oracle, plan, metrics_on, observer, seed=5):
+    n, rounds = 8, 30
+    factory, timeout = PROFILES["planetlab-static"]
+    metrics = MetricsRegistry() if metrics_on else None
+    make = ALGORITHMS[algorithm]
+    return SyncRun(
+        n,
+        lambda pid: make(pid, n, f"value-{pid}"),
+        ORACLES[oracle](n, metrics),
+        lambda sim: Transport(sim, factory(seed), metrics=metrics),
+        timeout=timeout,
+        latency_table=measure_latency_table(factory(seed + 1), pings=3),
+        max_rounds=rounds,
+        fault_plan=plan,
+        metrics=metrics,
+        observers=[observer],
+    )
+
+
+def slot_contents(run):
+    """Every process's slots, in insertion order, and pending message."""
+    return [
+        (
+            [(k, list(slot.items())) for k, slot in node.process.slots.items()],
+            node.process.outgoing_payload,
+        )
+        for node in run.nodes
+    ]
+
+
+class TestSteppedBitIdentity:
+    """Any algorithm on the grid rides the batched engine, stepped round
+    by round: results, node state, telemetry, what the observers hear
+    and what the processes hold must all be the scalar loop's."""
+
+    @pytest.mark.parametrize("metrics_on", [False, True], ids=["bare", "metrics"])
+    @pytest.mark.parametrize(
+        "plan", [None, CHURNED_PLAN], ids=["no-plan", "churned-plan"]
+    )
+    @pytest.mark.parametrize(
+        "algorithm,oracle", PAIRS, ids=[f"{a}-{o}" for a, o in PAIRS]
+    )
+    def test_consensus_run_is_bit_identical(
+        self, algorithm, oracle, plan, metrics_on
+    ):
+        logs = []
+
+        def build():
+            logs.append(CallLog())
+            return consensus_run(algorithm, oracle, plan, metrics_on, logs[-1])
+
+        twins = twin_runs(build)
+        assert twins.auto_run.executed_mode == "batch", twins.auto_run.fallback_reason
+        assert twins.diverged == []
+        # Not vacuous: a settled leader decides; one rotating every round
+        # never settles, but moves the destinations round to round (ES
+        # elects its own leader and ignores the oracle).
+        settles = oracle != "rotating" or algorithm == "ES"
+        assert bool(twins.scalar.decisions) == settles
+        scalar_log, auto_log = logs
+        assert auto_log.calls == scalar_log.calls
+        assert slot_contents(twins.auto_run) == slot_contents(twins.scalar_run)
+        assert (
+            twins.auto_run.simulator.now == twins.scalar_run.simulator.now
+        )
 
 
 class TestTwinRuns:

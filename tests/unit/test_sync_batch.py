@@ -13,7 +13,9 @@ import pytest
 
 import repro.sync.batch as batch_module
 from repro.faults.plan import ClockStep, Crash, FaultPlan, LeaderChurn, LossBurst
-from repro.giraf.oracle import NullOracle
+from repro.core import WlmConsensus
+from repro.giraf.kernel import RoundOutput
+from repro.giraf.oracle import FixedLeaderOracle, NullOracle
 from repro.net import lan_profile, planetlab_profile, uniform_wan_profile
 from repro.net.base import LatencyModel
 from repro.obs.recorder import RunRecorder
@@ -142,16 +144,6 @@ class TestFallbackReasons:
         run.transport.faults = NoFaults()
         self.assert_falls_back(run, "not a stock run")
 
-    def test_non_probe_algorithm(self):
-        class Variant(HeartbeatAlgorithm):
-            pass
-
-        run = make_run()
-        run.nodes[0].process.algorithm = Variant(0, 4)
-        assert batch_ineligible_reason(run, 1e9) == (
-            "algorithm is not the heartbeat probe stream"
-        )
-
     def test_heterogeneous_timeouts(self):
         run = make_run()
         run.nodes[2].timeout = 0.5
@@ -200,7 +192,7 @@ class TestTruncatedScalarFallback:
 
 
 class TestWidenedEligibility:
-    """The four former fallback causes now ride the fast path."""
+    """Former fallback causes that now ride the fast path."""
 
     def faulted_plan(self, n=4):
         return FaultPlan(
@@ -247,6 +239,30 @@ class TestWidenedEligibility:
         assert collector.matrices == list(range(1, 16))
         # Boot queries plus one query per ended round, in pid order.
         assert len(collector.oracle_outputs) == n + n * 15
+
+    def test_non_probe_algorithm_rides_the_batch_path(self):
+        """Any algorithm on the grid is stepped round by round; a variant
+        of the probe stream whose sends follow what it heard is one."""
+
+        class Echo(HeartbeatAlgorithm):
+            def compute(self, round_number, messages, oracle_output):
+                super().compute(round_number, messages, oracle_output)
+                return RoundOutput(sorted(messages), frozenset(messages))
+
+        def build():
+            run = make_run(factory=uniform_wan_profile, timeout=0.03)
+            run.nodes[0].process.algorithm = Echo(0, 4)
+            return run
+
+        twins = twin_runs(build)
+        assert batch_ineligible_reason(build(), 1e9) is None
+        assert twins.auto_run.executed_mode == "batch"
+        assert twins.diverged == []
+        # Node 0 sent only to the peers it heard: not every round is full.
+        assert not all(matrix.all() for matrix in twins.auto.matrices)
+        for a, b in zip(twins.scalar_run.nodes, twins.auto_run.nodes):
+            assert a.process.slots == b.process.slots
+            assert a.process.outgoing_payload == b.process.outgoing_payload
 
     def test_heartbeat_omega_rides_the_batch_path(self):
         run = make_run(omega=True)
@@ -421,3 +437,31 @@ class TestArrivalTies:
         assert twins.diverged == []
         lower = np.tril(np.ones((n, n), dtype=bool))  # [dst, src]: src <= dst
         assert all((matrix == lower).all() for matrix in twins.scalar.matrices)
+
+    def test_a_stepped_message_landing_on_the_round_end_is_timely_iff_its_sender_is_lower(self):
+        """The same tie on the stepped path: Algorithm 2 under leader 2
+        sends the leader's broadcast and everyone's message to the
+        leader, each landing on its receiver's round end."""
+        n = 4
+
+        def build():
+            return SyncRun(
+                n,
+                lambda pid: WlmConsensus(pid, n, proposal=pid),
+                FixedLeaderOracle(2),
+                lambda sim: Transport(sim, ConstantLatency(n, 0.25)),
+                timeout=0.25,
+                latency_table=np.zeros((n, n)),
+                max_rounds=6,
+            )
+
+        twins = twin_runs(build)
+        assert twins.auto_run.executed_mode == "batch"
+        assert twins.diverged == []
+        sent = np.eye(n, dtype=bool)  # [dst, src]
+        sent[:, 2] = sent[2, :] = True
+        lower = np.tril(np.ones((n, n), dtype=bool))
+        assert len(twins.scalar.matrices) == 6
+        assert all(
+            (matrix == (sent & lower)).all() for matrix in twins.scalar.matrices
+        )
