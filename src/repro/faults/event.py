@@ -17,12 +17,18 @@ messages per link — sees the same realization.  A message in a round
 with several live bursts walks them in order, one count each, up to the
 first that drops it.
 
-:meth:`PlanLinkFaults.drop` decides one message;
-:meth:`PlanLinkFaults.burst_drops` decides the burst branch for a whole
-batch of messages in round order — what the batched engine asks — with
-the same draws, counters and activations: each link's run of
-single-burst messages is hashed in one pass over consecutive counts, and
-only a round with several live bursts takes :meth:`drop`'s walk.
+What the plan does to a message is one rule — a down end, else a
+partition cut, else the live bursts; an episode fires on the first
+message it costs; slow nodes stretch latencies — with three entry
+points over one crash/partition helper and one quiet test:
+:meth:`PlanLinkFaults.drop` (and ``latency_factor``) serves the
+transport per message, :meth:`~PlanLinkFaults.sift` the stepped batched
+engine per send instant, and :meth:`~PlanLinkFaults.judge` the
+whole-array engine per ``[round, dst, src]`` block.  ``judge`` draws its
+bursts through :meth:`~PlanLinkFaults.burst_drops`, the bulk form of
+the burst branch: each link's run of single-burst messages is hashed in
+one pass over consecutive counts, and only a round with several live
+bursts takes :meth:`drop`'s walk.
 
 The policy also answers :meth:`PlanLinkFaults.quiet`, the transport's
 optional per-broadcast query: in a round where nothing is down, no link
@@ -134,15 +140,24 @@ class PlanLinkFaults:
     def _resolve(self, now: float) -> None:
         """Look up the plan's round and state at ``now`` (one bisect) —
         only when ``now`` is not the instant last asked about: the messages
-        of one broadcast share one lookup, the rounds of one plan epoch
-        one set of plain-Python views of its state."""
+        of one broadcast share one lookup."""
         self._instant = now
-        self._round = self.round_of(now)
-        state = self.plan.round_state(self._round)
+        self._view(self.round_of(now))
+
+    def _view(self, round_number: int) -> None:
+        """Point the plain-Python views at plan round ``round_number``:
+        the rounds of one plan epoch share one set of them (its state, its
+        live partitions, whether it is quiet)."""
+        self._round = round_number
+        state = self.plan.round_state(round_number)
         if state is not self._state:
             self._state = state
             self._down, self._cross = state.down.tolist(), state.cross.tolist()
             self._slow = state.slow.tolist()
+            self._cutting = [
+                index for index, partition in enumerate(self.plan.partitions)
+                if partition.active_at(round_number)
+            ]
             self._quiet = not (
                 state.down.any() or state.cross.any() or state.bursts
                 or (state.slow != 1.0).any()
@@ -159,24 +174,93 @@ class PlanLinkFaults:
     def drop(self, src: int, dst: int, now: float) -> bool:
         if now != self._instant:
             self._resolve(now)
-        round_number, plan, down = self._round, self.plan, self._down
-        self.last_drop_cause = None
-        if down[src] or down[dst]:
-            self.last_drop_cause = "crash"
-            for index, crash in enumerate(plan.crashes):
-                if crash.pid in (src, dst) and crash.down_at(round_number):
+        cause = self._sever(src, dst)
+        if cause is None and self._burst_walk(src, dst, self._state.bursts):
+            cause = "loss-burst"
+        self.last_drop_cause = cause
+        return cause is not None
+
+    def _sever(self, src: int, dst: int) -> Optional[str]:
+        """Why the viewed round loses ``src -> dst`` before any burst
+        draws: ``"crash"`` if an end is down, else ``"partition"`` if an
+        active partition cuts the link, else ``None``.  A lost message
+        fires the episodes behind its cause."""
+        if self._down[src] or self._down[dst]:
+            for index, crash in enumerate(self.plan.crashes):
+                if crash.pid in (src, dst) and crash.down_at(self._round):
                     self.activate("crash-link", index)
-            return True
+            return "crash"
         if self._cross[dst][src]:
-            self.last_drop_cause = "partition"
-            for index, partition in enumerate(plan.partitions):
-                if partition.active_at(round_number):
-                    self.activate("partition", index)
-            return True
-        if self._burst_walk(src, dst, self._state.bursts):
-            self.last_drop_cause = "loss-burst"
-            return True
-        return False
+            for index in self._cutting:
+                self.activate("partition", index)
+            return "partition"
+        return None
+
+    def sift(self, now: float, links: list, drops: dict[str, int]) -> list:
+        """:meth:`drop` and :meth:`latency_factor` for the messages sent
+        at ``now``, one ``(src, dst, latency, payload)`` tuple each, in
+        send order: the ones not lost, each latency times its link's
+        factor (``links`` itself at a quiet instant), the lost ones
+        counted into ``drops`` by cause."""
+        if now != self._instant:
+            self._resolve(now)
+        if self._quiet:
+            return links
+        bursts, slow, kept = self._state.bursts, self._slow, []
+        for src, dst, latency, payload in links:
+            cause = self._sever(src, dst)
+            if cause is None and self._burst_walk(src, dst, bursts):
+                cause = "loss-burst"
+            if cause is None:
+                kept.append((src, dst, latency * (slow[src] * slow[dst]), payload))
+            else:
+                drops[cause] = drops.get(cause, 0) + 1
+        return kept
+
+    def judge(
+        self, sent: np.ndarray, plan_rounds: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
+        """:meth:`drop` and :meth:`latency_factor` for a block of messages:
+        ``sent[k, dst, src]`` on ``src -> dst`` at an instant of plan round
+        ``plan_rounds[k]``, ascending.  Returns ``(lost, factor, drops)``:
+        the messages lost, every link's latency factor and the lost counted
+        by cause, with burst counters and activations where :meth:`drop`
+        asked in round order leaves them.
+
+        A fault window opens and closes on a plan-epoch boundary, so a
+        link's crash and partition verdict holds for a whole epoch: the
+        helper is asked once per link sending in a non-quiet epoch (whose
+        rounds, ascending, are one run of ``k``), and the messages it
+        keeps go to :meth:`burst_drops` in one call."""
+        plan_rounds = np.asarray(plan_rounds)
+        states, epoch = self.plan.round_states(plan_rounds)
+        _, first = np.unique(epoch, return_index=True)
+        # [epoch, dst, src]: how many messages each link sends in it.
+        sends = np.add.reduceat(sent, first, axis=0, dtype=np.int64)
+        cut = np.zeros(sends.shape, dtype=bool)
+        drops = {"crash": 0, "partition": 0, "loss-burst": 0}
+        self._instant = math.nan  # the views move: no instant stays resolved
+        for e, row in enumerate(first.tolist()):
+            self._view(int(plan_rounds[row]))
+            if self._quiet:
+                continue
+            counts = sends[e].tolist()
+            for dst, src in np.argwhere(sends[e]).tolist():
+                cause = self._sever(src, dst)
+                if cause is not None:
+                    cut[e, dst, src] = True
+                    drops[cause] += counts[dst][src]
+        lost = sent & cut[epoch]
+        slow = np.array([state.slow for state in states])[epoch]
+        factor = slow[:, :, None] * slow[:, None, :]
+        live = np.array([bool(state.bursts) for state in states])[epoch]
+        candidate = sent & ~lost & live[:, None, None]
+        if candidate.any():
+            messages = np.argwhere(candidate)
+            hit = self.burst_drops(messages, plan_rounds)
+            lost[tuple(messages[hit].T)] = True
+            drops["loss-burst"] = int(hit.sum())
+        return lost, factor, drops
 
     def _burst_walk(self, src: int, dst: int, bursts: tuple[int, ...]) -> bool:
         """Whether one message on ``src -> dst`` is lost to the live

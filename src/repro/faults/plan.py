@@ -288,9 +288,10 @@ class FaultPlan:
         """The answers of :meth:`down_at`, :meth:`partitioned`,
         :meth:`slow_factor` and the bursts' ``active_at`` for this round,
         tabulated — the one per-round link state every plan consumer
-        reads (the wire policy, the batched replay, the adaptive
-        scenario's latency view and the deterministic half of
-        :meth:`mask`).
+        reads: the wire policy (:class:`~repro.faults.event.PlanLinkFaults`,
+        which answers the transport and both batched engines), the
+        adaptive scenario's latency view and the deterministic half of
+        :meth:`mask`.
 
         All four are step functions of the round that change only at a
         window boundary, so the table is built once per *epoch* (the

@@ -23,9 +23,9 @@ This module executes such a run without the event heap:
    NumPy passes (:func:`_run_whole`): one ``(links, rounds)`` latency
    block from the transport's pre-sampled per-link streams
    (:meth:`~repro.sim.transport.Transport.next_stream_block`), the fault
-   plan's per-round state table (:meth:`~repro.faults.plan.FaultPlan.round_state`)
-   as array passes, loss bursts in one bulk policy call
-   (:meth:`~repro.faults.event.PlanLinkFaults.burst_drops`), timeliness
+   policy's verdict on the whole block in one call
+   (:meth:`~repro.faults.event.PlanLinkFaults.judge`: what is lost, by
+   cause, and every link's latency factor), timeliness
    as ``(rounds, n, n)`` arrays under the tie rules below, and the
    oracle reading the finished round log in one call
    (:meth:`~repro.oracles.omega.HeartbeatOmega.replay`) — its answers
@@ -36,9 +36,9 @@ This module executes such a run without the event heap:
    :func:`~repro.sync.round_sync.transmit_targets`, each message taking
    its link's next draw through the transport's one per-message stream
    reader (:meth:`~repro.sim.transport.Transport.stream_latency`), in
-   send order; the plan's state table decides crash and partition drops
-   and slow factors, and the live bursts go through ``burst_drops`` a
-   round at a time; the tie rules below decide which messages are
+   send order; the fault policy judges each round's messages in one call
+   (:meth:`~repro.faults.event.PlanLinkFaults.sift`: the survivors, their
+   latencies stretched); the tie rules below decide which messages are
    timely; the timely ones reach
    :meth:`~repro.giraf.process.GirafProcess.receive` in the order the
    event queue fires them (by arrival, then by sender: slot order is
@@ -529,15 +529,13 @@ def _run_whole(run: SyncRun, grid: _Grid) -> None:
     n = run.n
     rounds = run.max_rounds
     starts, ends, stop = grid.starts, grid.ends, grid.times[-1]
-    transport = run.transport
-    plan = run.fault_plan
-    policy = run.link_faults
+    transport, policy = run.transport, run.link_faults
     begun, ended, began = grid.begun, grid.ended, grid.began
 
     # ------------------------------------------------------------------
     # Draw every link's latencies — ``[k, dst, src]``, one per message
     # ``src`` sends (the stream path's contract: dropped or not) — and
-    # overlay the plan's per-round link faults.  A link draws exactly as
+    # let the fault policy judge the whole block.  A link draws exactly as
     # many values as its source begins rounds: a crashed source's links
     # stop mid-stream, and drawing further would desync them from the
     # scalar path.  Lost messages are ``+inf``, as are the diagonal and
@@ -553,54 +551,12 @@ def _run_whole(run: SyncRun, grid: _Grid) -> None:
     sent = began[:, None, :] & ~np.eye(n, dtype=bool)
 
     drops: dict[str, int] = {}
-    if plan is not None:
+    values, fault_drop = latencies, np.zeros_like(sent)
+    if policy is not None:
         # Grid round k is in the plan round covering its start instant,
-        # where the policy places each of its messages, and every round
-        # of one plan epoch shares that epoch's state: each distinct
-        # state is stacked once and the rounds gather by index.
-        pr = policy.rounds_of(starts)
-        epochs, epoch = plan.round_states(pr)
-        down = np.array([state.down for state in epochs])[epoch]
-        cross = np.array([state.cross for state in epochs])[epoch]
-        slow = np.array([state.slow for state in epochs])[epoch]
-        burst_any = np.array([bool(state.bursts) for state in epochs])[epoch]
-        crash_drop = sent & (down[:, :, None] | down[:, None, :])
-        part_drop = sent & ~crash_drop & cross
-        burst_drop = np.zeros_like(sent)
-        if burst_any.any():
-            # Burst decisions ride the policy's own per-link counters and
-            # SHA draws: handing the installed policy, in one call,
-            # exactly the messages whose scalar drop() call would reach
-            # the burst loop — in round order, which is all a link's own
-            # counter sees — reproduces counters, draws, activations and
-            # metrics verbatim.
-            candidate = sent & ~crash_drop & ~cross & burst_any[:, None, None]
-            messages = np.argwhere(candidate)
-            burst_drop[tuple(messages.T)] = policy.burst_drops(messages, pr)
-        fault_drop = crash_drop | part_drop | burst_drop
-        factor = slow[:, :, None] * slow[:, None, :]
+        # where the policy places each of its messages.
+        fault_drop, factor, drops = policy.judge(sent, policy.rounds_of(starts))
         values = np.where(factor != 1.0, latencies * factor, latencies)
-        # Fault-episode activation telemetry the skipped scalar drop()
-        # calls would have produced, deduplicated the same way.
-        last_pr = int(pr[-1])
-        for index, crash in enumerate(plan.crashes):
-            # Messages touch every process in every round (the healthy
-            # majority keeps broadcasting), so a crash-link episode fires
-            # iff the run reaches its first down round.
-            if last_pr >= crash.at_round:
-                policy.activate("crash-link", index)
-        if part_drop.any():
-            part_rounds = part_drop.any(axis=(1, 2))
-            for q in sorted(set(pr[part_rounds].tolist())):
-                for index, partition in enumerate(plan.partitions):
-                    if partition.active_at(q):
-                        policy.activate("partition", index)
-        drops["crash"] = int(crash_drop.sum())
-        drops["partition"] = int(part_drop.sum())
-        drops["loss-burst"] = int(burst_drop.sum())
-    else:
-        fault_drop = np.zeros_like(sent)
-        values = latencies
 
     deliverable = sent & ~fault_drop & np.isfinite(values)
     drops["link"] = int((sent & ~fault_drop & np.isinf(values)).sum())
@@ -674,7 +630,7 @@ def _run_stepped(run: SyncRun, grid: _Grid) -> None:
     Round ``k``: every process that begins it sends its outgoing message
     to :func:`~repro.sync.round_sync.transmit_targets`, each message
     taking its link's next draw (:meth:`Transport.stream_latency`) in
-    send order; the plan's faults decide on top (:func:`_wire_faults`);
+    send order; the fault policy decides on top (:meth:`PlanLinkFaults.sift`);
     the tie rules say which messages are timely, late or never fire;
     the timely ones reach :meth:`GirafProcess.receive` in the order the
     event queue fires them — by arrival, then by sender — and at
@@ -685,8 +641,7 @@ def _run_stepped(run: SyncRun, grid: _Grid) -> None:
     procs = [node.process for node in nodes]
     oracle, observers = nodes[0].oracle, run.observers
     observe_rows = getattr(oracle, "observe_rows", None)
-    read = run.transport.stream_latency
-    faulted = _wire_faults(run, grid)
+    read, policy = run.transport.stream_latency, run.link_faults
     times, timely = grid.times, run.log.timely
     stop = times[-1]
     begun, ended = grid.begun.tolist(), grid.ended.tolist()
@@ -723,8 +678,8 @@ def _run_stepped(run: SyncRun, grid: _Grid) -> None:
             targets = transmit_targets(proc, n)
             for index, dst in enumerate(targets):
                 wire.append((src, dst, read(src, targets, index), payload))
-        if faulted is not None:
-            wire = faulted(k, wire, drops)
+        if policy is not None:
+            wire = policy.sift(start, wire, drops)
         inbox = []
         for src, dst, latency, payload in wire:
             if latency == math.inf:
@@ -751,72 +706,3 @@ def _run_stepped(run: SyncRun, grid: _Grid) -> None:
         end_of_round(k)
     _close(run, grid, np.array(late), drops, delivered, np.frombuffer(observed))
 
-
-def _wire_faults(
-    run: SyncRun, grid: _Grid
-) -> Optional[Callable[[int, list, dict], list]]:
-    """The plan's link faults as a filter over one grid round's messages
-    ``(src, dst, latency, payload)`` in send order, or ``None`` without a
-    plan: what :meth:`~repro.faults.event.PlanLinkFaults.drop` and
-    ``latency_factor`` decide for each, with the same episode
-    activations — down ends first, then a partition cut, then the live
-    loss bursts, through the policy's bulk call — the drops counted by
-    cause and the survivors' latencies stretched by their slow factor.
-    A round whose plan state touches no message passes untouched, as
-    the transport skips a quiet policy."""
-    plan, policy = run.fault_plan, run.link_faults
-    if plan is None:
-        return None
-    pr = policy.rounds_of(grid.starts)
-    states, epoch = plan.round_states(pr)
-    pr, epoch = pr.tolist(), epoch.tolist()
-    # Each plan epoch's state as plain Python (``None``: quiet), with the
-    # crash and partition episodes a drop in it activates.
-    views: list[Optional[tuple]] = []
-    for e, state in enumerate(states):
-        q = pr[epoch.index(e)]
-        quiet = not (
-            state.down.any() or state.cross.any() or state.bursts
-            or (state.slow != 1.0).any()
-        )
-        views.append(None if quiet else (
-            state.down.tolist(), state.cross.tolist(), state.slow.tolist(),
-            state.bursts,
-            [i for i, c in enumerate(plan.crashes) if c.down_at(q)],
-            [i for i, p in enumerate(plan.partitions) if p.active_at(q)],
-        ))
-
-    def faulted(k: int, wire: list, drops: dict[str, int]) -> list:
-        state = views[epoch[k - 1]]
-        if state is None:
-            return wire
-        down, cross, slow, bursts, crashed, cutting = state
-        kept = []
-        for message in wire:
-            src, dst = message[0], message[1]
-            if down[src] or down[dst]:
-                drops["crash"] = drops.get("crash", 0) + 1
-                for index in crashed:
-                    if plan.crashes[index].pid in (src, dst):
-                        policy.activate("crash-link", index)
-            elif cross[dst][src]:
-                drops["partition"] = drops.get("partition", 0) + 1
-                for index in cutting:
-                    policy.activate("partition", index)
-            else:
-                kept.append(message)
-        if bursts and kept:
-            hit = policy.burst_drops(
-                [(0, dst, src) for src, dst, _, _ in kept], np.array([pr[k - 1]])
-            ).tolist()
-            drops["loss-burst"] = drops.get("loss-burst", 0) + sum(hit)
-            kept = [message for message, lost in zip(kept, hit) if not lost]
-        out = []
-        for src, dst, latency, payload in kept:
-            factor = slow[src] * slow[dst]
-            if factor != 1.0:
-                latency = latency * factor
-            out.append((src, dst, latency, payload))
-        return out
-
-    return faulted

@@ -122,12 +122,20 @@ MUTANTS = tuple(Mutant(*row) for row in (
      "begins[decided] + window - starts[decided]", "begins[decided] + window + 1 - starts[decided]"),
     ("quiet-during-burst", "faults",
      "PlanLinkFaults.quiet says True while a loss burst is live",
-     "repro.faults.event:PlanLinkFaults._resolve",
+     "repro.faults.event:PlanLinkFaults._view",
      "state.down.any() or state.cross.any() or state.bursts", "state.down.any() or state.cross.any()"),
     ("partition-labelled-crash", "faults",
      "a partition drop is counted under the cause 'crash'",
-     "repro.faults.event:PlanLinkFaults.drop",
-     'self.last_drop_cause = "partition"', 'self.last_drop_cause = "crash"'),
+     "repro.faults.event:PlanLinkFaults._sever",
+     'return "partition"', 'return "crash"'),
+    ("partition-fires-every-episode", "faults",
+     "a message a partition cuts fires every partition of the plan, live or not",
+     "repro.faults.event:PlanLinkFaults._sever",
+     "for index in self._cutting:", "for index in range(len(self.plan.partitions)):"),
+    ("judge-cut-outlives-window", "faults",
+     "judge loses a cut link's messages in every round of the block, not only its fault's epoch",
+     "repro.faults.event:PlanLinkFaults.judge",
+     "lost = sent & cut[epoch]", "lost = sent & cut.any(axis=0)"),
     ("burst-walk-no-advance", "faults",
      "_burst_walk does not advance the link's burst count",
      "repro.faults.event:PlanLinkFaults._burst_walk",

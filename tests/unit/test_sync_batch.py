@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import repro.sync.batch as batch_module
-from repro.faults.plan import ClockStep, Crash, FaultPlan, LeaderChurn, LossBurst
+from repro.faults.plan import (
+    ClockStep, Crash, FaultPlan, LeaderChurn, LossBurst, Partition,
+)
 from repro.core import WlmConsensus
 from repro.giraf.kernel import RoundOutput
 from repro.giraf.oracle import FixedLeaderOracle, NullOracle
@@ -465,3 +467,45 @@ class TestArrivalTies:
         assert all(
             (matrix == (sent & lower)).all() for matrix in twins.scalar.matrices
         )
+
+
+class TestPartitionEpisodes:
+    """A partition episode fires when a message it cuts is lost, not
+    because the plan lists it: a run that ends before the second
+    partition's window counts one activation on every engine."""
+
+    PLAN = FaultPlan(
+        n=4,
+        partitions=(
+            Partition(((0, 1), (2, 3)), start_round=3, heal_round=6),
+            Partition(((0, 2), (1, 3)), start_round=30, heal_round=33),
+        ),
+    )
+
+    @pytest.mark.parametrize("algorithm", ["probe", "consensus"])
+    def test_only_the_partition_the_run_reaches_fires(self, algorithm):
+        def build():
+            metrics = MetricsRegistry()
+            if algorithm == "probe":
+                return make_run(plan=self.PLAN, metrics=metrics)
+            # Algorithm 2 under leader 2 takes the stepped path.
+            return SyncRun(
+                4,
+                lambda pid: WlmConsensus(pid, 4, proposal=pid),
+                FixedLeaderOracle(2),
+                lambda sim: Transport(
+                    sim, uniform_wan_profile(n=4, seed=0), metrics=metrics
+                ),
+                timeout=0.1,
+                latency_table=np.full((4, 4), 0.02),
+                max_rounds=15,
+                fault_plan=self.PLAN,
+                metrics=metrics,
+            )
+
+        twins = twin_runs(build)
+        assert twins.auto_run.executed_mode == "batch"
+        assert twins.diverged == []
+        for run in (twins.scalar_run, twins.auto_run):
+            assert run.metrics.value("transport.dropped", cause="partition") > 0
+            assert run.metrics.value("faults.activations", kind="partition") == 1
