@@ -38,7 +38,7 @@ def main() -> None:
             pid, n, proposal=f"proposal-of-{PLANETLAB_SITES[pid]}"
         ),
         FixedLeaderOracle(leader),
-        lambda sim: Transport(sim, profile, trace=False),
+        lambda sim: Transport(sim, profile),
         timeout=timeout,
         latency_table=table,
         clocks=[

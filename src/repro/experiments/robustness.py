@@ -165,7 +165,7 @@ def measure_robustness(
     """Clean-versus-faulted P_M and decision latency per (fault, model)."""
     config = sweep.config
     runs = sweep.runs[timeout]
-    clean = [run.matrices for run in runs]
+    clean = np.stack([run.matrices for run in runs])  # [run, round, dst, src]
     plans = canonical_plans(config.n, config.rounds_per_run, seed)
     designated = np.full(config.rounds_per_run, sweep.leader)
 
@@ -192,7 +192,8 @@ def measure_robustness(
 
     cells: list[RobustnessCell] = []
     for fault_name, plan in plans.items():
-        faulted = [plan.apply_to_matrices(matrices) for matrices in clean]
+        # One mask stack per plan, shared by every run.
+        faulted = plan.apply_to_matrices(clean)
         # Whoever a churn round elects: drawn once per plan, not per
         # (run, model).
         leaders = np.array(

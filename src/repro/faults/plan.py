@@ -373,15 +373,19 @@ class FaultPlan:
         return masked
 
     def apply_to_matrices(self, matrices: np.ndarray) -> np.ndarray:
-        """Faulted copy of a ``[round, dst, src]`` delivery-matrix stack
-        (round ``k`` is ``matrices[k-1]``) — the batch form the
-        measurement figures use."""
+        """Faulted copy of a ``[..., round, dst, src]`` delivery-matrix
+        stack (round ``k`` is ``matrices[..., k-1, :, :]``) — the batch
+        form the measurement figures use.  Leading axes (runs) share the
+        rounds' masks: each round's :meth:`mask` is drawn once, however
+        many runs it is applied to."""
         matrices = np.asarray(matrices)
+        masks = np.zeros(matrices.shape[-3:], dtype=bool)
+        for index in range(len(masks)):
+            masks[index] = self.mask(index + 1)
         faulted = matrices.copy()
-        for index in range(faulted.shape[0]):
-            faulted[index] &= ~self.mask(index + 1)
+        faulted &= ~masks
         diag = np.arange(self.n)
-        faulted[:, diag, diag] = matrices[:, diag, diag]
+        faulted[..., diag, diag] = matrices[..., diag, diag]
         return faulted
 
     def correct(self) -> frozenset[int]:

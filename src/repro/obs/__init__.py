@@ -8,9 +8,9 @@ that measurement a first-class object for the reproduction itself:
   cheap no-op path when telemetry is off (:data:`NULL_METRICS`).  The
   event-driven transport, the round-synchronization protocol, the Ω
   implementation and the fault injectors are instrumented against it.
-- :class:`RunRecorder` — a structured JSONL event timeline plus a run
-  manifest (config, seeds, package version), so any run can be replayed
-  and diffed.  :data:`NULL_RECORDER` is the disabled twin.
+- :class:`RunRecorder` — the experiments CLI's phase timeline, a
+  structured JSONL event log, plus a run manifest (config, seeds,
+  package version), so any run can be replayed and diffed.
 
 Instrument families, by prefix: ``transport.*`` (sends, deliveries,
 latency, drops by cause), ``sync.*`` (round starts, jumps, timeouts,
@@ -30,7 +30,6 @@ method call on a singleton when telemetry is disabled.
 """
 
 from repro.obs.recorder import (
-    NULL_RECORDER,
     RunRecorder,
     build_manifest,
     read_jsonl,
@@ -52,7 +51,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_METRICS",
-    "NULL_RECORDER",
     "RunRecorder",
     "build_manifest",
     "read_jsonl",

@@ -8,8 +8,10 @@ manifest (:func:`build_manifest`) pins everything needed to reproduce
 the run: the sweep configuration, the root seeds, and the package
 version.
 
-Disabled recording (:data:`NULL_RECORDER`, or ``enabled=False``) keeps
-the event list empty: ``record`` returns before building the event dict.
+The experiments CLI keeps one as its phase timeline (``--metrics``
+writes it as ``timeline.jsonl``).  Disabled recording
+(``enabled=False``) keeps the event list empty: ``record`` returns
+before building the event dict.
 """
 
 from __future__ import annotations
@@ -49,15 +51,6 @@ class RunRecorder:
         with path.open("w", encoding="utf-8") as handle:
             for event in self.events:
                 handle.write(json.dumps(event, sort_keys=True) + "\n")
-
-
-#: The shared disabled recorder.
-NULL_RECORDER = RunRecorder(enabled=False)
-
-
-def recorder_or_null(recorder: Optional[RunRecorder]) -> RunRecorder:
-    """``recorder``, or the shared no-op recorder when ``None``."""
-    return recorder if recorder is not None else NULL_RECORDER
 
 
 def read_jsonl(path: Path | str) -> list[dict]:

@@ -15,7 +15,7 @@ unsynchronized clocks.
 from repro.sim.events import Event, EventQueue, Simulator
 from repro.sim.clock import Clock
 from repro.sim.rng import RandomStreams
-from repro.sim.transport import Transport, Delivery
+from repro.sim.transport import Transport
 
 __all__ = [
     "Event",
@@ -24,5 +24,4 @@ __all__ = [
     "Clock",
     "RandomStreams",
     "Transport",
-    "Delivery",
 ]

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Protocol, Sequence
 
 import numpy as np
 
-from repro.obs.recorder import RunRecorder, recorder_or_null
 from repro.obs.registry import Counter, MetricsRegistry, registry_or_null
 from repro.sim.events import Simulator
 from repro.sim.rng import STREAM_CHUNK
@@ -52,26 +50,6 @@ class LinkFaults(Protocol):
     def latency_factor(self, src: int, dst: int, now: float) -> float:
         """Multiplier applied to the sampled latency (1.0 = untouched)."""
         ...
-
-
-@dataclass
-class Delivery:
-    """Record of one message delivery (or drop), kept when tracing is on.
-
-    ``undeliverable`` marks messages that arrived at a destination that
-    never registered a receive handler; they count as lost.
-    """
-
-    src: int
-    dst: int
-    sent_at: float
-    latency: Optional[float]
-    payload: Any = field(repr=False, default=None)
-    undeliverable: bool = False
-
-    @property
-    def lost(self) -> bool:
-        return self.latency is None or self.undeliverable
 
 
 def not_a_delay(model: LinkModel, src: int, dst: int, latency: float) -> ValueError:
@@ -126,21 +104,18 @@ class Transport:
     scalar path the drop is decided first and a dropped message draws
     nothing from the model.
 
-    With ``trace=True`` every delivery is recorded; payload *objects* are
-    only retained when ``trace_payloads=True``, so long robustness runs
-    tracing millions of messages keep metadata without pinning every
-    payload in memory forever.
+    What the wire did is counted, not recorded: ``messages_sent`` /
+    ``messages_lost`` and, with a live ``metrics`` registry, the
+    ``transport.*`` counters (drops by cause) and the latency histogram.
+    A receiver sees a message only through its registered handler.
     """
 
     def __init__(
         self,
         simulator: Simulator,
         link_model: LinkModel,
-        trace: bool = False,
-        trace_payloads: bool = False,
         batch_streams: bool = True,
         metrics: Optional[MetricsRegistry] = None,
-        recorder: Optional[RunRecorder] = None,
     ) -> None:
         self._simulator = simulator
         # Deliveries go on the simulator's heap as bare entries: nothing
@@ -148,32 +123,24 @@ class Transport:
         self._queue = simulator._queue
         self._link_model = link_model
         self._handlers: dict[int, Callable[[int, Any], None]] = {}
-        self._trace = trace
-        self._trace_payloads = trace_payloads
         self._batch_streams = batch_streams
         self._streams: dict[tuple[int, int], list] = {}
         self._columns: dict[int, np.ndarray] = {}
-        self._streams_usable = self._model_streamable(link_model)
+        # Can per-link latency streams be pre-sampled from the model?
+        self._streams_usable = bool(
+            getattr(link_model, "supports_batch_trace", False)
+            and getattr(link_model, "is_time_invariant", False)
+        )
         #: The per-message fault policy, or ``None``.  Assignable at any
         #: time; it never touches the link model or its streams.
         self.faults: Optional[LinkFaults] = None
-        self.deliveries: list[Delivery] = []
         self.messages_sent = 0
         self.messages_lost = 0
         self._metrics = registry_or_null(metrics)
-        self._recorder = recorder_or_null(recorder)
         self._sent_counter = self._metrics.counter("transport.sent")
         self._delivered_counter = self._metrics.counter("transport.delivered")
         self._latency_hist = self._metrics.histogram("transport.latency_seconds")
         self._drop_counters: dict[str, Counter] = {}
-
-    @staticmethod
-    def _model_streamable(model: LinkModel) -> bool:
-        """Can per-link latency streams be pre-sampled from ``model``?"""
-        return bool(
-            getattr(model, "supports_batch_trace", False)
-            and getattr(model, "is_time_invariant", False)
-        )
 
     def count_drops(self, cause: str, count: int = 1) -> None:
         """Account ``count`` lost messages to ``cause``.
@@ -202,21 +169,6 @@ class Transport:
         self._delivered_counter.inc(delivered)
         self._latency_hist.observe_many(latencies)
 
-    def _drop(self, cause: str, src: int, dst: int, now: float) -> None:
-        """One message lost on the wire: accounted and put on the timeline."""
-        self.count_drops(cause)
-        self._recorder.record("transport.drop", t=now, src=src, dst=dst, cause=cause)
-
-    @property
-    def trace_enabled(self) -> bool:
-        """Whether every delivery is being recorded into :attr:`deliveries`."""
-        return self._trace
-
-    @property
-    def recorder_enabled(self) -> bool:
-        """Whether a live per-event recorder observes this transport."""
-        return self._recorder.enabled
-
     @property
     def stream_sampling_active(self) -> bool:
         """Whether sends currently consume pre-sampled per-link streams.
@@ -235,16 +187,8 @@ class Transport:
 
     @property
     def link_model(self) -> LinkModel:
-        """The installed link model.  Assignable without rebuilding the
-        transport; a new model invalidates the pre-sampled streams."""
+        """The installed link model."""
         return self._link_model
-
-    @link_model.setter
-    def link_model(self, model: LinkModel) -> None:
-        self._link_model = model
-        self._streams.clear()
-        self._columns.clear()
-        self._streams_usable = self._model_streamable(model)
 
     def _column(self, column: int) -> np.ndarray:
         """Rounds ``[256 * column, 256 * (column + 1))`` of every lane of
@@ -386,7 +330,7 @@ class Transport:
             if quiet is not None and quiet(now):
                 faults = None
         read = self.stream_latency if self.stream_sampling_active else None
-        trace, observe = self._trace, self._latency_hist.observe
+        observe = self._latency_hist.observe
         heap, seqs = self._queue._heap, self._queue._counter
         push, deliver = heapq.heappush, self._deliver
         self.messages_sent += len(destinations)
@@ -420,30 +364,23 @@ class Transport:
                         latency = None
                     elif guard and not latency >= 0.0:
                         raise not_a_delay(self._link_model, src, dst, latency)
-            record: Optional[Delivery] = None
-            if trace:
-                kept = payload if self._trace_payloads else None
-                record = Delivery(src, dst, now, latency, kept)
-                self.deliveries.append(record)
             if latency is None:
-                self._drop(cause or "link", src, dst, now)
+                self.count_drops(cause or "link")
                 continue
             observe(latency)
             # Every latency is a checked delay by now (a stream chunk
             # when drawn, anything else above), so it goes on the heap as
             # ``schedule_in`` would put it, without the handle.
-            push(heap, (now + latency, 0, next(seqs), deliver, (src, dst, payload, record)))
+            push(heap, (now + latency, 0, next(seqs), deliver, (src, dst, payload)))
 
-    def _deliver(self, src: int, dst: int, payload: Any, record: Optional[Delivery]) -> None:
+    def _deliver(self, src: int, dst: int, payload: Any) -> None:
         """A message arrives, at whatever handler ``dst`` has by now."""
         handler = self._handlers.get(dst)
         if handler is None:
             # A destination that never registered cannot receive: the
             # message is lost, and must be counted as such or loss
             # statistics under-report.
-            self._drop("unregistered", src, dst, self._simulator.now)
-            if record is not None:
-                record.undeliverable = True
+            self.count_drops("unregistered")
             return
         self._delivered_counter.inc()
         handler(src, payload)

@@ -30,7 +30,7 @@ resynchronization after disruptions — properties the test-suite checks.
 
 from repro.sync.round_sync import RoundLog, SyncedNode, SyncRun, SyncRunResult
 from repro.sync.heartbeat import HeartbeatAlgorithm, ProbeScenario, probe_run
-from repro.sync.batch import batch_ineligible_reason, run_batched, twin_runs
+from repro.sync.batch import batch_eligibility, run_batched, twin_runs
 
 __all__ = [
     "RoundLog",
@@ -40,7 +40,7 @@ __all__ = [
     "HeartbeatAlgorithm",
     "ProbeScenario",
     "probe_run",
-    "batch_ineligible_reason",
+    "batch_eligibility",
     "run_batched",
     "twin_runs",
 ]

@@ -14,8 +14,11 @@ conclusion.
 This module executes such a run without the event heap:
 
 1. the common round grid ``t[0..R]`` is accumulated with the exact float
-   additions the scalar timers perform (``t[k] = t[k-1] + D``), and the
-   run's permanent crashes are placed on it in closed form;
+   additions the scalar timers perform (``t[k] = t[k-1] + D``) — all
+   ``R = max_rounds`` of it, since a run always runs to its end, whatever
+   ``D`` a slow clock stretches a round to — and the run's permanent
+   crashes are placed on it in closed form (which runs stay on one grid
+   is :func:`batch_eligibility`'s to say);
 2. the probe stream (:class:`~repro.sync.heartbeat.HeartbeatAlgorithm`,
    under a :class:`~repro.oracles.omega.HeartbeatOmega` or no oracle)
    sends to everyone every round and ignores what it hears, so its whole
@@ -271,9 +274,13 @@ def twin_runs(build: Callable[[], SyncRun]) -> TwinRuns:
     the first under ``auto`` (batched where eligible) and the second on
     the forced scalar event loop, and diff the two.  ``build`` must give
     each call a run of its own — network, registry, observers — built
-    from the same seeds."""
+    from the same seeds.  A run the ``auto`` leg already put on the
+    scalar loop is its own twin: it is built and run once, returned as
+    both legs, with nothing diverged."""
     auto_run = build()
     auto = auto_run.run()
+    if auto_run.executed_mode == "scalar":
+        return TwinRuns(auto_run, auto, auto_run, auto, [])
     scalar_run = build()
     scalar = scalar_run.run(mode="scalar")
     return TwinRuns(
@@ -282,9 +289,7 @@ def twin_runs(build: Callable[[], SyncRun]) -> TwinRuns:
     )
 
 
-def batch_ineligible_reason(
-    run: SyncRun, time_limit: float
-) -> Optional[str]:
+def batch_eligibility(run: SyncRun) -> Optional[str]:
     """Why ``run`` cannot take the batched path, or ``None`` if it can.
 
     The batched path reproduces the scalar event loop bit-for-bit for
@@ -294,48 +299,25 @@ def batch_ineligible_reason(
     bursts, partitions, slow nodes, leader churn), live telemetry and
     observers.  What still forces the scalar path is anything that can
     move a node off the common round grid (crash *recovery*, clock
-    steps, drift, staggered starts), randomness that cannot be
-    pre-sampled (dynamic link models), a ``time_limit`` inside the run
-    — six named reasons — or a run that is no longer, or never was, a
-    stock one (``"not a stock run"``).
+    steps, drift, staggered starts) or randomness that cannot be
+    pre-sampled (dynamic link models) — five named reasons — or a run
+    that is no longer, or never was, a stock one (``"not a stock run"``).
     The returned string is the fallback taxonomy, surfaced as
     :attr:`SyncRun.fallback_reason` and counted per run in the
     ``sync.batch_fallback`` counter family.
     """
-    return batch_eligibility(run, time_limit)[0]
-
-
-def batch_eligibility(
-    run: SyncRun, time_limit: float
-) -> tuple[Optional[str], list[float]]:
-    """:func:`batch_ineligible_reason`'s verdict, plus the round grid an
-    eligible run was admitted on — built once, here, and handed to
-    :func:`run_batched`."""
-    reason = _off_grid_reason(run)
-    times = _round_grid(run) if reason is None else []
-    if times and times[-1] > time_limit:
-        reason = "time limit truncates the run"
-    return reason, times
-
-
-def _off_grid_reason(run: SyncRun) -> Optional[str]:
-    """What keeps ``run`` off one common, pre-computable round grid."""
     transport, policy, plan = run.transport, run.link_faults, run.fault_plan
     inner = base_oracle(run.nodes[0].oracle)
     # The run is not as its constructor left it (a node, the transport,
     # the simulator or the fault policy already used; a node given its
-    # own timeout, ``max_rounds`` or oracle), or it carries per-event
-    # instrumentation (JSONL recorder, delivery tracing) or a foreign
+    # own timeout, ``max_rounds`` or oracle), or it carries a foreign
     # transport — nothing a constructor argument of a stock run produces.
     if (
         any(
             node.process.round != 0 or node.running or node.crashed
             for node in run.nodes
         )
-        or run.recorder.enabled
         or type(transport) is not Transport
-        or transport.trace_enabled
-        or transport.recorder_enabled
         or transport.streams_started
         or transport.messages_sent
         or transport.faults is not policy
@@ -405,10 +387,12 @@ class _Grid(NamedTuple):
     crash_events: int
 
 
-def _grid(run: SyncRun, times: list[float]) -> _Grid:
-    """Who begins, ends and hears which rounds of ``times``: permanent
-    crashes only (eligibility rejects recoveries and clock steps)."""
+def _grid(run: SyncRun) -> _Grid:
+    """Who begins, ends and hears which rounds of the run's grid:
+    permanent crashes only (eligibility rejects recoveries and clock
+    steps)."""
     n, rounds, plan = run.n, run.max_rounds, run.fault_plan
+    times = _round_grid(run)
     starts = np.asarray(times[:-1])
     stop = times[-1]
     crash_time = np.full(n, np.inf)
@@ -443,11 +427,11 @@ def _grid(run: SyncRun, times: list[float]) -> _Grid:
     )
 
 
-def run_batched(run: SyncRun, times: list[float]) -> None:
-    """Execute an eligible ``run`` on the batched path, over the round
-    grid ``times`` that :func:`batch_eligibility` admitted it on: the
-    probe stream as whole arrays, any other algorithm stepped one grid
-    round at a time (module docstring).
+def run_batched(run: SyncRun) -> None:
+    """Execute a ``run`` :func:`batch_eligibility` admits on the batched
+    path, over its common round grid: the probe stream as whole arrays,
+    any other algorithm stepped one grid round at a time (module
+    docstring).
 
     Leaves behind what the scalar event loop would have: the run's
     :class:`~repro.sync.round_sync.RoundLog`, the nodes' late-message
@@ -469,7 +453,7 @@ def run_batched(run: SyncRun, times: list[float]) -> None:
     feed :class:`~repro.sync.round_sync.SyncRunResult` or the metric
     totals.
     """
-    grid = _grid(run, times)
+    grid = _grid(run)
     run.log.reach(run.max_rounds)
     inner = base_oracle(run.nodes[0].oracle)
     if type(inner) in (HeartbeatOmega, NullOracle) and all(
@@ -481,7 +465,7 @@ def run_batched(run: SyncRun, times: list[float]) -> None:
     # Leave the simulator where the scalar loop leaves it: at the last
     # surviving round-end timer, the never-fired events discarded.
     run.simulator.drain()
-    run.simulator.fast_forward(times[-1])
+    run.simulator.fast_forward(grid.times[-1])
 
 
 def _close(

@@ -33,7 +33,6 @@ from repro.faults.plan import FaultPlan
 from repro.giraf.kernel import GirafAlgorithm
 from repro.giraf.oracle import Oracle
 from repro.giraf.process import GirafProcess, notify
-from repro.obs.recorder import RunRecorder, recorder_or_null
 from repro.obs.registry import MetricsRegistry, registry_or_null
 from repro.sim.clock import Clock
 from repro.sim.events import Event, Simulator
@@ -130,7 +129,6 @@ class SyncedNode:
         start_time: float = 0.0,
         max_rounds: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
-        recorder: Optional[RunRecorder] = None,
         observers: Sequence[Any] = (),
     ) -> None:
         self.process = process
@@ -149,7 +147,6 @@ class SyncedNode:
         self.start_time = start_time
         self.max_rounds = max_rounds
         self._metrics = registry_or_null(metrics)
-        self._recorder = recorder_or_null(recorder)
         self._rounds_started = self._metrics.counter("sync.rounds_started")
         self._rounds_jumped = self._metrics.counter("sync.rounds_jumped")
         self._rounds_shortened = self._metrics.counter("sync.rounds_shortened")
@@ -298,14 +295,6 @@ class SyncedNode:
             # and shorten it by the expected latency of the trigger.
             self.jumps += 1
             self._rounds_jumped.inc()
-            self._recorder.record(
-                "sync.jump",
-                t=self.simulator.now,
-                pid=self.process.pid,
-                from_round=current,
-                to_round=wire.round_number,
-                src=src,
-            )
             self._end_round(next_round=wire.round_number)
             self._begin_round(self.timeout - self.latency_estimates[src])
             if self.running:  # it did join: the trigger was in time for it
@@ -378,7 +367,6 @@ class SyncRun:
         max_rounds: int = 100,
         fault_plan: Optional[FaultPlan] = None,
         metrics: Optional[MetricsRegistry] = None,
-        recorder: Optional[RunRecorder] = None,
         observers: Sequence[Any] = (),
     ) -> None:
         if clocks is None:
@@ -405,7 +393,6 @@ class SyncRun:
         self.fault_plan = fault_plan
         self.observers = list(observers)
         self.metrics = registry_or_null(metrics)
-        self.recorder = recorder_or_null(recorder)
         self.simulator = Simulator()
         self.transport = transport_factory(self.simulator)
         #: What each round delivered — written by whichever engine
@@ -451,7 +438,6 @@ class SyncRun:
                 start_time=start_times[pid],
                 max_rounds=max_rounds,
                 metrics=metrics,
-                recorder=recorder,
                 observers=self.observers,
             )
             for pid in range(n)
@@ -473,14 +459,9 @@ class SyncRun:
         """Book the plan's node-level faults on the simulator clock."""
         at = self.link_faults.start_of
 
-        def book(time, kind, event, node, action, **details) -> None:
-            pid = node.process.pid
-
+        def book(time, kind, action) -> None:
             def fire() -> None:
                 self.metrics.counter("faults.activations", kind=kind).inc()
-                self.recorder.record(
-                    event, t=self.simulator.now, pid=pid, **details
-                )
                 action()
 
             self.simulator.schedule(time, fire)
@@ -488,15 +469,9 @@ class SyncRun:
         for crash in self.fault_plan.crashes:
             node = self.nodes[crash.pid]
             permanent = crash.recover_round is None
-            book(
-                at(crash.at_round), "crash", "fault.crash", node,
-                partial(node.crash, permanent), permanent=permanent,
-            )
+            book(at(crash.at_round), "crash", partial(node.crash, permanent))
             if not permanent:
-                book(
-                    at(crash.recover_round), "recover", "fault.recover",
-                    node, node.recover,
-                )
+                book(at(crash.recover_round), "recover", node.recover)
         for step in self.fault_plan.clock_steps:
             # A hair into the round, not on the boundary: at the exact
             # round start the previous round's timer is expiring at the
@@ -508,15 +483,18 @@ class SyncRun:
             node = self.nodes[step.pid]
             book(
                 at(step.at_round) + 0.01 * node.timeout,
-                "clock-step", "fault.clock_step", node,
+                "clock-step",
                 partial(node.apply_clock_step, step.offset),
-                offset=step.offset,
             )
 
-    def run(
-        self, time_limit: Optional[float] = None, mode: str = "auto"
-    ) -> SyncRunResult:
-        """Run until every node passes ``max_rounds`` (or the time limit).
+    def run(self, mode: str = "auto") -> SyncRunResult:
+        """Run until every node has passed ``max_rounds`` or crashed for good.
+
+        There is no time limit: the run always ends.  Every round ends,
+        by a jump or by its timer, and a timer fires at least
+        :data:`MIN_ROUND_FRACTION` of the timeout of local time later on
+        a clock whose drift is above −1; a transient crash always has its
+        recovery booked.
 
         ``mode`` selects the execution path:
 
@@ -526,9 +504,9 @@ class SyncRun:
           time-invariant link model, lockstep-uniform nodes, with or
           without a fault plan of permanent crashes, bursts, partitions,
           slow nodes and churn, live metrics and observers
-          (:func:`~repro.sync.batch.batch_ineligible_reason` is the
-          rule: six named reasons and ``"not a stock run"`` keep a run
-          off it) — and fall back to the scalar event loop otherwise
+          (:func:`~repro.sync.batch.batch_eligibility` is the rule: five
+          named reasons and ``"not a stock run"`` keep a run off it) —
+          and fall back to the scalar event loop otherwise
           (``fallback_reason`` says why);
         - ``"scalar"``: always run the event loop (the reference path).
 
@@ -537,17 +515,10 @@ class SyncRun:
         """
         if mode not in ("auto", "scalar"):
             raise ValueError(f"unknown mode {mode!r}")
-        if time_limit is None:
-            # Generous default: every round at full length plus slack —
-            # at the *largest* timeout across nodes, or heterogeneous
-            # runs silently truncate (the max-timeout node never
-            # finishes its rounds and drags last_common_round down).
-            slowest = max(node.timeout for node in self.nodes)
-            time_limit = (self.max_rounds + 10) * slowest * 3
         if mode != "scalar":
             from repro.sync.batch import batch_eligibility, run_batched
 
-            reason, grid = batch_eligibility(self, time_limit)
+            reason = batch_eligibility(self)
             if reason is None:
                 self.executed_mode = "batch"
                 self.fallback_reason = None
@@ -557,7 +528,7 @@ class SyncRun:
                 # The batched path applies the plan's node-level faults
                 # in closed form; they are spent, as if booked.
                 self._faults_scheduled = True
-                run_batched(self, grid)
+                run_batched(self)
                 return self._collect()
             self.fallback_reason = reason
             # The fallback taxonomy, as telemetry: one increment per run
@@ -570,13 +541,11 @@ class SyncRun:
             self._schedule_node_faults()
         # The node whose ``_stop`` ends the run stops the simulator, so
         # "done" requires having started, and no event fires after it.
-        self.simulator.run(until=time_limit)
-        if self.log.stopped == self.n:
-            # What never fired (deliveries in flight, faults booked past
-            # the end) never will: both engines end on an empty queue, so a
-            # finished run holds no event that refers back to it.  (A run
-            # the time limit truncated keeps its queue.)
-            self.simulator.drain()
+        self.simulator.run()
+        # What never fired (deliveries in flight, faults booked past the
+        # end) never will: both engines end on an empty queue, so a
+        # finished run holds no event that refers back to it.
+        self.simulator.drain()
         return self._collect()
 
     def _collect(self) -> SyncRunResult:

@@ -2,9 +2,9 @@
 
 The acceptance bar: transport drop counters reconcile *exactly* against
 the fault plan's realized losses under a mixed plan (loss bursts,
-partitions, crash windows); the JSONL timeline round-trips; disabled
-telemetry observes nothing and perturbs nothing; and the experiments CLI
-emits the full ``--metrics`` artifact set.
+partitions, crash windows); disabled telemetry observes nothing and
+perturbs nothing; and the experiments CLI emits the full ``--metrics``
+artifact set, its JSONL phase timeline included.
 """
 
 import json
@@ -14,7 +14,7 @@ import pytest
 
 from repro.faults import Crash, FaultPlan, LossBurst, Partition
 from repro.giraf import NullOracle
-from repro.obs import MetricsRegistry, RunRecorder, read_jsonl, read_manifest
+from repro.obs import MetricsRegistry, read_jsonl, read_manifest
 from repro.sim import Transport
 from repro.sync import HeartbeatAlgorithm, SyncRun
 from tests.conftest import FixedLatency
@@ -37,27 +37,24 @@ def mixed_plan():
     )
 
 
-def instrumented_run(metrics=None, recorder=None, max_rounds=12):
+def build_run(metrics=None):
     table = np.full((N, N), LATENCY)
     np.fill_diagonal(table, 0.0)
-    run = SyncRun(
+    return SyncRun(
         N,
         lambda pid: HeartbeatAlgorithm(pid, N),
         NullOracle(),
-        lambda sim: Transport(
-            sim,
-            FixedLatency(LATENCY),
-            trace=True,
-            metrics=metrics,
-            recorder=recorder,
-        ),
+        lambda sim: Transport(sim, FixedLatency(LATENCY), metrics=metrics),
         timeout=TIMEOUT,
         latency_table=table,
-        max_rounds=max_rounds,
+        max_rounds=12,
         fault_plan=mixed_plan(),
         metrics=metrics,
-        recorder=recorder,
     )
+
+
+def instrumented_run(metrics=None):
+    run = build_run(metrics)
     return run, run.run()
 
 
@@ -76,19 +73,31 @@ def plan_cause(plan, src, dst, round_number):
 class TestDropReconciliation:
     def test_counters_match_realized_losses_exactly(self):
         metrics = MetricsRegistry()
-        run, _ = instrumented_run(metrics=metrics)
+        run = build_run(metrics)
+        policy = run.link_faults
+        judge = policy.drop
+        verdicts = []
+
+        def spy(src, dst, now):
+            """The policy's own drop, noting each verdict and its cause."""
+            dropped = judge(src, dst, now)
+            cause = policy.last_drop_cause if dropped else None
+            verdicts.append((src, dst, now, cause))
+            return dropped
+
+        policy.drop = spy
+        run.run()
         plan = mixed_plan()
 
         expected = {"crash": 0, "partition": 0, "loss-burst": 0}
-        for record in run.transport.deliveries:
-            if record.latency is not None:
+        for src, dst, now, cause in verdicts:
+            if cause is None:
                 continue
-            round_number = max(1, int(record.sent_at // TIMEOUT) + 1)
-            cause = plan_cause(plan, record.src, record.dst, round_number)
-            # The base link model never loses a message, so every drop
-            # must be attributable to the plan.
-            assert cause is not None, record
-            expected[cause] += 1
+            round_number = max(1, int(now // TIMEOUT) + 1)
+            planned = plan_cause(plan, src, dst, round_number)
+            # Every drop is the plan's, under the cause the plan gives it.
+            assert cause == planned, (src, dst, now)
+            expected[planned] += 1
 
         assert expected["loss-burst"] > 0
         assert expected["partition"] > 0
@@ -140,40 +149,10 @@ class TestDropReconciliation:
         )
 
 
-class TestTimeline:
-    def test_jsonl_round_trip_matches_memory(self, tmp_path):
-        recorder = RunRecorder()
-        instrumented_run(recorder=recorder)
-        kinds = {event["kind"] for event in recorder.events}
-        assert "transport.drop" in kinds
-        assert "fault.crash" in kinds and "fault.recover" in kinds
-        path = tmp_path / "timeline.jsonl"
-        recorder.write_jsonl(path)
-        assert read_jsonl(path) == recorder.events
-
-    def test_drop_events_match_drop_counters(self):
-        metrics = MetricsRegistry()
-        recorder = RunRecorder()
-        run, _ = instrumented_run(metrics=metrics, recorder=recorder)
-        drop_events = [
-            event
-            for event in recorder.events
-            if event["kind"] == "transport.drop"
-        ]
-        assert len(drop_events) == run.transport.messages_lost
-        by_cause = {}
-        for event in drop_events:
-            by_cause[event["cause"]] = by_cause.get(event["cause"], 0) + 1
-        for cause, count in by_cause.items():
-            assert metrics.value("transport.dropped", cause=cause) == count
-
-
 class TestDisabledPath:
     def test_disabled_telemetry_observes_nothing(self):
         metrics = MetricsRegistry(enabled=False)
-        recorder = RunRecorder(enabled=False)
-        instrumented_run(metrics=metrics, recorder=recorder)
-        assert recorder.events == []
+        instrumented_run(metrics=metrics)
         assert metrics.snapshot() == {
             "counters": {},
             "gauges": {},

@@ -196,6 +196,10 @@ MUTANTS = tuple(Mutant(*row) for row in (
      "a jump's joined round is not shortened by L_i[src]",
      "repro.sync.round_sync:SyncedNode._on_receive",
      "self._begin_round(self.timeout - self.latency_estimates[src])", "self._begin_round(self.timeout)"),
+    ("twin-runs-always-skip", "sync",
+     "twin_runs returns the auto leg as its own scalar twin even when it ran batched",
+     "repro.sync.batch:twin_runs",
+     'if auto_run.executed_mode == "scalar":', "if True:"),
     ("collect-credits-jumped-round", "sync",
      "SyncRun._collect credits a round a node jumped over",
      "repro.sync.round_sync:SyncRun._collect",

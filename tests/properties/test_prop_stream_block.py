@@ -69,8 +69,19 @@ STEPS = st.lists(st.one_of(BLOCK, SENDS), min_size=1, max_size=5)
 
 
 def assert_steps_read_the_reference(name, seed, steps):
-    transport = Transport(Simulator(), MODELS[name](seed), trace=True)
+    """Block reads are checked as they are made; a send's payload is its
+    index, and its latency is read off its arrival instant once the
+    simulator has delivered everything (every send is at t = 0, so the
+    instant is the latency bit for bit; a lost message never arrives)."""
+    simulator = Simulator()
+    transport = Transport(simulator, MODELS[name](seed))
+    arrived = {}
+    for pid in range(N):
+        transport.register(
+            pid, lambda src, index: arrived.__setitem__(index, simulator.now)
+        )
     reference = ReferenceStreams(MODELS[name](seed))
+    sends = []  # (link, the send indices, what the reference says)
     for kind, step in steps:
         if kind == "block":
             links = [link for link, _ in step]
@@ -83,14 +94,16 @@ def assert_steps_read_the_reference(name, seed, steps):
                 assert np.isinf(row[count:]).all()
         else:
             link, count = step
-            sent = len(transport.deliveries)
-            for _ in range(count):
-                transport.send(*link, "m")
-            popped = [
-                np.inf if d.latency is None else d.latency
-                for d in transport.deliveries[sent:]
-            ]
-            assert popped == reference.take(link, count).tolist(), link
+            first = transport.messages_sent
+            for index in range(first, first + count):
+                transport.send(*link, index)
+            sends.append(
+                (link, range(first, first + count), reference.take(link, count))
+            )
+    simulator.run()
+    for link, indices, expected in sends:
+        popped = [arrived.get(index, np.inf) for index in indices]
+        assert popped == expected.tolist(), link
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))

@@ -425,6 +425,22 @@ class TestTwinRuns:
         assert len(twins.auto.matrices) == len(twins.scalar.matrices) == 12
         assert twins.diverged == []
 
+    def test_a_run_the_auto_leg_put_on_the_scalar_loop_runs_once(self):
+        factory, timeout = PROFILES["uniform-wan"]
+        plan = FaultPlan(n=8, crashes=(Crash(pid=1, at_round=3, recover_round=6),))
+        built = []
+
+        def build():
+            built.append(build_run(factory, timeout, 5, 12, plan=plan))
+            return built[-1]
+
+        twins = twin_runs(build)
+        assert len(built) == 1
+        assert twins.scalar_run is twins.auto_run
+        assert twins.scalar is twins.auto
+        assert twins.auto_run.executed_mode == "scalar"
+        assert twins.diverged == []
+
     def test_a_build_that_is_not_the_same_twice_is_named(self):
         factory, timeout = PROFILES["uniform-wan"]
         seeds = iter((5, 6))

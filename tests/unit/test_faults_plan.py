@@ -199,6 +199,21 @@ class TestApplication:
         assert faulted[1].sum() == 4 and faulted[1].diagonal().all()
         assert faulted[2].sum() == 4
         assert faulted[3].all() and faulted[4].all()
+        # A stack of runs is the per-run calls stacked: each round's mask
+        # is drawn the same, once, for every run.
+        noisy = FaultPlan(
+            n=4,
+            loss_bursts=(LossBurst(2, 4, 0.5),),
+            slow_nodes=(SlowNode(pid=3, start_round=1, end_round=5, drop_prob=0.5),),
+            seed=3,
+        )
+        runs = np.random.default_rng(0).random((3, 6, 4, 4)) < 0.8
+        stacked = noisy.apply_to_matrices(runs)
+        assert stacked.dtype == bool and stacked.shape == runs.shape
+        assert np.array_equal(
+            stacked, np.stack([noisy.apply_to_matrices(run) for run in runs])
+        )
+        assert not np.array_equal(stacked, runs)
 
     def test_apply_does_not_mutate_input(self):
         stack = full_stack(4, 4)

@@ -3,13 +3,11 @@
 import repro
 from repro.experiments.config import QUICK
 from repro.obs.recorder import (
-    NULL_RECORDER,
     SCHEMA,
     RunRecorder,
     build_manifest,
     read_jsonl,
     read_manifest,
-    recorder_or_null,
     write_manifest,
 )
 
@@ -27,18 +25,11 @@ class TestRunRecorder:
         recorder = RunRecorder(enabled=False)
         recorder.record("a", t=1.0)
         assert recorder.events == []
-        NULL_RECORDER.record("b")
-        assert NULL_RECORDER.events == []
-
-    def test_recorder_or_null(self):
-        assert recorder_or_null(None) is NULL_RECORDER
-        live = RunRecorder()
-        assert recorder_or_null(live) is live
 
     def test_jsonl_round_trip(self, tmp_path):
         recorder = RunRecorder()
-        recorder.record("transport.drop", t=0.25, src=1, dst=2, cause="crash")
-        recorder.record("sync.jump", t=0.5, pid=0, from_round=1, to_round=3)
+        recorder.record("phase.start", phase="wan")
+        recorder.record("phase.end", t=0.5, phase="wan", seconds=0.5)
         path = tmp_path / "timeline.jsonl"
         recorder.write_jsonl(path)
         assert read_jsonl(path) == recorder.events

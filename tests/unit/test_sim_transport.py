@@ -15,6 +15,23 @@ from repro.sim.transport import STREAM_CHUNK, Transport
 from tests.conftest import FixedLatency
 
 
+class Arrivals:
+    """A receive handler noting when each message arrived, under its
+    payload (a send index).  Messages are sent at t = 0, so a message's
+    arrival instant is its latency, bit for bit; a lost message is one
+    that never arrives (``None``)."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.at = {}
+
+    def __call__(self, src, payload):
+        self.at[payload] = self.sim.now
+
+    def latencies(self, indices):
+        return [self.at.get(index) for index in indices]
+
+
 class TestTransport:
     def test_delivers_after_latency(self):
         sim = Simulator()
@@ -60,13 +77,13 @@ class TestTransport:
 
     def test_unregistered_destination_counts_as_lost(self):
         sim = Simulator()
-        transport = Transport(sim, FixedLatency(0.1), trace=True)
+        metrics = MetricsRegistry()
+        transport = Transport(sim, FixedLatency(0.1), metrics=metrics)
         transport.send(0, 9, "void")
         sim.run()  # must not raise
         assert transport.messages_lost == 1
-        assert len(transport.deliveries) == 1
-        assert transport.deliveries[0].undeliverable
-        assert transport.deliveries[0].lost
+        assert metrics.value("transport.dropped", cause="unregistered") == 1
+        assert metrics.value("transport.delivered") == 0
 
     def test_late_registration_before_delivery_still_receives(self):
         sim = Simulator()
@@ -92,37 +109,15 @@ class TestTransport:
     def test_trace_records_deliveries_and_losses(self):
         sim = Simulator()
         toggling = FixedLatency(0.5)
-        transport = Transport(sim, toggling, trace=True)
-        transport.register(1, lambda s, p: None)
-        transport.send(0, 1, "a")
+        transport = Transport(sim, toggling)
+        arrivals = Arrivals(sim)
+        transport.register(1, arrivals)
+        transport.send(0, 1, 0)
         toggling.latency = None
-        transport.send(0, 1, "b")
+        transport.send(0, 1, 1)
         sim.run()
-        assert len(transport.deliveries) == 2
-        assert transport.deliveries[0].latency == 0.5
-        assert transport.deliveries[1].lost
-
-    def test_trace_keeps_metadata_but_not_payloads_by_default(self):
-        # Long robustness runs trace millions of messages; retaining the
-        # payload object of every one would grow memory without bound.
-        sim = Simulator()
-        transport = Transport(sim, FixedLatency(0.5), trace=True)
-        transport.register(1, lambda s, p: None)
-        transport.send(0, 1, ["a", "large", "payload"])
-        sim.run()
-        record = transport.deliveries[0]
-        assert record.payload is None
-        assert (record.src, record.dst, record.latency) == (0, 1, 0.5)
-
-    def test_trace_payloads_opt_in_retains_objects(self):
-        sim = Simulator()
-        transport = Transport(
-            sim, FixedLatency(0.5), trace=True, trace_payloads=True
-        )
-        transport.register(1, lambda s, p: None)
-        transport.send(0, 1, "keep-me")
-        sim.run()
-        assert transport.deliveries[0].payload == "keep-me"
+        assert arrivals.latencies(range(2)) == [0.5, None]
+        assert (transport.messages_sent, transport.messages_lost) == (2, 1)
 
 
 class TestBatchStreams:
@@ -134,15 +129,16 @@ class TestBatchStreams:
 
     def test_stream_latencies_come_from_the_link_substream(self):
         sim = Simulator()
-        transport = Transport(sim, self.model(), trace=True)
-        transport.register(1, lambda s, p: None)
-        for _ in range(20):
-            transport.send(0, 1, "m")
+        transport = Transport(sim, self.model())
+        arrivals = Arrivals(sim)
+        transport.register(1, arrivals)
+        for index in range(20):
+            transport.send(0, 1, index)
         sim.run()
         # A link's stream is its column of a trace: the transport draws
         # whole STREAM_CHUNK-round columns, a 20-round trace their head.
         reference = self.model().sample_trace_batch(20, 0.1)[:, 1, 0]
-        observed = [d.latency for d in transport.deliveries]
+        observed = arrivals.latencies(range(20))
         expected = [None if np.isinf(v) else float(v) for v in reference]
         assert observed == expected  # bit-identical: same stream
 
@@ -150,16 +146,24 @@ class TestBatchStreams:
         # The batched engine takes a link's latencies in bulk where the
         # event loop pops them one by one; a stream must not be able to
         # tell — across the STREAM_CHUNK refill boundary included.  A
-        # per-message pop is a traced send, read back as its latency.
+        # per-message pop is a send, read back as its latency once the
+        # simulator has delivered it (every send is at t = 0).
         total = STREAM_CHUNK + 40
 
-        def pops(transport, count):
-            sent = len(transport.deliveries)
-            for _ in range(count):
-                transport.send(0, 1, "m")
+        def link():
+            sim = Simulator()
+            transport = Transport(sim, self.model())
+            arrivals = Arrivals(sim)
+            transport.register(1, arrivals)
+            return sim, transport, arrivals
+
+        def pops(sim, transport, arrivals, count):
+            for index in range(count):
+                transport.send(0, 1, index)
+            sim.run()
             return [
-                np.inf if d.latency is None else d.latency
-                for d in transport.deliveries[sent:]
+                np.inf if latency is None else latency
+                for latency in arrivals.latencies(range(count))
             ]
 
         def bulk(transport, count):
@@ -167,15 +171,15 @@ class TestBatchStreams:
             assert row.shape == (count,)
             return row.tolist()
 
-        popped = Transport(Simulator(), self.model(), trace=True)
-        alone = pops(popped, total)
-        after = bulk(popped, STREAM_CHUNK)
+        popped = link()
+        alone = pops(*popped, total)
+        after = bulk(popped[1], STREAM_CHUNK)
         for count in (0, 7, STREAM_CHUNK - 1, STREAM_CHUNK, STREAM_CHUNK + 5):
-            mixed = Transport(Simulator(), self.model(), trace=True)
-            head = bulk(mixed, count)
-            assert head + pops(mixed, total - count) == alone, count
+            mixed = link()
+            head = bulk(mixed[1], count)
+            assert head + pops(*mixed, total - count) == alone, count
             # Same cursor: the next bulk draw is equal too.
-            assert bulk(mixed, STREAM_CHUNK) == after
+            assert bulk(mixed[1], STREAM_CHUNK) == after
         # A crashed source sends nothing: drawing nothing opens no stream.
         untouched = Transport(Simulator(), self.model())
         assert untouched.next_stream_block([(0, 1), (2, 3)], [0, 0]).shape == (2, 0)
@@ -235,34 +239,18 @@ class TestBatchStreams:
         # must not perturb the 0->1 latency sequence.
         def run(interleave):
             sim = Simulator()
-            transport = Transport(sim, self.model(), trace=True)
-            for node in range(4):
-                transport.register(node, lambda s, p: None)
-            for _ in range(10):
-                transport.send(0, 1, "m")
+            transport = Transport(sim, self.model())
+            arrivals = Arrivals(sim)
+            transport.register(1, arrivals)
+            transport.register(3, lambda s, p: None)
+            for index in range(10):
+                transport.send(0, 1, index)
                 if interleave:
                     transport.send(2, 3, "noise")
             sim.run()
-            return [
-                d.latency for d in transport.deliveries if (d.src, d.dst) == (0, 1)
-            ]
+            return arrivals.latencies(range(10))
 
         assert run(interleave=False) == run(interleave=True)
-
-    def test_wrapper_install_falls_back_to_scalar_sampling(self):
-        # Installing a model that is not batch-capable through the
-        # link_model setter must flip the transport onto the scalar
-        # path: its samples must be drawn per send.
-        sim = Simulator()
-        transport = Transport(sim, self.model())
-        assert transport._streams_usable
-        wrapper = FixedLatency(0.25)
-        transport.link_model = wrapper
-        assert not transport._streams_usable
-        transport.register(1, lambda s, p: None)
-        transport.send(0, 1, "m")
-        sim.run()
-        assert wrapper.asked == [(0, 1, 0.0)]
 
     def test_batch_streams_opt_out_uses_scalar_path(self):
         sim = Simulator()
@@ -283,8 +271,8 @@ class TestBatchStreams:
         # pre-sampled stream cannot know; such models must stay scalar.
         from repro.net.lan import LanProfile
 
-        assert not Transport._model_streamable(LanProfile(seed=0))
-        assert Transport._model_streamable(self.model())
+        assert not Transport(Simulator(), LanProfile(seed=0)).stream_sampling_active
+        assert Transport(Simulator(), self.model()).stream_sampling_active
 
 
 class SecondMessagePolicy:
@@ -413,16 +401,17 @@ class TestFaultSite:
         assert all(np.isfinite(draws))  # no natural loss in the script
         metrics = MetricsRegistry()
         sim = Simulator()
-        transport = Transport(sim, model_factory(), trace=True, metrics=metrics)
+        transport = Transport(sim, model_factory(), metrics=metrics)
         assert transport.stream_sampling_active == streams
         transport.faults = policy_factory()
-        transport.register(1, lambda s, p: None)
-        for _ in range(3):
-            transport.send(0, 1, "m")
+        arrivals = Arrivals(sim)
+        transport.register(1, arrivals)
+        for index in range(3):
+            transport.send(0, 1, index)
         sim.run()
 
         expected = (streamed if streams else scalar)(draws)
-        assert [d.latency for d in transport.deliveries] == expected
+        assert arrivals.latencies(range(3)) == expected
         lost = expected.count(None)
         assert transport.messages_lost == lost
         dropped = {
@@ -450,7 +439,7 @@ class TestFaultSite:
         metrics = MetricsRegistry()
         sim = Simulator()
         model = self.SOURCES[source](value)
-        transport = Transport(sim, model, trace=True, metrics=metrics)
+        transport = Transport(sim, model, metrics=metrics)
         assert transport.stream_sampling_active == (source == "streamed")
         if stretched:
             transport.faults = Stretch(3.0)
@@ -470,7 +459,6 @@ class TestFaultSite:
         assert sim.pending_events == 0
         assert received == ([] if lost else [0.0])
         assert (transport.messages_sent, transport.messages_lost) == (1, int(lost))
-        assert transport.deliveries[0].latency == (None if lost else 0.0)
         assert metrics.value("transport.dropped", cause="link") == (
             1 if lost else None
         )
@@ -540,12 +528,13 @@ class TestFaultSite:
         # link's position in its substream — unlike swapping the model.
         draws = streamable_draws()
         sim = Simulator()
-        transport = Transport(sim, streamable_model(), trace=True)
-        transport.register(1, lambda s, p: None)
-        transport.send(0, 1, "m")
+        transport = Transport(sim, streamable_model())
+        arrivals = Arrivals(sim)
+        transport.register(1, arrivals)
+        transport.send(0, 1, 0)
         transport.faults = SecondMessagePolicy()
-        transport.send(0, 1, "m")
+        transport.send(0, 1, 1)
         transport.faults = None
-        transport.send(0, 1, "m")
+        transport.send(0, 1, 2)
         sim.run()
-        assert [d.latency for d in transport.deliveries] == draws
+        assert arrivals.latencies(range(3)) == draws

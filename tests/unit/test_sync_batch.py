@@ -11,7 +11,6 @@ import sys
 import numpy as np
 import pytest
 
-import repro.sync.batch as batch_module
 from repro.faults.plan import (
     ClockStep, Crash, FaultPlan, LeaderChurn, LossBurst, Partition,
 )
@@ -20,13 +19,12 @@ from repro.giraf.kernel import RoundOutput
 from repro.giraf.oracle import FixedLeaderOracle, NullOracle
 from repro.net import lan_profile, planetlab_profile, uniform_wan_profile
 from repro.net.base import LatencyModel
-from repro.obs.recorder import RunRecorder
 from repro.obs.registry import MetricsRegistry
 from repro.sim import Clock, Transport
 from repro.sync import (
     HeartbeatAlgorithm,
     SyncRun,
-    batch_ineligible_reason,
+    batch_eligibility,
     probe_run,
     twin_runs,
 )
@@ -40,9 +38,9 @@ def make_run(n=4, timeout=0.1, max_rounds=15, factory=uniform_wan_profile,
     return probe_run(profile, table, timeout, max_rounds, **extras)
 
 
-def make_odd_run(recorder=None, **transport_kwargs):
-    """What no argument of the stock constructor produces: a recorder on
-    the run, options on the transport."""
+def make_odd_run(**transport_kwargs):
+    """What no argument of the stock constructor produces: options on the
+    transport."""
     n = 4
     return SyncRun(
         n,
@@ -54,7 +52,6 @@ def make_odd_run(recorder=None, **transport_kwargs):
         timeout=0.1,
         latency_table=np.full((n, n), 0.02),
         max_rounds=15,
-        recorder=recorder,
     )
 
 
@@ -100,11 +97,6 @@ class TestFallbackReasons:
         plan = FaultPlan(n=4, clock_steps=(ClockStep(pid=1, at_round=3, offset=0.05),))
         self.assert_falls_back(make_run(plan=plan), "clock steps")
 
-    def test_run_recorder(self):
-        self.assert_falls_back(
-            make_odd_run(recorder=RunRecorder()), "not a stock run"
-        )
-
     def test_fault_policy_already_consumed(self):
         plan = FaultPlan(
             n=4,
@@ -112,12 +104,7 @@ class TestFallbackReasons:
         )
         run = make_run(plan=plan)
         run.link_faults.drop(0, 1, 0.15)
-        assert batch_ineligible_reason(run, 1e9) == "not a stock run"
-
-    def test_transport_trace(self):
-        self.assert_falls_back(
-            make_odd_run(trace=True), "not a stock run"
-        )
+        assert batch_eligibility(run) == "not a stock run"
 
     def test_streams_disabled(self):
         self.assert_falls_back(
@@ -167,9 +154,6 @@ class TestFallbackReasons:
         starts = [0.0, 0.0, 0.1, 0.0]
         self.assert_falls_back(make_run(start_times=starts), "start")
 
-    def test_time_limit_truncation(self):
-        self.assert_falls_back(make_run(), "time limit", time_limit=0.55)
-
     def test_rerun_falls_back(self):
         run = make_run()
         run.run()
@@ -180,17 +164,7 @@ class TestFallbackReasons:
         run = make_run()
         run.transport.send(0, 1, "warmup")
         # (not run: the foreign payload would crash the receive path)
-        assert batch_ineligible_reason(run, 1e9) == "not a stock run"
-
-
-class TestTruncatedScalarFallback:
-    def test_truncated_run_matches_scalar_semantics(self):
-        # A time limit that cuts the run short is ineligible; the scalar
-        # fallback must produce the truncated observations, not raise.
-        run = make_run(max_rounds=50)
-        result = run.run(time_limit=0.55)
-        assert run.executed_mode == "scalar"
-        assert len(result.matrices) < 50
+        assert batch_eligibility(run) == "not a stock run"
 
 
 class TestWidenedEligibility:
@@ -257,7 +231,7 @@ class TestWidenedEligibility:
             return run
 
         twins = twin_runs(build)
-        assert batch_ineligible_reason(build(), 1e9) is None
+        assert batch_eligibility(build()) is None
         assert twins.auto_run.executed_mode == "batch"
         assert twins.diverged == []
         # Node 0 sent only to the peers it heard: not every round is full.
@@ -265,6 +239,28 @@ class TestWidenedEligibility:
         for a, b in zip(twins.scalar_run.nodes, twins.auto_run.nodes):
             assert a.process.slots == b.process.slots
             assert a.process.outgoing_payload == b.process.outgoing_payload
+
+    @pytest.mark.parametrize("drift", [-0.8, -0.9])
+    def test_a_slow_uniform_clock_runs_every_round_on_the_batch_path(self, drift):
+        """A clock may run at any rate above zero: a shared drift of −0.8
+        stretches every round fivefold, and the run still reaches
+        ``max_rounds`` on the batch path, identical to the scalar loop."""
+
+        def build():
+            clocks = [Clock(drift=drift) for _ in range(4)]
+            return make_run(max_rounds=50, clocks=clocks)
+
+        run = build()
+        assert len(run.run().matrices) == 50
+        assert run.executed_mode == "batch"
+        assert twin_runs(build).diverged == []
+
+    def test_slow_heterogeneous_clocks_run_every_round_on_the_scalar_loop(self):
+        clocks = [Clock(drift=drift) for drift in (-0.8, -0.79, -0.8, -0.78)]
+        run = make_run(max_rounds=50, clocks=clocks)
+        assert len(run.run().matrices) == 50
+        assert run.executed_mode == "scalar"
+        assert run.fallback_reason == "heterogeneous clock drift"
 
     def test_heartbeat_omega_rides_the_batch_path(self):
         run = make_run(omega=True)
@@ -378,18 +374,6 @@ class TestOracleReplay:
         batched run enters the detector's module a fixed number of times
         (37 524 calls at 1 500 rounds when it was fed round by round)."""
         assert 0 < self.omega_calls(100) == self.omega_calls(400)
-
-
-class TestTimeLimitBound:
-    """The time-limit check is decided on the exact accumulated grid."""
-
-    def test_boundary_limits_fall_back_to_the_exact_grid(self):
-        run = make_run(max_rounds=1000)
-        grid_end = batch_module._round_grid(run)[-1]
-        assert batch_ineligible_reason(run, grid_end) is None
-        assert batch_ineligible_reason(run, np.nextafter(grid_end, 0.0)) == (
-            "time limit truncates the run"
-        )
 
 
 class TestLanStaticProfile:

@@ -116,18 +116,6 @@ def test_finished_run_is_freed_without_the_collector(kind, mode):
         gc.enable()
 
 
-def test_a_truncated_run_keeps_its_queue():
-    # ``time_limit`` cut the run short: its nodes are still running and
-    # what is pending may yet fire (``run`` can be called again).
-    run = build("clean")
-    run.run(time_limit=2.0, mode="scalar")
-    assert run.simulator.pending_events > 0
-    first = run.log.rounds
-    result = run.run(mode="scalar")
-    assert len(result.matrices) == ROUNDS > first
-    assert run.simulator.pending_events == 0
-
-
 @pytest.mark.parametrize("stack", ["event", "lockstep"])
 def test_a_process_keeps_no_past_round(stack):
     rounds = 1_000

@@ -53,9 +53,10 @@ def last_ended(run, pid):
 
 class TestDefaultTimeLimit:
     def test_slowest_node_finishes_with_heterogeneous_timeouts(self):
-        # Node 1's rounds are 10x longer than node 0's.  The default time
-        # limit used to be derived from nodes[0].timeout alone, which
-        # truncated node 1 mid-run; it must cover the slowest node.
+        # Node 1's rounds are 10x longer than node 0's.  A default time
+        # limit derived from nodes[0].timeout alone once truncated node 1
+        # mid-run; a run has no time limit now, and the slowest node must
+        # still finish every round.
         run = silent_run(timeout=0.1, max_rounds=20)
         run.nodes[1].timeout = 1.0
         result = run.run()
@@ -64,8 +65,8 @@ class TestDefaultTimeLimit:
 
     def test_order_of_slow_node_does_not_matter(self):
         # Same scenario with the slow node first: nodes[0]'s timeout is
-        # now the large one, so the old derivation happened to work; the
-        # fixed one must too.
+        # now the large one, so the old derivation happened to work; a
+        # run without a limit must too.
         run = silent_run(timeout=0.1, max_rounds=20)
         run.nodes[0].timeout = 1.0
         result = run.run()
