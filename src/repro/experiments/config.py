@@ -8,6 +8,7 @@ whole benchmark suite runs in seconds; the shape conclusions are the same.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -34,6 +35,25 @@ class SweepConfig:
     start_points: int = 15
     timeouts: Sequence[float] = field(default_factory=tuple)
     seed: int = 2007
+
+    def __post_init__(self) -> None:
+        # A sweep measures nothing on an empty grid or without runs, and
+        # a NaN or non-positive timeout reads every message late: the
+        # figures would draw p = 0 and NaN decision rounds, or die in
+        # ``summarize`` after the whole sweep was sampled.
+        for name, low in (
+            ("n", 2), ("rounds_per_run", 1), ("runs", 1), ("start_points", 0)
+        ):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value!r}")
+        if not len(self.timeouts):
+            raise ValueError(f"timeouts must not be empty, got {self.timeouts!r}")
+        for timeout in self.timeouts:
+            if not (math.isfinite(timeout) and timeout > 0):
+                raise ValueError(
+                    f"timeouts must be finite and positive, got {timeout!r}"
+                )
 
     def run_seed(
         self, timeout_index: int, run_index: int, purpose: str = "trace"

@@ -84,74 +84,109 @@ def decision_stats_from_vector(
     same call sees the same starts — while distinct cells decorrelate.
     """
     satisfied = np.asarray(satisfied, dtype=bool)
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    if start_points < 0:
-        raise ValueError("start_points must be non-negative")
     if rng is None:
         digest = hashlib.sha256(satisfied.tobytes()).hexdigest()
         name = f"decision:{digest}:{window}:{start_points}:{round_length!r}"
         rng = np.random.default_rng(derive_seed(0, name))
-    total_rounds = len(satisfied)
-    if total_rounds < window + 1:
-        raise ValueError("trace too short for the decision window")
-
-    # Random starts in the first half so windows have room to complete.
-    upper = max(1, total_rounds // 2)
-    starts = rng.integers(0, upper, size=start_points)
-
-    # One pass over the rounds answers every start: a running count of
-    # satisfying rounds tells which windows are full (all ``window`` rounds
-    # from ``k`` on satisfy), and a reverse running minimum turns those
-    # into ``first_full[i]``, the first full window beginning at or after
-    # ``i`` (``total_rounds`` when none is left — a censored start).  The
-    # per-start reference is :func:`repro.models.gsr.rounds_to_decision`.
-    satisfied_before = np.zeros(total_rounds + 1, dtype=np.intp)
-    np.cumsum(satisfied, out=satisfied_before[1:])
-    full = np.flatnonzero(
-        satisfied_before[window:] - satisfied_before[:-window] == window
-    )
-    first_full = np.full(total_rounds, total_rounds, dtype=np.intp)
-    first_full[full] = full
-    first_full = np.minimum.accumulate(first_full[::-1])[::-1]
-
-    begins = first_full[starts]
-    decided = begins < total_rounds
-    rounds_needed = begins[decided] + window - starts[decided]
-
-    samples = int(rounds_needed.size)
-    mean_rounds = float(np.mean(rounds_needed)) if samples else float("nan")
+    starts = draw_starts(rng, len(satisfied), start_points)
+    means, samples = window_decisions(satisfied[None], window, starts[None])
+    mean_rounds = float(means[0])
     return DecisionStats(
         mean_rounds=mean_rounds,
         mean_time=mean_rounds * round_length,
-        samples=samples,
-        censored=start_points - samples,
+        samples=int(samples[0]),
+        censored=start_points - int(samples[0]),
     )
+
+
+def draw_starts(rng, total_rounds: int, start_points: int) -> np.ndarray:
+    """``start_points`` random decision starts in the first half of a
+    ``total_rounds``-round trace, so windows have room to complete."""
+    if start_points < 0:
+        raise ValueError("start_points must be non-negative")
+    return rng.integers(0, max(1, total_rounds // 2), size=start_points)
+
+
+def run_starts(
+    run_seed: Callable[[int], int], runs: int, total_rounds: int, start_points: int
+) -> np.ndarray:
+    """``[r_index]``: run ``r``'s starts, drawn from
+    ``default_rng(run_seed(r))``; shape ``(runs, start_points)``."""
+    starts = np.empty((runs, start_points), dtype=np.int64)
+    for index in range(runs):
+        rng = np.random.default_rng(run_seed(index))
+        starts[index] = draw_starts(rng, total_rounds, start_points)
+    return starts
+
+
+def window_decisions(
+    satisfied: np.ndarray, window: int, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every run's decisions in one pass: the window scan.
+
+    ``satisfied`` is ``(runs, rounds)``, one satisfaction vector per row,
+    and ``starts`` is ``(runs, start_points)``.  Returns, per run, the
+    mean rounds to decision over the starts whose window completed within
+    the trace (NaN where none did) and the number of those starts.
+
+    A running count of satisfying rounds tells which windows are full
+    (all ``window`` rounds from ``k`` on satisfy), and a reverse running
+    minimum turns those into ``first_full[r, i]``, the first full window
+    of run ``r`` beginning at or after ``i`` (``rounds`` when none is
+    left — a censored start).  The per-start reference is
+    :func:`repro.models.gsr.rounds_to_decision`.
+    """
+    satisfied = np.asarray(satisfied, dtype=bool)
+    runs, total_rounds = satisfied.shape
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    if total_rounds < window + 1:
+        raise ValueError("trace too short for the decision window")
+    satisfied_before = np.zeros((runs, total_rounds + 1), dtype=np.intp)
+    np.cumsum(satisfied, axis=1, out=satisfied_before[:, 1:])
+    full = satisfied_before[:, window:] - satisfied_before[:, :-window] == window
+    first_full = np.full((runs, total_rounds), total_rounds, dtype=np.intp)
+    first_full[:, : full.shape[1]] = np.where(
+        full, np.arange(full.shape[1]), total_rounds
+    )
+    first_full = np.minimum.accumulate(first_full[:, ::-1], axis=1)[:, ::-1]
+
+    begins = np.take_along_axis(first_full, starts, axis=1)
+    decided = begins < total_rounds
+    rounds_needed = np.where(decided, begins + window - starts, 0)
+    samples = np.count_nonzero(decided, axis=1)
+    # The integer sums are exact, so each mean is the float mean of the
+    # run's decided starts, bit for bit.
+    means = np.full(runs, np.nan)
+    np.divide(rounds_needed.sum(axis=1), samples, out=means, where=samples > 0)
+    return means, samples
+
+
+def mean_over_deciding_runs(
+    satisfied: np.ndarray, window: int, starts: np.ndarray
+) -> float:
+    """Mean rounds to global decision across the runs of one cell
+    (:func:`window_decisions` rows): the mean is over the runs in which
+    at least one start point reached a decision; ``nan`` when none did."""
+    means, samples = window_decisions(satisfied, window, starts)
+    deciding = means[samples > 0]
+    return float(np.mean(deciding)) if deciding.size else float("nan")
 
 
 def mean_decision_rounds(
     vectors: Sequence[np.ndarray],
     window: int,
-    round_length: float,
     start_points: int,
     run_seed: Callable[[int], int],
 ) -> float:
     """Mean rounds to global decision across the runs of one cell.
 
-    ``vectors[r]`` is run ``r``'s satisfaction vector and ``run_seed(r)``
-    the seed of its start-point draws (every caller keeps its own seed
-    names).  The mean is over the runs in which at least one start point
-    reached a decision; ``nan`` when none did.
+    ``vectors[r]`` is run ``r``'s satisfaction vector (all of one length)
+    and ``run_seed(r)`` the seed of its start-point draws (every caller
+    keeps its own seed names); see :func:`mean_over_deciding_runs`.
     """
-    means = []
-    for index, satisfied in enumerate(vectors):
-        stats = decision_stats_from_vector(
-            satisfied,
-            window,
-            round_length,
-            start_points,
-            rng=np.random.default_rng(run_seed(index)),
-        )
-        if stats.samples:
-            means.append(stats.mean_rounds)
-    return float(np.mean(means)) if means else float("nan")
+    satisfied = np.asarray(vectors, dtype=bool)
+    if not len(satisfied):
+        return float("nan")
+    starts = run_starts(run_seed, len(satisfied), satisfied.shape[1], start_points)
+    return mean_over_deciding_runs(satisfied, window, starts)

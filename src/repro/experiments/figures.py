@@ -24,13 +24,14 @@ from repro.experiments.config import (
 )
 from repro.experiments.decision import (
     decision_stats,  # unused here; the benchmark ledger's tracer patches it
-    mean_decision_rounds,
+    mean_over_deciding_runs,
+    run_starts,
 )
 from repro.experiments.measurement import (
     measured_p,
     model_satisfaction,
     satisfaction_vector,
-    satisfied_fraction,
+    satisfied_fractions,
     timely_matrices,
 )
 from repro.models.registry import get_model
@@ -69,34 +70,45 @@ class WanSweep:
 
     Figures 1(e)-(i) ask the same questions of the same runs — which
     rounds of a run satisfy a model, what fraction that is, how many
-    rounds its decisions take — so the sweep answers each once per model,
-    on first use (:meth:`satisfied`, :meth:`per_run_pm`,
-    :meth:`decision_rounds`), and keeps the answers beside ``runs``.  They
-    are derived data: not compared, not printed, and not on
-    :class:`WanRun`, which is what the process pool and the service ship.
-    Fill ``runs`` before drawing figures from the sweep.
+    rounds its decisions take — so the sweep answers each once, on first
+    use (:meth:`satisfied`, :meth:`per_run_pm`, :meth:`decision_rounds`),
+    one pass per timeout: a timeout's runs are stacked once and every
+    measured model is evaluated on that stack, and each run's decision
+    start points are drawn once for all models.  The answers are kept
+    beside ``runs``.  They are derived data: not compared, not printed,
+    and not on :class:`WanRun`, which is what the process pool and the
+    service ship.  Fill ``runs`` before drawing figures from the sweep.
     """
 
     config: SweepConfig
     leader: int
     runs: dict[float, list[WanRun]] = field(default_factory=dict)
-    #: ``(table, model)`` -> that table's rows, one per timeout.
+    #: ``(table, model)`` -> that table's rows, one per timeout (model
+    #: ``""`` for the start points every model shares).
     _tables: dict[tuple[str, str], list] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def satisfied(self, model: str) -> list[list[np.ndarray]]:
-        """``[t_index][r_index]``: the run's per-round satisfaction of
-        ``model`` (under the sweep's leader, if the model needs one)."""
+    def satisfied(self, model: str) -> list[np.ndarray]:
+        """``[t_index]``: a ``(runs, rounds)`` table whose row ``r`` is
+        run ``r``'s per-round satisfaction of ``model`` (under the
+        sweep's leader, if the model needs one).
+
+        The first call for a measured model evaluates all of
+        :data:`MEASURED_MODELS`, so each timeout's stack is built once.
+        """
         key = ("satisfied", model)
         if key not in self._tables:
-            self._tables[key] = [
-                [
-                    satisfaction_vector(run.matrices, model, self.leader)
-                    for run in self.runs[timeout]
-                ]
-                for timeout in self.config.timeouts
-            ]
+            models = MEASURED_MODELS if model in MEASURED_MODELS else (model,)
+            tables: dict[str, list[np.ndarray]] = {name: [] for name in models}
+            for timeout in self.config.timeouts:
+                runs = self.runs[timeout]
+                stack = np.concatenate([run.matrices for run in runs])
+                for name in models:
+                    vector = satisfaction_vector(stack, name, self.leader)
+                    tables[name].append(vector.reshape(len(runs), -1))
+            for name, rows in tables.items():
+                self._tables[("satisfied", name)] = rows
         return self._tables[key]
 
     def per_run_pm(self, model: str) -> list[list[float]]:
@@ -105,11 +117,29 @@ class WanSweep:
         key = ("pm", model)
         if key not in self._tables:
             self._tables[key] = [
-                [
-                    satisfied_fraction(vector, skip_until_first_stable=True)
-                    for vector in vectors
-                ]
-                for vectors in self.satisfied(model)
+                satisfied_fractions(rows, skip_until_first_stable=True).tolist()
+                for rows in self.satisfied(model)
+            ]
+        return self._tables[key]
+
+    def _start_points(self) -> list[np.ndarray]:
+        """``[t_index]``: a ``(runs, start_points)`` table of each run's
+        decision start points, shared by every model.
+
+        A distinct hashed purpose, not run_seed + offset: additive
+        offsets can collide with another cell's trace stream.
+        """
+        key = ("starts", "")
+        if key not in self._tables:
+            config = self.config
+            self._tables[key] = [
+                run_starts(
+                    partial(config.run_seed, t_index, purpose="decision"),
+                    len(self.runs[timeout]),
+                    config.rounds_per_run,
+                    config.start_points,
+                )
+                for t_index, timeout in enumerate(config.timeouts)
             ]
         return self._tables[key]
 
@@ -118,18 +148,12 @@ class WanSweep:
         averaged over the runs that decided at all (NaN when none did)."""
         key = ("rounds", model)
         if key not in self._tables:
-            config = self.config
-            # A distinct hashed purpose, not run_seed + offset: additive
-            # offsets can collide with another cell's trace stream.
+            window = get_model(model).decision_rounds
             self._tables[key] = [
-                mean_decision_rounds(
-                    vectors,
-                    get_model(model).decision_rounds,
-                    config.timeouts[t_index],
-                    config.start_points,
-                    partial(config.run_seed, t_index, purpose="decision"),
+                mean_over_deciding_runs(rows, window, starts)
+                for rows, starts in zip(
+                    self.satisfied(model), self._start_points()
                 )
-                for t_index, vectors in enumerate(self.satisfied(model))
             ]
         return self._tables[key]
 

@@ -121,18 +121,32 @@ def satisfied_fraction(
     satisfied: np.ndarray, skip_until_first_stable: bool = False
 ) -> float:
     """``P_M`` of a per-round satisfaction vector: the fraction of
-    satisfying rounds.
+    satisfying rounds (see :func:`satisfied_fractions`)."""
+    return float(satisfied_fractions(satisfied, skip_until_first_stable))
+
+
+def satisfied_fractions(
+    satisfied: np.ndarray, skip_until_first_stable: bool = False
+) -> np.ndarray:
+    """``P_M`` along the last axis: one value per run of a ``(runs,
+    rounds)`` table, a 0-d array for one vector.
 
     With ``skip_until_first_stable`` (the paper's Section 5.3 protocol),
     rounds before the first satisfying round are excluded, eliminating
-    startup effects.  Returns 0.0 if no round satisfies the model.
+    startup effects; a run no round satisfies reads 0.0.  Each value is
+    the run's ``mean`` bit for bit: an exact count over a length.
     """
-    if skip_until_first_stable:
-        indices = np.flatnonzero(satisfied)
-        if indices.size == 0:
-            return 0.0
-        satisfied = satisfied[indices[0]:]
-    return float(satisfied.mean())
+    satisfied = np.asarray(satisfied, dtype=bool)
+    counts = satisfied.sum(axis=-1)
+    length = satisfied.shape[-1]
+    if not skip_until_first_stable:
+        return counts / length
+    if not length:
+        return np.zeros(satisfied.shape[:-1])
+    # Rounds before the first satisfying one satisfy nothing, so only the
+    # length shrinks (and stays positive wherever a round satisfies).
+    first = satisfied.argmax(axis=-1)
+    return np.where(counts > 0, counts / (length - first), 0.0)
 
 
 def model_satisfaction(

@@ -182,7 +182,6 @@ def measure_robustness(
         rounds = mean_decision_rounds(
             vecs,
             get_model(model).decision_rounds,
-            timeout,
             config.start_points,
             lambda index: derive_seed(seed, f"faults:decision:{model}:{index}"),
         )

@@ -169,7 +169,6 @@ def choose_timing_model(
             mean_rounds = mean_decision_rounds(
                 vectors,
                 MODELS[model].decision_rounds,
-                timeout,
                 start_points,
                 partial(_decision_seed, seed, t_index),
             )

@@ -568,10 +568,11 @@ class SyncRun:
         ] or list(range(self.n))
         last_ended = (ended * np.arange(len(ended))[:, None]).max(axis=0)
         last = int(last_ended[participants].min())
-        # A row counts only for a node that *executed* round k (ended it,
-        # not skipped it): one that jumped over the round was not timely
-        # even to itself there, and crediting it would inflate P_M.
-        # Nodes that did execute it credited themselves when it began.
+        # A row counts only for a node that *executed* round k (ended it):
+        # one that jumped over the round, or crashed in it for good after
+        # beginning it, was not timely even to itself there, and crediting
+        # it would inflate P_M.  Nodes that did execute it credited
+        # themselves when it began.
         result.matrices = list(
             log.timely[1 : last + 1] & ended[1 : last + 1, :, None]
         )

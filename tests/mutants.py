@@ -118,8 +118,12 @@ MUTANTS = tuple(Mutant(*row) for row in (
      "matrices[:, np.arange(n), np.arange(n)] = True", "pass"),
     ("decision-window-off-by-one", "experiments",
      "the decision-window scan counts one round too many to decide",
-     "repro.experiments.decision:decision_stats_from_vector",
-     "begins[decided] + window - starts[decided]", "begins[decided] + window + 1 - starts[decided]"),
+     "repro.experiments.decision:window_decisions",
+     "begins + window - starts", "begins + window + 1 - starts"),
+    ("starts-share-timeout-zero", "experiments",
+     "a sweep draws every timeout's decision start points from timeout 0's seeds",
+     "repro.experiments.figures:WanSweep._start_points",
+     'partial(config.run_seed, t_index, purpose="decision")', 'partial(config.run_seed, 0, purpose="decision")'),
     ("quiet-during-burst", "faults",
      "PlanLinkFaults.quiet says True while a loss burst is live",
      "repro.faults.event:PlanLinkFaults._view",
@@ -152,6 +156,14 @@ MUTANTS = tuple(Mutant(*row) for row in (
      "batch_satisfies_wlm asks the leader to hear one sender fewer than a majority",
      "repro.models.properties:batch_satisfies_wlm",
      ">= maj", ">= maj - 1"),
+    ("afm-out-count-by-rows", "models",
+     "batch_satisfies_afm counts a source's timely senders, not its timely recipients",
+     "repro.models.properties:batch_satisfies_afm",
+     "out_counts = _count_timely(matrices, axis=1)", "out_counts = _count_timely(matrices, axis=2)"),
+    ("count-wraps-at-256", "models",
+     "the batched timely count keeps its uint8 accumulator from 256 senders on",
+     "repro.models.properties:_count_timely",
+     "dtype = None if flags.shape[axis] < 256 else np.intp", "dtype = None"),
     ("select-leader-argmax", "net",
      "select_leader picks the worst-connected node (argmax)",
      "repro.net.ping:select_leader",
@@ -200,8 +212,8 @@ MUTANTS = tuple(Mutant(*row) for row in (
      "twin_runs returns the auto leg as its own scalar twin even when it ran batched",
      "repro.sync.batch:twin_runs",
      'if auto_run.executed_mode == "scalar":', "if True:"),
-    ("collect-credits-jumped-round", "sync",
-     "SyncRun._collect credits a round a node jumped over",
+    ("collect-credits-unended-round", "sync",
+     "SyncRun._collect credits a round a node began but never ended (it crashed in it for good)",
      "repro.sync.round_sync:SyncRun._collect",
      "log.timely[1 : last + 1] & ended[1 : last + 1, :, None]", "log.timely[1 : last + 1].copy()"),
 ))

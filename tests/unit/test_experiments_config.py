@@ -80,3 +80,35 @@ class TestLanAndWanCellsDrawIndependently:
         # bodies equal to the last bits; independent ones make none.
         shared = np.isclose(bodies[0], bodies[1], rtol=0.0, atol=1e-9)
         assert shared.mean() < 0.01
+
+
+class TestSweepConfigRejectsWhatASweepCannotMeasure:
+    """A NaN or non-positive timeout read every message late (figures of
+    p = 0 with NaN decision rounds), and ``runs=0`` died in ``summarize``
+    only after the whole sweep was sampled: each is refused up front,
+    naming the field and the value."""
+
+    @pytest.mark.parametrize(
+        "timeout", [float("nan"), float("inf"), 0.0, -0.1]
+    )
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        with pytest.raises(ValueError, match=rf"timeouts.*{timeout!r}"):
+            SweepConfig(runs=2, timeouts=(0.2, timeout))
+
+    def test_timeout_grid_must_not_be_empty(self):
+        with pytest.raises(ValueError, match=r"timeouts.*\(\)"):
+            SweepConfig(runs=2, timeouts=())
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("runs", 0), ("n", 1), ("rounds_per_run", 0), ("start_points", -1)],
+    )
+    def test_counts_below_their_floor(self, field, value):
+        with pytest.raises(ValueError, match=rf"{field}.*{value}"):
+            SweepConfig(timeouts=(0.2,), **{field: value})
+
+    def test_the_floors_themselves_are_accepted(self):
+        config = SweepConfig(
+            n=2, rounds_per_run=1, runs=1, start_points=0, timeouts=(1e-6,)
+        )
+        assert config.runs == 1

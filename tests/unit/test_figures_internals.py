@@ -115,6 +115,10 @@ class TestSweepTables:
     """Figures 1(d)-(i) drawn from one sweep share its per-model tables."""
 
     def test_each_run_model_pair_is_evaluated_once(self, monkeypatch):
+        """One ``satisfied_batch`` call per (timeout, model), on a stack
+        of that timeout's runs, each run exactly once."""
+        from collections import Counter
+
         from repro.experiments import figures
         from repro.experiments.config import QUICK
         from repro.models.registry import TimingModel
@@ -124,16 +128,31 @@ class TestSweepTables:
         original = TimingModel.satisfied_batch
 
         def spy(self, matrices, leader=None, **kwargs):
-            calls.append((self.name, id(matrices)))
+            calls.append((self.name, matrices))
             return original(self, matrices, leader=leader, **kwargs)
 
         monkeypatch.setattr(TimingModel, "satisfied_batch", spy)
         for panel in "defghi":
             getattr(figures, f"figure_1{panel}")(sweep=sweep)
 
-        cells = len(QUICK.timeouts) * QUICK.runs
-        assert len(calls) == cells * len(figures.MEASURED_MODELS) == 264
-        assert len(set(calls)) == len(calls)
+        stacks = {
+            timeout: np.concatenate([run.matrices for run in runs])
+            for timeout, runs in sweep.runs.items()
+        }
+        seen = Counter()
+        for model, matrices in calls:
+            (timeout,) = [
+                timeout
+                for timeout, stack in stacks.items()
+                if np.array_equal(stack, matrices)
+            ]
+            seen[timeout, model] += 1
+        assert len(calls) == len(QUICK.timeouts) * 4 == 44
+        assert seen == {
+            (timeout, model): 1
+            for timeout in QUICK.timeouts
+            for model in figures.MEASURED_MODELS
+        }
 
     def test_tables_stay_out_of_equality_repr_and_runs(self):
         from dataclasses import fields

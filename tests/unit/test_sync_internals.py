@@ -125,3 +125,53 @@ class TestSyncRunShape:
             assert matrix.shape == (n, n)
             assert matrix.dtype == bool
         assert len(result.round_durations) == n
+
+
+class TestCollectCreditsExecutedRoundsOnly:
+    """``SyncRun._collect`` keeps a node's row of round k only if the node
+    ended round k: in a round it never executed it was not timely even
+    to itself, diagonal included."""
+
+    N = 4
+
+    def run(self, start_times=None, fault_plan=None):
+        n = self.N
+        run = SyncRun(
+            n,
+            lambda pid: HeartbeatAlgorithm(pid, n),
+            NullOracle(),
+            lambda sim: Transport(sim, FixedLatency(0.05)),
+            timeout=0.2,
+            latency_table=np.full((n, n), 0.05),
+            start_times=start_times,
+            max_rounds=8,
+            fault_plan=fault_plan,
+        )
+        return run, run.run(mode="scalar")
+
+    def test_a_round_jumped_over_is_an_empty_row(self):
+        # Node 3 boots at 0.5 s into round 1 while the others are in
+        # round 3; their round-4 messages (0.65 s) pull it over 2 and 3.
+        run, result = self.run(start_times=[0.0, 0.0, 0.0, 0.5])
+        assert np.isnan(run.log.starts[2:4, 3]).all()
+        assert run.log.starts[4, 3] == pytest.approx(0.65)
+        for k in (2, 3):
+            assert not result.matrices[k - 1][3].any(), k
+            assert result.matrices[k - 1][:3, :3].all(), k
+        assert result.matrices[3].all()
+
+    def test_the_round_a_node_crashes_in_for_good_is_an_empty_row(self):
+        from repro.faults.plan import Crash, FaultPlan
+
+        run, result = self.run(
+            fault_plan=FaultPlan(n=self.N, crashes=(Crash(2, 5),))
+        )
+        log = run.log
+        began = ~np.isnan(log.starts[:, 2])
+        ended = ~np.isnan(log.ends[:, 2])
+        (k,) = np.flatnonzero(began & ~ended)
+        assert log.timely[k, 2, 2]  # it began round k: timely to itself
+        assert k <= len(result.matrices)
+        assert not result.matrices[k - 1][2].any()
+        survivors = [0, 1, 3]
+        assert result.matrices[k - 1][np.ix_(survivors, survivors)].all()
