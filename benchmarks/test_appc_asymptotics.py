@@ -7,7 +7,7 @@ its n² exponent); E(D_AFM) converges to the constant 5 for p > 1/2
 
 import numpy as np
 
-from repro.analysis import afm_upper_bound, expected_rounds_vs_n
+from repro.analysis.asymptotics import afm_upper_bound, expected_rounds_vs_n
 
 
 def build_table(p=0.95, sizes=(4, 8, 16, 32, 64)):

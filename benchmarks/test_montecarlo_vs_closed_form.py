@@ -2,13 +2,8 @@
 
 import numpy as np
 
-from repro.analysis import (
-    estimate_p_model,
-    p_afm,
-    p_es,
-    p_lm,
-    p_wlm,
-)
+from repro.analysis.equations import p_afm, p_es, p_lm, p_wlm
+from repro.analysis.montecarlo import estimate_p_model
 
 
 def build_table(n=8, samples=8_000, p_grid=(0.90, 0.95, 0.99)):

@@ -21,11 +21,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    estimate_p_model,
-    expected_rounds_exact,
-    p_gs,
-    p_wlm,
+from repro.analysis.equations import expected_rounds_exact, p_gs, p_wlm
+from repro.analysis.montecarlo import estimate_p_model
+from repro.analysis.stabilization import (
     predicted_decision_round,
     simulate_adversary_decision_rounds,
 )

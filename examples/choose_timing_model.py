@@ -10,7 +10,7 @@ decision time is close to the overall best.
 Run:  python examples/choose_timing_model.py
 """
 
-from repro.experiments import choose_timing_model
+from repro.experiments.selection import choose_timing_model
 from repro.net import planetlab_profile
 from repro.net.lan import LanProfile
 from repro.net.planetlab import PLANETLAB_SITES

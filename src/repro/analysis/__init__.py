@@ -13,6 +13,11 @@
   (means, variance, 95% confidence intervals).
 - :mod:`stabilization` — decision-round predictions under eventually
   stabilizing message adversaries (post-paper scenario family).
+
+The package re-exports the closed forms, the crossover search and the
+summary statistics, which the plain CLI loads anyway; import
+:mod:`asymptotics`, :mod:`montecarlo` and :mod:`stabilization` from
+their modules (the last pulls in the fault and GIRAF packages).
 """
 
 from repro.analysis.equations import (
@@ -28,15 +33,6 @@ from repro.analysis.equations import (
     expected_decision_rounds,
     DECISION_ROUNDS,
     P_MODEL,
-)
-from repro.analysis.stabilization import (
-    predicted_decision_round,
-    simulate_adversary_decision_rounds,
-)
-from repro.analysis.asymptotics import afm_upper_bound, expected_rounds_vs_n
-from repro.analysis.montecarlo import (
-    estimate_p_model,
-    estimate_decision_rounds,
 )
 from repro.analysis.crossover import find_crossover, optimal_timeout
 from repro.analysis.stats import mean_confidence_interval, summarize
@@ -54,14 +50,8 @@ __all__ = [
     "expected_decision_rounds",
     "DECISION_ROUNDS",
     "P_MODEL",
-    "afm_upper_bound",
-    "expected_rounds_vs_n",
-    "estimate_p_model",
-    "estimate_decision_rounds",
     "find_crossover",
     "optimal_timeout",
     "mean_confidence_interval",
     "summarize",
-    "predicted_decision_round",
-    "simulate_adversary_decision_rounds",
 ]

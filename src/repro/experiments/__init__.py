@@ -12,6 +12,11 @@ provided: ``QUICK`` (seconds, used by default in the benchmark suite) and
 - :mod:`parallel` — multi-process sweep engine (bit-identical to serial).
 - :mod:`cache` — on-disk trace cache shared by both engines.
 - :mod:`report` — plain-text rendering of results.
+- :mod:`selection` — the paper's question as an API
+  (:func:`~repro.experiments.selection.choose_timing_model`).
+
+The package re-exports only what the plain CLI loads anyway; the engine
+and the selector are imported from their modules.
 """
 
 from repro.experiments.config import SweepConfig, QUICK, PAPER
@@ -40,16 +45,7 @@ from repro.experiments.figures import (
     FigureSeries,
 )
 from repro.experiments.cache import TraceCache, cached_trace
-from repro.experiments.parallel import (
-    figure_1c_parallel,
-    run_wan_sweep_parallel,
-)
 from repro.experiments.report import render_series, render_comparison
-from repro.experiments.selection import (
-    choose_timing_model,
-    Recommendation,
-    ModelReport,
-)
 
 __all__ = [
     "SweepConfig",
@@ -75,14 +71,9 @@ __all__ = [
     "figure_1i",
     "FigureSeries",
     "run_wan_sweep",
-    "run_wan_sweep_parallel",
-    "figure_1c_parallel",
     "TraceCache",
     "cached_trace",
     "WanSweep",
     "render_series",
     "render_comparison",
-    "choose_timing_model",
-    "Recommendation",
-    "ModelReport",
 ]

@@ -218,8 +218,9 @@ class TraceCache:
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
-        # name -> every record stored under it, oldest first; built on
-        # the first load, then extended by this instance's own stores.
+        # name -> every record stored under it, oldest first; built by
+        # the first load or entries(), then extended by this instance's
+        # own stores.
         self._index: Optional[dict[str, list[_Record]]] = None
         # This instance's own segment and its length, once it has stored.
         self._writer: Optional[_Segment] = None
@@ -313,9 +314,15 @@ class TraceCache:
         """Number of distinct traces currently on disk.
 
         Rescans the directory rather than trusting this instance's
-        index: pool workers each append to a segment of their own.
+        index: pool workers each append to a segment of their own.  An
+        instance with no index yet keeps the scan as its index, so a run
+        that counts its entries before loading does not scan twice.
         """
-        return len(self._scan())
+        index = self._scan()
+        with self._lock:
+            if self._index is None:
+                self._index = index
+        return len(index)
 
 
 #: The process-wide active cache; ``None`` means caching is off.

@@ -29,7 +29,7 @@ from repro.experiments.decision import (
 )
 from repro.experiments.measurement import (
     measured_p,
-    model_satisfaction,
+    model_satisfaction,  # unused here; the benchmark ledger's tracer patches it
     satisfaction_vector,
     satisfied_fractions,
     timely_matrices,
@@ -245,10 +245,19 @@ def figure_1b(
 @dataclass
 class LanCell:
     """One (timeout, run) cell of the LAN measurement: its measured p and
-    every per-model satisfaction the figure aggregates."""
+    delivery matrices, as a :class:`WanRun` carries them."""
 
     p: float
-    measurements: dict[str, float]
+    matrices: np.ndarray
+
+
+#: Figure 1(c)'s measured series: ``(name, model, leader)``.
+LAN_SERIES = tuple(
+    (f"measured_{model}", model, GOOD_LEADER) for model in MEASURED_MODELS
+) + (
+    ("measured_WLM_avg_leader", "WLM", AVERAGE_LEADER),
+    ("measured_LM_avg_leader", "LM", AVERAGE_LEADER),
+)
 
 
 def lan_cell(config: SweepConfig, t_index: int, r_index: int) -> LanCell:
@@ -264,19 +273,10 @@ def lan_cell(config: SweepConfig, t_index: int, r_index: int) -> LanCell:
     trace = cached_trace(
         "lan", config.n, config.rounds_per_run, timeout, seed
     )
-    matrices = timely_matrices(trace, timeout)
-    measurements: dict[str, float] = {}
-    for model in MEASURED_MODELS:
-        measurements[f"measured_{model}"] = model_satisfaction(
-            matrices, model, leader=GOOD_LEADER
-        )
-    measurements["measured_WLM_avg_leader"] = model_satisfaction(
-        matrices, "WLM", leader=AVERAGE_LEADER
+    return LanCell(
+        p=measured_p(trace, timeout),
+        matrices=timely_matrices(trace, timeout),
     )
-    measurements["measured_LM_avg_leader"] = model_satisfaction(
-        matrices, "LM", leader=AVERAGE_LEADER
-    )
-    return LanCell(p=measured_p(trace, timeout), measurements=measurements)
 
 
 def figure_1c(
@@ -294,15 +294,17 @@ def figure_1c(
 
     ``cells`` may supply precomputed ``cells[t_index][r_index]`` results
     (the parallel engine does); when omitted each cell is computed here.
+    As in :class:`WanSweep`, a timeout's runs are stacked once and each
+    measured series is one :func:`satisfaction_vector` call on the stack;
+    a point is the mean of the runs' ``P_M``.
     """
     x = [float(t) for t in config.timeouts]
     result = FigureSeries(figure="1c", x_label="timeout (s)", x=x)
-    names = (
+    for name in (
         [f"measured_{m}" for m in MEASURED_MODELS]
         + [f"predicted_{m}" for m in MEASURED_MODELS]
         + ["measured_WLM_avg_leader", "measured_LM_avg_leader"]
-    )
-    for name in names:
+    ):
         result.series[name] = []
 
     for t_index in range(len(config.timeouts)):
@@ -318,11 +320,11 @@ def figure_1c(
             result.series[f"predicted_{model}"].append(
                 float(P_MODEL[model](p_hat, config.n))
             )
-        for name in names:
-            if name.startswith("measured"):
-                result.series[name].append(
-                    float(np.mean([cell.measurements[name] for cell in row]))
-                )
+        stack = np.concatenate([cell.matrices for cell in row])
+        for name, model, leader in LAN_SERIES:
+            satisfied = satisfaction_vector(stack, model, leader)
+            per_run = satisfied_fractions(satisfied.reshape(len(row), -1))
+            result.series[name].append(float(np.mean(per_run)))
     result.notes = (
         f"good leader = node {GOOD_LEADER}, "
         f"average leader = node {AVERAGE_LEADER}"

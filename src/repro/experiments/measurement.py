@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.models.registry import TimingModel, get_model
-from repro.net.base import LatencyModel, off_diagonal
+from repro.net.base import LatencyModel
 from repro.net.lan import LanProfile
 from repro.net.planetlab import PlanetLabProfile
 from repro.sim.transport import not_a_delay
@@ -95,10 +95,18 @@ def measured_p(latency_trace: np.ndarray, timeout: float) -> float:
     """Fraction of (off-diagonal) messages delivered within the timeout.
 
     This is the measured analogue of the IID ``p`` — the paper's
-    Figure 1(d) maps timeouts to these values.
+    Figure 1(d) maps timeouts to these values.  It counts the timely
+    entries of the whole trace and takes the diagonal's away: an exact
+    count over a length, the mean of the off-diagonal entries bit for bit
+    (NaN for a trace with no link, as that mean is).
     """
-    links = off_diagonal(latency_trace.shape[1])
-    return float((latency_trace[:, links] < timeout).mean())
+    rounds, n = latency_trace.shape[:2]
+    links = rounds * n * (n - 1)
+    if not links:
+        return float("nan")
+    timely = latency_trace < timeout
+    own = np.count_nonzero(timely.diagonal(axis1=1, axis2=2))
+    return float((np.count_nonzero(timely) - own) / links)
 
 
 def satisfaction_vector(

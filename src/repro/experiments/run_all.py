@@ -36,6 +36,7 @@ pipe (CI logs, ``tee``) held them all back until the end.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import time
@@ -44,15 +45,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from repro.adaptive import (
-    ScenarioConfig,
-    adaptive_report,
-    render_live_extraction,
-    run_adaptive_scenario,
-    run_live_extraction,
-)
-from repro.analysis import expected_decision_rounds, find_crossover
-from repro.check import conformance_report, run_conformance
+from repro.analysis.crossover import find_crossover
+from repro.analysis.equations import expected_decision_rounds
 from repro.experiments import cache as trace_cache
 from repro.experiments.ascii_chart import chart_figure
 from repro.experiments.config import (
@@ -77,15 +71,46 @@ from repro.experiments.figures import (
     figure_1k,
     run_wan_sweep,
 )
-from repro.experiments.parallel import (
-    default_jobs,
-    figure_1c_parallel,
-    run_wan_sweep_parallel,
-)
 from repro.experiments.report import render_comparison, render_series
-from repro.experiments.robustness import robustness_report
 from repro.obs.recorder import RunRecorder, build_manifest, write_manifest
 from repro.obs.registry import MetricsRegistry
+
+#: What only an optional phase or the sweep engine uses, by name: the
+#: module that defines it is imported on the name's first lookup
+#: (:func:`__getattr__`), so a plain serial run never loads it.
+_ON_DEMAND = {
+    name: module
+    for module, names in (
+        ("repro.experiments.robustness", ("robustness_report",)),
+        ("repro.check", ("run_conformance", "conformance_report")),
+        ("repro.adaptive", (
+            "ScenarioConfig",
+            "adaptive_report",
+            "render_live_extraction",
+            "run_adaptive_scenario",
+            "run_live_extraction",
+        )),
+        ("repro.experiments.parallel", (
+            "default_jobs",
+            "figure_1c_parallel",
+            "run_wan_sweep_parallel",
+        )),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    """Import an on-demand name; from then on it is an ordinary global."""
+    if name not in _ON_DEMAND:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_ON_DEMAND[name]), name)
+    globals()[name] = value
+    return value
+
+
+#: This module: the phase runners look every name up on it when called.
+_module = sys.modules[__name__]
 
 
 def headline_numbers() -> str:
@@ -201,8 +226,9 @@ def _cells(config: SweepConfig) -> int:
 
 # ----------------------------------------------------------------------
 # Phase runners: plain functions that look up ``figure_1a`` ..
-# ``run_live_extraction`` in this module's globals when called, because
-# that is where the tests and the benchmark ledger's tracer patch them.
+# ``run_live_extraction`` on this module when called, because that is
+# where the tests and the benchmark ledger's tracer patch them (and where
+# an on-demand name resolves).
 # ----------------------------------------------------------------------
 def _run_analysis(ctx: RunContext) -> None:
     ctx.emit("fig1a", figure_1a(), y_log=True)
@@ -210,14 +236,17 @@ def _run_analysis(ctx: RunContext) -> None:
     ctx.write("headline.txt", headline_numbers() + "\n")
 
 
-def _sweep(ctx: RunContext, label: str, config: SweepConfig, engine, direct):
-    """One measurement sweep, on the parallel engine or directly."""
+def _sweep(
+    ctx: RunContext, label: str, config: SweepConfig, engine: str, direct
+):
+    """One measurement sweep, on the parallel engine (named, so that it is
+    imported only when taken) or directly."""
     progress = _PhaseProgress(label)
     # With profiling on, even jobs=1 routes through the parallel engine
     # (in-process, bit-identical to the serial path) so per-cell timing
     # and cache statistics flow through its aggregation.
     if ctx.jobs > 1 or ctx.profile.enabled:
-        result = engine(
+        result = getattr(_module, engine)(
             config, jobs=ctx.jobs, progress=progress, metrics=ctx.metrics
         )
     else:
@@ -228,14 +257,14 @@ def _sweep(ctx: RunContext, label: str, config: SweepConfig, engine, direct):
 
 def _run_lan(ctx: RunContext) -> None:
     fig1c = _sweep(
-        ctx, "LAN sweep", ctx.lan_config, figure_1c_parallel, figure_1c
+        ctx, "LAN sweep", ctx.lan_config, "figure_1c_parallel", figure_1c
     )
     ctx.emit("fig1c", fig1c)
 
 
 def _run_wan(ctx: RunContext) -> None:
     ctx.sweep = _sweep(
-        ctx, "WAN sweep", ctx.wan_config, run_wan_sweep_parallel, run_wan_sweep
+        ctx, "WAN sweep", ctx.wan_config, "run_wan_sweep_parallel", run_wan_sweep
     )
 
 
@@ -252,19 +281,21 @@ def _run_faults(ctx: RunContext) -> None:
     # Reuses the sweep already in memory (and therefore the trace
     # cache): the fault masks are applied to the cached matrices, so
     # this phase simulates nothing new.
-    report = robustness_report(sweep=ctx.sweep, seed=ctx.wan_config.seed)
+    report = _module.robustness_report(
+        sweep=ctx.sweep, seed=ctx.wan_config.seed
+    )
     ctx.write("faults.txt", report + "\n")
 
 
 def _run_check(ctx: RunContext) -> None:
-    conformance = run_conformance(
+    conformance = _module.run_conformance(
         seed=ctx.wan_config.seed,
         mc_samples=2000 if ctx.args.scale == "quick" else 4000,
         metrics=ctx.metrics,
     )
     ctx.write(
         "conformance.txt",
-        conformance_report(conformance),
+        _module.conformance_report(conformance),
         note=f" ({'PASS' if conformance.ok else 'FAIL'})",
     )
 
@@ -273,11 +304,13 @@ def _run_adaptive(ctx: RunContext) -> None:
     # Independent of the sweep: the scenario samples its own base
     # trace and derives all randomness from its own config seed, so
     # the artifact is identical whatever phases ran before it.
-    comparison = run_adaptive_scenario(ScenarioConfig(), metrics=ctx.metrics)
-    live = run_live_extraction(ScenarioConfig(), metrics=ctx.metrics)
+    config = _module.ScenarioConfig()
+    comparison = _module.run_adaptive_scenario(config, metrics=ctx.metrics)
+    live = _module.run_live_extraction(config, metrics=ctx.metrics)
+    report = _module.adaptive_report(comparison)
     ctx.write(
         "adaptive.txt",
-        f"{adaptive_report(comparison)}\n\n{render_live_extraction(live)}\n",
+        f"{report}\n\n{_module.render_live_extraction(live)}\n",
         note=f" (regret {comparison.regret_seconds:+.2f}s, "
         f"{comparison.total_violations} violations, live extraction "
         f"mode={live.executed_mode})",
@@ -423,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
         args=args,
         wan_config=PAPER if args.scale == "paper" else QUICK,
         lan_config=PAPER_LAN if args.scale == "paper" else QUICK_LAN,
-        jobs=args.jobs if args.jobs > 0 else default_jobs(),
+        jobs=args.jobs if args.jobs > 0 else _module.default_jobs(),
         profile=_RunProfile(enabled=args.metrics is not None),
     )
     cache = None

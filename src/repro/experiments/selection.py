@@ -18,11 +18,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.analysis.crossover import optimal_timeout
-from repro.experiments.decision import mean_decision_rounds
+from repro.experiments.decision import mean_over_deciding_runs, run_starts
 from repro.experiments.measurement import (
     sample_latency_trace,
     satisfaction_vector,
-    satisfied_fraction,
+    satisfied_fractions,
     timely_matrices,
 )
 from repro.experiments.report import format_cell
@@ -141,6 +141,8 @@ def choose_timing_model(
             best decision time is within this fraction of the overall
             best (the paper's "80 ms more ... clearly well worth using").
     """
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     table = measure_latency_table(network(seed=_ping_seed(seed)), pings=20)
     leader = select_leader(table)
     recommendation = Recommendation(leader=leader)
@@ -148,7 +150,11 @@ def choose_timing_model(
     times: dict[str, list[float]] = {m: [] for m in CANDIDATES}
     satisfaction: dict[str, list[float]] = {m: [] for m in CANDIDATES}
     for t_index, timeout in enumerate(timeouts):
-        matrices_by_run = [
+        # One stack per timeout and one satisfaction vector per model on
+        # it; P_M and the decision statistics are both read off the
+        # model's (runs, rounds) table.  The start points do not depend
+        # on the model, so they are drawn once for all of them.
+        stack = np.concatenate([
             timely_matrices(
                 sample_latency_trace(
                     network(seed=_cell_seed(seed, t_index, run)),
@@ -158,23 +164,23 @@ def choose_timing_model(
                 timeout,
             )
             for run in range(runs)
-        ]
+        ])
+        starts = run_starts(
+            partial(_decision_seed, seed, t_index),
+            runs,
+            rounds_per_run,
+            start_points,
+        )
         for model in CANDIDATES:
-            # One satisfaction vector per (run, model); P_M and the
-            # decision statistics are both read off it.
-            vectors = [
-                satisfaction_vector(matrices, model, leader)
-                for matrices in matrices_by_run
-            ]
-            mean_rounds = mean_decision_rounds(
-                vectors,
-                MODELS[model].decision_rounds,
-                start_points,
-                partial(_decision_seed, seed, t_index),
+            satisfied = satisfaction_vector(stack, model, leader).reshape(
+                runs, rounds_per_run
+            )
+            mean_rounds = mean_over_deciding_runs(
+                satisfied, MODELS[model].decision_rounds, starts
             )
             times[model].append(mean_rounds * timeout)
             satisfaction[model].append(
-                float(np.mean([satisfied_fraction(v) for v in vectors]))
+                float(np.mean(satisfied_fractions(satisfied)))
             )
 
     for model in CANDIDATES:

@@ -1,10 +1,26 @@
 """Integration tests for the model-selection API."""
 
 import math
+from functools import partial
 
+import numpy as np
 import pytest
 
-from repro.experiments import choose_timing_model
+from repro.experiments.decision import mean_decision_rounds
+from repro.experiments.measurement import (
+    sample_latency_trace,
+    satisfaction_vector,
+    satisfied_fraction,
+    timely_matrices,
+)
+from repro.experiments.selection import (
+    CANDIDATES,
+    _cell_seed,
+    _decision_seed,
+    choose_timing_model,
+)
+from repro.models.registry import MODELS
+from repro.net.lan import LanProfile
 from repro.net.planetlab import LEADER_NODE, planetlab_profile
 
 
@@ -71,3 +87,69 @@ class TestChooseTimingModel:
             key=lambda r: r.best_decision_time,
         )
         assert strict.chosen_model == best.model
+
+
+class TestOneStackPerTimeout:
+    """The selector stacks a timeout's runs and draws their start points
+    once for all models; its reports must equal the per-(run, model)
+    reference bit for bit."""
+
+    @pytest.mark.parametrize(
+        "network, timeouts",
+        [
+            (planetlab_profile, (0.15, 0.19, 0.23)),
+            (lambda seed: LanProfile(seed=seed), (0.0002, 0.0005, 0.0012)),
+        ],
+        ids=["wan", "lan"],
+    )
+    def test_reports_equal_the_per_run_and_model_reference(
+        self, network, timeouts
+    ):
+        rounds, runs, start_points, seed = 80, 3, 5, 7
+        recommendation = choose_timing_model(
+            network, timeouts, rounds_per_run=rounds, runs=runs,
+            start_points=start_points, seed=seed,
+        )
+        for model in CANDIDATES:
+            times, fractions = [], []
+            for t_index, timeout in enumerate(timeouts):
+                vectors = [
+                    satisfaction_vector(
+                        timely_matrices(
+                            sample_latency_trace(
+                                network(seed=_cell_seed(seed, t_index, run)),
+                                rounds,
+                                timeout,
+                            ),
+                            timeout,
+                        ),
+                        model,
+                        recommendation.leader,
+                    )
+                    for run in range(runs)
+                ]
+                rounds_to_decide = mean_decision_rounds(
+                    vectors,
+                    MODELS[model].decision_rounds,
+                    start_points,
+                    partial(_decision_seed, seed, t_index),
+                )
+                times.append(rounds_to_decide * timeout)
+                fractions.append(
+                    float(np.mean([satisfied_fraction(v) for v in vectors]))
+                )
+            report = recommendation.reports[model]
+            got = (
+                report.optimal_timeout,
+                report.best_decision_time,
+                report.satisfaction_at_best,
+            )
+            if np.isnan(times).all():
+                assert all(math.isnan(value) for value in got), model
+            else:
+                best = int(np.nanargmin(times))
+                assert got == (timeouts[best], times[best], fractions[best])
+
+    def test_no_runs_rejected(self):
+        with pytest.raises(ValueError, match="runs"):
+            choose_timing_model(planetlab_profile, (0.2,), runs=0)

@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import simulate_adversary_decision_rounds
+from repro.analysis.stabilization import simulate_adversary_decision_rounds
 from repro.experiments.measurement import timely_matrices
 from repro.experiments.parallel import make_cell_executor
 from repro.faults import StabilityWindowAdversary

@@ -1,5 +1,6 @@
 """Unit tests for summary statistics."""
 
+import json
 import os
 import subprocess
 import sys
@@ -62,21 +63,66 @@ class TestSummarize:
         assert summary.ci_low == summary.ci_high == 7.0
 
 
-def test_the_cli_imports_without_scipy():
-    # numpy is the only declared runtime dependency and CI installs the
-    # declared ones only: an import of scipy anywhere under the CLI
-    # kills every job on a clean runner.
+#: Prints, after one CLI run in a fresh interpreter, every module it loaded.
+_CLI_THEN_MODULES = (
+    "import json, sys\n"
+    "from repro.experiments.run_all import main\n"
+    "main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(sys.modules)))\n"
+)
+
+#: What only an optional phase or the parallel engine runs: a plain
+#: serial run must not pay for importing it.
+_NOT_ON_THE_PLAIN_PATH = (
+    "repro.adaptive",
+    "repro.check",
+    "repro.faults",
+    "repro.giraf",
+    "repro.sync",
+    "repro.consensus",
+    "repro.core",
+    "repro.smr",
+    "repro.oracles",
+    "repro.experiments.robustness",
+    "repro.experiments.selection",
+    "repro.experiments.parallel",
+    "multiprocessing",
+)
+
+
+def _cli_modules(out, *flags):
+    """The CLI's quick run into ``out``; the modules it loaded."""
     src = Path(__file__).resolve().parents[2] / "src"
     completed = subprocess.run(
         [
-            sys.executable,
-            "-c",
-            "import repro.experiments.run_all, sys; "
-            "assert 'scipy' not in sys.modules",
+            sys.executable, "-c", _CLI_THEN_MODULES,
+            "--out", str(out), "--jobs", "1", "--no-cache", *flags,
         ],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=300,
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
+    return set(json.loads(completed.stdout.splitlines()[-1]))
+
+
+def test_the_cli_imports_without_scipy(tmp_path):
+    # numpy is the only declared runtime dependency and CI installs the
+    # declared ones only: an import of scipy anywhere under the CLI
+    # kills every job on a clean runner.  And a plain run imports only
+    # the code it runs.
+    modules = _cli_modules(tmp_path)
+    assert "scipy" not in modules
+    assert (tmp_path / "fig1i.txt").exists()
+    assert [name for name in _NOT_ON_THE_PLAIN_PATH if name in modules] == []
+
+
+def test_the_optional_phases_import_what_they_run(tmp_path):
+    modules = _cli_modules(tmp_path, "--faults", "--check", "--adaptive")
+    assert "scipy" not in modules
+    for artifact in ("faults.txt", "conformance.txt", "adaptive.txt"):
+        assert (tmp_path / artifact).exists(), artifact
+    assert {
+        "repro.adaptive", "repro.check", "repro.experiments.robustness"
+    } <= modules

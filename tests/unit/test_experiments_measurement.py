@@ -1,5 +1,7 @@
 """Unit tests for trace generation and P_M measurement."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,21 @@ class TestMeasuredP:
     def test_increases_with_timeout(self):
         trace = sample_wan_trace(50, 0.2, seed=4)
         assert measured_p(trace, 0.15) < measured_p(trace, 0.35)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(37, 8, 8), (300, 8, 8), (5, 1, 1), (0, 8, 8)],
+        ids=["37 rounds", "300 rounds", "one node", "no rounds"],
+    )
+    def test_is_the_off_diagonal_mean_bit_for_bit(self, shape):
+        # A trace with no link reads NaN, as the mean of no entries does.
+        trace = np.random.default_rng(shape[0]).exponential(0.2, shape)
+        links = ~np.eye(shape[1], dtype=bool)
+        for timeout in (0.1, 0.17, 0.21, 0.5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                expected = float((trace[:, links] < timeout).mean())
+            assert repr(measured_p(trace, timeout)) == repr(expected)
 
 
 class TestModelSatisfaction:

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    expected_rounds_exact,
+from repro.analysis.equations import expected_rounds_exact, p_wlm
+from repro.analysis.stabilization import (
     predicted_decision_round,
     simulate_adversary_decision_rounds,
 )
-from repro.analysis.equations import p_wlm
 from repro.faults import StabilityWindowAdversary
 from repro.models import get_model
 from repro.models.matrix import majority

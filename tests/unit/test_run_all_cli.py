@@ -152,6 +152,26 @@ class TestMain:
         assert not (tmp_path / "fig1j.txt").exists()
         assert not (tmp_path / "fig1k.txt").exists()
 
+    def test_a_warm_run_scans_the_cache_once_to_load_and_once_to_count(
+        self, tmp_path, tiny_configs, monkeypatch
+    ):
+        # The opening entry count leaves its index for the loads; only the
+        # closing count rescans, for the segments pool workers append.
+        from repro.experiments.cache import TraceCache
+
+        out = str(tmp_path / "out")
+        assert main(["--out", out]) == 0  # cold: fills the cache
+        scans = []
+        real_scan = TraceCache._scan
+
+        def counting_scan(cache):
+            scans.append(cache.root)
+            return real_scan(cache)
+
+        monkeypatch.setattr(TraceCache, "_scan", counting_scan)
+        assert main(["--out", out]) == 0
+        assert len(scans) == 2
+
     def test_bad_scale_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["--scale", "galactic", "--out", str(tmp_path)])
