@@ -7,8 +7,8 @@ system observes anyway:
 
 - :class:`TimelinessExtractor` maintains a sliding-window timeliness
   graph from observed per-round latencies and delivery matrices (the
-  same ``observe`` seam :class:`repro.oracles.omega.HeartbeatOmega`
-  uses), and classifies which model conditions (ES/◊LM/◊WLM/◊AFM)
+  matrices :class:`repro.oracles.omega.HeartbeatOmega` observes), and
+  classifies which model conditions (ES/◊LM/◊WLM/◊AFM)
   currently hold and at which timeout;
 - :class:`AdaptivePolicy` turns the extractor's estimates into switching
   decisions — between consensus instances, a

@@ -131,7 +131,8 @@ class TimelinessExtractor:
         self._merge(round_number, censored)
 
     def observe(self, round_number: int, delivered: np.ndarray) -> None:
-        """The :class:`HeartbeatOmega` seam: a boolean delivery matrix.
+        """One round's boolean delivery matrix, as :class:`HeartbeatOmega`
+        observes it.
 
         ``running_timeout`` — set via :attr:`running_timeout` or defaulted
         to the smallest candidate — bounds each delivered link's latency

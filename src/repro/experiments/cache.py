@@ -16,13 +16,15 @@ The cache is a log-structured store (the Bitcask shape).  A
 reopened for writing by anyone else.  One record is a fixed header
 (magic, meta length, payload length, CRC-32 of meta + payload), the meta
 (``"<profile>/<key>"``, dtype, shape) and the array's bytes, written
-with one ``writev``.  A reader builds its index once, by walking the
-record headers of every ``*.traces`` under the root (two small reads per
-record); it stops a segment at the first record whose magic is wrong or
-whose declared extent passes end-of-file, keeps *every* candidate per
-key, and a load reads candidates into a fresh array until one passes its
-CRC.  So a torn tail or a flipped byte is a miss, never wrong latencies:
-the caller resamples and appends a good record, which later loads find.
+with one ``writev``.  A reader builds its index by walking the record
+headers of every ``*.traces`` under the root (two small reads per
+record), and a later scan walks only what is new since: segments it has
+not seen and the growth of those it has; it stops a segment at the first
+record whose magic is wrong or whose declared extent passes end-of-file,
+keeps *every* candidate per key, and a load reads candidates into a
+fresh array until one passes its CRC.  So a torn tail or a flipped byte
+is a miss, never wrong latencies: the caller resamples and appends a
+good record, which later loads find.
 Loads copy (``preadv``) rather than map the file, so resident memory
 stays one trace, not the segment.
 
@@ -37,10 +39,11 @@ are never read, only orphaned.
 
 Concurrent sweep workers never share a segment, so they cannot tear each
 other's records; two that race on one key both append the same bytes.
-An index does not see what *other* writers append after it was built —
-that is a miss and a duplicate record, not an error.  Nothing is ever
+An index does not see what *other* writers append after its last scan
+(the first load, or an :meth:`TraceCache.entries` count) — that is a
+miss and a duplicate record, not an error.  Nothing is ever
 rewritten or compacted: segments accumulate one per writer that missed
-(a reader holds one descriptor per segment it found records in), and
+(a reader holds one descriptor per segment it has walked), and
 deleting the cache directory — always safe — is the whole reclamation
 story.  A directory in the older one-file-per-trace layout is simply not
 read.
@@ -164,8 +167,9 @@ def _parse_meta(
     return name, dtype, tuple(shape)
 
 
-def _walk(segment: _Segment) -> Iterator[tuple[str, _Record]]:
-    """Every well-formed record of ``segment``, in file order.
+def _walk(segment: _Segment, start: int) -> Iterator[tuple[str, _Record, int]]:
+    """Every well-formed record of ``segment`` from offset ``start`` on, in
+    file order, with the offset just past it.
 
     Stops at the first record whose magic is wrong or whose declared
     extent passes end-of-file: that is a torn tail, and since a writer
@@ -174,7 +178,6 @@ def _walk(segment: _Segment) -> Iterator[tuple[str, _Record]]:
     """
     descriptor = segment.descriptor
     size = os.fstat(descriptor).st_size
-    start = 0
     while start + _HEADER.size <= size:
         header = os.pread(descriptor, _HEADER.size, start)
         if len(header) < _HEADER.size:
@@ -190,7 +193,7 @@ def _walk(segment: _Segment) -> Iterator[tuple[str, _Record]]:
             name, dtype, shape = parsed
             yield name, _Record(
                 segment, offset, dtype, shape, zlib.crc32(meta), crc
-            )
+            ), start
 
 
 def _read(record: _Record) -> Optional[np.ndarray]:
@@ -220,37 +223,53 @@ class TraceCache:
         self._lock = threading.Lock()
         # name -> every record stored under it, oldest first; built by
         # the first load or entries(), then extended by this instance's
-        # own stores.
+        # own stores and by what later scans find new on disk.
         self._index: Optional[dict[str, list[_Record]]] = None
-        # This instance's own segment and its length, once it has stored.
+        # Segment file name -> (its segment, the offset its indexed
+        # records end at): a scan walks a segment only past that offset.
+        self._walked: dict[str, tuple[_Segment, int]] = {}
+        # This instance's own segment, its name and its length, once it
+        # has stored.
         self._writer: Optional[_Segment] = None
+        self._writer_name = ""
         self._end = 0
 
     def _scan(self) -> dict[str, list[_Record]]:
-        """Index every segment under the root by walking record headers."""
-        index: dict[str, list[_Record]] = {}
+        """Bring the index up to date with the segments under the root
+        and return it (call with the lock held).  A segment is walked
+        only past the records already indexed from it: a new one whole,
+        a grown one from where the last walk stopped, an unchanged one
+        (this instance's own included) not at all.  Segments only grow;
+        if one has vanished, the index is rebuilt."""
         try:
-            names = sorted(os.listdir(self.root))
+            names = sorted(
+                name for name in os.listdir(self.root)
+                if name.endswith(_SEGMENT_SUFFIX)
+            )
         except OSError:
-            return index  # no directory yet: nothing stored
+            names = []  # no directory (yet): nothing stored
+        if self._index is None or not self._walked.keys() <= set(names):
+            self._index, self._walked = {}, {}
         for filename in names:
-            if not filename.endswith(_SEGMENT_SUFFIX):
-                continue
+            segment, end = self._walked.get(filename, (None, 0))
             try:
-                # Only records keep the segment (and its descriptor) alive.
-                segment = _Segment(os.open(self.root / filename, os.O_RDONLY))
-                for name, record in _walk(segment):
-                    index.setdefault(name, []).append(record)
+                if segment is None:
+                    segment = _Segment(os.open(self.root / filename, os.O_RDONLY))
+                if os.fstat(segment.descriptor).st_size == end:
+                    continue
+                # A skipped or torn record is walked again next time.
+                for name, record, end in _walk(segment, end):
+                    self._index.setdefault(name, []).append(record)
             except OSError:
                 continue  # unreadable from here on: the rest are misses
-        return index
+            self._walked[filename] = (segment, end)
+        return self._index
 
     def load(self, profile: str, key: str) -> Optional[np.ndarray]:
         """The cached trace, or ``None`` on a miss (never raises)."""
         with self._lock:
-            if self._index is None:
-                self._index = self._scan()
-            candidates = tuple(self._index.get(f"{profile}/{key}", ()))
+            index = self._index if self._index is not None else self._scan()
+            candidates = tuple(index.get(f"{profile}/{key}", ()))
         # Newest first: a record re-appended after a failed read is the
         # one most likely to verify.  A torn or bit-flipped candidate is
         # passed over; with none left the caller resamples and appends.
@@ -283,6 +302,7 @@ class TraceCache:
             if self._writer is None:
                 self.root.mkdir(parents=True, exist_ok=True)
                 unique = f"{os.getpid()}-{os.urandom(6).hex()}{_SEGMENT_SUFFIX}"
+                self._writer_name = unique
                 self._writer = _Segment(os.open(
                     self.root / unique,
                     os.O_RDWR | os.O_CREAT | os.O_EXCL | os.O_APPEND,
@@ -309,20 +329,19 @@ class TraceCache:
                 self._index.setdefault(name, []).append(_Record(
                     segment, offset, trace.dtype, trace.shape, meta_crc, crc
                 ))
+                # Indexed as stored: no scan need walk it again.
+                self._walked[self._writer_name] = (segment, self._end)
 
     def entries(self) -> int:
         """Number of distinct traces currently on disk.
 
-        Rescans the directory rather than trusting this instance's
-        index: pool workers each append to a segment of their own.  An
-        instance with no index yet keeps the scan as its index, so a run
-        that counts its entries before loading does not scan twice.
+        Scans the directory rather than trusting this instance's index
+        as it stands: pool workers each append to a segment of their
+        own.  The scan walks only what this instance has not indexed
+        yet, and what it finds serves later loads too.
         """
-        index = self._scan()
         with self._lock:
-            if self._index is None:
-                self._index = index
-        return len(index)
+            return len(self._scan())
 
 
 #: The process-wide active cache; ``None`` means caching is off.

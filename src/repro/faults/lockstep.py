@@ -49,10 +49,10 @@ class ChurningOracle(Oracle):
 
     def __getattr__(self, name: str):
         # Churn perturbs queries, never observations: the base detector's
-        # feeds pass straight through.  Only exposed when the base has
-        # them, so feature probes (``getattr(oracle, "observe_rows",
+        # feed passes straight through.  Only exposed when the base has
+        # it, so feature probes (``getattr(oracle, "observe_rows",
         # None)``) stay accurate.
-        if name in ("observe", "observe_rows"):
+        if name == "observe_rows":
             return getattr(self.base, name)
         raise AttributeError(name)
 

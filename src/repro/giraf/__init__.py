@@ -11,11 +11,12 @@ it:
 
 - :mod:`kernel` — the algorithm interface: ``compute`` reads one round's
   messages.
-- :mod:`process` — the generic process automaton of Algorithm 1 and its
-  end-of-round action, the one both runners call.
+- :mod:`process` — the generic process automaton of Algorithm 1, its
+  end-of-round action and its transmit step, the ones every engine calls.
 - :mod:`oracle` — failure-detector oracles (:math:`\\Omega` and friends).
 - :mod:`schedule` — delivery schedules: one timely matrix per round.
-- :mod:`runner` — a lockstep executor with full instrumentation; each
+- :mod:`runner` — the round step (one GIRAF round, given the round's
+  graph) and a lockstep executor on it with full instrumentation; each
   round's timely graph is the schedule's matrix minus a fault plan's mask.
 """
 

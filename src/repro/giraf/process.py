@@ -3,9 +3,8 @@
 :class:`GirafProcess` holds the framework state of one process — the round
 counter ``k_i``, the messages of its current and future rounds, the pending
 outgoing message and its destination set ``D_i`` — and runs the
-end-of-round action.  It is execution-agnostic: the lockstep runner and the
-asynchronous (round-synchronized) runner both drive it through
-:meth:`receive` and :meth:`end_of_round`.
+end-of-round action.  It is execution-agnostic: every engine drives it
+through :meth:`transmit_targets`, :meth:`receive` and :meth:`end_of_round`.
 """
 
 from __future__ import annotations
@@ -59,11 +58,23 @@ class GirafProcess:
             return None
         return self._outgoing.payload
 
-    def send_targets(self) -> frozenset[int]:
-        """Destinations actually transmitted to: ``D_i \\ {i}``."""
+    def transmit_targets(self, n: int) -> list[int]:
+        """Where this process sends its current round's message: ``D_i
+        \\ {i}`` in ascending order — the transmit step of every engine
+        (the round step of :mod:`repro.giraf.runner`, the event-driven
+        :class:`~repro.sync.round_sync.SyncedNode`).  A destination
+        outside ``range(n)`` is refused, naming the sender, the round and
+        the destination: no engine has a process there."""
         if self._outgoing is None or self._outgoing.payload is None:
-            return frozenset()
-        return frozenset(self._outgoing.destinations).difference((self.pid,))
+            return []
+        targets = sorted(set(self._outgoing.destinations).difference((self.pid,)))
+        if targets and not (0 <= targets[0] and targets[-1] < n):
+            dst = targets[0] if targets[0] < 0 else targets[-1]
+            raise ValueError(
+                f"process {self.pid} addressed its round-{self.round}"
+                f" message to {dst}, outside range({n})"
+            )
+        return targets
 
     def receive(self, round_number: int, sender: int, payload: Any) -> None:
         """Deliver a round-``round_number`` message from ``sender``; one for

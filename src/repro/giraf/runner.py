@@ -1,24 +1,22 @@
-"""Lockstep execution of GIRAF algorithms.
+"""Lockstep execution of GIRAF algorithms, over the one round step.
 
-The runner advances all live processes through synchronized rounds (the
-paper makes the same simplification for its analysis: "we assume that
-processes proceed in synchronized rounds, although this is not required
-for correctness").  Asynchrony is expressed through one matrix per round:
-round ``k``'s timely graph is ``schedule.matrix(k)`` with the fault plan's
-``mask(k)`` taken out, read once at the top of the round.  A sent message
-is delivered iff its entry is set; an untimely message is useless to a
-round-driven algorithm, so it is simply lost.  Until the run's GSR the
-graph may be arbitrary and the oracle may lie.
-
-The runner instruments everything the evaluation needs: per-round sent and
-delivered matrices, message counts, per-process decision rounds, and the
-global-decision round.
+:class:`RoundMachine` is a GIRAF round (Algorithm 1) given the round's
+communication graph; engines differ only in where the graph comes from.
+The :class:`LockstepRunner` advances all live processes through
+synchronized rounds (the paper makes the same simplification for its
+analysis: "we assume that processes proceed in synchronized rounds,
+although this is not required for correctness"): round ``k``'s graph is
+``schedule.matrix(k)`` with the fault plan's ``mask(k)`` taken out, and
+an untimely message is simply lost.  Until the run's GSR the graph may
+be arbitrary and the oracle may lie.  The runner instruments everything
+the evaluation needs: per-round sent and delivered matrices, message
+counts, per-process decision rounds, and the global-decision round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -88,6 +86,63 @@ class RunResult:
         return all(value in proposed for value in self.decisions.values())
 
 
+class RoundMachine:
+    """Algorithm 1's round for ``processes`` (indexed by pid) sharing
+    ``oracle`` and ``observers``, stated once.  :attr:`decisions` and
+    :attr:`decision_rounds` book each pid's first decision and the round
+    whose end-of-round took it."""
+
+    def __init__(
+        self, processes: Sequence[GirafProcess], oracle: Oracle, observers=()
+    ) -> None:
+        self.processes = processes
+        self.oracle = oracle
+        self.observers = observers
+        # Implementable detectors (HeartbeatOmega) watch the deliveries.
+        self._observe_rows = getattr(oracle, "observe_rows", None)
+        self.decisions: dict[int, Any] = {}
+        self.decision_rounds: dict[int, int] = {}
+
+    def step(
+        self,
+        k: int,
+        senders: Iterable[int],
+        graph: Callable[[int, list], np.ndarray],
+        enders: Sequence[int],
+    ) -> None:
+        """Run round ``k``.  The ``senders`` (who begin it) transmit to
+        their :meth:`~repro.giraf.process.GirafProcess.transmit_targets`;
+        ``graph(k, sends)``, given one ``(src, destinations, payload)``
+        per sender, returns the round's timely graph ``[dst, src]``; the
+        timely sends reach :meth:`~repro.giraf.process.GirafProcess.receive`
+        in send order; a detector exposing ``observe_rows`` is fed the
+        ``enders``' rows; and the enders run their end-of-round in pid
+        order.  Round 0, the boot, has no messages: its end-of-round
+        initializes."""
+        processes = self.processes
+        if k:
+            n = len(processes)
+            sends = []
+            for src in senders:
+                process = processes[src]
+                payload = process.outgoing_payload
+                if payload is not None:
+                    sends.append((src, process.transmit_targets(n), payload))
+            timely = graph(k, sends)
+            heard = timely.tolist()
+            for src, targets, payload in sends:
+                for dst in targets:
+                    if heard[dst][src]:
+                        processes[dst].receive(k, src, payload)
+            if self._observe_rows is not None and enders:
+                self._observe_rows(k, timely, rows=enders)
+        for pid in enders:
+            decision = processes[pid].end_of_round(self.oracle, self.observers)
+            if decision is not None and pid not in self.decision_rounds:
+                self.decisions[pid] = decision
+                self.decision_rounds[pid] = k
+
+
 class LockstepRunner:
     """Drives ``n`` GIRAF processes through synchronized rounds.
 
@@ -97,14 +152,14 @@ class LockstepRunner:
     ``on_decision(pid, round, value)`` and
     ``on_round_matrix(round, delivered)``; decisions are re-reported every
     round while latched so integrity checkers can see value changes.
-    ``on_round_matrix`` fires live, right where an implementable oracle's
-    ``observe`` sees the round's deliveries — the seam timeliness
-    extractors (:mod:`repro.adaptive`) tap without being an oracle.
+    ``on_round_matrix`` fires live, once the round's graph is known —
+    the seam timeliness extractors (:mod:`repro.adaptive`) tap without
+    being an oracle.
 
     A ``fault_plan`` (:class:`~repro.faults.plan.FaultPlan`) is the same
     argument :class:`~repro.sync.round_sync.SyncRun` takes: its permanent
     crashes are real process deaths (a dying process still reaches its
-    crash's ``final_sends``), its
+    crash's ``final_sends``, then feeds a detector no row), its
     :meth:`~repro.faults.plan.FaultPlan.mask` is taken out of every
     round's timely graph, and its leader-churn windows override the
     oracle.
@@ -146,14 +201,6 @@ class LockstepRunner:
         crash = self._deaths.get(pid)
         return crash is not None and round_number >= crash.at_round
 
-    def _end_round(self, proc: GirafProcess, result: RunResult) -> None:
-        """Fire ``proc``'s end-of-round, booking its first decision."""
-        k = proc.round
-        decision = proc.end_of_round(self.oracle, self.observers)
-        if decision is not None and proc.pid not in result.decisions:
-            result.decisions[proc.pid] = decision
-            result.decision_rounds[proc.pid] = k
-
     def run(
         self,
         max_rounds: int,
@@ -173,13 +220,38 @@ class LockstepRunner:
         """
         if any(proc.round for proc in self.processes):
             raise RuntimeError("this runner has already run; build a new one")
-        correct = frozenset(range(self.n)).difference(self._deaths)
-        result = RunResult(n=self.n, correct=correct)
+        n = self.n
+        correct = frozenset(range(n)).difference(self._deaths)
+        result = RunResult(n=n, correct=correct)
+        machine = RoundMachine(self.processes, self.oracle, self.observers)
+        result.decisions = machine.decisions
+        result.decision_rounds = machine.decision_rounds
+
+        def graph(k: int, sends: list) -> np.ndarray:
+            """Round ``k``'s schedule minus the plan's mask; books what
+            was sent and delivered."""
+            timely = self.schedule.matrix(k)
+            if self.fault_plan is not None:
+                # The plan's mask silences a dead destination's row.
+                timely = timely & ~self.fault_plan.mask(k)
+            sent = np.eye(n, dtype=bool)
+            for src, targets, _ in sends:
+                crash = self._deaths.get(src)
+                if crash is not None and k == crash.at_round:
+                    # Dying mid-broadcast: only its final sends go out.
+                    last = crash.final_sends or ()
+                    targets = [dst for dst in targets if dst in last]
+                sent[targets, src] = True
+                result.messages_sent += len(targets)
+            delivered = (sent & timely) | np.eye(n, dtype=bool)
+            result.per_round_messages.append(int(sent.sum()) - n)
+            result.sent_matrices.append(sent)
+            result.delivered_matrices.append(delivered)
+            notify(self.observers, "on_round_matrix", k, delivered)
+            return delivered
 
         # Round 0: the first end-of-round initializes everyone.
-        for proc in self.processes:
-            if not self._dead(proc.pid, 1):
-                self._end_round(proc, result)
+        machine.step(0, (), graph, [p for p in range(n) if not self._dead(p, 1)])
         for proc in self.processes:
             proposal = getattr(proc.algorithm, "proposal", None)
             if proposal is not None:
@@ -189,51 +261,14 @@ class LockstepRunner:
         decided_deadline: Optional[int] = None
         for k in range(1, max_rounds + 1):
             result.rounds_executed = k
-            sent = np.eye(self.n, dtype=bool)
-            delivered = np.eye(self.n, dtype=bool)
-            timely = self.schedule.matrix(k)
-            if self.fault_plan is not None:
-                timely = timely & ~self.fault_plan.mask(k)
-
-            # Transmissions of round-k messages.
-            for proc in self.processes:
-                if self._dead(proc.pid, k):
-                    # Dead, unless dying mid-broadcast in this very round.
-                    crash = self._deaths[proc.pid]
-                    if k > crash.at_round or crash.final_sends is None:
-                        continue
-                    targets = proc.send_targets() & crash.final_sends
-                else:
-                    targets = proc.send_targets()
-                payload = proc.outgoing_payload
-                for dst in sorted(targets):
-                    if not 0 <= dst < self.n:
-                        raise ValueError(
-                            f"process {proc.pid} addressed its round-{k}"
-                            f" message to {dst}, outside range({self.n})"
-                        )
-                    sent[dst, proc.pid] = True
-                    result.messages_sent += 1
-                    # The plan's mask silences a dead destination's row.
-                    if timely[dst, proc.pid]:
-                        delivered[dst, proc.pid] = True
-                        self.processes[dst].receive(k, proc.pid, payload)
-            result.per_round_messages.append(int(sent.sum()) - self.n)
-
-            result.sent_matrices.append(sent)
-            result.delivered_matrices.append(delivered)
-
-            # Implementable failure detectors (e.g. HeartbeatOmega) watch
-            # the actual deliveries rather than being told the truth.
-            observe = getattr(self.oracle, "observe", None)
-            if observe is not None:
-                observe(k, delivered)
-            notify(self.observers, "on_round_matrix", k, delivered)
-
-            # End-of-round computations.
-            for proc in self.processes:
-                if not self._dead(proc.pid, k):
-                    self._end_round(proc, result)
+            # A process dying in this very round begins it, for its final
+            # sends; it does not end it.
+            machine.step(
+                k,
+                [p for p in range(n) if not self._dead(p, k - 1)],
+                graph,
+                [p for p in range(n) if not self._dead(p, k)],
+            )
 
             if stop_on_global_decision and result.all_correct_decided:
                 if decided_deadline is None:

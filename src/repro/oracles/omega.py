@@ -9,9 +9,10 @@ citations stand for, at the abstraction GIRAF uses:
 :class:`HeartbeatOmega` watches which processes' messages actually arrive
 and trusts the smallest-id process heard within the last
 ``suspicion_rounds`` rounds.  It has one feed,
-:meth:`~HeartbeatOmega.observe_rows`: the lockstep runner reports each
-round's whole delivery matrix (``observe``, the same call over every
-row) and the event-driven nodes each report their own row of the run's
+:meth:`~HeartbeatOmega.observe_rows`: the GIRAF round step
+(:class:`~repro.giraf.runner.RoundMachine`, on the lockstep runner and
+the stepped grid engine) reports the rows of each round's enders, and the
+event-driven nodes each report their own row of the run's
 :class:`~repro.sync.round_sync.RoundLog` as their round ends.  The
 batched executor, which holds the whole log before the detector sees any
 of it, hands the log over in one call: :meth:`~HeartbeatOmega.replay` is
@@ -70,12 +71,6 @@ class HeartbeatOmega(Oracle):
         # observation?  Round 0 starts with nothing suspected.
         self._suspected = np.zeros((n, n), dtype=bool)
         self._last_output: dict[int, int] = {}
-
-    def observe(self, round_number: int, delivered: np.ndarray) -> None:
-        """Feed one round's delivery matrix (``delivered[dst, src]``):
-        the lockstep runner's end-of-round call, :meth:`observe_rows`
-        over every row."""
-        self.observe_rows(round_number, delivered)
 
     def observe_rows(
         self,

@@ -32,25 +32,18 @@ This module executes such a run without the event heap:
    as ``(rounds, n, n)`` arrays under the tie rules below, and the
    oracle reading the finished round log in one call
    (:meth:`~repro.oracles.omega.HeartbeatOmega.replay`) — its answers
-   walked one by one only when an observer wants ``on_oracle``;
+   walked one by one only when an observer wants ``on_oracle``; of the
+   processes it leaves only the round counters;
 3. any other algorithm, under any oracle, is **stepped** one grid round
-   at a time (:func:`_run_stepped`): the processes that begin round ``k``
-   send their outgoing message to their
-   :func:`~repro.sync.round_sync.transmit_targets`, each message taking
-   its link's next draw through the transport's one per-message stream
-   reader (:meth:`~repro.sim.transport.Transport.stream_latency`), in
-   send order; the fault policy judges each round's messages in one call
-   (:meth:`~repro.faults.event.PlanLinkFaults.sift`: the survivors, their
-   latencies stretched); the tie rules below decide which messages are
-   timely; the timely ones reach
-   :meth:`~repro.giraf.process.GirafProcess.receive` in the order the
-   event queue fires them (by arrival, then by sender: slot order is
-   visible to algorithms); and at ``t[k]`` the enders run
-   :meth:`~repro.giraf.process.GirafProcess.end_of_round` in pid order —
-   the oracle's only query site — a detector exposing ``observe_rows``
-   having been fed their rows first.  A stepped run leaves the
-   processes' message slots and outgoing messages as the event loop
-   does; the whole-array path leaves only their round counters;
+   at a time (:func:`_run_rounds`) by the lockstep runner's own GIRAF
+   round step (:meth:`~repro.giraf.runner.RoundMachine.step`), whose
+   graph source here is the wire: each message takes its link's next
+   draw (:meth:`~repro.sim.transport.Transport.stream_latency`) in send
+   order, the fault policy judges the round's messages in one call
+   (:meth:`~repro.faults.event.PlanLinkFaults.sift`), and the tie rules
+   below decide which are timely.  It leaves the processes' message
+   slots (as mappings: ``compute`` reads a round's messages as a set)
+   and outgoing messages as the event loop does;
 4. transport and round-sync telemetry (``repro.obs`` counters and the
    latency histogram) goes through the owners' public bulk accountants
    (:meth:`~repro.sim.transport.Transport.count_sends` /
@@ -103,12 +96,6 @@ Nothing in the argument reads a payload or a destination set, so it
 holds whatever the algorithm sends, to whom, and whether it sends at
 all.
 
-The same sequence fixes the order in which the stepped path hands a
-round's timely messages to ``receive``: deliveries to one receiver fire
-by arrival and, at one instant, by sender (the lower sender's begin
-block scheduled its deliveries first); the receiver's own message went
-into the round's slot before any of them, at its previous end of round.
-
 Crashes at round granularity keep the lockstep shape
 ----------------------------------------------------
 
@@ -146,10 +133,11 @@ import numpy as np
 from repro.faults.lockstep import base_oracle
 from repro.giraf.oracle import NullOracle
 from repro.giraf.process import notify
+from repro.giraf.runner import RoundMachine
 from repro.oracles.omega import HeartbeatOmega
 from repro.sim.transport import Transport
 from repro.sync.heartbeat import HeartbeatAlgorithm
-from repro.sync.round_sync import SyncRun, SyncRunResult, transmit_targets
+from repro.sync.round_sync import SyncRun, SyncRunResult
 
 
 #: Fields of :class:`SyncRunResult` whose exact equality the batched path
@@ -440,10 +428,9 @@ def run_batched(run: SyncRun) -> None:
     histogram totals, the oracle's state, the simulator clock and an
     empty event queue (the scalar loop drains what never fired once
     every node has stopped, so a finished run of either engine holds no
-    event that refers back to it and is freed by reference count).  A
-    stepped run also leaves each process's message slots and pending
-    outgoing message as the scalar loop does; a whole-array run leaves
-    only the round counters.  The caller (:meth:`SyncRun.run`) then
+    event that refers back to it and is freed by reference count), and
+    what item 3 of the module docstring says of the processes.  The
+    caller (:meth:`SyncRun.run`) then
     collects the result from the log, by the very same code as after a
     scalar run.
 
@@ -461,7 +448,7 @@ def run_batched(run: SyncRun) -> None:
     ):
         _run_whole(run, grid)
     else:
-        _run_stepped(run, grid)
+        _run_rounds(run, grid)
     # Leave the simulator where the scalar loop leaves it: at the last
     # surviving round-end timer, the never-fired events discarded.
     run.simulator.drain()
@@ -608,23 +595,11 @@ def _run_whole(run: SyncRun, grid: _Grid) -> None:
             )
 
 
-def _run_stepped(run: SyncRun, grid: _Grid) -> None:
-    """Any GIRAF algorithm, one grid round at a time, with no event heap.
-
-    Round ``k``: every process that begins it sends its outgoing message
-    to :func:`~repro.sync.round_sync.transmit_targets`, each message
-    taking its link's next draw (:meth:`Transport.stream_latency`) in
-    send order; the fault policy decides on top (:meth:`PlanLinkFaults.sift`);
-    the tie rules say which messages are timely, late or never fire;
-    the timely ones reach :meth:`GirafProcess.receive` in the order the
-    event queue fires them — by arrival, then by sender — and at
-    ``t[k]`` the enders run their end-of-round in pid order, a detector
-    exposing ``observe_rows`` having been fed their rows first."""
+def _run_rounds(run: SyncRun, grid: _Grid) -> None:
+    """Any GIRAF algorithm, one grid round at a time, with no event heap:
+    the round step, with the wire (``wire``) for its graph source, which
+    also books which messages are late, lost or never fire."""
     n, rounds = run.n, run.max_rounds
-    nodes = run.nodes
-    procs = [node.process for node in nodes]
-    oracle, observers = nodes[0].oracle, run.observers
-    observe_rows = getattr(oracle, "observe_rows", None)
     read, policy = run.transport.stream_latency, run.link_faults
     times, timely = grid.times, run.log.timely
     stop = times[-1]
@@ -636,36 +611,17 @@ def _run_stepped(run: SyncRun, grid: _Grid) -> None:
     observed = array("d")  # 8 bytes a latency: a long run keeps them all
     delivered = 0
 
-    def end_of_round(k: int) -> None:
-        enders = [pid for pid in pids if k <= ended[pid]]
-        run.simulator.fast_forward(times[k])
-        if k and observe_rows is not None and enders:
-            observe_rows(k, timely[k], rows=enders)
-        for pid in enders:
-            decision = procs[pid].end_of_round(oracle, observers)
-            if decision is not None and nodes[pid].decision_round is None:
-                nodes[pid].decision_round = k
-
-    idx = np.arange(n)
-    timely[1 : rounds + 1][:, idx, idx] = grid.began
-    end_of_round(0)
-    for k in range(1, rounds + 1):
+    def wire(k: int, sends: list) -> np.ndarray:
+        nonlocal delivered
         start, end = times[k - 1], times[k]
-        wire = []
-        for src in pids:
-            if k > begun[src]:
-                continue
-            proc = procs[src]
-            payload = proc.outgoing_payload
-            if payload is None:
-                continue
-            targets = transmit_targets(proc, n)
+        messages = []
+        for src, targets, payload in sends:
             for index, dst in enumerate(targets):
-                wire.append((src, dst, read(src, targets, index), payload))
+                messages.append((src, dst, read(src, targets, index), payload))
         if policy is not None:
-            wire = policy.sift(start, wire, drops)
-        inbox = []
-        for src, dst, latency, payload in wire:
+            messages = policy.sift(start, messages, drops)
+        heard = timely[k]
+        for src, dst, latency, _ in messages:
             if latency == math.inf:
                 drops["link"] += 1
                 continue
@@ -678,15 +634,26 @@ def _run_stepped(run: SyncRun, grid: _Grid) -> None:
             if arrival >= cut[dst]:
                 continue
             if arrival < end or (arrival == end and src < dst):
-                inbox.append((arrival, src, dst, payload))
+                heard[dst, src] = True
             elif arrival < stop or (arrival == stop and k < rounds):
                 late[dst] += 1
-        # (src, dst) is unique within a round: payloads never compare.
-        inbox.sort()
-        heard = timely[k]
-        for _, src, dst, payload in inbox:
-            procs[dst].receive(k, src, payload)
-            heard[dst, src] = True
-        end_of_round(k)
-    _close(run, grid, np.array(late), drops, delivered, np.frombuffer(observed))
+        run.simulator.fast_forward(end)
+        return heard
 
+    idx = np.arange(n)
+    timely[1 : rounds + 1][:, idx, idx] = grid.began
+    nodes = run.nodes
+    machine = RoundMachine(
+        [node.process for node in nodes], nodes[0].oracle, run.observers
+    )
+    run.simulator.fast_forward(times[0])
+    for k in range(rounds + 1):
+        machine.step(
+            k,
+            [pid for pid in pids if k <= begun[pid]],
+            wire,
+            [pid for pid in pids if k <= ended[pid]],
+        )
+    for pid, k in machine.decision_rounds.items():
+        nodes[pid].decision_round = k
+    _close(run, grid, np.array(late), drops, delivered, np.frombuffer(observed))

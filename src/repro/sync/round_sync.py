@@ -53,23 +53,6 @@ class _Wire:
 MIN_ROUND_FRACTION = 0.05
 
 
-def transmit_targets(process: GirafProcess, n: int) -> list[int]:
-    """Where ``process`` sends its current round's message: ``D_i \\ {i}``
-    in ascending order — the transmit step both engines take
-    (:class:`SyncedNode` and the stepped batched engine).  A destination
-    outside ``range(n)`` is refused, naming the sender, the round and the
-    destination, as the lockstep runner does: the transport would lose
-    it as unregistered, or read a real link's stream for it."""
-    targets = sorted(process.send_targets())
-    if targets and not (0 <= targets[0] and targets[-1] < n):
-        dst = targets[0] if targets[0] < 0 else targets[-1]
-        raise ValueError(
-            f"process {process.pid} addressed its round-{process.round}"
-            f" message to {dst}, outside range({n})"
-        )
-    return targets
-
-
 class RoundLog:
     """What each round of one run delivered: the run's only record of it.
 
@@ -196,7 +179,7 @@ class SyncedNode:
             self._rounds_shortened.inc()
         payload = self.process.outgoing_payload
         if payload is not None:
-            targets = transmit_targets(self.process, self.log.n)
+            targets = self.process.transmit_targets(self.log.n)
             self.transport.broadcast(pid, targets, _Wire(k, payload))
         self._timer = self.simulator.schedule_in(
             self.round_length(local_duration), self._on_timer
@@ -219,10 +202,10 @@ class SyncedNode:
                 self._timer.cancel()
                 self._timer = None
             # Heartbeat-style detectors (HeartbeatOmega) take each node's
-            # round observation live, the moment the round ends — the event
-            # stack's answer to the lockstep runner's per-round ``observe``
-            # matrix.  Only this node's row of the round is final by now;
-            # detectors exposing the feed are row-local by contract.
+            # round observation live, the moment the round ends — the
+            # round step's feed of its enders' rows, one ender at a time.
+            # Only this node's row of the round is final by now; detectors
+            # exposing the feed are row-local by contract.
             observe_rows = getattr(self.oracle, "observe_rows", None)
             if observe_rows is not None:
                 observe_rows(k, self.log.timely[k], rows=(pid,))

@@ -148,10 +148,18 @@ MUTANTS = tuple(Mutant(*row) for row in (
      "FaultPlan.mask swallows a dying process's final_sends",
      "repro.faults.plan:FaultPlan.mask",
      "masked[dsts, pid] = column", "pass"),
+    ("destination-range-unchecked", "giraf",
+     "a process transmits to a destination outside range(n)",
+     "repro.giraf.process:GirafProcess.transmit_targets",
+     "if targets and not (0 <= targets[0] and targets[-1] < n):", "if False:"),
     ("past-round-message-kept", "giraf",
      "GirafProcess.receive stores a message for a round already over",
      "repro.giraf.process:GirafProcess.receive",
      "if round_number < self.round:", "if False:"),
+    ("round-ends-before-receive", "giraf",
+     "the round step hands over its timely messages as if the round were over: each is dropped",
+     "repro.giraf.runner:RoundMachine.step",
+     "processes[dst].receive(k, src, payload)", "processes[dst].receive(k - 1, src, payload)"),
     ("wlm-majority-minus-one", "models",
      "batch_satisfies_wlm asks the leader to hear one sender fewer than a majority",
      "repro.models.properties:batch_satisfies_wlm",
@@ -198,12 +206,8 @@ MUTANTS = tuple(Mutant(*row) for row in (
      "np.arange(n)[None, :] < np.arange(n)[:, None]", "np.arange(n)[None, :] > np.arange(n)[:, None]"),
     ("stepped-tie-flipped", "sync",
      "the stepped batched path breaks same-instant arrival ties the wrong way",
-     "repro.sync.batch:_run_stepped",
+     "repro.sync.batch:_run_rounds",
      "(arrival == end and src < dst)", "(arrival == end and src > dst)"),
-    ("destination-range-unchecked", "sync",
-     "the event stack transmits to a destination outside range(n)",
-     "repro.sync.round_sync:transmit_targets",
-     "if targets and not (0 <= targets[0] and targets[-1] < n):", "if False:"),
     ("jump-not-shortened", "sync",
      "a jump's joined round is not shortened by L_i[src]",
      "repro.sync.round_sync:SyncedNode._on_receive",

@@ -1,7 +1,7 @@
 """Property-based tests of :class:`HeartbeatOmega`'s window accounting.
 
 The detector has two windowed views of the same freshness map: the
-suspicion accounting in :meth:`observe` (``last_heard < round - W``) and
+suspicion accounting in :meth:`observe_rows` (``last_heard < round - W``) and
 the trust selection in :meth:`trusted` (``last_heard >= round - W``).
 These must stay exact complements — a one-off at the boundary (``<=`` in
 one, ``>=`` in the other) would let a process be simultaneously trusted
@@ -40,7 +40,7 @@ def observation_sequences(draw):
 def feed(n, window, observations):
     oracle = HeartbeatOmega(n, suspicion_rounds=window)
     for round_number, matrix in observations:
-        oracle.observe(round_number, matrix)
+        oracle.observe_rows(round_number, matrix)
     return oracle
 
 
@@ -118,16 +118,17 @@ def _counters(oracle):
 @settings(max_examples=150)
 def test_every_feed_of_a_round_is_the_same_observation(data, seed):
     """Row-locality, the contract of the detector's one rule:
-    ``observe(k, M)``, ``observe_rows(k, M)`` and any partition of the
-    receivers fed group by group in any order — single rows included, an
+    ``observe_rows(k, M)``, the same with every row named, and any
+    partition of the receivers fed group by group in any order — single
+    rows included, an
     event-driven node reporting as its own round ends — leave the same
     freshness map, suspicion masks and ``omega.*`` counter totals."""
     n, window, observations = data
     rng = np.random.default_rng(seed)
     whole, by_rows, in_parts = (_with_metrics(n, window) for _ in range(3))
     for round_number, matrix in observations:
-        whole.observe(round_number, matrix)
-        by_rows.observe_rows(round_number, matrix)
+        whole.observe_rows(round_number, matrix)
+        by_rows.observe_rows(round_number, matrix, rows=list(range(n)))
         cuts = np.flatnonzero(rng.random(n - 1) < 0.5) + 1
         for group in np.split(rng.permutation(n), cuts):
             in_parts.observe_rows(round_number, matrix, rows=group.tolist())
@@ -167,7 +168,7 @@ def _lived(n, window, history, answered):
     answered the receivers marked in ``answered`` afterwards."""
     oracle = _with_metrics(n, window)
     for round_number, matrix in history:
-        oracle.observe(round_number, matrix)
+        oracle.observe_rows(round_number, matrix)
         for pid in np.flatnonzero(answered).tolist():
             oracle.query(pid, round_number)
     return oracle

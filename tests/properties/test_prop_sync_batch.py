@@ -367,13 +367,13 @@ def consensus_run(algorithm, oracle, plan, metrics_on, observer, seed=5):
 
 
 def slot_contents(run):
-    """Every process's slots, in insertion order, and pending message."""
+    """Every process's slots and pending message.  A slot is compared as
+    the mapping ``compute`` reads, not in insertion order: the stepped
+    engine receives by sender, the event loop by arrival, and no
+    algorithm's ``compute`` tells the two apart
+    (``test_prop_slot_order.py``)."""
     return [
-        (
-            [(k, list(slot.items())) for k, slot in node.process.slots.items()],
-            node.process.outgoing_payload,
-        )
-        for node in run.nodes
+        (node.process.slots, node.process.outgoing_payload) for node in run.nodes
     ]
 
 

@@ -34,19 +34,19 @@ class TestHeartbeatOmegaUnit:
         omega = HeartbeatOmega(n=4, suspicion_rounds=2)
         delivered = np.eye(4, dtype=bool)
         delivered[3, 1] = True  # node 3 hears node 1
-        omega.observe(5, delivered)
+        omega.observe_rows(5, delivered)
         assert omega.query(3, 5) == 1
 
     def test_suspicion_window_expires(self):
         omega = HeartbeatOmega(n=4, suspicion_rounds=2)
         delivered = np.eye(4, dtype=bool)
         delivered[3, 0] = True
-        omega.observe(5, delivered)
+        omega.observe_rows(5, delivered)
         assert omega.query(3, 6) == 0  # still in window
-        omega.observe(6, np.eye(4, dtype=bool))
-        omega.observe(7, np.eye(4, dtype=bool))
+        omega.observe_rows(6, np.eye(4, dtype=bool))
+        omega.observe_rows(7, np.eye(4, dtype=bool))
         assert omega.query(3, 7) == 0  # the window's oldest round still counts
-        omega.observe(8, np.eye(4, dtype=bool))
+        omega.observe_rows(8, np.eye(4, dtype=bool))
         assert omega.query(3, 8) == 3  # 0 expired; only self remains
 
     def test_validation(self):
@@ -55,7 +55,7 @@ class TestHeartbeatOmegaUnit:
         with pytest.raises(ValueError):
             HeartbeatOmega(n=3, suspicion_rounds=0)
         with pytest.raises(ValueError):
-            HeartbeatOmega(n=3).observe(1, np.eye(4, dtype=bool))
+            HeartbeatOmega(n=3).observe_rows(1, np.eye(4, dtype=bool))
 
     def test_a_repeated_row_is_refused_not_counted_twice(self):
         """``rows=(0, 0)`` used to count each of receiver 0's raised

@@ -287,6 +287,49 @@ class TestTraceCache:
         cache.store("lan", "b", np.zeros((1, 2, 2)))
         assert cache.entries() == 2
 
+    def test_counting_walks_only_what_is_new(self, tmp_path, monkeypatch):
+        """A serial store-then-count parses no record twice: the count
+        walks only segments that are new or have grown since this
+        instance indexed them, and its own stores are indexed already.
+        Another writer's appends are still counted, and found by loads."""
+        parsed = []
+        real_parse = cache_module._parse_meta
+
+        def counting_parse(meta, payload_len):
+            parsed.append(meta)
+            return real_parse(meta, payload_len)
+
+        monkeypatch.setattr(cache_module, "_parse_meta", counting_parse)
+        trace = np.arange(8.0).reshape(2, 2, 2)
+        cache = TraceCache(tmp_path)
+        assert cache.entries() == 0
+        for key in "abc":
+            cache.store("wan", key, trace)
+        assert cache.entries() == 3
+        assert parsed == []
+        other = TraceCache(tmp_path)
+        other.store("wan", "d", trace)
+        other.store("wan", "e", trace)
+        assert cache.entries() == 5
+        assert len(parsed) == 2  # the other segment, once
+        assert cache.entries() == 5
+        other.store("wan", "f", trace)  # the other segment grows
+        assert cache.entries() == 6
+        assert len(parsed) == 3
+        assert np.array_equal(cache.load("wan", "f"), trace)
+        assert TraceCache(tmp_path).entries() == 6
+
+    def test_a_vanished_segment_is_no_longer_counted(self, tmp_path):
+        """Deleting the cache directory is always safe: a live instance's
+        count follows the disk, not its index."""
+        cache = TraceCache(tmp_path)
+        cache.store("wan", "a", np.zeros((1, 2, 2)))
+        TraceCache(tmp_path).store("wan", "b", np.zeros((1, 2, 2)))
+        assert cache.entries() == 2
+        for segment in segments(tmp_path):
+            segment.unlink()
+        assert cache.entries() == 0
+
     def test_store_leaves_no_temp_files(self, tmp_path):
         cache = TraceCache(tmp_path)
         cache.store("wan", "a", np.zeros((1, 2, 2)))

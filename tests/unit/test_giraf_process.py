@@ -83,7 +83,7 @@ class TestGirafProcess:
     def test_send_targets_exclude_self(self):
         proc = self.make(pid=1, n=3)
         proc.end_of_round(NULL)
-        assert proc.send_targets() == frozenset({0, 2})
+        assert proc.transmit_targets(3) == [0, 2]
 
     def test_receive_stores_by_round_and_sender(self):
         proc = self.make()
@@ -168,4 +168,4 @@ class TestGirafProcess:
 
         proc = GirafProcess(0, Silent())
         proc.end_of_round(NULL)
-        assert proc.send_targets() == frozenset()
+        assert proc.transmit_targets(3) == []

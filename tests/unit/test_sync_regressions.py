@@ -117,9 +117,9 @@ class TestOmegaMonotonicity:
 
     def test_out_of_order_observation_cannot_resurrect_suspicion(self):
         omega = HeartbeatOmega(n=3, suspicion_rounds=2)
-        omega.observe(5, np.ones((3, 3), dtype=bool))
+        omega.observe_rows(5, np.ones((3, 3), dtype=bool))
         # A replayed (or re-driven) early round arrives late.
-        omega.observe(2, np.ones((3, 3), dtype=bool))
+        omega.observe_rows(2, np.ones((3, 3), dtype=bool))
         # Before the fix _last_heard fell back to 2; at round 6 the
         # horizon is 4, so every live process looked silent.
         for pid in range(3):
@@ -127,29 +127,29 @@ class TestOmegaMonotonicity:
 
     def test_silence_in_an_old_round_changes_nothing(self):
         omega = HeartbeatOmega(n=3, suspicion_rounds=2)
-        omega.observe(5, np.ones((3, 3), dtype=bool))
+        omega.observe_rows(5, np.ones((3, 3), dtype=bool))
         before = omega._last_heard.copy()
-        omega.observe(3, np.zeros((3, 3), dtype=bool))
+        omega.observe_rows(3, np.zeros((3, 3), dtype=bool))
         assert (omega._last_heard == before).all()
 
     def test_repeated_observation_is_idempotent(self):
         omega = HeartbeatOmega(n=4, suspicion_rounds=3)
         delivered = np.zeros((4, 4), dtype=bool)
         delivered[1, 0] = True
-        omega.observe(4, delivered)
+        omega.observe_rows(4, delivered)
         before = omega._last_heard.copy()
-        omega.observe(4, delivered)
+        omega.observe_rows(4, delivered)
         assert (omega._last_heard == before).all()
 
     def test_genuine_silence_still_detected(self):
         """Monotonicity must not break crash detection: a process that
         stops being heard in *new* rounds is still dropped."""
         omega = HeartbeatOmega(n=3, suspicion_rounds=2)
-        omega.observe(1, np.ones((3, 3), dtype=bool))
+        omega.observe_rows(1, np.ones((3, 3), dtype=bool))
         quiet = np.ones((3, 3), dtype=bool)
         quiet[:, 0] = False  # process 0 goes silent
         for k in range(2, 6):
-            omega.observe(k, quiet)
+            omega.observe_rows(k, quiet)
         assert omega.trusted(1, 5) == 1
 
     def test_write_only_round_counter_removed(self):
