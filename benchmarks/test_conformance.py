@@ -39,9 +39,10 @@ def test_conformance_report(conformance, save_result):
         "none", "canonical", "adversary",
     }
     # Plus the scalar-vs-batched axis on each profile's static variant —
-    # clean and under the canonical batch-eligible fault plan — and one
-    # adversary-plan run on the granular profile.
-    assert len(report.batch_axis) == 9
+    # clean and under the canonical batch-eligible fault plan — one
+    # adversary-plan run on the granular profile, and the robustness
+    # phase's crash-recovery and leader-churn plans on the PlanetLab WAN.
+    assert len(report.batch_axis) == 11
     assert {r.profile for r in report.batch_axis} == {
         "planetlab-wan [scalar-vs-batched]",
         "lan [scalar-vs-batched]",
@@ -50,6 +51,7 @@ def test_conformance_report(conformance, save_result):
     }
     assert {r.fault for r in report.batch_axis} == {
         "none", "canonical-batch", "adversary-batch",
+        "crash+recover", "leader churn",
     }
 
 

@@ -19,7 +19,7 @@ system observes anyway:
   partition) and compares it against every fixed (model, timeout) pair;
 - :mod:`repro.adaptive.live` feeds the extractor from the event stack's
   batched hot path (``on_round_matrix`` straight off the vectorized
-  arrays) and cross-checks it against a forced-scalar replay.
+  arrays).
 """
 
 from repro.adaptive.extractor import ModelEstimate, TimelinessExtractor

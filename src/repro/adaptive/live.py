@@ -10,12 +10,12 @@ through the ``on_round_matrix`` seam — and because round-granular slow
 nodes and partitions are inside the widened batch eligibility, the whole
 run executes on the vectorized fast path while the extractor watches.
 
-The leg is one :class:`~repro.sync.heartbeat.ProbeScenario` row and
-cross-checks itself through :func:`~repro.sync.batch.twin_runs`: the
-same run forced through the scalar event loop must produce bit-identical
-results *and* an extractor with byte-identical windows, estimates, and
-recommendation.  That is the adaptive phase's half of the fast path's
-contract.
+The leg is one :class:`~repro.sync.heartbeat.ProbeScenario` row, built
+by :func:`live_run` and run once.  That the same run forced through the
+scalar event loop leaves an extractor with the same windows, estimates
+and recommendation is a tier-1 property
+(``tests/properties/test_prop_sync_batch.py``), not something the
+adaptive phase re-runs.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.adaptive.scenario import ScenarioConfig, churn_plan
 from repro.experiments.report import format_cell
 from repro.net.planetlab import planetlab_profile
 from repro.obs.registry import MetricsRegistry
-from repro.sync.batch import twin_runs
 from repro.sync.heartbeat import ProbeScenario
 from repro.sync.round_sync import SyncRun
 
@@ -40,11 +39,10 @@ COOLDOWN_ROUNDS = 40
 
 @dataclass
 class LiveExtractionReport:
-    """Outcome of the live-extraction leg, both execution modes."""
+    """Outcome of the live-extraction leg."""
 
     executed_mode: str
     fallback_reason: Optional[str]
-    identical: bool
     rounds: int
     timeout: float
     window_rounds: int
@@ -52,17 +50,12 @@ class LiveExtractionReport:
     recommendation: Optional[ModelEstimate]
 
 
-def _windows(extractor: TimelinessExtractor) -> dict[int, bytes]:
-    return {
-        k: matrix.tobytes() for k, matrix in extractor._rounds.items()
-    }
-
-
-def run_live_extraction(
+def live_run(
     config: ScenarioConfig = ScenarioConfig(),
     metrics: Optional[MetricsRegistry] = None,
-) -> LiveExtractionReport:
-    """Run the churn plan through the event stack with a live extractor.
+) -> SyncRun:
+    """The churn plan on the event stack with a live extractor as its
+    one observer, built and not yet run.
 
     The run uses ``config.tick`` as its round timeout so the plan's
     ``[(k-1)·tick, k·tick)`` wall-time grid and the protocol's round
@@ -86,39 +79,33 @@ def run_live_extraction(
         plan=plan,
         fault="churn",
     )
-
-    def build() -> SyncRun:
-        extractor = TimelinessExtractor(
-            config.n,
-            config.timeouts,
-            window=config.window,
-            min_rounds=config.min_window,
-            metrics=metrics,
-        )
-        extractor.running_timeout = row.timeout
-        return row.event_run("live:profile", omega=True, observers=[extractor])
-
-    twins = twin_runs(build)
-    (live_extractor,) = twins.auto_run.observers
-    (scalar_extractor,) = twins.scalar_run.observers
-    live_rec = live_extractor.recommend()
-    # ``repr`` equality: field by field to the last bit, with NaN == NaN (a
-    # never-held cell's expected time is NaN on both sides).
-    identical = (
-        not twins.diverged
-        and _windows(scalar_extractor) == _windows(live_extractor)
-        and repr(scalar_extractor.estimates()) == repr(live_extractor.estimates())
-        and repr(scalar_extractor.recommend()) == repr(live_rec)
+    extractor = TimelinessExtractor(
+        config.n,
+        config.timeouts,
+        window=config.window,
+        min_rounds=config.min_window,
+        metrics=metrics,
     )
+    extractor.running_timeout = row.timeout
+    return row.event_run("live:profile", omega=True, observers=[extractor])
+
+
+def run_live_extraction(
+    config: ScenarioConfig = ScenarioConfig(),
+    metrics: Optional[MetricsRegistry] = None,
+) -> LiveExtractionReport:
+    """Run :func:`live_run` and report what its extractor saw."""
+    run = live_run(config, metrics)
+    run.run()
+    (extractor,) = run.observers
     return LiveExtractionReport(
-        executed_mode=twins.auto_run.executed_mode,
-        fallback_reason=twins.auto_run.fallback_reason,
-        identical=identical,
-        rounds=row.rounds,
-        timeout=row.timeout,
-        window_rounds=live_extractor.rounds_seen,
-        holding=live_extractor.holding(),
-        recommendation=live_rec,
+        executed_mode=run.executed_mode,
+        fallback_reason=run.fallback_reason,
+        rounds=run.max_rounds,
+        timeout=config.tick,
+        window_rounds=extractor.rounds_seen,
+        holding=extractor.holding(),
+        recommendation=extractor.recommend(),
     )
 
 
@@ -137,10 +124,6 @@ def render_live_extraction(report: LiveExtractionReport) -> str:
             if report.fallback_reason
             else ""
         )
-    )
-    lines.append(
-        "scalar replay identical (results, windows, estimates): "
-        + ("yes" if report.identical else "NO")
     )
     holding = " ".join(
         f"{model}@{held:.2f}" if held is not None else f"{model}@-"

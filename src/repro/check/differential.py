@@ -52,6 +52,7 @@ from repro.experiments.measurement import (
     timely_matrices,
 )
 from repro.experiments.report import format_cell
+from repro.experiments.robustness import canonical_plans
 from repro.faults.adversary import StabilityWindowAdversary
 from repro.faults.plan import Crash, FaultPlan, LossBurst, Partition, SlowNode
 from repro.giraf.oracle import FixedLeaderOracle
@@ -375,14 +376,13 @@ def batched_differential_run(
     time-*varying* variant and probes the other half of the contract —
     that such a run falls back to the scalar loop and reports why.
 
-    With a plan on the row — which must be batch-eligible, like
-    :func:`canonical_batch_plan` or the round-granular loss bursts and
-    stability-window partitions of :func:`canonical_adversary_plan` —
-    the twin runs carry the widened fast path's full load: the plan, a
-    live metrics registry on the run and the transport, and the
-    :class:`HeartbeatOmega` detector — and two extra rows assert that
-    the ``repro.obs`` counter totals and latency histograms match
-    exactly too.
+    With a plan on the row, the twin runs carry the widened fast path's
+    full load: the plan, a live metrics registry on the run and the
+    transport, and the :class:`HeartbeatOmega` detector — and two extra
+    rows assert that the ``repro.obs`` counter totals and latency
+    histograms match exactly too.  A plan the batch path must refuse
+    (its fault label is in :data:`FALLBACKS`) makes the row one
+    assertion instead: the run falls back for exactly the stated reason.
     """
     instrumented = row.plan is not None
 
@@ -396,6 +396,12 @@ def batched_differential_run(
         return DiffRow(quantity, 1.0, 1.0 if holds else 0.0, 0.0)
 
     twins = twin_runs(build)
+    refused = FALLBACKS.get(row.fault)
+    if refused is not None:
+        # An auto leg that fell back is its own twin: nothing to diff.
+        holds = twins.auto_run.fallback_reason == refused
+        rows = [exact(f"falls back: {refused}", holds)]
+        return DifferentialResult(row, f"{row.name} [{TWIN}]", rows)
     facets = RESULT_FIELDS + RUN_FACETS
     if instrumented:
         facets += METRIC_FACETS
@@ -512,15 +518,28 @@ PROFILES = {
     ),
 }
 
-#: Fault label -> the plan's builder ``(n, rounds, seed=)``; the
-#: ``-batch`` plans are the batch-eligible ones the twin runs carry.
+def _robustness_plan(fault: str, n: int, rounds: int, seed: int = 0) -> FaultPlan:
+    return canonical_plans(n, rounds, seed)[fault]
+
+
+#: Fault label -> the plan's builder ``(n, rounds, seed=)``.  The twin
+#: runs carry the batch-eligible ``-batch`` plans and the robustness
+#: phase's two classes no other plan holds: crash recovery, leader churn.
 PLANS = {
     "none": None,
     "canonical": canonical_diff_plan,
     "adversary": canonical_adversary_plan,
     "canonical-batch": canonical_batch_plan,
     "adversary-batch": canonical_adversary_plan,
+    **{
+        fault: partial(_robustness_plan, fault)
+        for fault in ("crash+recover", "leader churn")
+    },
 }
+
+#: Fault label -> the reason the batch path must give for refusing the
+#: plan (:func:`~repro.sync.batch.batch_eligibility`).
+FALLBACKS = {"crash+recover": "fault plan schedules crash recovery"}
 
 TWO_STACK, TWIN = "two-stack", "scalar-vs-batched"
 
@@ -553,6 +572,10 @@ GRID = (
     # One adversary run on the granular profile proves the stability-window
     # plan's epoch segmentation stays on the bit-identical fast path.
     GridRow(TWIN, "granular-wan", "adversary-batch"),
+    # The robustness phase's fault classes at its own network and
+    # timeout: crash recovery falls back, leader churn rides batched.
+    GridRow(TWIN, "planetlab-wan", "crash+recover"),
+    GridRow(TWIN, "planetlab-wan", "leader churn"),
 )
 
 

@@ -14,10 +14,13 @@ experimental form of the paper's question "which model should you
 assume?": a model whose ``P_M`` collapses under a realistic fault class
 is a bad bet no matter how it scores on a clean network.
 
-The report's tail is the phase's half of the fast path's contract: each
-canonical plan as a row over one pinged WAN
-(:class:`~repro.sync.heartbeat.ProbeScenario`), executed both ways by
-:func:`~repro.sync.batch.twin_runs`.
+The report's tail says which execution path each canonical plan takes
+through the event stack — run once, in auto mode, over one pinged WAN
+(:class:`~repro.sync.heartbeat.ProbeScenario`) — and why the scalar
+ones fall back.  That the batched ones equal the scalar event loop is
+proved in one place, ``--check``'s scalar-vs-batched axis
+(:func:`~repro.check.differential.batched_differential_run`), which
+also carries this module's crash+recover and leader-churn plans.
 
 Run it through ``python -m repro.experiments --faults`` or directly via
 :func:`robustness_report`.
@@ -46,7 +49,6 @@ from repro.faults import (
 from repro.net.planetlab import planetlab_profile
 from repro.obs.registry import MetricsRegistry
 from repro.sim.rng import derive_seed
-from repro.sync.batch import twin_runs
 from repro.sync.heartbeat import ProbeScenario
 
 #: The timeout the robustness tables are measured at (the sweep grid's
@@ -251,28 +253,26 @@ def render_robustness(
 
 @dataclass(frozen=True)
 class EventStackRow:
-    """One fault class pushed through the event stack both ways."""
+    """The execution path one fault class takes through the event stack."""
 
     fault: str
     executed_mode: str
     fallback_reason: Optional[str]
-    identical: bool
 
 
 def event_stack_crosscheck(
     n: int, rounds: int, timeout: float, seed: int = 0
 ) -> list[EventStackRow]:
-    """Run each canonical fault class through :class:`SyncRun` twice —
-    auto mode (batched where eligible) and forced scalar — on a static
-    WAN profile with live metrics and the HeartbeatOmega detector, and
-    record the executed mode plus whether the artifacts are identical.
+    """Run each canonical fault class once through :class:`SyncRun` in
+    auto mode — on a static WAN profile, with live metrics and the
+    HeartbeatOmega detector — and record the path it executed: the
+    batched fast path, or the scalar event loop and the reason it fell
+    back.  One row per :func:`canonical_plans` entry, all over one
+    pinged network.
 
-    This is the robustness phase's half of the widened fast path's
-    contract: fault classes the batch path claims (loss bursts,
-    partitions, slow nodes, permanent crashes, leader churn) must ride
-    it bit-identically; the residual classes (crash *recovery*) must
-    fall back with an attributed reason.  One row per
-    :func:`canonical_plans` entry, all over one pinged network.
+    Nothing is run twice here: the batched rows' identity with the
+    scalar loop is ``--check``'s to prove
+    (:func:`~repro.check.differential.batched_differential_run`).
     """
     network = ProbeScenario(
         "planetlab-static",
@@ -283,21 +283,15 @@ def event_stack_crosscheck(
         "faults:event-stack",
     )
 
-    def crosscheck(fault: str, plan: FaultPlan) -> EventStackRow:
-        # The verdict only: the pair of runs is let go on return.
-        row = replace(network, plan=plan, fault=fault)
-        twins = twin_runs(
-            lambda: row.event_run("profile", metrics=MetricsRegistry(), omega=True)
+    def execute(fault: str, plan: FaultPlan) -> EventStackRow:
+        run = replace(network, plan=plan, fault=fault).event_run(
+            "profile", metrics=MetricsRegistry(), omega=True
         )
-        return EventStackRow(
-            fault,
-            twins.auto_run.executed_mode,
-            twins.auto_run.fallback_reason,
-            identical=not twins.diverged,
-        )
+        run.run()
+        return EventStackRow(fault, run.executed_mode, run.fallback_reason)
 
     return [
-        crosscheck(fault, plan)
+        execute(fault, plan)
         for fault, plan in canonical_plans(n, rounds, seed).items()
     ]
 
@@ -307,26 +301,21 @@ def render_event_stack(
 ) -> str:
     """The executed-mode distribution table for the report's tail."""
     title = (
-        f"Event-stack cross-check ({rounds} rounds at "
+        f"Event-stack execution paths ({rounds} rounds at "
         f"{timeout * 1000:.0f} ms, live metrics + HeartbeatOmega): "
-        "auto vs forced-scalar SyncRun"
+        "auto-mode SyncRun"
     )
     lines = [title, "-" * len(title)]
-    lines.append(
-        f"{'fault class':<16}{'executed mode':<15}{'identical':<11}"
-        "fallback reason"
-    )
+    lines.append(f"{'fault class':<16}{'executed mode':<15}fallback reason")
     for row in rows:
         lines.append(
             f"{row.fault:<16}{row.executed_mode:<15}"
-            f"{'yes' if row.identical else 'NO':<11}"
             f"{row.fallback_reason or '-'}"
         )
     modes = [row.executed_mode for row in rows]
     lines.append(
         f"executed modes: {modes.count('batch')} batch / "
-        f"{modes.count('scalar')} scalar; artifacts identical on "
-        f"{sum(row.identical for row in rows)}/{len(rows)} fault classes"
+        f"{modes.count('scalar')} scalar"
     )
     return "\n".join(lines)
 

@@ -62,8 +62,8 @@ for instrumented runs, the same metric totals and histograms) is the
 contract :func:`run_divergences` states, and :func:`twin_runs` is the one
 place a run is executed both ways to be held to it; every guard of it
 (``tests/properties/test_prop_sync_batch.py``, the scalar-vs-batched
-axis of :mod:`repro.check.differential`, the robustness and adaptive
-phases' self-checks, the speedup benchmark) calls that one function.
+axis of :mod:`repro.check.differential` — the CLI's only one — and the
+speedup benchmark) calls that one function.
 
 Why the tie rules are what they are
 -----------------------------------

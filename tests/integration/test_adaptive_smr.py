@@ -219,9 +219,6 @@ class TestLiveExtraction:
         assert live.executed_mode == "batch", live.fallback_reason
         assert live.fallback_reason is None
 
-    def test_scalar_replay_is_identical(self, live):
-        assert live.identical
-
     def test_extractor_saw_the_full_window(self, live):
         assert live.window_rounds == ScenarioConfig().window
 
@@ -235,4 +232,3 @@ class TestLiveExtraction:
 
         text = render_live_extraction(live)
         assert "executed mode: batch" in text
-        assert "scalar replay identical" in text

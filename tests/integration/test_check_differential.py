@@ -127,7 +127,7 @@ class TestOnePingPerRow:
 
     def test_the_grid_pings_each_profile_variant_once(self, pings):
         report = run_conformance(mc_samples=50)
-        assert len(report.results) + len(report.batch_axis) == len(GRID) == 21
+        assert len(report.results) + len(report.batch_axis) == len(GRID) == 23
         assert len(pings) <= 8
 
 

@@ -104,6 +104,10 @@ MUTANTS = tuple(Mutant(*row) for row in (
      "Lemma 3: a process commits on a leader that is not majApproved",
      "repro.consensus.base:LeaderConsensus._commit_guard",
      "return leader_msg.maj_approved", "return True"),
+    ("paxos-adopts-last-promise", "consensus",
+     "a Paxos leader adopts the last promise's accepted value, not the highest ballot's",
+     "repro.consensus.paxos:PaxosConsensus._proposer_step",
+     "best = max(accepted, key=lambda m: m.vrnd)", "best = accepted[-1]"),
     ("decide3-without-majapproved", "core",
      "decide-3 no longer asks the decider to be majApproved",
      "repro.core.wlm:WlmConsensus._decide3_guard",

@@ -22,6 +22,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.adaptive.live import live_run
+from repro.adaptive.scenario import ScenarioConfig
 from repro.consensus import (
     AfmConsensus,
     EsConsensus,
@@ -237,6 +239,27 @@ class TestFaultedBitIdentity:
             # ends up where the scalar run leaves it.
             assert policy_a._burst_counters == policy_b._burst_counters
             assert policy_a._seen_activations == policy_b._seen_activations
+
+    def test_live_leg_is_bit_identical(self):
+        # The adaptive phase's live leg as one more input: PlanetLab
+        # static under the churn scenario's plan (a slow set and a
+        # partition), HeartbeatOmega, and a TimelinessExtractor riding
+        # along.  Its extractor must keep the same windows and draw the
+        # same estimates and recommendation on either path.
+        twins = twin_runs(lambda: live_run(ScenarioConfig()))
+        assert twins.auto_run.executed_mode == "batch", twins.auto_run.fallback_reason
+        assert twins.diverged == []
+        (auto,), (scalar,) = twins.auto_run.observers, twins.scalar_run.observers
+
+        def windows(extractor):
+            return {k: m.tobytes() for k, m in extractor._rounds.items()}
+
+        assert windows(auto) == windows(scalar)
+        # ``repr`` equality: field by field to the last bit, with NaN ==
+        # NaN (a never-held cell's expected time is NaN on both sides).
+        assert repr(auto.estimates()) == repr(scalar.estimates())
+        assert repr(auto.recommend()) == repr(scalar.recommend())
+        assert auto.recommend() is not None
 
     def test_overlapping_bursts_share_each_link_counter(self):
         # Rounds 6-9 have both bursts live: there a message walks them in

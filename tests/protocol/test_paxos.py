@@ -18,6 +18,7 @@ from repro.giraf import (
     MatrixSchedule,
     StableAfterSchedule,
 )
+from repro.giraf.oracle import ScriptedOracle
 from repro.giraf.schedule import Schedule
 from repro.models.matrix import empty_matrix, full_matrix
 from tests.conftest import assert_safety, make_consensus_run
@@ -75,6 +76,49 @@ class TestPaxosBasics:
         leader.compute(1, messages, 0)
         assert leader.phase == 2
         assert leader.cvalue == "theirs"
+
+    def test_a_run_adopts_the_highest_ballot_among_two_accepted_values(self):
+        """A whole lockstep run reaching the case the unit test above
+        builds by hand.  Leader 2 gets ``v2`` accepted at ballot 5 by
+        itself alone; leader 1 gets ``v1`` accepted at ballot 7 by 0 and 1
+        and decides it; leader 0's phase-1 quorum is then {0, 2}, whose
+        promises carry (7, v1) and (5, v2).  The higher ballot sits at
+        the lower pid, so the last promise in sender order is the wrong
+        one."""
+        n = 3
+        cut = {  # round -> the (src, dst) links that are not timely
+            3: {(2, 0), (2, 1)},  # ballot 5's P2A reaches only its leader
+            4: {(2, 1)},  # leader 1's quorum is {0, 1}: v2 unseen
+            5: {(2, 1)},
+            6: {(1, 2)},  # ballot 7's P2A misses pid 2
+            7: {(1, 2)},
+            8: {(1, 2), (1, 0)},  # so does pid 1's DECIDE ...
+            # ... and it reaches leader 0 only once leader 0 has decided.
+            **{k: {(1, 0)} for k in range(9, 13)},
+        }
+        matrices = []
+        for k in range(1, 14):
+            timely = full_matrix(n)
+            for src, dst in cut.get(k, ()):
+                timely[dst, src] = False
+            matrices.append(timely)
+        leaders = [2] * 3 + [1] * 5 + [0]  # the oracle's output after round k
+        runner = LockstepRunner(
+            n,
+            lambda pid: PaxosConsensus(pid, n, f"v{pid}"),
+            ScriptedOracle([[leader] * n for leader in leaders]),
+            MatrixSchedule(matrices),
+        )
+        result = runner.run(max_rounds=20)
+        assert_safety(result)
+        assert result.all_correct_decided
+        # v1 was decided before leader 0 ran its phase 1 ...
+        assert (result.decisions[1], result.decision_rounds[1]) == ("v1", 7)
+        final = runner.processes[0].algorithm
+        assert final.cballot == 9 and final.restarts == 0
+        # ... and leader 0 proposed it, not the (5, v2) it also heard.
+        assert final.cvalue == "v1"
+        assert result.decisions == {pid: "v1" for pid in range(n)}
 
 
 class PoisonedMajoritySchedule(Schedule):
