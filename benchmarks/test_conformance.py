@@ -12,6 +12,8 @@ the mutation self-test — and writes the rendered report to
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.check import conformance_report, run_conformance
@@ -67,6 +69,44 @@ def test_stacks_agree_on_every_scenario(conformance):
                 for row in bad
             )
         )
+
+
+#: The two-stack rows whose event run executes on the round grid.
+GRID_ROWS = {
+    (profile, fault)
+    for profile in ("uniform-wan", "granular-wan")
+    for fault in ("none", "adversary")
+}
+
+
+def _band(row) -> float:
+    """The statistical band a banded row keeps: p 0.10, P_M 0.25, sync
+    error 0.6 timeouts, D_WLM max(6, 0.8 * the idealization's mean)."""
+    if row.quantity == "measured p":
+        return 0.10
+    if row.quantity.startswith("P_"):
+        return 0.25
+    if row.quantity == "sync error / timeout":
+        return 0.6
+    assert row.quantity == "D_WLM rounds", row.quantity
+    return 6.0 if math.isnan(row.lockstep) else max(6.0, 0.8 * row.lockstep)
+
+
+def test_grid_rows_are_exact_and_the_rest_keep_their_bands(conformance):
+    report, _ = conformance
+    exact = [r for r in report.results if (r.profile, r.fault) in GRID_ROWS]
+    assert len(exact) == len(GRID_ROWS)
+    for result in report.results:
+        where = (result.profile, result.fault)
+        if where in GRID_ROWS:
+            assert result.kind.startswith("exact"), where
+            assert result.rows[-1].quantity == "identical: matrices"
+            for row in result.rows:
+                assert row.tolerance == 0.0 and row.ok, (where, row)
+        else:
+            assert result.kind.startswith("banded"), where
+            for row in result.rows:
+                assert row.tolerance == _band(row), (where, row)
 
 
 def test_batched_path_is_bit_identical(conformance):

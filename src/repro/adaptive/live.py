@@ -58,8 +58,8 @@ def live_run(
     one observer, built and not yet run.
 
     The run uses ``config.tick`` as its round timeout so the plan's
-    ``[(k-1)·tick, k·tick)`` wall-time grid and the protocol's round
-    grid coincide — the same anchoring the scenario's matrix path uses.
+    rounds (:class:`~repro.faults.event.PlanLinkFaults`, one tick each)
+    and the protocol's round grid coincide.
     """
     pinged = ProbeScenario(
         "planetlab-wan",
@@ -94,9 +94,11 @@ def run_live_extraction(
     config: ScenarioConfig = ScenarioConfig(),
     metrics: Optional[MetricsRegistry] = None,
 ) -> LiveExtractionReport:
-    """Run :func:`live_run` and report what its extractor saw."""
+    """Run :func:`live_run` and report what its extractor saw; the path
+    the run took is counted into ``metrics``."""
     run = live_run(config, metrics)
     run.run()
+    run.count_path(metrics)
     (extractor,) = run.observers
     return LiveExtractionReport(
         executed_mode=run.executed_mode,

@@ -6,8 +6,8 @@ seconds of simulated wall time) over a WAN whose conditions churn — a
 clean phase, then the elected leader's node degrades (all its links slow
 by ``slow_factor``), then a partition isolates it entirely, then the
 network heals.  The phases live in one :class:`repro.faults.FaultPlan`
-anchored to wall time on the same ``[(k-1)·tick, k·tick)`` grid the event
-path uses, so every policy — fast or slow — faces the same weather at
+anchored to wall time, one ``tick`` a round, as the event path's plan
+rounds are, so every policy — fast or slow — faces the same weather at
 the same *seconds*, not the same round count.
 
 Each policy runs the same workload on its own
@@ -223,8 +223,10 @@ def faulted_latencies(
     both slow at once; ``adaptive.txt`` is pinned to this one.
     Partitioned and crashed links are ``inf``.  ``wall_time`` maps to
     plan round ``int(wall_time / tick) + 1`` — this view's own anchoring
-    (true division, where :meth:`PlanLinkFaults.round_of` floor-divides),
-    kept because ``adaptive.txt`` is pinned to it; the per-round state
+    (a true division, where :meth:`PlanLinkFaults.round_of` reads its
+    table of accumulated round starts, on which a drift-free grid's round
+    ``k`` is plan round ``k`` exactly), kept because ``adaptive.txt`` is
+    pinned to it; the per-round state
     is the plan's own :meth:`~repro.faults.plan.FaultPlan.round_state`.
     """
     state = plan.round_state(int(wall_time / tick) + 1)

@@ -22,12 +22,14 @@ cross-check pits the Monte-Carlo estimators against the Section 4
 closed forms on a grid of ``p`` values.  The sweep itself is data:
 :data:`GRID`, one ``(check, profile, fault)`` row per scenario.
 
-Tolerances are deliberately loose statistical bounds, not equality: the
-two stacks share a latency trace seed but cut rounds differently (local
-timers, jumps, shortened joins), so their matrices agree in distribution,
-not bit-for-bit.  The bands follow the precedents of
-``tests/integration/test_sync_vs_matrix.py``, widened where fault plans
-add variance.
+Both stacks read one trace seed and one plan verdict per message
+(:func:`idealized_matrices`).  An event run on the round grid is then
+the idealization itself, so its row is exact: tolerance 0, plus a
+cell-for-cell comparison of the matrices.  Off the grid (time-varying
+links, crash recovery) the stack cuts rounds with local timers, jumps and
+shortened joins, so it agrees in distribution only, within loose bands
+after ``tests/integration/test_sync_vs_matrix.py``, widened where fault
+plans add variance.  The report names each row's kind.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from repro.experiments.measurement import (
 from repro.experiments.report import format_cell
 from repro.experiments.robustness import canonical_plans
 from repro.faults.adversary import StabilityWindowAdversary
+from repro.faults.event import PlanLinkFaults
 from repro.faults.plan import Crash, FaultPlan, LossBurst, Partition, SlowNode
 from repro.giraf.oracle import FixedLeaderOracle
 from repro.net.base import LatencyModel
@@ -118,8 +121,7 @@ class DiffRow:
 
     @property
     def ok(self) -> bool:
-        lock_nan = math.isnan(self.lockstep)
-        event_nan = math.isnan(self.event)
+        lock_nan, event_nan = math.isnan(self.lockstep), math.isnan(self.event)
         if lock_nan or event_nan:
             return lock_nan and event_nan
         if self.kind == "lower-bound":
@@ -138,6 +140,8 @@ class DifferentialResult:
     #: ``(stack, violation)`` pairs from the consensus safety runs, where
     #: ``stack`` is ``"lockstep"`` or ``"event"``.
     violations: list[tuple[str, Violation]] = field(default_factory=list)
+    #: A two-stack row's kind: exact (on the round grid) or banded, and why.
+    kind: Optional[str] = None
 
     @property
     def fault(self) -> str:
@@ -161,16 +165,10 @@ def canonical_diff_plan(n: int, rounds: int, seed: int = 0) -> FaultPlan:
     third = max(8, rounds // 3)
     return FaultPlan(
         n=n,
-        crashes=(Crash(pid=min(2, n - 1), at_round=third, recover_round=third + 4),),
-        loss_bursts=(LossBurst(start_round=third + 8, end_round=third + 10, drop_prob=0.9),),
+        crashes=(Crash(min(2, n - 1), third, recover_round=third + 4),),
+        loss_bursts=(LossBurst(third + 8, third + 10, drop_prob=0.9),),
         slow_nodes=(
-            SlowNode(
-                pid=n - 1,
-                start_round=third + 14,
-                end_round=third + 18,
-                factor=3.0,
-                drop_prob=0.5,
-            ),
+            SlowNode(n - 1, third + 14, third + 18, factor=3.0, drop_prob=0.5),
         ),
         seed=derive_seed(seed, "check:canonical-plan"),
     )
@@ -197,8 +195,7 @@ def canonical_adversary_plan(n: int, rounds: int, seed: int = 0) -> FaultPlan:
 
 
 def _consensus_safety(
-    row: ProbeScenario,
-    ideal_matrices: np.ndarray,
+    row: ProbeScenario, ideal_matrices: np.ndarray,
     metrics: Optional[MetricsRegistry],
 ) -> list[tuple[str, Violation]]:
     """Run Algorithm 2 through both stacks with the safety checkers on.
@@ -218,27 +215,19 @@ def _consensus_safety(
 
     lock_suite = default_suite(metrics=metrics)
     runner = row.lockstep_run(factory, ideal_matrices, observers=[lock_suite])
-    lock_run = runner.run(
-        max_rounds=row.rounds,
-        stop_on_global_decision=True,
+    lock_suite.finish(runner.run(
+        max_rounds=row.rounds, stop_on_global_decision=True,
         extra_rounds_after_decision=2,
-    )
-    lock_suite.finish(lock_run)
+    ))
     violations.extend(("lockstep", v) for v in lock_suite.violations)
 
     event_suite = default_suite(metrics=metrics)
     profile = row.network("consensus")
     sync = SyncRun(
-        row.n,
-        factory,
-        FixedLeaderOracle(row.leader),
-        lambda sim: Transport(sim, profile),
-        timeout=row.timeout,
-        latency_table=row.table,
-        max_rounds=row.rounds,
-        fault_plan=row.plan,
-        metrics=metrics,
-        observers=[event_suite],
+        row.n, factory, FixedLeaderOracle(row.leader),
+        lambda sim: Transport(sim, profile), timeout=row.timeout,
+        latency_table=row.table, max_rounds=row.rounds, fault_plan=row.plan,
+        metrics=metrics, observers=[event_suite],
     )
     event_suite.finish(sync.run())
     violations.extend(("event", v) for v in event_suite.violations)
@@ -263,6 +252,29 @@ def _observables(matrices: np.ndarray, row: ProbeScenario) -> dict[str, float]:
     return values
 
 
+def idealized_matrices(
+    trace: np.ndarray, timeout: float, plan: Optional[FaultPlan] = None
+) -> np.ndarray:
+    """The figures' synchronized windows over ``trace`` under ``plan``, as
+    the wire applies it: :meth:`~repro.faults.event.PlanLinkFaults.judge`
+    rules on each off-diagonal message of round ``k`` in plan round ``k``,
+    a lost one's latency becomes ``+inf``, the rest take their link's
+    factor — then a message is timely iff its latency is below timeout."""
+    if plan is not None:
+        rounds, n = trace.shape[:2]
+        sent = np.broadcast_to(~np.eye(n, dtype=bool), trace.shape)
+        lost, factor, _ = PlanLinkFaults(plan, timeout).judge(
+            sent, np.arange(1, rounds + 1)
+        )
+        trace = np.where(lost, np.inf, trace * factor)
+    return timely_matrices(trace, timeout)
+
+
+def _exact(quantity: str, holds: bool) -> DiffRow:
+    """A tolerance-0 row: ``1.0`` against ``1.0`` iff ``holds``."""
+    return DiffRow(quantity, 1.0, 1.0 if holds else 0.0, 0.0)
+
+
 def differential_run(
     row: ProbeScenario, metrics: Optional[MetricsRegistry] = None
 ) -> DifferentialResult:
@@ -270,50 +282,55 @@ def differential_run(
 
     Both stacks consume the *same* trace seed — the row's ``"trace"``
     stream: the event transport reads each link's lane of its columns,
-    the lockstep path samples the batch trace — so differences reflect the
-    round-cutting protocol, not different networks.
+    the idealized path samples the batch trace — and the same plan
+    verdicts (:func:`idealized_matrices`), so differences reflect the
+    round-cutting protocol alone.  An event run on the round grid cuts
+    rounds as the idealization does: its row is held at tolerance 0 and
+    compares the two stacks' matrices cell for cell.
     """
     timeout = row.timeout
+    run = row.event_run("trace", metrics=metrics)
+    event_result = run.run()
+    on_grid = run.executed_mode == "batch"
 
-    # Event path: the heartbeat probe stream through the real protocol.
-    event_result = row.event_run("trace", metrics=metrics).run()
-
-    # Lockstep path: same trace seed, synchronized windows, plan masks.
     trace = sample_latency_trace(row.network("trace"), row.rounds, timeout)
     ideal = timely_matrices(trace, timeout)
-    faulted = (
-        row.plan.apply_to_matrices(ideal) if row.plan is not None else ideal
-    )
+    faulted = idealized_matrices(trace, timeout, row.plan)
 
     depth = min(len(event_result.matrices), len(faulted))
     if depth <= WARMUP_ROUNDS + 20:
-        raise ValueError(
-            f"scenario too short to compare: only {depth} common rounds"
-        )
-    lock_m = np.asarray(faulted[WARMUP_ROUNDS:depth])
-    event_m = np.asarray(event_result.matrices[WARMUP_ROUNDS:depth])
-
-    lock, event = _observables(lock_m, row), _observables(event_m, row)
-    tolerances = dict.fromkeys(lock, PM_TOLERANCE)
-    tolerances["measured p"] = P_TOLERANCE
-    lock_mean = lock["D_WLM rounds"]
-    tolerances["D_WLM rounds"] = (
-        6.0 if math.isnan(lock_mean) else max(6.0, 0.8 * lock_mean)
-    )
-    rows = [
-        DiffRow(quantity, lock[quantity], event[quantity], tolerance)
-        for quantity, tolerance in tolerances.items()
-    ]
-
+        raise ValueError(f"scenario too short to compare: only {depth} common rounds")
+    window = slice(WARMUP_ROUNDS, depth)
+    lock = _observables(faulted[window], row)
+    event = _observables(np.asarray(event_result.matrices[window]), row)
     # Round synchronization: the idealization assumes perfectly aligned
     # windows; the protocol must stay within a fraction of the timeout.
-    errors = np.asarray(event_result.sync_error[WARMUP_ROUNDS:depth], dtype=float)
-    finite = errors[~np.isnan(errors)]
-    sync_ratio = float(finite.mean() / timeout) if finite.size else float("nan")
-    rows.append(DiffRow("sync error / timeout", 0.0, sync_ratio, SYNC_TOLERANCE))
-
+    errors = np.asarray(event_result.sync_error[window], dtype=float)
+    errors = errors[~np.isnan(errors)]
+    lock["sync error / timeout"] = 0.0
+    event["sync error / timeout"] = (
+        float(errors.mean() / timeout) if errors.size else math.nan
+    )
+    lock_mean = lock["D_WLM rounds"]
+    tolerances = dict.fromkeys(lock, PM_TOLERANCE) | {
+        "measured p": P_TOLERANCE,
+        "D_WLM rounds": (
+            6.0 if math.isnan(lock_mean) else max(6.0, 0.8 * lock_mean)
+        ),
+        "sync error / timeout": SYNC_TOLERANCE,
+    }
+    rows = [
+        DiffRow(quantity, lock[quantity], event[quantity],
+                0.0 if on_grid else tolerance)
+        for quantity, tolerance in tolerances.items()
+    ]
+    kind = f"banded (off the grid: {run.fallback_reason})"
+    if on_grid:
+        kind = "exact (ran on the round grid)"
+        same = np.array_equal(np.asarray(event_result.matrices), faulted)
+        rows.append(_exact("identical: matrices", same))
     return DifferentialResult(
-        row, row.name, rows, _consensus_safety(row, ideal, metrics)
+        row, row.name, rows, _consensus_safety(row, ideal, metrics), kind
     )
 
 
@@ -333,43 +350,32 @@ def canonical_batch_plan(n: int, rounds: int, seed: int = 0) -> FaultPlan:
     half = n // 2
     return FaultPlan(
         n=n,
-        crashes=(Crash(pid=min(2, (n + 1) // 2 - 1), at_round=third),),
-        loss_bursts=(
-            LossBurst(
-                start_round=third + 8, end_round=third + 10, drop_prob=0.9
-            ),
-        ),
+        crashes=(Crash(min(2, (n + 1) // 2 - 1), third),),
+        loss_bursts=(LossBurst(third + 8, third + 10, drop_prob=0.9),),
         partitions=(
             Partition(
-                groups=(tuple(range(half)), tuple(range(half, n))),
-                start_round=third + 14,
-                heal_round=third + 18,
+                (tuple(range(half)), tuple(range(half, n))), third + 14, third + 18
             ),
         ),
         slow_nodes=(
-            SlowNode(
-                pid=n - 1,
-                start_round=third + 22,
-                end_round=third + 26,
-                factor=3.0,
-                drop_prob=0.5,
-            ),
+            SlowNode(n - 1, third + 22, third + 26, factor=3.0, drop_prob=0.5),
         ),
         seed=derive_seed(seed, "check:canonical-batch-plan"),
     )
 
 
 def batched_differential_run(
-    row: ProbeScenario, dynamic: Optional[_Factory] = None
+    row: ProbeScenario,
+    dynamic: Optional[_Factory] = None,
+    metrics: Optional[MetricsRegistry] = None,
 ) -> DifferentialResult:
     """Cross-check the two execution paths *within* the event stack.
 
-    Unlike :func:`differential_run` — which compares two different
-    idealizations within tolerances — the batched structure-of-arrays
-    path (:mod:`repro.sync.batch`) claims **bit identity** with the
-    scalar event loop, so every row here carries tolerance ``0.0``: a
-    facet of :func:`~repro.sync.batch.twin_runs`' verdict either matches
-    exactly (``1.0``) or the axis fails (``0.0``).
+    The batched structure-of-arrays path (:mod:`repro.sync.batch`) claims
+    **bit identity** with the scalar event loop, so every row here
+    carries tolerance ``0.0``: a facet of
+    :func:`~repro.sync.batch.twin_runs`' verdict either matches exactly
+    (``1.0``) or the axis fails (``0.0``).
 
     The row's profile must be a time-invariant variant (the batch path's
     eligibility condition); ``dynamic``, when given, builds the
@@ -383,6 +389,8 @@ def batched_differential_run(
     histograms match exactly too.  A plan the batch path must refuse
     (its fault label is in :data:`FALLBACKS`) makes the row one
     assertion instead: the run falls back for exactly the stated reason.
+    Each run keeps a registry of its own for those facets; the path it
+    took is counted into ``metrics`` too.
     """
     instrumented = row.plan is not None
 
@@ -392,29 +400,30 @@ def batched_differential_run(
             "batch-axis", metrics=metrics, omega=instrumented
         )
 
-    def exact(quantity: str, holds: bool) -> DiffRow:
-        return DiffRow(quantity, 1.0, 1.0 if holds else 0.0, 0.0)
-
     twins = twin_runs(build)
+    twins.auto_run.count_path(metrics)
+    if twins.scalar_run is not twins.auto_run:
+        twins.scalar_run.count_path(metrics)
     refused = FALLBACKS.get(row.fault)
     if refused is not None:
         # An auto leg that fell back is its own twin: nothing to diff.
         holds = twins.auto_run.fallback_reason == refused
-        rows = [exact(f"falls back: {refused}", holds)]
+        rows = [_exact(f"falls back: {refused}", holds)]
         return DifferentialResult(row, f"{row.name} [{TWIN}]", rows)
     facets = RESULT_FIELDS + RUN_FACETS
     if instrumented:
         facets += METRIC_FACETS
-    rows = [exact("batch path engaged", twins.auto_run.executed_mode == "batch")]
+    rows = [_exact("batch path engaged", twins.auto_run.executed_mode == "batch")]
     rows.extend(
-        exact(f"identical: {facet}", facet not in twins.diverged)
+        _exact(f"identical: {facet}", facet not in twins.diverged)
         for facet in facets
     )
     if dynamic is not None:
         probe = build(replace(row, profile=dynamic))
         probe.run()
+        probe.count_path(metrics)
         rows.append(
-            exact(
+            _exact(
                 "dynamic variant falls back",
                 probe.executed_mode == "scalar"
                 and probe.fallback_reason is not None,
@@ -497,8 +506,7 @@ class Profile(NamedTuple):
 #: The four network profiles every conformance run covers.
 PROFILES = {
     "planetlab-wan": Profile(
-        WAN_TIMEOUT,
-        planetlab_profile,
+        WAN_TIMEOUT, planetlab_profile,
         partial(planetlab_profile, slow_run_prob=0.0),
         partial(planetlab_profile, slow_run_prob=1.0),
     ),
@@ -509,9 +517,7 @@ PROFILES = {
         UNIFORM_TIMEOUT, uniform_wan_profile, uniform_wan_profile, None
     ),
     "granular-wan": Profile(
-        GRANULAR_TIMEOUT,
-        granular_wan_profile,
-        granular_wan_profile,
+        GRANULAR_TIMEOUT, granular_wan_profile, granular_wan_profile,
         # A pending psync stabilization makes the contract
         # time-varying: the batch path must fall back and say why.
         partial(granular_wan_profile, stabilization_time=4.0),
@@ -531,10 +537,8 @@ PLANS = {
     "adversary": canonical_adversary_plan,
     "canonical-batch": canonical_batch_plan,
     "adversary-batch": canonical_adversary_plan,
-    **{
-        fault: partial(_robustness_plan, fault)
-        for fault in ("crash+recover", "leader churn")
-    },
+    "crash+recover": partial(_robustness_plan, "crash+recover"),
+    "leader churn": partial(_robustness_plan, "leader churn"),
 }
 
 #: Fault label -> the reason the batch path must give for refusing the
@@ -597,11 +601,9 @@ class ConformanceReport:
     @property
     def ok(self) -> bool:
         return (
-            all(result.ok for result in self.results)
-            and all(result.ok for result in self.batch_axis)
+            all(result.ok for result in self.results + self.batch_axis)
             and all(row.ok for row in self.mc_rows)
-            and self.mutation_detected
-            and self.mutation_clean
+            and self.mutation_detected and self.mutation_clean
         )
 
 
@@ -614,18 +616,15 @@ def _mutation_smoke() -> tuple[bool, bool]:
     run indistinguishable from a broken one in the telemetry.
     """
     broken_suite = default_suite()
-    broken_run = agreement_violation_run(observers=[broken_suite])
-    broken_suite.finish(broken_run)
+    broken_suite.finish(agreement_violation_run(observers=[broken_suite]))
     detected = any(
         violation.invariant == "agreement"
         for violation in broken_suite.violations
     )
-
     clean_suite = default_suite()
-    clean_run = agreement_violation_run(
+    clean_suite.finish(agreement_violation_run(
         observers=[clean_suite], algorithm=WlmConsensus
-    )
-    clean_suite.finish(clean_run)
+    ))
     return detected, clean_suite.ok
 
 
@@ -652,14 +651,13 @@ def run_conformance(
             pinged[name, variant] = ProbeScenario(
                 name, variant, profile.timeout, rounds, seed, f"check:{name}"
             )
-        row = replace(
-            pinged[name, variant],
-            plan=plans[grid_row.fault],
-            fault=grid_row.fault,
-        )
+        fault = grid_row.fault
+        row = replace(pinged[name, variant], plan=plans[fault], fault=fault)
         if twin:
             dynamic = profile.dynamic if row.plan is None else None
-            report.batch_axis.append(batched_differential_run(row, dynamic))
+            report.batch_axis.append(
+                batched_differential_run(row, dynamic, metrics)
+            )
         else:
             report.results.append(differential_run(row, metrics=metrics))
     report.mc_rows = montecarlo_vs_equations(samples=mc_samples, seed=seed)
@@ -679,6 +677,8 @@ def _render_result(result: DifferentialResult, lines: list[str]) -> None:
         f"timeout={scenario.timeout:g}s  rounds={scenario.rounds}  "
         f"leader={scenario.leader}  seed={scenario.seed}"
     )
+    if result.kind is not None:
+        lines.append(f"  kind: {result.kind}")
     header = (
         f"  {'quantity':<28}{'lockstep':>10}{'event':>10}"
         f"{'delta':>10}{'tol':>8}  status"

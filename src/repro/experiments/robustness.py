@@ -261,14 +261,19 @@ class EventStackRow:
 
 
 def event_stack_crosscheck(
-    n: int, rounds: int, timeout: float, seed: int = 0
+    n: int,
+    rounds: int,
+    timeout: float,
+    seed: int = 0,
+    metrics: Optional[MetricsRegistry] = None,
 ) -> list[EventStackRow]:
     """Run each canonical fault class once through :class:`SyncRun` in
     auto mode — on a static WAN profile, with live metrics and the
     HeartbeatOmega detector — and record the path it executed: the
     batched fast path, or the scalar event loop and the reason it fell
     back.  One row per :func:`canonical_plans` entry, all over one
-    pinged network.
+    pinged network.  Each run keeps a registry of its own; the path it
+    took is counted into ``metrics`` too.
 
     Nothing is run twice here: the batched rows' identity with the
     scalar loop is ``--check``'s to prove
@@ -288,6 +293,7 @@ def event_stack_crosscheck(
             "profile", metrics=MetricsRegistry(), omega=True
         )
         run.run()
+        run.count_path(metrics)
         return EventStackRow(fault, run.executed_mode, run.fallback_reason)
 
     return [
@@ -320,14 +326,18 @@ def render_event_stack(
     return "\n".join(lines)
 
 
-def robustness_report(sweep: WanSweep, seed: int = 0) -> str:
-    """Measure and render the robustness phase on a shared sweep."""
+def robustness_report(
+    sweep: WanSweep, seed: int = 0, metrics: Optional[MetricsRegistry] = None
+) -> str:
+    """Measure and render the robustness phase on a shared sweep; the
+    event-stack runs' paths are counted into ``metrics``."""
     timeout = min(
         sweep.config.timeouts, key=lambda t: abs(t - CANONICAL_TIMEOUT)
     )
     cells = measure_robustness(sweep, seed=seed, timeout=timeout)
     stack_rows = event_stack_crosscheck(
-        sweep.config.n, sweep.config.rounds_per_run, timeout, seed=seed
+        sweep.config.n, sweep.config.rounds_per_run, timeout, seed=seed,
+        metrics=metrics,
     )
     return (
         render_robustness(cells, timeout)

@@ -282,7 +282,7 @@ def _run_faults(ctx: RunContext) -> None:
     # cache): the fault masks are applied to the cached matrices, so
     # this phase simulates nothing new.
     report = _module.robustness_report(
-        sweep=ctx.sweep, seed=ctx.wan_config.seed
+        sweep=ctx.sweep, seed=ctx.wan_config.seed, metrics=ctx.metrics
     )
     ctx.write("faults.txt", report + "\n")
 

@@ -3,8 +3,12 @@
 The event-driven runs have no global round counter — nodes cut rounds
 with local timers — so the plan's round timeline is mapped onto
 simulation time through the run's timeout: round ``k`` covers the window
-``[(k-1) * timeout, k * timeout)``, the same back-to-back idealization
-the measurement figures use.
+``[t[k-1], t[k])`` of one table of round-start instants, accumulated from
+``t[0] = 0`` as ``t[k] = t[k-1] + timeout`` — the very additions a
+drift-free round grid makes, so a grid's round ``k`` starts in plan
+round ``k`` and a crash at plan round ``r`` falls on the grid's own
+boundary.  The same back-to-back windows are what the measurement
+figures idealize.
 
 :class:`PlanLinkFaults` answers the :class:`~repro.sim.transport.LinkFaults`
 protocol from a :class:`~repro.faults.plan.FaultPlan`: partitions,
@@ -47,6 +51,7 @@ assigns the plan's :class:`PlanLinkFaults` to its transport's ``faults``
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Optional
 
 import numpy as np
@@ -98,6 +103,9 @@ class PlanLinkFaults:
             raise ValueError(f"timeout must be finite and positive: {timeout!r}")
         self.plan = plan
         self.timeout = timeout
+        # The one round map: plan round k starts at ``_starts[k - 1]``,
+        # grown on demand.
+        self._starts = [0.0]
         self._burst_counters: dict[tuple[int, int], int] = {}
         self.last_drop_cause: Optional[str] = None
         self._metrics = registry_or_null(metrics)
@@ -120,25 +128,43 @@ class PlanLinkFaults:
         self._seen_activations.add((kind, index))
         self._metrics.counter("faults.activations", kind=kind).inc()
 
+    def _reach(self, now: float) -> None:
+        """Grow the round-start table until it holds an instant after
+        ``now``, one accumulated timeout at a time."""
+        if not math.isfinite(now):
+            raise ValueError(f"instant must be finite: {now!r}")
+        starts, step = self._starts, self.timeout
+        while starts[-1] <= now:
+            starts.append(starts[-1] + step)
+
     def round_of(self, now: float) -> int:
-        """The 1-based plan round covering simulation time ``now``."""
-        return max(1, int(now // self.timeout) + 1)
+        """The 1-based plan round covering simulation time ``now``: the
+        last round of the table starting at or before it."""
+        self._reach(now)
+        return max(1, bisect_right(self._starts, now))
 
     def rounds_of(self, times: np.ndarray) -> np.ndarray:
-        """:meth:`round_of` of every instant in ``times``, as one array:
-        NumPy's float floor division is Python's, so exact multiples of
-        the timeout land in the round :meth:`round_of` puts them in."""
-        quotient = np.asarray(times) // self.timeout
-        return np.maximum(1, quotient.astype(np.int64) + 1)
+        """:meth:`round_of` of every instant in ``times``, as one array,
+        read off the same table."""
+        times = np.asarray(times, dtype=float)
+        if times.size:
+            self._reach(float(times.max()))
+        rounds = np.searchsorted(self._starts, times, side="right")
+        return np.maximum(1, rounds)
 
     def start_of(self, round_number: int) -> float:
         """The simulation time plan round ``round_number`` starts at —
         :meth:`round_of`'s inverse, and the instant the run books that
         round's node-level faults (crash, recovery, clock step) for."""
-        return (round_number - 1) * self.timeout
+        if round_number < 1:
+            raise ValueError(f"plan rounds start at 1: {round_number!r}")
+        starts = self._starts
+        while len(starts) < round_number:
+            starts.append(starts[-1] + self.timeout)
+        return starts[round_number - 1]
 
     def _resolve(self, now: float) -> None:
-        """Look up the plan's round and state at ``now`` (one bisect) —
+        """Look up the plan's round and state at ``now`` —
         only when ``now`` is not the instant last asked about: the messages
         of one broadcast share one lookup."""
         self._instant = now

@@ -103,7 +103,10 @@ A permanent crash of ``pid`` is an event at ``c``, the start instant of
 plan round ``at_round`` (:meth:`PlanLinkFaults.start_of`), scheduled
 *before* the simulation starts, so at any shared timestamp it fires
 before deliveries and round timers (smaller sequence number) but after
-the boot events.  Consequences, all closed-form:
+the boot events.  The plan's round starts are accumulated as a drift-free
+grid's are, so on a grid from ``t = 0`` with one timeout a round, ``c``
+is ``t[at_round - 1]`` itself: the tie case below, whatever the float
+sums round to.  Consequences, all closed-form:
 
 - ``pid`` begins round ``k >= 2`` iff ``t[k-1] < c`` strictly (at a tie
   the crash cancels the pending round-``(k-1)`` timer first), and always

@@ -505,20 +505,15 @@ class SyncRun:
             if reason is None:
                 self.executed_mode = "batch"
                 self.fallback_reason = None
-                self.metrics.counter(
-                    "sync.executed_mode", mode="batch"
-                ).inc()
+                self.count_path(self.metrics)
                 # The batched path applies the plan's node-level faults
                 # in closed form; they are spent, as if booked.
                 self._faults_scheduled = True
                 run_batched(self)
                 return self._collect()
             self.fallback_reason = reason
-            # The fallback taxonomy, as telemetry: one increment per run
-            # that wanted the fast path and couldn't take it.
-            self.metrics.counter("sync.batch_fallback", reason=reason).inc()
         self.executed_mode = "scalar"
-        self.metrics.counter("sync.executed_mode", mode="scalar").inc()
+        self.count_path(self.metrics)
         if self.fault_plan is not None and not self._faults_scheduled:
             self._faults_scheduled = True
             self._schedule_node_faults()
@@ -530,6 +525,19 @@ class SyncRun:
         # finished run holds no event that refers back to it.
         self.simulator.drain()
         return self._collect()
+
+    def count_path(self, metrics: Optional[MetricsRegistry]) -> None:
+        """Count the path the last :meth:`run` took into ``metrics`` (the
+        run's own registry, or a caller's that the run does not feed):
+        one ``sync.executed_mode`` increment and — the fallback taxonomy
+        as telemetry — one ``sync.batch_fallback`` when the run wanted
+        the fast path and could not take it."""
+        metrics = registry_or_null(metrics)
+        metrics.counter("sync.executed_mode", mode=self.executed_mode).inc()
+        if self.fallback_reason is not None:
+            metrics.counter(
+                "sync.batch_fallback", reason=self.fallback_reason
+            ).inc()
 
     def _collect(self) -> SyncRunResult:
         result = SyncRunResult(

@@ -93,7 +93,7 @@ class TestDropReconciliation:
         for src, dst, now, cause in verdicts:
             if cause is None:
                 continue
-            round_number = max(1, int(now // TIMEOUT) + 1)
+            round_number = policy.round_of(now)
             planned = plan_cause(plan, src, dst, round_number)
             # Every drop is the plan's, under the cause the plan gives it.
             assert cause == planned, (src, dst, now)
@@ -222,6 +222,57 @@ class TestCliMetricsDir:
         rendered = render_metrics_dir(metrics_dir)
         assert "Run manifest" in rendered
         assert "timeline:" in rendered
+
+    def test_every_optional_phase_run_is_counted_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Each ``SyncRun.run`` an optional phase executes — twin legs,
+        fallback probes and the robustness and live-extraction runs, whose
+        registries are their own, included — adds one to the CLI's
+        ``sync.executed_mode`` and, when it fell back, one to
+        ``sync.batch_fallback``."""
+        from collections import Counter
+
+        import repro.experiments.run_all as run_all_module
+        from repro.experiments.config import SweepConfig
+        from repro.experiments.run_all import main
+
+        tiny = SweepConfig(
+            rounds_per_run=60, runs=1, start_points=2,
+            timeouts=(0.21,), seed=1,
+        )
+        monkeypatch.setattr(run_all_module, "QUICK", tiny)
+        monkeypatch.setattr(run_all_module, "QUICK_LAN", tiny)
+        modes, fallbacks = Counter(), Counter()
+        run = SyncRun.run
+
+        def counted(self, *args, **kwargs):
+            result = run(self, *args, **kwargs)
+            modes[self.executed_mode] += 1
+            fallbacks[self.fallback_reason] += 1
+            return result
+
+        monkeypatch.setattr(SyncRun, "run", counted)
+        metrics_dir = tmp_path / "metrics"
+        assert main([
+            "--out", str(tmp_path / "out"), "--metrics", str(metrics_dir),
+            "--faults", "--check", "--adaptive",
+        ]) == 0
+
+        counters = json.loads((metrics_dir / "metrics.json").read_text())[
+            "counters"
+        ]
+        assert modes["batch"] and modes["scalar"]
+        for mode, count in modes.items():
+            assert counters[f"sync.executed_mode{{mode={mode}}}"] == count
+        del fallbacks[None]
+        assert fallbacks
+        for reason, count in fallbacks.items():
+            assert counters[f"sync.batch_fallback{{reason={reason}}}"] == count
+        assert sum(
+            value for key, value in counters.items()
+            if key.startswith("sync.executed_mode")
+        ) == sum(modes.values())
 
     def test_metrics_run_matches_unprofiled_run(self, tmp_path, monkeypatch):
         """Profiling must not change a single byte of the figures."""

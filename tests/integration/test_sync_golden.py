@@ -12,7 +12,13 @@ digest is a sha256 over the result surface (matrices, ``sync_error``,
 the transport totals and the run's counter / histogram snapshot.  The
 digests were re-taken once, when the link streams became lanes through
 256-round columns of the whole link table (``TRACE_SAMPLER_VERSION =
-"batch2"``): every run draws new latencies.  A batch-eligible class must
+"batch2"``): every run draws new latencies.  The three faulted digests
+were re-taken once more when a plan round became the window between two
+accumulated round starts instead of a floor division by the timeout:
+the partition healing at round 20 no longer cuts grid round 20 too, and
+the recovering crash's links are down in grid rounds 9–18 instead of
+9–19, so the recovered node hears round 19 and jumps to it from its
+round 8 (grid rounds 9 and 19 move).  A batch-eligible class must
 produce its digest on both engines; any change to either engine, the
 collector, the detector feed or the bulk accountants that moves a bit
 moves these.
@@ -132,11 +138,11 @@ GOLDEN = {
     ),
     "faulted": (
         "batch", 60,
-        "93176325878aaca87cbcfbccdd5207c67e43c185fcea188b7f1d9ab90161bc11",
+        "f9f644b1312868d2e309091b8b0b5b0e67c32ef2d1d4d2aa651c1df2ddfc837f",
     ),
     "recovery": (
         "scalar", 60,
-        "a5318bfae241e668f7f1921e69a4458ad7edbef65fccc2149df4b6c97b893ee6",
+        "79403d5704232391a2f8d162937d28270488d3a18b37b94deffed85e29919e35",
     ),
     "hetero": (
         "scalar", 60,
@@ -148,7 +154,7 @@ GOLDEN = {
     ),
     "consensus-faulted": (
         "batch", 60,
-        "b9aef73eacca24f565c4e1f440fa454079610c0b8bd4a7c300506e90f8be5dd0",
+        "c1bb640d7c3790582cd9b0b7efc59e2ef94b8f43ee51bb920a3e192cc1f580cf",
     ),
 }
 

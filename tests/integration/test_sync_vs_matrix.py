@@ -5,11 +5,19 @@ timely iff its latency is below the timeout", back-to-back rounds), while
 the real protocol cuts rounds with local timers and jumps.  This test
 runs both against the same network profile and checks they agree on the
 quantities the figures report — the measured p and the P_M ordering.
+On a time-invariant network the protocol runs on the round grid, and
+there the two agree in every cell, under a fault plan too.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.check.differential import (
+    canonical_adversary_plan,
+    idealized_matrices,
+)
 from repro.experiments.measurement import (
     measured_p,
     model_satisfaction,
@@ -17,10 +25,14 @@ from repro.experiments.measurement import (
     timely_matrices,
 )
 from repro.giraf.oracle import NullOracle
-from repro.net import measure_latency_table, planetlab_profile
+from repro.net import (
+    measure_latency_table,
+    planetlab_profile,
+    uniform_wan_profile,
+)
 from repro.net.planetlab import LEADER_NODE
 from repro.sim import Transport
-from repro.sync import HeartbeatAlgorithm, SyncRun
+from repro.sync import HeartbeatAlgorithm, ProbeScenario, SyncRun
 
 TIMEOUT = 0.21
 ROUNDS = 120
@@ -83,3 +95,26 @@ class TestSyncVersusMatrixMode:
             sync_value = model_satisfaction(sync_matrices, model, leader=leader)
             ideal_value = model_satisfaction(ideal_matrices, model, leader=leader)
             assert abs(sync_value - ideal_value) < 0.22, model
+
+
+class TestOnTheGridTheIdealizationIsExact:
+    """A uniform-WAN probe run (n = 8, 120 rounds, timeout 0.1) executes
+    on the round grid; its matrices are the idealization's, cell for
+    cell — the plan's verdicts included, each burst drawn once by the
+    wire's hash for both."""
+
+    @pytest.mark.parametrize("plan", [None, "adversary"])
+    def test_sync_run_matrices_equal_the_idealization(self, plan):
+        row = ProbeScenario(
+            "uniform-wan", uniform_wan_profile, 0.1, ROUNDS, 0, "check:uniform-wan"
+        )
+        if plan is not None:
+            row = replace(row, plan=canonical_adversary_plan(8, ROUNDS))
+        run = row.event_run("trace")
+        matrices = np.array(run.run().matrices)
+        assert run.executed_mode == "batch"
+        trace = sample_latency_trace(row.network("trace"), ROUNDS, row.timeout)
+        ideal = idealized_matrices(trace, row.timeout, row.plan)
+        assert matrices.shape == ideal.shape
+        differ = np.argwhere(matrices != ideal)
+        assert not len(differ), differ[:10].tolist()

@@ -10,7 +10,10 @@ message, in round order, through :meth:`drop` and ``latency_factor``:
 the verdicts, the causes, the factors, the per-link burst counters, the
 fired episodes and the ``faults.activations`` totals must come out
 equal, over plans whose windows overlap in part of the examples and
-counters some earlier :meth:`drop` calls advanced.
+counters some earlier :meth:`drop` calls advanced.  Underneath all of
+them is one round map, held here to the grid's own instants: a
+drift-free run's round ``k`` is plan round ``k``, so a one-round fault
+hits that round and a crash falls on its boundary, on both engines.
 """
 
 import math
@@ -28,7 +31,10 @@ from repro.faults import (
     PlanLinkFaults,
     SlowNode,
 )
+from repro.net import uniform_wan_profile
 from repro.obs.registry import MetricsRegistry
+from repro.sync import probe_run
+from repro.sync.batch import _round_grid
 
 #: Plan windows start within the first ROUNDS_CAP rounds.
 ROUNDS_CAP = 12
@@ -264,6 +270,83 @@ class TestRoundsOf:
             assert policy.rounds_of(instants).tolist() == [
                 policy.round_of(t) for t in instants
             ]
+        # A drift-free grid's own round starts: round k is plan round k.
+        own = [0.0]
+        for _ in range(steps - 1):
+            own.append(own[-1] + timeout)
+        assert policy.rounds_of(own).tolist() == list(range(1, steps + 1))
+
+
+#: The conformance grid's timeouts (0.21 s is also the faults phase's), a
+#: sweep timeout, and one whose accumulated sums stay exact.
+MAP_TIMEOUTS = (0.0009, 0.1, 0.12, 0.21, 0.25)
+
+
+def grid_run(timeout, rounds, plan=None, n=8, seed=5):
+    """A drift-free probe run over the uniform WAN, on the round grid."""
+    table = np.full((n, n), 0.03)
+    np.fill_diagonal(table, 0.0)
+    return probe_run(uniform_wan_profile(n, seed=seed), table, timeout, rounds,
+                     plan=plan)
+
+
+def rounds_down(timeout, k):
+    """Whether grid round k starts below ``(k - 1) * timeout``: a floor
+    division of its start would place it in round k - 1."""
+    start = 0.0
+    for _ in range(k - 1):
+        start += timeout
+    return int(start // timeout) + 1 != k
+
+
+class TestPlanRoundsAreGridRounds:
+    """Plan round k is the window between the accumulated round starts
+    t[k-1] and t[k] a drift-free run's grid is built from."""
+
+    @pytest.mark.parametrize("timeout", MAP_TIMEOUTS)
+    def test_grid_round_k_starts_plan_round_k(self, timeout):
+        rounds = 1500
+        times = _round_grid(grid_run(timeout, rounds, n=2))
+        policy = PlanLinkFaults(FaultPlan(n=2), timeout)
+        for k in range(1, rounds + 1):
+            assert policy.round_of(times[k - 1]) == k
+            assert policy.start_of(k) == times[k - 1]
+        assert policy.rounds_of(times[:-1]).tolist() == list(range(1, rounds + 1))
+
+    #: Rounds 6, 7, 9, 12 and 14 start where a floor division says k - 1.
+    PARTITIONED = (2, 3, 6, 7, 9, 12, 14, 30)
+
+    @pytest.mark.parametrize("mode", ["auto", "scalar"])
+    def test_a_one_round_partition_cuts_that_round_only(self, mode):
+        timeout, rounds = 0.1, 34
+        assert any(rounds_down(timeout, k) for k in self.PARTITIONED)
+        clean = np.array(grid_run(timeout, rounds).run(mode=mode).matrices)
+        halves = ((0, 1, 2, 3), (4, 5, 6, 7))
+        cross = np.zeros((8, 8), dtype=bool)
+        cross[:4, 4:] = cross[4:, :4] = True
+        for k in self.PARTITIONED:
+            plan = FaultPlan(n=8, partitions=(Partition(halves, k, k + 1),))
+            run = grid_run(timeout, rounds, plan)
+            cut = np.array(run.run(mode=mode).matrices)
+            assert run.executed_mode == ("batch" if mode == "auto" else "scalar")
+            assert not cut[k - 1][cross].any(), k
+            expected = clean.copy()
+            expected[k - 1][cross] = False
+            assert np.array_equal(cut, expected), k
+
+    @pytest.mark.parametrize("mode", ["auto", "scalar"])
+    @pytest.mark.parametrize("timeout", MAP_TIMEOUTS)
+    def test_a_crash_at_round_r_ends_in_round_r_minus_1(self, timeout, mode):
+        """The dying process begins round r - 1, does not end it, and never
+        begins round r: the crash falls on the grid's own boundary."""
+        for r in range(3, 60):
+            plan = FaultPlan(n=3, crashes=(Crash(1, r),))
+            run = grid_run(timeout, r + 1, plan, n=3)
+            run.run(mode=mode)
+            starts, ends = run.log.starts[:, 1], run.log.ends[:, 1]
+            assert not np.isnan(starts[r - 1]), (timeout, r)
+            assert np.isnan(ends[r - 1]), (timeout, r)
+            assert np.isnan(starts[r]), (timeout, r)
 
 
 class TestTimeoutValidation:
