@@ -100,7 +100,9 @@ def test_grid_rows_are_exact_and_the_rest_keep_their_bands(conformance):
         where = (result.profile, result.fault)
         if where in GRID_ROWS:
             assert result.kind.startswith("exact"), where
-            assert result.rows[-1].quantity == "identical: matrices"
+            assert [row.quantity for row in result.rows[-2:]] == [
+                "identical: matrices", "identical: decisions",
+            ]
             for row in result.rows:
                 assert row.tolerance == 0.0 and row.ok, (where, row)
         else:

@@ -17,7 +17,7 @@ what comes out —
   implicit zero),
 
 each within a stated tolerance, while :mod:`repro.check.invariants`
-checkers ride along on consensus runs through both stacks.  A separate
+checkers ride along on one consensus run and its lockstep replay.  A separate
 cross-check pits the Monte-Carlo estimators against the Section 4
 closed forms on a grid of ``p`` values.  The sweep itself is data:
 :data:`GRID`, one ``(check, profile, fault)`` row per scenario.
@@ -25,7 +25,8 @@ closed forms on a grid of ``p`` values.  The sweep itself is data:
 Both stacks read one trace seed and one plan verdict per message
 (:func:`idealized_matrices`).  An event run on the round grid is then
 the idealization itself, so its row is exact: tolerance 0, plus a
-cell-for-cell comparison of the matrices.  Off the grid (time-varying
+cell-for-cell comparison of the matrices and of the consensus run's
+decisions with its replay's.  Off the grid (time-varying
 links, crash recovery) the stack cuts rounds with local timers, jumps and
 shortened joins, so it agrees in distribution only, within loose bands
 after ``tests/integration/test_sync_vs_matrix.py``, widened where fault
@@ -58,7 +59,10 @@ from repro.experiments.robustness import canonical_plans
 from repro.faults.adversary import StabilityWindowAdversary
 from repro.faults.event import PlanLinkFaults
 from repro.faults.plan import Crash, FaultPlan, LossBurst, Partition, SlowNode
-from repro.giraf.oracle import FixedLeaderOracle
+from repro.giraf.kernel import GirafAlgorithm
+from repro.giraf.oracle import FixedLeaderOracle, Oracle
+from repro.giraf.runner import LockstepRunner, RunResult
+from repro.giraf.schedule import MatrixSchedule
 from repro.net.base import LatencyModel
 from repro.net.granular import granular_wan_profile
 from repro.net.hetero import uniform_wan_profile
@@ -69,7 +73,7 @@ from repro.sim.rng import derive_seed
 from repro.sim.transport import Transport
 from repro.sync.batch import METRIC_FACETS, RESULT_FIELDS, RUN_FACETS, twin_runs
 from repro.sync.heartbeat import ProbeScenario
-from repro.sync.round_sync import SyncRun
+from repro.sync.round_sync import SyncRun, SyncRunResult
 
 #: A network profile's factory: takes the ``seed`` keyword.
 _Factory = Callable[..., LatencyModel]
@@ -194,44 +198,50 @@ def canonical_adversary_plan(n: int, rounds: int, seed: int = 0) -> FaultPlan:
     ).to_plan()
 
 
-def _consensus_safety(
-    row: ProbeScenario, ideal_matrices: np.ndarray,
-    metrics: Optional[MetricsRegistry],
-) -> list[tuple[str, Violation]]:
-    """Run Algorithm 2 through both stacks with the safety checkers on.
+def lockstep_replay(
+    result: SyncRunResult, factory: Callable[[int], GirafAlgorithm],
+    oracle: Oracle, plan: Optional[FaultPlan], observers: Sequence = (),
+) -> RunResult:
+    """Replay an event run's log, diagonal restored, on the lockstep
+    runner under ``plan``'s node faults alone: the log holds the wire's
+    losses.  On the round grid the replay decides as the run did."""
+    log = [matrix | np.eye(result.n, dtype=bool) for matrix in result.matrices]
+    if plan is not None:
+        plan = replace(plan, loss_bursts=(), partitions=(), slow_nodes=())
+    return LockstepRunner(
+        result.n, factory, oracle, MatrixSchedule(log), plan, observers
+    ).run(max_rounds=len(log), stop_on_global_decision=False)
 
-    The lockstep side replays the scenario's *unfaulted* idealized
-    matrices with the plan installed as the runner's ``fault_plan``; the
-    event side runs the full protocol with the plan installed on the
-    wire.  Neither run is required to decide — safety invariants are
-    unconditional — but on these profiles they normally do, which is
-    what makes the check non-vacuous.
-    """
+
+def _consensus_safety(
+    row: ProbeScenario, metrics: Optional[MetricsRegistry]
+) -> tuple[list[tuple[str, Violation]], bool]:
+    """Run Algorithm 2 on the event stack and :func:`lockstep_replay` it,
+    the safety checkers on both; return their violations and whether the
+    two runs took the same decisions in the same rounds.  Neither run
+    must decide — safety is unconditional — but on these profiles they
+    normally do, which makes the check non-vacuous."""
 
     def factory(pid: int) -> WlmConsensus:
         return WlmConsensus(pid, row.n, f"value-{pid}")
 
-    violations: list[tuple[str, Violation]] = []
-
-    lock_suite = default_suite(metrics=metrics)
-    runner = row.lockstep_run(factory, ideal_matrices, observers=[lock_suite])
-    lock_suite.finish(runner.run(
-        max_rounds=row.rounds, stop_on_global_decision=True,
-        extra_rounds_after_decision=2,
-    ))
-    violations.extend(("lockstep", v) for v in lock_suite.violations)
-
     event_suite = default_suite(metrics=metrics)
-    profile = row.network("consensus")
-    sync = SyncRun(
+    event = SyncRun(
         row.n, factory, FixedLeaderOracle(row.leader),
-        lambda sim: Transport(sim, profile), timeout=row.timeout,
-        latency_table=row.table, max_rounds=row.rounds, fault_plan=row.plan,
-        metrics=metrics, observers=[event_suite],
+        lambda sim: Transport(sim, row.network("consensus")),
+        timeout=row.timeout, latency_table=row.table, max_rounds=row.rounds,
+        fault_plan=row.plan, metrics=metrics, observers=[event_suite],
+    ).run()
+    event_suite.finish(event)
+    lock_suite = default_suite(metrics=metrics)
+    lock = lockstep_replay(
+        event, factory, FixedLeaderOracle(row.leader), row.plan, [lock_suite]
     )
-    event_suite.finish(sync.run())
-    violations.extend(("event", v) for v in event_suite.violations)
-    return violations
+    lock_suite.finish(lock)
+    violations = [("lockstep", v) for v in lock_suite.violations]
+    violations += [("event", v) for v in event_suite.violations]
+    same = lock.decisions == event.decisions
+    return violations, same and lock.decision_rounds == event.decision_rounds
 
 
 def _observables(matrices: np.ndarray, row: ProbeScenario) -> dict[str, float]:
@@ -286,7 +296,8 @@ def differential_run(
     verdicts (:func:`idealized_matrices`), so differences reflect the
     round-cutting protocol alone.  An event run on the round grid cuts
     rounds as the idealization does: its row is held at tolerance 0 and
-    compares the two stacks' matrices cell for cell.
+    compares the two stacks' matrices, and the consensus run's decisions
+    with its replay's, cell for cell.
     """
     timeout = row.timeout
     run = row.event_run("trace", metrics=metrics)
@@ -294,7 +305,6 @@ def differential_run(
     on_grid = run.executed_mode == "batch"
 
     trace = sample_latency_trace(row.network("trace"), row.rounds, timeout)
-    ideal = timely_matrices(trace, timeout)
     faulted = idealized_matrices(trace, timeout, row.plan)
 
     depth = min(len(event_result.matrices), len(faulted))
@@ -324,14 +334,14 @@ def differential_run(
                 0.0 if on_grid else tolerance)
         for quantity, tolerance in tolerances.items()
     ]
+    violations, same_decisions = _consensus_safety(row, metrics)
     kind = f"banded (off the grid: {run.fallback_reason})"
     if on_grid:
         kind = "exact (ran on the round grid)"
         same = np.array_equal(np.asarray(event_result.matrices), faulted)
         rows.append(_exact("identical: matrices", same))
-    return DifferentialResult(
-        row, row.name, rows, _consensus_safety(row, ideal, metrics), kind
-    )
+        rows.append(_exact("identical: decisions", same_decisions))
+    return DifferentialResult(row, row.name, rows, violations, kind)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,10 @@ drives
   its transport's ``faults`` for the link-level ones,
 
 with every random choice derived from the plan's seed by the codebase's
-SHA-256 rule, so both paths realize the scenario bit-reproducibly.
+SHA-256 rule, so each path realizes the scenario bit-reproducibly.  Bursts
+and slow nodes have two views, not one realization: ``FaultPlan.mask``
+(the lockstep runner, ``apply_to_matrices``, stabilization) and
+``PlanLinkFaults`` (the transport, both batched engines, the idealization).
 """
 
 from repro.faults.adversary import StabilityWindowAdversary

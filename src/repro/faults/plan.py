@@ -15,10 +15,15 @@ for all of them, and both execution paths take it as the same
   simulator.
 
 Rounds are 1-based, matching the schedules.  Every random choice a plan
-implies (which burst messages drop, which leader a churn round elects)
-is derived from the plan's ``seed`` with the same SHA-256 rule as
-:meth:`repro.sim.rng.RandomStreams.spawn`, so the two injectors — and
-repeated runs of either — see bit-identical fault realizations.
+implies is derived from the plan's ``seed`` by the SHA-256 rule of
+:meth:`repro.sim.rng.RandomStreams.spawn`, so reruns repeat it.  The two
+injectors share who is down, what a partition cuts and whom churn elects;
+bursts and slow nodes have two views: :meth:`FaultPlan.mask` (a burst per
+round, a slow node as drops) for the lockstep runner,
+:meth:`apply_to_matrices` and stabilization, and
+:class:`~repro.faults.event.PlanLinkFaults` (a burst per message, a slow
+node as a latency factor) for the transport, both batched engines and the
+idealization.
 
 Crash semantics: a crash with ``recover_round=None`` is permanent (on
 the lockstep path a real process death).  A crash *with* a recovery

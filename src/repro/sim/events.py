@@ -150,8 +150,9 @@ class Simulator:
         """Number of live (non-cancelled) events awaiting execution."""
         return len(self._queue)
 
-    def schedule(self, time: float, action: Callable[[], None]) -> Event:
-        """Schedule ``action`` at absolute simulation time ``time``.
+    def schedule(self, time: float, action: Callable[[], None], priority: int = 0) -> Event:
+        """Schedule ``action`` at absolute simulation time ``time``, after
+        the same instant's events of lower ``priority``.
 
         Scheduling in the past is an error: the simulator never rewinds.
         So is a NaN time, which the comparison is written to reject — it
@@ -161,7 +162,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at {time} before current time {self._now}"
             )
-        return self._queue.push(time, action)
+        return self._queue.push(time, action, priority)
 
     def schedule_in(self, delay: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` after ``delay`` units of simulation time."""

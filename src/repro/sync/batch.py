@@ -68,7 +68,7 @@ speedup benchmark) calls that one function.
 Why the tie rules are what they are
 -----------------------------------
 
-Events fire in ``(time, priority, seq)`` order and everything here uses
+Events fire in ``(time, priority, seq)`` order and all but crashes use
 priority 0, so simultaneity resolves by scheduling sequence.  Round-``k``
 begin blocks run at ``t[k-1]`` in pid order (round-1 blocks run inside
 the boot events, which are scheduled in pid order at construction; each
@@ -100,21 +100,19 @@ Crashes at round granularity keep the lockstep shape
 ----------------------------------------------------
 
 A permanent crash of ``pid`` is an event at ``c``, the start instant of
-plan round ``at_round`` (:meth:`PlanLinkFaults.start_of`), scheduled
-*before* the simulation starts, so at any shared timestamp it fires
-before deliveries and round timers (smaller sequence number) but after
-the boot events.  The plan's round starts are accumulated as a drift-free
-grid's are, so on a grid from ``t = 0`` with one timeout a round, ``c``
-is ``t[at_round - 1]`` itself: the tie case below, whatever the float
-sums round to.  Consequences, all closed-form:
+plan round ``at_round`` (:meth:`PlanLinkFaults.start_of`), booked at
+priority 1: the last event of its instant.  The plan's round starts are
+accumulated as a drift-free grid's are, so on a grid from ``t = 0`` with
+one timeout a round, ``c`` is ``t[at_round - 1]`` itself: the dying
+process ends round ``at_round - 1``, begins round ``at_round`` (the wire
+loses its sends) and never ends it, as on the lockstep runner.
+Consequences, all closed-form:
 
-- ``pid`` begins round ``k >= 2`` iff ``t[k-1] < c`` strictly (at a tie
-  the crash cancels the pending round-``(k-1)`` timer first), and always
-  begins round 1 (boots precede the crash even at ``t = 0``);
-- ``pid`` never ends its last begun round ``b`` — in every tie case the
-  crash wins against the timer — so it ends exactly rounds ``1..b-1``;
-- a delivery to ``pid`` is received iff ``arrival < c`` strictly (at a
-  tie the crash fires first), whether timely or late;
+- ``pid`` begins round ``k`` iff ``t[k-1] <= c``, and never ends its
+  last begun round ``b``, so it ends exactly rounds ``1..b-1``;
+- a delivery to ``pid`` is received iff ``arrival <= c``, whether
+  timely or late;
+- a crash at the final instant ``t[R]`` never fires: the run stops first;
 - a crash whose time falls before the (uniform) boot instant is a no-op
   on the node — the crash hook finds it not yet running — though the
   scheduled event still fires and counts as an activation.
@@ -367,7 +365,7 @@ class _Grid(NamedTuple):
     ended: np.ndarray
     #: ``[k, pid]``: ``pid`` begins round ``k``.
     began: np.ndarray
-    #: Per pid, its crash instant, before which alone it receives
+    #: Per pid, its crash instant, up to which alone it receives
     #: (``+inf`` for a survivor).
     cut: np.ndarray
     #: Per pid, whether it crashes while running.
@@ -391,18 +389,15 @@ def _grid(run: SyncRun) -> _Grid:
     if plan is not None:
         for crash in plan.crashes:
             c = run.link_faults.start_of(crash.at_round)
-            if c <= stop:
-                crash_events += 1
+            crash_events += c < stop
             if c < crash_time[crash.pid]:
                 crash_time[crash.pid] = c
     # A crash event is *effective* only if the node is already running
     # when it fires; one scheduled before the (uniform) boot instant
-    # finds the node not yet booted and does nothing.
-    effective = (crash_time <= stop) & (crash_time >= starts[0])
-    # Round 1 always begins; round k >= 2 begins iff t[k-1] < c.
-    begun = np.where(
-        effective, 1 + (starts[1:, None] < crash_time).sum(axis=0), rounds
-    )
+    # finds the node not yet booted and does nothing.  Round k begins iff
+    # t[k-1] <= c.
+    effective = (crash_time < stop) & (crash_time >= starts[0])
+    begun = np.where(effective, (starts[:, None] <= crash_time).sum(axis=0), rounds)
     return _Grid(
         times=times,
         starts=starts,
@@ -410,7 +405,7 @@ def _grid(run: SyncRun) -> _Grid:
         begun=begun,
         ended=np.where(effective, begun - 1, rounds),
         began=np.arange(1, rounds + 1)[:, None] <= begun,
-        # Receives of a crashed node stop strictly before its crash instant.
+        # A crashed node receives up to its crash instant, inclusive.
         cut=np.where(effective, crash_time, np.inf),
         effective=effective,
         last_alive=int(np.arange(n)[~effective].max()),
@@ -542,7 +537,7 @@ def _run_whole(run: SyncRun, grid: _Grid) -> None:
     # [dst, src] orientation: rows are receivers, columns senders.
     src_before_dst = np.arange(n)[None, :] < np.arange(n)[:, None]
     end_col = ends[:, None, None]
-    received = deliverable & (arrival < grid.cut[None, :, None])
+    received = deliverable & (arrival <= grid.cut[None, :, None])
     timely = received & (
         (arrival < end_col) | ((arrival == end_col) & src_before_dst)
     )
@@ -634,7 +629,7 @@ def _run_rounds(run: SyncRun, grid: _Grid) -> None:
                 arrival == stop and (k < rounds or src <= last_alive)
             ):
                 delivered += 1
-            if arrival >= cut[dst]:
+            if arrival > cut[dst]:
                 continue
             if arrival < end or (arrival == end and src < dst):
                 heard[dst, src] = True

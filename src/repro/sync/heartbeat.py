@@ -24,9 +24,7 @@ import numpy as np
 
 from repro.faults.plan import FaultPlan
 from repro.giraf.kernel import GirafAlgorithm, RoundOutput
-from repro.giraf.oracle import FixedLeaderOracle, NullOracle
-from repro.giraf.runner import LockstepRunner
-from repro.giraf.schedule import MatrixSchedule
+from repro.giraf.oracle import NullOracle
 from repro.net.base import LatencyModel
 from repro.net.ping import measure_latency_table, select_leader
 from repro.obs.registry import MetricsRegistry
@@ -156,19 +154,4 @@ class ProbeScenario:
         return probe_run(
             self.network(stream), self.table, self.timeout, self.rounds,
             plan=self.plan, **extras,
-        )
-
-    def lockstep_run(
-        self,
-        algorithm: Callable[[int], GirafAlgorithm],
-        matrices: np.ndarray,
-        observers: Sequence[Any] = (),
-    ) -> LockstepRunner:
-        """The scenario on the lockstep stack: ``algorithm`` under the
-        pinged leader over the *unfaulted* round ``matrices``, the plan
-        installed as the runner's ``fault_plan``."""
-        return LockstepRunner(
-            self.n, algorithm, FixedLeaderOracle(self.leader),
-            MatrixSchedule([np.array(m) for m in matrices]),
-            fault_plan=self.plan, observers=observers,
         )

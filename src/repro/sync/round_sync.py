@@ -442,17 +442,18 @@ class SyncRun:
         """Book the plan's node-level faults on the simulator clock."""
         at = self.link_faults.start_of
 
-        def book(time, kind, action) -> None:
+        def book(time, kind, action, priority=0) -> None:
             def fire() -> None:
                 self.metrics.counter("faults.activations", kind=kind).inc()
                 action()
 
-            self.simulator.schedule(time, fire)
+            self.simulator.schedule(time, fire, priority)
 
         for crash in self.fault_plan.crashes:
             node = self.nodes[crash.pid]
             permanent = crash.recover_round is None
-            book(at(crash.at_round), "crash", partial(node.crash, permanent))
+            # Last at its instant: the node ends the round before it first.
+            book(at(crash.at_round), "crash", partial(node.crash, permanent), 1)
             if not permanent:
                 book(at(crash.recover_round), "recover", node.recover)
         for step in self.fault_plan.clock_steps:

@@ -9,6 +9,7 @@ Monte-Carlo cross-check holds.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.check import (
@@ -21,7 +22,14 @@ from repro.check import (
     montecarlo_vs_equations,
     run_conformance,
 )
-from repro.check.differential import GRID, canonical_diff_plan
+from repro.check.differential import (
+    GRID,
+    PROFILES,
+    canonical_batch_plan,
+    canonical_diff_plan,
+    idealized_matrices,
+)
+from repro.experiments.measurement import sample_latency_trace
 from repro.core import WlmConsensus
 from repro.giraf.oracle import FixedLeaderOracle
 from repro.net import measure_latency_table, uniform_wan_profile
@@ -79,6 +87,34 @@ class TestDifferentialRun:
             assert f"P_{model}" in quantities
         assert "D_WLM rounds" in quantities
         assert "sync error / timeout" in quantities
+
+    def test_a_grid_row_replays_its_consensus_run(self, clean_result):
+        assert clean_result.kind.startswith("exact")
+        (row,) = [
+            r for r in clean_result.rows if r.quantity == "identical: decisions"
+        ]
+        assert row.ok and row.tolerance == 0.0
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_a_canonical_batch_run_is_the_idealization_off_the_diagonal(
+        self, name
+    ):
+        """The dying process ends the round before its crash round on
+        the grid too, so the two stacks agree in every cell but the dead
+        process's own diagonal."""
+        profile, rounds = PROFILES[name], 60
+        plan = canonical_batch_plan(8, rounds)
+        row = ProbeScenario(
+            name, profile.static, profile.timeout, rounds, 0, f"check:{name}",
+            plan=plan,
+        )
+        run = row.event_run("trace")
+        event = np.asarray(run.run().matrices)
+        assert run.executed_mode == "batch"
+        trace = sample_latency_trace(row.network("trace"), rounds, row.timeout)
+        ideal = idealized_matrices(trace, row.timeout, plan)
+        off = ~np.eye(8, dtype=bool)
+        assert np.array_equal(event[:, off], ideal[:, off])
 
     def test_consensus_safety_ran_on_both_stacks(self, clean_result):
         # Zero violations is only meaningful because the checkers were

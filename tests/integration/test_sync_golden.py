@@ -18,7 +18,12 @@ accumulated round starts instead of a floor division by the timeout:
 the partition healing at round 20 no longer cuts grid round 20 too, and
 the recovering crash's links are down in grid rounds 9–18 instead of
 9–19, so the recovered node hears round 19 and jumps to it from its
-round 8 (grid rounds 9 and 19 move).  A batch-eligible class must
+round 8 (grid rounds 9 and 19 move).  They were re-taken a third time
+when a crash became the last event of its instant: a dying node ends the
+round before its crash round (the permanent crash's round 40 row is
+credited now) and begins the crash round with its sends lost, so the
+recovering node begins round 9 before it freezes, and the extra draw on
+each of its links moves later rounds' latencies.  A batch-eligible class must
 produce its digest on both engines; any change to either engine, the
 collector, the detector feed or the bulk accountants that moves a bit
 moves these.
@@ -138,11 +143,11 @@ GOLDEN = {
     ),
     "faulted": (
         "batch", 60,
-        "f9f644b1312868d2e309091b8b0b5b0e67c32ef2d1d4d2aa651c1df2ddfc837f",
+        "9ce3d9b5fdf5bdb92ce6e5521fead43ee8f45fdd2c2cd895d1b05b589c921f11",
     ),
     "recovery": (
         "scalar", 60,
-        "79403d5704232391a2f8d162937d28270488d3a18b37b94deffed85e29919e35",
+        "1852d3ce23c90e9a58d1da6eff7e7873a541a213af48be65d3a58406698f7967",
     ),
     "hetero": (
         "scalar", 60,
@@ -154,7 +159,7 @@ GOLDEN = {
     ),
     "consensus-faulted": (
         "batch", 60,
-        "c1bb640d7c3790582cd9b0b7efc59e2ef94b8f43ee51bb920a3e192cc1f580cf",
+        "4d274f73ab0ec697bb9cd47833714137f178db60a1deebb0cad102639af50a6a",
     ),
 }
 

@@ -96,6 +96,10 @@ MUTANTS = tuple(Mutant(*row) for row in (
      "TimelinessExtractor._merge never trims its sliding window",
      "repro.adaptive.extractor:TimelinessExtractor._merge",
      "if len(self._rounds) > self.window:", "if False:"),
+    ("replay-keeps-link-faults", "check",
+     "the lockstep replay of an event run's log installs the whole plan: the wire's losses are lost twice",
+     "repro.check.differential:lockstep_replay",
+     "plan = replace(plan, loss_bursts=(), partitions=(), slow_nodes=())", "plan = replace(plan)"),
     ("integrity-never-fires", "check",
      "the Integrity invariant never flags a changed decision",
      "repro.check.invariants:Integrity.on_decision",
@@ -212,6 +216,10 @@ MUTANTS = tuple(Mutant(*row) for row in (
      "the stepped batched path breaks same-instant arrival ties the wrong way",
      "repro.sync.batch:_run_rounds",
      "(arrival == end and src < dst)", "(arrival == end and src > dst)"),
+    ("crash-before-timer", "sync",
+     "a crash fires before its instant's round timer: the dying node never ends the round before its crash round",
+     "repro.sync.round_sync:SyncRun._schedule_node_faults",
+     "partial(node.crash, permanent), 1)", "partial(node.crash, permanent), 0)"),
     ("jump-not-shortened", "sync",
      "a jump's joined round is not shortened by L_i[src]",
      "repro.sync.round_sync:SyncedNode._on_receive",

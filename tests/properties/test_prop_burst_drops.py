@@ -337,16 +337,22 @@ class TestPlanRoundsAreGridRounds:
     @pytest.mark.parametrize("mode", ["auto", "scalar"])
     @pytest.mark.parametrize("timeout", MAP_TIMEOUTS)
     def test_a_crash_at_round_r_ends_in_round_r_minus_1(self, timeout, mode):
-        """The dying process begins round r - 1, does not end it, and never
-        begins round r: the crash falls on the grid's own boundary."""
+        """The crash is the last event of its instant: the dying process
+        ends round r - 1, begins round r with its sends lost to the wire,
+        and never ends round r, as on the lockstep runner."""
         for r in range(3, 60):
             plan = FaultPlan(n=3, crashes=(Crash(1, r),))
             run = grid_run(timeout, r + 1, plan, n=3)
-            run.run(mode=mode)
+            result = run.run(mode=mode)
             starts, ends = run.log.starts[:, 1], run.log.ends[:, 1]
-            assert not np.isnan(starts[r - 1]), (timeout, r)
-            assert np.isnan(ends[r - 1]), (timeout, r)
-            assert np.isnan(starts[r]), (timeout, r)
+            assert not np.isnan(ends[r - 1]), (timeout, r)
+            assert not np.isnan(starts[r]), (timeout, r)
+            assert np.isnan(ends[r]), (timeout, r)
+            # Round r - 1 is credited to it; round r is not, and none of
+            # its round-r sends arrives.
+            assert result.matrices[r - 2][1, 1], (timeout, r)
+            assert not result.matrices[r - 1][1].any(), (timeout, r)
+            assert not result.matrices[r - 1][:, 1].any(), (timeout, r)
 
 
 class TestTimeoutValidation:

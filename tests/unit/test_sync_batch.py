@@ -325,9 +325,10 @@ class TestOracleReplay:
         assert [call[:2] for call in scalar[:4]] == [(pid, 0) for pid in range(4)]
         assert all(type(leader) is int for _, _, leader in scalar)
         if plan is not None:
-            # The crashed leader stops asking; the survivors drop it once
-            # the churn window and the suspicion window have passed.
-            assert max(k for pid, k, _ in scalar if pid == 0) == 4
+            # The crashed leader ends the round before its crash round,
+            # then stops asking; the survivors drop it once the churn
+            # window and the suspicion window have passed.
+            assert max(k for pid, k, _ in scalar if pid == 0) == 5
             assert {l for _, k, l in scalar if k == 2} == {0}
             assert {l for _, k, l in scalar if k == 20} == {1}
             assert all(
