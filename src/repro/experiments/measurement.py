@@ -37,22 +37,18 @@ def sample_latency_trace(
 ) -> np.ndarray:
     """``rounds`` latency matrices; entry ``[k, dst, src]`` in seconds.
 
-    Batch-capable models (see
-    :meth:`~repro.net.base.LatencyModel.sample_trace_batch`) sample the
-    whole trace in one vectorized pass over 256-round columns of every
-    link — a pure function of ``(model parameters, seed)``, bit-identical across
-    calls, processes and ``--jobs`` values.  Other models fall back to
-    the per-round scalar loop (:func:`sample_latency_trace_scalar`).
+    The model samples the whole trace in one vectorized pass over
+    256-round columns of every link
+    (:meth:`~repro.net.base.LatencyModel.sample_trace_batch`) — a pure
+    function of ``(model parameters, seed)``, bit-identical across
+    calls, processes and ``--jobs`` values.
 
     The trace is checked once, here, before anything thresholds or
     caches it: under ``latency < timeout`` a NaN would read "lost" and a
     negative value "timely", so either raises the transport's
     ``ValueError`` naming link, model and value.  ``+inf`` is a loss.
     """
-    if model.supports_batch_trace:
-        trace = model.sample_trace_batch(rounds, round_length)
-    else:
-        trace = sample_latency_trace_scalar(model, rounds, round_length)
+    trace = model.sample_trace_batch(rounds, round_length)
     if trace.size and not trace.min() >= 0.0:
         k, dst, src = np.argwhere(~(trace >= 0.0))[0]
         raise not_a_delay(model, src, dst, trace[k, dst, src])

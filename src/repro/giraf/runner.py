@@ -205,16 +205,12 @@ class LockstepRunner:
         self,
         max_rounds: int,
         stop_on_global_decision: bool = True,
-        extra_rounds_after_decision: int = 0,
     ) -> RunResult:
         """Execute up to ``max_rounds`` rounds and return the observations.
 
         Args:
             max_rounds: hard cap on executed rounds.
             stop_on_global_decision: stop once every correct process decided.
-            extra_rounds_after_decision: keep running this many rounds past
-                global decision (useful to observe stable-state message
-                complexity after the protocol quiesces).
 
         A runner runs once: its processes and oracle carry the run's state.
         """
@@ -250,15 +246,16 @@ class LockstepRunner:
             notify(self.observers, "on_round_matrix", k, delivered)
             return delivered
 
-        # Round 0: the first end-of-round initializes everyone.
-        machine.step(0, (), graph, [p for p in range(n) if not self._dead(p, 1)])
+        # Round 0: the first end-of-round initializes everyone, a process
+        # crashing at round 1 too (it boots before it dies, as on the
+        # event stack).
+        machine.step(0, (), graph, list(range(n)))
         for proc in self.processes:
             proposal = getattr(proc.algorithm, "proposal", None)
             if proposal is not None:
                 notify(self.observers, "on_proposal", proc.pid, proposal)
                 result.proposals[proc.pid] = proposal
 
-        decided_deadline: Optional[int] = None
         for k in range(1, max_rounds + 1):
             result.rounds_executed = k
             # A process dying in this very round begins it, for its final
@@ -271,9 +268,6 @@ class LockstepRunner:
             )
 
             if stop_on_global_decision and result.all_correct_decided:
-                if decided_deadline is None:
-                    decided_deadline = k + extra_rounds_after_decision
-                if k >= decided_deadline:
-                    break
+                break
 
         return result

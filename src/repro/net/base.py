@@ -9,9 +9,11 @@ Two views of the same stochastic network are needed:
   round of every link at once (:meth:`LatencyModel.sample_trace_batch`),
   and threshold them against a timeout themselves.
 
-A network profile implements both from the same per-link distributions, so
-the lockstep experiments and the event-driven round-synchronization runs
-see statistically identical networks.
+Every network profile implements both from the same per-link
+distributions, so the lockstep experiments and the event-driven
+round-synchronization runs see statistically identical networks.  The
+transport streams a link's latencies out of the batch columns whenever
+the model is time-invariant (:attr:`LatencyModel.is_time_invariant`).
 """
 
 from __future__ import annotations
@@ -54,10 +56,6 @@ class LatencyModel(abc.ABC):
     reproduce each other draw-for-draw; they sample identical per-link
     distributions (asserted by ``tests/properties``).
     """
-
-    #: Subclasses that implement :meth:`sample_lanes` set this True;
-    #: consumers use it to choose the batch trace path.
-    supports_batch_trace: bool = False
 
     def __init__(self, n: int, seed: int = 0) -> None:
         if n < 2:
@@ -127,8 +125,8 @@ class LatencyModel(abc.ABC):
     def sample_lanes(self, start: int, stop: int, round_length: float) -> np.ndarray:
         """Latencies of rounds ``[start, stop)`` on every lane, shape
         ``(stop - start, lanes)`` (lost = ``+inf``).  Round ``k`` is sent
-        at ``k * round_length``; ``start`` is a column boundary.
-        Subclasses that implement this set ``supports_batch_trace``."""
+        at ``k * round_length``; ``start`` is a column boundary.  Every
+        network profile implements it."""
         raise NotImplementedError(
             f"{type(self).__name__} does not implement batch sampling"
         )

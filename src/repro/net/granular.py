@@ -14,9 +14,9 @@ Clamping consumes no randomness, so the wrapper preserves the base
 model's draw-for-draw RNG structure: the scalar path clamps the base's
 scalar samples and the batch path clamps the base's columns lane by
 lane, keeping the wrapper eligible for the transport's pre-sampled
-stream path (and hence :mod:`repro.sync.batch`) whenever the base is
-batch-capable and the contract is time-invariant
-(``stabilization_time == 0`` or no psync links).
+stream path (and hence :mod:`repro.sync.batch`) whenever the base and
+the contract are time-invariant (``stabilization_time == 0`` or no
+psync links).
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ class GranularProfile(LatencyModel):
         self._psync_mask = assumptions == LINK_PSYNC
         self._sync_lanes = self._sync_mask[self.lanes]
         self._psync_lanes = self._psync_mask[self.lanes]
-        self.supports_batch_trace = base.supports_batch_trace
 
     @property
     def is_time_invariant(self) -> bool:

@@ -2,16 +2,19 @@
 
 Both concrete profiles (LAN, PlanetLab) are instances of one parametric
 model: per-link log-normal bodies with Pareto tail excursions, per-link
-loss, and per-node periodic slow windows that inflate *incoming* latency
-(the paper's slow nodes were "slow to receive messages, although most of
-the messages [they] sent arrived on time").
+loss, and per-node periodic slow windows.  A slow node is slow to
+receive and only to receive (the paper's slow nodes were "slow to
+receive messages, although most of the messages [they] sent arrived on
+time"): its window scales every incoming latency (PlanetLab's Poland)
+or queues its incoming burst (the LAN's slow machine).
 
 Latency of the message ``src -> dst`` sent at time ``now``::
 
     lost                with prob  loss[dst, src]
     base[dst, src] * exp(sigma[dst, src] * N(0,1))
                   * (1 + Pareto(tail_shape))   with prob tail[dst, src]
-                  * slow_factor[dst]           if dst is in a slow window
+                  * slow_factor[dst]           if dst is in a scale window
+                  + queue_unit[dst] * rank     if dst is in a queue window
 
 Three samplers share these distributions: one message, one round (both on
 the model's shared generator) and the batch sampler — whole traces and
@@ -37,12 +40,10 @@ class SlowWindows:
     """Periodic slowness of one node.
 
     During a ``duty`` fraction of every ``period`` seconds (offset by
-    ``phase``) the node is *slow*, in one of two modes:
+    ``phase``) the node is *slow to receive*, in one of two modes:
 
-    - ``mode="scale"``: each affected message is — independently, with
-      probability ``per_message_prob`` — multiplied by ``factor``.
-      ``direction`` selects which links suffer (``"in"``: slow to
-      receive, the WAN's Poland; ``"out"``; or ``"both"``).
+    - ``mode="scale"``: every message it receives is multiplied by
+      ``factor`` (the WAN's Poland).
 
     - ``mode="queue"``: the node processes *incoming* messages one at a
       time; within a round burst, the message arriving at rank ``r``
@@ -58,18 +59,12 @@ class SlowWindows:
     period: float = 1.0
     duty: float = 0.0
     phase: float = 0.0
-    per_message_prob: float = 1.0
-    direction: str = "in"
     mode: str = "scale"
     queue_unit: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.direction not in ("in", "out", "both"):
-            raise ValueError(f"bad direction {self.direction!r}")
         if self.mode not in ("scale", "queue"):
             raise ValueError(f"bad mode {self.mode!r}")
-        if not 0.0 <= self.per_message_prob <= 1.0:
-            raise ValueError("per_message_prob must be a probability")
         if self.mode == "queue" and self.queue_unit <= 0:
             raise ValueError("queue mode needs a positive queue_unit")
         if not self.period > 0.0:
@@ -103,8 +98,6 @@ def _per_link(value, n: int) -> np.ndarray:
 
 class HeterogeneousNetwork(LatencyModel):
     """Parametric per-link latency model; see the module docstring."""
-
-    supports_batch_trace = True
 
     def __init__(
         self,
@@ -160,12 +153,6 @@ class HeterogeneousNetwork(LatencyModel):
                     f"{type(self).__name__}: slow node {node!r} is not one "
                     f"of the {n} nodes"
                 )
-        # A column's draw kinds: normal, uniform, Pareto — and a second
-        # uniform kind when some slow node decides message by message.
-        self._kinds = "nup" + "s" * any(
-            slow.mode == "scale" and slow.per_message_prob < 1.0
-            for slow in self.slow_nodes.values()
-        )
 
     # ------------------------------------------------------------------
     # Single-message path (event-driven transport).
@@ -179,17 +166,15 @@ class HeterogeneousNetwork(LatencyModel):
         )
         if rng.random() < self.tail_prob[dst, src]:
             latency *= 1.0 + float(rng.pareto(self.tail_shape))
-        for node, role in ((dst, "in"), (src, "out")):
-            slow = self.slow_nodes.get(node)
-            if slow is None or not slow.active(now):
-                continue
+        slow = self.slow_nodes.get(dst)
+        if slow is not None and slow.active(now):
             if slow.mode == "queue":
-                if role == "in":
-                    latency += slow.queue_unit * self._expected_rank(src, dst)
-                continue
-            if slow.direction not in (role, "both"):
-                continue
-            if rng.random() < slow.per_message_prob:
+                latency += slow.queue_unit * self._expected_rank(src, dst)
+            else:
+                # One uniform per slowed message, drawn and unused: the
+                # shared generator's sequence (every ping table of a slow
+                # run, and the leader chosen from it) is pinned with it.
+                rng.random()
                 latency *= slow.factor
         return latency
 
@@ -230,14 +215,7 @@ class HeterogeneousNetwork(LatencyModel):
                 for rank, src in enumerate(order):
                     latencies[node, src] += slow.queue_unit * rank
                 continue
-            affected = np.zeros((n, n), dtype=bool)
-            if slow.direction in ("in", "both"):
-                affected[node, :] = True
-            if slow.direction in ("out", "both"):
-                affected[:, node] = True
-            if slow.per_message_prob < 1.0:
-                affected &= rng.random((n, n)) < slow.per_message_prob
-            latencies[affected] *= slow.factor
+            latencies[node, :] *= slow.factor
         losses = rng.random((n, n)) < self.loss_prob
         latencies[losses] = np.inf
         np.fill_diagonal(latencies, 0.0)
@@ -258,27 +236,21 @@ class HeterogeneousNetwork(LatencyModel):
 
         - ``n``: one normal per message (the log-normal body);
         - ``u``: two uniforms per message, the tail odds, then the loss;
-        - ``p``: one Pareto excess per tail hit, in round-major order;
-        - ``s`` (only when some scale-mode node has ``per_message_prob``
-          below 1): two uniforms per message, deciding its ``dst``'s
-          ("in") then its ``src``'s ("out") slow factor.
+        - ``p``: one Pareto excess per tail hit, in round-major order.
 
         Everything else is elementwise, so it runs once over the block,
         each message keeping its operand order — body, tail, ``dst``'s
-        slow factor, ``src``'s: floating-point products do not
-        reassociate.  Queue-mode nodes then rank each active round's
-        actual arrivals (:meth:`_slow_down`), and loss comes last.
+        slow factor: floating-point products do not reassociate.
+        Queue-mode nodes then rank each active round's actual arrivals
+        (:meth:`_slow_down`), and loss comes last.
         """
         base, sigma, tail_prob, loss_prob = self._lane_params
         shape = (stop - start, tail_prob.size)
         latencies = np.empty(shape)
         uniforms = np.empty((shape[0], 2, shape[1]))
         tails = np.empty(shape, dtype=bool)
-        decides = np.empty(uniforms.shape) if "s" in self._kinds else None
         tail_shape, excess = self.tail_shape, []
-        for rows, (normal, uniform, pareto, *slow) in self._columns(
-            start, stop, self._kinds
-        ):
+        for rows, (normal, uniform, pareto) in self._columns(start, stop, "nup"):
             normal.standard_normal(out=latencies[rows])
             uniform.random(out=uniforms[rows])
             hits = np.count_nonzero(
@@ -286,8 +258,6 @@ class HeterogeneousNetwork(LatencyModel):
             )
             if hits:
                 excess.append(pareto.pareto(tail_shape, hits))
-            if slow:
-                slow[0].random(out=decides[rows])
 
         latencies *= sigma
         np.exp(latencies, out=latencies)
@@ -297,50 +267,31 @@ class HeterogeneousNetwork(LatencyModel):
             factors += 1.0
             latencies[tails] *= factors
         if self.slow_nodes:
-            self._slow_down(
-                latencies, decides, np.arange(start, stop) * round_length
-            )
+            self._slow_down(latencies, np.arange(start, stop) * round_length)
         latencies[uniforms[:, 1] < loss_prob] = np.inf
         return latencies
 
-    def _slow_down(
-        self, latencies: np.ndarray, decides: Optional[np.ndarray], times: np.ndarray
-    ) -> None:
-        """Apply every slow node active somewhere in ``times`` to the
-        ``(rounds, lanes)`` block ``latencies``, in place.
+    def _slow_down(self, latencies: np.ndarray, times: np.ndarray) -> None:
+        """Apply every slow node to the rounds of ``times`` it is active
+        in, on the lanes it receives on, in the ``(rounds, lanes)`` block
+        ``latencies``, in place.
 
-        Scale-mode nodes multiply what they receive (the lanes whose
-        ``dst`` they are) in a first pass and what they send in a second,
-        so a link's ``dst`` factor lands before its ``src`` factor as in
-        :meth:`sample_latency`; with ``per_message_prob < 1`` each message
-        is decided by its ``decides`` uniform of that role.  Queue-mode
-        nodes go last: each active round's arrivals at the node are ranked
-        (lanes are in sender order and the sort is stable, so ties go to
-        the lower pid) and each waits its queue position out — after every
-        slow factor and before loss, so lost messages still queue, as in
-        :meth:`sample_round_latencies`.
+        A scale-mode node multiplies those lanes by its factor.  A
+        queue-mode node ranks each active round's arrivals (lanes are in
+        sender order and the sort is stable, so ties go to the lower pid)
+        and each waits its queue position out — before loss, so lost
+        messages still queue, as in :meth:`sample_round_latencies`.  Each
+        node touches only its own lanes, so the order of nodes is moot.
         """
-        live = [
-            (node, slow, active)
-            for node, slow in self.slow_nodes.items()
-            for active in (slow.active_mask(times),)
-            if active.any()
-        ]
-        dst, src = self.lanes
-        for role, (name, end) in enumerate((("in", dst), ("out", src))):
-            for node, slow, active in live:
-                if slow.mode != "scale" or slow.direction not in (name, "both"):
-                    continue
-                touched = np.flatnonzero(end == node)
-                hit = active[:, None]
-                if slow.per_message_prob < 1.0:
-                    hit = hit & (decides[:, role, touched] < slow.per_message_prob)
-                slowed = latencies[:, touched]
-                np.multiply(slowed, slow.factor, out=slowed, where=hit)
-                latencies[:, touched] = slowed
-        for node, slow, active in live:
-            if slow.mode == "queue":
-                burst = np.ix_(np.flatnonzero(active), np.flatnonzero(dst == node))
+        dst = self.lanes[0]
+        for node, slow in self.slow_nodes.items():
+            active = np.flatnonzero(slow.active_mask(times))
+            if not active.size:
+                continue
+            burst = np.ix_(active, np.flatnonzero(dst == node))
+            if slow.mode == "scale":
+                latencies[burst] *= slow.factor
+            else:
                 order = np.argsort(latencies[burst], axis=1, kind="stable")
                 latencies[burst] += slow.queue_unit * np.argsort(order, axis=1)
 

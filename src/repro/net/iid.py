@@ -19,8 +19,6 @@ from repro.net.base import LatencyModel
 class BernoulliLinkModel(LatencyModel):
     """IID links: timely with probability ``p`` relative to ``timeout``."""
 
-    supports_batch_trace = True
-
     def __init__(
         self,
         n: int,

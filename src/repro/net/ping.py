@@ -69,19 +69,10 @@ def _loss_penalty(rtt: np.ndarray, off_diag: np.ndarray) -> float:
     return float(2.0 * finite.max())
 
 
-def select_leader(latency_table: np.ndarray, method: str = "mean_rtt") -> int:
-    """Choose a well-connected node from a measured latency table.
-
-    Methods:
-        ``"mean_rtt"`` — the node minimizing its average round-trip time to
-        the others (the paper's criterion: a "well-connected node").
-        ``"minimax_rtt"`` — the node minimizing its worst round-trip time.
-        ``"median"`` — the node of *median* connectivity, used to pick the
-        deliberately average leader of the Section 5.2 comparison.  For
-        even ``n`` this is explicitly the *upper* median (rank ``n // 2``
-        of the ``0``-based connectivity order): with no middle node, the
-        comparison wants the leader biased toward "average or worse", not
-        toward the well-connected half.
+def select_leader(latency_table: np.ndarray) -> int:
+    """Choose the well-connected node of a measured latency table: the
+    node minimizing its mean round-trip time to the others (the paper's
+    criterion, which picks the UK node on the WAN).
 
     Lost links: :func:`measure_latency_table` reports ``+inf`` for a link
     that lost most of its pings, so under a measurement-time partition a
@@ -97,14 +88,5 @@ def select_leader(latency_table: np.ndarray, method: str = "mean_rtt") -> int:
     rtt = latency_table + latency_table.T
     off_diag = off_diagonal(n)
     penalized = np.where(np.isfinite(rtt), rtt, _loss_penalty(rtt, off_diag))
-    if method == "mean_rtt":
-        scores = np.array([penalized[i][off_diag[i]].mean() for i in range(n)])
-        return int(np.argmin(scores))
-    if method == "minimax_rtt":
-        scores = np.array([penalized[i][off_diag[i]].max() for i in range(n)])
-        return int(np.argmin(scores))
-    if method == "median":
-        scores = np.array([penalized[i][off_diag[i]].mean() for i in range(n)])
-        order = np.argsort(scores)
-        return int(order[n // 2])  # upper median when n is even
-    raise ValueError(f"unknown leader-selection method {method!r}")
+    scores = np.array([penalized[i][off_diag[i]].mean() for i in range(n)])
+    return int(np.argmin(scores))

@@ -71,8 +71,8 @@ class Transport:
     lost, mirroring the paper's convention that a process's link with
     itself is always timely.
 
-    When the installed link model is batch-capable *and* time-invariant
-    (no slow windows or load spikes — e.g. a clean
+    When the installed link model is time-invariant (no slow windows or
+    load spikes — e.g. a clean
     :class:`~repro.net.hetero.HeterogeneousNetwork` or the Bernoulli
     model), messages consume pre-sampled per-link latency streams.  A
     link's stream is its lane through the model's columns
@@ -127,10 +127,7 @@ class Transport:
         self._streams: dict[tuple[int, int], list] = {}
         self._columns: dict[int, np.ndarray] = {}
         # Can per-link latency streams be pre-sampled from the model?
-        self._streams_usable = bool(
-            getattr(link_model, "supports_batch_trace", False)
-            and getattr(link_model, "is_time_invariant", False)
-        )
+        self._streams_usable = bool(getattr(link_model, "is_time_invariant", False))
         #: The per-message fault policy, or ``None``.  Assignable at any
         #: time; it never touches the link model or its streams.
         self.faults: Optional[LinkFaults] = None
@@ -174,7 +171,7 @@ class Transport:
         """Whether sends currently consume pre-sampled per-link streams.
 
         True iff stream consumption is enabled *and* the installed model
-        is batch-capable and time-invariant; batched executors
+        is time-invariant; batched executors
         (:mod:`repro.sync.batch`) require it, since only then do the
         scalar and batched paths draw bit-identical latency sequences.
         """
@@ -251,8 +248,8 @@ class Transport:
         if not self.stream_sampling_active:
             raise ValueError(
                 f"{type(self._link_model).__name__} has no pre-sampled link"
-                " streams on this transport: it is not batch-capable and"
-                " time-invariant, or batch_streams is off"
+                " streams on this transport: it is not time-invariant, or"
+                " batch_streams is off"
             )
         if len(set(links)) != len(links):
             raise ValueError("a block takes each link's stream once")

@@ -390,13 +390,13 @@ def _grid(run: SyncRun) -> _Grid:
         for crash in plan.crashes:
             c = run.link_faults.start_of(crash.at_round)
             crash_events += c < stop
-            if c < crash_time[crash.pid]:
+            # A crash scheduled before the (uniform) boot instant finds
+            # the node not yet booted and does nothing: the node dies at
+            # its earliest crash from boot on.
+            if starts[0] <= c < crash_time[crash.pid]:
                 crash_time[crash.pid] = c
-    # A crash event is *effective* only if the node is already running
-    # when it fires; one scheduled before the (uniform) boot instant
-    # finds the node not yet booted and does nothing.  Round k begins iff
-    # t[k-1] <= c.
-    effective = (crash_time < stop) & (crash_time >= starts[0])
+    # Round k begins iff t[k-1] <= c.
+    effective = crash_time < stop
     begun = np.where(effective, (starts[:, None] <= crash_time).sum(axis=0), rounds)
     return _Grid(
         times=times,

@@ -484,8 +484,8 @@ class SyncRun:
 
         - ``"auto"`` (default): use the batched path
           (:mod:`repro.sync.batch`) when the run is eligible — a stock
-          run of any algorithm under any oracle over a batch-capable
-          time-invariant link model, lockstep-uniform nodes, with or
+          run of any algorithm under any oracle over a time-invariant
+          link model, lockstep-uniform nodes, with or
           without a fault plan of permanent crashes, bursts, partitions,
           slow nodes and churn, live metrics and observers
           (:func:`~repro.sync.batch.batch_eligibility` is the rule: five

@@ -50,15 +50,17 @@ class Expired(BaseException):
 
 class CensusPlugin:
     """Installs ``mutant`` (none for ``""``) for a whole pytest run and
-    writes the run's collection order and failed node ids to ``out``.
-    A test still running after :attr:`TEST_SECONDS` (a mutant can leave a
-    job undispatched forever) fails, and so counts as a killer."""
+    writes the run's collection order, every test's outcome and the
+    failed node ids to ``out``.  A test still running after
+    :attr:`TEST_SECONDS` (a mutant can leave a job undispatched forever)
+    fails, and so counts as a killer."""
 
     TEST_SECONDS = 30
 
     def __init__(self, mutant: str, out: str, database: str) -> None:
         self.mutant, self.out, self.database = mutant, out, database
         self.order: list[str] = []
+        self.outcomes: dict[str, str] = {}
         self.failed: set[str] = set()
         self.patch = pytest.MonkeyPatch()
 
@@ -85,24 +87,61 @@ class CensusPlugin:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
+    @pytest.hookimpl(wrapper=True, tryfirst=True)
+    def pytest_runtest_makereport(self, item, call):
+        try:
+            return (yield)
+        except Exception as error:
+            # An alarm can land where pytest cannot render the failure (a
+            # traceback entry with no line number, a parser left in a bad
+            # state), and an error here would end the session: the test
+            # failed all the same.
+            return pytest.TestReport(
+                item.nodeid, item.location, {}, "failed",
+                f"{call.excinfo.exconly()} (unrenderable: {error!r})", call.when,
+            )
+
     def pytest_collection_finish(self, session):
         self.order = [item.nodeid for item in session.items]
 
     def pytest_runtest_logreport(self, report):
         if report.failed:
             self.failed.add(report.nodeid)
+        # A test's outcome is its call's, or its setup's when that did
+        # not pass (a skip or an error, and then no call follows).
+        if report.when == "call" or (report.when == "setup" and not report.passed):
+            self.outcomes[report.nodeid] = report.outcome
 
     pytest_collectreport = pytest_runtest_logreport
 
     def pytest_unconfigure(self, config):
         self.patch.undo()
-        report = {"order": self.order, "failed": sorted(self.failed)}
+        report = {
+            "order": self.order, "outcomes": self.outcomes,
+            "failed": sorted(self.failed),
+        }
         Path(self.out).write_text(json.dumps(report))
+
+
+def finished(mutant: str, report: dict) -> tuple[list[str], set[str]]:
+    """A run's collection order and failures, refused when some collected
+    test has no outcome: the run ended early, so its failures would
+    under-count the mutant's killers."""
+    order, outcomes = report["order"], report["outcomes"]
+    unfinished = [node for node in order if node not in outcomes]
+    if unfinished:
+        raise RuntimeError(
+            f"the run under {mutant or 'the real code'} ended after"
+            f" {len(order) - len(unfinished)} of {len(order)} tests,"
+            f" before {unfinished[0]}"
+        )
+    return order, set(report["failed"])
 
 
 def run_suite(mutant: str = "", tests: tuple[str, ...] = ()) -> tuple[list[str], set[str]]:
     """One pytest run of ``tests`` (all of tier-1 by default) with
-    ``mutant`` installed: its collection order and its failures."""
+    ``mutant`` installed: its collection order and its failures
+    (:func:`finished`)."""
     with tempfile.TemporaryDirectory() as scratch:
         out, database = os.path.join(scratch, "run.json"), os.path.join(scratch, "db")
         path = [str(ROOT / "src"), str(ROOT), os.environ.get("PYTHONPATH", "")]
@@ -114,7 +153,7 @@ def run_suite(mutant: str = "", tests: tuple[str, ...] = ()) -> tuple[list[str],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=3600,
         )
         report = json.loads(Path(out).read_text())
-    return report["order"], set(report["failed"])
+    return finished(mutant, report)
 
 
 def census() -> str:

@@ -183,7 +183,11 @@ MUTANTS = tuple(Mutant(*row) for row in (
     ("select-leader-argmax", "net",
      "select_leader picks the worst-connected node (argmax)",
      "repro.net.ping:select_leader",
-     ".mean() for i in range(n)])\n        return int(np.argmin(scores))", ".mean() for i in range(n)])\n        return int(np.argmax(scores))"),
+     "return int(np.argmin(scores))", "return int(np.argmax(scores))"),
+    ("slow-down-skips-scale", "net",
+     "the block sampler's slow windows leave a scale-mode node's incoming lanes unscaled",
+     "repro.net.hetero:HeterogeneousNetwork._slow_down",
+     "latencies[burst] *= slow.factor", "pass"),
     ("observe-many-drops-last", "obs",
      "Histogram.observe_many drops its last value",
      "repro.obs.registry:Histogram.observe_many",

@@ -58,7 +58,6 @@ def scalar_trace(name, seed, rounds):
 def batch_trace(name, seed, rounds):
     factory, round_length = PROFILES[name]
     model = factory(seed=seed)
-    assert model.supports_batch_trace
     return model.sample_trace_batch(rounds, round_length)
 
 
@@ -183,18 +182,25 @@ def with_slow_nodes(model, slow_nodes):
 
 
 @st.composite
-def scale_mode_models(draw):
-    """A uniform WAN of 2..6 nodes under random scale-mode slow nodes."""
+def slow_node_models(draw):
+    """A uniform WAN of 2..6 nodes under random slow nodes, each in one
+    of the two forms: scale mode (PlanetLab's Poland) or queue mode (the
+    LAN's slow machine)."""
     n = draw(st.integers(min_value=2, max_value=6))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    windows = st.builds(
-        SlowWindows,
-        factor=st.floats(min_value=1.1, max_value=4.0),
+    window = dict(
         period=st.floats(min_value=0.2, max_value=2.0),
         duty=st.floats(min_value=0.0, max_value=1.0),
         phase=st.floats(min_value=0.0, max_value=2.0),
-        per_message_prob=st.sampled_from([1.0, 0.7, 0.3]),
-        direction=st.sampled_from(["in", "out", "both"]),
+    )
+    windows = st.one_of(
+        st.builds(
+            SlowWindows, factor=st.floats(min_value=1.1, max_value=4.0), **window
+        ),
+        st.builds(
+            SlowWindows, mode=st.just("queue"),
+            queue_unit=st.floats(min_value=1e-4, max_value=0.02), **window
+        ),
     )
     slow_nodes = draw(
         st.dictionaries(st.integers(min_value=0, max_value=n - 1), windows)
@@ -221,7 +227,7 @@ def calls_into_repro(fn):
 
 class TestTraceIsTheLinkSamplerOnEveryLink:
     @given(
-        model=scale_mode_models(),
+        model=slow_node_models(),
         rounds=st.integers(min_value=1, max_value=3 * STREAM_CHUNK),
         order=st.randoms(use_true_random=False),
     )
@@ -246,7 +252,7 @@ class TestTraceIsTheLinkSamplerOnEveryLink:
         assert not trace[:, np.arange(model.n), np.arange(model.n)].any()
 
     @given(
-        model=scale_mode_models(),
+        model=slow_node_models(),
         rounds=st.integers(min_value=STREAM_CHUNK, max_value=2 * STREAM_CHUNK + 9),
         prefix=st.integers(min_value=0, max_value=STREAM_CHUNK),
     )
@@ -299,8 +305,7 @@ class TestTraceIsTheLinkSamplerOnEveryLink:
         [
             {},
             {
-                1: SlowWindows(factor=2.0, duty=0.5, per_message_prob=0.5,
-                               direction="both"),
+                1: SlowWindows(factor=2.0, duty=0.5),
                 2: SlowWindows(duty=0.5, mode="queue", queue_unit=0.004),
             },
         ],

@@ -107,3 +107,38 @@ class TestBothHalvesOfTheReplay:
         # The crashed process's rows are empty, its diagonal too.
         with pytest.raises(ValueError, match="diagonal"):
             MatrixSchedule(list(stormy.matrices))
+
+
+class OracleQueries:
+    """Records every ``(pid, round)`` that queried the oracle."""
+
+    def __init__(self):
+        self.queries = set()
+
+    def on_oracle(self, pid, round_number, output):
+        self.queries.add((pid, round_number))
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_a_process_crashing_at_round_one_ends_round_zero_on_both_stacks(name):
+    # The event stack boots every node, so pid 1 ends round 0 (and asks
+    # the oracle) before its crash at round 1; the replay must too.
+    plan = FaultPlan(N, crashes=(Crash(1, 1),))
+    table = np.full((N, N), 0.03)
+    np.fill_diagonal(table, 0.0)
+    event_ears, lock_ears = OracleQueries(), OracleQueries()
+    run = SyncRun(
+        N, lambda pid: FACTORIES[name](pid, N), FixedLeaderOracle(0),
+        lambda sim: Transport(sim, uniform_wan_profile(N, seed=5)),
+        timeout=0.1, latency_table=table, max_rounds=12, fault_plan=plan,
+        observers=[event_ears],
+    )
+    result = run.run()
+    assert run.executed_mode == "batch", run.fallback_reason
+    lock = lockstep_replay(
+        result, lambda pid: FACTORIES[name](pid, N), FixedLeaderOracle(0), plan,
+        [lock_ears],
+    )
+    assert (1, 0) in event_ears.queries
+    assert lock_ears.queries == event_ears.queries
+    assert decided(lock) == decided(result)

@@ -44,8 +44,6 @@ class ScriptedLink(LatencyModel):
     """A batch-capable 3-node model: every draw is 10 ms, except that
     link 2 → 1 draws ``value`` in its second round."""
 
-    supports_batch_trace = True
-
     def __init__(self, value):
         super().__init__(n=3)
         self.value = value

@@ -91,11 +91,6 @@ class TestLockstepRunner:
         result = runner.run(max_rounds=50)
         assert result.rounds_executed == 2
 
-    def test_extra_rounds_after_decision(self):
-        runner = make_runner(3, [full_matrix(3)], algorithm=DecideAtRound, decide_round=2)
-        result = runner.run(max_rounds=50, extra_rounds_after_decision=3)
-        assert result.rounds_executed == 5
-
     def test_crashed_process_stops_participating(self):
         plan = FaultPlan(3, crashes=(Crash(0, 2),))
         runner = make_runner(3, [full_matrix(3)], fault_plan=plan)

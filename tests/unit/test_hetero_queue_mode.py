@@ -79,7 +79,3 @@ class TestSlowWindowsValidation:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             SlowWindows(period=1.0, duty=0.5, mode="sideways")
-
-    def test_bad_direction_rejected(self):
-        with pytest.raises(ValueError):
-            SlowWindows(period=1.0, duty=0.5, direction="diagonal")

@@ -142,12 +142,6 @@ class TestBatchEligibility:
         )
         assert not profile.is_time_invariant
 
-    def test_inherits_batch_trace_support(self):
-        profile = make_profile()
-        assert profile.supports_batch_trace == (
-            uniform_wan_profile(n=8).supports_batch_trace
-        )
-
     def test_link_batch_matches_trace_batch(self):
         # The transport's stream is a link's lane through the clamped
         # columns; the batch runner samples whole traces.  Bit-identity

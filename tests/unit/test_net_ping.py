@@ -92,45 +92,6 @@ class TestSelectLeader:
             table = measure_latency_table(planetlab_profile(seed=seed), pings=25)
             assert select_leader(table) == LEADER_NODE
 
-    def test_minimax_method(self):
-        table = np.array(
-            [
-                [0.0, 1.0, 9.0],
-                [1.0, 0.0, 1.0],
-                [9.0, 1.0, 0.0],
-            ]
-        )
-        assert select_leader(table, method="minimax_rtt") == 1
-
-    def test_median_method_picks_middle(self):
-        # Node 0 best, node 2 worst, node 1 median.
-        table = np.array(
-            [
-                [0.0, 1.0, 1.0],
-                [2.0, 0.0, 2.0],
-                [8.0, 8.0, 0.0],
-            ]
-        )
-        assert select_leader(table, method="median") == 1
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            select_leader(np.zeros((3, 3)), method="wat")
-
-    def test_even_n_median_is_upper_median(self):
-        # Connectivity order by mean RTT: 0 < 1 < 2 < 3.  With four nodes
-        # there is no middle node; the choice is explicitly the *upper*
-        # median (rank n // 2 = 2), biased toward "average or worse".
-        table = np.array(
-            [
-                [0.0, 1.0, 1.0, 1.0],
-                [2.0, 0.0, 2.0, 2.0],
-                [4.0, 4.0, 0.0, 4.0],
-                [9.0, 9.0, 9.0, 0.0],
-            ]
-        )
-        assert select_leader(table, method="median") == 2
-
 
 class TestSelectLeaderWithDeadLinks:
     """Regression: a partially-infinite table used to be degenerate.
@@ -174,17 +135,6 @@ class TestSelectLeaderWithDeadLinks:
         )
         leader = select_leader(table)
         assert leader in (2, 3)
-
-    def test_minimax_prefers_fully_connected_node(self):
-        inf = float("inf")
-        table = np.array(
-            [
-                [0.0, inf, 1.0],
-                [inf, 0.0, 1.0],
-                [1.0, 1.0, 0.0],
-            ]
-        )
-        assert select_leader(table, method="minimax_rtt") == 2
 
     def test_all_dead_is_the_honest_degenerate_case(self):
         inf = float("inf")

@@ -12,14 +12,16 @@ moves one without bumping the tag silently serves stale traces.
 The grid covers each rider of the batch path: the two paper profiles
 through the measurement entry points (one WAN seed whose decider picks a
 slow-Poland run, one clean), the uniform WAN, the Granular wrapper over
-it, the IID model, and a hand-built network whose slow nodes meet on
-shared links — a queue-mode node plus two scale-mode nodes with
-``per_message_prob`` below 1, so the column's draw kinds (normal,
-uniform, Pareto, slow-window uniforms) and the operand order of the
-slow factors are both load-bearing.  Traces of 300 rounds span a full
-and a partial column.  The single-link digests pin a link's lane of the
-second column drawn on its own, and the chunk digests the transport's
-stream, read out of a block refill of the whole table.
+it, the IID model, and a hand-built network with a slow node in each
+form: a queue-mode node plus two scale-mode nodes with windows of their
+own.  The ``crowded`` digests were re-taken when a slow node became slow
+to receive only: the per-message and send-side switches they pinned no
+longer exist, so no cached trace could hold their bytes (the sampler
+before that change gives the new network the same bytes).  Traces of
+300 rounds span a full and a partial column.  The single-link digests
+pin a link's lane of the second column drawn on its own, and the chunk
+digests the transport's stream, read out of a block refill of the whole
+table.  The scalar path's pins close the file.
 """
 
 import hashlib
@@ -35,11 +37,12 @@ from repro.experiments.measurement import (
 from repro.net import (
     BernoulliLinkModel,
     granular_wan_profile,
+    measure_latency_table,
     planetlab_profile,
     uniform_wan_profile,
 )
 from repro.net.hetero import HeterogeneousNetwork, SlowWindows
-from repro.net.planetlab import PlanetLabProfile
+from repro.net.planetlab import CH, PL, SE, UK, PlanetLabProfile
 from repro.sim import Simulator, Transport
 from repro.sim.transport import STREAM_CHUNK
 
@@ -49,9 +52,9 @@ CLEAN_WAN_SEED = 2
 
 
 def crowded_network(seed=17):
-    """Queue-mode node 2; scale-mode nodes 1 ("both", p 0.5) and 4
-    ("out", p 0.7).  Links 4→1 and 1→4 carry both scale nodes, links
-    1→2 and 4→2 a scale sender into the queue node."""
+    """Queue-mode node 2; scale-mode nodes 1 and 4, each slow to receive
+    in windows of its own.  Links 4→1 and 1→4 join the two scale nodes,
+    links 1→2 and 4→2 a scale node to the queue node."""
     n = 5
     grid = np.add.outer(np.arange(n), 2.0 * np.arange(n))
     base = 0.010 + 0.003 * grid
@@ -66,14 +69,8 @@ def crowded_network(seed=17):
             2: SlowWindows(
                 period=0.5, duty=0.6, phase=0.1, mode="queue", queue_unit=0.004
             ),
-            1: SlowWindows(
-                factor=3.0, period=0.7, duty=0.5, per_message_prob=0.5,
-                direction="both",
-            ),
-            4: SlowWindows(
-                factor=1.7, period=0.9, duty=0.8, phase=0.3,
-                per_message_prob=0.7, direction="out",
-            ),
+            1: SlowWindows(factor=3.0, period=0.7, duty=0.5),
+            4: SlowWindows(factor=1.7, period=0.9, duty=0.8, phase=0.3),
         },
         seed=seed,
     )
@@ -110,19 +107,19 @@ TRACE_DIGESTS = {
     ("bernoulli", 1): "ee0308c50d8d1cfee27f18cedc0f5b7d635d15f552e7dd669707d98a5e00cbd1",
     ("bernoulli", 37): "94c3b3472c7c3f45928efee1412af1389f42a94c56afe868beabcabe7d573e43",
     ("bernoulli", 300): "f91f169fcae0b1409d19985c332540bdbc4411dd162aeda8beab499278c46ac4",
-    ("crowded", 1): "6cebcbd444e7faaefb6cc58c808d77e165534ed8254243bae0e4001722e36f95",
-    ("crowded", 37): "ee947b437142f2fa5eff2469f7bdf6d7dba369abdc9380e43115f52730d3ca86",
-    ("crowded", 300): "20a8a71e46006062fb7fb76b1274028c11f5b02cd2e058804544f6d8e56cf5cc",
+    ("crowded", 1): "1a2b71e39e338d944d9e1ccfcf4df9761aa03b24ac22f54d4aba005538bb444c",
+    ("crowded", 37): "bb28a9a7eb9451a4272743663fa29703044cec81c48361af1ba8d3e59e1d5ecb",
+    ("crowded", 300): "32716db068067e0fe9c579d7697353360215aa491484db63faad8dbd697e5098",
 }
 
 #: The lane of ``src → dst`` in ``crowded_network().sample_lanes(256,
 #: 300, 0.05)``: the second column, drawn on its own.
 LINK_DIGESTS = {
-    (4, 1): "b116eeec973dd6874c0e8ed9512ba4e2af27fd65090384c718927e237ea9760e",
-    (1, 4): "9d5095378227611102bcc04043707375e05b6513759f18e163f153635302db24",
-    (1, 2): "943728dc4c6f32171e9a68a758d29ccc24148dce5bfea9a16e0b07e3f09f9843",
-    (4, 2): "9a60776fdcf45a16ce287276986b67a5f9fb005ee4dc524e91955f33e0ac7844",
-    (0, 2): "a2bc75cdb40789fbc6c52f06825a92c9a1767063d9141fb301f0d0815e566614",
+    (4, 1): "8383f1b74a72ee5e39ba18c97597944935d1634ee6e52535654c67ee18b110ef",
+    (1, 4): "5ac773791286a1689e1fac007c9a1ebe45b7ec2333cbe270c44396eb1f7d9705",
+    (1, 2): "a2b0998ab20356aa30f51b218d797dd523278ab1d7346707318ec998fc684373",
+    (4, 2): "21096094ce3f4f7f885c188077c0b26ff1fa5a8254810ba86f58d2bfa7cee4f3",
+    (0, 2): "a7c931e80b8e070aa627b5ed8e71ae81c6bc41d0750a1b8d3a680bde582b95ad",
     (3, 0): "b6f7a0f46e146dac10e9a5e9de5c9722daf0009b5d8b93b5d6fca97f3998dd8a",
 }
 
@@ -180,3 +177,38 @@ def test_transport_stream_chunks(src, dst):
     block = transport.next_stream_block(links, [3 * STREAM_CHUNK] * len(links))
     chunks = np.split(block[links.index((src, dst))], 3)
     assert [digest(chunk) for chunk in chunks] == CHUNK_DIGESTS[src, dst]
+
+
+#: PlanetLab seed of a slow-Poland run whose window covers the first
+#: 1.4 s, so every ping of a 15-ping table and every message below
+#: reaches Poland while it is slow.
+SLOW_PING_SEED = 1
+
+#: The scalar path's pins: a slow-run 15-ping table, and 12 rounds of
+#: ``UK → Poland`` then ``Switzerland → Sweden`` sent 0.1 s apart.  A
+#: message entering an active scale-mode window takes one uniform of
+#: the shared generator, so the message after it depends on that draw.
+PING_TABLE_DIGEST = (
+    "4c65b71c9c199c541aa55c2e71cc215df97e1fc7dfe6340b827b7efa83bdac9f"
+)
+MESSAGE_DIGEST = (
+    "eadc02b43880e4b9bb43418ca7826b38acb8b3ba5f2a1c8f919475a452bfe43d"
+)
+
+
+def test_slow_run_ping_table_bytes():
+    profile = PlanetLabProfile(seed=SLOW_PING_SEED)
+    slow = profile.slow_nodes[PL]
+    assert all(slow.active(0.1 * k) for k in range(15))
+    assert digest(measure_latency_table(profile, pings=15)) == PING_TABLE_DIGEST
+
+
+def test_slow_window_messages_bytes():
+    profile = PlanetLabProfile(seed=SLOW_PING_SEED)
+    samples = [
+        profile.sample_latency(src, dst, 0.1 * k)
+        for k in range(12)
+        for src, dst in ((UK, PL), (CH, SE))
+    ]
+    assert None not in samples
+    assert digest(np.array(samples)) == MESSAGE_DIGEST

@@ -322,7 +322,7 @@ class ScriptedStream(LatencyModel):
     0 → 1 is one scripted value — a streamed link with a known next
     latency — and 1 s on the other link."""
 
-    supports_batch_trace = is_time_invariant = True
+    is_time_invariant = True
 
     def __init__(self, value):
         super().__init__(n=2)

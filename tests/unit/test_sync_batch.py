@@ -185,6 +185,21 @@ class TestWidenedEligibility:
         assert run.nodes[1].crashed_permanently
         assert 1 not in result.correct
 
+    def test_a_crash_before_boot_leaves_the_later_crash_of_its_pid(self):
+        """The first of pid 1's two crashes fires before the uniform boot
+        instant and does nothing; the second kills it, on both engines."""
+
+        def build():
+            plan = FaultPlan(5, crashes=(Crash(1, 1), Crash(1, 10)))
+            return make_run(
+                n=5, seed=3, max_rounds=20, plan=plan, start_times=[0.35] * 5
+            )
+
+        twins = twin_runs(build)
+        assert twins.auto_run.executed_mode == "batch"
+        assert twins.diverged == []
+        assert twins.auto_run.nodes[1].crashed_permanently
+
     def test_metrics_ride_the_batch_path(self):
         metrics = MetricsRegistry()
         run = make_run(metrics=metrics)
@@ -396,7 +411,7 @@ class TestLanStaticProfile:
 class ConstantLatency(LatencyModel):
     """Every link takes exactly ``value`` seconds, drawn in columns."""
 
-    supports_batch_trace = is_time_invariant = True
+    is_time_invariant = True
 
     def __init__(self, n, value):
         super().__init__(n=n)
