@@ -222,14 +222,14 @@ def faulted_latencies(
     the two.  The two views differ only on links whose endpoints are
     both slow at once; ``adaptive.txt`` is pinned to this one.
     Partitioned and crashed links are ``inf``.  ``wall_time`` maps to
-    plan round ``int(wall_time / tick) + 1`` — this view's own anchoring
-    (a true division, where :meth:`PlanLinkFaults.round_of` reads its
-    table of accumulated round starts, on which a drift-free grid's round
-    ``k`` is plan round ``k`` exactly), kept because ``adaptive.txt`` is
-    pinned to it; the per-round state
-    is the plan's own :meth:`~repro.faults.plan.FaultPlan.round_state`.
+    plan round ``floor(wall_time / tick) + 1``, with the quotient rounded
+    to 9 decimals before the floor (:func:`churn_plan` rounds its
+    ``seconds / tick`` too): the wall clock is a float sum of timeouts,
+    and an instant on a tick boundary must not fall into the round
+    before (0.6 / 0.2 is 2.9999999999999996).  The per-round state is
+    the plan's own :meth:`~repro.faults.plan.FaultPlan.round_state`.
     """
-    state = plan.round_state(int(wall_time / tick) + 1)
+    state = plan.round_state(int(round(wall_time / tick, 9)) + 1)
     latencies = base.copy()
     if (state.slow > 1.0).any():
         latencies = latencies * np.maximum.outer(state.slow, state.slow)

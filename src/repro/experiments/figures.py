@@ -58,7 +58,8 @@ class FigureSeries:
 # ----------------------------------------------------------------------
 @dataclass
 class WanRun:
-    """One WAN run at one timeout: its measured p and delivery matrices."""
+    """One run at one timeout — a WAN or LAN cell, or one of the model
+    selector's runs: its measured p and delivery matrices."""
 
     p: float
     matrices: np.ndarray
@@ -66,12 +67,13 @@ class WanRun:
 
 @dataclass
 class WanSweep:
-    """All runs of a WAN sweep, grouped by timeout.
+    """All runs of a sweep, grouped by timeout.
 
-    Figures 1(e)-(i) ask the same questions of the same runs — which
-    rounds of a run satisfy a model, what fraction that is, how many
-    rounds its decisions take — so the sweep answers each once, on first
-    use (:meth:`satisfied`, :meth:`per_run_pm`, :meth:`decision_rounds`),
+    Figures 1(c) and 1(e)-(i), the model selector and the faults table
+    ask the same questions of a sweep's runs — which rounds of a run
+    satisfy a model, what fraction that is, how many rounds its
+    decisions take — so the sweep answers each once, on first use
+    (:meth:`satisfied`, :meth:`per_run_pm`, :meth:`decision_rounds`),
     one pass per timeout: a timeout's runs are stacked once and every
     measured model is evaluated on that stack, and each run's decision
     start points are drawn once for all models.  The answers are kept
@@ -83,32 +85,38 @@ class WanSweep:
     config: SweepConfig
     leader: int
     runs: dict[float, list[WanRun]] = field(default_factory=dict)
-    #: ``(table, model)`` -> that table's rows, one per timeout (model
-    #: ``""`` for the start points every model shares).
-    _tables: dict[tuple[str, str], list] = field(
+    #: ``(table, model[, leader])`` -> that table's rows, one per timeout
+    #: (model ``""`` for the start points every model shares).
+    _tables: dict[tuple, list] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def satisfied(self, model: str) -> list[np.ndarray]:
-        """``[t_index]``: a ``(runs, rounds)`` table whose row ``r`` is
-        run ``r``'s per-round satisfaction of ``model`` (under the
-        sweep's leader, if the model needs one).
+    def _satisfied_key(self, model: str, leader: int) -> tuple:
+        """A leaderless model's table is one, whatever the leader."""
+        return ("satisfied", model, leader if get_model(model).needs_leader else None)
 
-        The first call for a measured model evaluates all of
-        :data:`MEASURED_MODELS`, so each timeout's stack is built once.
+    def satisfied(self, model: str, leader: Optional[int] = None) -> list[np.ndarray]:
+        """``[t_index]``: a ``(runs, rounds)`` table whose row ``r`` is
+        run ``r``'s per-round satisfaction of ``model`` (under ``leader``,
+        the sweep's by default, if the model needs one).
+
+        The first call for a measured model at a leader evaluates every
+        one of :data:`MEASURED_MODELS` not yet tabled there, so each
+        timeout's stack is built once per leader.
         """
-        key = ("satisfied", model)
+        leader = self.leader if leader is None else leader
+        key = self._satisfied_key(model, leader)
         if key not in self._tables:
             models = MEASURED_MODELS if model in MEASURED_MODELS else (model,)
-            tables: dict[str, list[np.ndarray]] = {name: [] for name in models}
+            keys = [self._satisfied_key(name, leader) for name in models]
+            tables = {key: [] for key in keys if key not in self._tables}
             for timeout in self.config.timeouts:
                 runs = self.runs[timeout]
                 stack = np.concatenate([run.matrices for run in runs])
-                for name in models:
-                    vector = satisfaction_vector(stack, name, self.leader)
-                    tables[name].append(vector.reshape(len(runs), -1))
-            for name, rows in tables.items():
-                self._tables[("satisfied", name)] = rows
+                for (_, name, _), rows in tables.items():
+                    vector = satisfaction_vector(stack, name, leader)
+                    rows.append(vector.reshape(len(runs), -1))
+            self._tables.update(tables)
         return self._tables[key]
 
     def per_run_pm(self, model: str) -> list[list[float]]:
@@ -122,7 +130,7 @@ class WanSweep:
             ]
         return self._tables[key]
 
-    def _start_points(self) -> list[np.ndarray]:
+    def start_points(self) -> list[np.ndarray]:
         """``[t_index]``: a ``(runs, start_points)`` table of each run's
         decision start points, shared by every model.
 
@@ -152,29 +160,46 @@ class WanSweep:
             self._tables[key] = [
                 mean_over_deciding_runs(rows, window, starts)
                 for rows, starts in zip(
-                    self.satisfied(model), self._start_points()
+                    self.satisfied(model), self.start_points()
                 )
             ]
         return self._tables[key]
 
 
-def wan_cell(config: SweepConfig, t_index: int, r_index: int) -> WanRun:
-    """One independent (timeout, run) cell of the WAN sweep.
+def _cell(
+    profile: str, purpose: str, config: SweepConfig, t_index: int, r_index: int
+) -> WanRun:
+    """One independent (timeout, run) cell of a ``profile`` sweep.
 
-    The cell is a pure function of ``(config, t_index, r_index)`` — it
-    derives its own seed and samples (or cache-loads) its own trace — so
-    the serial and parallel engines produce bit-identical sweeps by
-    construction: both just map this function over the cell grid.
+    The cell is a pure function of its arguments — it derives its own
+    seed and samples (or cache-loads) its own trace — so the serial and
+    parallel engines produce bit-identical sweeps by construction: both
+    just map it over the cell grid.
     """
     timeout = config.timeouts[t_index]
-    seed = config.run_seed(t_index, r_index)
+    seed = config.run_seed(t_index, r_index, purpose=purpose)
     trace = cached_trace(
-        "wan", config.n, config.rounds_per_run, timeout, seed
+        profile, config.n, config.rounds_per_run, timeout, seed
     )
     return WanRun(
         p=measured_p(trace, timeout),
         matrices=timely_matrices(trace, timeout),
     )
+
+
+def wan_cell(config: SweepConfig, t_index: int, r_index: int) -> WanRun:
+    """One (timeout, run) cell of the WAN sweep (see :func:`_cell`)."""
+    return _cell("wan", "trace", config, t_index, r_index)
+
+
+def lan_cell(config: SweepConfig, t_index: int, r_index: int) -> WanRun:
+    """One (timeout, run) cell of the LAN measurement (see :func:`_cell`).
+
+    Its trace seed names the profile: the LAN and WAN sweeps share a root
+    seed, and a LAN cell must not draw the latencies of the WAN cell with
+    the same indices.
+    """
+    return _cell("lan", "lan:trace", config, t_index, r_index)
 
 
 def run_wan_sweep(config: SweepConfig = QUICK, leader: int = LEADER_NODE) -> WanSweep:
@@ -242,15 +267,6 @@ def figure_1b(
 # ----------------------------------------------------------------------
 # Figure 1(c): LAN — measured versus IID-predicted P_M per timeout.
 # ----------------------------------------------------------------------
-@dataclass
-class LanCell:
-    """One (timeout, run) cell of the LAN measurement: its measured p and
-    delivery matrices, as a :class:`WanRun` carries them."""
-
-    p: float
-    matrices: np.ndarray
-
-
 #: Figure 1(c)'s measured series: ``(name, model, leader)``.
 LAN_SERIES = tuple(
     (f"measured_{model}", model, GOOD_LEADER) for model in MEASURED_MODELS
@@ -260,28 +276,9 @@ LAN_SERIES = tuple(
 )
 
 
-def lan_cell(config: SweepConfig, t_index: int, r_index: int) -> LanCell:
-    """One independent (timeout, run) cell of the LAN measurement.
-
-    Like :func:`wan_cell`, a pure function of its arguments, shared by
-    the serial and parallel engines.  Its trace seed names the profile:
-    the LAN and WAN sweeps share a root seed, and a LAN cell must not
-    draw the latencies of the WAN cell with the same indices.
-    """
-    timeout = config.timeouts[t_index]
-    seed = config.run_seed(t_index, r_index, purpose="lan:trace")
-    trace = cached_trace(
-        "lan", config.n, config.rounds_per_run, timeout, seed
-    )
-    return LanCell(
-        p=measured_p(trace, timeout),
-        matrices=timely_matrices(trace, timeout),
-    )
-
-
 def figure_1c(
     config: SweepConfig = QUICK_LAN,
-    cells: Optional[Sequence[Sequence[LanCell]]] = None,
+    cells: Optional[Sequence[Sequence[WanRun]]] = None,
 ) -> FigureSeries:
     """LAN measurement (paper Figure 1(c)).
 
@@ -294,37 +291,37 @@ def figure_1c(
 
     ``cells`` may supply precomputed ``cells[t_index][r_index]`` results
     (the parallel engine does); when omitted each cell is computed here.
-    As in :class:`WanSweep`, a timeout's runs are stacked once and each
-    measured series is one :func:`satisfaction_vector` call on the stack;
-    a point is the mean of the runs' ``P_M``.
+    The series are read from a :class:`WanSweep` over the cells: six
+    predicate calls per timeout, four at the good leader and the two
+    leader-based models at the average one; a point is the mean of the
+    runs' ``P_M``.
     """
+    sweep = WanSweep(config=config, leader=GOOD_LEADER)
+    for t_index, timeout in enumerate(config.timeouts):
+        sweep.runs[timeout] = (
+            [lan_cell(config, t_index, r_index) for r_index in range(config.runs)]
+            if cells is None
+            else list(cells[t_index])
+        )
     x = [float(t) for t in config.timeouts]
     result = FigureSeries(figure="1c", x_label="timeout (s)", x=x)
-    for name in (
-        [f"measured_{m}" for m in MEASURED_MODELS]
-        + [f"predicted_{m}" for m in MEASURED_MODELS]
-        + ["measured_WLM_avg_leader", "measured_LM_avg_leader"]
-    ):
-        result.series[name] = []
-
-    for t_index in range(len(config.timeouts)):
-        if cells is None:
-            row = [
-                lan_cell(config, t_index, r_index)
-                for r_index in range(config.runs)
-            ]
-        else:
-            row = list(cells[t_index])
-        p_hat = float(np.mean([cell.p for cell in row]))
-        for model in MEASURED_MODELS:
-            result.series[f"predicted_{model}"].append(
-                float(P_MODEL[model](p_hat, config.n))
-            )
-        stack = np.concatenate([cell.matrices for cell in row])
-        for name, model, leader in LAN_SERIES:
-            satisfied = satisfaction_vector(stack, model, leader)
-            per_run = satisfied_fractions(satisfied.reshape(len(row), -1))
-            result.series[name].append(float(np.mean(per_run)))
+    measured = {
+        name: [
+            float(np.mean(satisfied_fractions(rows)))
+            for rows in sweep.satisfied(model, leader)
+        ]
+        for name, model, leader in LAN_SERIES
+    }
+    p_hats = [float(np.mean([run.p for run in sweep.runs[t]])) for t in x]
+    # The paper's legend order: measured and predicted, then the
+    # average-leader curves.
+    for model in MEASURED_MODELS:
+        result.series[f"measured_{model}"] = measured.pop(f"measured_{model}")
+    for model in MEASURED_MODELS:
+        result.series[f"predicted_{model}"] = [
+            float(P_MODEL[model](p_hat, config.n)) for p_hat in p_hats
+        ]
+    result.series.update(measured)
     result.notes = (
         f"good leader = node {GOOD_LEADER}, "
         f"average leader = node {AVERAGE_LEADER}"

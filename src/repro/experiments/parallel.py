@@ -7,7 +7,9 @@ changing a single bit of the result.  This module fans the WAN sweep and
 the LAN figure out over a pluggable :class:`CellExecutor` with one task
 per cell and reassembles the results in the serial order —
 ``run_wan_sweep_parallel(config, jobs=k)`` equals ``run_wan_sweep(config)``
-exactly, for any ``k``.
+exactly, for any ``k``.  A LAN cell is a WAN cell of another profile (a
+:class:`~repro.experiments.figures.WanRun`), and Figure 1(c) reads the
+:class:`~repro.experiments.figures.WanSweep` it builds over its cells.
 
 Executors and cells-as-tasks
 ----------------------------
@@ -18,8 +20,9 @@ sweep service, :mod:`repro.service`) can reuse the engine's work unit:
 - **Cells as tasks**: :func:`cell_grid` enumerates the ``(config,
   t_index, r_index)`` arguments, :func:`wan_task`/:func:`lan_task` are
   the picklable per-cell functions returning a :class:`CellOutcome`
-  (result + worker-side profile), and :func:`assemble_wan_sweep` /
-  :func:`assemble_lan_figure` rebuild the serial-order artifacts.
+  (result + worker-side profile), and :func:`rows_from_flat` returns
+  them in serial order, for :func:`assemble_wan_sweep` or
+  :func:`~repro.experiments.figures.figure_1c` to read.
 - **Executors**: :class:`SerialCellExecutor` (in-process, inline),
   :class:`ThreadCellExecutor` (in-process, concurrent) and
   :class:`ProcessCellExecutor` (one process per worker) share the
@@ -42,7 +45,6 @@ from repro.experiments import cache as trace_cache
 from repro.experiments.config import QUICK, QUICK_LAN, SweepConfig
 from repro.experiments.figures import (
     FigureSeries,
-    LanCell,
     WanRun,
     WanSweep,
     figure_1c,
@@ -148,13 +150,6 @@ def assemble_wan_sweep(
     for t_index, timeout in enumerate(config.timeouts):
         sweep.runs[timeout] = list(rows[t_index])
     return sweep
-
-
-def assemble_lan_figure(
-    config: SweepConfig, rows: Sequence[Sequence[LanCell]]
-) -> FigureSeries:
-    """Rebuild figure 1(c) from per-cell results in serial order."""
-    return figure_1c(config, cells=rows)
 
 
 # ----------------------------------------------------------------------
@@ -392,4 +387,4 @@ def figure_1c_parallel(
     rows = _map_cells(
         lan_task, config, jobs, progress, metrics, phase="lan"
     )
-    return assemble_lan_figure(config, rows)
+    return figure_1c(config, cells=rows)

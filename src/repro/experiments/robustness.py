@@ -34,8 +34,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.decision import mean_decision_rounds
+from repro.experiments.decision import mean_over_deciding_runs
 from repro.experiments.figures import MEASURED_MODELS, WanSweep
+from repro.experiments.measurement import satisfied_fractions
 from repro.experiments.report import format_cell
 from repro.models.registry import get_model
 from repro.faults import (
@@ -164,32 +165,21 @@ def _satisfaction(
 def measure_robustness(
     sweep: WanSweep, seed: int = 0, *, timeout: float
 ) -> list[RobustnessCell]:
-    """Clean-versus-faulted P_M and decision latency per (fault, model)."""
+    """Clean-versus-faulted P_M and decision latency per (fault, model).
+
+    The clean cells are the sweep's own tables at ``timeout`` — its
+    ``D`` is Figure 1(g)'s — and the faulted ``D`` is measured from the
+    same start points (:meth:`WanSweep.start_points`).
+    """
     config = sweep.config
-    runs = sweep.runs[timeout]
-    clean = np.stack([run.matrices for run in runs])  # [run, round, dst, src]
+    t_index = list(config.timeouts).index(timeout)
+    clean = np.stack([run.matrices for run in sweep.runs[timeout]])
+    starts = sweep.start_points()[t_index]
+    pm_clean = {
+        model: float(np.mean(satisfied_fractions(sweep.satisfied(model)[t_index])))
+        for model in MEASURED_MODELS
+    }
     plans = canonical_plans(config.n, config.rounds_per_run, seed)
-    designated = np.full(config.rounds_per_run, sweep.leader)
-
-    def summarize(
-        matrices_by_run: Sequence[np.ndarray],
-        model: str,
-        leaders: np.ndarray = designated,
-        correct: Optional[list[int]] = None,
-    ) -> tuple[float, float]:
-        vecs = [
-            _satisfaction(m, model, leaders, correct) for m in matrices_by_run
-        ]
-        pm = float(np.mean([vec.mean() for vec in vecs]))
-        rounds = mean_decision_rounds(
-            vecs,
-            get_model(model).decision_rounds,
-            config.start_points,
-            lambda index: derive_seed(seed, f"faults:decision:{model}:{index}"),
-        )
-        return pm, rounds
-
-    clean_summary = {model: summarize(clean, model) for model in MEASURED_MODELS}
 
     cells: list[RobustnessCell] = []
     for fault_name, plan in plans.items():
@@ -205,18 +195,19 @@ def measure_robustness(
         )
         correct = sorted(plan.correct()) if len(plan.correct()) < plan.n else None
         for model in MEASURED_MODELS:
-            pm_clean, rounds_clean = clean_summary[model]
-            pm_faulted, rounds_faulted = summarize(
-                faulted, model, leaders, correct
+            satisfied = np.array(
+                [_satisfaction(m, model, leaders, correct) for m in faulted]
             )
             cells.append(
                 RobustnessCell(
                     fault=fault_name,
                     model=model,
-                    pm_clean=pm_clean,
-                    pm_faulted=pm_faulted,
-                    rounds_clean=rounds_clean,
-                    rounds_faulted=rounds_faulted,
+                    pm_clean=pm_clean[model],
+                    pm_faulted=float(np.mean(satisfied_fractions(satisfied))),
+                    rounds_clean=sweep.decision_rounds(model)[t_index],
+                    rounds_faulted=mean_over_deciding_runs(
+                        satisfied, get_model(model).decision_rounds, starts
+                    ),
                 )
             )
     return cells

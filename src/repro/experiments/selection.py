@@ -12,16 +12,16 @@ tolerance of the overall best.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.analysis.crossover import optimal_timeout
-from repro.experiments.decision import mean_over_deciding_runs, run_starts
+from repro.experiments.config import SweepConfig
+from repro.experiments.figures import MEASURED_MODELS, WanRun, WanSweep
 from repro.experiments.measurement import (
+    measured_p,
     sample_latency_trace,
-    satisfaction_vector,
     satisfied_fractions,
     timely_matrices,
 )
@@ -32,29 +32,12 @@ from repro.net.ping import measure_latency_table, select_leader
 from repro.sim.rng import derive_seed
 
 #: Models considered by the selector, in presentation order.
-CANDIDATES = ("ES", "AFM", "LM", "WLM")
+CANDIDATES = MEASURED_MODELS
 
 
 def _ping_seed(seed: int) -> int:
     """Seed of the ping-measurement profile."""
     return derive_seed(seed, "selection:ping")
-
-
-def _cell_seed(seed: int, t_index: int, run: int) -> int:
-    """Seed of one (timeout, run) sweep cell's network profile.
-
-    Derived, not additive: the old ``seed + 101 * t_index + run`` scheme
-    collided across cells whenever ``runs > 101`` (cell ``(t, 101)`` =
-    cell ``(t+1, 0)``) and collided with the ping table's ``seed + 999``
-    at ``(t_index=9, run=90)`` — reusing the measurement randomness
-    inside the sweep it calibrates.
-    """
-    return derive_seed(seed, f"selection:cell:{t_index}:{run}")
-
-
-def _decision_seed(seed: int, t_index: int, run: int) -> int:
-    """Seed of one cell's decision-sampling RNG (start-point draws)."""
-    return derive_seed(seed, f"selection:decision:{t_index}:{run}")
 
 
 def _ms(seconds: float) -> str:
@@ -141,53 +124,38 @@ def choose_timing_model(
             best decision time is within this fraction of the overall
             best (the paper's "80 ms more ... clearly well worth using").
     """
-    if runs < 1:
-        raise ValueError(f"runs must be at least 1, got {runs}")
-    table = measure_latency_table(network(seed=_ping_seed(seed)), pings=20)
-    leader = select_leader(table)
+    # The sweep's own validation refuses an empty grid, a NaN or
+    # non-positive timeout and a count out of range before anything is
+    # sampled.
+    ping_network = network(seed=_ping_seed(seed))
+    config = SweepConfig(
+        n=ping_network.n, rounds_per_run=rounds_per_run, runs=runs,
+        start_points=start_points, timeouts=tuple(timeouts), seed=seed,
+    )
+    leader = select_leader(measure_latency_table(ping_network, pings=20))
     recommendation = Recommendation(leader=leader)
 
-    times: dict[str, list[float]] = {m: [] for m in CANDIDATES}
-    satisfaction: dict[str, list[float]] = {m: [] for m in CANDIDATES}
-    for t_index, timeout in enumerate(timeouts):
-        # One stack per timeout and one satisfaction vector per model on
-        # it; P_M and the decision statistics are both read off the
-        # model's (runs, rounds) table.  The start points do not depend
-        # on the model, so they are drawn once for all of them.
-        stack = np.concatenate([
-            timely_matrices(
-                sample_latency_trace(
-                    network(seed=_cell_seed(seed, t_index, run)),
-                    rounds_per_run,
-                    timeout,
-                ),
+    sweep = WanSweep(config=config, leader=leader)
+    for t_index, timeout in enumerate(config.timeouts):
+        traces = (
+            sample_latency_trace(
+                network(seed=config.run_seed(t_index, run, purpose="selection")),
+                rounds_per_run,
                 timeout,
             )
             for run in range(runs)
-        ])
-        starts = run_starts(
-            partial(_decision_seed, seed, t_index),
-            runs,
-            rounds_per_run,
-            start_points,
         )
-        for model in CANDIDATES:
-            satisfied = satisfaction_vector(stack, model, leader).reshape(
-                runs, rounds_per_run
-            )
-            mean_rounds = mean_over_deciding_runs(
-                satisfied, MODELS[model].decision_rounds, starts
-            )
-            times[model].append(mean_rounds * timeout)
-            satisfaction[model].append(
-                float(np.mean(satisfied_fractions(satisfied)))
-            )
-
+        sweep.runs[timeout] = [
+            WanRun(measured_p(trace, timeout), timely_matrices(trace, timeout))
+            for trace in traces
+        ]
     for model in CANDIDATES:
         finite = [
-            (t, v, s)
-            for t, v, s in zip(timeouts, times[model], satisfaction[model])
-            if v == v
+            (timeout, rounds * timeout, float(np.mean(satisfied_fractions(rows))))
+            for timeout, rounds, rows in zip(
+                config.timeouts, sweep.decision_rounds(model), sweep.satisfied(model)
+            )
+            if rounds == rounds
         ]
         if finite:
             ts, vs, ss = zip(*finite)

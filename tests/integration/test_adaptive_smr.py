@@ -7,6 +7,7 @@ checked across every switch boundary.  The scenario is fully
 deterministic in its seed, so these assertions are exact.
 """
 
+import numpy as np
 import pytest
 
 from repro.adaptive import (
@@ -17,8 +18,10 @@ from repro.adaptive import (
     granular_scenario_config,
     run_adaptive_scenario,
 )
+from repro.adaptive.scenario import faulted_latencies
 from repro.check.invariants import default_suite
 from repro.consensus import AfmConsensus
+from repro.faults import Crash, FaultPlan
 from repro.giraf.oracle import NullOracle
 from repro.giraf.schedule import MatrixSchedule
 from repro.models.matrix import full_matrix
@@ -124,6 +127,19 @@ class TestGranularChurnScenario:
         again = run_adaptive_scenario(granular_scenario_config())
         assert again.adaptive.latencies == granular_comparison.adaptive.latencies
         assert again.adaptive.timeline == granular_comparison.adaptive.timeline
+
+
+class TestFaultedLatencies:
+    def test_an_instant_on_a_tick_boundary_reads_its_own_round(self):
+        """Instant 0.6 at tick 0.2 starts plan round 4, but in floats
+        0.6 / 0.2 is 2.9999999999999996: a floor of the raw quotient
+        read round 3, and pid 1's crash at round 4 came a round late."""
+        plan = FaultPlan(n=3, crashes=(Crash(pid=1, at_round=4),))
+        base = np.full((3, 3), 0.05)
+        assert np.isfinite(faulted_latencies(base, plan, 0.6 - 1e-9, 0.2)).all()
+        latencies = faulted_latencies(base, plan, 0.6, 0.2)
+        assert np.isinf(latencies[1, 0]) and np.isinf(latencies[0, 1])
+        assert latencies[0, 2] == 0.05
 
 
 class TestReplicaGroupHooks:

@@ -1,25 +1,20 @@
 """Integration tests for the model-selection API."""
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.experiments.decision import mean_decision_rounds
+import repro.experiments.selection as selection
+from repro.experiments.config import SweepConfig
+from repro.experiments.figures import WanRun, WanSweep
 from repro.experiments.measurement import (
+    measured_p,
     sample_latency_trace,
-    satisfaction_vector,
-    satisfied_fraction,
+    satisfied_fractions,
     timely_matrices,
 )
-from repro.experiments.selection import (
-    CANDIDATES,
-    _cell_seed,
-    _decision_seed,
-    choose_timing_model,
-)
-from repro.models.registry import MODELS
+from repro.experiments.selection import CANDIDATES, choose_timing_model
 from repro.net.lan import LanProfile
 from repro.net.planetlab import LEADER_NODE, planetlab_profile
 
@@ -90,9 +85,10 @@ class TestChooseTimingModel:
 
 
 class TestOneStackPerTimeout:
-    """The selector stacks a timeout's runs and draws their start points
-    once for all models; its reports must equal the per-(run, model)
-    reference bit for bit."""
+    """The selector is a sweep over its network: its reports must equal,
+    bit for bit, the tables of a :class:`WanSweep` filled with the same
+    runs — ``run_seed(t, r, purpose="selection")`` networks, the
+    sweep's own start points."""
 
     @pytest.mark.parametrize(
         "network, timeouts",
@@ -102,42 +98,36 @@ class TestOneStackPerTimeout:
         ],
         ids=["wan", "lan"],
     )
-    def test_reports_equal_the_per_run_and_model_reference(
-        self, network, timeouts
-    ):
+    def test_reports_read_the_sweep(self, network, timeouts):
         rounds, runs, start_points, seed = 80, 3, 5, 7
         recommendation = choose_timing_model(
             network, timeouts, rounds_per_run=rounds, runs=runs,
             start_points=start_points, seed=seed,
         )
+        config = SweepConfig(
+            n=8, rounds_per_run=rounds, runs=runs,
+            start_points=start_points, timeouts=timeouts, seed=seed,
+        )
+        sweep = WanSweep(config=config, leader=recommendation.leader)
+        for t_index, timeout in enumerate(timeouts):
+            sweep.runs[timeout] = []
+            for run in range(runs):
+                model = network(seed=config.run_seed(t_index, run, "selection"))
+                trace = sample_latency_trace(model, rounds, timeout)
+                sweep.runs[timeout].append(
+                    WanRun(measured_p(trace, timeout), timely_matrices(trace, timeout))
+                )
         for model in CANDIDATES:
-            times, fractions = [], []
-            for t_index, timeout in enumerate(timeouts):
-                vectors = [
-                    satisfaction_vector(
-                        timely_matrices(
-                            sample_latency_trace(
-                                network(seed=_cell_seed(seed, t_index, run)),
-                                rounds,
-                                timeout,
-                            ),
-                            timeout,
-                        ),
-                        model,
-                        recommendation.leader,
-                    )
-                    for run in range(runs)
-                ]
-                rounds_to_decide = mean_decision_rounds(
-                    vectors,
-                    MODELS[model].decision_rounds,
-                    start_points,
-                    partial(_decision_seed, seed, t_index),
+            times = [
+                rounds_to_decide * timeout
+                for rounds_to_decide, timeout in zip(
+                    sweep.decision_rounds(model), timeouts
                 )
-                times.append(rounds_to_decide * timeout)
-                fractions.append(
-                    float(np.mean([satisfied_fraction(v) for v in vectors]))
-                )
+            ]
+            fractions = [
+                float(np.mean(satisfied_fractions(rows)))
+                for rows in sweep.satisfied(model)
+            ]
             report = recommendation.reports[model]
             got = (
                 report.optimal_timeout,
@@ -153,3 +143,19 @@ class TestOneStackPerTimeout:
     def test_no_runs_rejected(self):
         with pytest.raises(ValueError, match="runs"):
             choose_timing_model(planetlab_profile, (0.2,), runs=0)
+
+    @pytest.mark.parametrize(
+        "timeouts", [(), (0.2, float("nan")), (0.0,), (0.2, -0.1)],
+        ids=["empty", "nan", "zero", "negative"],
+    )
+    def test_bad_grid_rejected_before_sampling(self, monkeypatch, timeouts):
+        """The sweep's validation runs before the ping measurement: the
+        selector used to sample and answer "no model produced decisions
+        on this sweep" for a grid that measures nothing."""
+
+        def no_pings(*args, **kwargs):
+            raise AssertionError("the selector sampled the network")
+
+        monkeypatch.setattr(selection, "measure_latency_table", no_pings)
+        with pytest.raises(ValueError, match="timeouts"):
+            choose_timing_model(planetlab_profile, timeouts)

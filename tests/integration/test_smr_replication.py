@@ -10,6 +10,10 @@ from repro.smr import Command, KVStore, ReplicaGroup
 
 N = 5
 
+# Each ``run_until_drained`` gets one slot per command it must decide:
+# every slot's instance decides a pending command, so a stack that stops
+# deciding fails at once instead of running 1 000 undecided slots.
+
 ALGORITHM_SETUPS = {
     "WLM": (WlmConsensus, "WLM", True),
     "LM": (LmConsensus, "LM", True),
@@ -45,7 +49,7 @@ class TestReplication:
     def test_single_command_replicates_everywhere(self, name):
         group = make_group(name)
         group.submit(0, Command(1, 1, ("set", "x", "42")))
-        results = group.run_until_drained()
+        results = group.run_until_drained(max_slots=1)
         assert all(r.decided for r in results)
         assert group.consistent()
         for machine in group.machines:
@@ -56,7 +60,7 @@ class TestReplication:
         group.submit(0, Command(1, 1, ("set", "a", "1")))
         group.submit(2, Command(2, 1, ("set", "b", "2")))
         group.submit(4, Command(3, 1, ("set", "c", "3")))
-        group.run_until_drained()
+        group.run_until_drained(max_slots=3)
         assert group.consistent()
         machine = group.machines[0]
         assert (machine.get("a"), machine.get("b"), machine.get("c")) == (
@@ -69,7 +73,7 @@ class TestReplication:
         group = make_group(name)
         for i in range(5):
             group.submit(i % N, Command(1, i, ("set", f"k{i}", str(i))))
-        group.run_until_drained()
+        group.run_until_drained(max_slots=5)
         # The log is the serialization every replica applied.
         applied = [entry for entry in group.log if not entry.is_noop()]
         assert len(applied) == 5
@@ -80,10 +84,10 @@ class TestReplication:
         replica, and the winner is determined by log order."""
         group = make_group(name)
         group.submit(0, Command(1, 1, ("set", "lock", "free")))
-        group.run_until_drained()
+        group.run_until_drained(max_slots=1)
         group.submit(1, Command(2, 1, ("cas", "lock", "free", "held-by-2")))
         group.submit(3, Command(3, 1, ("cas", "lock", "free", "held-by-3")))
-        group.run_until_drained()
+        group.run_until_drained(max_slots=2)
         assert group.consistent()
         final = group.machines[0].get("lock")
         assert final in ("held-by-2", "held-by-3")
@@ -102,7 +106,7 @@ class TestReplicationUnderInstability:
         group = make_group("WLM", gsr=8, p_chaos=0.3)
         for i in range(4):
             group.submit(i, Command(1, i, ("set", f"k{i}", str(i))))
-        group.run_until_drained(max_slots=40)
+        group.run_until_drained(max_slots=4)
         assert group.consistent()
 
     def test_leader_persists_across_instances(self):
@@ -113,7 +117,7 @@ class TestReplicationUnderInstability:
         group = make_group("WLM")
         for i in range(10):
             group.submit(i % N, Command(1, i, ("set", "k", str(i))))
-        group.run_until_drained(max_slots=30)
+        group.run_until_drained(max_slots=10)
         decided = [entry for entry in group.log if not entry.is_noop()]
         assert len(decided) == 10
         expected_final = decided[-1].op[2]
@@ -124,7 +128,7 @@ class TestReplicationUnderInstability:
     def test_message_accounting_accumulates(self):
         group = make_group("WLM")
         group.submit(0, Command(1, 1, ("set", "x", "1")))
-        group.run_until_drained()
+        group.run_until_drained(max_slots=1)
         assert group.total_messages > 0
         assert group.total_rounds > 0
 
@@ -135,6 +139,6 @@ class TestReplicationUnderInstability:
         group = make_group("PAXOS", p_chaos=1.0)
         for client in (2, 1):
             group.submit(client, Command(client, 0, ("set", "k", str(client))))
-        group.run_until_drained(max_slots=10)
+        group.run_until_drained(max_slots=2)
         decided = [entry.client_id for entry in group.log if not entry.is_noop()]
         assert decided == [1, 2]

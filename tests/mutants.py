@@ -130,8 +130,12 @@ MUTANTS = tuple(Mutant(*row) for row in (
      "begins + window - starts", "begins + window + 1 - starts"),
     ("starts-share-timeout-zero", "experiments",
      "a sweep draws every timeout's decision start points from timeout 0's seeds",
-     "repro.experiments.figures:WanSweep._start_points",
+     "repro.experiments.figures:WanSweep.start_points",
      'partial(config.run_seed, t_index, purpose="decision")', 'partial(config.run_seed, 0, purpose="decision")'),
+    ("sweep-table-ignores-leader", "experiments",
+     "a sweep keys its satisfaction tables by model only: Figure 1(c)'s average-leader curves read the good leader's",
+     "repro.experiments.figures:WanSweep._satisfied_key",
+     "leader if get_model(model).needs_leader else None", "None"),
     ("quiet-during-burst", "faults",
      "PlanLinkFaults.quiet says True while a loss burst is live",
      "repro.faults.event:PlanLinkFaults._view",

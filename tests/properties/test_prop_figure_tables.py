@@ -2,8 +2,9 @@
 one start-point draw per run — equal the per-run reference: each run's
 own ``satisfaction_vector`` and ``satisfied_fraction``, and
 ``mean_decision_rounds`` per model with the sweep's decision seeds.
-Figure 1(c)'s series, one stack per timeout too, equal the mean of each
-cell's own ``model_satisfaction``."""
+Figure 1(c)'s series, read from a sweep over its LAN cells at two
+leaders, equal the mean of each cell's own ``model_satisfaction``, and
+the faults table's clean cells are the sweep's tables."""
 
 from functools import partial
 
@@ -23,7 +24,9 @@ from repro.experiments.measurement import (
     model_satisfaction,
     satisfaction_vector,
     satisfied_fraction,
+    satisfied_fractions,
 )
+from repro.experiments.robustness import measure_robustness
 from repro.models.registry import get_model
 
 
@@ -84,3 +87,17 @@ def test_lan_series_equal_the_per_cell_reference(config):
             for t_index in range(len(config.timeouts))
         ]
         assert figure.series[name] == expected, name
+
+
+@given(config=configs(), leader=st.integers(0, 7), seed=st.integers(0, 2**16))
+@settings(max_examples=10, deadline=None)
+def test_faults_clean_cells_are_the_sweep_tables(config, leader, seed):
+    sweep = run_wan_sweep(config, leader=leader)
+    for t_index, timeout in enumerate(config.timeouts):
+        for cell in measure_robustness(sweep, seed, timeout=timeout):
+            rows = sweep.satisfied(cell.model)[t_index]
+            assert cell.pm_clean == float(np.mean(satisfied_fractions(rows)))
+            # By repr, so that NaN (no run decided) equals NaN.
+            assert repr(cell.rounds_clean) == repr(
+                sweep.decision_rounds(cell.model)[t_index]
+            )

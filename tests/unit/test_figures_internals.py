@@ -154,6 +154,38 @@ class TestSweepTables:
             for model in figures.MEASURED_MODELS
         }
 
+    def test_figure_1c_makes_six_predicate_calls_per_timeout(self, monkeypatch):
+        """Figure 1(c) reads a sweep keyed by (model, leader): the four
+        models at the good leader, then only the two leader-based ones
+        at the average leader."""
+        from collections import Counter
+
+        from repro.experiments.config import LAN_TIMEOUTS, SweepConfig
+        from repro.experiments.figures import figure_1c
+        from repro.models.registry import TimingModel
+        from repro.net.lan import AVERAGE_LEADER, GOOD_LEADER
+
+        config = SweepConfig(
+            rounds_per_run=20, runs=2, start_points=2, timeouts=LAN_TIMEOUTS[:3]
+        )
+        calls = Counter()
+        original = TimingModel.satisfied_batch
+
+        def spy(self, matrices, leader=None, **kwargs):
+            calls[self.name, leader if self.needs_leader else None] += 1
+            return original(self, matrices, leader=leader, **kwargs)
+
+        monkeypatch.setattr(TimingModel, "satisfied_batch", spy)
+        figure_1c(config)
+        assert calls == {
+            (model, leader): len(config.timeouts)
+            for model, leader in (
+                ("ES", None), ("AFM", None),
+                ("LM", GOOD_LEADER), ("WLM", GOOD_LEADER),
+                ("LM", AVERAGE_LEADER), ("WLM", AVERAGE_LEADER),
+            )
+        }
+
     def test_tables_stay_out_of_equality_repr_and_runs(self):
         from dataclasses import fields
 

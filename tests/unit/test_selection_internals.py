@@ -1,15 +1,23 @@
 """Unit tests for the model-selection helpers."""
 
-import math
-
+from repro.experiments.config import SweepConfig
 from repro.experiments.selection import (
     ModelReport,
     Recommendation,
-    _cell_seed,
-    _decision_seed,
     _ms,
     _ping_seed,
 )
+
+
+def seeds(seed, purpose, timeouts=4, runs=120):
+    """The selector's per-cell seeds for ``purpose``: its sweep's
+    ``run_seed``."""
+    config = SweepConfig(timeouts=(0.2,), seed=seed)
+    return [
+        config.run_seed(t, run, purpose=purpose)
+        for t in range(timeouts)
+        for run in range(runs)
+    ]
 
 
 class TestFormatMs:
@@ -96,32 +104,22 @@ class TestSweepSeeding:
 
     def test_ping_seed_never_collides_with_cells(self):
         seed = 5
-        cells = {
-            _cell_seed(seed, t, run)
-            for t in range(12)
-            for run in range(120)
-        }
-        assert _ping_seed(seed) not in cells
+        assert _ping_seed(seed) not in set(seeds(seed, "selection", timeouts=12))
 
     def test_cells_are_pairwise_distinct_beyond_101_runs(self):
-        seed = 0
-        cells = [
-            _cell_seed(seed, t, run) for t in range(4) for run in range(120)
-        ]
+        cells = seeds(0, "selection")
         assert len(cells) == len(set(cells))
 
     def test_decision_seeds_are_their_own_stream(self):
-        seed = 0
-        decisions = {
-            _decision_seed(seed, t, run)
-            for t in range(4)
-            for run in range(120)
-        }
-        cells = {
-            _cell_seed(seed, t, run) for t in range(4) for run in range(120)
-        }
-        assert decisions.isdisjoint(cells)
+        assert set(seeds(0, "decision")).isdisjoint(seeds(0, "selection"))
+
+    def test_cell_seeds_keep_their_bytes(self):
+        """``run_seed(t, r, purpose="selection")`` is the seed the
+        selector's cells have always drawn their networks from."""
+        config = SweepConfig(timeouts=(0.2,), seed=3)
+        assert config.run_seed(1, 2, purpose="selection") == 6630560810248815854
+        assert seeds(0, "selection", timeouts=1, runs=1) == [5524480690674718653]
 
     def test_seeds_are_deterministic(self):
-        assert _cell_seed(3, 1, 2) == _cell_seed(3, 1, 2)
+        assert seeds(3, "selection") == seeds(3, "selection")
         assert _ping_seed(3) == _ping_seed(3)
