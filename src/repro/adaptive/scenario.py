@@ -47,7 +47,7 @@ from repro.adaptive.policy import (
     Switch,
 )
 from repro.check.invariants import default_suite
-from repro.experiments.measurement import sample_latency_trace
+from repro.experiments.measurement import sample_latency_trace, timely_matrices
 from repro.experiments.report import format_cell
 from repro.faults.plan import FaultPlan, Partition, SlowNode
 from repro.giraf.schedule import MatrixSchedule
@@ -251,23 +251,22 @@ def _run_policy(
     total_rounds = base_trace.shape[0]
     extractor = getattr(policy, "extractor", None)
     clock = {"cursor": 0, "wall": 0.0}
-
-    def slot_matrices(timeout: float) -> list[np.ndarray]:
-        matrices = []
-        for j in range(config.max_rounds_per_slot):
-            base = base_trace[(clock["cursor"] + j) % total_rounds]
-            latencies = faulted_latencies(
-                base, plan, clock["wall"] + j * timeout, config.tick
-            )
-            timely = latencies < timeout
-            np.fill_diagonal(timely, True)
-            matrices.append(timely)
-        return matrices
+    # The running slot's weather, one latency matrix per round it may
+    # run: the schedule and the extractor read the same rows.
+    weather = {"rows": None}
 
     def schedule_factory(slot: int) -> MatrixSchedule:
         # Called after policy.begin_slot, so policy.timeout is this
         # slot's round length.
-        return MatrixSchedule(slot_matrices(policy.timeout))
+        timeout = policy.timeout
+        weather["rows"] = np.array([
+            faulted_latencies(
+                base_trace[(clock["cursor"] + j) % total_rounds],
+                plan, clock["wall"] + j * timeout, config.tick,
+            )
+            for j in range(config.max_rounds_per_slot)
+        ])
+        return MatrixSchedule(list(timely_matrices(weather["rows"], timeout)))
 
     group = ReplicaGroup(
         config.n,
@@ -301,14 +300,8 @@ def _run_policy(
         result = group.run_slot()
         timeout = policy.timeout  # unchanged since this slot's begin_slot
         if extractor is not None:
-            for j in range(result.rounds):
-                base = base_trace[(clock["cursor"] + j) % total_rounds]
-                extractor.observe_latencies(
-                    clock["cursor"] + j + 1,
-                    faulted_latencies(
-                        base, plan, clock["wall"] + j * timeout, config.tick
-                    ),
-                )
+            for j, row in enumerate(weather["rows"][: result.rounds]):
+                extractor.observe_latencies(clock["cursor"] + j + 1, row)
         clock["cursor"] += result.rounds
         clock["wall"] += result.rounds * timeout
         if (

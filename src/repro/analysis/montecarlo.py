@@ -1,23 +1,23 @@
 """Monte-Carlo validation of the Section 4 closed forms.
 
-Two estimators:
+:func:`estimate_p_model` samples IID round matrices and counts the
+fraction satisfying a model's predicate; it converges to the closed-form
+``P_M`` (exactly for ES/LM/WLM; bounded below by equation (9) for AFM,
+whose closed form ignores the row/column dependence).
 
-- :func:`estimate_p_model` — sample IID round matrices and count the
-  fraction satisfying a model's predicate; converges to the closed-form
-  ``P_M`` (exactly for ES/LM/WLM; bounded below by equation (9) for AFM,
-  whose closed form ignores the row/column dependence).
-- :func:`estimate_decision_rounds` — sample round *sequences* and measure
-  the first completion of ``c`` consecutive satisfying rounds, i.e. the
-  measured analogue of ``E(D_M)``; converges to the exact run-length
-  expectation (and hence close to, but not exactly, the paper's
-  ``1/P^c + (c-1)`` approximation).
+The measured ``E(D_M)`` has no estimator of its own: it is
+:func:`~repro.analysis.stabilization.simulate_adversary_decision_rounds`
+under a ``StabilityWindowAdversary`` with ``gsr_round = 1``, whose plan
+has no fault, so every run is a clean IID round sequence read by the
+one window scan.  It converges to the exact run-length expectation (and
+hence close to, but not exactly, the paper's ``1/P^c + (c-1)``
+approximation).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.equations import DECISION_ROUNDS
 from repro.models.registry import get_model
 
 
@@ -42,39 +42,3 @@ def estimate_p_model(
     matrices = np.random.default_rng(seed).random((samples, n, n)) < p
     hits = get_model(model).satisfied_batch(matrices, leader=leader).sum()
     return int(hits) / samples
-
-
-def estimate_decision_rounds(
-    model: str,
-    p: float,
-    n: int,
-    runs: int = 2_000,
-    seed: int = 0,
-) -> float:
-    """Average round at which the model's ``window`` of consecutive
-    satisfying rounds (:data:`DECISION_ROUNDS`) first completes, over
-    ``runs`` independent IID round sequences, under leader 0.
-
-    This is the Monte-Carlo ``E(D_M)``.  Runs that do not stabilize within
-    ``max_rounds`` (2 000 000) contribute ``max_rounds`` (a lower bound on
-    the truth — only relevant for tiny ``P_M``).
-    """
-    registry_model = get_model(model)
-    leader, max_rounds = 0, 2_000_000
-    window = DECISION_ROUNDS[model.upper()]
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    for _ in range(runs):
-        consecutive = 0
-        for round_index in range(1, max_rounds + 1):
-            matrix = rng.random((n, n)) < p
-            if registry_model.satisfied(matrix, leader=leader):
-                consecutive += 1
-                if consecutive >= window:
-                    total += round_index
-                    break
-            else:
-                consecutive = 0
-        else:
-            total += max_rounds
-    return total / runs

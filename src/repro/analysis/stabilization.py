@@ -17,8 +17,12 @@ consecutive satisfying rounds at the model's clean-network ``P_M``.
 
 :func:`simulate_adversary_decision_rounds` Monte-Carlos the same
 quantity by masking IID round matrices with the adversary's
-:class:`~repro.faults.plan.FaultPlan`, giving the 4-sigma differential
-check the tier-2 guard runs.
+:class:`~repro.faults.plan.FaultPlan` and reading each run's decision
+round off the window scan
+(:func:`~repro.experiments.decision.window_decisions`), giving the
+4-sigma differential check the tier-2 guard runs.  At ``gsr_round = 1``
+the plan has no fault and the simulator is the clean Monte-Carlo
+``E(D_M)`` of Section 4.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from typing import Optional
 import numpy as np
 
 from repro.analysis.equations import expected_rounds_exact
+from repro.experiments.decision import window_decisions
 from repro.faults.adversary import StabilityWindowAdversary
 from repro.models.registry import get_model
 from repro.sim.rng import derive_seed
@@ -49,17 +54,6 @@ def predicted_decision_round(
     )
 
 
-def _first_decision_round(satisfied: np.ndarray, c: int) -> Optional[int]:
-    """First 1-based round completing ``c`` consecutive satisfying rounds."""
-    if satisfied.shape[0] < c:
-        return None
-    windows = np.convolve(satisfied.astype(int), np.ones(c, dtype=int), "valid")
-    hits = np.nonzero(windows == c)[0]
-    if hits.size == 0:
-        return None
-    return int(hits[0]) + c
-
-
 def simulate_adversary_decision_rounds(
     adversary: StabilityWindowAdversary,
     p: float,
@@ -72,7 +66,8 @@ def simulate_adversary_decision_rounds(
 
     Each run samples IID(p) round matrices, masks them with the
     adversary's plan, and reports the first round completing
-    ``decision_rounds`` consecutive satisfying rounds.  Runs draw from
+    ``decision_rounds`` consecutive satisfying rounds: the window scan's
+    rounds to decision from one start at round 1.  Runs draw from
     content-derived substreams, so the result is a pure function of the
     arguments.
     """
@@ -83,17 +78,18 @@ def simulate_adversary_decision_rounds(
     quiet = plan.quiet_after()
     masks = np.array([plan.mask(k) for k in range(1, quiet + 1)], dtype=bool)
     results = np.empty(runs, dtype=float)
+    first_start = np.zeros((1, 1), dtype=np.intp)
     for index in range(runs):
         rng = np.random.default_rng(
             derive_seed(seed, f"stabilization:{model}:{adversary.seed}:{index}")
         )
         start = 0
         satisfied_parts: list[np.ndarray] = []
-        decision: Optional[int] = None
+        decided = 0
         # Decisions arrive within tens of rounds: draw a short block and
         # double it (``random`` fills in order, so the prefix is the same).
         block = 64
-        while decision is None:
+        while not decided:
             matrices = rng.random((block, n, n)) < p
             stop = min(quiet - start, block)
             if stop > 0:
@@ -102,12 +98,15 @@ def simulate_adversary_decision_rounds(
                 record.satisfied_batch(matrices, leader=leader)
             )
             satisfied = np.concatenate(satisfied_parts)
-            decision = _first_decision_round(satisfied, c)
+            # One start at round 1: the scan's rounds to decision is the
+            # run's 1-based decision round.
+            means, samples = window_decisions(satisfied[None], c, first_start)
+            decided = samples[0]
             start += block
             block = min(2 * block, 4096)
             if start > 10_000_000:
                 raise RuntimeError(
                     f"no decision within {start} rounds (p={p}, model={model})"
                 )
-        results[index] = decision
+        results[index] = means[0]
     return results

@@ -49,11 +49,15 @@ class SweepConfig:
                 raise ValueError(f"{name} must be at least {low}, got {value!r}")
         if not len(self.timeouts):
             raise ValueError(f"timeouts must not be empty, got {self.timeouts!r}")
-        for timeout in self.timeouts:
+        for index, timeout in enumerate(self.timeouts):
             if not (math.isfinite(timeout) and timeout > 0):
                 raise ValueError(
                     f"timeouts must be finite and positive, got {timeout!r}"
                 )
+            # A sweep keys its runs by timeout: a repeat leaves one key,
+            # and both table rows would read the last one's runs.
+            if timeout in self.timeouts[:index]:
+                raise ValueError(f"timeouts must be distinct, got {timeout!r} twice")
 
     def run_seed(
         self, timeout_index: int, run_index: int, purpose: str = "trace"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -72,9 +72,8 @@ def decision_stats_from_vector(
     """Measure decisions on a precomputed per-round satisfaction vector.
 
     This is the same protocol as :func:`decision_stats`, split out for
-    callers whose satisfaction criterion varies by round — e.g. the fault
-    robustness phase, where leader churn makes the leader-based models'
-    acting leader a per-round quantity.
+    callers that hold the satisfaction vector already — the conformance
+    check's D_WLM row and the tier-2 timing benchmarks.
 
     When no ``rng`` is passed, the default seed is derived from the call's
     own content (the satisfaction vector and sampling parameters), not a
@@ -171,22 +170,3 @@ def mean_over_deciding_runs(
     means, samples = window_decisions(satisfied, window, starts)
     deciding = means[samples > 0]
     return float(np.mean(deciding)) if deciding.size else float("nan")
-
-
-def mean_decision_rounds(
-    vectors: Sequence[np.ndarray],
-    window: int,
-    start_points: int,
-    run_seed: Callable[[int], int],
-) -> float:
-    """Mean rounds to global decision across the runs of one cell.
-
-    ``vectors[r]`` is run ``r``'s satisfaction vector (all of one length)
-    and ``run_seed(r)`` the seed of its start-point draws (every caller
-    keeps its own seed names); see :func:`mean_over_deciding_runs`.
-    """
-    satisfied = np.asarray(vectors, dtype=bool)
-    if not len(satisfied):
-        return float("nan")
-    starts = run_starts(run_seed, len(satisfied), satisfied.shape[1], start_points)
-    return mean_over_deciding_runs(satisfied, window, starts)

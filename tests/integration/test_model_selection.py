@@ -145,8 +145,8 @@ class TestOneStackPerTimeout:
             choose_timing_model(planetlab_profile, (0.2,), runs=0)
 
     @pytest.mark.parametrize(
-        "timeouts", [(), (0.2, float("nan")), (0.0,), (0.2, -0.1)],
-        ids=["empty", "nan", "zero", "negative"],
+        "timeouts", [(), (0.2, float("nan")), (0.0,), (0.2, -0.1), (0.2, 0.2)],
+        ids=["empty", "nan", "zero", "negative", "repeated"],
     )
     def test_bad_grid_rejected_before_sampling(self, monkeypatch, timeouts):
         """The sweep's validation runs before the ping measurement: the

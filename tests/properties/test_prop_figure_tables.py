@@ -1,18 +1,17 @@
 """Property test: a WAN sweep's derived tables — one stack per timeout,
 one start-point draw per run — equal the per-run reference: each run's
-own ``satisfaction_vector`` and ``satisfied_fraction``, and
-``mean_decision_rounds`` per model with the sweep's decision seeds.
+own ``satisfaction_vector`` and ``satisfied_fraction``, and per model the
+mean over deciding runs of the per-start ``models.gsr.rounds_to_decision``
+from the sweep's decision seeds, a scan independent of the sweep's own.
 Figure 1(c)'s series, read from a sweep over its LAN cells at two
 leaders, equal the mean of each cell's own ``model_satisfaction``, and
 the faults table's clean cells are the sweep's tables."""
-
-from functools import partial
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.config import LAN_TIMEOUTS, WAN_TIMEOUTS, SweepConfig
-from repro.experiments.decision import mean_decision_rounds
+from repro.experiments.decision import draw_starts
 from repro.experiments.figures import (
     LAN_SERIES,
     MEASURED_MODELS,
@@ -27,7 +26,7 @@ from repro.experiments.measurement import (
     satisfied_fractions,
 )
 from repro.experiments.robustness import measure_robustness
-from repro.models.registry import get_model
+from repro.models.gsr import rounds_to_decision
 
 
 @st.composite
@@ -42,6 +41,26 @@ def configs(draw, timeouts=WAN_TIMEOUTS):
         ),
         seed=draw(st.integers(0, 2**16)),
     )
+
+
+def reference_decision_rounds(config, t_index, runs, model, leader):
+    """The cell's mean rounds to decision one start at a time: each run
+    averages ``rounds_to_decision`` over its starts that decided, and the
+    cell averages the runs in which any start did (NaN when none did)."""
+    run_means = []
+    for r_index, run in enumerate(runs):
+        rng = np.random.default_rng(
+            config.run_seed(t_index, r_index, purpose="decision")
+        )
+        starts = draw_starts(rng, len(run.matrices), config.start_points)
+        rounds = [
+            rounds_to_decision(run.matrices, model, start=int(start), leader=leader)
+            for start in starts
+        ]
+        decided = [r for r in rounds if r is not None]
+        if decided:
+            run_means.append(float(np.mean(decided)))
+    return float(np.mean(run_means)) if run_means else float("nan")
 
 
 @given(config=configs(), leader=st.integers(0, 7))
@@ -62,11 +81,8 @@ def test_sweep_tables_equal_the_per_run_reference(config, leader):
                 satisfied_fraction(vector, skip_until_first_stable=True)
                 for vector in vectors
             ]
-            expected = mean_decision_rounds(
-                vectors,
-                get_model(model).decision_rounds,
-                config.start_points,
-                partial(config.run_seed, t_index, purpose="decision"),
+            expected = reference_decision_rounds(
+                config, t_index, sweep.runs[timeout], model, leader
             )
             # By repr, so that NaN (no run decided) equals NaN.
             assert repr(rounds[t_index]) == repr(expected)

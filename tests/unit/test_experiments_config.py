@@ -31,8 +31,8 @@ class TestRunSeed:
         # cell (t, r) of root seed s collide with cell (t, r') of root
         # seed s +/- 1 whenever the offsets aligned.  Hashed derivation
         # keeps neighbouring root seeds fully disjoint.
-        a = SweepConfig(timeouts=(0.1,) * 4, seed=2007)
-        b = SweepConfig(timeouts=(0.1,) * 4, seed=2008)
+        a = SweepConfig(timeouts=(0.1, 0.2, 0.3, 0.4), seed=2007)
+        b = SweepConfig(timeouts=(0.1, 0.2, 0.3, 0.4), seed=2008)
         seeds_a = {a.run_seed(t, r) for t in range(4) for r in range(50)}
         seeds_b = {b.run_seed(t, r) for t in range(4) for r in range(50)}
         assert not seeds_a & seeds_b
@@ -94,6 +94,14 @@ class TestSweepConfigRejectsWhatASweepCannotMeasure:
     def test_timeout_must_be_finite_and_positive(self, timeout):
         with pytest.raises(ValueError, match=rf"timeouts.*{timeout!r}"):
             SweepConfig(runs=2, timeouts=(0.2, timeout))
+
+    def test_timeouts_must_be_distinct(self):
+        """A sweep keys its runs by timeout: a repeated timeout left one
+        key, filled with the later index's cells, and both table rows
+        read the same runs."""
+        with pytest.raises(ValueError, match=r"timeouts.*distinct.*0\.2"):
+            SweepConfig(rounds_per_run=20, runs=2, start_points=2,
+                        timeouts=(0.2, 0.3, 0.2))
 
     def test_timeout_grid_must_not_be_empty(self):
         with pytest.raises(ValueError, match=r"timeouts.*\(\)"):

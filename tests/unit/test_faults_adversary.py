@@ -134,6 +134,17 @@ class TestPredictions:
             29 + float(expected_rounds_exact(p_m, 4))
         )
 
+    def test_at_gsr_one_the_adversary_is_the_clean_network(self):
+        """No round comes before GSR, so the plan has no fault: the
+        simulator is the clean Monte-Carlo ``E(D_M)`` and the prediction
+        is the exact run-length expectation itself."""
+        adversary = StabilityWindowAdversary(8, gsr_round=1)
+        assert adversary.to_plan().quiet_after() == 0
+        p_m = float(p_wlm(0.97, 8))
+        assert predicted_decision_round(adversary, p_m, "WLM") == float(
+            expected_rounds_exact(p_m, 4)
+        )
+
     def test_simulation_matches_prediction(self):
         adversary = make_adversary(gsr_round=25)
         p = 0.97
