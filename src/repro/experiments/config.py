@@ -12,7 +12,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.models.registry import MODELS
 from repro.sim.rng import derive_seed
+
+#: Presentation order of the measured models.
+MEASURED_MODELS = ("ES", "AFM", "LM", "WLM")
 
 
 @dataclass(frozen=True)
@@ -41,12 +45,22 @@ class SweepConfig:
         # a NaN or non-positive timeout reads every message late: the
         # figures would draw p = 0 and NaN decision rounds, or die in
         # ``summarize`` after the whole sweep was sampled.
-        for name, low in (
-            ("n", 2), ("rounds_per_run", 1), ("runs", 1), ("start_points", 0)
-        ):
+        for name, low in (("n", 2), ("runs", 1), ("start_points", 0)):
             value = getattr(self, name)
             if value < low:
                 raise ValueError(f"{name} must be at least {low}, got {value!r}")
+        # The window scan needs a round past the longest decision window
+        # of a measured model: a shorter run would be sampled, then fail.
+        model = max(
+            (MODELS[measured] for measured in MEASURED_MODELS),
+            key=lambda candidate: candidate.decision_rounds,
+        )
+        if self.rounds_per_run <= model.decision_rounds:
+            raise ValueError(
+                f"rounds_per_run must be at least {model.decision_rounds + 1}, "
+                f"one past {model.display_name}'s {model.decision_rounds}-round "
+                f"decision window, got {self.rounds_per_run!r}"
+            )
         if not len(self.timeouts):
             raise ValueError(f"timeouts must not be empty, got {self.timeouts!r}")
         for index, timeout in enumerate(self.timeouts):

@@ -18,6 +18,7 @@ from repro.analysis.equations import P_MODEL, expected_decision_rounds
 from repro.analysis.stats import summarize
 from repro.experiments.cache import cached_trace
 from repro.experiments.config import (
+    MEASURED_MODELS,
     SweepConfig,
     QUICK,
     QUICK_LAN,
@@ -37,9 +38,6 @@ from repro.experiments.measurement import (
 from repro.models.registry import get_model
 from repro.net.lan import AVERAGE_LEADER, GOOD_LEADER
 from repro.net.planetlab import LEADER_NODE
-
-#: Presentation order of the measured models.
-MEASURED_MODELS = ("ES", "AFM", "LM", "WLM")
 
 
 @dataclass

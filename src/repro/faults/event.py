@@ -13,13 +13,13 @@ figures idealize.
 :class:`PlanLinkFaults` answers the :class:`~repro.sim.transport.LinkFaults`
 protocol from a :class:`~repro.faults.plan.FaultPlan`: partitions,
 frozen processes and loss bursts drop messages, slow-node episodes
-stretch latencies.  Burst drops are deterministic: each link counts the
-burst draws it has made, and the draw with count ``i`` for burst ``b``
-is ``SHA-256(seed, b, link, i)``, never shared random state, so a rerun
-— or a differently-ordered event interleaving that sends the same
-messages per link — sees the same realization.  A message in a round
-with several live bursts walks them in order, one count each, up to the
-first that drops it.
+stretch latencies.  A burst is drawn once, by the plan: its verdict is
+a function of (plan round, link) alone (:meth:`FaultPlan.burst_hits`,
+the draw :meth:`FaultPlan.mask` reads too), so a rerun — or any event
+interleaving, in any order — sees the same realization, and every
+message a link sends in one plan round shares its verdict.  A message in
+a round with several live bursts is lost to the first, in index order,
+that hits its link.
 
 What the plan does to a message is one rule — a down end, else a
 partition cut, else the live bursts; an episode fires on the first
@@ -28,11 +28,8 @@ points over one crash/partition helper and one quiet test:
 :meth:`PlanLinkFaults.drop` (and ``latency_factor``) serves the
 transport per message, :meth:`~PlanLinkFaults.sift` the stepped batched
 engine per send instant, and :meth:`~PlanLinkFaults.judge` the
-whole-array engine per ``[round, dst, src]`` block.  ``judge`` draws its
-bursts through :meth:`~PlanLinkFaults.burst_drops`, the bulk form of
-the burst branch: each link's run of single-burst messages is hashed in
-one pass over consecutive counts, and only a round with several live
-bursts takes :meth:`drop`'s walk.
+whole-array engine per ``[round, dst, src]`` block, which reads each
+bursty round's hits whole.
 
 The policy also answers :meth:`PlanLinkFaults.quiet`, the transport's
 optional per-broadcast query: in a round where nothing is down, no link
@@ -58,22 +55,6 @@ import numpy as np
 
 from repro.faults.plan import FaultPlan, RoundState
 from repro.obs.registry import MetricsRegistry, registry_or_null
-from repro.sim.rng import derive_seed_heads
-
-#: One uniform draw from SHA-256 output: 53 bits into [0, 1).
-_DENOMINATOR = float(1 << 53)
-
-
-def _burst_heads(seed: int, index: int, src: int, dst: int, counts) -> bytes:
-    """The SHA-256 heads of burst ``index``'s draws on link ``src -> dst``
-    at the link's draw ``counts`` — 8 bytes each, joined."""
-    return derive_seed_heads(seed, f"faults:burst:{index}:{src}:{dst}:", counts)
-
-
-def _uniform(heads):
-    """The uniform in [0, 1) of a 64-bit head (an ``int``, or a uint64
-    array of them): its top 53 bits, exactly, over 2**53."""
-    return (heads >> 11) / _DENOMINATOR
 
 
 class PlanLinkFaults:
@@ -81,9 +62,7 @@ class PlanLinkFaults:
 
     ``last_drop_cause`` names why the most recent :meth:`drop` returned
     ``True`` (``"crash"``, ``"partition"`` or ``"loss-burst"``), and is
-    ``None`` after a pass verdict.  The classification must happen inside
-    the one :meth:`drop` call per message because the burst counters
-    advance per query — asking twice would change the realization.
+    ``None`` after a pass verdict.
 
     When ``metrics`` is given, the first message affected by each
     distinct fault episode increments ``faults.activations`` labelled by
@@ -106,7 +85,6 @@ class PlanLinkFaults:
         # The one round map: plan round k starts at ``_starts[k - 1]``,
         # grown on demand.
         self._starts = [0.0]
-        self._burst_counters: dict[tuple[int, int], int] = {}
         self.last_drop_cause: Optional[str] = None
         self._metrics = registry_or_null(metrics)
         self._seen_activations: set[tuple[str, int]] = set()
@@ -116,9 +94,9 @@ class PlanLinkFaults:
 
     @property
     def consumed(self) -> bool:
-        """Whether any message has advanced a burst counter or fired an
-        episode: a used policy no longer replays its plan from the top."""
-        return bool(self._burst_counters or self._seen_activations)
+        """Whether any message has fired an episode: a used policy no
+        longer replays its plan's ``faults.activations`` from the top."""
+        return bool(self._seen_activations)
 
     def activate(self, kind: str, index: int) -> None:
         """Episode ``index`` of ``kind`` affected a message: counted in
@@ -173,8 +151,10 @@ class PlanLinkFaults:
     def _view(self, round_number: int) -> None:
         """Point the plain-Python views at plan round ``round_number``:
         the rounds of one plan epoch share one set of them (its state, its
-        live partitions, whether it is quiet)."""
+        live partitions, whether it is quiet); the round's burst hits are
+        read on its first burst question."""
         self._round = round_number
+        self._hits = None
         state = self.plan.round_state(round_number)
         if state is not self._state:
             self._state = state
@@ -192,7 +172,7 @@ class PlanLinkFaults:
     def quiet(self, now: float) -> bool:
         """Whether every message sent at ``now`` passes untouched: then
         :meth:`drop` would say ``False`` and :meth:`latency_factor`
-        ``1.0`` for each, advance no burst counter and fire no episode."""
+        ``1.0`` for each, and fire no episode."""
         if now != self._instant:
             self._resolve(now)
         return self._quiet
@@ -201,14 +181,14 @@ class PlanLinkFaults:
         if now != self._instant:
             self._resolve(now)
         cause = self._sever(src, dst)
-        if cause is None and self._burst_walk(src, dst, self._state.bursts):
+        if cause is None and self._burst(src, dst):
             cause = "loss-burst"
         self.last_drop_cause = cause
         return cause is not None
 
     def _sever(self, src: int, dst: int) -> Optional[str]:
-        """Why the viewed round loses ``src -> dst`` before any burst
-        draws: ``"crash"`` if an end is down, else ``"partition"`` if an
+        """Why the viewed round loses ``src -> dst`` before its bursts
+        are asked: ``"crash"`` if an end is down, else ``"partition"`` if an
         active partition cuts the link, else ``None``.  A lost message
         fires the episodes behind its cause."""
         if self._down[src] or self._down[dst]:
@@ -232,10 +212,10 @@ class PlanLinkFaults:
             self._resolve(now)
         if self._quiet:
             return links
-        bursts, slow, kept = self._state.bursts, self._slow, []
+        slow, kept = self._slow, []
         for src, dst, latency, payload in links:
             cause = self._sever(src, dst)
-            if cause is None and self._burst_walk(src, dst, bursts):
+            if cause is None and self._burst(src, dst):
                 cause = "loss-burst"
             if cause is None:
                 kept.append((src, dst, latency * (slow[src] * slow[dst]), payload))
@@ -250,14 +230,13 @@ class PlanLinkFaults:
         ``sent[k, dst, src]`` on ``src -> dst`` at an instant of plan round
         ``plan_rounds[k]``, ascending.  Returns ``(lost, factor, drops)``:
         the messages lost, every link's latency factor and the lost counted
-        by cause, with burst counters and activations where :meth:`drop`
-        asked in round order leaves them.
+        by cause, with the activations :meth:`drop` would fire.
 
         A fault window opens and closes on a plan-epoch boundary, so a
         link's crash and partition verdict holds for a whole epoch: the
         helper is asked once per link sending in a non-quiet epoch (whose
-        rounds, ascending, are one run of ``k``), and the messages it
-        keeps go to :meth:`burst_drops` in one call."""
+        rounds, ascending, are one run of ``k``).  The messages it keeps
+        in a bursty round meet that round's hits whole, burst by burst."""
         plan_rounds = np.asarray(plan_rounds)
         states, epoch = self.plan.round_states(plan_rounds)
         _, first = np.unique(epoch, return_index=True)
@@ -281,81 +260,30 @@ class PlanLinkFaults:
         factor = slow[:, :, None] * slow[:, None, :]
         live = np.array([bool(state.bursts) for state in states])[epoch]
         candidate = sent & ~lost & live[:, None, None]
-        if candidate.any():
-            messages = np.argwhere(candidate)
-            hit = self.burst_drops(messages, plan_rounds)
-            lost[tuple(messages[hit].T)] = True
-            drops["loss-burst"] = int(hit.sum())
+        for k in np.flatnonzero(candidate.any(axis=(1, 2))).tolist():
+            kept, hits = candidate[k], self.plan.burst_hits(int(plan_rounds[k]))
+            for index, hit in zip(states[epoch[k]].bursts, hits):
+                fired = kept & hit
+                if fired.any():
+                    self.activate("loss-burst", index)
+                    lost[k] |= fired
+                    kept = kept & ~hit
+        drops["loss-burst"] = int((lost & candidate).sum())
         return lost, factor, drops
 
-    def _burst_walk(self, src: int, dst: int, bursts: tuple[int, ...]) -> bool:
-        """Whether one message on ``src -> dst`` is lost to the live
-        ``bursts``: each in turn takes the link's next count and draws,
-        up to the first that drops the message (activated)."""
-        plan = self.plan
-        for index in bursts:
-            count = self._burst_counters.get((src, dst), 0)
-            self._burst_counters[(src, dst)] = count + 1
-            head = _burst_heads(plan.seed, index, src, dst, (count,))
-            draw = _uniform(int.from_bytes(head, "big"))
-            if draw < plan.loss_bursts[index].drop_prob:
+    def _burst(self, src: int, dst: int) -> bool:
+        """Whether the viewed round's live bursts lose ``src -> dst``: to
+        the first whose hit on the link is set, which fires."""
+        bursts = self._state.bursts
+        if not bursts:
+            return False
+        if self._hits is None:
+            self._hits = self.plan.burst_hits(self._round).tolist()
+        for index, hits in zip(bursts, self._hits):
+            if hits[dst][src]:
                 self.activate("loss-burst", index)
                 return True
         return False
-
-    def burst_drops(
-        self, messages: np.ndarray, plan_rounds: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`drop`'s burst verdicts for many messages in one call.
-
-        ``messages`` has one row ``(k, dst, src)`` per message, sent at an
-        instant of plan round ``plan_rounds[k]``, not already lost to a
-        crash or a partition, in ascending ``k`` (round order).  Returns
-        one boolean per row and leaves the burst counters, activations and
-        ``faults.activations`` totals where :meth:`drop` asked about the
-        rows in order would: each link's draws depend only on its own
-        count, so the rows are taken link by link.  A link's run of
-        messages under one lone live burst draws consecutive counts,
-        hashed in one pass; a message in a round with several live bursts
-        takes :meth:`drop`'s walk.  ``last_drop_cause`` is left alone.
-        """
-        messages = np.asarray(messages).reshape(-1, 3)
-        drops = np.zeros(len(messages), dtype=bool)
-        if not len(messages):
-            return drops
-        plan = self.plan
-        states, epoch = plan.round_states(np.asarray(plan_rounds))
-        epoch = epoch[messages[:, 0]]
-        # Per message: the index of its lone live burst, or -1 to walk
-        # (several live; with none, the walk draws nothing).
-        lone = np.array([
-            state.bursts[0] if len(state.bursts) == 1 else -1
-            for state in states
-        ])[epoch]
-        link = messages[:, 1] * plan.n + messages[:, 2]
-        order = np.argsort(link, kind="stable")
-        link, key = link[order], lone[order]
-        cuts = 1 + np.flatnonzero(
-            (link[1:] != link[:-1]) | (key[1:] != key[:-1])
-        )
-        for rows in np.split(order, cuts):
-            index = int(lone[rows[0]])
-            _, dst, src = messages[rows[0]].tolist()
-            if index == -1:
-                for row in rows.tolist():
-                    bursts = states[epoch[row]].bursts
-                    drops[row] = self._burst_walk(src, dst, bursts)
-            else:
-                count = self._burst_counters.get((src, dst), 0)
-                self._burst_counters[(src, dst)] = count + len(rows)
-                heads = _burst_heads(
-                    plan.seed, index, src, dst, range(count, count + len(rows))
-                )
-                draws = _uniform(np.frombuffer(heads, ">u8"))
-                drops[rows] = hit = draws < plan.loss_bursts[index].drop_prob
-                if hit.any():
-                    self.activate("loss-burst", index)
-        return drops
 
     def latency_factor(self, src: int, dst: int, now: float) -> float:
         if now != self._instant:

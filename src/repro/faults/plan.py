@@ -17,13 +17,14 @@ for all of them, and both execution paths take it as the same
 Rounds are 1-based, matching the schedules.  Every random choice a plan
 implies is derived from the plan's ``seed`` by the SHA-256 rule of
 :meth:`repro.sim.rng.RandomStreams.spawn`, so reruns repeat it.  The two
-injectors share who is down, what a partition cuts and whom churn elects;
-bursts and slow nodes have two views: :meth:`FaultPlan.mask` (a burst per
-round, a slow node as drops) for the lockstep runner,
-:meth:`apply_to_matrices` and stabilization, and
-:class:`~repro.faults.event.PlanLinkFaults` (a burst per message, a slow
-node as a latency factor) for the transport, both batched engines and the
-idealization.
+injectors share who is down, what a partition cuts, whom churn elects and
+which links each burst hits: a burst is drawn once per (round, link)
+(:meth:`FaultPlan.burst_hits`), and both :meth:`FaultPlan.mask` (the
+lockstep runner, :meth:`apply_to_matrices`, stabilization) and
+:class:`~repro.faults.event.PlanLinkFaults` (the transport, both batched
+engines, the idealization) read that draw.  Only a slow node keeps two
+views: drops with probability ``drop_prob`` in the mask, which has no
+latencies, and a latency factor on the wire.
 
 Crash semantics: a crash with ``recover_round=None`` is permanent (on
 the lockstep path a real process death).  A crash *with* a recovery
@@ -71,8 +72,10 @@ class Crash:
 
 @dataclass(frozen=True)
 class LossBurst:
-    """Every off-diagonal message in rounds ``[start_round, end_round]``
-    independently goes missing with probability ``drop_prob``."""
+    """In every round of ``[start_round, end_round]`` each off-diagonal
+    link independently loses its round-k message with probability
+    ``drop_prob`` (:meth:`FaultPlan.burst_hits`): one draw per round and
+    link, so every message a link sends in one round shares the verdict."""
 
     start_round: int
     end_round: int
@@ -342,21 +345,51 @@ class FaultPlan:
         processes — churn changes *who* leads, not agreement on it)."""
         return int(self.rng("churn", round_number).integers(self.n))
 
+    @cached_property
+    def _hit_memo(self) -> dict[int, np.ndarray]:
+        """:meth:`burst_hits`' memo, one entry per bursty round asked
+        about; like :attr:`_epochs`, no part of equality, hashing or
+        ``repr``."""
+        return {}
+
+    def burst_hits(self, round_number: int) -> np.ndarray:
+        """``[b, dst, src]``: the links each live burst of this round hits
+        — ``b`` runs over ``round_state(round_number).bursts``, in index
+        order — the one draw of a burst every consumer reads: the wire
+        (:class:`~repro.faults.event.PlanLinkFaults`) and :meth:`mask`.
+
+        Block ``b`` is the ``b``-th ``(n, n)`` uniform block of
+        ``rng("mask", round)``, below its burst's ``drop_prob``.  Drawn
+        once per round and memoized; treat the array as read-only.
+        """
+        bursts = self.round_state(round_number).bursts
+        if not bursts:  # most rounds draw nothing
+            return np.zeros((0, self.n, self.n), dtype=bool)
+        hits = self._hit_memo.get(round_number)
+        if hits is None:
+            draws = self.rng("mask", round_number).random(
+                (len(bursts), self.n, self.n)
+            )
+            drop_probs = [self.loss_bursts[index].drop_prob for index in bursts]
+            hits = self._hit_memo[round_number] = (
+                draws < np.reshape(drop_probs, (-1, 1, 1))
+            )
+        return hits
+
     def mask(self, round_number: int) -> np.ndarray:
         """Boolean ``[dst, src]`` matrix of messages this round's faults
         force to miss (lockstep view; the diagonal is never masked).
 
         Deterministic per round: the randomness for bursts and slow nodes
-        is drawn from ``rng("mask", round)`` in a fixed order.
+        is drawn from ``rng("mask", round)`` in a fixed order — the
+        bursts' blocks (:meth:`burst_hits`), then each slow node's rows.
         """
         state = self.round_state(round_number)
-        masked = state.cross.copy()
+        masked = state.cross | self.burst_hits(round_number).any(axis=0)
         slow_nodes = [s for s in self.slow_nodes if s.active_at(round_number)]
-        if state.bursts or slow_nodes:  # most rounds draw nothing
+        if slow_nodes:
             rng = self.rng("mask", round_number)
-            for index in state.bursts:
-                drop_prob = self.loss_bursts[index].drop_prob
-                masked |= rng.random((self.n, self.n)) < drop_prob
+            rng.random((len(state.bursts), self.n, self.n))  # the bursts' blocks
             for slow in slow_nodes:
                 rows = rng.random((2, self.n)) < slow.drop_prob
                 masked[slow.pid, :] |= rows[0]

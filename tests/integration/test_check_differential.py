@@ -2,7 +2,8 @@
 
 The full three-profile sweep lives in ``benchmarks/test_conformance.py``;
 here one scenario per concern keeps tier-1 fast while pinning the
-harness's behaviour: both stacks agree on the observables, fault plans
+harness's behaviour: the idealization applies a plan's link faults as
+the plan's own mask, both stacks agree on the observables, fault plans
 ride through, the invariant suites attach to the event stack, and the
 Monte-Carlo cross-check holds.
 """
@@ -11,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.check import (
     ConformanceReport,
@@ -29,12 +31,13 @@ from repro.check.differential import (
     canonical_diff_plan,
     idealized_matrices,
 )
-from repro.experiments.measurement import sample_latency_trace
+from repro.experiments.measurement import sample_latency_trace, timely_matrices
 from repro.core import WlmConsensus
 from repro.giraf.oracle import FixedLeaderOracle
 from repro.net import measure_latency_table, uniform_wan_profile
 from repro.sim import Transport
 from repro.sync import ProbeScenario, SyncRun, heartbeat
+from tests.properties.test_prop_burst_drops import link_plans
 
 ROUNDS = 80
 TIMEOUT = 0.1
@@ -61,6 +64,29 @@ def faulted_result(clean_row):
             fault="canonical",
         )
     )
+
+
+@given(
+    plan=link_plans(),
+    timeout=st.sampled_from([0.1, 0.21, 0.25]),
+    rounds=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_the_idealization_loses_what_the_plans_mask_loses(
+    plan, timeout, rounds, seed
+):
+    """A burst is drawn once: the wire's verdict on round k's messages
+    (``judge``, which the idealization calls) is ``plan.mask(k)`` — the
+    lockstep runner's and the faults table's — in every cell, crashes and
+    partitions included, wherever no slow node has two views."""
+    plan = replace(plan, slow_nodes=())
+    trace = np.random.default_rng(seed).exponential(
+        timeout, (rounds, plan.n, plan.n)
+    )
+    masks = np.array([plan.mask(k) for k in range(1, rounds + 1)])
+    expected = timely_matrices(trace, timeout) & ~masks
+    assert np.array_equal(idealized_matrices(trace, timeout, plan), expected)
 
 
 class TestDifferentialRun:

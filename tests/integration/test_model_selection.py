@@ -145,17 +145,31 @@ class TestOneStackPerTimeout:
             choose_timing_model(planetlab_profile, (0.2,), runs=0)
 
     @pytest.mark.parametrize(
-        "timeouts", [(), (0.2, float("nan")), (0.0,), (0.2, -0.1), (0.2, 0.2)],
-        ids=["empty", "nan", "zero", "negative", "repeated"],
+        "timeouts,rounds,match",
+        [
+            ((), 200, "timeouts"),
+            ((0.2, float("nan")), 200, "timeouts"),
+            ((0.0,), 200, "timeouts"),
+            ((0.2, -0.1), 200, "timeouts"),
+            ((0.2, 0.2), 200, "timeouts"),
+            ((0.2,), 5, "rounds_per_run.*6.*5"),
+        ],
+        ids=["empty", "nan", "zero", "negative", "repeated", "too-short"],
     )
-    def test_bad_grid_rejected_before_sampling(self, monkeypatch, timeouts):
+    def test_bad_grid_rejected_before_sampling(
+        self, monkeypatch, timeouts, rounds, match
+    ):
         """The sweep's validation runs before the ping measurement: the
         selector used to sample and answer "no model produced decisions
-        on this sweep" for a grid that measures nothing."""
+        on this sweep" for a grid that measures nothing, or sample and
+        then find its runs too short for ◊AFM's decision window."""
 
         def no_pings(*args, **kwargs):
             raise AssertionError("the selector sampled the network")
 
         monkeypatch.setattr(selection, "measure_latency_table", no_pings)
-        with pytest.raises(ValueError, match="timeouts"):
-            choose_timing_model(planetlab_profile, timeouts)
+        with pytest.raises(ValueError, match=match):
+            choose_timing_model(
+                planetlab_profile, timeouts, rounds_per_run=rounds, runs=1,
+                start_points=2,
+            )

@@ -101,7 +101,7 @@ class TestOnTheGridTheIdealizationIsExact:
     """A uniform-WAN probe run (n = 8, 120 rounds, timeout 0.1) executes
     on the round grid; its matrices are the idealization's, cell for
     cell — the plan's verdicts included, each burst drawn once by the
-    wire's hash for both."""
+    plan for both."""
 
     @pytest.mark.parametrize("plan", [None, "adversary"])
     def test_sync_run_matrices_equal_the_idealization(self, plan):

@@ -152,10 +152,10 @@ MUTANTS = tuple(Mutant(*row) for row in (
      "judge loses a cut link's messages in every round of the block, not only its fault's epoch",
      "repro.faults.event:PlanLinkFaults.judge",
      "lost = sent & cut[epoch]", "lost = sent & cut.any(axis=0)"),
-    ("burst-walk-no-advance", "faults",
-     "_burst_walk does not advance the link's burst count",
-     "repro.faults.event:PlanLinkFaults._burst_walk",
-     "self._burst_counters[(src, dst)] = count + 1", "self._burst_counters[(src, dst)] = count"),
+    ("burst-hits-transposed", "faults",
+     "the wire reads the round's burst hits as [src, dst]",
+     "repro.faults.event:PlanLinkFaults.judge",
+     "fired = kept & hit", "fired = kept & hit.T"),
     ("mask-drops-final-sends", "faults",
      "FaultPlan.mask swallows a dying process's final_sends",
      "repro.faults.plan:FaultPlan.mask",

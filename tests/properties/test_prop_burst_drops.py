@@ -1,19 +1,16 @@
-"""The bulk verdicts are the sequential one.
+"""The wire's verdicts are one: per block, per instant, per message.
 
-:meth:`PlanLinkFaults.burst_drops` decides a whole batch of messages at
-once — each link's run of single-burst messages hashed over consecutive
-counts, a round with several live bursts walked as :meth:`drop` walks it.
 :meth:`PlanLinkFaults.judge` decides a ``[round, dst, src]`` block and
 :meth:`PlanLinkFaults.sift` one send instant's messages, the whole plan
 included.  Each is held here against a twin policy asked message by
 message, in round order, through :meth:`drop` and ``latency_factor``:
-the verdicts, the causes, the factors, the per-link burst counters, the
-fired episodes and the ``faults.activations`` totals must come out
-equal, over plans whose windows overlap in part of the examples and
-counters some earlier :meth:`drop` calls advanced.  Underneath all of
-them is one round map, held here to the grid's own instants: a
-drift-free run's round ``k`` is plan round ``k``, so a one-round fault
-hits that round and a crash falls on its boundary, on both engines.
+the verdicts, the causes, the factors, the fired episodes and the
+``faults.activations`` totals must come out equal, over plans whose
+windows overlap in part of the examples and episodes some earlier
+:meth:`drop` calls fired.  Underneath all of them is one round map,
+held here to the grid's own instants: a drift-free run's round ``k`` is
+plan round ``k``, so a one-round fault hits that round and a crash falls
+on its boundary, on both engines.
 """
 
 import math
@@ -43,8 +40,8 @@ ROUNDS_CAP = 12
 @st.composite
 def burst_plans(draw):
     """1–3 loss bursts for 2–5 processes; with ``overlap`` every later
-    burst opens inside the first one's window, so their rounds share
-    each link's counter."""
+    burst opens inside the first one's window, so some rounds have
+    several live bursts."""
     overlap = draw(st.booleans())
     bursts = []
     for _ in range(draw(st.integers(1, 3))):
@@ -115,55 +112,6 @@ def counted_policy(plan, timeout):
 
 class TestBurstDropsAreDropCalls:
     @given(
-        plan=burst_plans(),
-        timeout=st.sampled_from([0.1, 0.25, 1.0]),
-        # Grid rounds per plan round: finer, equal or coarser, so plan
-        # rounds repeat, match or skip along the grid.
-        stretch=st.sampled_from([0.5, 1.0, 1.5]),
-        grid_rounds=st.integers(1, 24),
-        density=st.sampled_from([0.3, 0.8, 1.0]),
-        mask_seed=st.integers(0, 2**32 - 1),
-        earlier=st.lists(
-            st.tuples(
-                st.integers(0, 4), st.integers(0, 4), st.integers(1, ROUNDS_CAP)
-            ),
-            max_size=8,
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_bulk_verdicts_and_state_equal_per_message_drop(
-        self, plan, timeout, stretch, grid_rounds, density, mask_seed, earlier
-    ):
-        n = plan.n
-        sequential, sequential_metrics = counted_policy(plan, timeout)
-        bulk, bulk_metrics = counted_policy(plan, timeout)
-        # Counters some earlier traffic already advanced, on both twins.
-        for src, dst, round_number in earlier:
-            if src < n and dst < n and src != dst:
-                now = sequential.start_of(round_number)
-                assert sequential.drop(src, dst, now) == bulk.drop(src, dst, now)
-        # The grid the batched engine would run: accumulated, not k * step.
-        times = [0.0]
-        for _ in range(grid_rounds - 1):
-            times.append(times[-1] + timeout * stretch)
-        rng = np.random.default_rng(mask_seed)
-        candidate = rng.random((grid_rounds, n, n)) < density
-        candidate &= ~np.eye(n, dtype=bool)
-        messages = np.argwhere(candidate)
-
-        expected = [
-            sequential.drop(src, dst, times[k])
-            for k, dst, src in messages.tolist()
-        ]
-        verdicts = bulk.burst_drops(messages, bulk.rounds_of(times))
-
-        assert verdicts.dtype == bool
-        assert verdicts.tolist() == expected
-        assert bulk._burst_counters == sequential._burst_counters
-        assert bulk._seen_activations == sequential._seen_activations
-        assert bulk_metrics.snapshot() == sequential_metrics.snapshot()
-
-    @given(
         plan=link_plans(),
         timeout=st.sampled_from([0.1, 0.25, 1.0]),
         stretch=st.sampled_from([0.5, 1.0, 1.5]),
@@ -190,7 +138,7 @@ class TestBurstDropsAreDropCalls:
         ]
 
         def ask_earlier():
-            # Counters some other traffic advanced, and instants resolved
+            # Episodes some other traffic fired, and instants resolved
             # before (and asked again after) the bulk calls.
             for src, dst, now in earlier:
                 verdicts = {policy.drop(src, dst, now) for policy, _ in twins}
@@ -236,16 +184,8 @@ class TestBurstDropsAreDropCalls:
 
         ask_earlier()
         for policy, metrics in twins[1:]:
-            assert policy._burst_counters == sequential._burst_counters
             assert policy._seen_activations == sequential._seen_activations
             assert metrics.snapshot() == twins[0][1].snapshot()
-
-    def test_no_messages_draw_nothing(self):
-        plan = FaultPlan(n=3, loss_bursts=(LossBurst(1, 4, drop_prob=1.0),))
-        policy = PlanLinkFaults(plan, 0.1)
-        verdicts = policy.burst_drops(np.empty((0, 3), dtype=int), [1, 2])
-        assert verdicts.shape == (0,)
-        assert not policy.consumed
 
 
 class TestRoundsOf:

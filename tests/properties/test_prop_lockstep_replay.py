@@ -7,9 +7,14 @@ plan's node faults: the wire's losses are already in the log.  Every
 process then takes the same decision in the same round, whatever the
 algorithm, under a fixed leader or the heartbeat-elected one, through
 permanent crashes, loss bursts, partitions, slow nodes and leader churn.
-Both halves of the replay matter: the whole plan on top of the log loses
-messages twice, and a log without its diagonal is no schedule.
+A burst is drawn once, by the plan, so its mask on top of the log loses
+nothing the wire kept: the plan without its slow nodes replays the run
+as well.  Both halves of the replay matter: the slow nodes' mask on top
+of the log loses messages twice, and a log without its diagonal is no
+schedule.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +63,16 @@ def decided(result):
     return result.decisions, result.decision_rounds
 
 
+def lockstep_over(name, oracle, result, plan):
+    """``result``'s log, diagonal restored, on the lockstep runner under
+    ``plan`` as given."""
+    log = [matrix | np.eye(N, dtype=bool) for matrix in result.matrices]
+    return LockstepRunner(
+        N, lambda pid: FACTORIES[name](pid, N), ORACLES[oracle](),
+        MatrixSchedule(log), fault_plan=plan,
+    ).run(max_rounds=len(log), stop_on_global_decision=False)
+
+
 @pytest.mark.parametrize("oracle", sorted(ORACLES))
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 @given(
@@ -74,12 +89,30 @@ def test_replaying_a_grid_runs_log_takes_its_decisions(
     assert decided(replay(name, oracle, result, plan)) == decided(result)
 
 
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+@given(
+    plan=fault_plans(),
+    rounds=st.integers(min_value=1, max_value=45),
+    squeeze=st.floats(min_value=0.3, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=8, deadline=None)
+def test_the_plan_but_its_slow_nodes_replays_a_grid_run(
+    name, plan, rounds, squeeze, seed
+):
+    """The wire's bursts and partitions are the plan's mask, round by
+    round: masking them again loses nothing the log kept."""
+    result = grid_run(name, "fixed", plan, rounds, seed, 0.1 * squeeze)
+    lock = lockstep_over(name, "fixed", result, replace(plan, slow_nodes=()))
+    assert decided(lock) == decided(result)
+
+
 #: Bursts and a slow leader while Algorithm 2 decides, a crash among them.
 STORMY = FaultPlan(
     N,
     crashes=(Crash(3, 2),),
     loss_bursts=(LossBurst(1, 6, 0.5),),
-    slow_nodes=(SlowNode(0, 1, 6, 3.0, 0.5),),
+    slow_nodes=(SlowNode(0, 1, 12, 3.0, 1.0),),
     seed=0,
 )
 
@@ -94,14 +127,13 @@ class TestBothHalvesOfTheReplay:
         assert len(stormy.decisions) == N - 1
 
     def test_the_whole_plan_loses_messages_twice(self, stormy):
-        # The runner's own mask draws the bursts and the slow node again,
-        # on top of the losses the log holds: the decisions come later.
-        log = [matrix | np.eye(N, dtype=bool) for matrix in stormy.matrices]
-        full = LockstepRunner(
-            N, lambda pid: FACTORIES["WLM"](pid, N), FixedLeaderOracle(0),
-            MatrixSchedule(log), fault_plan=STORMY,
-        ).run(max_rounds=len(log), stop_on_global_decision=False)
+        # The runner's own mask draws the slow node as drops, on top of
+        # the losses the log holds: the decisions come later.  Its bursts
+        # alone lose nothing more.
+        full = lockstep_over("WLM", "fixed", stormy, STORMY)
         assert decided(full) != decided(stormy)
+        bursts = lockstep_over("WLM", "fixed", stormy, replace(STORMY, slow_nodes=()))
+        assert decided(bursts) == decided(stormy)
 
     def test_a_log_without_its_diagonal_is_no_schedule(self, stormy):
         # The crashed process's rows are empty, its diagonal too.

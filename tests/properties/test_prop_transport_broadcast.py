@@ -7,8 +7,8 @@ may tell the two apart: on twin transports fed the same schedule of
 sends, one through ``broadcast`` and one message by message, the stream
 cursors, the totals, the counters and histogram of a live registry, the
 handler calls (who heard what from whom, when) and what a fault policy
-is asked (one ``drop`` per message in destination order — its burst
-counters advance per query) are all equal.
+is asked (one ``drop`` per message in destination order, each one
+firing the episodes it costs) are all equal.
 """
 
 from hypothesis import given, settings, strategies as st

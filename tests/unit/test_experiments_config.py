@@ -109,14 +109,19 @@ class TestSweepConfigRejectsWhatASweepCannotMeasure:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("runs", 0), ("n", 1), ("rounds_per_run", 0), ("start_points", -1)],
+        [
+            ("runs", 0), ("n", 1), ("rounds_per_run", 0), ("rounds_per_run", 5),
+            ("start_points", -1),
+        ],
     )
     def test_counts_below_their_floor(self, field, value):
         with pytest.raises(ValueError, match=rf"{field}.*{value}"):
             SweepConfig(timeouts=(0.2,), **{field: value})
 
     def test_the_floors_themselves_are_accepted(self):
+        # Six rounds: one past ◊AFM's five-round decision window, the
+        # longest a sweep scans.
         config = SweepConfig(
-            n=2, rounds_per_run=1, runs=1, start_points=0, timeouts=(1e-6,)
+            n=2, rounds_per_run=6, runs=1, start_points=0, timeouts=(1e-6,)
         )
         assert config.runs == 1

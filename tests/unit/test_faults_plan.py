@@ -1,5 +1,7 @@
 """Unit tests for the declarative fault-plan language."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -176,7 +178,9 @@ class TestMask:
             slow_nodes=(SlowNode(4, 9, 9, drop_prob=0.5),),
             seed=9,
         )
-        expected = {k: plan.mask(k) for k in range(1, 12)}
+        # An equal plan's masks: ``plan`` has drawn nothing yet, and a
+        # bursty round draws once.
+        expected = {k: replace(plan).mask(k) for k in range(1, 12)}
         seeded, rng = [], FaultPlan.rng
 
         def counted(self, *parts):
@@ -189,6 +193,12 @@ class TestMask:
         # Only the burst's and the slow node's rounds draw; crash and
         # partition rounds are tabulated, quiet rounds empty.
         assert seeded == [6, 7, 9]
+        # A burst is drawn once per round (``burst_hits``); a slow node's
+        # rows are drawn again behind the bursts' blocks.
+        seeded.clear()
+        for k, mask in expected.items():
+            assert (plan.mask(k) == mask).all()
+        assert seeded == [9]
 
 
 class TestApplication:

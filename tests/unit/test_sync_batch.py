@@ -98,13 +98,26 @@ class TestFallbackReasons:
         self.assert_falls_back(make_run(plan=plan), "clock steps")
 
     def test_fault_policy_already_consumed(self):
+        # The drop fires the burst's episode: a replay from the top would
+        # count it again.
         plan = FaultPlan(
             n=4,
-            loss_bursts=(LossBurst(start_round=2, end_round=4, drop_prob=0.5),),
+            loss_bursts=(LossBurst(start_round=2, end_round=4, drop_prob=1.0),),
         )
         run = make_run(plan=plan)
-        run.link_faults.drop(0, 1, 0.15)
+        assert run.link_faults.drop(0, 1, 0.15)
         assert batch_eligibility(run) == "not a stock run"
+
+    def test_a_question_that_fires_nothing_consumes_nothing(self):
+        # A burst's verdict is a function of (plan round, link): asking
+        # leaves the policy as it was.
+        plan = FaultPlan(
+            n=4,
+            loss_bursts=(LossBurst(start_round=2, end_round=4, drop_prob=0.0),),
+        )
+        run = make_run(plan=plan)
+        assert not run.link_faults.drop(0, 1, 0.15)
+        assert batch_eligibility(run) is None
 
     def test_streams_disabled(self):
         self.assert_falls_back(
