@@ -67,7 +67,7 @@ def main() -> None:
                 config.rounds_per_run, timeout, config.run_seed(t_index, run)
             )
             matrices = timely_matrices(trace, timeout)
-            p_values.append(measured_p(trace, timeout))
+            p_values.append(measured_p(matrices))
             for model in ("WLM", "LM"):
                 pm[model].append(
                     model_satisfaction(matrices, model, leader=leader)

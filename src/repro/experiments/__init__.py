@@ -10,7 +10,7 @@ provided: ``QUICK`` (seconds, used by default in the benchmark suite) and
 - :mod:`decision` — rounds/time-to-global-decision from random starts.
 - :mod:`figures` — ``figure_1a`` ... ``figure_1i``.
 - :mod:`parallel` — multi-process sweep engine (bit-identical to serial).
-- :mod:`cache` — on-disk trace cache shared by both engines.
+- :mod:`cache` — on-disk cache of the cells' timely graphs, shared by both engines.
 - :mod:`report` — plain-text rendering of results.
 - :mod:`selection` — the paper's question as an API
   (:func:`~repro.experiments.selection.choose_timing_model`).
@@ -44,7 +44,7 @@ from repro.experiments.figures import (
     figure_1i,
     FigureSeries,
 )
-from repro.experiments.cache import TraceCache, cached_trace
+from repro.experiments.cache import TraceCache, cached_timely
 from repro.experiments.report import render_series, render_comparison
 
 __all__ = [
@@ -72,7 +72,7 @@ __all__ = [
     "FigureSeries",
     "run_wan_sweep",
     "TraceCache",
-    "cached_trace",
+    "cached_timely",
     "WanSweep",
     "render_series",
     "render_comparison",

@@ -1,11 +1,18 @@
-"""On-disk cache of sampled latency traces.
+"""On-disk cache of what a sweep cell reads: its timely graphs.
 
-Sampling a trace is the expensive half of every measured figure, and the
-traces are pure functions of ``(profile, n, rounds, round_length, seed)``
-— so they are cached by a content hash of those parameters and reloaded
+A measured cell counts a message in a round iff its latency is below the
+cell's timeout (Section 5.2), so every figure, the model selector and the
+faults table read one thing from it: its per-round timely matrices
+``[round, dst, src]`` at its own timeout.  Sampling the latencies behind
+them is the expensive half of every measured figure, and they are pure
+functions of ``(profile, n, rounds, timeout, seed)`` — so
+:func:`cached_timely` caches them by a content hash of those
+parameters, bit-packed (``np.packbits``: one bit a link, 2.4 kB for a
+paper-scale cell instead of its 150 kB float64 trace), and reloads them
 bit-identically on every later run.  Re-running ``python -m
 repro.experiments`` (with ``--charts``, a new figure, or a different
-analysis) then never re-simulates an unchanged cell.
+analysis) then never re-simulates an unchanged cell.  A consumer that needs the latencies
+themselves samples them again: a trace is a pure function of its seed.
 
 Layout and invalidation
 -----------------------
@@ -23,19 +30,20 @@ not seen and the growth of those it has; it stops a segment at the first
 record whose magic is wrong or whose declared extent passes end-of-file,
 keeps *every* candidate per key, and a load reads candidates into a
 fresh array until one passes its CRC.  So a torn tail or a flipped byte
-is a miss, never wrong latencies: the caller resamples and appends a
+is a miss, never wrong bits: the caller resamples and appends a
 good record, which later loads find.
 Loads copy (``preadv``) rather than map the file, so resident memory
-stays one trace, not the segment.
+stays one record, not the segment.
 
-The key is a SHA-256 hash of the canonical parameter string, versioned
-twice over: ``trace:v2`` covers the trace *format*, and a ``sampler=``
-field carries :data:`repro.experiments.measurement.TRACE_SAMPLER_VERSION`
-so a change to the sampler's draw order (e.g. the ``batch2`` move to
-256-round columns of the whole link table) retires entries sampled by
-older code.  Changing *any*
-parameter — including the root seed — changes the key, so stale entries
-are never read, only orphaned.
+A cell's key (:func:`timely_key`) is a :func:`content_key` of kind
+``timely`` over the cell's parameters, the timeout included, and a
+``sampler=`` field carrying
+:data:`repro.experiments.measurement.TRACE_SAMPLER_VERSION`, so a change
+to the sampler's draw order retires entries sampled by older code.
+Changing *any* parameter — including the root seed — changes the key,
+so stale entries are never read, only orphaned.  A float64 latency
+record that older code stored under a :func:`trace_key` (kind ``trace``)
+hashes a different blob, so it is a miss, never unpacked as bits.
 
 Concurrent sweep workers never share a segment, so they cannot tear each
 other's records; two that race on one key both append the same bytes.
@@ -93,13 +101,25 @@ def content_key(kind: str, version: str, **params: object) -> str:
 def trace_key(
     profile: str, n: int, rounds: int, round_length: float, seed: int
 ) -> str:
-    """Content hash identifying one trace's full parameter set."""
+    """Content hash identifying one latency trace's full parameter set."""
     blob = (
         f"trace:v2:sampler={measurement.TRACE_SAMPLER_VERSION}"
         f":{profile}:n={int(n)}:rounds={int(rounds)}"
         f":round_length={float(round_length)!r}:seed={int(seed)}"
     )
     return _digest(blob)
+
+
+def timely_key(
+    profile: str, n: int, rounds: int, timeout: float, seed: int
+) -> str:
+    """Content hash identifying one cell's timely graphs: its trace's
+    parameters, the timeout both its round length and its threshold."""
+    return content_key(
+        "timely", "v1", profile=profile, n=int(n), rounds=int(rounds),
+        timeout=float(timeout), seed=int(seed),
+        sampler=measurement.TRACE_SAMPLER_VERSION,
+    )
 
 
 _SEGMENT_SUFFIX = ".traces"
@@ -210,7 +230,8 @@ def _read(record: _Record) -> Optional[np.ndarray]:
 
 
 class TraceCache:
-    """A directory of append-only trace segments keyed by :func:`trace_key`.
+    """A directory of append-only array segments, keyed by content hash
+    (:func:`timely_key`, :func:`trace_key`).
 
     ``hits`` / ``misses`` and the index are guarded by one lock, so
     totals are exact under concurrent :meth:`load` calls.
@@ -266,7 +287,7 @@ class TraceCache:
         return self._index
 
     def load(self, profile: str, key: str) -> Optional[np.ndarray]:
-        """The cached trace, or ``None`` on a miss (never raises)."""
+        """The cached array, or ``None`` on a miss (never raises)."""
         with self._lock:
             index = self._index if self._index is not None else self._scan()
             candidates = tuple(index.get(f"{profile}/{key}", ()))
@@ -286,7 +307,8 @@ class TraceCache:
         return trace
 
     def store(self, profile: str, key: str, trace: np.ndarray) -> None:
-        """Append ``trace`` under ``key`` to this instance's segment."""
+        """Append the array ``trace`` under ``key`` to this instance's
+        segment."""
         trace = np.ascontiguousarray(trace)
         if not _DTYPE.fullmatch(trace.dtype.str):
             raise TypeError(
@@ -333,7 +355,7 @@ class TraceCache:
                 self._walked[self._writer_name] = (segment, self._end)
 
     def entries(self) -> int:
-        """Number of distinct traces currently on disk.
+        """Number of distinct keys currently on disk.
 
         Scans the directory rather than trusting this instance's index
         as it stands: pool workers each append to a segment of their
@@ -366,42 +388,62 @@ def active_cache() -> Optional[TraceCache]:
     return _active
 
 
-def cached_trace(
+def cached_timely(
     profile: str,
     n: int,
     rounds: int,
-    round_length: float,
+    timeout: float,
     seed: int,
     cache: Optional[TraceCache] = None,
 ) -> np.ndarray:
-    """The trace for these parameters, from cache when possible.
+    """One cell's timely matrices ``[round, dst, src]``, from cache when
+    possible: its ``rounds``-round trace of round length ``timeout``,
+    thresholded at ``timeout`` (:func:`~repro.experiments.measurement.
+    timely_matrices`, diagonal timely).
 
     With no cache (neither ``cache`` nor an active process-wide one) this
-    is exactly a call to the profile's sampler.  The sampler is looked up
-    on :mod:`repro.experiments.measurement` at call time so test spies
-    installed there observe (the absence of) re-simulation.
+    samples and thresholds.  A cache stores ``np.packbits`` of the
+    boolean stack, and a hit unpacks it bit for bit.
+    """
+    if cache is None:
+        cache = _active
+    if cache is not None:
+        key = timely_key(profile, n, rounds, timeout, seed)
+        packed = cache.load(profile, key)
+        if packed is not None:
+            shape = (int(rounds), int(n), int(n))
+            bits = np.unpackbits(packed, count=math.prod(shape))
+            return bits.view(bool).reshape(shape)
+    trace = cached_trace(profile, n, rounds, timeout, seed)
+    matrices = measurement.timely_matrices(trace, timeout)
+    if cache is not None:
+        cache.store(profile, key, np.packbits(matrices))
+    return matrices
+
+
+def cached_trace(
+    profile: str, n: int, rounds: int, round_length: float, seed: int
+) -> np.ndarray:
+    """The latency trace for these parameters, sampled afresh: the cache
+    holds the cells' timely graphs (:func:`cached_timely`), and a trace
+    is a pure function of its seed.  (The name is the benchmark ledger's.)
+
+    The sampler is looked up on :mod:`repro.experiments.measurement` at
+    call time so test spies installed there observe (the absence of)
+    re-simulation.
     """
     if profile not in PROFILE_SAMPLERS:
         raise KeyError(
             f"unknown trace profile {profile!r}; known: {PROFILE_SAMPLERS}"
         )
     sampler = getattr(measurement, f"sample_{profile}_trace")
-    if cache is None:
-        cache = _active
-    if cache is None:
-        return _validated_n(profile, sampler(rounds, round_length, seed), n)
-    key = trace_key(profile, n, rounds, round_length, seed)
-    trace = cache.load(profile, key)
-    if trace is None:
-        trace = _validated_n(profile, sampler(rounds, round_length, seed), n)
-        cache.store(profile, key, trace)
-    return _validated_n(profile, trace, n)
+    return _validated_n(profile, sampler(rounds, round_length, seed), n)
 
 
 def _validated_n(profile: str, trace: np.ndarray, n: int) -> np.ndarray:
     """Reject an ``n`` the profile's sampler cannot honor.
 
-    ``n`` is hashed into :func:`trace_key` but the profile samplers draw
+    ``n`` is hashed into the cache keys but the profile samplers draw
     traces of their own fixed size (the paper's 8 nodes), so a mismatched
     ``n`` used to mint a *distinct* cache entry holding a trace of the
     wrong size — silently, since nothing downstream rechecked the shape.

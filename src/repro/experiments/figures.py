@@ -16,7 +16,10 @@ import numpy as np
 
 from repro.analysis.equations import P_MODEL, expected_decision_rounds
 from repro.analysis.stats import summarize
-from repro.experiments.cache import cached_trace
+from repro.experiments.cache import (
+    cached_timely,
+    cached_trace,  # unused here; the benchmark ledger's tracer patches it
+)
 from repro.experiments.config import (
     MEASURED_MODELS,
     SweepConfig,
@@ -33,7 +36,7 @@ from repro.experiments.measurement import (
     model_satisfaction,  # unused here; the benchmark ledger's tracer patches it
     satisfaction_vector,
     satisfied_fractions,
-    timely_matrices,
+    timely_matrices,  # unused here; the benchmark ledger's tracer patches it
 )
 from repro.models.registry import get_model
 from repro.net.lan import AVERAGE_LEADER, GOOD_LEADER
@@ -61,6 +64,12 @@ class WanRun:
 
     p: float
     matrices: np.ndarray
+
+    @classmethod
+    def of(cls, matrices: np.ndarray) -> "WanRun":
+        """The run whose timely graphs are ``matrices``; its p is counted
+        off them (:func:`~repro.experiments.measurement.measured_p`)."""
+        return cls(measured_p(matrices), matrices)
 
 
 @dataclass
@@ -170,18 +179,14 @@ def _cell(
     """One independent (timeout, run) cell of a ``profile`` sweep.
 
     The cell is a pure function of its arguments — it derives its own
-    seed and samples (or cache-loads) its own trace — so the serial and
-    parallel engines produce bit-identical sweeps by construction: both
-    just map it over the cell grid.
+    seed and samples (or cache-loads) its own timely graphs — so the
+    serial and parallel engines produce bit-identical sweeps by
+    construction: both just map it over the cell grid.
     """
     timeout = config.timeouts[t_index]
     seed = config.run_seed(t_index, r_index, purpose=purpose)
-    trace = cached_trace(
-        profile, config.n, config.rounds_per_run, timeout, seed
-    )
-    return WanRun(
-        p=measured_p(trace, timeout),
-        matrices=timely_matrices(trace, timeout),
+    return WanRun.of(
+        cached_timely(profile, config.n, config.rounds_per_run, timeout, seed)
     )
 
 

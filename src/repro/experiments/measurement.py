@@ -1,9 +1,10 @@
 """Trace generation and per-model round satisfaction.
 
 A *trace* is what one experimental run produces: a sequence of per-round
-latency matrices.  Against a timeout it yields timely-delivery matrices;
-against a model predicate, the per-round satisfaction vector and the
-fraction ``P_M`` the figures plot.
+latency matrices.  Against a timeout it yields timely-delivery matrices,
+and those are all a run is from then on: its measured ``p`` is counted
+off them, and against a model predicate they give the per-round
+satisfaction vector and the fraction ``P_M`` the figures plot.
 
 Following Section 5.2, rounds here are synchronized windows of length
 ``timeout`` ("a message is considered to arrive in a communication round
@@ -26,9 +27,9 @@ from repro.net.planetlab import PlanetLabProfile
 from repro.sim.transport import not_a_delay
 
 
-#: Version tag of the batch trace sampler, folded into the trace-cache key
-#: (see :func:`repro.experiments.cache.trace_key`): bump it whenever the
-#: sampler's draw order changes so stale cached traces orphan cleanly.
+#: Version tag of the batch trace sampler, folded into the sweep cache's key
+#: (see :func:`repro.experiments.cache.timely_key`): bump it whenever the
+#: sampler's draw order changes so stale cache records orphan cleanly.
 TRACE_SAMPLER_VERSION = "batch2"
 
 
@@ -87,22 +88,22 @@ def timely_matrices(latency_trace: np.ndarray, timeout: float) -> np.ndarray:
     return matrices
 
 
-def measured_p(latency_trace: np.ndarray, timeout: float) -> float:
-    """Fraction of (off-diagonal) messages delivered within the timeout.
+def measured_p(matrices: np.ndarray) -> float:
+    """Fraction of (off-diagonal) messages a run's timely matrices
+    deliver (:func:`timely_matrices` at the run's timeout).
 
     This is the measured analogue of the IID ``p`` — the paper's
     Figure 1(d) maps timeouts to these values.  It counts the timely
-    entries of the whole trace and takes the diagonal's away: an exact
+    entries of the whole stack and takes the diagonal's away: an exact
     count over a length, the mean of the off-diagonal entries bit for bit
-    (NaN for a trace with no link, as that mean is).
+    (NaN for a stack with no link, as that mean is).
     """
-    rounds, n = latency_trace.shape[:2]
+    rounds, n = matrices.shape[:2]
     links = rounds * n * (n - 1)
     if not links:
         return float("nan")
-    timely = latency_trace < timeout
-    own = np.count_nonzero(timely.diagonal(axis1=1, axis2=2))
-    return float((np.count_nonzero(timely) - own) / links)
+    own = np.count_nonzero(matrices.diagonal(axis1=1, axis2=2))
+    return float((np.count_nonzero(matrices) - own) / links)
 
 
 def satisfaction_vector(

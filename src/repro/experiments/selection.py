@@ -20,7 +20,6 @@ from repro.analysis.crossover import optimal_timeout
 from repro.experiments.config import SweepConfig
 from repro.experiments.figures import MEASURED_MODELS, WanRun, WanSweep
 from repro.experiments.measurement import (
-    measured_p,
     sample_latency_trace,
     satisfied_fractions,
     timely_matrices,
@@ -137,17 +136,16 @@ def choose_timing_model(
 
     sweep = WanSweep(config=config, leader=leader)
     for t_index, timeout in enumerate(config.timeouts):
-        traces = (
-            sample_latency_trace(
-                network(seed=config.run_seed(t_index, run, purpose="selection")),
-                rounds_per_run,
-                timeout,
-            )
-            for run in range(runs)
-        )
         sweep.runs[timeout] = [
-            WanRun(measured_p(trace, timeout), timely_matrices(trace, timeout))
-            for trace in traces
+            WanRun.of(timely_matrices(
+                sample_latency_trace(
+                    network(seed=config.run_seed(t_index, run, purpose="selection")),
+                    rounds_per_run,
+                    timeout,
+                ),
+                timeout,
+            ))
+            for run in range(runs)
         ]
     for model in CANDIDATES:
         finite = [

@@ -346,11 +346,36 @@ class FaultPlan:
         return int(self.rng("churn", round_number).integers(self.n))
 
     @cached_property
-    def _hit_memo(self) -> dict[int, np.ndarray]:
-        """:meth:`burst_hits`' memo, one entry per bursty round asked
-        about; like :attr:`_epochs`, no part of equality, hashing or
-        ``repr``."""
+    def _draw_memo(self) -> dict[int, tuple]:
+        """:meth:`_draws`' memo, one entry per round that draws; like
+        :attr:`_epochs`, no part of equality, hashing or ``repr``."""
         return {}
+
+    def _draws(
+        self, round_number: int
+    ) -> tuple[np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
+        """This round's random link faults, drawn once from one
+        ``rng("mask", round)`` in a fixed order and memoized: the live
+        bursts' hits (:meth:`burst_hits`), then each active slow node's
+        ``(pid, [row, column])`` drops.  A round with neither draws
+        nothing.  Treat the arrays as read-only."""
+        draws = self._draw_memo.get(round_number)
+        if draws is None:
+            bursts = self.round_state(round_number).bursts
+            slow_nodes = [s for s in self.slow_nodes if s.active_at(round_number)]
+            if not bursts and not slow_nodes:  # most rounds draw nothing
+                return np.zeros((0, self.n, self.n), dtype=bool), ()
+            rng = self.rng("mask", round_number)
+            blocks = rng.random((len(bursts), self.n, self.n))
+            drop_probs = [self.loss_bursts[index].drop_prob for index in bursts]
+            draws = self._draw_memo[round_number] = (
+                blocks < np.reshape(drop_probs, (-1, 1, 1)),
+                tuple(
+                    (slow.pid, rng.random((2, self.n)) < slow.drop_prob)
+                    for slow in slow_nodes
+                ),
+            )
+        return draws
 
     def burst_hits(self, round_number: int) -> np.ndarray:
         """``[b, dst, src]``: the links each live burst of this round hits
@@ -359,41 +384,24 @@ class FaultPlan:
         (:class:`~repro.faults.event.PlanLinkFaults`) and :meth:`mask`.
 
         Block ``b`` is the ``b``-th ``(n, n)`` uniform block of
-        ``rng("mask", round)``, below its burst's ``drop_prob``.  Drawn
-        once per round and memoized; treat the array as read-only.
+        ``rng("mask", round)``, below its burst's ``drop_prob``; see
+        :meth:`_draws`.  Treat the array as read-only.
         """
-        bursts = self.round_state(round_number).bursts
-        if not bursts:  # most rounds draw nothing
-            return np.zeros((0, self.n, self.n), dtype=bool)
-        hits = self._hit_memo.get(round_number)
-        if hits is None:
-            draws = self.rng("mask", round_number).random(
-                (len(bursts), self.n, self.n)
-            )
-            drop_probs = [self.loss_bursts[index].drop_prob for index in bursts]
-            hits = self._hit_memo[round_number] = (
-                draws < np.reshape(drop_probs, (-1, 1, 1))
-            )
-        return hits
+        return self._draws(round_number)[0]
 
     def mask(self, round_number: int) -> np.ndarray:
         """Boolean ``[dst, src]`` matrix of messages this round's faults
         force to miss (lockstep view; the diagonal is never masked).
 
         Deterministic per round: the randomness for bursts and slow nodes
-        is drawn from ``rng("mask", round)`` in a fixed order — the
-        bursts' blocks (:meth:`burst_hits`), then each slow node's rows.
+        is the round's one draw (:meth:`_draws`).
         """
         state = self.round_state(round_number)
-        masked = state.cross | self.burst_hits(round_number).any(axis=0)
-        slow_nodes = [s for s in self.slow_nodes if s.active_at(round_number)]
-        if slow_nodes:
-            rng = self.rng("mask", round_number)
-            rng.random((len(state.bursts), self.n, self.n))  # the bursts' blocks
-            for slow in slow_nodes:
-                rows = rng.random((2, self.n)) < slow.drop_prob
-                masked[slow.pid, :] |= rows[0]
-                masked[:, slow.pid] |= rows[1]
+        hits, slow_rows = self._draws(round_number)
+        masked = state.cross | hits.any(axis=0)
+        for pid, rows in slow_rows:
+            masked[pid, :] |= rows[0]
+            masked[:, pid] |= rows[1]
         # Dead and frozen processes alike send and hear nothing, except
         # that a process dying mid-broadcast still reaches its
         # ``final_sends`` in its last round (other faults permitting).

@@ -124,7 +124,7 @@ def _decision_cell(
     """One decision query, computed exactly as the WAN figures do.
 
     The cell's matrices are :func:`repro.experiments.figures.wan_cell`'s
-    own (same cached trace) and the decision RNG is the figures'
+    own (same cached timely graphs) and the decision RNG is the figures'
     ``purpose="decision"`` stream — so a served answer is bit-identical
     to the figure pipeline's value for the same cell.
     """

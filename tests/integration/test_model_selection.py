@@ -9,7 +9,6 @@ import repro.experiments.selection as selection
 from repro.experiments.config import SweepConfig
 from repro.experiments.figures import WanRun, WanSweep
 from repro.experiments.measurement import (
-    measured_p,
     sample_latency_trace,
     satisfied_fractions,
     timely_matrices,
@@ -115,7 +114,7 @@ class TestOneStackPerTimeout:
                 model = network(seed=config.run_seed(t_index, run, "selection"))
                 trace = sample_latency_trace(model, rounds, timeout)
                 sweep.runs[timeout].append(
-                    WanRun(measured_p(trace, timeout), timely_matrices(trace, timeout))
+                    WanRun.of(timely_matrices(trace, timeout))
                 )
         for model in CANDIDATES:
             times = [

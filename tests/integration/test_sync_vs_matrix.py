@@ -19,7 +19,6 @@ from repro.check.differential import (
     idealized_matrices,
 )
 from repro.experiments.measurement import (
-    measured_p,
     model_satisfaction,
     sample_latency_trace,
     timely_matrices,

@@ -31,6 +31,7 @@ from repro.experiments.measurement import (
     measured_p,
     sample_latency_trace,
     sample_latency_trace_scalar,
+    timely_matrices,
 )
 from repro.net.hetero import HeterogeneousNetwork, SlowWindows, uniform_wan_profile
 from repro.net.lan import LanProfile
@@ -80,7 +81,7 @@ class TestScalarVsBatchDistributions:
         values = off_diagonal(trace)
         finite = values[np.isfinite(values)]
         return {
-            "delivery_prob": measured_p(trace, round_length),
+            "delivery_prob": measured_p(timely_matrices(trace, round_length)),
             "loss": float(np.isinf(values).mean()),
             "median": float(np.median(finite)),
             "tail_freq": float((finite > 3.0 * np.median(finite)).mean()),

@@ -1,4 +1,5 @@
-"""A damaged trace cache serves what was stored, or nothing.
+"""A damaged cache serves what was stored, or nothing; a cell's record
+is its thresholded trace.
 
 The cache is a directory of append-only segments, one per writer
 (:mod:`repro.experiments.cache`).  Whatever two writers interleave on
@@ -17,7 +18,11 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.cache import TraceCache
+from repro.experiments import measurement
+from repro.experiments.cache import TraceCache, cached_timely, trace_key
+from repro.experiments.config import LAN_TIMEOUTS, WAN_TIMEOUTS
+from repro.experiments.figures import WanRun
+from repro.experiments.measurement import timely_matrices
 
 KEYS = ("a", "b", "c", "ab")
 
@@ -74,3 +79,46 @@ def test_every_load_is_what_was_stored_or_a_miss(stores, cut, flip):
                 assert loaded.tobytes() in stored[key] + [
                     content(key, 0).tobytes()
                 ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    profile=st.sampled_from(["wan", "lan"]),
+    rounds=st.integers(0, 40),
+    grid_index=st.integers(0, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_cell_record_is_its_thresholded_trace(profile, rounds, grid_index, seed):
+    """A sweep cell's record (``cached_timely``) holds exactly the timely
+    graphs of the trace it stands for, cold and warm; its p is the
+    trace-based count; and a float latency record stored under the same
+    parameters' ``trace_key`` is a miss, never a served cell."""
+    timeout = (WAN_TIMEOUTS if profile == "wan" else LAN_TIMEOUTS)[grid_index]
+    trace = getattr(measurement, f"sample_{profile}_trace")(rounds, timeout, seed)
+    reference = timely_matrices(trace.copy(), timeout)
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        # The old record kind, under the old key: not a cell.
+        TraceCache(root).store(
+            profile, trace_key(profile, 8, rounds, timeout, seed), trace
+        )
+        cache = TraceCache(root)
+        cold = cached_timely(profile, 8, rounds, timeout, seed, cache=cache)
+        assert (cache.hits, cache.misses) == (0, 1)
+        for reader in (cache, TraceCache(root)):
+            warm = cached_timely(profile, 8, rounds, timeout, seed, cache=reader)
+            assert warm.dtype == cold.dtype == np.bool_
+            assert warm.tobytes() == cold.tobytes() == reference.tobytes()
+            assert reader.hits == 1
+        assert TraceCache(root).entries() == 2
+
+    # p as the trace-based count it replaced: off-diagonal latencies
+    # under the timeout, over rounds * n * (n - 1).
+    links = rounds * 8 * 7
+    if links:
+        timely = trace < timeout
+        own = np.count_nonzero(timely.diagonal(axis1=1, axis2=2))
+        expected = float((np.count_nonzero(timely) - own) / links)
+    else:
+        expected = float("nan")
+    assert repr(WanRun.of(cold).p) == repr(expected)

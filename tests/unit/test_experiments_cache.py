@@ -1,4 +1,4 @@
-"""Unit tests for the on-disk trace cache."""
+"""Unit tests for the on-disk cache of the sweep cells' timely graphs."""
 
 import errno
 import gc
@@ -12,12 +12,23 @@ import pytest
 
 from repro.experiments import cache as cache_module
 from repro.experiments import measurement
-from repro.experiments.cache import TraceCache, cached_trace, trace_key
+from repro.experiments.cache import (
+    TraceCache,
+    cached_timely,
+    cached_trace,
+    timely_key,
+    trace_key,
+)
 
 
 def segments(root):
     """The cache directory's segment files, sorted."""
     return sorted(root.glob("*.traces"))
+
+
+def packed(matrices):
+    """The record ``cached_timely`` stores for a cell's matrices."""
+    return np.packbits(matrices)
 
 
 class TestTraceKey:
@@ -46,6 +57,23 @@ class TestTraceKey:
         assert trace_key("wan", 8, 100, 0.2, 7) != base
 
 
+class TestTimelyKey:
+    def test_sensitive_to_every_parameter_and_the_sampler(self, monkeypatch):
+        base = timely_key("wan", 8, 100, 0.2, 7)
+        assert timely_key("wan", 8, 100, 0.2, 7) == base
+        assert timely_key("lan", 8, 100, 0.2, 7) != base
+        assert timely_key("wan", 9, 100, 0.2, 7) != base
+        assert timely_key("wan", 8, 101, 0.2, 7) != base
+        assert timely_key("wan", 8, 100, 0.2 + 1e-12, 7) != base
+        assert timely_key("wan", 8, 100, 0.2, 8) != base
+        monkeypatch.setattr(measurement, "TRACE_SAMPLER_VERSION", "future99")
+        assert timely_key("wan", 8, 100, 0.2, 7) != base
+
+    def test_never_a_trace_key(self):
+        """A float latency record must never be unpacked as bits."""
+        assert timely_key("wan", 8, 100, 0.2, 7) != trace_key("wan", 8, 100, 0.2, 7)
+
+
 class TestTraceCache:
     def test_store_load_roundtrip_is_bit_identical(self, tmp_path):
         cache = TraceCache(tmp_path)
@@ -68,11 +96,12 @@ class TestTraceCache:
         the earlier ones still hit, the torn one is a miss (``load``
         never raises) and is re-appended, to a fresh segment."""
         writer = TraceCache(tmp_path)
-        traces = [
-            cached_trace("wan", 8, 5, 0.2, seed, cache=writer)
+        cells = [
+            cached_timely("wan", 8, 5, 0.2, seed, cache=writer)
             for seed in (1, 2, 3)
         ]
-        keys = [trace_key("wan", 8, 5, 0.2, seed) for seed in (1, 2, 3)]
+        traces = [packed(matrices) for matrices in cells]
+        keys = [timely_key("wan", 8, 5, 0.2, seed) for seed in (1, 2, 3)]
         [segment] = segments(tmp_path)
         whole = segment.stat().st_size
         third = whole - whole // 3  # equal-sized records: the last one's start
@@ -91,7 +120,7 @@ class TestTraceCache:
 
         healer = TraceCache(tmp_path)
         assert np.array_equal(
-            cached_trace("wan", 8, 5, 0.2, 3, cache=healer), traces[2]
+            cached_timely("wan", 8, 5, 0.2, 3, cache=healer), cells[2]
         )
         assert (healer.hits, healer.misses) == (0, 1)
         for cache in (healer, TraceCache(tmp_path)):
@@ -100,14 +129,15 @@ class TestTraceCache:
         assert sorted(tmp_path.rglob("*")) == segments(tmp_path)
 
     def test_flipped_payload_byte_is_a_miss_then_heals(self, tmp_path):
-        """Regression: one flipped byte in a stored trace's body was
-        served as a hit with wrong latencies — only the header was
+        """Regression: one flipped byte in a stored record's body was
+        served as a hit with wrong contents — only the header was
         checked.  The record CRC makes it a miss, the resample restores
-        the exact bytes, and a reader that meets the bad record first
+        the exact bits, and a reader that meets the bad record first
         still ends on the good copy."""
         cache = TraceCache(tmp_path)
-        key = trace_key("wan", 8, 5, 0.2, 3)
-        trace = cached_trace("wan", 8, 5, 0.2, 3, cache=cache)
+        key = timely_key("wan", 8, 5, 0.2, 3)
+        matrices = cached_timely("wan", 8, 5, 0.2, 3, cache=cache)
+        trace = packed(matrices)
         [segment] = segments(tmp_path)
         blob = bytearray(segment.read_bytes())
         blob[-trace.nbytes // 2] ^= 0x01
@@ -117,8 +147,8 @@ class TestTraceCache:
             before = (reader.hits, reader.misses)
             assert reader.load("wan", key) is None
             assert (reader.hits, reader.misses) == (before[0], before[1] + 1)
-        healed = cached_trace("wan", 8, 5, 0.2, 3, cache=TraceCache(tmp_path))
-        assert healed.tobytes() == trace.tobytes()
+        healed = cached_timely("wan", 8, 5, 0.2, 3, cache=TraceCache(tmp_path))
+        assert healed.tobytes() == matrices.tobytes()
         # Whichever of the bad and the good segment a scan lists first.
         for names in (("0.traces", "1.traces"), ("1.traces", "0.traces")):
             for path, name in zip(segments(tmp_path), names):
@@ -166,19 +196,30 @@ class TestTraceCache:
         assert not any(thread.is_alive() for thread in threads)
         assert (cache.hits, cache.misses) == (800, 800)
 
-    def test_two_writers_get_two_segments_a_third_reads_both(self, tmp_path):
+    def test_two_writers_get_two_segments_a_third_reads_both(
+        self, tmp_path, monkeypatch
+    ):
         first, second = TraceCache(tmp_path), TraceCache(tmp_path)
         stored = {}
-        for number in range(6):
-            writer = (first, second)[number % 2]
-            stored[f"k{number}"] = np.full((2, 3, 3), float(number))
-            writer.store("lan", f"k{number}", stored[f"k{number}"])
-        first.store("lan", "k1", stored["k1"])  # a key both have written
+        for seed in range(6):
+            writer = (first, second)[seed % 2]
+            stored[seed] = cached_timely("lan", 8, 3, 0.001, seed, cache=writer)
+        # A key both have written: ``first`` has not scanned since
+        # ``second`` stored it, so it misses and appends its own copy.
+        again = cached_timely("lan", 8, 3, 0.001, 1, cache=first)
+        assert np.array_equal(again, stored[1])
+        assert (first.hits, first.misses) == (0, 4)
         assert len(segments(tmp_path)) == 2
+
+        def forbidden(*args):
+            raise AssertionError("a stored cell was re-simulated")
+
+        monkeypatch.setattr(measurement, "sample_lan_trace", forbidden)
         third = TraceCache(tmp_path)
         assert third.entries() == 6
-        for key, trace in stored.items():
-            assert np.array_equal(third.load("lan", key), trace)
+        for seed, matrices in stored.items():
+            loaded = cached_timely("lan", 8, 3, 0.001, seed, cache=third)
+            assert loaded.tobytes() == matrices.tobytes()
         assert (third.hits, third.misses) == (6, 0)
 
     def test_short_writes_are_completed(self, tmp_path, monkeypatch):
@@ -342,6 +383,9 @@ class TestTraceCache:
 
 
 class TestCachedTrace:
+    """A cell's record (:func:`cached_timely`, what the sweep reads), and
+    the latency trace behind it (:func:`cached_trace`, sampled afresh)."""
+
     def test_without_cache_delegates_to_sampler(self, monkeypatch):
         calls = []
         real = measurement.sample_wan_trace
@@ -351,9 +395,14 @@ class TestCachedTrace:
             return real(rounds, round_length, seed)
 
         monkeypatch.setattr(measurement, "sample_wan_trace", spy)
-        cached_trace("wan", 8, 5, 0.2, seed=1)
-        cached_trace("wan", 8, 5, 0.2, seed=1)
-        assert calls == [1, 1]  # no cache: sampled every time
+        for cached in (cached_timely, cached_trace):
+            cached("wan", 8, 5, 0.2, seed=1)
+            cached("wan", 8, 5, 0.2, seed=1)
+        assert calls == [1, 1, 1, 1]  # no cache: sampled every time
+        assert np.array_equal(
+            cached_timely("wan", 8, 5, 0.2, seed=1),
+            measurement.timely_matrices(real(5, 0.2, 1), 0.2),
+        )
 
     def test_second_call_hits_cache_with_zero_resimulation(
         self, tmp_path, monkeypatch
@@ -367,21 +416,29 @@ class TestCachedTrace:
             return real(rounds, round_length, seed)
 
         monkeypatch.setattr(measurement, "sample_wan_trace", spy)
-        first = cached_trace("wan", 8, 5, 0.2, seed=1, cache=cache)
-        second = cached_trace("wan", 8, 5, 0.2, seed=1, cache=cache)
+        first = cached_timely("wan", 8, 5, 0.2, seed=1, cache=cache)
+        second = cached_timely("wan", 8, 5, 0.2, seed=1, cache=cache)
         assert calls == [1]
+        assert first.dtype == second.dtype == np.bool_
         assert np.array_equal(first, second)
 
     def test_uses_process_wide_cache_when_activated(self, tmp_path):
         cache_module.activate(tmp_path)
-        cached_trace("lan", 8, 4, 0.001, seed=2)
+        cached_timely("lan", 8, 4, 0.001, seed=2)
         active = cache_module.active_cache()
         assert active is not None
         assert active.entries() == 1
+        cached_trace("lan", 8, 4, 0.001, seed=2)  # traces are not cached
+        assert active.entries() == 1
 
-    def test_unknown_profile_rejected(self):
+    def test_unknown_profile_rejected(self, tmp_path):
+        for cached in (cached_timely, cached_trace):
+            with pytest.raises(KeyError):
+                cached("martian", 8, 5, 0.2, seed=1)
+        cache = TraceCache(tmp_path)
         with pytest.raises(KeyError):
-            cached_trace("martian", 8, 5, 0.2, seed=1)
+            cached_timely("martian", 8, 5, 0.2, seed=1, cache=cache)
+        assert cache.entries() == 0
 
     def test_mismatched_n_rejected(self, tmp_path):
         """Regression: ``n`` is hashed into the key but the profile
@@ -389,14 +446,15 @@ class TestCachedTrace:
         mint a distinct cache entry silently holding an 8-node trace."""
         cache = TraceCache(tmp_path)
         with pytest.raises(ValueError, match="n=9"):
-            cached_trace("wan", 9, 5, 0.2, seed=1, cache=cache)
+            cached_timely("wan", 9, 5, 0.2, seed=1, cache=cache)
         assert cache.entries() == 0  # nothing mislabeled was stored
         # No cache in the loop: still rejected.
-        with pytest.raises(ValueError, match="n=9"):
-            cached_trace("lan", 9, 5, 0.001, seed=1)
+        for cached in (cached_timely, cached_trace):
+            with pytest.raises(ValueError, match="n=9"):
+                cached("lan", 9, 5, 0.001, seed=1)
         # The profile's true size passes, both cold and warm.
-        cold = cached_trace("wan", 8, 5, 0.2, seed=1, cache=cache)
-        warm = cached_trace("wan", 8, 5, 0.2, seed=1, cache=cache)
+        cold = cached_timely("wan", 8, 5, 0.2, seed=1, cache=cache)
+        warm = cached_timely("wan", 8, 5, 0.2, seed=1, cache=cache)
         assert np.array_equal(cold, warm)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments import figures
+from repro.experiments import figures, measurement
 from repro.experiments.config import PAPER, PAPER_LAN, QUICK, SweepConfig
 from repro.net.lan import LanProfile
 from repro.net.planetlab import PlanetLabProfile
@@ -57,13 +57,20 @@ class TestLanAndWanCellsDrawIndependently:
     ):
         assert PAPER.seed == PAPER_LAN.seed
         drawn = {}
-        sample = figures.cached_trace
 
-        def recording(profile, n, rounds, timeout, seed):
-            drawn[profile] = seed, sample(profile, n, rounds, timeout, seed)
-            return drawn[profile][1]
+        def recording(profile):
+            sample = getattr(measurement, f"sample_{profile}_trace")
 
-        monkeypatch.setattr(figures, "cached_trace", recording)
+            def sampler(rounds, round_length, seed):
+                drawn[profile] = seed, sample(rounds, round_length, seed)
+                return drawn[profile][1]
+
+            return sampler
+
+        for profile in ("lan", "wan"):
+            monkeypatch.setattr(
+                measurement, f"sample_{profile}_trace", recording(profile)
+            )
         figures.lan_cell(PAPER_LAN, t_index, r_index)
         figures.wan_cell(PAPER, t_index, r_index)
         bodies = []

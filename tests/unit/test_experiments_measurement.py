@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import measurement
-from repro.experiments.cache import TraceCache, cached_trace
+from repro.experiments.cache import TraceCache, cached_timely
 from repro.experiments.measurement import (
     measured_p,
     model_satisfaction,
@@ -60,7 +60,7 @@ class ScriptedLink(LatencyModel):
 
 class TestTraceIsCheckedWhereItIsDrawn:
     """ROADMAP 3c: under ``latency < timeout`` a NaN read "lost" and a
-    negative value "timely", and ``cached_trace`` stored either."""
+    negative value "timely", and the cache stored either."""
 
     @pytest.mark.parametrize("value", [float("nan"), -0.004])
     def test_not_a_delay_is_refused(self, value):
@@ -80,7 +80,7 @@ class TestTraceIsCheckedWhereItIsDrawn:
         )
         cache = TraceCache(tmp_path)
         with pytest.raises(ValueError, match="not a delay"):
-            cached_trace("wan", 3, 4, 0.2, seed=1, cache=cache)
+            cached_timely("wan", 3, 4, 0.2, seed=1, cache=cache)
         assert cache.entries() == 0
 
     def test_an_infinite_latency_stays_a_loss(self):
@@ -111,11 +111,13 @@ class TestMeasuredP:
         trace = np.full((1, 3, 3), 10.0)
         for i in range(3):
             trace[0, i, i] = 0.0
-        assert measured_p(trace, timeout=1.0) == 0.0
+        assert measured_p(timely_matrices(trace, timeout=1.0)) == 0.0
 
     def test_increases_with_timeout(self):
         trace = sample_wan_trace(50, 0.2, seed=4)
-        assert measured_p(trace, 0.15) < measured_p(trace, 0.35)
+        assert measured_p(timely_matrices(trace, 0.15)) < measured_p(
+            timely_matrices(trace, 0.35)
+        )
 
     @pytest.mark.parametrize(
         "shape",
@@ -130,7 +132,8 @@ class TestMeasuredP:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 expected = float((trace[:, links] < timeout).mean())
-            assert repr(measured_p(trace, timeout)) == repr(expected)
+            matrices = timely_matrices(trace, timeout)
+            assert repr(measured_p(matrices)) == repr(expected)
 
 
 class TestModelSatisfaction:

@@ -193,12 +193,48 @@ class TestMask:
         # Only the burst's and the slow node's rounds draw; crash and
         # partition rounds are tabulated, quiet rounds empty.
         assert seeded == [6, 7, 9]
-        # A burst is drawn once per round (``burst_hits``); a slow node's
-        # rows are drawn again behind the bursts' blocks.
+        # Every drawing round is memoized, the slow node's rows with the
+        # bursts' blocks: asking again draws nothing.
         seeded.clear()
         for k, mask in expected.items():
             assert (plan.mask(k) == mask).all()
-        assert seeded == [9]
+        assert seeded == []
+
+    def test_a_burst_and_a_slow_node_share_one_seeding(self, monkeypatch):
+        """A round with both a live burst and an active slow node seeds
+        ``rng("mask", k)`` once: the slow rows come from the generator
+        that drew the bursts' blocks, and ``burst_hits`` and ``mask``
+        read the same memo."""
+        plan = FaultPlan(
+            n=5,
+            loss_bursts=(LossBurst(3, 6, 0.4), LossBurst(5, 7, 0.7)),
+            slow_nodes=(SlowNode(2, 4, 8, drop_prob=0.5),),
+            seed=11,
+        )
+        seeded, rng = [], FaultPlan.rng
+
+        def counted(self, *parts):
+            seeded.append(parts)
+            return rng(self, *parts)
+
+        monkeypatch.setattr(FaultPlan, "rng", counted)
+        for k in range(1, 10):
+            plan.burst_hits(k)
+            plan.mask(k)
+            plan.mask(k)
+        assert seeded == [("mask", k) for k in range(3, 9)]
+        # The one generator, replayed: bursts' blocks, then the rows.
+        k = 5
+        draws = rng(plan, "mask", k)
+        blocks = draws.random((2, 5, 5))
+        rows = draws.random((2, 5)) < 0.5
+        hits = blocks < np.reshape([0.4, 0.7], (-1, 1, 1))
+        assert (plan.burst_hits(k) == hits).all()
+        expected = hits.any(axis=0)
+        expected[2, :] |= rows[0]
+        expected[:, 2] |= rows[1]
+        np.fill_diagonal(expected, False)
+        assert (plan.mask(k) == expected).all()
 
 
 class TestApplication:
