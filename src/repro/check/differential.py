@@ -23,10 +23,10 @@ closed forms on a grid of ``p`` values.  The sweep itself is data:
 :data:`GRID`, one ``(check, profile, fault)`` row per scenario.
 
 Both stacks read one trace seed and one plan verdict per message
-(:func:`idealized_matrices`).  An event run on the round grid is then
-the idealization itself, so its row is exact: tolerance 0, plus a
-cell-for-cell comparison of the matrices and of the consensus run's
-decisions with its replay's.  Off the grid (time-varying
+(:func:`~repro.experiments.measurement.idealized_matrices`).  An event
+run on the round grid is then the idealization itself, so its row is
+exact: tolerance 0, plus a cell-for-cell comparison of the matrices and
+of the consensus run's decisions with its replay's.  Off the grid (time-varying
 links, crash recovery) the stack cuts rounds with local timers, jumps and
 shortened joins, so it agrees in distribution only, within loose bands
 after ``tests/integration/test_sync_vs_matrix.py``, widened where fault
@@ -49,15 +49,14 @@ from repro.check.mutation import agreement_violation_run
 from repro.core.wlm import WlmConsensus
 from repro.experiments.decision import decision_stats_from_vector
 from repro.experiments.measurement import (
+    idealized_matrices,
     model_satisfaction,
     sample_latency_trace,
     satisfaction_vector,
-    timely_matrices,
 )
 from repro.experiments.report import format_cell
 from repro.experiments.robustness import canonical_plans
 from repro.faults.adversary import StabilityWindowAdversary
-from repro.faults.event import PlanLinkFaults
 from repro.faults.plan import Crash, FaultPlan, LossBurst, Partition, SlowNode
 from repro.giraf.kernel import GirafAlgorithm
 from repro.giraf.oracle import FixedLeaderOracle, Oracle
@@ -172,7 +171,7 @@ def canonical_diff_plan(n: int, rounds: int, seed: int = 0) -> FaultPlan:
         crashes=(Crash(min(2, n - 1), third, recover_round=third + 4),),
         loss_bursts=(LossBurst(third + 8, third + 10, drop_prob=0.9),),
         slow_nodes=(
-            SlowNode(n - 1, third + 14, third + 18, factor=3.0, drop_prob=0.5),
+            SlowNode(n - 1, third + 14, third + 18, factor=3.0),
         ),
         seed=derive_seed(seed, "check:canonical-plan"),
     )
@@ -260,24 +259,6 @@ def _observables(matrices: np.ndarray, row: ProbeScenario) -> dict[str, float]:
         start_points=12,
     ).mean_rounds
     return values
-
-
-def idealized_matrices(
-    trace: np.ndarray, timeout: float, plan: Optional[FaultPlan] = None
-) -> np.ndarray:
-    """The figures' synchronized windows over ``trace`` under ``plan``, as
-    the wire applies it: :meth:`~repro.faults.event.PlanLinkFaults.judge`
-    rules on each off-diagonal message of round ``k`` in plan round ``k``,
-    a lost one's latency becomes ``+inf``, the rest take their link's
-    factor — then a message is timely iff its latency is below timeout."""
-    if plan is not None:
-        rounds, n = trace.shape[:2]
-        sent = np.broadcast_to(~np.eye(n, dtype=bool), trace.shape)
-        lost, factor, _ = PlanLinkFaults(plan, timeout).judge(
-            sent, np.arange(1, rounds + 1)
-        )
-        trace = np.where(lost, np.inf, trace * factor)
-    return timely_matrices(trace, timeout)
 
 
 def _exact(quantity: str, holds: bool) -> DiffRow:
@@ -368,7 +349,7 @@ def canonical_batch_plan(n: int, rounds: int, seed: int = 0) -> FaultPlan:
             ),
         ),
         slow_nodes=(
-            SlowNode(n - 1, third + 22, third + 26, factor=3.0, drop_prob=0.5),
+            SlowNode(n - 1, third + 22, third + 26, factor=3.0),
         ),
         seed=derive_seed(seed, "check:canonical-batch-plan"),
     )

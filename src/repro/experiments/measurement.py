@@ -16,7 +16,7 @@ idealization matches protocol-produced matrices; see
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from repro.net.base import LatencyModel
 from repro.net.lan import LanProfile
 from repro.net.planetlab import PlanetLabProfile
 from repro.sim.transport import not_a_delay
+
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultPlan
 
 
 #: Version tag of the batch trace sampler, folded into the sweep cache's key
@@ -81,11 +84,35 @@ def sample_lan_trace(rounds: int, round_length: float, seed: int) -> np.ndarray:
 
 
 def timely_matrices(latency_trace: np.ndarray, timeout: float) -> np.ndarray:
-    """Boolean delivery matrices for a timeout; diagonal forced timely."""
+    """Boolean delivery matrices ``[..., round, dst, src]`` for a timeout;
+    diagonal forced timely."""
     matrices = latency_trace < timeout
-    n = matrices.shape[1]
-    matrices[:, np.arange(n), np.arange(n)] = True
+    diag = np.arange(matrices.shape[-1])
+    matrices[..., diag, diag] = True
     return matrices
+
+
+def idealized_matrices(
+    trace: np.ndarray, timeout: float, plan: Optional[FaultPlan] = None
+) -> np.ndarray:
+    """The figures' synchronized windows over ``trace`` (``[..., round,
+    dst, src]``; leading axes are runs, which share the verdict) under a
+    :class:`~repro.faults.plan.FaultPlan`, as the wire applies it:
+    :meth:`~repro.faults.event.PlanLinkFaults.judge` rules on each
+    off-diagonal message of round ``k`` in plan round ``k``, a lost one's
+    latency becomes ``+inf``, the rest take their link's factor — then a
+    message is timely iff its latency is below timeout."""
+    if plan is not None:
+        # Imported here: only the fault phases need repro.faults.
+        from repro.faults.event import PlanLinkFaults
+
+        rounds, n = trace.shape[-3:-1]
+        sent = np.broadcast_to(~np.eye(n, dtype=bool), (rounds, n, n))
+        lost, factor, _ = PlanLinkFaults(plan, timeout).judge(
+            sent, np.arange(1, rounds + 1)
+        )
+        trace = np.where(lost, np.inf, trace * factor)
+    return timely_matrices(trace, timeout)
 
 
 def measured_p(matrices: np.ndarray) -> float:

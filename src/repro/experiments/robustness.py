@@ -1,12 +1,12 @@
 """The robustness phase: decision latency and P_M under injected faults.
 
 For each canonical fault class — crash-and-recover, a message-loss
-burst, a network partition, a slow node, leader churn — the phase takes
-the WAN sweep's already-sampled delivery matrices (so it reuses the
-trace cache and the parallel engine's work: no new simulation), applies
-the class's :class:`~repro.faults.plan.FaultPlan` with
-:meth:`FaultPlan.apply_to_matrices`, and re-measures what the paper's
-figures measure: per-model ``P_M`` and rounds to global decision.
+burst, a network partition, a slow node, leader churn — the phase
+resamples the WAN sweep's latency traces from the cells' own seeds,
+reads them through the class's :class:`~repro.faults.plan.FaultPlan` as
+the wire applies it (:func:`~repro.experiments.measurement.idealized_matrices`),
+and re-measures what the paper's figures measure: per-model ``P_M`` and
+rounds to global decision.
 
 The output table shows clean versus faulted values side by side — the
 degradation each fault class inflicts on each timing model, which is the
@@ -36,7 +36,11 @@ import numpy as np
 
 from repro.experiments.decision import mean_over_deciding_runs
 from repro.experiments.figures import MEASURED_MODELS, WanSweep
-from repro.experiments.measurement import satisfied_fractions
+from repro.experiments.measurement import (
+    idealized_matrices,
+    sample_wan_trace,
+    satisfied_fractions,
+)
 from repro.experiments.report import format_cell
 from repro.models.registry import get_model
 from repro.faults import (
@@ -98,12 +102,7 @@ def canonical_plans(n: int, rounds: int, seed: int) -> dict[str, FaultPlan]:
         "slow node": FaultPlan(
             n=n,
             slow_nodes=(
-                SlowNode(
-                    pid=n - 1,
-                    start_round=1,
-                    end_round=2 * third,
-                    drop_prob=0.7,
-                ),
+                SlowNode(pid=n - 1, start_round=1, end_round=2 * third),
             ),
             seed=derive_seed(seed, "faults:slow-node"),
         ),
@@ -169,11 +168,19 @@ def measure_robustness(
 
     The clean cells are the sweep's own tables at ``timeout`` — its
     ``D`` is Figure 1(g)'s — and the faulted ``D`` is measured from the
-    same start points (:meth:`WanSweep.start_points`).
+    same start points (:meth:`WanSweep.start_points`).  A sweep whose
+    graphs are not its cells' WAN traces' (a LAN sweep) is refused.
     """
     config = sweep.config
     t_index = list(config.timeouts).index(timeout)
+    seeds = partial(config.run_seed, t_index, purpose="trace")
+    traces = np.stack([
+        sample_wan_trace(config.rounds_per_run, timeout, seeds(r))
+        for r in range(len(sweep.runs[timeout]))
+    ])
     clean = np.stack([run.matrices for run in sweep.runs[timeout]])
+    if not np.array_equal(idealized_matrices(traces, timeout), clean):
+        raise ValueError(f"the sweep's runs at {timeout} s are not WAN cells")
     starts = sweep.start_points()[t_index]
     pm_clean = {
         model: float(np.mean(satisfied_fractions(sweep.satisfied(model)[t_index])))
@@ -183,8 +190,8 @@ def measure_robustness(
 
     cells: list[RobustnessCell] = []
     for fault_name, plan in plans.items():
-        # One mask stack per plan, shared by every run.
-        faulted = plan.apply_to_matrices(clean)
+        # One wire verdict per plan, shared by every run.
+        faulted = idealized_matrices(traces, timeout, plan)
         # Whoever a churn round elects: drawn once per plan, not per
         # (run, model).
         leaders = np.array(
@@ -235,9 +242,9 @@ def render_robustness(
             f"{format_cell(cell.latency_degradation, '.2f'):>9}"
         )
     lines.append(
-        "notes: faulted matrices are the sweep's cached traces with each "
-        "fault class's FaultPlan mask applied; '-' = censored (no decision "
-        "window inside the trace)."
+        "notes: faulted matrices are the sweep's traces, resampled from "
+        "their seeds, under each fault class's FaultPlan as the wire applies "
+        "it; '-' = censored (no decision window inside the trace)."
     )
     return "\n".join(lines)
 

@@ -18,10 +18,10 @@ with every random choice derived from the plan's seed by the codebase's
 SHA-256 rule, so each path realizes the scenario bit-reproducibly.  A
 burst is one realization on every path: ``FaultPlan.burst_hits`` draws it
 once per (round, link), and ``FaultPlan.mask`` (the lockstep runner,
-``apply_to_matrices``, stabilization) and ``PlanLinkFaults`` (the
-transport, both batched engines, the idealization) both read it.  A slow
-node alone keeps two views: drops in the mask, a latency factor on the
-wire.
+stabilization) and ``PlanLinkFaults`` (the transport, both batched
+engines, the idealization the faults table reads) both read it.  A slow
+node is one latency factor on the wire; the mask, which has no
+latencies, refuses a plan with one.
 """
 
 from repro.faults.adversary import StabilityWindowAdversary

@@ -20,11 +20,11 @@ implies is derived from the plan's ``seed`` by the SHA-256 rule of
 injectors share who is down, what a partition cuts, whom churn elects and
 which links each burst hits: a burst is drawn once per (round, link)
 (:meth:`FaultPlan.burst_hits`), and both :meth:`FaultPlan.mask` (the
-lockstep runner, :meth:`apply_to_matrices`, stabilization) and
+lockstep runner, stabilization) and
 :class:`~repro.faults.event.PlanLinkFaults` (the transport, both batched
-engines, the idealization) read that draw.  Only a slow node keeps two
-views: drops with probability ``drop_prob`` in the mask, which has no
-latencies, and a latency factor on the wire.
+engines, the idealization) read that draw.  A slow node has one view, a
+latency factor on the wire: a message it delays is late, not lost, so
+the mask, which has no latencies, refuses a plan with a slow node.
 
 Crash semantics: a crash with ``recover_round=None`` is permanent (on
 the lockstep path a real process death).  A crash *with* a recovery
@@ -100,13 +100,11 @@ class Partition:
 
 @dataclass(frozen=True)
 class SlowNode:
-    """Node ``pid`` runs degraded during ``[start_round, end_round]``.
-
-    On the event path its links' latencies are multiplied by ``factor``;
-    on the lockstep path (which has no latencies, only timeliness) each
-    of its off-diagonal messages — in either direction — independently
-    misses the round with probability ``drop_prob``.
-    """
+    """Node ``pid`` runs degraded during ``[start_round, end_round]``:
+    its links' latencies, in either direction, are multiplied by
+    ``factor`` (a latency-free :meth:`FaultPlan.mask` refuses it).
+    ``drop_prob`` is read by nothing; it stays so that the plans that
+    pass it (the benchmark ledger's) still construct."""
 
     pid: int
     start_round: int
@@ -233,8 +231,6 @@ class FaultPlan:
             # simulator clock.
             if not 1.0 <= slow.factor < math.inf:
                 raise ValueError("a slow node's factor must be finite and >= 1")
-            if not 0.0 <= slow.drop_prob <= 1.0:
-                raise ValueError("drop_prob must be a probability")
         for step in self.clock_steps:
             if not 0 <= step.pid < self.n:
                 raise ValueError(f"clock-step pid {step.pid} out of range")
@@ -346,36 +342,10 @@ class FaultPlan:
         return int(self.rng("churn", round_number).integers(self.n))
 
     @cached_property
-    def _draw_memo(self) -> dict[int, tuple]:
-        """:meth:`_draws`' memo, one entry per round that draws; like
-        :attr:`_epochs`, no part of equality, hashing or ``repr``."""
+    def _hit_memo(self) -> dict[int, np.ndarray]:
+        """:meth:`burst_hits`' memo; like :attr:`_epochs`, no part of
+        equality, hashing or ``repr``."""
         return {}
-
-    def _draws(
-        self, round_number: int
-    ) -> tuple[np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
-        """This round's random link faults, drawn once from one
-        ``rng("mask", round)`` in a fixed order and memoized: the live
-        bursts' hits (:meth:`burst_hits`), then each active slow node's
-        ``(pid, [row, column])`` drops.  A round with neither draws
-        nothing.  Treat the arrays as read-only."""
-        draws = self._draw_memo.get(round_number)
-        if draws is None:
-            bursts = self.round_state(round_number).bursts
-            slow_nodes = [s for s in self.slow_nodes if s.active_at(round_number)]
-            if not bursts and not slow_nodes:  # most rounds draw nothing
-                return np.zeros((0, self.n, self.n), dtype=bool), ()
-            rng = self.rng("mask", round_number)
-            blocks = rng.random((len(bursts), self.n, self.n))
-            drop_probs = [self.loss_bursts[index].drop_prob for index in bursts]
-            draws = self._draw_memo[round_number] = (
-                blocks < np.reshape(drop_probs, (-1, 1, 1)),
-                tuple(
-                    (slow.pid, rng.random((2, self.n)) < slow.drop_prob)
-                    for slow in slow_nodes
-                ),
-            )
-        return draws
 
     def burst_hits(self, round_number: int) -> np.ndarray:
         """``[b, dst, src]``: the links each live burst of this round hits
@@ -384,24 +354,39 @@ class FaultPlan:
         (:class:`~repro.faults.event.PlanLinkFaults`) and :meth:`mask`.
 
         Block ``b`` is the ``b``-th ``(n, n)`` uniform block of
-        ``rng("mask", round)``, below its burst's ``drop_prob``; see
-        :meth:`_draws`.  Treat the array as read-only.
+        ``rng("mask", round)``, below its burst's ``drop_prob``, drawn
+        once and memoized; a round without a live burst draws nothing.
+        Treat the array as read-only.
         """
-        return self._draws(round_number)[0]
+        hits = self._hit_memo.get(round_number)
+        if hits is None:
+            bursts = self.round_state(round_number).bursts
+            if not bursts:  # most rounds draw nothing
+                return np.zeros((0, self.n, self.n), dtype=bool)
+            blocks = self.rng("mask", round_number).random(
+                (len(bursts), self.n, self.n)
+            )
+            drop_probs = [self.loss_bursts[index].drop_prob for index in bursts]
+            hits = self._hit_memo[round_number] = (
+                blocks < np.reshape(drop_probs, (-1, 1, 1))
+            )
+        return hits
 
     def mask(self, round_number: int) -> np.ndarray:
         """Boolean ``[dst, src]`` matrix of messages this round's faults
         force to miss (lockstep view; the diagonal is never masked).
 
-        Deterministic per round: the randomness for bursts and slow nodes
-        is the round's one draw (:meth:`_draws`).
+        Deterministic per round: a burst's randomness is the round's one
+        draw (:meth:`burst_hits`).  A plan with a slow node is refused:
+        the mask has no latencies to delay.
         """
+        if self.slow_nodes:
+            raise ValueError(
+                f"slow node {self.slow_nodes[0].pid} delays messages; the "
+                "lockstep mask has no latencies (replay an event run's log)"
+            )
         state = self.round_state(round_number)
-        hits, slow_rows = self._draws(round_number)
-        masked = state.cross | hits.any(axis=0)
-        for pid, rows in slow_rows:
-            masked[pid, :] |= rows[0]
-            masked[:, pid] |= rows[1]
+        masked = state.cross | self.burst_hits(round_number).any(axis=0)
         # Dead and frozen processes alike send and hear nothing, except
         # that a process dying mid-broadcast still reaches its
         # ``final_sends`` in its last round (other faults permitting).
@@ -420,10 +405,9 @@ class FaultPlan:
 
     def apply_to_matrices(self, matrices: np.ndarray) -> np.ndarray:
         """Faulted copy of a ``[..., round, dst, src]`` delivery-matrix
-        stack (round ``k`` is ``matrices[..., k-1, :, :]``) — the batch
-        form the measurement figures use.  Leading axes (runs) share the
-        rounds' masks: each round's :meth:`mask` is drawn once, however
-        many runs it is applied to."""
+        stack (round ``k`` is ``matrices[..., k-1, :, :]``), each round's
+        :meth:`mask` shared by the leading axes (runs); only the benchmark
+        ledger calls it."""
         matrices = np.asarray(matrices)
         masks = np.zeros(matrices.shape[-3:], dtype=bool)
         for index in range(len(masks)):

@@ -29,9 +29,12 @@ from repro.check.differential import (
     PROFILES,
     canonical_batch_plan,
     canonical_diff_plan,
-    idealized_matrices,
 )
-from repro.experiments.measurement import sample_latency_trace, timely_matrices
+from repro.experiments.measurement import (
+    idealized_matrices,
+    sample_latency_trace,
+    timely_matrices,
+)
 from repro.core import WlmConsensus
 from repro.giraf.oracle import FixedLeaderOracle
 from repro.net import measure_latency_table, uniform_wan_profile
@@ -78,8 +81,8 @@ def test_the_idealization_loses_what_the_plans_mask_loses(
 ):
     """A burst is drawn once: the wire's verdict on round k's messages
     (``judge``, which the idealization calls) is ``plan.mask(k)`` — the
-    lockstep runner's and the faults table's — in every cell, crashes and
-    partitions included, wherever no slow node has two views."""
+    lockstep runner's — in every cell, crashes and partitions included.
+    A slow node is a latency factor, which the mask refuses."""
     plan = replace(plan, slow_nodes=())
     trace = np.random.default_rng(seed).exponential(
         timeout, (rounds, plan.n, plan.n)

@@ -14,11 +14,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.check.differential import (
-    canonical_adversary_plan,
-    idealized_matrices,
-)
+from repro.check.differential import canonical_adversary_plan
 from repro.experiments.measurement import (
+    idealized_matrices,
     model_satisfaction,
     sample_latency_trace,
     timely_matrices,

@@ -97,7 +97,7 @@ MUTANTS = tuple(Mutant(*row) for row in (
      "repro.adaptive.extractor:TimelinessExtractor._merge",
      "if len(self._rounds) > self.window:", "if False:"),
     ("replay-keeps-link-faults", "check",
-     "the lockstep replay of an event run's log installs the whole plan: the wire's losses are lost twice",
+     "the lockstep replay of an event run's log installs the whole plan: a slow node, whose delays the log holds, is refused",
      "repro.check.differential:lockstep_replay",
      "plan = replace(plan, loss_bursts=(), partitions=(), slow_nodes=())", "plan = replace(plan)"),
     ("integrity-never-fires", "check",
@@ -123,7 +123,7 @@ MUTANTS = tuple(Mutant(*row) for row in (
     ("diagonal-not-forced", "experiments",
      "timely_matrices leaves the diagonal to the latency trace",
      "repro.experiments.measurement:timely_matrices",
-     "matrices[:, np.arange(n), np.arange(n)] = True", "pass"),
+     "matrices[..., diag, diag] = True", "pass"),
     ("decision-window-off-by-one", "experiments",
      "the decision-window scan counts one round too many to decide",
      "repro.experiments.decision:window_decisions",

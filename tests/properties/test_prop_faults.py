@@ -1,7 +1,8 @@
 """Property-based tests for fault injection (fast profile).
 
 Hypothesis generates bounded :class:`FaultPlan` timelines — crashes under
-the resilience bound, loss bursts, partitions, slow nodes, leader churn —
+the resilience bound, loss bursts, partitions, leader churn, and slow
+nodes where no lockstep run reads the plan (its mask refuses them) —
 and asserts that (a) every consensus algorithm preserves uniform
 agreement and validity when the plan is injected into the lockstep
 runner, (b) plan derivations are deterministic pure functions of the
@@ -45,8 +46,9 @@ rounds = st.integers(min_value=1, max_value=MAX_FAULT_ROUND)
 
 
 @st.composite
-def fault_plans(draw, n):
-    """A bounded random plan for ``n`` processes.
+def fault_plans(draw, n, slow=False):
+    """A bounded random plan for ``n`` processes, with slow nodes only
+    if ``slow`` (the lockstep runner refuses them).
 
     Process 0 never crashes permanently (it doubles as the leader in the
     consensus property, and a dead leader only stalls the run without
@@ -96,7 +98,7 @@ def fault_plans(draw, n):
         )
 
     slow_nodes = []
-    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+    for _ in range(draw(st.integers(min_value=0, max_value=2 if slow else 0))):
         start, end = window()
         slow_nodes.append(
             SlowNode(
@@ -104,7 +106,6 @@ def fault_plans(draw, n):
                 start_round=start,
                 end_round=end,
                 factor=draw(st.floats(min_value=1.0, max_value=5.0)),
-                drop_prob=draw(st.floats(min_value=0.0, max_value=1.0)),
             )
         )
 
@@ -219,7 +220,7 @@ def test_round_state_tabulates_the_per_call_predicates(data):
     every window edge, for crash-recovery plans, and for partitions that
     overlap (a link is cut when *any* active partition separates it)."""
     n = data.draw(st.integers(min_value=4, max_value=6))
-    base = data.draw(fault_plans(n))
+    base = data.draw(fault_plans(n, slow=True))
     cut = data.draw(st.integers(min_value=1, max_value=n - 1))
     start = data.draw(rounds)
     second = Partition(

@@ -12,6 +12,7 @@ from repro.faults import (
     LeaderChurn,
     LossBurst,
     Partition,
+    PlanLinkFaults,
     SlowNode,
 )
 from repro.giraf import LockstepRunner, MatrixSchedule, NullOracle
@@ -66,8 +67,6 @@ class TestValidation:
     def test_bad_probabilities_rejected(self):
         with pytest.raises(ValueError):
             FaultPlan(n=3, loss_bursts=(LossBurst(1, 3, drop_prob=1.5),))
-        with pytest.raises(ValueError):
-            FaultPlan(n=3, slow_nodes=(SlowNode(0, 1, 3, drop_prob=-0.1),))
 
     def test_slow_factor_below_one_rejected(self):
         with pytest.raises(ValueError, match="factor"):
@@ -114,7 +113,10 @@ class TestTimeline:
             leader_churn=(LeaderChurn(1, 8),),
         )
         assert plan.quiet_after() == 14
-        assert plan.mask(plan.quiet_after() + 1).sum() == 0
+        quiet = plan.round_state(plan.quiet_after() + 1)
+        assert not quiet.down.any() and not quiet.cross.any()
+        assert (quiet.slow == 1.0).all() and not quiet.bursts
+        assert replace(plan, slow_nodes=()).mask(plan.quiet_after() + 1).sum() == 0
 
     def test_permanent_crash_keeps_masking_after_quiet(self):
         plan = FaultPlan(n=4, crashes=(Crash(1, 3),))
@@ -162,12 +164,35 @@ class TestMask:
         assert plan.mask(3).sum() == 12
 
     def test_slow_node_only_affects_its_links(self):
-        plan = FaultPlan(n=5, slow_nodes=(SlowNode(2, 1, 9, drop_prob=1.0),))
-        mask = plan.mask(4)
+        """A slow node is a latency factor on its own links, in either
+        direction, and on nothing else — a view the mask has no
+        latencies for, so the mask refuses the plan."""
+        plan = FaultPlan(n=5, slow_nodes=(SlowNode(2, 1, 9, factor=3.0),))
+        assert plan.round_state(4).slow.tolist() == [1.0, 1.0, 3.0, 1.0, 1.0]
+        _, factor, _ = PlanLinkFaults(plan, 0.1).judge(
+            np.ones((9, 5, 5), dtype=bool), np.arange(1, 10)
+        )
         others = [0, 1, 3, 4]
-        assert mask[2, others].all() and mask[others, 2].all()
-        assert mask[np.ix_(others, others)].sum() == 0
+        assert (factor[:, 2, others] == 3.0).all()
+        assert (factor[:, others, 2] == 3.0).all()
+        assert (factor[:, 2, 2] == 9.0).all()
+        assert (factor[np.ix_(range(9), others, others)] == 1.0).all()
+        with pytest.raises(ValueError, match="slow node 2"):
+            plan.mask(4)
 
+    @pytest.mark.parametrize("k", [1, 4, 9, 10])
+    def test_the_mask_refuses_a_plan_with_a_slow_node_in_any_round(self, k):
+        """Inside the slow window or outside it: the mask has no
+        latencies to slow, and it names the node."""
+        plan = FaultPlan(
+            n=5,
+            loss_bursts=(LossBurst(3, 6, 0.4),),
+            slow_nodes=(SlowNode(3, 4, 9, factor=2.0),),
+        )
+        with pytest.raises(ValueError, match="slow node 3"):
+            plan.mask(k)
+        with pytest.raises(ValueError, match="slow node 3"):
+            plan.apply_to_matrices(full_stack(10, 5))
 
     def test_a_round_that_draws_nothing_seeds_no_generator(self, monkeypatch):
         plan = FaultPlan(
@@ -175,12 +200,14 @@ class TestMask:
             crashes=(Crash(0, 2, recover_round=4),),
             loss_bursts=(LossBurst(6, 7, 0.5),),
             partitions=(Partition(((0, 1), (2, 3, 4)), 3, 5),),
-            slow_nodes=(SlowNode(4, 9, 9, drop_prob=0.5),),
+            slow_nodes=(SlowNode(4, 9, 9, factor=2.0),),
             seed=9,
         )
-        # An equal plan's masks: ``plan`` has drawn nothing yet, and a
-        # bursty round draws once.
-        expected = {k: replace(plan).mask(k) for k in range(1, 12)}
+        # An equal plan without the slow node, whose masks the runner
+        # reads: ``plan`` has drawn nothing yet, and a bursty round draws
+        # once.
+        masked = replace(plan, slow_nodes=())
+        expected = {k: replace(masked).mask(k) for k in range(1, 12)}
         seeded, rng = [], FaultPlan.rng
 
         def counted(self, *parts):
@@ -189,26 +216,28 @@ class TestMask:
 
         monkeypatch.setattr(FaultPlan, "rng", counted)
         for k, mask in expected.items():
-            assert (plan.mask(k) == mask).all()
-        # Only the burst's and the slow node's rounds draw; crash and
-        # partition rounds are tabulated, quiet rounds empty.
-        assert seeded == [6, 7, 9]
-        # Every drawing round is memoized, the slow node's rows with the
-        # bursts' blocks: asking again draws nothing.
+            assert (masked.mask(k) == mask).all()
+            plan.burst_hits(k)
+        # Only the burst's rounds draw, once per plan; crash and
+        # partition rounds are tabulated, the slow node's round and the
+        # quiet rounds empty.
+        assert seeded == [6, 6, 7, 7]
+        # Every drawing round is memoized: asking again draws nothing.
         seeded.clear()
         for k, mask in expected.items():
-            assert (plan.mask(k) == mask).all()
+            assert (masked.mask(k) == mask).all()
+            plan.burst_hits(k)
         assert seeded == []
 
     def test_a_burst_and_a_slow_node_share_one_seeding(self, monkeypatch):
         """A round with both a live burst and an active slow node seeds
-        ``rng("mask", k)`` once: the slow rows come from the generator
-        that drew the bursts' blocks, and ``burst_hits`` and ``mask``
-        read the same memo."""
+        ``rng("mask", k)`` once, for the bursts' blocks alone: the slow
+        node draws nothing, so a round where only it is active seeds
+        nothing."""
         plan = FaultPlan(
             n=5,
             loss_bursts=(LossBurst(3, 6, 0.4), LossBurst(5, 7, 0.7)),
-            slow_nodes=(SlowNode(2, 4, 8, drop_prob=0.5),),
+            slow_nodes=(SlowNode(2, 4, 8, factor=3.0),),
             seed=11,
         )
         seeded, rng = [], FaultPlan.rng
@@ -218,23 +247,20 @@ class TestMask:
             return rng(self, *parts)
 
         monkeypatch.setattr(FaultPlan, "rng", counted)
-        for k in range(1, 10):
-            plan.burst_hits(k)
-            plan.mask(k)
-            plan.mask(k)
-        assert seeded == [("mask", k) for k in range(3, 9)]
-        # The one generator, replayed: bursts' blocks, then the rows.
+        policy = PlanLinkFaults(plan, 0.1)
+        sent = np.ones((9, 5, 5), dtype=bool)
+        for _ in range(2):
+            lost, _, _ = policy.judge(sent, np.arange(1, 10))
+            for k in range(1, 10):
+                plan.burst_hits(k)
+        assert seeded == [("mask", k) for k in range(3, 8)]
+        # The one generator, replayed: the bursts' blocks, and the wire
+        # loses what they hit.
         k = 5
-        draws = rng(plan, "mask", k)
-        blocks = draws.random((2, 5, 5))
-        rows = draws.random((2, 5)) < 0.5
+        blocks = rng(plan, "mask", k).random((2, 5, 5))
         hits = blocks < np.reshape([0.4, 0.7], (-1, 1, 1))
         assert (plan.burst_hits(k) == hits).all()
-        expected = hits.any(axis=0)
-        expected[2, :] |= rows[0]
-        expected[:, 2] |= rows[1]
-        np.fill_diagonal(expected, False)
-        assert (plan.mask(k) == expected).all()
+        assert (lost[k - 1] == hits.any(axis=0)).all()
 
 
 class TestApplication:
@@ -250,7 +276,7 @@ class TestApplication:
         noisy = FaultPlan(
             n=4,
             loss_bursts=(LossBurst(2, 4, 0.5),),
-            slow_nodes=(SlowNode(pid=3, start_round=1, end_round=5, drop_prob=0.5),),
+            partitions=(Partition(((0, 1), (2, 3)), 1, 3),),
             seed=3,
         )
         runs = np.random.default_rng(0).random((3, 6, 4, 4)) < 0.8
@@ -291,6 +317,26 @@ class TestApplication:
         assert senders[5] == {0, 1, 2, 3, 4, 6}  # pid 3's dying round
         assert result.sent_matrices[5][:, 3].tolist() == [1, 0, 1, 1, 0, 0, 0]
         assert senders[6] == senders[9] == {0, 1, 2, 4, 6}
+
+    def test_the_lockstep_runner_refuses_a_slow_node_before_any_delivery(self):
+        """The runner has no latencies to slow: it raises, naming the
+        node, before round 1 delivers a message — even if the node is
+        slow only later."""
+        delivered = []
+
+        class Ears:
+            def on_round_matrix(self, k, matrix):
+                delivered.append(k)
+
+        plan = FaultPlan(n=4, slow_nodes=(SlowNode(1, 5, 8, factor=2.0),))
+        runner = LockstepRunner(
+            4, lambda pid: HeartbeatAlgorithm(pid, 4), NullOracle(),
+            MatrixSchedule([np.ones((4, 4), dtype=bool)]), fault_plan=plan,
+            observers=[Ears()],
+        )
+        with pytest.raises(ValueError, match="slow node 1"):
+            runner.run(max_rounds=10, stop_on_global_decision=False)
+        assert delivered == []
 
     def test_final_sends_survive_the_dying_processs_own_mask(self):
         """In its crash round a process dying mid-broadcast still reaches
