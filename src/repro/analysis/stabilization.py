@@ -27,6 +27,7 @@ the plan has no fault and the simulator is the clean Monte-Carlo
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -54,6 +55,12 @@ def predicted_decision_round(
     )
 
 
+#: One compiled plan per adversary, so the models that Figure 1(k) runs
+#: under one GSR read one draw of its rounds (``to_plan`` itself
+#: compiles afresh on every call).
+_compiled = cache(StabilityWindowAdversary.to_plan)
+
+
 def simulate_adversary_decision_rounds(
     adversary: StabilityWindowAdversary,
     p: float,
@@ -73,7 +80,7 @@ def simulate_adversary_decision_rounds(
     """
     record = get_model(model)
     c = record.decision_rounds
-    plan = adversary.to_plan()
+    plan = _compiled(adversary)
     n = adversary.n
     quiet = plan.quiet_after()
     masks = np.array([plan.mask(k) for k in range(1, quiet + 1)], dtype=bool)

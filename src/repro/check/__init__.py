@@ -36,8 +36,6 @@ from repro.check.differential import (
     DiffRow,
     DifferentialResult,
     batched_differential_run,
-    canonical_adversary_plan,
-    canonical_diff_plan,
     conformance_report,
     differential_run,
     montecarlo_vs_equations,
@@ -59,8 +57,6 @@ __all__ = [
     "DiffRow",
     "DifferentialResult",
     "batched_differential_run",
-    "canonical_adversary_plan",
-    "canonical_diff_plan",
     "conformance_report",
     "differential_run",
     "montecarlo_vs_equations",

@@ -55,9 +55,8 @@ from repro.experiments.measurement import (
     satisfaction_vector,
 )
 from repro.experiments.report import format_cell
-from repro.experiments.robustness import canonical_plans
-from repro.faults.adversary import StabilityWindowAdversary
-from repro.faults.plan import Crash, FaultPlan, LossBurst, Partition, SlowNode
+from repro.faults import catalog
+from repro.faults.plan import FaultPlan
 from repro.giraf.kernel import GirafAlgorithm
 from repro.giraf.oracle import FixedLeaderOracle, Oracle
 from repro.giraf.runner import LockstepRunner, RunResult
@@ -153,48 +152,6 @@ class DifferentialResult:
     @property
     def ok(self) -> bool:
         return all(row.ok for row in self.rows) and not self.violations
-
-
-def canonical_diff_plan(n: int, rounds: int, seed: int = 0) -> FaultPlan:
-    """The standard transient-fault scenario of the conformance runs.
-
-    Recoverable crash, loss burst, degraded node — spread over the middle
-    of the run, all transient, so ``correct()`` stays everyone and both
-    stacks keep their round counts aligned (a permanent crash would make
-    the event path's observation window a per-scenario quantity).
-    """
-    if rounds < 40:
-        raise ValueError("the canonical plan needs at least 40 rounds")
-    third = max(8, rounds // 3)
-    return FaultPlan(
-        n=n,
-        crashes=(Crash(min(2, n - 1), third, recover_round=third + 4),),
-        loss_bursts=(LossBurst(third + 8, third + 10, drop_prob=0.9),),
-        slow_nodes=(
-            SlowNode(n - 1, third + 14, third + 18, factor=3.0),
-        ),
-        seed=derive_seed(seed, "check:canonical-plan"),
-    )
-
-
-def canonical_adversary_plan(n: int, rounds: int, seed: int = 0) -> FaultPlan:
-    """The standard eventually-stabilizing-adversary scenario.
-
-    GSR sits at a third of the run: the first third grants only short
-    vertex-stable root-component windows (full suppression in between),
-    the remaining two thirds are clean — long enough for the decision
-    statistics of both stacks to stabilize.  Batch-eligible by
-    construction (loss bursts and partitions only).
-    """
-    if rounds < 60:
-        raise ValueError("the canonical adversary plan needs at least 60 rounds")
-    return StabilityWindowAdversary(
-        n=n,
-        gsr_round=max(17, rounds // 3),
-        window_length=3,
-        window_period=8,
-        seed=derive_seed(seed, "check:adversary"),
-    ).to_plan()
 
 
 def lockstep_replay(
@@ -328,31 +285,6 @@ def differential_run(
 # ----------------------------------------------------------------------
 # The scalar-vs-batched axis of the event stack.
 # ----------------------------------------------------------------------
-
-
-def canonical_batch_plan(n: int, rounds: int, seed: int = 0) -> FaultPlan:
-    """The standard *batch-eligible* fault scenario: permanent crash,
-    loss burst, partition, and slow node at round granularity — exactly
-    the fault classes the widened fast path covers (no recoveries, no
-    clock steps)."""
-    if rounds < 40:
-        raise ValueError("the canonical batch plan needs at least 40 rounds")
-    third = max(8, rounds // 3)
-    half = n // 2
-    return FaultPlan(
-        n=n,
-        crashes=(Crash(min(2, (n + 1) // 2 - 1), third),),
-        loss_bursts=(LossBurst(third + 8, third + 10, drop_prob=0.9),),
-        partitions=(
-            Partition(
-                (tuple(range(half)), tuple(range(half, n))), third + 14, third + 18
-            ),
-        ),
-        slow_nodes=(
-            SlowNode(n - 1, third + 22, third + 26, factor=3.0),
-        ),
-        seed=derive_seed(seed, "check:canonical-batch-plan"),
-    )
 
 
 def batched_differential_run(
@@ -515,21 +447,18 @@ PROFILES = {
     ),
 }
 
-def _robustness_plan(fault: str, n: int, rounds: int, seed: int = 0) -> FaultPlan:
-    return canonical_plans(n, rounds, seed)[fault]
-
-
-#: Fault label -> the plan's builder ``(n, rounds, seed=)``.  The twin
-#: runs carry the batch-eligible ``-batch`` plans and the robustness
-#: phase's two classes no other plan holds: crash recovery, leader churn.
+#: Fault label -> the :mod:`~repro.faults.catalog` plan its rows carry.
+#: The twin runs carry the batch-eligible ``-batch`` plans (the adversary's
+#: is) and the robustness phase's two classes no other plan holds: crash
+#: recovery, leader churn.
 PLANS = {
     "none": None,
-    "canonical": canonical_diff_plan,
-    "adversary": canonical_adversary_plan,
-    "canonical-batch": canonical_batch_plan,
-    "adversary-batch": canonical_adversary_plan,
-    "crash+recover": partial(_robustness_plan, "crash+recover"),
-    "leader churn": partial(_robustness_plan, "leader churn"),
+    "canonical": "canonical",
+    "adversary": "adversary",
+    "canonical-batch": "canonical-batch",
+    "adversary-batch": "adversary",
+    "crash+recover": "crash+recover",
+    "leader churn": "leader churn",
 }
 
 #: Fault label -> the reason the batch path must give for refusing the
@@ -626,12 +555,13 @@ def run_conformance(
 ) -> ConformanceReport:
     """The full conformance sweep: every row of :data:`GRID`, plus the
     Monte-Carlo cross-check and the mutation self-test.  Rows over one
-    profile variant share its ping."""
+    profile variant share its ping; rows that carry one catalogue plan
+    share its instance, so each of its rounds is drawn once."""
     n, rounds = 8, 120
     report = ConformanceReport()
     plans = {
-        fault: build(n, rounds, seed=seed) if build else None
-        for fault, build in PLANS.items()
+        fault: catalog.build(name, n, rounds, seed) if name else None
+        for fault, name in PLANS.items()
     }
     pinged: dict[tuple[str, _Factory], ProbeScenario] = {}
     for grid_row in GRID:

@@ -43,17 +43,10 @@ from repro.experiments.measurement import (
 )
 from repro.experiments.report import format_cell
 from repro.models.registry import get_model
-from repro.faults import (
-    Crash,
-    FaultPlan,
-    LeaderChurn,
-    LossBurst,
-    Partition,
-    SlowNode,
-)
+from repro.faults.catalog import build
+from repro.faults.plan import FaultPlan
 from repro.net.planetlab import planetlab_profile
 from repro.obs.registry import MetricsRegistry
-from repro.sim.rng import derive_seed
 from repro.sync.heartbeat import ProbeScenario
 
 #: The timeout the robustness tables are measured at (the sweep grid's
@@ -62,56 +55,10 @@ CANONICAL_TIMEOUT = 0.21
 
 
 def canonical_plans(n: int, rounds: int, seed: int) -> dict[str, FaultPlan]:
-    """One representative plan per fault class, scaled to ``rounds``.
-
-    Every window sits inside the first two thirds of the trace so the
-    post-fault tail is long enough for decision windows to complete.
-    """
-    third = max(4, rounds // 3)
-    return {
-        "crash+recover": FaultPlan(
-            n=n,
-            crashes=(
-                Crash(pid=2, at_round=third // 2, recover_round=third),
-                Crash(pid=5, at_round=third + third // 2),
-            ),
-            seed=derive_seed(seed, "faults:crash+recover"),
-        ),
-        "loss burst": FaultPlan(
-            n=n,
-            loss_bursts=(
-                LossBurst(third // 2, third // 2 + 3, drop_prob=0.95),
-                LossBurst(third, third + 1, drop_prob=1.0),
-            ),
-            seed=derive_seed(seed, "faults:loss-burst"),
-        ),
-        "partition": FaultPlan(
-            n=n,
-            partitions=(
-                Partition(
-                    groups=(
-                        tuple(range(n // 2)),
-                        tuple(range(n // 2, n)),
-                    ),
-                    start_round=third // 2,
-                    heal_round=third,
-                ),
-            ),
-            seed=derive_seed(seed, "faults:partition"),
-        ),
-        "slow node": FaultPlan(
-            n=n,
-            slow_nodes=(
-                SlowNode(pid=n - 1, start_round=1, end_round=2 * third),
-            ),
-            seed=derive_seed(seed, "faults:slow-node"),
-        ),
-        "leader churn": FaultPlan(
-            n=n,
-            leader_churn=(LeaderChurn(1, 2 * third),),
-            seed=derive_seed(seed, "faults:leader-churn"),
-        ),
-    }
+    """One representative plan per fault class, scaled to ``rounds``
+    (:func:`~repro.faults.catalog.build`), in the table's row order."""
+    classes = ("crash+recover", "loss burst", "partition", "slow node", "leader churn")
+    return {name: build(name, n, rounds, seed) for name in classes}
 
 
 @dataclass(frozen=True)

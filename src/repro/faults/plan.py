@@ -103,14 +103,14 @@ class SlowNode:
     """Node ``pid`` runs degraded during ``[start_round, end_round]``:
     its links' latencies, in either direction, are multiplied by
     ``factor`` (a latency-free :meth:`FaultPlan.mask` refuses it).
-    ``drop_prob`` is read by nothing; it stays so that the plans that
-    pass it (the benchmark ledger's) still construct."""
+    ``drop_prob`` is read by nothing, nor part of equality, hash or
+    ``repr``; the benchmark ledger's plans still pass it."""
 
     pid: int
     start_round: int
     end_round: int
     factor: float = 3.0
-    drop_prob: float = 0.8
+    drop_prob: float = field(default=0.8, compare=False, repr=False)
 
     def active_at(self, round_number: int) -> bool:
         return self.start_round <= round_number <= self.end_round

@@ -2,11 +2,12 @@
 
 ``PYTHONPATH=src python -m tests.census`` runs tier-1 once on the real
 code and once per row of :data:`tests.mutants.MUTANTS`, each in a
-subprocess and without ``-x``.  A test *kills* a mutant when it passes on
-the real code and fails with the mutant installed.  Every mutant's
-killers are printed, and ``benchmarks/results/mutants.txt`` gets one row
-per mutant (layer, mutant, what it breaks, number of killers, first
-killer in collection order), the equivalent mutants apart, and totals.
+subprocess and without ``-x``, two mutant runs at a time.  A test
+*kills* a mutant when it passes on the real code and fails with the
+mutant installed.  Every mutant's killers are printed, and
+``benchmarks/results/mutants.txt`` gets one row per mutant (layer,
+mutant, what it breaks, number of killers, first killer in collection
+order), the equivalent mutants apart, and totals.
 
 ``--check`` is CI's quick form: each row's first killer must fail with
 its mutant and pass without it, and the table and the file must name the
@@ -162,13 +163,16 @@ def census() -> str:
     rank = {node: i for i, node in enumerate(order)}
     print(f"real code: {len(order)} tests, {len(broken)} failing", flush=True)
     rows, killed = [], 0
-    for mutant in sorted(MUTANTS, key=lambda m: (m.layer, m.name)):
-        killers = sorted(run_suite(mutant.name)[1] - broken, key=lambda t: (rank.get(t, -1), t))
-        killed += bool(killers)
-        print(f"{mutant.layer} {mutant.name}: {len(killers)} killers", flush=True)
-        print("".join(f"    {node}\n" for node in killers), end="", flush=True)
-        first = killers[0] if killers else "SURVIVED"
-        rows.append((mutant.layer, mutant.name, mutant.breaks, len(killers), first))
+    mutants = sorted(MUTANTS, key=lambda m: (m.layer, m.name))
+    with ThreadPoolExecutor(max_workers=2) as pool:  # each run is a subprocess
+        runs = pool.map(lambda mutant: run_suite(mutant.name)[1], mutants)
+        for mutant, failed in zip(mutants, runs):
+            killers = sorted(failed - broken, key=lambda t: (rank.get(t, -1), t))
+            killed += bool(killers)
+            print(f"{mutant.layer} {mutant.name}: {len(killers)} killers", flush=True)
+            print("".join(f"    {node}\n" for node in killers), end="", flush=True)
+            first = killers[0] if killers else "SURVIVED"
+            rows.append((mutant.layer, mutant.name, mutant.breaks, len(killers), first))
     lines = [
         "# Mutant census (python -m tests.census): tier-1 once per mutant.",
         "# layer  mutant  what it breaks  killers  first killer",

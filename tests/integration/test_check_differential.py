@@ -24,18 +24,14 @@ from repro.check import (
     montecarlo_vs_equations,
     run_conformance,
 )
-from repro.check.differential import (
-    GRID,
-    PROFILES,
-    canonical_batch_plan,
-    canonical_diff_plan,
-)
+from repro.check.differential import GRID, PROFILES
 from repro.experiments.measurement import (
     idealized_matrices,
     sample_latency_trace,
     timely_matrices,
 )
 from repro.core import WlmConsensus
+from repro.faults.catalog import build
 from repro.giraf.oracle import FixedLeaderOracle
 from repro.net import measure_latency_table, uniform_wan_profile
 from repro.sim import Transport
@@ -63,7 +59,7 @@ def faulted_result(clean_row):
     return differential_run(
         replace(
             clean_row,
-            plan=canonical_diff_plan(8, ROUNDS, seed=7),
+            plan=build("canonical", 8, ROUNDS, seed=7),
             fault="canonical",
         )
     )
@@ -132,7 +128,7 @@ class TestDifferentialRun:
         the grid too, so the two stacks agree in every cell but the dead
         process's own diagonal."""
         profile, rounds = PROFILES[name], 60
-        plan = canonical_batch_plan(8, rounds)
+        plan = build("canonical-batch", 8, rounds)
         row = ProbeScenario(
             name, profile.static, profile.timeout, rounds, 0, f"check:{name}",
             plan=plan,
@@ -182,7 +178,7 @@ class TestOnePingPerRow:
             "uniform-wan", uniform_wan_profile, TIMEOUT, ROUNDS, 3, "check:uniform-wan"
         )
         faulted = replace(
-            row, plan=canonical_diff_plan(8, ROUNDS, seed=3), fault="canonical"
+            row, plan=build("canonical", 8, ROUNDS, seed=3), fault="canonical"
         )
         # Two-stack diff (its consensus-safety runs included), twin runs.
         assert differential_run(faulted).ok

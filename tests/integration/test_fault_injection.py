@@ -350,11 +350,11 @@ class TestLockstepConsensusUnderFaults:
         60 builds (RNG draws included) for these 60 rounds of ◊LM at
         n = 8, not one per message (3 360).  The conformance plan's slow
         node goes: the mask refuses it."""
-        from repro.check.differential import canonical_diff_plan
+        from repro.faults.catalog import build
         from repro.consensus import LmConsensus
         from repro.giraf import FixedLeaderOracle
 
-        plan = replace(canonical_diff_plan(8, 60), slow_nodes=())
+        plan = replace(build("canonical", 8, 60), slow_nodes=())
         computed = []
         mask = FaultPlan.mask
         monkeypatch.setattr(

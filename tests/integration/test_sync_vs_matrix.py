@@ -14,13 +14,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.check.differential import canonical_adversary_plan
 from repro.experiments.measurement import (
     idealized_matrices,
     model_satisfaction,
     sample_latency_trace,
     timely_matrices,
 )
+from repro.faults.catalog import build
 from repro.giraf.oracle import NullOracle
 from repro.net import (
     measure_latency_table,
@@ -106,7 +106,7 @@ class TestOnTheGridTheIdealizationIsExact:
             "uniform-wan", uniform_wan_profile, 0.1, ROUNDS, 0, "check:uniform-wan"
         )
         if plan is not None:
-            row = replace(row, plan=canonical_adversary_plan(8, ROUNDS))
+            row = replace(row, plan=build("adversary", 8, ROUNDS))
         run = row.event_run("trace")
         matrices = np.array(run.run().matrices)
         assert run.executed_mode == "batch"

@@ -83,6 +83,7 @@ _NOT_ON_THE_PLAIN_PATH = (
     "repro.core",
     "repro.smr",
     "repro.oracles",
+    "repro.service",
     "repro.experiments.robustness",
     "repro.experiments.selection",
     "repro.experiments.parallel",

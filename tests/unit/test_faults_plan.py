@@ -88,6 +88,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="offset"):
             FaultPlan(n=3, clock_steps=(ClockStep(0, 2, offset=offset),))
 
+    def test_a_slow_nodes_unread_drop_prob_is_no_part_of_the_plan(self):
+        one, two = (
+            FaultPlan(n=4, slow_nodes=(SlowNode(1, 2, 5, drop_prob=p),))
+            for p in (0.4, 0.8)
+        )
+        assert one == two and hash(one) == hash(two)
+        assert repr(one) == repr(two) and "drop_prob" not in repr(one)
+
 
 class TestTimeline:
     def test_down_at_window(self):

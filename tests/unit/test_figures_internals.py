@@ -110,6 +110,26 @@ class TestPostPaperFigures:
         again = figure_1k(**kwargs)
         assert again.series == result.series
 
+    def test_figure_1k_draws_each_gsrs_masks_once(self, monkeypatch):
+        """Both models read one draw of each GSR's adversary: its 6 and
+        11 suppressed rounds before GSR 10 and 18 are seeded once each."""
+        from repro.analysis import stabilization
+        from repro.experiments.figures import figure_1k
+        from repro.faults.plan import FaultPlan
+
+        seeded = []
+        rng = FaultPlan.rng
+
+        def spy(plan, *parts):
+            if parts[0] == "mask":
+                seeded.append((plan, *parts))
+            return rng(plan, *parts)
+
+        monkeypatch.setattr(FaultPlan, "rng", spy)
+        stabilization._compiled.cache_clear()
+        figure_1k(gsr_grid=(10, 18), runs=2)
+        assert len(set(seeded)) == len(seeded) == 6 + 11
+
 
 class TestSweepTables:
     """Figures 1(d)-(i) drawn from one sweep share its per-model tables."""
